@@ -92,13 +92,6 @@ def _load_input(args) -> Instance:
     return inst
 
 
-def _check_threads(value: int) -> None:
-    if value < 1:
-        raise _UsageError(f"--threads must be >= 1, got {value}")
-    # Execution is deterministic and sequential; any thread count produces
-    # byte-identical results by construction.
-
-
 def _write_text(path_or_none, text: str) -> None:
     if path_or_none:
         Path(path_or_none).write_text(text, encoding="utf-8")
@@ -137,7 +130,6 @@ def _dump_table(table) -> dict:
 def cmd_solve(args) -> int:
     eps = _parse_eps(args.epsilon)
     internal = parse_rational(args.internal_eps) if args.internal_eps else None
-    _check_threads(args.threads)
     inst = _load_input(args)
 
     start = time.perf_counter()
@@ -373,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=[m.value for m in Mode], default=None)
     p.add_argument("--output", default=None, help="write the result JSON here")
     p.add_argument("--internal-eps", default=None, help="override the internal rounding accuracy")
-    p.add_argument("--threads", type=int, default=1, help="reserved; execution is sequential and deterministic")
     p.add_argument("--dump-partition", default=None, help="write the partition summary JSON here")
     p.add_argument("--dump-tables", default=None, help="write the folded weight table JSON here")
     p.set_defaults(fn=cmd_solve)

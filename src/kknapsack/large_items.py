@@ -29,6 +29,14 @@ order, ties and retrievals as raw rationals, without rational-arithmetic
 overhead; value_at converts back on read. The int64 kind adds a vectorised
 convolution schedule; every schedule produces bit-identical values and
 backpointers.
+
+Storage is k-major: int64 values and all backpointers live in C-contiguous
+(z+1, m+1) arrays, and the table exposes their transposes, so reads index
+[q, k] while a cardinality column k is one contiguous row. Backpointers are
+uint8 when z < 256 (a member count never exceeds z) and int32 otherwise.
+Retrieval reads only backpointers, so build_phi_L releases each superseded
+table's values once the next one exists: the stage chain holds the head
+table plus one byte per cell per class.
 """
 
 from __future__ import annotations
@@ -101,7 +109,9 @@ class ProfitGrid:
 
 @dataclass
 class Stage:
-    """One convolution step, kept for solution retrieval."""
+    """One convolution step, kept for solution retrieval. retrieve_items
+    reads only prev's backptr and stage, so build_phi_L releases prev's
+    values (and, on the stage-less root, its all-zero backptr)."""
 
     prev: "WeightTable"
     cls: LargeClass
@@ -117,6 +127,12 @@ class WeightTable:
     contributes to cell (q, k); 0 everywhere on tables that never saw a
     class. Exact-kind cells hold integers scaled by weight_scale (or the INF
     singleton); int64-kind tables always have weight_scale 1.
+
+    Tables built here store int64 values and all backpointers k-major (the
+    attributes are .T views of (z+1, m+1) arrays, indexed [q, k]); int64
+    tables of either layout are accepted as convolution input. values is None on
+    a table build_phi_L has superseded, including one already handed to
+    its observer.
     """
 
     __slots__ = ("grid", "kind", "values", "backptr", "stage", "weight_scale")
@@ -146,17 +162,23 @@ class WeightTable:
         return self.values[q][k] is not INF
 
 
+def backptr_dtype(grid: ProfitGrid):
+    """Narrowest dtype holding every member count 0..z."""
+    return np.uint8 if grid.z < 256 else np.int32
+
+
 def trivial_table(
     grid: ProfitGrid, kind: str = EXACT, weight_scale: int = 1
 ) -> WeightTable:
     """No classes folded yet: profit 0 is free, anything more impossible."""
     m, z = grid.m, grid.z
     if kind == INT64:
-        values = np.full((m + 1, z + 1), INT_INF, dtype=np.int64)
-        values[0, :] = 0
+        values = np.full((z + 1, m + 1), INT_INF, dtype=np.int64)
+        values[:, 0] = 0
+        values = values.T
     else:
         values = [[0] * (z + 1)] + [[INF] * (z + 1) for _ in range(m)]
-    backptr = np.zeros((m + 1, z + 1), dtype=np.int32)
+    backptr = np.zeros((z + 1, m + 1), dtype=backptr_dtype(grid)).T
     return WeightTable(grid, kind, values, backptr, stage=None, weight_scale=weight_scale)
 
 
@@ -376,29 +398,46 @@ def _convolve_slices(acc: WeightTable, cls: LargeClass, tau: int, schedule: str)
 
 
 def _convolve_vector(acc: WeightTable, cls: LargeClass, tau: int):
-    """One numpy pass per member count; running strict-< minimum keeps the
-    smallest theta on ties, matching the scan schedules bit for bit."""
+    """One numpy pass per member count theta over the k-major table.
+
+    out[k, q] = min over theta of prefix[theta] + acc[k - theta, q - theta*tau]
+    (profit index clamped at 0). Starting from the theta=0 candidate (acc
+    itself), each pass compares in place with strict <, so the smallest
+    theta wins ties, matching the scan schedules bit for bit. Columns
+    q <= theta*tau read acc's zero row, i.e. the constant prefix[theta];
+    the rest read acc shifted by (theta, theta*tau), cut off past acc's
+    last finite profit row (column k=z is each row's minimum). No clamp is
+    needed: INT_INF + prefix < 2**63 never beats a stored value <= INT_INF.
+    """
     grid = acc.grid
     m, z = grid.m, grid.z
-    accv = acc.values
     prefix = [int(w) for w in cls.prefix_weights]
     if prefix[-1] >= INT_WEIGHT_LIMIT:
         raise ValueError("weights too large for the int64 table kind")
-    rows = np.arange(m + 1)
-    best = None
-    best_theta = np.zeros((m + 1, z + 1), dtype=np.int32)
-    for theta in range(0, min(cls.size, z) + 1):
-        cand = np.full((m + 1, z + 1), INT_INF, dtype=np.int64)
-        src_rows = np.maximum(rows - theta * tau, 0)
-        shifted = accv[src_rows][:, : z + 1 - theta]
-        np.minimum(shifted + prefix[theta], INT_INF, out=cand[:, theta:])
-        if best is None:
-            best = cand
-        else:
-            mask = cand < best
-            best[mask] = cand[mask]
-            best_theta[mask] = theta
-    return best, best_theta
+    src = np.ascontiguousarray(acc.values.T)
+    best = src.copy()
+    best_theta = np.zeros((z + 1, m + 1), dtype=backptr_dtype(grid))
+    # acc's profit rows 1..last_finite hold every finite shifted read.
+    last_finite = int(np.searchsorted(src[z], INT_INF)) - 1
+    cand = np.empty((z, min(m, last_finite)), dtype=np.int64)
+    less = np.empty((z, m), dtype=bool)
+
+    def improve(theta: int, cols: slice, c) -> None:
+        out, out_theta = best[theta:, cols], best_theta[theta:, cols]
+        mask = less[: z + 1 - theta, : out.shape[1]]
+        np.less(c, out, out=mask)
+        np.copyto(out, c, where=mask)
+        np.copyto(out_theta, theta, where=mask)
+
+    for theta in range(1, min(cls.size, z) + 1):
+        weight, shift = prefix[theta], theta * tau
+        improve(theta, slice(1, min(shift, m) + 1), weight)
+        width = min(m - shift, last_finite)
+        if width > 0:
+            c = cand[: z + 1 - theta, :width]
+            np.add(src[: z + 1 - theta, 1 : width + 1], weight, out=c)
+            improve(theta, slice(shift + 1, shift + 1 + width), c)
+    return best.T, best_theta.T
 
 
 def convolve(acc: WeightTable, cls: LargeClass, schedule: str = "auto") -> WeightTable:
@@ -438,14 +477,24 @@ def build_phi_L(
     schedule: str = "auto",
     observer: Optional[Callable[[LargeClass, WeightTable], None]] = None,
 ) -> WeightTable:
-    """Fold all large classes (ascending class index) into one table."""
+    """Fold all large classes (ascending class index) into one table.
+
+    Each superseded table is released once the next exists: its values go
+    (retrieval reads only backpointers), and so does the stage-less root's
+    all-zero backptr. The returned chain holds the head table plus one
+    backpointer byte per cell per class (four when z >= 256). A table
+    passed to observer loses its values when the next class is folded.
+    """
     if kind == "auto":
         kind = pick_kind(partition)
     grid = ProfitGrid.from_partition(partition)
     scale = 1 if kind == INT64 else scale_for(partition.large_classes)
     acc = trivial_table(grid, kind, scale)
     for cls in partition.large_classes:
-        acc = convolve(acc, cls, schedule=schedule)
+        prev, acc = acc, convolve(acc, cls, schedule=schedule)
+        prev.values = None
+        if prev.stage is None:
+            prev.backptr = None
         if observer is not None:
             observer(cls, acc)
     return acc

@@ -134,10 +134,10 @@ class TestSolve:
         assert rc == EXIT_INPUT
 
     def test_bad_threads(self, inst_file, capsys):
-        rc = main(
-            ["solve", "--input", str(inst_file), "--epsilon", "1/4", "--threads", "0"]
-        )
-        assert rc == EXIT_INPUT
+        # There is no --threads option; argparse rejects it as unrecognised.
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--input", str(inst_file), "--epsilon", "1/4", "--threads", "1"])
+        assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
 
     def test_malformed_json(self, tmp_path, capsys):

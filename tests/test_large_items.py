@@ -330,6 +330,154 @@ class TestConvolve:
             acc = out
 
 
+def vector_fold_checked(acc, classes):
+    """Fold classes with the vector schedule, asserting after every class
+    that values and backpointers equal the dc schedule's bit for bit."""
+    for cls in classes:
+        vector = convolve(acc, cls, "vector")
+        dc = convolve(acc, cls, "dc")
+        assert np.array_equal(vector.values, dc.values)
+        assert np.array_equal(vector.backptr, dc.backptr)
+        assert vector.backptr.dtype == dc.backptr.dtype
+        acc = vector
+    return acc
+
+
+def last_finite_row(table):
+    grid = table.grid
+    return max(q for q in range(grid.m + 1) if table.is_finite(q, grid.z))
+
+
+class TestVectorFoldEdges:
+    """The vector schedule reads constant prefixes below theta*tau, cuts
+    its shifted reads at the accumulator's last finite row and stores
+    narrow backpointers; each edge of that is checked against dc and the
+    naive (min,+) enumeration."""
+
+    def check(self, grid, classes):
+        table = vector_fold_checked(trivial_table(grid, INT64), classes)
+        naive = naive_fold(grid, classes, INT64)
+        assert np.array_equal(table.values, naive.values)
+        check_table(table)
+        return table
+
+    def test_tall_grid_with_low_last_finite_row(self):
+        # Exactly-K shape: m = 60 while no z = 3 items reach past row 19,
+        # so most of every shifted read lies past the last finite row.
+        grid = ProfitGrid(delta=F(1), z=3, inv_eps=20)
+        classes = [
+            mk_class(0, F(4), F(2), [3, 5], first_id=1),
+            mk_class(0, F(5), F(2), [2], first_id=3),
+            mk_class(0, F(3), F(2), [1, 4], first_id=4),
+        ]
+        table = self.check(grid, classes)
+        assert last_finite_row(table) < grid.m // 3
+
+    def test_member_profit_reaches_past_top_row(self):
+        # tau = 7 > m = 6 (every theta >= 1 covers the grid); tau = 3 hits
+        # m exactly at theta = 2 and overshoots at theta = 3.
+        grid = ProfitGrid(delta=F(1), z=3, inv_eps=2)
+        wide = mk_class(0, F(7), F(2), [2, 3, 4], first_id=1)
+        edge = mk_class(0, F(3), F(2), [1, 1, 5], first_id=4)
+        self.check(grid, [wide, edge])
+        self.check(grid, [edge, wide])
+
+    def test_class_larger_than_z(self):
+        grid = ProfitGrid(delta=F(1), z=2, inv_eps=3)
+        classes = [
+            mk_class(0, F(2), F(2), [1, 2, 3, 4, 5], first_id=1),
+            mk_class(0, F(3), F(2), [2, 2, 6, 7], first_id=6),
+        ]
+        self.check(grid, classes)
+
+    def test_empty_class(self):
+        grid, classes = make_system(7, frac=False)
+        empty = mk_class(1, grid.z * grid.delta * 2, F(3, 2), [], first_id=99)
+        table = self.check(grid, classes + [empty])
+        assert int(table.backptr.max()) == 0
+
+    def test_z_at_least_256_takes_int32_backpointers(self):
+        # Full (min,+) enumeration is O((m*z)^2) on this 513 x 257 grid, so
+        # the scan schedule, which evaluates every candidate, stands in for
+        # the naive reference.
+        grid = ProfitGrid(delta=F(1), z=256, inv_eps=2)
+        classes = [
+            mk_class(0, F(300), F(2), [4, 9], first_id=1),
+            mk_class(0, F(260), F(2), [1, 3, 8], first_id=3),
+        ]
+        table = vector_fold_checked(trivial_table(grid, INT64), classes)
+        assert table.backptr.dtype == np.int32
+        scan = fold(grid, classes, INT64, "scan")
+        assert np.array_equal(table.values, scan.values)
+        assert np.array_equal(table.backptr, scan.backptr)
+        # Two members of the tau = 260 class pass the top row 512.
+        assert table.value_at(512, 2) == 1 + 3
+        assert table.backptr[512, 2] == 2
+
+    def test_q_major_input_table(self):
+        # exhaustive_table builds a C-contiguous (m+1, z+1) array, the
+        # transpose of the layout convolve produces.
+        grid = ProfitGrid(delta=F(1), z=3, inv_eps=4)
+        items = [
+            Item(id=1, profit=F(3), weight=F(2)),
+            Item(id=2, profit=F(5), weight=F(4)),
+            Item(id=3, profit=F(4), weight=F(1)),
+        ]
+        acc = exhaustive_table(grid, items, INT64)
+        assert acc.values.flags.c_contiguous
+        cls = mk_class(0, F(4), F(2), [1, 3, 3, 6], first_id=10)
+        out = vector_fold_checked(acc, [cls])
+        naive = naive_convolve(acc, base_table(grid, cls, INT64))
+        assert np.array_equal(out.values, naive.values)
+        check_table(out)
+
+
+class TestLeanStages:
+    def test_build_phi_l_holds_head_values_and_byte_backpointers(self):
+        inst = generate_instance("correlated", 300, 16, seed=0)
+        part = build_partition(inst, F(1, 80))
+        table = build_phi_L(part)
+        grid = table.grid
+        assert table.kind == INT64 and grid.z < 256
+        assert len(part.large_classes) > 100
+        cells = grid.cell_count
+        chain, t = [], table
+        while t is not None:
+            chain.append(t)
+            t = t.stage.prev if t.stage is not None else None
+        assert len(chain) == len(part.large_classes) + 1
+        assert table.values is not None
+        assert all(t.values is None for t in chain[1:])
+        staged = [t for t in chain if t.stage is not None]
+        assert all(t.backptr.dtype == np.uint8 for t in staged)
+        held = sum(
+            (t.values.nbytes if t.values is not None else 0)
+            + (t.backptr.nbytes if t.backptr is not None else 0)
+            for t in chain
+        )
+        assert held == 8 * cells + len(part.large_classes) * cells
+        by_id = {it.id: it for cls in part.large_classes for it in cls.members}
+        retrieved = 0
+        for k in range(grid.z + 1):
+            for q in grid.anchor_indices():
+                if not table.is_finite(q, k):
+                    continue
+                ids = retrieve_items(table, q, k)
+                assert len(ids) <= k and len(set(ids)) == len(ids)
+                weight = sum((by_id[i].weight for i in ids), ZERO)
+                assert weight == table.value_at(q, k)
+                retrieved += 1
+        assert retrieved > grid.z
+
+    def test_observer_table_loses_values_after_next_fold(self):
+        inst = generate_instance("uniform", 24, 6, seed=0, weight_max=30)
+        part = build_partition(inst, F(1, 8))
+        seen = []
+        table = build_phi_L(part, observer=lambda cls, acc: seen.append(acc))
+        assert seen[-1] is table and table.values is not None
+        assert all(t.values is None for t in seen[:-1])
+
+
 class TestScaledStorage:
     def test_int64_kind_rejects_scales(self):
         grid = ProfitGrid(delta=F(1), z=2, inv_eps=2)
