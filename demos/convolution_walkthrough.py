@@ -5,8 +5,8 @@ Large items (profit above eps * estimate) are grouped into classes of equal
 rounded profit. For each class the solver answers: "cheapest way to reach
 at least q grid steps of profit with at most k items". Classes fold into an
 accumulated table one at a time; each fold is a (min, +) convolution that
-the implementation organises along diagonal slices so that column minima
-can be found by divide and conquer instead of scanning every split.
+only needs the best member count per cell, so the implementation makes one
+vectorised pass per member count instead of scanning every split.
 
 This script builds one such table step by step, prints it, queries it, and
 cross-checks a cell against direct subset enumeration.

@@ -114,7 +114,6 @@ def _dump_table(table) -> dict:
     if table.backptr is not None:
         back = [[int(t) for t in r] for r in table.backptr]
     return {
-        "kind": table.kind,
         "delta": format_rational(grid.delta),
         "m": grid.m,
         "z": grid.z,

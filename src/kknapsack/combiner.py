@@ -67,27 +67,13 @@ class SplitCandidate:
     total: Fraction
 
 
-def solve(
-    inst: Instance,
-    eps_user,
-    *,
-    internal_eps=None,
-    schedule: str = "auto",
-    kind: str = "auto",
-) -> Solution:
-    sol, _ = solve_with_details(
-        inst, eps_user, internal_eps=internal_eps, schedule=schedule, kind=kind
-    )
+def solve(inst: Instance, eps_user, *, internal_eps=None) -> Solution:
+    sol, _ = solve_with_details(inst, eps_user, internal_eps=internal_eps)
     return sol
 
 
 def solve_with_details(
-    inst: Instance,
-    eps_user,
-    *,
-    internal_eps=None,
-    schedule: str = "auto",
-    kind: str = "auto",
+    inst: Instance, eps_user, *, internal_eps=None
 ) -> tuple[Solution, dict]:
     """Solve and return (solution, diagnostics). Diagnostics carry the
     partition, the folded table and the chosen split for debug dumps."""
@@ -103,16 +89,12 @@ def solve_with_details(
         raise ValueError(f"internal epsilon must be in (0,1), got {eps_int}")
 
     if inst.mode is Mode.EXACT:
-        return _solve_exact(inst, eps_user, eps_int, schedule, kind)
-    return _solve_atmost(inst, eps_int, eps_user, schedule, kind)
+        return _solve_exact(inst, eps_user, eps_int)
+    return _solve_atmost(inst, eps_int, eps_user)
 
 
 def _solve_atmost(
-    inst: Instance,
-    eps_int: Fraction,
-    eps_label: Fraction,
-    schedule: str,
-    kind: str,
+    inst: Instance, eps_int: Fraction, eps_label: Fraction
 ) -> tuple[Solution, dict]:
     try:
         partition = build_partition(inst, eps_int)
@@ -120,7 +102,7 @@ def _solve_atmost(
         sol = make_solution(inst, (), eps_label)
         return sol, {"trivial": True, "internal_eps": eps_int}
 
-    table = build_phi_L(partition, kind=kind, schedule=schedule)
+    table = build_phi_L(partition)
     grid = table.grid
     small = solver_for_partition(partition)
 
@@ -179,11 +161,7 @@ def _solve_atmost(
 
 
 def _solve_exact(
-    inst: Instance,
-    eps_user: Fraction,
-    eps_start: Fraction,
-    schedule: str,
-    kind: str,
+    inst: Instance, eps_user: Fraction, eps_start: Fraction
 ) -> tuple[Solution, dict]:
     K = inst.cardinality
     fitting = sorted(
@@ -241,7 +219,7 @@ def _solve_exact(
     eps_int = eps_start
     rounds: list[dict] = []
     for _ in range(MAX_EXACT_ROUNDS):
-        sol_sh, det = _solve_atmost(shifted, eps_int, eps_user, schedule, kind)
+        sol_sh, det = _solve_atmost(shifted, eps_int, eps_user)
         ids = list(sol_sh.selected)
         value_exact = sum((inst.by_id[i].profit for i in ids), ZERO)
         repaired = False

@@ -4,10 +4,12 @@ Every oracle recomputes its answer from first principles with exact
 arithmetic and deliberately shares no code with the production paths it
 checks: the meet-in-the-middle search and the count-indexed DP know nothing
 of rounding or grids; the generic table convolution enumerates all profit
-and cardinality splits; the LP enumerator visits every vertex shape of the
-two-row relaxation; the column scanner re-derives slice costs from raw
-table reads. All guards here are hard errors -- an oracle silently falling
-back would defeat its purpose.
+and cardinality splits; the closed-form single-class table and the subset
+enumeration build tables without convolving; the LP enumerator visits every
+vertex shape of the two-row relaxation; the column scanner and the paper's
+divide-and-conquer slice search (enumerate_slices, slice_index) re-derive
+slice costs from raw table reads. All guards here are hard errors -- an
+oracle silently falling back would defeat its purpose.
 """
 
 from __future__ import annotations
@@ -18,13 +20,20 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .instance_model import Instance, Mode
-from .large_items import EXACT, INT64, INT_INF, WeightTable
-from .rationals import INF
+from .large_items import (
+    INT_INF,
+    INT_WEIGHT_LIMIT,
+    ProfitGrid,
+    Stage,
+    WeightTable,
+    snap_class_profit,
+    trivial_table,
+)
 
 ZERO = Fraction(0)
 
@@ -215,67 +224,51 @@ def _dp_fraction(inst: Instance, W: int, K: int):
 
 
 # ---------------------------------------------------------------------------
-# Generic (min,+) table convolution by full enumeration.
+# Weight-table references: full (min,+) enumeration, subset enumeration,
+# the closed-form single-class table and the structural invariants.
 # ---------------------------------------------------------------------------
 
 def naive_convolve(a: WeightTable, b: WeightTable) -> WeightTable:
     """out(q, k) = min over profit/cardinality splits of a + b, enumerating
     every split; values only (no backpointers). The reference against which
     the structured class convolution is compared bit for bit."""
-    if a.grid != b.grid or a.kind != b.kind or a.weight_scale != b.weight_scale:
-        raise ValueError("tables must share a grid, a kind and a weight scale")
+    if a.grid != b.grid or a.weight_scale != b.weight_scale or a.inf != b.inf:
+        raise ValueError("tables must share a grid, a weight scale and a sentinel")
     grid = a.grid
     m, z = grid.m, grid.z
-    if a.kind == INT64:
-        av = np.minimum(a.values, _SOFT_INF)
-        bv = np.minimum(b.values, _SOFT_INF)
-        out = np.empty((m + 1, z + 1), dtype=np.int64)
-        qs = np.arange(m + 1)
-        for q in range(m + 1):
-            b_shift = bv[np.maximum(q - qs, 0)]  # row q1 -> b at residual
-            for k in range(z + 1):
-                cand = av[:, : k + 1] + b_shift[:, k::-1]
-                out[q, k] = cand.min()
-        out[out >= _SOFT_INF] = INT_INF
-        return WeightTable(grid, INT64, out, backptr=None, stage=None)
-
-    values = [[None] * (z + 1) for _ in range(m + 1)]
+    # int64 sums of two sentinels would overflow; object cells cannot.
+    soft = _SOFT_INF if a.inf == INT_INF else a.inf
+    av = np.minimum(a.values, soft)
+    bv = np.minimum(b.values, soft)
+    out = np.empty((m + 1, z + 1), dtype=av.dtype)
+    qs = np.arange(m + 1)
     for q in range(m + 1):
+        b_shift = bv[np.maximum(q - qs, 0)]  # row q1 -> b at residual
         for k in range(z + 1):
-            best = INF
-            for q1 in range(m + 1):
-                rb = max(q - q1, 0)
-                row_a = a.values[q1]
-                row_b = b.values[rb]
-                for k1 in range(k + 1):
-                    cand = row_a[k1] + row_b[k - k1]
-                    if cand < best:
-                        best = cand
-            values[q][k] = best
-    return WeightTable(
-        grid, EXACT, values, backptr=None, stage=None, weight_scale=a.weight_scale
-    )
+            cand = av[:, : k + 1] + b_shift[:, k::-1]
+            out[q, k] = cand.min()
+    out[out >= soft] = a.inf
+    return WeightTable(grid, out, weight_scale=a.weight_scale, inf=a.inf)
 
 
-def exhaustive_table(
-    grid, items, kind: str = EXACT, weight_scale: Optional[int] = None
-) -> WeightTable:
+def exhaustive_table(grid, items) -> WeightTable:
     """Min-weight table over an arbitrary item set by subset enumeration
     (n <= 14): cell (q, k) gets the lightest subset with at most k items
-    whose total profit reaches q*delta. Exact-kind cells follow the scaled
-    integer storage convention; the default scale is the lcm of the items'
-    weight denominators, matching what build_phi_L would choose for the same
-    item set."""
+    whose total profit reaches q*delta. Cells hold weights times the lcm of
+    the items' weight denominators, and the sentinel follows the fold's rule
+    (INT_INF while the scaled total stays below INT_WEIGHT_LIMIT, else
+    object cells above the total): the format build_phi_L would choose for
+    the same item set."""
     items = list(items)
     if len(items) > EXHAUSTIVE_TABLE_LIMIT:
         raise ValueError(f"exhaustive_table handles at most {EXHAUSTIVE_TABLE_LIMIT} items")
     m, z = grid.m, grid.z
-    if weight_scale is None:
-        weight_scale = 1
-        if kind == EXACT:
-            for it in items:
-                weight_scale = math.lcm(weight_scale, it.weight.denominator)
-    best: list[list] = [[INF] * (z + 1) for _ in range(m + 1)]
+    weight_scale = 1
+    for it in items:
+        weight_scale = math.lcm(weight_scale, it.weight.denominator)
+    total = sum((it.weight for it in items), ZERO) * weight_scale
+    inf = INT_INF if total < INT_WEIGHT_LIMIT else int(total) + INT_INF
+    out = trivial_table(grid, weight_scale, inf).values.copy()
     for r in range(len(items) + 1):
         for combo in itertools.combinations(items, r):
             profit = sum((it.profit for it in combo), ZERO)
@@ -288,21 +281,53 @@ def exhaustive_table(
             assert scaled.denominator == 1, (weight, weight_scale)
             scaled = scaled.numerator
             for q in range(q_top + 1):
-                row = best[q]
                 for k in range(count, z + 1):
-                    if scaled < row[k]:
-                        row[k] = scaled
-    if kind == EXACT:
-        return WeightTable(
-            grid, EXACT, best, backptr=None, stage=None, weight_scale=weight_scale
-        )
-    out = np.full((m + 1, z + 1), INT_INF, dtype=np.int64)
-    for q in range(m + 1):
+                    if scaled < out[q, k]:
+                        out[q, k] = scaled
+    return WeightTable(grid, out, weight_scale=weight_scale, inf=inf)
+
+
+def base_table(
+    grid, cls, weight_scale: int = 1, inf: int = INT_INF
+) -> WeightTable:
+    """Single-class table in closed form, with backpointers and a stage.
+
+    Reaching grid profit q needs theta = ceil(q / tau) members (each worth
+    tau grid units); the lightest choice is the first theta members, weight
+    prefix_weights[theta]; infeasible if theta exceeds k or the class size.
+    """
+    tau = snap_class_profit(grid, cls)
+    m, z = grid.m, grid.z
+    table = trivial_table(grid, weight_scale, inf)
+    values, backptr = table.values, table.backptr
+    prefix = [w * weight_scale for w in cls.prefix_weights]
+    assert all(w.denominator == 1 for w in prefix), (cls, weight_scale)
+    for q in range(1, m + 1):
+        theta = -(-q // tau)
+        if theta > cls.size:
+            continue
+        for k in range(theta, z + 1):
+            values[q, k] = prefix[theta].numerator
+            backptr[q, k] = theta
+    table.stage = Stage(prev=trivial_table(grid, weight_scale, inf), cls=cls, tau=tau)
+    return table
+
+
+def check_table(table: WeightTable) -> None:
+    """Assert the structural invariants; cheap enough for tests to call on
+    every table they build."""
+    grid = table.grid
+    m, z = grid.m, grid.z
+    for k in range(z + 1):
+        assert table.value_at(0, k) == ZERO
+    for q in range(1, m + 1):
+        assert not table.is_finite(q, 0)
+    for q in range(1, m + 1):
         for k in range(z + 1):
-            v = best[q][k]
-            if v is not INF:
-                out[q, k] = int(v)
-    return WeightTable(grid, INT64, out, backptr=None, stage=None)
+            v = table.value_at(q, k)
+            assert table.value_at(q - 1, k) <= v
+            if k:
+                assert v <= table.value_at(q, k - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +420,7 @@ def lp_vertex(items, budget: Fraction, cardinality: int) -> OracleResult:
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive slice column minima.
+# Slice column minima: exhaustive scan and the paper's divide and conquer.
 # ---------------------------------------------------------------------------
 
 def column_scan(acc: WeightTable, cls, tau: int, cells) -> list[int]:
@@ -416,6 +441,100 @@ def column_scan(acc: WeightTable, cls, tau: int, cells) -> list[int]:
                 best_v, best_t = v, theta
         out.append(best_t)
     return out
+
+
+def enumerate_slices(grid: ProfitGrid, tau: int) -> list[list[tuple[int, int]]]:
+    """All diagonal slices of direction (tau, 1) covering q>=1 exactly once.
+
+    Starts are the cells a backwards (-tau, -1) walk cannot leave: the k=0
+    row (q0 in 1..m) and the cells with q0 <= tau whose predecessor would
+    have q <= 0 (q0 in 1..min(tau, m), k0 in 1..z). Walking forward from
+    each start until either axis overflows visits every cell with q in 1..m,
+    k in 0..z exactly once.
+    """
+    m, z = grid.m, grid.z
+    slices = []
+
+    def walk(q0: int, k0: int) -> list[tuple[int, int]]:
+        cells = []
+        q, k = q0, k0
+        while q <= m and k <= z:
+            cells.append((q, k))
+            q += tau
+            k += 1
+        return cells
+
+    for q0 in range(1, m + 1):
+        slices.append(walk(q0, 0))
+    for q0 in range(1, min(tau, m) + 1):
+        for k0 in range(1, z + 1):
+            slices.append(walk(q0, k0))
+    return slices
+
+
+def slice_index(
+    num_cols: int,
+    theta_max: Callable[[int], int],
+    evaluate: Callable[[int, int], object],
+) -> list[int]:
+    """Smallest argmin per column of a slice's candidate costs.
+
+    Requires the one-sided slope property chi(c2) - chi(c1) <= c2 - c1 for
+    c1 < c2 (chi = smallest argmin), which class convolution slices satisfy.
+    Solves every other column recursively, then scans each skipped column c
+    only inside [chi(right) - (right - c), chi(left) + (c - left)]: the
+    slope property applied to both solved neighbours proves the window
+    contains chi(c), and since chi(c) is the smallest GLOBAL argmin, no
+    smaller in-window theta can tie it. Work per recursion level telescopes
+    to O(num_cols + max theta).
+    """
+
+    chi = [0] * num_cols
+
+    def scan(col: int, lo: int, hi: int) -> int:
+        best_t = lo
+        best_v = evaluate(col, lo)
+        for t in range(lo + 1, hi + 1):
+            v = evaluate(col, t)
+            if v < best_v:
+                best_v, best_t = v, t
+        return best_t
+
+    def solve(indices: list[int]) -> None:
+        if not indices:
+            return
+        if len(indices) == 1:
+            c = indices[0]
+            chi[c] = scan(c, 0, theta_max(c))
+            return
+        solve(indices[0::2])
+        for j in range(1, len(indices), 2):
+            c = indices[j]
+            left = indices[j - 1]
+            hi = min(chi[left] + (c - left), theta_max(c))
+            lo = 0
+            if j + 1 < len(indices):
+                right = indices[j + 1]
+                lo = max(chi[right] - (right - c), 0)
+            assert lo <= hi, (lo, hi, c)
+            chi[c] = scan(c, lo, hi)
+
+    solve(list(range(num_cols)))
+    return chi
+
+
+def slice_search(acc: WeightTable, cls, tau: int, cells) -> list[int]:
+    """Smallest argmin of every column of one slice by slice_index, with
+    candidate costs re-derived from raw table reads as in column_scan."""
+    q0, k0 = cells[0]
+    prefix = cls.prefix_weights
+
+    def evaluate(zeta: int, theta: int):
+        rho = q0 + (zeta - theta) * tau
+        rest = ZERO if rho <= 0 else acc.value_at(rho, k0 + zeta - theta)
+        return prefix[theta] + rest
+
+    return slice_index(len(cells), lambda zeta: min(k0 + zeta, cls.size), evaluate)
 
 
 # ---------------------------------------------------------------------------

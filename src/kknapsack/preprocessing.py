@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable
 
 from .instance_model import Instance, Item
 from .small_items import upsilon1
@@ -494,25 +493,3 @@ def _check_partition(partition: Partition, inst: Instance) -> None:
         bound_exp,
         n,
     )
-
-
-def small_pool(partition: Partition) -> list[tuple[int, Fraction, Fraction]]:
-    """(id, rounded profit, original weight) triples of all retained small
-    items -- the ground set of the small-item relaxations."""
-    return [
-        (it.id, c.rounded_profit, it.weight)
-        for c in partition.small_classes
-        for it in c.members
-    ]
-
-
-def rounded_profit_of(partition: Partition, ids: Iterable[int]) -> Fraction:
-    """Total rounded profit of the given item ids (for guarantee ledgers)."""
-    lookup: dict[int, Fraction] = {}
-    for c in partition.large_classes:
-        for it in c.members:
-            lookup[it.id] = c.rounded_profit
-    for c in partition.small_classes:
-        for it in c.members:
-            lookup[it.id] = c.rounded_profit
-    return sum((lookup[i] for i in ids), ZERO)

@@ -1029,14 +1029,3 @@ def solver_for_partition(partition) -> SmallSolver:
         solver = SmallSolver.from_partition(partition)
         _PARTITION_SOLVERS[partition] = solver
     return solver
-
-
-def phi_dag_S(source, omega: Fraction, k: int):
-    """Approximation function for the small-item subproblem: upsilon1 when
-    K <= 1/eps, upsilon2 otherwise; memoized per exact (omega, k).
-
-    Accepts either a SmallSolver or a partition (from which a solver is
-    built and cached).
-    """
-    solver = source if isinstance(source, SmallSolver) else solver_for_partition(source)
-    return solver.phi_dag(omega, k)

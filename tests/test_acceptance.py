@@ -19,26 +19,25 @@ from kknapsack.combiner import InfeasibleInstanceError, solve_with_details
 from kknapsack.generator import DISTRIBUTIONS, generate_instance
 from kknapsack.instance_model import Instance, Item, Mode, evaluate_solution
 from kknapsack.large_items import (
-    EXACT,
-    INT64,
     ProfitGrid,
-    base_table,
     build_phi_L,
     convolve,
-    enumerate_slices,
     profit_at,
     retrieve_items,
-    scale_for,
     snap_class_profit,
+    table_format,
     trivial_table,
 )
 from kknapsack.oracles import (
+    base_table,
     brute_force,
     column_scan,
+    enumerate_slices,
     exact_dp,
     exhaustive_table,
     lp_vertex,
     naive_convolve,
+    slice_search,
     upsilon2_linear,
 )
 from kknapsack.preprocessing import build_partition
@@ -157,12 +156,11 @@ def test_c02_guarantee_mid_scale(criterion):
 # Shared random table systems for criteria 3 and 4.
 # ---------------------------------------------------------------------------
 
-def _table_system(seed, int_kind):
-    """Grid + classes with |X| <= 64 (m <= 63) and z <= 8; exact-kind
-    systems stay smaller because the reference convolution enumerates every
-    split in pure Python."""
+def _table_system(seed, integral):
+    """Grid + classes with |X| <= 64 (m <= 63) and z <= 8; fractional-weight
+    systems stay smaller."""
     rnd = random.Random(seed)
-    if int_kind:
+    if integral:
         z = rnd.randint(1, 8)
         inv = rnd.randint(1, max(1, 63 // z))
     else:
@@ -176,7 +174,7 @@ def _table_system(seed, int_kind):
     for _ in range(rnd.randint(1, 4)):
         scale = z * delta * Fraction(rnd.randint(2, 9), 2)
         count = rnd.randint(1, 5)
-        if int_kind:
+        if integral:
             weights = [Fraction(rnd.randint(1, 50)) for _ in range(count)]
         else:
             weights = [
@@ -190,19 +188,18 @@ def _table_system(seed, int_kind):
     return grid, classes
 
 
-def _fold(grid, classes, kind, schedule="dc"):
-    scale = 1 if kind == INT64 else scale_for(classes)
-    acc = trivial_table(grid, kind, scale)
+def _fold(grid, classes):
+    acc = trivial_table(grid, *table_format(classes))
     for cls in classes:
-        acc = convolve(acc, cls, schedule=schedule)
+        acc = convolve(acc, cls)
     return acc
 
 
-def _naive_fold(grid, classes, kind):
-    scale = 1 if kind == INT64 else scale_for(classes)
-    acc = trivial_table(grid, kind, scale)
+def _naive_fold(grid, classes):
+    fmt = table_format(classes)
+    acc = trivial_table(grid, *fmt)
     for cls in classes:
-        acc = naive_convolve(acc, base_table(grid, cls, kind, weight_scale=scale))
+        acc = naive_convolve(acc, base_table(grid, cls, *fmt))
     return acc
 
 
@@ -211,19 +208,15 @@ def test_c03_convolution_oracle_equivalence(criterion):
         mismatches = 0
         systems = 0
         for seed in range(200):
-            int_kind = seed % 5 != 0  # 160 int64 + 40 exact systems
-            kind = INT64 if int_kind else EXACT
-            grid, classes = _table_system(seed, int_kind)
-            got = _fold(grid, classes, kind)
-            want = _naive_fold(grid, classes, kind)
+            integral = seed % 5 != 0  # 160 integral + 40 fractional systems
+            grid, classes = _table_system(seed, integral)
+            got = _fold(grid, classes)
+            want = _naive_fold(grid, classes)
             systems += 1
-            if kind == INT64:
-                same = np.array_equal(got.values, want.values)
-            else:
-                same = (
-                    got.values == want.values
-                    and got.weight_scale == want.weight_scale
-                )
+            same = (
+                np.array_equal(got.values, want.values)
+                and got.weight_scale == want.weight_scale
+            )
             if not same:
                 mismatches += 1
                 continue
@@ -253,20 +246,19 @@ def test_c04_slope_property_and_slice_minima(criterion):
         argmin_mismatches = 0
         slices = 0
         for seed in range(60):
-            int_kind = seed % 2 == 0
-            kind = INT64 if int_kind else EXACT
-            grid, classes = _table_system(seed + 600, int_kind)
-            scale = 1 if kind == INT64 else scale_for(classes)
-            acc = trivial_table(grid, kind, scale)
+            grid, classes = _table_system(seed + 600, seed % 2 == 0)
+            acc = trivial_table(grid, *table_format(classes))
             for cls in classes:
                 tau = snap_class_profit(grid, cls)
-                out = convolve(acc, cls, schedule="dc")
+                out = convolve(acc, cls)
                 for cells in enumerate_slices(grid, tau):
                     chis = column_scan(acc, cls, tau, cells)
                     slices += 1
                     if any(b - a > 1 for a, b in zip(chis, chis[1:])):
                         slope_violations += 1
                     got = [int(out.backptr[q, k]) for q, k in cells]
+                    if slice_search(acc, cls, tau, cells) != chis:
+                        argmin_mismatches += 1
                     if got != chis:
                         argmin_mismatches += 1
                 acc = out
@@ -280,7 +272,7 @@ def test_c04_slope_property_and_slice_minima(criterion):
         criterion,
         "04",
         "column argmins drift by at most one per step on every slice; "
-        "divide-and-conquer minima == exhaustive column scan",
+        "divide-and-conquer and production minima == exhaustive column scan",
         body,
     )
 

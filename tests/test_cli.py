@@ -9,6 +9,7 @@ import pytest
 import kknapsack.cli as cli
 from conftest import F, inst_of
 from kknapsack.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main
+from kknapsack.combiner import solve_with_details
 from kknapsack.instance_model import (
     Mode,
     load_instance,
@@ -17,6 +18,7 @@ from kknapsack.instance_model import (
     save_instance_csv,
 )
 from kknapsack.oracles import brute_force
+from kknapsack.rationals import format_rational
 
 
 @pytest.fixture
@@ -84,6 +86,33 @@ class TestSolve:
         assert len(tab["values"]) == tab["m"] + 1
         assert all(len(row) == tab["z"] + 1 for row in tab["values"])
         assert tab["values"][0] == ["0"] * (tab["z"] + 1)
+
+    def test_dump_tables_fractional_weights(self, tmp_path, capsys):
+        # Fractional weights fold as integers over weight_scale 6; the dump
+        # converts every cell back to the exact rational value_at reports.
+        inst = inst_of(
+            [(1, 40, F(7, 2)), (2, 10, 1), (3, 9, F(5, 3)), (4, 7, 2), (5, 2, 1)], 6, 3
+        )
+        path = tmp_path / "frac.json"
+        tab_f = tmp_path / "tables.json"
+        save_instance(inst, path)
+        argv = ["solve", "--input", str(path), "--epsilon", "1/4"]
+        rc = main(argv + ["--dump-tables", str(tab_f)])
+        assert rc == EXIT_OK
+        capsys.readouterr()
+        tab = json.loads(tab_f.read_text())
+        assert "kind" not in tab
+        table = solve_with_details(inst, F(1, 4))[1]["table"]
+        assert table.weight_scale == 6
+        expected = [
+            [
+                format_rational(table.value_at(q, k)) if table.is_finite(q, k) else "inf"
+                for k in range(tab["z"] + 1)
+            ]
+            for q in range(tab["m"] + 1)
+        ]
+        assert tab["values"] == expected
+        assert "7/2" in {cell for row in tab["values"] for cell in row}
 
     def test_internal_eps_flag(self, inst_file, capsys):
         rc = main(

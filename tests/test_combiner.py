@@ -3,6 +3,7 @@ reduction with repair and certification in exact mode, and the diagnostics
 both report."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,13 @@ from kknapsack.combiner import (
     solve_with_details,
 )
 from kknapsack.generator import generate_instance
-from kknapsack.instance_model import Mode, Solution, evaluate_solution, make_solution
+from kknapsack.instance_model import (
+    Instance,
+    Mode,
+    Solution,
+    evaluate_solution,
+    make_solution,
+)
 from kknapsack.oracles import brute_force
 
 
@@ -52,11 +59,6 @@ class TestValidation:
         dup = inst_of([(1, 5, 1), (1, 4, 1)], 3, 1)
         with pytest.raises(InvalidInstanceError):
             solve(dup, F(1, 2))
-
-    def test_unknown_schedule_or_kind_surface(self):
-        inst = inst_of([(1, 40, 3), (2, 10, 1), (3, 9, 1)], 5, 2)
-        with pytest.raises(ValueError):
-            solve(inst, F(1, 4), schedule="zigzag")
 
 
 class TestTrivialAtMost:
@@ -112,14 +114,21 @@ class TestDeterminismAndKnobs:
         assert solve_with_details(inst, F(1, 4))[0].selected == a.selected
 
     @pytest.mark.parametrize("seed", [3, 17, 29])
-    def test_schedules_and_kinds_agree(self, seed):
+    def test_weight_rescaling_agrees(self, seed):
+        # Dividing every weight and the budget by 7 moves the fold to
+        # weight_scale 7 without changing any comparison.
         inst = generate_instance("uniform", 16, 4, seed=seed, weight_max=20)
-        base = solve(inst, F(1, 4), schedule="dc", kind="int64")
-        for schedule in ("scan", "vector", "auto"):
-            other = solve(inst, F(1, 4), schedule=schedule, kind="int64")
-            assert other.selected == base.selected
-        exact_kind = solve(inst, F(1, 4), schedule="dc", kind="exact")
-        assert exact_kind.selected == base.selected
+        base, det = solve_with_details(inst, F(1, 4))
+        scaled = Instance(
+            items=tuple(replace(it, weight=it.weight / 7) for it in inst.items),
+            budget=inst.budget / 7,
+            cardinality=inst.cardinality,
+            mode=inst.mode,
+        )
+        other, det7 = solve_with_details(scaled, F(1, 4))
+        assert other.selected == base.selected
+        if det["partition"].large_classes:
+            assert det7["table"].weight_scale == 7 * det["table"].weight_scale
 
     def test_internal_eps_override(self):
         inst = generate_instance("uniform", 12, 3, seed=5, weight_max=15)
@@ -223,7 +232,7 @@ class TestExactMode:
         )
         real_atmost = combiner._solve_atmost
 
-        def short_solve(shifted, eps_int, eps_label, schedule, kind):
+        def short_solve(shifted, eps_int, eps_label):
             # Return a deliberately short (1-item) selection with a tiny
             # claimed estimate so the certificate accepts immediately and
             # the repair path must supply the missing slots.

@@ -1,5 +1,12 @@
-"""Weight tables over the profit grid: snapping, slices, the three
-convolution schedules, retrieval, and the scaled-integer exact storage."""
+"""Weight tables over the profit grid: snapping, slices, the numpy
+convolution pass against the paper's divide-and-conquer slice search and
+the exhaustive column scan, retrieval, and the fold's choice between int64
+and arbitrary-precision (object) cells.
+
+Tests parametrized over cell storage call them "int64" and "exact": exact
+cells are the numpy object dtype holding Python ints, which the fold takes
+once the scaled total weight reaches INT_WEIGHT_LIMIT; those systems
+multiply every weight by HUGE to get there."""
 
 import itertools
 import math
@@ -10,30 +17,36 @@ import numpy as np
 import pytest
 
 from conftest import F, ZERO, inst_of
+from kknapsack.combiner import solve_with_details
 from kknapsack.instance_model import Item
 from kknapsack.large_items import (
-    EXACT,
-    INT64,
     INT_WEIGHT_LIMIT,
     ProfitGrid,
-    WeightTable,
-    base_table,
     build_phi_L,
-    check_table,
     convolve,
-    enumerate_slices,
-    large_pool_ids,
-    pick_kind,
     profit_at,
     retrieve_items,
     scale_for,
     snap_class_profit,
+    table_format,
     trivial_table,
 )
-from kknapsack.oracles import column_scan, exhaustive_table, naive_convolve
+from kknapsack.oracles import (
+    base_table,
+    brute_force,
+    check_table,
+    column_scan,
+    enumerate_slices,
+    exhaustive_table,
+    naive_convolve,
+    slice_search,
+)
 from kknapsack.preprocessing import LargeClass, build_partition
 from kknapsack.rationals import INF
 from kknapsack.generator import generate_instance
+
+# Multiplying every weight by this sends a fold to object cells.
+HUGE = Fraction(INT_WEIGHT_LIMIT)
 
 
 def mk_class(index, profit_scale, growth, weights, first_id=1):
@@ -55,9 +68,12 @@ def mk_class(index, profit_scale, growth, weights, first_id=1):
     )
 
 
-def make_system(seed, frac=False, max_classes=3, max_members=4, z_max=6):
+def make_system(
+    seed, frac=False, max_classes=3, max_members=4, z_max=6, huge=False
+):
     """Random grid + classes; profit scales chosen so every snapped step
-    count tau lands at or above z, as partition-produced classes guarantee."""
+    count tau lands at or above z, as partition-produced classes guarantee.
+    huge multiplies every weight by HUGE without changing the draws."""
     rnd = random.Random(seed)
     z = rnd.randint(1, z_max)
     inv = rnd.randint(1, 4)
@@ -76,6 +92,8 @@ def make_system(seed, frac=False, max_classes=3, max_members=4, z_max=6):
             ]
         else:
             weights = [Fraction(rnd.randint(1, 40)) for _ in range(count)]
+        if huge:
+            weights = [w * HUGE for w in weights]
         classes.append(
             mk_class(rnd.randint(0, 2), scale, growth, weights, first_id=next_id)
         )
@@ -83,20 +101,38 @@ def make_system(seed, frac=False, max_classes=3, max_members=4, z_max=6):
     return grid, classes
 
 
-def fold(grid, classes, kind, schedule="auto"):
-    scale = 1 if kind == INT64 else scale_for(classes)
-    acc = trivial_table(grid, kind, scale)
+def cell_dtype(cells):
+    return object if cells == "exact" else np.int64
+
+
+def fold(grid, classes):
+    acc = trivial_table(grid, *table_format(classes))
     for cls in classes:
-        acc = convolve(acc, cls, schedule=schedule)
+        acc = convolve(acc, cls)
     return acc
 
 
-def naive_fold(grid, classes, kind):
-    scale = 1 if kind == INT64 else scale_for(classes)
-    acc = trivial_table(grid, kind, scale)
+def naive_fold(grid, classes):
+    fmt = table_format(classes)
+    acc = trivial_table(grid, *fmt)
     for cls in classes:
-        acc = naive_convolve(acc, base_table(grid, cls, kind, weight_scale=scale))
+        acc = naive_convolve(acc, base_table(grid, cls, *fmt))
     return acc
+
+
+def assert_matches_search(out, acc, cls, search=slice_search):
+    """out == convolve(acc, cls) cell for cell, values and backpointers,
+    rebuilt from an oracle's per-slice argmins and exact value_at reads."""
+    grid = acc.grid
+    tau = snap_class_profit(grid, cls)
+    for k in range(grid.z + 1):
+        assert out.value_at(0, k) == ZERO and out.backptr[0, k] == 0
+    for cells in enumerate_slices(grid, tau):
+        for (q, k), theta in zip(cells, search(acc, cls, tau, cells)):
+            rho = q - theta * tau
+            rest = ZERO if rho <= 0 else acc.value_at(rho, k - theta)
+            assert out.value_at(q, k) == cls.prefix_weights[theta] + rest, (q, k)
+            assert out.backptr[q, k] == theta, (q, k)
 
 
 def assert_same_values(a, b):
@@ -164,10 +200,12 @@ class TestSnapClassProfit:
 
 
 class TestTrivialAndBase:
-    @pytest.mark.parametrize("kind", [EXACT, INT64])
-    def test_trivial_table(self, kind):
+    @pytest.mark.parametrize("cells", ["exact", "int64"])
+    def test_trivial_table(self, cells):
         grid = ProfitGrid(delta=F(1), z=3, inv_eps=2)
-        t = trivial_table(grid, kind)
+        weight = HUGE if cells == "exact" else F(1)
+        t = trivial_table(grid, *table_format([mk_class(0, F(3), F(2), [weight])]))
+        assert t.values.dtype == cell_dtype(cells)
         check_table(t)
         assert t.value_at(0, 0) == 0
         assert not t.is_finite(1, 3)
@@ -189,20 +227,23 @@ class TestTrivialAndBase:
         assert table.backptr[3, 2] == 1
         assert table.backptr[6, 2] == 2
 
-    @pytest.mark.parametrize("kind", [EXACT, INT64])
+    @pytest.mark.parametrize("cells", ["exact", "int64"])
     @pytest.mark.parametrize("schedule", ["dc", "scan", "vector"])
-    def test_base_equals_convolving_the_trivial_table(self, kind, schedule):
-        if schedule == "vector" and kind == EXACT:
-            pytest.skip("vector schedule is int64-only")
-        grid, classes = make_system(4, frac=False, max_classes=1)
+    def test_base_equals_convolving_the_trivial_table(self, cells, schedule):
+        # schedule names the argmin search: the paper's divide and conquer
+        # and the exhaustive scan (both oracles), or the production pass.
+        grid, classes = make_system(4, frac=False, max_classes=1, huge=cells == "exact")
         cls = classes[0]
-        scale = 1 if kind == INT64 else scale_for([cls])
-        via_convolve = convolve(trivial_table(grid, kind, scale), cls, schedule)
-        base = base_table(grid, cls, kind, weight_scale=scale)
-        assert_same_values(base, via_convolve)
-        assert np.array_equal(
-            np.asarray(base.backptr), np.asarray(via_convolve.backptr)
-        )
+        acc = trivial_table(grid, *table_format([cls]))
+        base = base_table(grid, cls, *table_format([cls]))
+        assert base.values.dtype == cell_dtype(cells)
+        if schedule == "vector":
+            via_convolve = convolve(acc, cls)
+            assert_same_values(base, via_convolve)
+            assert np.array_equal(base.backptr, via_convolve.backptr)
+        else:
+            search = slice_search if schedule == "dc" else column_scan
+            assert_matches_search(base, acc, cls, search)
 
 
 class TestSlices:
@@ -226,9 +267,9 @@ class TestSlices:
 class TestConvolve:
     def test_empty_class_is_identity(self):
         grid, classes = make_system(7, frac=False)
-        acc = fold(grid, classes, INT64)
+        acc = fold(grid, classes)
         empty = mk_class(1, grid.z * grid.delta * 2, F(3, 2), [], first_id=99)
-        out = convolve(acc, empty, schedule="scan")
+        out = convolve(acc, empty)
         assert_same_values(acc, out)
         assert int(np.asarray(out.backptr).max()) == 0
 
@@ -238,38 +279,43 @@ class TestConvolve:
         grid = ProfitGrid(delta=F(1), z=2, inv_eps=3)
         a = mk_class(0, F(2), F(3, 2), [3], first_id=1)
         b = mk_class(0, F(3), F(3, 2), [4], first_id=2)
-        out = convolve(convolve(trivial_table(grid, EXACT), a), b)
+        out = convolve(convolve(trivial_table(grid), a), b)
         assert out.value_at(5, 2) == 7
         assert sorted(retrieve_items(out, 5, 2)) == [1, 2]
         assert not out.is_finite(6, 2)
         assert out.value_at(3, 1) == 4  # class b alone covers 3 steps
 
+    @staticmethod
+    def check_schedules(grid, classes, cells):
+        """The production pass equals the paper's divide-and-conquer slice
+        search and the exhaustive column scan bit for bit, class by class."""
+        acc = trivial_table(grid, *table_format(classes))
+        assert acc.values.dtype == cell_dtype(cells)
+        for cls in classes:
+            out = convolve(acc, cls)
+            assert_matches_search(out, acc, cls, slice_search)
+            assert_matches_search(out, acc, cls, column_scan)
+            acc = out
+
     @pytest.mark.parametrize("seed", range(10))
     def test_schedules_bit_identical_int64(self, seed):
         grid, classes = make_system(seed, frac=False)
-        dc = fold(grid, classes, INT64, "dc")
-        scan = fold(grid, classes, INT64, "scan")
-        vector = fold(grid, classes, INT64, "vector")
-        assert np.array_equal(dc.values, scan.values)
-        assert np.array_equal(dc.values, vector.values)
-        assert np.array_equal(np.asarray(dc.backptr), np.asarray(scan.backptr))
-        assert np.array_equal(np.asarray(dc.backptr), np.asarray(vector.backptr))
+        self.check_schedules(grid, classes, "int64")
 
     @pytest.mark.parametrize("seed", range(10))
     def test_schedules_bit_identical_exact(self, seed):
-        grid, classes = make_system(100 + seed, frac=True)
-        dc = fold(grid, classes, EXACT, "dc")
-        scan = fold(grid, classes, EXACT, "scan")
-        assert dc.values == scan.values
-        assert np.array_equal(np.asarray(dc.backptr), np.asarray(scan.backptr))
+        grid, classes = make_system(100 + seed, frac=True, huge=True)
+        self.check_schedules(grid, classes, "exact")
 
     @pytest.mark.parametrize("seed", range(8))
-    @pytest.mark.parametrize("kind", [EXACT, INT64])
-    def test_fold_matches_naive_reference(self, seed, kind):
+    @pytest.mark.parametrize("cells", ["exact", "int64"])
+    def test_fold_matches_naive_reference(self, seed, cells):
         grid, classes = make_system(
-            200 + seed, frac=(kind == EXACT and seed % 2 == 0)
+            200 + seed, frac=seed % 2 == 0, huge=cells == "exact"
         )
-        assert_same_values(fold(grid, classes, kind), naive_fold(grid, classes, kind))
+        table = fold(grid, classes)
+        assert table.values.dtype == cell_dtype(cells)
+        assert_same_values(table, naive_fold(grid, classes))
 
     def test_fold_matches_subset_enumeration_for_uniform_profits(self):
         # When every member's exact profit equals its class's snapped grid
@@ -281,65 +327,49 @@ class TestConvolve:
         tau = 4  # profit 8 = tau * delta
         cls = mk_class(0, F(8), F(3, 2), [2, 5, 9])
         assert snap_class_profit(grid, cls) == tau
-        folded = fold(grid, [cls], EXACT)
+        folded = fold(grid, [cls])
         reference = exhaustive_table(grid, cls.members)
         assert_same_values(folded, reference)
 
-    def test_vector_requires_int64(self):
-        grid, classes = make_system(3)
-        acc = trivial_table(grid, EXACT, scale_for(classes))
-        with pytest.raises(ValueError):
-            convolve(acc, classes[0], schedule="vector")
-
-    def test_unknown_schedule_rejected(self):
-        grid, classes = make_system(3)
-        acc = trivial_table(grid, INT64)
-        with pytest.raises(ValueError):
-            convolve(acc, classes[0], schedule="zigzag")
-
     @pytest.mark.parametrize("seed", range(6))
     def test_slope_property_on_every_slice(self, seed):
-        # The divide-and-conquer schedule is only correct because smallest
-        # argmins drift by at most one per column step; check that on the
-        # exhaustive per-column champion of every slice of every stage.
+        # The divide-and-conquer slice search is only correct because
+        # smallest argmins drift by at most one per column step; check that
+        # on the exhaustive per-column champion of every slice of every stage.
         grid, classes = make_system(300 + seed, frac=seed % 2 == 0)
-        kind = EXACT if seed % 2 == 0 else INT64
-        scale = 1 if kind == INT64 else scale_for(classes)
-        acc = trivial_table(grid, kind, scale)
+        acc = trivial_table(grid, *table_format(classes))
         for cls in classes:
             tau = snap_class_profit(grid, cls)
             for cells in enumerate_slices(grid, tau):
                 chis = column_scan(acc, cls, tau, cells)
                 for left, right in zip(chis, chis[1:]):
                     assert right - left <= 1
-            acc = convolve(acc, cls, schedule="dc")
+            acc = convolve(acc, cls)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_dc_matches_column_scan_oracle(self, seed):
+        # Both the oracle slice search and the production backpointers.
         grid, classes = make_system(400 + seed, frac=seed % 2 == 1)
-        kind = INT64 if seed % 2 == 0 else EXACT
-        scale = 1 if kind == INT64 else scale_for(classes)
-        acc = trivial_table(grid, kind, scale)
+        acc = trivial_table(grid, *table_format(classes))
         for cls in classes:
             tau = snap_class_profit(grid, cls)
-            out = convolve(acc, cls, schedule="dc")
+            out = convolve(acc, cls)
             for cells in enumerate_slices(grid, tau):
                 expected = column_scan(acc, cls, tau, cells)
+                assert slice_search(acc, cls, tau, cells) == expected
                 got = [int(out.backptr[q, k]) for q, k in cells]
                 assert got == expected
             acc = out
 
 
-def vector_fold_checked(acc, classes):
-    """Fold classes with the vector schedule, asserting after every class
-    that values and backpointers equal the dc schedule's bit for bit."""
+def vector_fold_checked(acc, classes, search=slice_search):
+    """Fold classes with convolve, asserting after every class that values
+    and backpointers equal the oracle search's bit for bit."""
     for cls in classes:
-        vector = convolve(acc, cls, "vector")
-        dc = convolve(acc, cls, "dc")
-        assert np.array_equal(vector.values, dc.values)
-        assert np.array_equal(vector.backptr, dc.backptr)
-        assert vector.backptr.dtype == dc.backptr.dtype
-        acc = vector
+        out = convolve(acc, cls)
+        assert_matches_search(out, acc, cls, search)
+        assert out.backptr.dtype == (np.uint8 if acc.grid.z < 256 else np.int32)
+        acc = out
     return acc
 
 
@@ -349,14 +379,14 @@ def last_finite_row(table):
 
 
 class TestVectorFoldEdges:
-    """The vector schedule reads constant prefixes below theta*tau, cuts
-    its shifted reads at the accumulator's last finite row and stores
-    narrow backpointers; each edge of that is checked against dc and the
-    naive (min,+) enumeration."""
+    """The numpy pass reads constant prefixes below theta*tau, cuts its
+    shifted reads at the accumulator's last finite row and stores narrow
+    backpointers; each edge of that is checked against the divide-and-
+    conquer slice search and the naive (min,+) enumeration."""
 
     def check(self, grid, classes):
-        table = vector_fold_checked(trivial_table(grid, INT64), classes)
-        naive = naive_fold(grid, classes, INT64)
+        table = vector_fold_checked(trivial_table(grid), classes)
+        naive = naive_fold(grid, classes)
         assert np.array_equal(table.values, naive.values)
         check_table(table)
         return table
@@ -398,18 +428,15 @@ class TestVectorFoldEdges:
 
     def test_z_at_least_256_takes_int32_backpointers(self):
         # Full (min,+) enumeration is O((m*z)^2) on this 513 x 257 grid, so
-        # the scan schedule, which evaluates every candidate, stands in for
+        # the column scan, which evaluates every candidate, stands in for
         # the naive reference.
         grid = ProfitGrid(delta=F(1), z=256, inv_eps=2)
         classes = [
             mk_class(0, F(300), F(2), [4, 9], first_id=1),
             mk_class(0, F(260), F(2), [1, 3, 8], first_id=3),
         ]
-        table = vector_fold_checked(trivial_table(grid, INT64), classes)
+        table = vector_fold_checked(trivial_table(grid), classes, column_scan)
         assert table.backptr.dtype == np.int32
-        scan = fold(grid, classes, INT64, "scan")
-        assert np.array_equal(table.values, scan.values)
-        assert np.array_equal(table.backptr, scan.backptr)
         # Two members of the tau = 260 class pass the top row 512.
         assert table.value_at(512, 2) == 1 + 3
         assert table.backptr[512, 2] == 2
@@ -423,11 +450,11 @@ class TestVectorFoldEdges:
             Item(id=2, profit=F(5), weight=F(4)),
             Item(id=3, profit=F(4), weight=F(1)),
         ]
-        acc = exhaustive_table(grid, items, INT64)
+        acc = exhaustive_table(grid, items)
         assert acc.values.flags.c_contiguous
         cls = mk_class(0, F(4), F(2), [1, 3, 3, 6], first_id=10)
         out = vector_fold_checked(acc, [cls])
-        naive = naive_convolve(acc, base_table(grid, cls, INT64))
+        naive = naive_convolve(acc, base_table(grid, cls))
         assert np.array_equal(out.values, naive.values)
         check_table(out)
 
@@ -438,7 +465,7 @@ class TestLeanStages:
         part = build_partition(inst, F(1, 80))
         table = build_phi_L(part)
         grid = table.grid
-        assert table.kind == INT64 and grid.z < 256
+        assert table.values.dtype == np.int64 and grid.z < 256
         assert len(part.large_classes) > 100
         cells = grid.cell_count
         chain, t = [], table
@@ -479,17 +506,6 @@ class TestLeanStages:
 
 
 class TestScaledStorage:
-    def test_int64_kind_rejects_scales(self):
-        grid = ProfitGrid(delta=F(1), z=2, inv_eps=2)
-        vals = np.zeros((grid.m + 1, grid.z + 1), dtype=np.int64)
-        with pytest.raises(ValueError):
-            WeightTable(grid, INT64, vals, weight_scale=3)
-
-    def test_unknown_kind_rejected(self):
-        grid = ProfitGrid(delta=F(1), z=2, inv_eps=2)
-        with pytest.raises(ValueError):
-            WeightTable(grid, "float32", [])
-
     def test_scale_for_is_lcm_of_weight_denominators(self):
         cls_a = mk_class(0, F(10), F(3, 2), [F(1, 2), F(3, 4)])
         cls_b = mk_class(0, F(10), F(3, 2), [F(2, 3)], first_id=5)
@@ -497,43 +513,67 @@ class TestScaledStorage:
         assert scale_for([cls_a, cls_b]) == 12
         assert scale_for([]) == 1
 
-    def test_exact_cells_store_scaled_integers(self):
-        grid = ProfitGrid(delta=F(2), z=2, inv_eps=2)
-        cls = mk_class(0, F(4), F(3, 2), [F(1, 2), F(5, 3)])
-        table = base_table(grid, cls)
-        assert table.weight_scale == 6
-        finite = [
-            v
-            for row in table.values
-            for v in row
-            if v is not INF
-        ]
-        assert all(isinstance(v, int) for v in finite)
-        assert table.value_at(2, 1) == F(1, 2)
-        assert table.value_at(2, 2) == F(1, 2)
-        assert table.value_at(4, 2) == F(1, 2) + F(5, 3)
+
+def check_object_fold(inst, eps):
+    """solve's fold took object cells, and on them: values equal the naive
+    fold, backpointers equal the column-scan argmins, retrieval realises
+    every finite cell, and the answer reaches (1 - eps) * OPT."""
+    sol, det = solve_with_details(inst, eps)
+    table, classes = det["table"], det["partition"].large_classes
+    grid = table.grid
+    assert table.values.dtype == object
+    assert_same_values(table, naive_fold(grid, classes))
+    acc = trivial_table(grid, *table_format(classes))
+    for cls in classes:
+        out = convolve(acc, cls)
+        tau = snap_class_profit(grid, cls)
+        for cells in enumerate_slices(grid, tau):
+            got = [int(out.backptr[q, k]) for q, k in cells]
+            assert got == column_scan(acc, cls, tau, cells)
+        acc = out
+    assert np.array_equal(acc.backptr, table.backptr)
+    by_id = inst.by_id
+    for q in range(grid.m + 1):
+        for k in range(grid.z + 1):
+            if table.is_finite(q, k):
+                ids = retrieve_items(table, q, k)
+                assert sum((by_id[i].weight for i in ids), ZERO) == table.value_at(q, k)
+    assert sol.total_profit >= (1 - eps) * brute_force(inst).value
 
 
 class TestPickKindAndBuild:
-    def test_pick_kind(self):
-        # One dominant profit keeps a single item above the large floor.
-        inst = inst_of([(1, 40, F(7, 2)), (2, 10, 1), (3, 1, 1)], 5, 2)
-        part = build_partition(inst, F(1, 4))
-        assert any(part.large_classes)
-        assert pick_kind(part) == EXACT  # fractional large weight
-        inst2 = inst_of([(1, 40, 3), (2, 10, 1), (3, 1, 1)], 5, 2)
-        part2 = build_partition(inst2, F(1, 4))
-        assert any(part2.large_classes)
-        assert pick_kind(part2) == INT64
+    """The fold picks its cell dtype once from its classes, then builds."""
 
-    def test_pick_kind_overflow_guard(self):
+    def test_fractional_weights_fold_as_int64(self):
+        inst = generate_instance("correlated", 60, 8, seed=0, integral=False)
+        _, det = solve_with_details(inst, F(1, 4))
+        table, classes = det["table"], det["partition"].large_classes
+        assert len(classes) >= 20
+        denominators = {it.weight.denominator for c in classes for it in c.members}
+        assert table.values.dtype == np.int64
+        assert table.weight_scale == math.lcm(*denominators) > 1
+        assert_same_values(table, fold(table.grid, classes))
+
+    def test_huge_weights_fold_as_object(self):
         big = INT_WEIGHT_LIMIT
         inst = inst_of([(1, 40, big), (2, 10, big)], 2 * big, 2)
-        part = build_partition(inst, F(1, 4))
-        assert any(
-            it.weight == big for c in part.large_classes for it in c.members
+        check_object_fold(inst, F(1, 4))
+
+    def test_huge_denominators_fold_as_object(self):
+        # Weights near 1 over distinct primes near 10**6: their lcm, hence
+        # the scaled total, passes INT_WEIGHT_LIMIT.
+        inst = inst_of(
+            [
+                (1, 40, 3 + F(1, 1000003)),
+                (2, 30, 2 + F(2, 1000033)),
+                (3, 25, 4 + F(3, 1000037)),
+                (4, 12, F(5, 2)),
+                (5, 3, 1),
+            ],
+            8,
+            3,
         )
-        assert pick_kind(part) == EXACT
+        check_object_fold(inst, F(1, 4))
 
     def test_build_phi_l_no_large_items(self):
         # All profits tie at the small/large boundary, so no large classes.
@@ -550,7 +590,7 @@ class TestPickKindAndBuild:
         assert len(part.large_classes) == 1
         grid = ProfitGrid.from_partition(part)
         table = build_phi_L(part)
-        base = base_table(grid, part.large_classes[0], table.kind)
+        base = base_table(grid, part.large_classes[0], *table_format(part.large_classes))
         assert_same_values(table, base)
 
     @pytest.mark.parametrize("seed", [0, 2, 4, 5, 6])
@@ -560,7 +600,7 @@ class TestPickKindAndBuild:
         assert len(part.large_classes) >= 2
         table = build_phi_L(part)
         grid = ProfitGrid.from_partition(part)
-        reference = naive_fold(grid, part.large_classes, table.kind)
+        reference = naive_fold(grid, part.large_classes)
         assert_same_values(table, reference)
         check_table(table)
 
@@ -571,15 +611,6 @@ class TestPickKindAndBuild:
         seen = []
         build_phi_L(part, observer=lambda cls, acc: seen.append(cls.index))
         assert seen == sorted(c.index for c in part.large_classes)
-
-    def test_large_pool_ids(self):
-        inst = generate_instance("uniform", 24, 6, seed=11, weight_max=30)
-        part = build_partition(inst, F(1, 8))
-        pool = large_pool_ids(part)
-        assert pool
-        assert pool == {
-            it.id for c in part.large_classes for it in c.members
-        }
 
 
 class TestProfitAt:
@@ -595,7 +626,7 @@ class TestProfitAt:
 
     def test_validation(self):
         grid = ProfitGrid(delta=F(1), z=2, inv_eps=2)
-        table = trivial_table(grid, INT64)
+        table = trivial_table(grid)
         with pytest.raises(ValueError):
             profit_at(table, F(1), 5)
         with pytest.raises(ValueError):
@@ -605,8 +636,7 @@ class TestProfitAt:
     def test_matches_linear_scan(self, seed):
         rnd = random.Random(9000 + seed)
         grid, classes = make_system(500 + seed, frac=seed % 2 == 0)
-        kind = EXACT if seed % 2 == 0 else INT64
-        table = fold(grid, classes, kind)
+        table = fold(grid, classes)
         budgets = [F(rnd.randint(0, 90), rnd.choice([1, 2, 3])) for _ in range(12)]
         # Exact-tie budgets: every finite cell value must admit itself.
         for q in range(grid.m + 1):
@@ -617,9 +647,7 @@ class TestProfitAt:
                 expected = 0
                 for q in range(grid.m + 1):
                     v = table.value_at(q, k)
-                    if v is not INF and v <= (
-                        math.floor(budget) if kind == INT64 else budget
-                    ):
+                    if v is not INF and v <= budget:
                         expected = q
                 assert profit_at(table, budget, k) == expected
 
@@ -628,13 +656,12 @@ class TestRetrieve:
     def test_infeasible_cell_raises(self):
         grid = ProfitGrid(delta=F(1), z=2, inv_eps=2)
         with pytest.raises(ValueError):
-            retrieve_items(trivial_table(grid, INT64), 1, 1)
+            retrieve_items(trivial_table(grid), 1, 1)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_retrieved_sets_realise_cells(self, seed):
         grid, classes = make_system(600 + seed, frac=seed % 3 == 0)
-        kind = EXACT if seed % 3 == 0 else INT64
-        table = fold(grid, classes, kind)
+        table = fold(grid, classes)
         by_id = {it.id: it for cls in classes for it in cls.members}
         tau_of = {}
         for cls in classes:
@@ -681,7 +708,7 @@ class TestGridRefinement:
         for delta in (F(32), F(16), F(8), F(4)):
             grid = ProfitGrid(delta=delta, z=2, inv_eps=-(-80 // delta))
             assert grid.m * delta >= F(160)  # top of the grid covers 80+80
-            table = fold(grid, classes, INT64)
+            table = fold(grid, classes)
             for omega, k in queries:
                 got = profit_at(table, omega, k) * delta
                 gap = exact_opt(omega, k) - got

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import F, ZERO, best_subset, inst_of
 from kknapsack.instance_model import Item, Mode
-from kknapsack.large_items import EXACT, INT64, ProfitGrid, trivial_table
+from kknapsack.large_items import INT_INF, INT_WEIGHT_LIMIT, ProfitGrid, trivial_table
 from kknapsack.oracles import (
     BRUTE_FORCE_LIMIT,
     COLUMN_SCAN_LIMIT,
@@ -124,20 +124,26 @@ class TestNaiveConvolve:
     def test_mismatched_tables_raise(self):
         g1 = ProfitGrid(delta=F(1), z=2, inv_eps=2)
         g2 = ProfitGrid(delta=F(2), z=2, inv_eps=2)
-        a = trivial_table(g1, EXACT)
+        a = trivial_table(g1)
         with pytest.raises(ValueError):
-            naive_convolve(a, trivial_table(g2, EXACT))
+            naive_convolve(a, trivial_table(g2))
         with pytest.raises(ValueError):
-            naive_convolve(a, trivial_table(g1, INT64))
+            naive_convolve(a, trivial_table(g1, inf=2 * INT_INF))
         with pytest.raises(ValueError):
-            naive_convolve(a, trivial_table(g1, EXACT, weight_scale=3))
+            naive_convolve(a, trivial_table(g1, weight_scale=3))
 
-    @pytest.mark.parametrize("kind", [EXACT, INT64])
-    def test_trivial_is_identity(self, kind):
+    @pytest.mark.parametrize("cells", ["exact", "int64"])
+    def test_trivial_is_identity(self, cells):
+        # "exact": weights past INT_WEIGHT_LIMIT take Python-int object cells.
         grid = ProfitGrid(delta=F(1), z=2, inv_eps=3)
-        t = trivial_table(grid, kind)
-        items = [Item(id=1, profit=F(2), weight=F(3)), Item(id=2, profit=F(4), weight=F(5))]
-        table = exhaustive_table(grid, items, kind)
+        unit = F(INT_WEIGHT_LIMIT) if cells == "exact" else F(1)
+        items = [
+            Item(id=1, profit=F(2), weight=3 * unit),
+            Item(id=2, profit=F(4), weight=5 * unit),
+        ]
+        table = exhaustive_table(grid, items)
+        assert table.values.dtype == (object if cells == "exact" else np.int64)
+        t = trivial_table(grid, table.weight_scale, table.inf)
         out = naive_convolve(table, t)
         for q in range(grid.m + 1):
             for k in range(grid.z + 1):
@@ -169,6 +175,7 @@ class TestExhaustiveTable:
         items = [Item(id=1, profit=F(3), weight=F(1, 2))]
         t = exhaustive_table(grid, items)
         assert t.weight_scale == 2
+        assert t.values.dtype == np.int64 and t.values[2, 1] == 1
         assert t.value_at(2, 1) == F(1, 2)
 
 
@@ -211,7 +218,7 @@ class TestLpVertex:
 class TestColumnScan:
     def test_limit(self):
         grid = ProfitGrid(delta=F(1), z=1, inv_eps=1)
-        acc = trivial_table(grid, INT64)
+        acc = trivial_table(grid)
         cells = [(1, 0)] * (COLUMN_SCAN_LIMIT + 1)
         with pytest.raises(ValueError):
             column_scan(acc, None, 1, cells)

@@ -22,8 +22,6 @@ from kknapsack.preprocessing import (
     build_partition,
     geometric_floor,
     half_approx_opt,
-    rounded_profit_of,
-    small_pool,
 )
 
 # Growth ratios > 1 built from small integers; exponent ranges keep the
@@ -279,24 +277,6 @@ class TestBuildPartition:
             part = build_partition(inst, F(1, 4))
             opt = best_subset(inst)[0]
             assert opt <= part.opt_estimate <= 2 * opt
-
-    def test_small_pool_and_rounded_profit_of(self):
-        inst = generate_instance("uniform", 30, 4, seed=77, weight_max=25)
-        part = build_partition(inst, F(3, 10))
-        pool = small_pool(part)
-        by_class = {
-            it.id: c.rounded_profit
-            for c in part.small_classes
-            for it in c.members
-        }
-        assert {uid for uid, _, _ in pool} == set(by_class)
-        for uid, rp, w in pool:
-            assert rp == by_class[uid]
-            assert w == inst.by_id[uid].weight
-        some_ids = list(by_class)[:3]
-        assert rounded_profit_of(part, some_ids) == sum(
-            (by_class[i] for i in some_ids), ZERO
-        )
 
     def test_check_partition_accepts_every_build(self):
         for seed in range(5):

@@ -22,7 +22,6 @@ from kknapsack.small_items import (
     _dual_at,
     _expand_types,
     _units,
-    phi_dag_S,
     round_small_weights,
     solve_box_lp,
     solver_for_partition,
@@ -368,9 +367,6 @@ class TestSmallSolver:
         inst = inst_of([(i, 10 + i, 3 + i % 4) for i in range(1, 10)], 12, 4)
         part = build_partition(inst, F(1, 4))
         assert solver_for_partition(part) is solver_for_partition(part)
-        assert phi_dag_S(part, F(7), 2) == phi_dag_S(
-            solver_for_partition(part), F(7), 2
-        )
 
     def test_eval_detail_upsilon2_composition(self):
         solver = self.mk_solver(n=20, K=8, eps=F(1, 2), seed=5)
