@@ -6,10 +6,11 @@ checks: the meet-in-the-middle search and the count-indexed DP know nothing
 of rounding or grids; the generic table convolution enumerates all profit
 and cardinality splits; the closed-form single-class table and the subset
 enumeration build tables without convolving; the LP enumerator visits every
-vertex shape of the two-row relaxation; the column scanner and the paper's
-divide-and-conquer slice search (enumerate_slices, slice_index) re-derive
-slice costs from raw table reads. All guards here are hard errors -- an
-oracle silently falling back would defeat its purpose.
+vertex shape of the two-row relaxation, and the multiplier enumerator
+binary-searches all of its pairwise crossings; the column scanner and the
+paper's divide-and-conquer slice search (enumerate_slices, slice_index)
+re-derive slice costs from raw table reads. All guards here are hard
+errors -- an oracle silently falling back would defeat its purpose.
 """
 
 from __future__ import annotations
@@ -417,6 +418,49 @@ def lp_vertex(items, budget: Fraction, cardinality: int) -> OracleResult:
         method=OracleMethod.LP_VERTEX,
         assignment=best_x,
     )
+
+
+def _lightest_maximizer_weight(units, mu: Fraction, cap: int) -> Fraction:
+    """Weight of the lightest top-cap selection by positive adjusted profit
+    p - mu*w, recomputed in Fractions."""
+    positives = sorted((mu * w - p, w) for _, p, w in units if p - mu * w > 0)
+    return sum((w for _, w in positives[:cap]), ZERO)
+
+
+def critical_multiplier_enum(units, budget: Fraction, cap: int) -> Fraction:
+    """Smallest multiplier mu >= 0 whose lightest maximizer of the box LP's
+    inner Lagrangian problem fits the budget, by binary search over every
+    candidate breakpoint.
+
+    units are (id, profit, weight) triples with positive profits, and the
+    lightest top-cap-by-profit selection must exceed the budget (a
+    ValueError otherwise). The
+    lightest-maximizer weight is non-increasing in mu (an exchange argument
+    on the inner objective) and changes only where a unit's adjusted profit
+    crosses zero or another unit's. Those are the positive profit/weight
+    ratios and the positive pairwise crossings (p_i - p_j)/(w_i - w_j), all
+    O(u^2) of them, so the first fitting candidate is the answer.
+    """
+    if _lightest_maximizer_weight(units, ZERO, cap) <= budget:
+        raise ValueError("the top-cap selection fits: no multiplier to search")
+    cand = set()
+    for i, (_, pi, wi) in enumerate(units):
+        if wi > 0:
+            cand.add(pi / wi)
+        for _, pj, wj in units[i + 1:]:
+            if wi != wj:
+                r = (pi - pj) / (wi - wj)
+                if r > 0:
+                    cand.add(r)
+    cand = sorted(cand)
+    lo, hi = 0, len(cand) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _lightest_maximizer_weight(units, cand[mid], cap) <= budget:
+            hi = mid
+        else:
+            lo = mid + 1
+    return cand[lo]
 
 
 # ---------------------------------------------------------------------------

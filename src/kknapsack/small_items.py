@@ -7,7 +7,8 @@ replaced by a ladder of relaxations:
 
 * upsilon1 -- the plain LP relaxation (box constraints + one weight row + one
   cardinality row), solved exactly at a vertex with at most two fractional
-  components.
+  components. Its critical Lagrange multiplier is found by line
+  intersection on the convex dual, with greedy passes on integer keys.
 * upsilon3 -- profit of the best ell items among those individually lighter
   than eps*omega/K, ignoring their (negligible) total weight.
 * upsilon4 -- LP relaxation over the remaining items with weights rounded up
@@ -26,19 +27,17 @@ deterministically by item id.
 
 from __future__ import annotations
 
+import math
 import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
 ZERO = Fraction(0)
-
-# Pools at or below this size run the literal pairwise-multiplier
-# enumeration; larger pools use the float-guided exact search.
-PAIR_ENUM_LIMIT = 64
 
 # SmallSolver pools above this size evaluate the relaxations in float.
 EXACT_POOL_LIMIT = 64
@@ -47,15 +46,20 @@ EXACT_POOL_LIMIT = 64
 MU_GRID_SIZE = 96
 
 
+def _fraction(v) -> Fraction:
+    return v if type(v) is Fraction else Fraction(v)
+
+
 def _units(items) -> list[tuple[int, Fraction, Fraction]]:
-    """Normalize items to (id, profit, weight) triples, id-ascending."""
+    """Normalize items to (id, profit, weight) triples, id-ascending. Values
+    that already are Fractions are kept, not copied."""
     out = []
     for it in items:
         if isinstance(it, tuple):
             uid, p, w = it
         else:
             uid, p, w = it.id, it.profit, it.weight
-        out.append((int(uid), Fraction(p), Fraction(w)))
+        out.append((int(uid), _fraction(p), _fraction(w)))
     out.sort(key=lambda t: t[0])
     return out
 
@@ -129,110 +133,91 @@ def _dual_at(units, mu: Fraction, budget: Fraction, cap: int) -> Fraction:
     return mu * budget + g
 
 
-def _pairwise_multipliers(units) -> list[Fraction]:
-    """All positive candidate multipliers: profit/weight ratios plus every
-    pairwise crossing ratio (p_i - p_j)/(w_i - w_j) with w_i != w_j."""
-    cand = set()
-    n = len(units)
-    for i in range(n):
-        _, pi, wi = units[i]
-        if wi > 0 and pi > 0:
-            cand.add(pi / wi)
-        for j in range(i + 1, n):
-            _, pj, wj = units[j]
-            if wi != wj:
-                r = (pi - pj) / (wi - wj)
-                if r > 0:
-                    cand.add(r)
-    return sorted(cand)
+@dataclass(frozen=True)
+class _IntScaling:
+    """Units scaled once to integers: P_i = p_i*lp and W_i = w_i*lw, with lp
+    and lw the lcm of the profit and weight denominators.
 
-
-def _critical_multiplier_enum(units, budget: Fraction, cap: int) -> Fraction:
-    """Smallest candidate multiplier whose lightest greedy selection fits.
-
-    The lightest-maximizer weight is non-increasing in mu (an exchange
-    argument on the inner objective), so binary search over the sorted
-    candidate set is valid; the first fitting candidate satisfies the
-    subgradient optimality condition wmin <= budget <= wmax.
+    In these units the adjusted profit p - mu*w is proportional to
+    P - nu*W with nu = mu*lp/lw, so at nu = num/den every unit's greedy key
+    den*P - num*W is an integer.
     """
-    cand = _pairwise_multipliers(units)
-    lo, hi = 0, len(cand) - 1
-    # Precondition (checked by caller): wmin at mu=0 exceeds budget, so the
-    # answer is one of the positive candidates.
-    while lo < hi:
-        mid = (lo + hi) // 2
-        wmin, _, _ = _greedy_weight_range(units, cand[mid], cap)
-        if wmin <= budget:
-            hi = mid
-        else:
-            lo = mid + 1
-    return cand[lo]
+
+    P: tuple[int, ...]
+    W: tuple[int, ...]
+    lp: int
+    lw: int
+
+    @classmethod
+    def of(cls, units) -> "_IntScaling":
+        profits = [p for _, p, _ in units]
+        weights = [w for _, _, w in units]
+        lp = math.lcm(*(p.denominator for p in profits))
+        lw = math.lcm(*(w.denominator for w in weights))
+        return cls(_over(profits, lp), _over(weights, lw), lp, lw)
 
 
-def _critical_multiplier_guided(units, budget: Fraction, cap: int) -> Fraction:
-    """Float bisection to localize the critical multiplier, then exact
-    reconstruction from the pair crossings near the greedy margin.
+def _over(values, lcm: int) -> tuple[int, ...]:
+    """Numerators of the values over the common denominator lcm. A value
+    already over lcm, such as any integer when lcm is 1, keeps its numerator
+    object, so integral pools allocate no new ints."""
+    return tuple(
+        v.numerator if v.denominator == lcm else v.numerator * (lcm // v.denominator)
+        for v in values
+    )
 
-    Falls back to widening the candidate window and finally to the full
-    pairwise enumeration, so the result is always exact.
+
+def _lightest_maximizer(scaled: _IntScaling, cap: int, num: int, den: int):
+    """Lightest maximizer S of the inner Lagrangian problem at nu = num/den:
+    the top-cap units by positive key den*P - num*W, ties at the cap-th key
+    going to the lighter unit and then to the lower index.
+
+    Returns (sum of P over S, sum of W over S, indices of S).
     """
-    pf = np.array([float(p) for _, p, _ in units])
-    wf = np.array([float(w) for _, _, w in units])
-    bf = float(budget)
+    P, W = scaled.P, scaled.W
+    keys = [den * p - num * w for p, w in zip(P, W)]
+    chosen = [i for i, key in enumerate(keys) if key > 0]
+    if len(chosen) > cap:
+        cut = sorted((keys[i] for i in chosen), reverse=True)[cap - 1]
+        tied = sorted((W[i], i) for i in chosen if keys[i] == cut)
+        chosen = [i for i in chosen if keys[i] > cut]
+        chosen += [i for _, i in tied[: cap - len(chosen)]]
+    return sum(P[i] for i in chosen), sum(W[i] for i in chosen), chosen
 
-    def float_wmin(mu: float) -> float:
-        adj = pf - mu * wf
-        order = np.argsort(-adj, kind="stable")
-        take = order[adj[order] > 0][:cap]
-        return float(wf[take].sum())
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(wf > 0, pf / np.maximum(wf, 1e-300), 0.0)
-    lo, hi = 0.0, float(ratios.max(initial=0.0)) * (1 + 1e-9) + 1.0
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        if float_wmin(mid) <= bf:
-            hi = mid
+def _critical_multiplier(
+    scaled: _IntScaling, budget: Fraction, cap: int, pa: int, wa: int
+) -> Fraction:
+    """mu* = min{mu >= 0 : wmin(mu) <= budget}, the leftmost minimizer of the
+    convex dual L(mu) = mu*budget + g(mu), by bracketing line intersection.
+
+    Every maximizer S of the inner problem gives a supporting line of L,
+    P_S + nu*(budget*lw - W_S) in the scaled units; the lightest one gives
+    the right derivative. The bracket [a, b] keeps wmin(a) > budget >=
+    wmin(b). It starts from a = 0, where the caller found the lightest
+    selection (pa, wa) over budget, and from b = max P/W, where only
+    weightless units keep a positive key. The lines at a and b cross at
+    c = (P_a - P_b)/(W_a - W_b). If L(c) lies on the line at a, L is linear
+    on [a, c] with negative slope and on [c, b] with slope >= 0, so c is
+    mu*. Otherwise c replaces the end whose side of the budget it shares.
+    Each replacement strictly raises the slope at a or lowers it at b, so
+    the loop ends.
+    """
+    budget_w = budget * scaled.lw
+    top_p, top_w = 0, 1
+    for p, w in zip(scaled.P, scaled.W):
+        if w > 0 and p * top_w > top_p * w:
+            top_p, top_w = p, w
+    pb, wb, _ = _lightest_maximizer(scaled, cap, top_p, top_w)
+    while True:
+        num, den = pa - pb, wa - wb
+        pc, wc, _ = _lightest_maximizer(scaled, cap, num, den)
+        if den * pc - num * wc == den * pa - num * wa:
+            return Fraction(num * scaled.lw, den * scaled.lp)
+        if wc > budget_w:
+            pa, wa = pc, wc
         else:
-            lo = mid
-
-    scale = max(hi, 1.0)
-    for widen in (1e-9, 1e-6, 1e-3):
-        tol = scale * widen
-        window_lo, window_hi = Fraction(max(lo - tol, 0.0)), Fraction(hi + tol)
-        mu_mid = 0.5 * (lo + hi)
-        adj = pf - mu_mid * wf
-        order = np.argsort(-adj, kind="stable")
-        pos = order[adj[order] > 0]
-        # Margin value: adjusted profit at the cardinality boundary, or 0.
-        margin = float(adj[pos[cap - 1]]) if len(pos) >= cap else 0.0
-        near = [
-            i
-            for i in range(len(units))
-            if abs(float(adj[i]) - margin) <= tol or abs(float(adj[i])) <= tol
-        ]
-        if len(near) > 150:
-            break
-        cand = set()
-        for ai in range(len(near)):
-            i = near[ai]
-            _, pi, wi = units[i]
-            if wi > 0 and pi > 0:
-                r = pi / wi
-                if window_lo <= r <= window_hi:
-                    cand.add(r)
-            for bj in range(ai + 1, len(near)):
-                j = near[bj]
-                _, pj, wj = units[j]
-                if wi != wj:
-                    r = (pi - pj) / (wi - wj)
-                    if r > 0 and window_lo <= r <= window_hi:
-                        cand.add(r)
-        for mu in sorted(cand):
-            wmin, wmax, _ = _greedy_weight_range(units, mu, cap)
-            if wmin <= budget <= wmax:
-                return mu
-    return _critical_multiplier_enum(units, budget, cap)
+            pb, wb = pc, wc
 
 
 def _vertex_at_multiplier(units, mu: Fraction, budget: Fraction, cap: int):
@@ -321,29 +306,29 @@ def solve_box_lp(items, budget: Fraction, cap: int) -> SmallEval:
     """Exact optimum of max p.x st w.x <= budget, sum x <= cap, x in [0,1].
 
     Fast path: if the minimum-weight top-cap-by-profit selection fits, it is
-    integral and optimal. Otherwise the weight row is tight at the optimum
-    and the critical Lagrange multiplier is located (pairwise enumeration for
-    small unit counts, float-guided exact search above), then a vertex with
-    at most two fractional components is constructed at it.
+    integral and optimal. Otherwise the weight row is tight at the optimum:
+    the critical Lagrange multiplier is found by an exact line-intersection
+    search on integer-scaled data, then a vertex with at most two fractional
+    components is constructed at it.
     """
-    units = [(uid, p, w) for uid, p, w in _units(items) if p > 0]
-    budget = Fraction(budget)
+    units = [u for u in _units(items) if u[1] > 0]
+    return _solve_units(units, _IntScaling.of(units), Fraction(budget), cap)
+
+
+def _solve_units(units, scaled: _IntScaling, budget: Fraction, cap: int) -> SmallEval:
+    """solve_box_lp on units already normalized, id-sorted and filtered to
+    positive profit, given their integer scaling."""
     cap = max(0, min(int(cap), len(units)))
     if cap == 0 or not units or budget < 0:
         return SmallEval(ZERO, {}, ())
 
-    by_top = sorted(units, key=lambda t: (-t[1], t[2], t[0]))[:cap]
-    top_w = sum((w for _, _, w in by_top), ZERO)
-    if top_w <= budget:
-        ids = tuple(sorted(uid for uid, _, _ in by_top))
-        value = sum((p for _, p, _ in by_top), ZERO)
+    top_p, top_w, top = _lightest_maximizer(scaled, cap, 0, 1)
+    if top_w <= budget * scaled.lw:
+        ids = tuple(sorted(units[i][0] for i in top))
+        value = sum((units[i][1] for i in top), ZERO)
         return SmallEval(value, {uid: Fraction(1) for uid in ids}, ids, mu=ZERO)
 
-    if len(units) <= PAIR_ENUM_LIMIT:
-        mu = _critical_multiplier_enum(units, budget, cap)
-    else:
-        mu = _critical_multiplier_guided(units, budget, cap)
-
+    mu = _critical_multiplier(scaled, budget, cap, top_p, top_w)
     x, value = _vertex_at_multiplier(units, mu, budget, cap)
     dual = _dual_at(units, mu, budget, cap)
     assert value == dual, f"primal {value} != dual {dual} at mu*={mu}"
@@ -622,8 +607,9 @@ def upsilon4(
     LP with budget (1-eps)*omega and cardinality cap k-ell.
 
     With an explicit BreakpointSet the minimum is found by convexity-guided
-    binary search over it; otherwise by the exact parametric search. Primal
-    recovery at mu* is asserted to match the dual value exactly.
+    binary search over it; otherwise solve_box_lp finds the exact critical
+    multiplier. Primal recovery at mu* is asserted to match the dual value
+    exactly.
     """
     omega = Fraction(omega)
     eps = Fraction(eps)
@@ -822,7 +808,14 @@ class SmallSolver:
             j -= 1
         if self._top_wsum[j] <= omega:
             return self._top_psum[j]
-        return upsilon1(self.items, omega, k).value
+        return _solve_units(*self._lp_pool, omega, k).value
+
+    @cached_property
+    def _lp_pool(self):
+        """Positive-profit units and their integer scaling, built once so
+        that upsilon1 over this pool skips re-normalizing it per query."""
+        units = [u for u in self.items if u[1] > 0]
+        return units, _IntScaling.of(units)
 
     def eval_detail(self, omega: Fraction, k: int) -> SmallEval:
         """Full evaluation (with solution structure) for retrieval. Exact
@@ -834,7 +827,7 @@ class SmallSolver:
             return SmallEval(ZERO, {}, ())
         if self.exact:
             if self.use_upsilon1:
-                return upsilon1(self.items, omega, k)
+                return _solve_units(*self._lp_pool, omega, k)
             self._ensure_registered(omega)
             _, ell = upsilon2(self.items, self._buckets, omega, k, self.eps, self.K)
             return self._compose_upsilon2_detail(omega, k, ell)

@@ -19,6 +19,7 @@ from kknapsack.oracles import (
     OracleMethod,
     brute_force,
     column_scan,
+    critical_multiplier_enum,
     exact_dp,
     exhaustive_table,
     lp_vertex,
@@ -213,6 +214,37 @@ class TestLpVertex:
         res = lp_vertex(items, F(5), 1)
         assert res.value == F(8)
         assert res.assignment == {1: F(1, 2), 2: F(1, 2)}
+
+
+def lagrangian(units, mu, budget, cap):
+    """mu*budget plus the cap largest positive adjusted profits p - mu*w."""
+    adjusted = sorted((p - mu * w for _, p, w in units), reverse=True)
+    return mu * budget + sum((a for a in adjusted[:cap] if a > 0), ZERO)
+
+
+class TestCriticalMultiplierEnum:
+    def test_two_fractional_vertex(self):
+        # The vertex of TestLpVertex: the lines 10 - 8mu and 6 - 2mu cross
+        # at mu = 2/3, where L = 10/3 + 14/3 = 8, the LP optimum.
+        units = [(1, F(10), F(8)), (2, F(6), F(2))]
+        assert critical_multiplier_enum(units, F(5), 1) == F(2, 3)
+        with pytest.raises(ValueError):  # item 1 alone fits: nothing to search
+            critical_multiplier_enum(units, F(8), 1)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_leftmost_minimizer_of_the_dual(self, seed):
+        # Strong duality: L at the returned multiplier is the LP optimum,
+        # and every smaller multiplier gives a strictly larger L.
+        inst = random_inst(seed + 700, n_max=9, frac=True)
+        units = [(it.id, it.profit, it.weight) for it in inst.items if it.profit > 0]
+        cap = min(inst.cardinality, len(units))
+        top = sorted(units, key=lambda t: (-t[1], t[2]))[:cap]
+        budget = sum((w for _, _, w in top), ZERO) / 2
+        assert budget > 0
+        mu = critical_multiplier_enum(units, budget, cap)
+        optimum = lp_vertex(inst.items, budget, cap).value
+        assert lagrangian(units, mu, budget, cap) == optimum
+        assert lagrangian(units, mu * F(999, 1000), budget, cap) > optimum
 
 
 class TestColumnScan:

@@ -2,24 +2,24 @@
 top-ell queries, the heavy-side dual, and the split search that combines
 them; plus the pool-level SmallSolver plumbing."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import F, ZERO, inst_of
+import kknapsack.small_items as small_items
+from kknapsack.generator import generate_instance
 from kknapsack.instance_model import Item
-from kknapsack.oracles import lp_vertex, upsilon2_linear
-from kknapsack.preprocessing import build_partition
+from kknapsack.oracles import critical_multiplier_enum, lp_vertex, upsilon2_linear
+from kknapsack.preprocessing import build_partition, half_approx_opt
 from kknapsack.small_items import (
     BreakpointSet,
     EXACT_POOL_LIMIT,
     SmallEval,
     SmallSolver,
     WeightBuckets,
-    _critical_multiplier_enum,
-    _critical_multiplier_guided,
-    _dual_at,
     _expand_types,
     _units,
     round_small_weights,
@@ -41,6 +41,67 @@ def pool(seed, n, frac=False, pmax=20, wmax=15):
         w = Fraction(rnd.randint(1, wmax), rnd.choice([1, 2]) if frac else 1)
         out.append((uid, p, w))
     return out
+
+
+SHAPES = ["ties", "equal-ratio", "zero-weights", "fractional", "geometric", "random"]
+
+
+def shaped_pool(shape, rnd, n):
+    """n units of one data shape under distinct random ids:
+    ties           p = w, so every profit/weight ratio ties;
+    equal-ratio    p = 3w/2 on fractional weights;
+    zero-weights   a quarter of the units weigh nothing;
+    fractional     profits and weights with denominators up to 9;
+    geometric      profits on a (1+eps)^-j class ladder, as after rounding;
+    concave        p = floor(sqrt(1000 w)), so heavier units pay less per unit;
+    alternating    p = w and p = 2w + 5 in turn;
+    random         integers up to 60 and 40.
+    """
+    ids = rnd.sample(range(1, 10 * n + 1), n)
+    out = []
+    for j, uid in enumerate(ids):
+        w = Fraction(rnd.randint(1, 40))
+        if shape == "ties":
+            p = w
+        elif shape == "equal-ratio":
+            w = Fraction(rnd.randint(1, 80), rnd.choice([1, 2, 3]))
+            p = 3 * w / 2
+        elif shape == "zero-weights":
+            w = w if rnd.random() < 0.75 else ZERO
+            p = Fraction(rnd.randint(1, 30))
+        elif shape == "fractional":
+            p = Fraction(rnd.randint(1, 60), rnd.randint(1, 9))
+            w = Fraction(rnd.randint(1, 40), rnd.randint(1, 9))
+        elif shape == "geometric":
+            p = Fraction(40) / Fraction(3, 2) ** rnd.randint(0, 7)
+            w = Fraction(rnd.randint(1, 160), 4)
+        elif shape == "concave":
+            w = Fraction(rnd.randint(1, 400))
+            p = Fraction(math.isqrt(1000 * int(w)))
+        elif shape == "alternating":
+            p = w if j % 2 else 2 * w + 5
+        else:
+            p = Fraction(rnd.randint(1, 60))
+        out.append((uid, p, w))
+    return out
+
+
+def positive(units):
+    """The units a box LP keeps: positive profit, id order."""
+    return sorted(u for u in units if u[1] > 0)
+
+
+def over_budget_case(units, rnd):
+    """(budget, cap) with the lightest top-cap-by-profit selection over the
+    budget, so the multiplier search runs; (None, None) if this draw only
+    reaches the fast path."""
+    cap = rnd.randint(1, len(units))
+    top = sorted(units, key=lambda t: (-t[1], t[2]))[:cap]
+    top_w = sum((w for _, _, w in top), ZERO)
+    budget = top_w * Fraction(rnd.randint(0, 99), 100)
+    if top_w <= budget:
+        return None, None
+    return budget, cap
 
 
 def as_items(units):
@@ -105,32 +166,71 @@ class TestUpsilon1:
         assert ev.integral_ids == (1,)
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_multiplier_searches_agree_on_the_dual(self, seed):
-        # Both locators must certify the same dual optimum (the multipliers
-        # themselves may differ when several satisfy the fit condition).
+    def test_multiplier_equals_enumeration_oracle(self, seed):
+        # The search must return exactly the multiplier of the pairwise
+        # enumeration (the smallest one that fits), not just one that
+        # certifies the same dual value.
         rnd = random.Random(40 + seed)
-        units = pool(300 + seed, 30, frac=True, pmax=50, wmax=25)
-        omega = Fraction(rnd.randint(5, 20))
-        cap = rnd.randint(3, 8)
-        top = sorted(units, key=lambda t: (-t[1], t[2], t[0]))[:cap]
-        if sum((w for _, _, w in top), ZERO) <= omega:
-            pytest.skip("fast path: no multiplier search involved")
-        mu_e = _critical_multiplier_enum(units, omega, cap)
-        mu_g = _critical_multiplier_guided(units, omega, cap)
-        assert _dual_at(units, mu_e, omega, cap) == _dual_at(units, mu_g, omega, cap)
+        for shape in SHAPES:
+            checked = 0
+            while checked < 3:
+                units = shaped_pool(shape, rnd, rnd.randint(2, 36))
+                budget, cap = over_budget_case(units, rnd)
+                if budget is None:
+                    continue
+                ev = solve_box_lp(units, budget, cap)
+                assert ev.mu == critical_multiplier_enum(positive(units), budget, cap)
+                check_primal(ev, units, budget, cap)
+                checked += 1
 
-    def test_guided_search_used_above_pair_enum_limit(self):
-        # 80 units forces the float-guided exact path inside solve_box_lp;
-        # its value must still be the exact LP optimum (dual == primal is
-        # asserted internally, so equality with the enum dual suffices).
+    def test_large_pool_multiplier_equals_enumeration_oracle(self):
         units = pool(7, 80, frac=True, pmax=60, wmax=30)
         omega = F(55)
         cap = 9
         ev = solve_box_lp(units, omega, cap)
-        filtered = [u for u in units if u[1] > 0]
-        mu = _critical_multiplier_enum(filtered, omega, cap)
-        assert ev.value == _dual_at(filtered, mu, omega, cap)
+        assert ev.mu == critical_multiplier_enum(positive(units), omega, cap)
         check_primal(ev, units, omega, cap)
+
+
+def evaluation_counter(monkeypatch):
+    """Wrap the greedy evaluator of the multiplier search; the returned
+    list's single entry counts its calls."""
+    calls = [0]
+    original = small_items._lightest_maximizer
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(small_items, "_lightest_maximizer", counted)
+    return calls
+
+
+class TestMultiplierSearchWork:
+    @pytest.mark.parametrize("n", [40, 400, 3000])
+    @pytest.mark.parametrize("shape", ["ties", "concave", "alternating", "random"])
+    def test_evaluations_logarithmic_in_units(self, monkeypatch, shape, n):
+        rnd = random.Random(f"work-{shape}-{n}")
+        calls = evaluation_counter(monkeypatch)
+        searched = 0
+        for _ in range(4):
+            units = shaped_pool(shape, rnd, n)
+            budget, cap = over_budget_case(units, rnd)
+            if budget is None:
+                continue
+            calls[0] = 0
+            ev = solve_box_lp(units, budget, cap)  # counts the fast-path pass too
+            assert ev.mu > 0
+            assert calls[0] <= 2 * len(positive(units)).bit_length() + 8
+            searched += 1
+        assert searched
+
+    def test_subset_sum_estimate_needs_few_evaluations(self, monkeypatch):
+        # Every profit equals its weight: the estimate's LP is all ties.
+        inst = generate_instance("subset-sum", 20000, 64, seed=5)
+        calls = evaluation_counter(monkeypatch)
+        assert half_approx_opt(inst) > 0
+        assert 0 < calls[0] <= 8
 
 
 class TestRoundSmallWeights:
