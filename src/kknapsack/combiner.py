@@ -156,6 +156,8 @@ def _solve_atmost(
         "table": table,
         "large_ids": tuple(sorted(large_ids)),
         "small_ids": tuple(sorted(small_detail.integral_ids)),
+        "small_exact": small.exact,
+        "small_pool": len(small.items),
     }
     return sol, details
 

@@ -8,7 +8,9 @@ replaced by a ladder of relaxations:
 * upsilon1 -- the plain LP relaxation (box constraints + one weight row + one
   cardinality row), solved exactly at a vertex with at most two fractional
   components. Its critical Lagrange multiplier is found by line
-  intersection on the convex dual, with greedy passes on integer keys.
+  intersection on the convex dual, and its vertex built, on integer keys:
+  the data is scaled to integers once, and only the at most two fractional
+  components are Fractions.
 * upsilon3 -- profit of the best ell items among those individually lighter
   than eps*omega/K, ignoring their (negligible) total weight.
 * upsilon4 -- LP relaxation over the remaining items with weights rounded up
@@ -18,11 +20,11 @@ replaced by a ladder of relaxations:
   maximized by binary search on the first-order difference of the (discretely
   concave) sequence.
 
-All module-level functions compute in exact rational arithmetic. SmallSolver
-additionally provides a float evaluation mode for pools too large for exact
-Fractions; float values only rank candidates, and any returned item set is
-re-checked for feasibility in exact arithmetic. Ties everywhere are broken
-deterministically by item id.
+All module-level functions compute in exact rational arithmetic, and
+SmallSolver answers upsilon1 exactly at every pool size. Only its upsilon2
+pools above EXACT_POOL_LIMIT are ranked in float; those values only rank
+candidates, and any returned item set is re-checked for feasibility in exact
+arithmetic. Ties everywhere are broken deterministically by item id.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import math
 import weakref
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -38,8 +40,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
-# SmallSolver pools above this size evaluate the relaxations in float.
+# SmallSolver pools in the upsilon2 regime (K > 1/eps) above this size are
+# ranked in float; upsilon1 pools are exact at every size.
 EXACT_POOL_LIMIT = 64
 
 # Number of geometric multiplier samples in the float dual sweep.
@@ -90,50 +94,7 @@ class SmallEval:
 # ---------------------------------------------------------------------------
 
 
-def _greedy_weight_range(units, mu: Fraction, cap: int):
-    """Weight range [wmin, wmax] over maximizers of the inner Lagrangian
-    problem at multiplier mu, plus the inner optimum g(mu).
-
-    Maximizers take every unit with adjusted profit p - mu*w above the
-    entry threshold and fill remaining cardinality from the tied units;
-    their total weight spans [lightest fill, heaviest fill], extended by
-    optional zero-adjusted units when the threshold is zero.
-    """
-    positives = []
-    zeros = []
-    for uid, p, w in units:
-        adj = p - mu * w
-        if adj > 0:
-            positives.append((adj, w, uid))
-        elif adj == 0 and p > 0:
-            zeros.append(w)
-
-    if len(positives) <= cap:
-        g = sum((a for a, _, _ in positives), ZERO)
-        wmin = sum((w for _, w, _ in positives), ZERO)
-        room = cap - len(positives)
-        zeros.sort(reverse=True)
-        wmax = wmin + sum(zeros[: min(room, len(zeros))], ZERO)
-        return wmin, wmax, g
-
-    positives.sort(key=lambda t: (-t[0], t[2]))
-    threshold = positives[cap - 1][0]
-    above = [t for t in positives if t[0] > threshold]
-    tied_w = sorted(t[1] for t in positives if t[0] == threshold)
-    fill = cap - len(above)
-    g = sum((a for a, _, _ in above), ZERO) + threshold * fill
-    w_above = sum((w for _, w, _ in above), ZERO)
-    wmin = w_above + sum(tied_w[:fill], ZERO)
-    wmax = w_above + sum(tied_w[len(tied_w) - fill:], ZERO)
-    return wmin, wmax, g
-
-
-def _dual_at(units, mu: Fraction, budget: Fraction, cap: int) -> Fraction:
-    _, _, g = _greedy_weight_range(units, mu, cap)
-    return mu * budget + g
-
-
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class _IntScaling:
     """Units scaled once to integers: P_i = p_i*lp and W_i = w_i*lw, with lp
     and lw the lcm of the profit and weight denominators.
@@ -141,12 +102,20 @@ class _IntScaling:
     In these units the adjusted profit p - mu*w is proportional to
     P - nu*W with nu = mu*lp/lw, so at nu = num/den every unit's greedy key
     den*P - num*W is an integer.
+
+    The scaling also caches the greedy passes of one cap at a time. A pass
+    depends only on cap and on the value of nu, so it is keyed by the
+    reduced num/den, and a new cap drops the old entries. Queries at many
+    budgets for one cap, as in the combiner's split sweep, share the
+    passes that their multiplier searches have in common.
     """
 
     P: tuple[int, ...]
     W: tuple[int, ...]
     lp: int
     lw: int
+    _cap: Optional[int] = field(default=None, init=False, repr=False)
+    _passes: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def of(cls, units) -> "_IntScaling":
@@ -155,6 +124,27 @@ class _IntScaling:
         lp = math.lcm(*(p.denominator for p in profits))
         lw = math.lcm(*(w.denominator for w in weights))
         return cls(_over(profits, lp), _over(weights, lw), lp, lw)
+
+    @cached_property
+    def top_ratio(self) -> tuple[int, int]:
+        """(P, W) of a unit with the largest ratio P/W over W > 0, or (0, 1)
+        when every unit is weightless."""
+        top_p, top_w = 0, 1
+        for p, w in zip(self.P, self.W):
+            if w > 0 and p * top_w > top_p * w:
+                top_p, top_w = p, w
+        return top_p, top_w
+
+    def maximizer(self, cap: int, num: int, den: int):
+        """_lightest_maximizer at nu = num/den, cached for the current cap."""
+        if cap != self._cap:
+            self._cap, self._passes = cap, {}
+        g = math.gcd(num, den)
+        key = (num // g, den // g)
+        found = self._passes.get(key)
+        if found is None:
+            found = self._passes[key] = _lightest_maximizer(self, cap, *key)
+        return found
 
 
 def _over(values, lcm: int) -> tuple[int, ...]:
@@ -186,120 +176,97 @@ def _lightest_maximizer(scaled: _IntScaling, cap: int, num: int, den: int):
 
 
 def _critical_multiplier(
-    scaled: _IntScaling, budget: Fraction, cap: int, pa: int, wa: int
-) -> Fraction:
-    """mu* = min{mu >= 0 : wmin(mu) <= budget}, the leftmost minimizer of the
+    scaled: _IntScaling, budget_w: Fraction, cap: int, pa: int, wa: int
+) -> tuple[int, int]:
+    """nu* = num/den in lowest terms, the scaled image of
+    mu* = min{mu >= 0 : wmin(mu) <= budget}, the leftmost minimizer of the
     convex dual L(mu) = mu*budget + g(mu), by bracketing line intersection.
 
     Every maximizer S of the inner problem gives a supporting line of L,
-    P_S + nu*(budget*lw - W_S) in the scaled units; the lightest one gives
-    the right derivative. The bracket [a, b] keeps wmin(a) > budget >=
-    wmin(b). It starts from a = 0, where the caller found the lightest
-    selection (pa, wa) over budget, and from b = max P/W, where only
-    weightless units keep a positive key. The lines at a and b cross at
-    c = (P_a - P_b)/(W_a - W_b). If L(c) lies on the line at a, L is linear
-    on [a, c] with negative slope and on [c, b] with slope >= 0, so c is
-    mu*. Otherwise c replaces the end whose side of the budget it shares.
-    Each replacement strictly raises the slope at a or lowers it at b, so
-    the loop ends.
+    P_S + nu*(budget_w - W_S) in the scaled units (budget_w = budget*lw);
+    the lightest one gives the right derivative. The bracket [a, b] keeps
+    wmin(a) > budget >= wmin(b). It starts from a = 0, where the caller
+    found the lightest selection (pa, wa) over budget, and from b = max P/W,
+    where only weightless units keep a positive key. The lines at a and b
+    cross at c = (P_a - P_b)/(W_a - W_b). If L(c) lies on the line at a, L
+    is linear on [a, c] with negative slope and on [c, b] with slope >= 0,
+    so c is mu*. Otherwise c replaces the end whose side of the budget it
+    shares. Each replacement strictly raises the slope at a or lowers it at
+    b, so the loop ends.
     """
-    budget_w = budget * scaled.lw
-    top_p, top_w = 0, 1
-    for p, w in zip(scaled.P, scaled.W):
-        if w > 0 and p * top_w > top_p * w:
-            top_p, top_w = p, w
-    pb, wb, _ = _lightest_maximizer(scaled, cap, top_p, top_w)
+    pb, wb, _ = scaled.maximizer(cap, *scaled.top_ratio)
     while True:
         num, den = pa - pb, wa - wb
-        pc, wc, _ = _lightest_maximizer(scaled, cap, num, den)
+        pc, wc, _ = scaled.maximizer(cap, num, den)
         if den * pc - num * wc == den * pa - num * wa:
-            return Fraction(num * scaled.lw, den * scaled.lp)
+            g = math.gcd(num, den)
+            return num // g, den // g
         if wc > budget_w:
             pa, wa = pc, wc
         else:
             pb, wb = pc, wc
 
 
-def _vertex_at_multiplier(units, mu: Fraction, budget: Fraction, cap: int):
-    """Optimal LP vertex at the critical multiplier.
+def _vertex(scaled: _IntScaling, budget_w: Fraction, cap: int, num: int, den: int):
+    """Optimal LP vertex at the critical multiplier nu* = num/den > 0, built
+    on the integer keys den*P - num*W.
 
-    Maximizes the inner Lagrangian objective while making the weight row
-    exactly tight (for mu > 0), yielding at most two fractional components:
-    mandatory units fully in, then the tied/optional units adjusted by full
-    swaps plus one final fractional swap.
-    Returns (x: dict id->Fraction, value: Fraction).
+    Units with a positive key go in, up to the cap. The weight row is then
+    made exactly tight with the units whose key ties the entry threshold
+    (the zero-key units when the positive ones fit the cap): full swaps
+    first, then one final fractional swap, so at most two components are
+    fractional. Returns (integral indices, fractional (index, x) pairs,
+    primal sum of P*x, key sum G of a maximizer); den*primal equals
+    num*budget_w + G exactly when primal and dual values agree.
     """
-    positives = []
-    zeros = []
-    for uid, p, w in units:
-        adj = p - mu * w
-        if adj > 0:
-            positives.append((adj, w, uid, p))
-        elif adj == 0 and p > 0:
-            zeros.append((w, uid, p))
-
-    x: dict[int, Fraction] = {}
-
-    if len(positives) <= cap:
-        # Every positive unit is mandatory; pad weight up to the budget with
-        # zero-adjusted units (free for the inner objective).
-        used_w = ZERO
-        for _, w, uid, _ in positives:
-            x[uid] = Fraction(1)
-            used_w += w
-        room = cap - len(positives)
-        residual = budget - used_w
-        assert residual >= 0, "greedy selection exceeds budget at mu*"
-        if mu > 0 and residual > 0:
-            zeros.sort(key=lambda t: (-t[0], t[1]))
-            for w, uid, _ in zeros:
-                if room <= 0 or residual <= 0:
-                    break
-                take = min(Fraction(1), residual / w)  # zero-adj => w > 0
-                x[uid] = take
-                residual -= take * w
-                room -= 1
-            assert residual == 0, "cannot make weight row tight at mu*"
+    P, W = scaled.P, scaled.W
+    bn, bd = budget_w.numerator, budget_w.denominator
+    keys = [den * p - num * w for p, w in zip(P, W)]
+    integral = [i for i, key in enumerate(keys) if key > 0]
+    fractional = []
+    if len(integral) <= cap:
+        # Pad the weight up to the budget with zero-key units, which are
+        # free for the inner objective, heaviest first.
+        g = sum(keys[i] for i in integral)
+        used = sum(W[i] for i in integral)
+        assert bd * used <= bn, "greedy selection exceeds budget at mu*"
+        zeros = sorted((-W[i], i) for i, key in enumerate(keys) if key == 0)
+        for neg_w, i in zeros[: cap - len(integral)]:
+            if bd * used == bn:
+                break
+            if bd * (used - neg_w) <= bn:
+                integral.append(i)
+                used -= neg_w
+            else:
+                fractional.append((i, Fraction(bn - bd * used, -bd * neg_w)))
+                break
+        assert fractional or bd * used == bn, "cannot make weight row tight at mu*"
     else:
-        positives.sort(key=lambda t: (-t[0], t[2]))
-        threshold = positives[cap - 1][0]
-        above = [t for t in positives if t[0] > threshold]
-        tied = sorted(
-            (t for t in positives if t[0] == threshold), key=lambda t: (t[1], t[2])
-        )
-        fill = cap - len(above)
-        used_w = ZERO
-        for _, w, uid, _ in above:
-            x[uid] = Fraction(1)
-            used_w += w
-        target = budget - used_w
-        sel = tied[:fill]
-        unsel = list(reversed(tied[fill:]))  # heaviest first
-        cur = sum((t[1] for t in sel), ZERO)
-        assert cur <= target, "lightest tied fill already over budget at mu*"
-        for uid in (t[2] for t in sel):
-            x[uid] = Fraction(1)
-        if cur < target:
-            for swap_in, swap_out in zip(unsel, sel):
-                delta = swap_in[1] - swap_out[1]
-                if cur + delta <= target:
-                    x[swap_in[2]] = Fraction(1)
-                    x[swap_out[2]] = Fraction(0)
-                    cur += delta
-                    if cur == target:
-                        break
-                else:
-                    lam = (target - cur) / delta
-                    x[swap_in[2]] = lam
-                    x[swap_out[2]] = 1 - lam
-                    cur = target
-                    break
-        assert cur == target or mu == 0, "cannot reach weight target from ties"
-
-    x = {uid: v for uid, v in x.items() if v > 0}
-    by_id = {uid: (p, w) for uid, p, w in units}
-    value = sum((by_id[uid][0] * v for uid, v in x.items()), ZERO)
-    return x, value
+        cut = sorted((keys[i] for i in integral), reverse=True)[cap - 1]
+        tied = sorted((W[i], i) for i in integral if keys[i] == cut)
+        integral = [i for i in integral if keys[i] > cut]
+        fill = cap - len(integral)
+        g = sum(keys[i] for i in integral) + fill * cut
+        lightest, heaviest = tied[:fill], tied[fill:][::-1]
+        used = sum(W[i] for i in integral) + sum(w for w, _ in lightest)
+        assert bd * used <= bn, "lightest tied fill already over budget at mu*"
+        swaps = 0
+        for (w_in, i_in), (w_out, i_out) in zip(heaviest, lightest):
+            if bd * used == bn:
+                break
+            delta = w_in - w_out
+            if bd * (used + delta) <= bn:
+                used += delta
+                swaps += 1
+            else:
+                lam = Fraction(bn - bd * used, bd * delta)
+                fractional = [(i_in, lam), (i_out, ONE - lam)]
+                break
+        assert fractional or bd * used == bn, "cannot reach weight target from ties"
+        integral += [i for _, i in heaviest[:swaps]]
+        integral += [i for _, i in lightest[swaps + bool(fractional):]]
+    primal = sum(P[i] for i in integral) + sum((P[i] * x for i, x in fractional), ZERO)
+    return integral, fractional, primal, g
 
 
 def solve_box_lp(items, budget: Fraction, cap: int) -> SmallEval:
@@ -309,7 +276,7 @@ def solve_box_lp(items, budget: Fraction, cap: int) -> SmallEval:
     integral and optimal. Otherwise the weight row is tight at the optimum:
     the critical Lagrange multiplier is found by an exact line-intersection
     search on integer-scaled data, then a vertex with at most two fractional
-    components is constructed at it.
+    components is constructed at it from the same integer keys.
     """
     units = [u for u in _units(items) if u[1] > 0]
     return _solve_units(units, _IntScaling.of(units), Fraction(budget), cap)
@@ -317,23 +284,27 @@ def solve_box_lp(items, budget: Fraction, cap: int) -> SmallEval:
 
 def _solve_units(units, scaled: _IntScaling, budget: Fraction, cap: int) -> SmallEval:
     """solve_box_lp on units already normalized, id-sorted and filtered to
-    positive profit, given their integer scaling."""
+    positive profit, given their integer scaling. Every answer off the fast
+    path is certified: its primal value equals the dual value at mu*."""
     cap = max(0, min(int(cap), len(units)))
     if cap == 0 or not units or budget < 0:
         return SmallEval(ZERO, {}, ())
 
-    top_p, top_w, top = _lightest_maximizer(scaled, cap, 0, 1)
-    if top_w <= budget * scaled.lw:
-        ids = tuple(sorted(units[i][0] for i in top))
-        value = sum((units[i][1] for i in top), ZERO)
-        return SmallEval(value, {uid: Fraction(1) for uid in ids}, ids, mu=ZERO)
+    budget_w = budget * scaled.lw
+    top_p, top_w, top = scaled.maximizer(cap, 0, 1)
+    if top_w <= budget_w:
+        ids = tuple(units[i][0] for i in sorted(top))
+        return SmallEval(Fraction(top_p, scaled.lp), dict.fromkeys(ids, ONE), ids, mu=ZERO)
 
-    mu = _critical_multiplier(scaled, budget, cap, top_p, top_w)
-    x, value = _vertex_at_multiplier(units, mu, budget, cap)
-    dual = _dual_at(units, mu, budget, cap)
-    assert value == dual, f"primal {value} != dual {dual} at mu*={mu}"
-    integral = tuple(sorted(uid for uid, v in x.items() if v == 1))
-    return SmallEval(value, x, integral, mu=mu)
+    num, den = _critical_multiplier(scaled, budget_w, cap, top_p, top_w)
+    integral, fractional, primal, g = _vertex(scaled, budget_w, cap, num, den)
+    assert den * primal == num * budget_w + g, f"primal != dual at nu*={num}/{den}"
+    integral.sort()
+    ids = tuple(units[i][0] for i in integral)
+    x = dict.fromkeys(ids, ONE)
+    x.update((units[i][0], v) for i, v in fractional)
+    mu = Fraction(num * scaled.lw, den * scaled.lp)
+    return SmallEval(Fraction(primal, scaled.lp), x, ids, mu=mu)
 
 
 def upsilon1(items, omega: Fraction, k: int) -> SmallEval:
@@ -507,157 +478,25 @@ def upsilon3(buckets: WeightBuckets, omega: Fraction, ell: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def dual_value(
-    mu: Fraction, s2_types, omega: Fraction, budget_scale: Fraction, cap: int
-) -> Fraction:
-    """L(mu) = mu*budget_scale*omega + max over x in [0,1]^units, sum x <= cap
-    of sum (p - mu*rounded_w) x -- the greedy top-cap positive adjusted sum."""
-    mu = Fraction(mu)
-    budget = Fraction(budget_scale) * Fraction(omega)
-    adjusted = sorted(
-        (
-            (t.profit - mu * t.rounded_weight, t.member_ids[0], t.count)
-            for t in s2_types
-        ),
-        key=lambda a: (-a[0], a[1]),
-    )
-    room = max(0, int(cap))
-    g = ZERO
-    for adj, _, count in adjusted:
-        if adj <= 0 or room == 0:
-            break
-        take = min(count, room)
-        g += adj * take
-        room -= take
-    return mu * budget + g
-
-
-@dataclass(frozen=True)
-class BreakpointSet:
-    """Candidate dual multipliers on the geometric grid.
-
-    values = scale * (1+eps)^b * ((1+eps)^c - 1)/((1+eps)^d - 1) over the
-    exponent box, deduplicated, ascending, with 0 prepended and a top cap
-    appended. scale carries the K*opt_estimate/omega factor relating the
-    profit grid to the rounded-weight grid, so every profit/weight ratio and
-    every pairwise crossing of typed units is a member.
-    """
-
-    values: tuple[Fraction, ...]
-    eps: Fraction
-    exponent_bound: int
-    scale: Fraction
-
-    @classmethod
-    def build(
-        cls, eps: Fraction, K: int, opt_estimate: Fraction, omega: Fraction
-    ) -> "BreakpointSet":
-        eps = Fraction(eps)
-        opt_estimate = Fraction(opt_estimate)
-        omega = Fraction(omega)
-        if omega <= 0 or opt_estimate <= 0:
-            return cls((ZERO,), eps, 0, Fraction(1))
-        growth = 1 + eps
-        # M = ceil(log_{1+eps}(K/eps)): smallest M with (1+eps)^M >= K/eps.
-        target = Fraction(K) / eps
-        M = 0
-        power = Fraction(1)
-        while power < target:
-            power *= growth
-            M += 1
-        bound = 2 * M + 1
-        guard = M + 1
-        if guard > 18:
-            raise ValueError(
-                f"breakpoint set would need exponent range {guard}; "
-                "materialization is only supported at desk scale"
-            )
-        powers = {0: Fraction(1)}
-        for e in range(1, max(bound, guard) + 1):
-            powers[e] = powers[e - 1] * growth
-            powers[-e] = 1 / powers[e]
-        scale = Fraction(K) * opt_estimate / omega
-        diffs = [powers[e] - 1 for e in range(-guard, guard + 1) if e != 0]
-        vals = {ZERO}
-        for b in range(-bound, bound + 1):
-            pb = powers[b]
-            for dc in diffs:
-                for dd in diffs:
-                    v = scale * pb * dc / dd
-                    if v > 0:
-                        vals.add(v)
-        cap_value = scale * powers[bound] * (powers[guard] - 1) + 1
-        vals.add(cap_value)
-        return cls(tuple(sorted(vals)), eps, bound, scale)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
 def upsilon4(
-    items,
-    omega: Fraction,
-    ell: int,
-    k: int,
-    eps: Fraction,
-    K: int,
-    breakpoints: Optional[BreakpointSet] = None,
+    items, omega: Fraction, ell: int, k: int, eps: Fraction, K: int
 ) -> SmallEval:
     """min over mu >= 0 of L(mu, omega, ell, k) -- the dual of the heavy-side
     LP with budget (1-eps)*omega and cardinality cap k-ell.
 
-    With an explicit BreakpointSet the minimum is found by convexity-guided
-    binary search over it; otherwise solve_box_lp finds the exact critical
-    multiplier. Primal recovery at mu* is asserted to match the dual value
-    exactly.
+    solve_box_lp finds the exact critical multiplier and certifies the
+    primal vertex against the dual value. The paper's route, a binary
+    search over a precomputed breakpoint set, is the desk-scale oracle
+    oracles.upsilon4_breakpoints.
     """
     omega = Fraction(omega)
     eps = Fraction(eps)
-    cap = int(k) - int(ell)
     _, s2_types = round_small_weights(items, omega, eps, K)
     units = _expand_types(s2_types)
-    budget = (1 - eps) * omega
-    cap = max(0, min(cap, len(units)))
+    cap = max(0, min(int(k) - int(ell), len(units)))
     if cap == 0 or not units or omega <= 0:
         return SmallEval(ZERO, {}, (), mu=ZERO)
-
-    if breakpoints is None:
-        inner = solve_box_lp(units, budget, cap)
-        return SmallEval(
-            inner.value, inner.fractional_solution, inner.integral_ids, mu=inner.mu
-        )
-
-    # Literal route: binary search on the descent direction over the sorted
-    # candidate set, exploiting convexity of L in mu.
-    vals = breakpoints.values
-    memo: dict[int, Fraction] = {}
-
-    def L(i: int) -> Fraction:
-        if i not in memo:
-            memo[i] = _dual_at(units, vals[i], budget, cap)
-        return memo[i]
-
-    lo, hi = 0, len(vals) - 1
-    while hi - lo > 2:
-        mid = (lo + hi) // 2
-        if L(mid) <= L(mid + 1):
-            hi = mid + 1
-        else:
-            lo = mid
-    best_i = min(range(lo, hi + 1), key=lambda i: (L(i), i))
-    mu = vals[best_i]
-    wmin, wmax, _ = _greedy_weight_range(units, mu, cap)
-    # Optimality certificate: 0 must lie in the subdifferential of L at mu*.
-    # At mu = 0 only the right derivative matters (wmin <= budget).
-    if not (wmin <= budget and (mu == 0 or budget <= wmax)):
-        raise ArithmeticError(
-            f"breakpoint set does not contain the optimal multiplier near {mu}"
-        )
-    x, value = _vertex_at_multiplier(units, mu, budget, cap)
-    dual = _dual_at(units, mu, budget, cap)
-    assert value == dual, f"upsilon4 primal {value} != dual {dual}"
-    integral = tuple(sorted(uid for uid, v in x.items() if v == 1))
-    return SmallEval(value, x, integral, mu=mu)
+    return solve_box_lp(units, (1 - eps) * omega, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -705,7 +544,8 @@ def upsilon2(
 
 
 # ---------------------------------------------------------------------------
-# SmallSolver: pool-level evaluator with memoization and a float fast mode.
+# SmallSolver: pool-level evaluator with memoization; float upsilon2 above
+# EXACT_POOL_LIMIT.
 # ---------------------------------------------------------------------------
 
 
@@ -714,10 +554,12 @@ class SmallSolver:
     partition's small pool (rounded profits, original weights).
 
     Dispatch: upsilon1 when K <= 1/eps, upsilon2 otherwise. Results are
-    memoized per exact (omega, k). Pools larger than EXACT_POOL_LIMIT are
-    evaluated in float -- those values only rank combiner candidates, and
-    retrieval re-checks every selected item against the exact budget -- while
-    pools within the limit run fully exact rational arithmetic.
+    memoized per exact (omega, k). upsilon1 is exact at every pool size: each
+    query runs the integer-keyed box-LP engine, whose greedy passes the
+    pool's scaling caches per cap. upsilon2 pools larger than
+    EXACT_POOL_LIMIT are evaluated in float -- those values only rank
+    combiner candidates, and retrieval re-checks every selected item against
+    the exact budget. `exact` tells which of the two a pool runs.
     """
 
     def __init__(self, items, K: int, eps: Fraction, opt_estimate: Fraction):
@@ -726,18 +568,11 @@ class SmallSolver:
         self.eps = Fraction(eps)
         self.opt_estimate = Fraction(opt_estimate)
         self.use_upsilon1 = Fraction(self.K) * self.eps <= 1
-        self.exact = len(self.items) <= EXACT_POOL_LIMIT
+        self.exact = self.use_upsilon1 or len(self.items) <= EXACT_POOL_LIMIT
         self._memo: dict[tuple[Fraction, int], Fraction] = {}
         self._buckets: Optional[WeightBuckets] = None
         self._registered: set[Fraction] = set()
         self._by_id = {u[0]: u for u in self.items}
-        # Shared top-profit prefix for the upsilon1 fast path.
-        self._by_top = sorted(self.items, key=lambda t: (-t[1], t[2], t[0]))
-        self._top_wsum = [ZERO]
-        self._top_psum = [ZERO]
-        for _, p, w in self._by_top:
-            self._top_wsum.append(self._top_wsum[-1] + w)
-            self._top_psum.append(self._top_psum[-1] + p)
         if not self.exact:
             self._ids = np.array([u[0] for u in self.items], dtype=np.int64)
             self._pf = np.array([float(p) for _, p, _ in self.items])
@@ -792,23 +627,13 @@ class SmallSolver:
     def _evaluate(self, omega: Fraction, k: int):
         if k == 0 or omega <= 0 or not self.items:
             return ZERO if self.exact else 0.0
+        if self.use_upsilon1:
+            return _solve_units(*self._lp_pool, omega, k).value
         if self.exact:
-            if self.use_upsilon1:
-                return self._upsilon1_value(omega, k)
             self._ensure_registered(omega)
             value, _ = upsilon2(self.items, self._buckets, omega, k, self.eps, self.K)
             return value
-        if self.use_upsilon1:
-            return self._float_lp_value(self._pf, self._wf, float(omega), k)
         return self._float_upsilon2(omega, k)[0]
-
-    def _upsilon1_value(self, omega: Fraction, k: int) -> Fraction:
-        j = min(k, len(self._by_top))
-        while j and self._by_top[j - 1][1] <= 0:
-            j -= 1
-        if self._top_wsum[j] <= omega:
-            return self._top_psum[j]
-        return _solve_units(*self._lp_pool, omega, k).value
 
     @cached_property
     def _lp_pool(self):
@@ -819,15 +644,15 @@ class SmallSolver:
 
     def eval_detail(self, omega: Fraction, k: int) -> SmallEval:
         """Full evaluation (with solution structure) for retrieval. Exact
-        pools delegate to the upsilon functions; float pools build the
-        integral selection greedily with exact feasibility re-checks."""
+        pools delegate to the upsilon functions; float upsilon2 pools build
+        the integral selection greedily with exact feasibility re-checks."""
         omega = Fraction(omega)
         k = max(0, min(int(k), self.K))
         if k == 0 or omega <= 0 or not self.items:
             return SmallEval(ZERO, {}, ())
+        if self.use_upsilon1:
+            return _solve_units(*self._lp_pool, omega, k)
         if self.exact:
-            if self.use_upsilon1:
-                return _solve_units(*self._lp_pool, omega, k)
             self._ensure_registered(omega)
             _, ell = upsilon2(self.items, self._buckets, omega, k, self.eps, self.K)
             return self._compose_upsilon2_detail(omega, k, ell)
@@ -845,14 +670,15 @@ class SmallSolver:
         integral = tuple(sorted(chosen_light) + list(u4.integral_ids))
         return SmallEval(u3_value + u4.value, x, integral, mu=u4.mu, ell=ell)
 
-    # -- float mode ---------------------------------------------------------
+    # -- float mode: upsilon2 pools above EXACT_POOL_LIMIT -------------------
     #
     # Values here are heuristic rankings: upper-envelope samples of the exact
     # duals, deterministic for fixed inputs. Feasibility of anything the
     # solver returns never depends on them.
 
     def _float_lp_value(self, p, w, budget: float, cap: int) -> float:
-        """LP relaxation value via dual bisection on the multiplier."""
+        """Heavy-side LP relaxation value via dual bisection on the
+        multiplier."""
         cap = max(0, min(cap, len(p)))
         if cap == 0 or len(p) == 0 or budget < 0:
             return 0.0
@@ -996,11 +822,6 @@ class SmallSolver:
         )
 
     def _float_detail(self, omega: Fraction, k: int) -> SmallEval:
-        if self.use_upsilon1:
-            order = self._float_greedy_order(
-                self._pf, self._wf, float(omega), k, self._ids
-            )
-            return self._eval_from_ids(self._select_exact(order, omega, k))
         _, ell, light_ids = self._float_upsilon2(omega, k)
         chosen = list(light_ids[:ell])
         used = sum((self._by_id[i][2] for i in chosen), ZERO)

@@ -27,6 +27,7 @@ from kknapsack.instance_model import (
     make_solution,
 )
 from kknapsack.oracles import brute_force
+from kknapsack.small_items import EXACT_POOL_LIMIT
 
 
 def mixed_instance(seed):
@@ -152,8 +153,15 @@ class TestDeterminismAndKnobs:
             "table",
             "large_ids",
             "small_ids",
+            "small_exact",
+            "small_pool",
         ):
             assert key in det, key
+        # K = 4 <= 1/eps_int: the small side is upsilon1, exact at any size.
+        assert det["small_exact"] is True
+        assert det["small_pool"] == sum(
+            len(c.members) for c in det["partition"].small_classes
+        )
         assert isinstance(det["split"], SplitCandidate)
         assert det["split_count"] >= 1
         assert det["grid_m"] == det["partition"].z * det["table"].grid.inv_eps
@@ -161,6 +169,17 @@ class TestDeterminismAndKnobs:
         assert det["split"].total == det["split"].small_value + det[
             "table"
         ].grid.profit_value(det["split"].grid_index)
+
+
+    def test_details_report_a_float_pool(self):
+        # K * eps_int = 10 > 1 puts the small side in the upsilon2 regime,
+        # where pools above EXACT_POOL_LIMIT are ranked in float.
+        inst = generate_instance("correlated", 300, 20, seed=2)
+        _, det = solve_with_details(inst, F(1, 2), internal_eps=F(1, 2))
+        pool = sum(len(c.members) for c in det["partition"].small_classes)
+        assert pool > EXACT_POOL_LIMIT
+        assert det["small_pool"] == pool
+        assert det["small_exact"] is False
 
 
 class TestExactMode:

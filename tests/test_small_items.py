@@ -12,10 +12,16 @@ from conftest import F, ZERO, inst_of
 import kknapsack.small_items as small_items
 from kknapsack.generator import generate_instance
 from kknapsack.instance_model import Item
-from kknapsack.oracles import critical_multiplier_enum, lp_vertex, upsilon2_linear
+from kknapsack.oracles import (
+    BreakpointSet,
+    box_lp_fractions,
+    critical_multiplier_enum,
+    lp_vertex,
+    upsilon2_linear,
+    upsilon4_breakpoints,
+)
 from kknapsack.preprocessing import build_partition, half_approx_opt
 from kknapsack.small_items import (
-    BreakpointSet,
     EXACT_POOL_LIMIT,
     SmallEval,
     SmallSolver,
@@ -233,6 +239,87 @@ class TestMultiplierSearchWork:
         assert 0 < calls[0] <= 8
 
 
+def vertex_route(ev, units, cap):
+    """Which part of the engine built ev: the mu = 0 fast path, the swaps
+    among units tied at the cap-th key, the padding of zero-key units up to
+    the budget, or none of these when the positive keys fill it exactly."""
+    if ev.mu == 0:
+        return "fast"
+    keys = {uid: p - ev.mu * w for uid, p, w in units}
+    if sum(1 for key in keys.values() if key > 0) > cap:
+        return "tied"
+    if any(keys[uid] == 0 for uid in ev.fractional_solution):
+        return "padding"
+    return "positive keys only"
+
+
+class TestIntegerVertex:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_fraction_reference(self, seed):
+        # Value, x, integral ids and mu all equal the Fraction reference,
+        # which builds the vertex at the enumerated multiplier.
+        rnd = random.Random(f"vertex-{seed}")
+        routes = set()
+        for shape in ["ties", "equal-ratio", "zero-weights", "fractional", "geometric"]:
+            for _ in range(40):
+                units = shaped_pool(shape, rnd, rnd.randint(1, 30))
+                cap = rnd.randint(1, len(units))
+                total = sum((w for _, _, w in units), ZERO)
+                budget = total * Fraction(rnd.randint(0, 100), 100)
+                ev = solve_box_lp(units, budget, cap)
+                assert ev == box_lp_fractions(positive(units), budget, cap)
+                check_primal(ev, units, budget, cap)
+                routes.add(vertex_route(ev, units, min(cap, len(positive(units)))))
+        assert routes >= {"fast", "padding", "tied"}
+
+    def test_padding_with_zero_keys(self):
+        # p = w everywhere: at mu* = 1 every key is zero, so the vertex is
+        # all padding, heaviest first, with one fractional part.
+        units = [(1, F(4), F(4)), (2, F(3), F(3)), (3, F(2), F(2))]
+        ev = solve_box_lp(units, F(5), 2)
+        assert ev.mu == 1
+        assert ev.fractional_solution == {1: F(1), 2: F(1, 3)}
+        assert ev.integral_ids == (1,)
+        assert ev.value == 5
+        assert ev == box_lp_fractions(units, F(5), 2)
+
+
+class TestExactPoolAtEverySize:
+    def test_large_upsilon1_pool_matches_solving_from_scratch(self):
+        units = pool(17, EXACT_POOL_LIMIT + 40, frac=True, pmax=40, wmax=20)
+        solver = SmallSolver(units, K=8, eps=F(1, 8), opt_estimate=F(400))
+        assert solver.use_upsilon1
+        assert solver.exact
+        rnd = random.Random(3)
+        searched = 0
+        for _ in range(60):  # caps interleave from one query to the next
+            omega = Fraction(rnd.randint(1, 90), rnd.choice([1, 2, 3]))
+            k = rnd.choice([1, 3, 8])
+            ref = solve_box_lp(units, omega, k)
+            assert solver.phi_dag(omega, k) == ref.value
+            assert solver.eval_detail(omega, k) == ref
+            searched += ref.mu > 0
+        assert searched > 20
+
+    def test_sweep_shares_greedy_passes(self, monkeypatch):
+        units = pool(19, 150, pmax=60, wmax=30)
+        caps = [8, 5, 2]
+        omegas = [Fraction(w, 2) for w in range(2, 120, 3)]
+        calls = evaluation_counter(monkeypatch)
+        solver = SmallSolver(units, K=8, eps=F(1, 8), opt_estimate=F(400))
+        for k in caps:  # k outermost, as in the combiner's split sweep
+            for omega in omegas:
+                solver.phi_dag(omega, k)
+        swept = calls[0]
+        calls[0] = 0
+        for k in caps:
+            for omega in omegas:
+                solve_box_lp(units, omega, k)
+        assert swept < calls[0] / 2
+        _, scaled = solver._lp_pool
+        assert scaled._cap == caps[-1]  # only the last cap's passes are held
+
+
 class TestRoundSmallWeights:
     @pytest.mark.parametrize("seed", range(10))
     def test_split_and_rounding_invariants(self, seed):
@@ -378,7 +465,7 @@ class TestBreakpointSet:
         rnd = random.Random(seed)
         ell = rnd.randint(0, 2)
         k = rnd.randint(ell + 1, K)
-        via_set = upsilon4(units, omega, ell, k, eps, K, breakpoints=bset)
+        via_set = upsilon4_breakpoints(units, omega, ell, k, eps, K, bset)
         parametric = upsilon4(units, omega, ell, k, eps, K)
         assert via_set.value == parametric.value
         assert via_set.mu in bset.values
