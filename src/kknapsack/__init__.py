@@ -7,7 +7,7 @@ Public surface:
   instance_model   exact-rational instances, solutions, JSON/CSV io
   preprocessing    optimum estimate, geometric profit classes
   large_items      weight tables over a profit grid, structured convolution
-  small_items      box-LP / Lagrangian relaxations for low-profit items
+  small_items      the exact box-LP relaxation for low-profit items
   combiner         end-to-end solves (both cardinality modes)
   oracles          independent exact references for tests
   generator        seeded instance families

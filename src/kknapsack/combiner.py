@@ -106,8 +106,8 @@ def _solve_atmost(
     grid = table.grid
     small = solver_for_partition(partition)
 
-    # Enumerate feasible splits first so the small solver can build its
-    # weight buckets once over every residual budget it will be asked about.
+    # Enumerate the feasible splits first and announce their residual budgets
+    # to the small solver before querying it.
     splits: list[tuple[int, int, Fraction, Fraction]] = []
     for k in range(grid.z + 1):
         for x in grid.anchor_indices():
@@ -156,7 +156,6 @@ def _solve_atmost(
         "table": table,
         "large_ids": tuple(sorted(large_ids)),
         "small_ids": tuple(sorted(small_detail.integral_ids)),
-        "small_exact": small.exact,
         "small_pool": len(small.items),
     }
     return sol, details

@@ -3,7 +3,7 @@
 An instance is a set of items with exact-rational profits and weights, a
 weight budget W, a cardinality bound K, and a constraint mode: select at most
 K items, or exactly K. All bookkeeping here is exact (fractions.Fraction);
-solver modules may work in scaled integers or floats internally but every
+solver modules may work in scaled integers internally but every
 feasibility statement made to a caller goes through this module's exact sums.
 """
 

@@ -12,6 +12,12 @@ the LP's vertex at that multiplier in Fractions; the paper's breakpoint set
 (BreakpointSet, upsilon4_breakpoints) minimizes the heavy-side dual at desk
 scale; the column scanner and the paper's divide-and-conquer slice search
 (enumerate_slices, slice_index) re-derive slice costs from raw table reads.
+
+The paper's small-side ladder for K > 1/eps also lives here (weight
+rounding, WeightBuckets, upsilon2 through upsilon5), because production
+answers every small-side query with upsilon1 instead. Its upsilon4 runs
+production's solve_box_lp on the rounded heavy items; upsilon4_breakpoints
+checks that dual minimization and upsilon2_linear checks the split search.
 All guards here are hard errors -- an oracle silently falling back would
 defeat its purpose.
 """
@@ -21,7 +27,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
@@ -38,7 +44,7 @@ from .large_items import (
     snap_class_profit,
     trivial_table,
 )
-from .small_items import SmallEval, _expand_types, round_small_weights
+from .small_items import SmallEval, _units, solve_box_lp
 
 ZERO = Fraction(0)
 
@@ -862,15 +868,240 @@ def slice_search(acc: WeightTable, cls, tau: int, cells) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Linear-scan split search for the small-item bound.
+# The paper's small-side ladder for K > 1/eps, which production replaces by
+# upsilon1 at every K. Weight rounding and the typed heavy-side
+# representation.
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class S2Type:
+    """One (profit, rounded weight) class of the heavier small items.
+    member_ids are ascending; the type acts as count interchangeable units."""
+
+    profit: Fraction
+    rounded_weight: Fraction
+    member_ids: tuple[int, ...]
+
+    @property
+    def count(self) -> int:
+        return len(self.member_ids)
+
+
+def round_small_weights(items, omega: Fraction, eps: Fraction, K: int):
+    """Split items at the weight threshold eps*omega/K and round the heavy
+    side's weights up to the geometric grid (eps*omega/K)*(1+eps)^j.
+
+    Returned as (s1, s2_types): s1 is the light side with original data,
+    s2_types groups the heavy side by (profit, rounded weight). The rounding
+    guarantees w <= rounded <= (1+eps)*w. Items heavier than omega are
+    dropped (they cannot participate at this budget).
+    """
+    omega = Fraction(omega)
+    eps = Fraction(eps)
+    if omega <= 0:
+        return [], ()
+    base = eps * omega / K
+    units = _units(items)
+    s1 = [u for u in units if u[2] <= base]
+    heavy = [u for u in units if base < u[2] <= omega]
+
+    # Geometric ladder of rounded weights covering (base, omega].
+    ladder = [base]
+    growth = 1 + eps
+    while ladder[-1] < omega:
+        ladder.append(ladder[-1] * growth)
+
+    grouped: dict[tuple[Fraction, Fraction], list[int]] = {}
+    for uid, p, w in heavy:
+        j = bisect_left(ladder, w)
+        rounded = ladder[j]
+        grouped.setdefault((p, rounded), []).append(uid)
+
+    types = tuple(
+        S2Type(profit=p, rounded_weight=rw, member_ids=tuple(sorted(ids)))
+        for (p, rw), ids in sorted(grouped.items())
+    )
+    return s1, types
+
+
+def _expand_types(s2_types) -> list[tuple[int, Fraction, Fraction]]:
+    return [
+        (uid, t.profit, t.rounded_weight) for t in s2_types for uid in t.member_ids
+    ]
+
+
+# ---------------------------------------------------------------------------
+# upsilon3: best-ell light items via bucketed partial sums.
+# ---------------------------------------------------------------------------
+
+
+class WeightBuckets:
+    """Light-item selection structure shared across registered query weights.
+
+    thresholds[i] is the light/heavy weight cutoff eps*omega_i/K of the i-th
+    registered query weight (ascending). Bucket 0 holds items with weight up
+    to thresholds[0] (closed), bucket i the items in (thresholds[i-1],
+    thresholds[i]]; the union of buckets 0..i is exactly the light side at
+    query weight omega_i. Each bucket stores profits sorted descending with
+    partial sums, so a best-ell query runs as a binary search over the
+    distinct profit values instead of a global re-sort per query.
+    """
+
+    def __init__(self, items, query_weights: Sequence[Fraction], eps: Fraction, K: int):
+        self.eps = Fraction(eps)
+        self.K = int(K)
+        self.query_weights = tuple(sorted(set(Fraction(w) for w in query_weights)))
+        self.thresholds = tuple(self.eps * w / self.K for w in self.query_weights)
+        self._index = {w: i for i, w in enumerate(self.query_weights)}
+
+        units = _units(items)
+        buckets: list[list[Fraction]] = [[] for _ in self.thresholds]
+        for _, p, w in units:
+            pos = bisect_left(self.thresholds, w)
+            if pos < len(self.thresholds):
+                buckets[pos].append(p)
+
+        # Per bucket: ascending profits for counting, partial sums of the
+        # descending order for value queries.
+        self.bucket_profits_asc: list[list[Fraction]] = []
+        self.partial_sums: list[list[Fraction]] = []
+        all_profits: set[Fraction] = set()
+        for profits in buckets:
+            asc = sorted(profits)
+            self.bucket_profits_asc.append(asc)
+            sums = [ZERO]
+            for p in reversed(asc):
+                sums.append(sums[-1] + p)
+            self.partial_sums.append(sums)
+            all_profits.update(asc)
+        self.distinct_profits_desc = sorted(all_profits, reverse=True)
+
+    def bucket_index(self, omega: Fraction) -> int:
+        try:
+            return self._index[Fraction(omega)]
+        except KeyError:
+            raise KeyError(f"query weight {omega} was not registered") from None
+
+    def _count_at_least(self, upto_bucket: int, rho: Fraction) -> int:
+        total = 0
+        for b in range(upto_bucket + 1):
+            asc = self.bucket_profits_asc[b]
+            total += len(asc) - bisect_left(asc, rho)
+        return total
+
+    def top_ell_sum(self, upto_bucket: int, ell: int) -> Fraction:
+        if ell <= 0:
+            return ZERO
+        avail = sum(len(self.bucket_profits_asc[b]) for b in range(upto_bucket + 1))
+        if avail == 0:
+            return ZERO
+        if ell >= avail:
+            return sum(
+                (self.partial_sums[b][-1] for b in range(upto_bucket + 1)), ZERO
+            )
+        # Smallest profit value rho whose at-least count reaches ell; binary
+        # search over the distinct profits in descending order.
+        vals = self.distinct_profits_desc
+        lo, hi = 0, len(vals) - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self._count_at_least(upto_bucket, vals[mid]) >= ell:
+                hi = mid
+            else:
+                lo = mid + 1
+        rho = vals[lo]
+        total = ZERO
+        strictly_above = 0
+        for b in range(upto_bucket + 1):
+            asc = self.bucket_profits_asc[b]
+            above = len(asc) - bisect_right(asc, rho)
+            strictly_above += above
+            total += self.partial_sums[b][above]
+        total += (ell - strictly_above) * rho
+        return total
+
+
+def upsilon3(buckets: WeightBuckets, omega: Fraction, ell: int) -> Fraction:
+    """Sum of the ell largest profits among items with weight at most
+    eps*omega/K. ell beyond the available count pads with zeros."""
+    return buckets.top_ell_sum(buckets.bucket_index(omega), ell)
+
+
+# ---------------------------------------------------------------------------
+# upsilon4: Lagrangian dual of the typed heavy-side LP.
+# ---------------------------------------------------------------------------
+
+
+def upsilon4(
+    items, omega: Fraction, ell: int, k: int, eps: Fraction, K: int
+) -> SmallEval:
+    """min over mu >= 0 of L(mu, omega, ell, k) -- the dual of the heavy-side
+    LP with budget (1-eps)*omega and cardinality cap k-ell.
+
+    solve_box_lp finds the exact critical multiplier and certifies the
+    primal vertex against the dual value. The paper's route, a binary
+    search over a precomputed breakpoint set, is the desk-scale oracle
+    oracles.upsilon4_breakpoints.
+    """
+    omega = Fraction(omega)
+    eps = Fraction(eps)
+    _, s2_types = round_small_weights(items, omega, eps, K)
+    units = _expand_types(s2_types)
+    cap = max(0, min(int(k) - int(ell), len(units)))
+    if cap == 0 or not units or omega <= 0:
+        return SmallEval(ZERO, {}, (), mu=ZERO)
+    return solve_box_lp(units, (1 - eps) * omega, cap)
+
+
+# ---------------------------------------------------------------------------
+# upsilon5 / upsilon2: concave combination over the split ell.
+# ---------------------------------------------------------------------------
+
+
+def upsilon5(
+    items,
+    buckets: WeightBuckets,
+    omega: Fraction,
+    ell: int,
+    k: int,
+    eps: Fraction,
+    K: int,
+) -> Fraction:
+    """upsilon3(omega, ell) + upsilon4(omega, ell, k)."""
+    return upsilon3(buckets, omega, ell) + upsilon4(items, omega, ell, k, eps, K).value
+
+
+def upsilon2(
+    items, buckets: WeightBuckets, omega: Fraction, k: int, eps: Fraction, K: int
+) -> tuple[Fraction, int]:
+    """max over 0 <= ell <= k of upsilon5, by binary search on the sign of
+    the first-order difference (the sequence is concave in ell).
+
+    Returns (value, argmax ell) with the smallest maximizing ell.
+    """
+    k = int(k)
+    memo: dict[int, Fraction] = {}
+
+    def u5(ell: int) -> Fraction:
+        if ell not in memo:
+            memo[ell] = upsilon5(items, buckets, omega, ell, k, eps, K)
+        return memo[ell]
+
+    lo, hi = 0, max(0, k)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if u5(mid + 1) > u5(mid):
+            lo = mid + 1
+        else:
+            hi = mid
+    return u5(lo), lo
+
 
 def upsilon2_linear(items, buckets, omega: Fraction, k: int, eps: Fraction, K: int) -> tuple[Fraction, int]:
     """(best value, smallest best split) over every split count in 0..k,
-    calling the same per-split evaluator the production binary search uses --
-    this oracle checks the search, not the evaluator."""
-    from .small_items import upsilon5
-
+    calling the same per-split evaluator the binary search in upsilon2
+    uses -- this oracle checks the search, not the evaluator."""
     best_v: Optional[Fraction] = None
     best_ell = 0
     for ell in range(0, k + 1):

@@ -29,6 +29,8 @@ from kknapsack.large_items import (
     trivial_table,
 )
 from kknapsack.oracles import (
+    WeightBuckets,
+    _expand_types,
     base_table,
     brute_force,
     column_scan,
@@ -37,19 +39,15 @@ from kknapsack.oracles import (
     exhaustive_table,
     lp_vertex,
     naive_convolve,
-    slice_search,
-    upsilon2_linear,
-)
-from kknapsack.preprocessing import build_partition
-from kknapsack.small_items import (
-    WeightBuckets,
-    _expand_types,
     round_small_weights,
-    upsilon1,
+    slice_search,
     upsilon2,
+    upsilon2_linear,
     upsilon4,
     upsilon5,
 )
+from kknapsack.preprocessing import build_partition
+from kknapsack.small_items import upsilon1
 
 
 def run_criterion(criterion, num, description, body):
@@ -536,7 +534,8 @@ def test_c08_relaxation_error_bounds(criterion):
 
         u2_checked = u2_bad = 0
         eps2 = F(1, 2)
-        for pool, K, opt_hat, W in _small_pools(50_000, eps2, 25, (8, 18), (4, 8)):
+        u2_pools = _small_pools(50_000, eps2, 25, (8, 18), (4, 8))
+        for pool, K, opt_hat, W in u2_pools:
             if K * eps2 <= 1:
                 continue
             omegas = [Fraction(rnd.randint(1, int(W * 2)), 2) for _ in range(4)]
@@ -548,17 +547,42 @@ def test_c08_relaxation_error_bounds(criterion):
                 u2_checked += 1
                 if abs(v2 - phi) > 4 * eps2 * opt_hat:
                     u2_bad += 1
-        ok = u1_bad == 0 and u2_bad == 0 and u1_checked >= 100 and u2_checked >= 100
+
+        # Production answers the K > 1/eps regime with upsilon1 as well; its
+        # vertex drops at most two fractional items of profit <= eps*opt.
+        big_checked = big_bad = 0
+        big_worst = ZERO
+        for pool, K, opt_hat, W in u2_pools:
+            if K * eps2 <= 1:
+                continue
+            for _ in range(8):
+                omega = Fraction(rnd.randint(0, int(W * 2)), 2)
+                k = rnd.randint(1, K)
+                v1 = upsilon1(pool, omega, k).value
+                phi = _phi_small(pool, omega, k)
+                big_checked += 1
+                big_worst = max(big_worst, abs(v1 - phi) / (eps2 * opt_hat))
+                if abs(v1 - phi) > 2 * eps2 * opt_hat:
+                    big_bad += 1
+        ok = (
+            u1_bad == u2_bad == big_bad == 0
+            and u1_checked >= 100
+            and u2_checked >= 100
+            and big_checked >= 100
+        )
         return ok, (
             f"|u1-phi|<=2*eps*opt: {u1_bad}/{u1_checked} failures; "
-            f"|u2-phi|<=4*eps*opt: {u2_bad}/{u2_checked} failures"
+            f"|u2-phi|<=4*eps*opt: {u2_bad}/{u2_checked} failures; "
+            f"K>1/eps |u1-phi|<=2*eps*opt: {big_bad}/{big_checked} failures "
+            f"(worst {float(big_worst):.2f}*eps*opt)"
         )
 
     run_criterion(
         criterion,
         "08",
         "small-item relaxations track the exact subpool optimum within "
-        "2*eps*opt (u1 regime) and 4*eps*opt (u2 regime)",
+        "2*eps*opt (u1 regime), 4*eps*opt (u2 regime) and 2*eps*opt (u1 "
+        "in the u2 regime)",
         body,
     )
 

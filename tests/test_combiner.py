@@ -26,8 +26,7 @@ from kknapsack.instance_model import (
     evaluate_solution,
     make_solution,
 )
-from kknapsack.oracles import brute_force
-from kknapsack.small_items import EXACT_POOL_LIMIT
+from kknapsack.oracles import brute_force, exact_dp
 
 
 def mixed_instance(seed):
@@ -105,6 +104,86 @@ class TestAtMostGuarantee:
         assert sol.total_profit == 8  # 4 items of profit 2 always fit
 
 
+class TestAboveOneOverEps:
+    """K * eps_int > 1, the regime where the paper switches the small side
+    to its upsilon2 ladder; production keeps the exact box LP."""
+
+    @pytest.mark.parametrize(
+        "family,n,K,seed", [("subset-sum", 200, 40, 0), ("subset-sum", 300, 64, 2)]
+    )
+    def test_subset_sum_guarantee(self, family, n, K, seed):
+        # A float ranking of the ladder once returned 0.21 and 0.41 of OPT
+        # on these instances.
+        eps = F(1, 2)
+        inst = generate_instance(family, n, K, seed=seed)
+        sol, det = solve_with_details(inst, eps)
+        assert inst.cardinality * det["internal_eps"] > 1
+        feas = evaluate_solution(inst, sol)
+        assert feas.feasible, feas.violations
+        assert sol.total_profit >= (1 - eps) * exact_dp(inst).value
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "zero-profits",
+            "zero-weights",
+            "equal-ratios",
+            "K-at-least-n",
+            "zero-budget",
+            "huge-denominators",
+        ],
+    )
+    def test_degenerate_inputs(self, row):
+        eps = F(1, 2)
+        inst = degenerate_instance(row)
+        sol, det = solve_with_details(inst, eps)
+        assert inst.cardinality * det["internal_eps"] > 1
+        feas = evaluate_solution(inst, sol)
+        assert feas.feasible, feas.violations
+        integral = inst.budget.denominator == 1 and all(
+            it.weight.denominator == 1 for it in inst.items
+        )
+        opt = exact_dp(inst) if integral else brute_force(inst)
+        assert sol.total_profit >= (1 - eps) * opt.value
+
+
+def degenerate_instance(row):
+    """A seeded at-most instance with K >= 17, so that K * eps/8 > 1 at
+    eps = 1/2, for one degenerate input shape."""
+    rnd = random.Random(row)
+    ids = range(1, 41)
+    if row == "zero-profits":  # two thirds of the items are worth nothing
+        triples = [(i, rnd.choice([0, 0, rnd.randint(1, 50)]), rnd.randint(1, 30)) for i in ids]
+        return inst_of(triples, 200, 20)
+    if row == "zero-weights":  # a quarter of the items weigh nothing
+        triples = [
+            (i, rnd.randint(1, 50), 0 if rnd.random() < 0.25 else rnd.randint(1, 30))
+            for i in ids
+        ]
+        return inst_of(triples, 150, 20)
+    if row == "equal-ratios":  # every profit is 3 times its weight
+        triples = [(i, 3 * w, w) for i, w in ((i, rnd.randint(1, 30)) for i in ids)]
+        return inst_of(triples, 173, 20)
+    if row == "K-at-least-n":
+        triples = [(i, rnd.randint(1, 50), rnd.randint(1, 30)) for i in range(1, 19)]
+        return inst_of(triples, 120, 24)
+    if row == "zero-budget":  # only the weightless third can be taken
+        triples = [
+            (i, rnd.randint(1, 50), 0 if i % 3 == 0 else rnd.randint(1, 30)) for i in ids
+        ]
+        return inst_of(triples, 0, 20)
+    assert row == "huge-denominators"
+    triples = [
+        (
+            i,
+            Fraction(rnd.randint(1, 10**6), 2**61 + rnd.randint(1, 999)),
+            Fraction(rnd.randint(1, 10**6), 2**61 + rnd.randint(1, 999)),
+        )
+        for i in range(1, 21)
+    ]
+    return inst_of(triples, Fraction(4 * 10**6, 2**61 + 1), 17)
+
+
 class TestDeterminismAndKnobs:
     def test_repeat_solves_identical(self):
         inst = mixed_instance(101)
@@ -153,12 +232,9 @@ class TestDeterminismAndKnobs:
             "table",
             "large_ids",
             "small_ids",
-            "small_exact",
             "small_pool",
         ):
             assert key in det, key
-        # K = 4 <= 1/eps_int: the small side is upsilon1, exact at any size.
-        assert det["small_exact"] is True
         assert det["small_pool"] == sum(
             len(c.members) for c in det["partition"].small_classes
         )
@@ -172,14 +248,16 @@ class TestDeterminismAndKnobs:
 
 
     def test_details_report_a_float_pool(self):
-        # K * eps_int = 10 > 1 puts the small side in the upsilon2 regime,
-        # where pools above EXACT_POOL_LIMIT are ranked in float.
+        # K * eps_int = 10 > 1, where the paper would switch to its ladder,
+        # over a pool of 114 items: the box LP answers it and the selection
+        # is feasible.
         inst = generate_instance("correlated", 300, 20, seed=2)
-        _, det = solve_with_details(inst, F(1, 2), internal_eps=F(1, 2))
+        sol, det = solve_with_details(inst, F(1, 2), internal_eps=F(1, 2))
         pool = sum(len(c.members) for c in det["partition"].small_classes)
-        assert pool > EXACT_POOL_LIMIT
+        assert pool == 114
         assert det["small_pool"] == pool
-        assert det["small_exact"] is False
+        feas = evaluate_solution(inst, sol)
+        assert feas.feasible, feas.violations
 
 
 class TestExactMode:

@@ -1,5 +1,6 @@
-"""Smoke test: the benchmark harness runs its toy-size corpora end to end,
-so an API change in the program cannot silently break it."""
+"""Smoke tests: the benchmark harness runs its toy-size corpora end to end,
+and its tracer wraps the program's layers, so an API change in the program
+cannot silently break either."""
 
 import json
 import subprocess
@@ -27,3 +28,42 @@ def test_quick_run_solves_every_workload_correctly(tmp_path):
         assert res["correct"] is True, name
         assert res["failed"] == 0, name
         assert res["attempted"] > 0, name
+
+
+def test_trace_wraps_every_layer_of_a_large_k_solve(tmp_path, monkeypatch):
+    # The quick run above is untraced. Here the benchmark's tracer wraps one
+    # solve with K * eps_int = 10 > 1 and a small pool of 114 items, which
+    # the paper would answer with its upsilon2 ladder.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from fractions import Fraction
+    from time import perf_counter
+
+    import kknapsack
+    import spans
+    from kknapsack.generator import generate_instance
+
+    inst = generate_instance("correlated", 300, 20, seed=2)
+    tracer = spans.Tracer()
+    tracer.solve_id = 0
+    tracer.install()
+    try:
+        wrapped = list(tracer._saved)
+        names = {attr for _, attr, _ in wrapped}
+        assert {"solver_for_partition", "register_query_weights", "phi_dag", "eval_detail"} <= names
+        for owner, attr, original in wrapped:
+            assert getattr(owner, attr) is not original, attr
+        start = perf_counter()
+        kknapsack.solve_with_details(inst, Fraction(1, 2), internal_eps=Fraction(1, 2))
+        traced_s = perf_counter() - start
+    finally:
+        tracer.uninstall()
+    for owner, attr, original in wrapped:
+        assert getattr(owner, attr) is original, attr
+
+    metrics = tracer.layer_metrics(traced_s, traced_s, 1)
+    assert metrics["small.float_pools"] == 0
+    assert metrics["small.exact_pools"] >= 1
+    assert metrics["small.queries"] > 0
+    assert metrics["combiner.splits"] > 0
+    assert list(tmp_path.iterdir()) == []

@@ -1,6 +1,7 @@
-"""Small-item relaxation ladder: the exact box LP, weight rounding, bucketed
-top-ell queries, the heavy-side dual, and the split search that combines
-them; plus the pool-level SmallSolver plumbing."""
+"""Small-item relaxations: the exact box LP and the pool-level SmallSolver
+that answers every query with it; plus the paper's ladder, kept as oracles
+(weight rounding, bucketed top-ell queries, the heavy-side dual, and the
+split search that combines them)."""
 
 import math
 import random
@@ -14,28 +15,26 @@ from kknapsack.generator import generate_instance
 from kknapsack.instance_model import Item
 from kknapsack.oracles import (
     BreakpointSet,
+    WeightBuckets,
+    _expand_types,
     box_lp_fractions,
     critical_multiplier_enum,
     lp_vertex,
+    round_small_weights,
+    upsilon2,
     upsilon2_linear,
+    upsilon3,
+    upsilon4,
     upsilon4_breakpoints,
+    upsilon5,
 )
 from kknapsack.preprocessing import build_partition, half_approx_opt
 from kknapsack.small_items import (
-    EXACT_POOL_LIMIT,
-    SmallEval,
     SmallSolver,
-    WeightBuckets,
-    _expand_types,
     _units,
-    round_small_weights,
     solve_box_lp,
     solver_for_partition,
     upsilon1,
-    upsilon2,
-    upsilon3,
-    upsilon4,
-    upsilon5,
 )
 
 
@@ -286,10 +285,8 @@ class TestIntegerVertex:
 
 class TestExactPoolAtEverySize:
     def test_large_upsilon1_pool_matches_solving_from_scratch(self):
-        units = pool(17, EXACT_POOL_LIMIT + 40, frac=True, pmax=40, wmax=20)
-        solver = SmallSolver(units, K=8, eps=F(1, 8), opt_estimate=F(400))
-        assert solver.use_upsilon1
-        assert solver.exact
+        units = pool(17, 104, frac=True, pmax=40, wmax=20)
+        solver = SmallSolver(units, K=8)
         rnd = random.Random(3)
         searched = 0
         for _ in range(60):  # caps interleave from one query to the next
@@ -306,7 +303,7 @@ class TestExactPoolAtEverySize:
         caps = [8, 5, 2]
         omegas = [Fraction(w, 2) for w in range(2, 120, 3)]
         calls = evaluation_counter(monkeypatch)
-        solver = SmallSolver(units, K=8, eps=F(1, 8), opt_estimate=F(400))
+        solver = SmallSolver(units, K=8)
         for k in caps:  # k outermost, as in the combiner's split sweep
             for omega in omegas:
                 solver.phi_dag(omega, k)
@@ -511,23 +508,25 @@ class TestSplitSearch:
 
 
 class TestSmallSolver:
-    def mk_solver(self, n=12, K=4, eps=F(1, 4), seed=0, frac=False):
-        return SmallSolver(pool(seed, n, frac=frac), K=K, eps=eps, opt_estimate=F(100))
+    def mk_solver(self, n=12, K=4, seed=0, frac=False):
+        return SmallSolver(pool(seed, n, frac=frac), K=K)
 
     def test_dispatch_upsilon1(self):
-        solver = self.mk_solver(K=4, eps=F(1, 4))  # K*eps = 1 <= 1
-        assert solver.use_upsilon1
+        solver = self.mk_solver(K=4)
         omega, k = F(10), 3
         assert solver.phi_dag(omega, k) == upsilon1(solver.items, omega, k).value
 
     def test_dispatch_upsilon2(self):
-        solver = self.mk_solver(K=8, eps=F(1, 2), seed=3)  # K*eps = 4 > 1
-        assert not solver.use_upsilon1
-        omega, k = F(15), 5
-        got = solver.phi_dag(omega, k)
-        buckets = WeightBuckets(solver.items, [omega], solver.eps, solver.K)
-        want, _ = upsilon2(solver.items, buckets, omega, k, solver.eps, solver.K)
-        assert got == want
+        # K = 8 > 1/eps for the paper's eps = 1/2, where it would switch to
+        # the ladder; the solver still answers with the box LP.
+        solver = self.mk_solver(n=40, K=8, seed=3, frac=True)
+        rnd = random.Random(4)
+        for _ in range(30):
+            omega = Fraction(rnd.randint(1, 60), rnd.choice([1, 2]))
+            k = rnd.randint(1, 8)
+            ref = solve_box_lp(solver.items, omega, k)
+            assert solver.phi_dag(omega, k) == ref.value
+            assert solver.eval_detail(omega, k) == ref
 
     def test_memoization_and_clamping(self):
         solver = self.mk_solver()
@@ -554,53 +553,3 @@ class TestSmallSolver:
         inst = inst_of([(i, 10 + i, 3 + i % 4) for i in range(1, 10)], 12, 4)
         part = build_partition(inst, F(1, 4))
         assert solver_for_partition(part) is solver_for_partition(part)
-
-    def test_eval_detail_upsilon2_composition(self):
-        solver = self.mk_solver(n=20, K=8, eps=F(1, 2), seed=5)
-        omega, k = F(18), 6
-        detail = solver.eval_detail(omega, k)
-        assert detail.value == solver.phi_dag(omega, k)
-        assert detail.ell is not None
-        by_id = {uid: (p, w) for uid, p, w in solver.items}
-        total = sum(
-            (by_id[uid][0] * x for uid, x in detail.fractional_solution.items()),
-            ZERO,
-        )
-        assert total == detail.value
-        assert set(detail.integral_ids) <= set(by_id)
-
-    def test_float_mode_ranks_and_returns_feasible_sets(self):
-        units = pool(11, EXACT_POOL_LIMIT + 16, frac=True, pmax=40, wmax=20)
-        K, eps = 10, F(1, 2)
-        solver = SmallSolver(units, K=K, eps=eps, opt_estimate=F(400))
-        assert not solver.exact
-        omega, k = F(45), 7
-        value = solver.phi_dag(omega, k)
-        assert isinstance(value, float)
-        assert solver.phi_dag(omega, k) == value  # memoized, deterministic
-        detail = solver.eval_detail(omega, k)
-        by_id = {uid: (p, w) for uid, p, w in units}
-        assert len(detail.integral_ids) <= k
-        assert len(set(detail.integral_ids)) == len(detail.integral_ids)
-        exact_w = ZERO
-        exact_p = ZERO
-        for uid in detail.integral_ids:
-            p, w = by_id[uid]
-            exact_p += p
-            exact_w += w
-        assert exact_w <= omega  # feasibility is exact even in float mode
-        assert detail.value == exact_p
-
-    def test_float_value_tracks_exact_value(self, monkeypatch):
-        units = pool(13, 90, pmax=30, wmax=12)
-        K, eps, omega, k = 10, F(1, 2), F(40), 8
-        float_solver = SmallSolver(units, K=K, eps=eps, opt_estimate=F(300))
-        assert not float_solver.exact
-        import kknapsack.small_items as si
-
-        monkeypatch.setattr(si, "EXACT_POOL_LIMIT", 1024)
-        exact_solver = SmallSolver(units, K=K, eps=eps, opt_estimate=F(300))
-        assert exact_solver.exact
-        fv = float_solver.phi_dag(omega, k)
-        xv = exact_solver.phi_dag(omega, k)
-        assert abs(fv - float(xv)) <= 0.05 * float(xv)
