@@ -107,16 +107,22 @@ def _solve_atmost(
     small = solver_for_partition(partition)
 
     # Enumerate the feasible splits first and announce their residual budgets
-    # to the small solver before querying it.
+    # to the small solver before querying it. Within one k, a split whose
+    # table weight recurs at a larger anchor asks the same small query for
+    # less table profit, so only the largest anchor per weight is kept; a
+    # dropped split is strictly below its group's best, so the first
+    # maximal split of the full sweep is always kept.
     splits: list[tuple[int, int, Fraction, Fraction]] = []
     for k in range(grid.z + 1):
+        column: dict[Fraction, int] = {}
         for x in grid.anchor_indices():
             if not table.is_finite(x, k):
                 continue
             lw = table.value_at(x, k)
-            if lw > inst.budget:
-                continue
-            splits.append((k, x, lw, inst.budget - lw))
+            if lw <= inst.budget:
+                column.pop(lw, None)  # reinserting keeps the anchors in order
+                column[lw] = x
+        splits.extend((k, x, lw, inst.budget - lw) for lw, x in column.items())
     small.register_query_weights([s[3] for s in splits])
 
     best: Optional[SplitCandidate] = None
@@ -157,6 +163,8 @@ def _solve_atmost(
         "large_ids": tuple(sorted(large_ids)),
         "small_ids": tuple(sorted(small_detail.integral_ids)),
         "small_pool": len(small.items),
+        "small_passes": small.passes,
+        "small_exact_keys": small.exact_keys,
     }
     return sol, details
 

@@ -7,7 +7,8 @@ of rounding or grids; the generic table convolution enumerates all profit
 and cardinality splits; the closed-form single-class table and the subset
 enumeration build tables without convolving; the LP enumerator visits every
 vertex shape of the two-row relaxation, the multiplier enumerator
-binary-searches all of its pairwise crossings, and box_lp_fractions builds
+binary-searches all of its pairwise crossings, lightest_maximizer_int keys
+every unit of one greedy pass as a Python int, and box_lp_fractions builds
 the LP's vertex at that multiplier in Fractions; the paper's breakpoint set
 (BreakpointSet, upsilon4_breakpoints) minimizes the heavy-side dual at desk
 scale; the column scanner and the paper's divide-and-conquer slice search
@@ -435,6 +436,23 @@ def _lightest_maximizer_weight(units, mu: Fraction, cap: int) -> Fraction:
     p - mu*w, recomputed in Fractions."""
     positives = sorted((mu * w - p, w) for _, p, w in units if p - mu * w > 0)
     return sum((w for _, w in positives[:cap]), ZERO)
+
+
+def lightest_maximizer_int(P, W, cap: int, num: int, den: int):
+    """Reference for small_items._lightest_maximizer: the top-cap units by
+    positive key den*P - num*W, ties at the cap-th key going to the lighter
+    unit and then to the lower index, with every key a Python int.
+
+    Returns (sum of P over the selection, sum of W, sorted indices).
+    """
+    keys = [den * p - num * w for p, w in zip(P, W)]
+    chosen = [i for i, key in enumerate(keys) if key > 0]
+    if len(chosen) > cap:
+        cut = sorted((keys[i] for i in chosen), reverse=True)[cap - 1]
+        tied = sorted((W[i], i) for i in chosen if keys[i] == cut)
+        chosen = [i for i in chosen if keys[i] > cut]
+        chosen += [i for _, i in tied[: cap - len(chosen)]]
+    return sum(P[i] for i in chosen), sum(W[i] for i in chosen), sorted(chosen)
 
 
 def critical_multiplier_enum(units, budget: Fraction, cap: int) -> Fraction:

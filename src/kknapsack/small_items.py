@@ -8,7 +8,10 @@ row + one cardinality row), solved exactly at a vertex with at most two
 fractional components. Its critical Lagrange multiplier is found by line
 intersection on the convex dual, and its vertex built, on integer keys: the
 data is scaled to integers once, and only the at most two fractional
-components are Fractions.
+components are Fractions. Each greedy pass ranks the units by float64 keys
+with a proven error bound in one numpy pass, and computes the exact integer
+key only for the units that bound cannot place: those near zero at the sign
+test and those near the cap-th key at the cap cut.
 
 upsilon1 answers every query at every K. When K > 1/eps the paper switches
 to a ladder of relaxations over a light/heavy split of the pool; production
@@ -29,6 +32,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import Optional
+
+import numpy as np
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -77,6 +82,13 @@ class SmallEval:
 # ---------------------------------------------------------------------------
 
 
+# Bound on the error of every float key kf (see _IntScaling.float_keys): on
+# keys scaled into [-1, 1], |kf - key/scale| <= 6u + 8u^2 + 7*2^-1075 with
+# u = 2^-53. The slack up to 8u also covers the rounding of cf +- 2*KEY_ERROR
+# at the cap cut.
+KEY_ERROR = 8 * 2.0**-53 + 2.0**-1000
+
+
 @dataclass(eq=False)
 class _IntScaling:
     """Units scaled once to integers: P_i = p_i*lp and W_i = w_i*lw, with lp
@@ -84,21 +96,37 @@ class _IntScaling:
 
     In these units the adjusted profit p - mu*w is proportional to
     P - nu*W with nu = mu*lp/lw, so at nu = num/den every unit's greedy key
-    den*P - num*W is an integer.
+    den*P - num*W is an integer. The scaling also keeps P/2^e and W/2^f in
+    float64, with e and f the bit lengths of max P and max W, from which
+    float_keys ranks every unit at once; W is kept as an int64 array when
+    no sum of weights can reach 2^62, and as Python ints otherwise.
 
     The scaling also caches the greedy passes of one cap at a time. A pass
     depends only on cap and on the value of nu, so it is keyed by the
     reduced num/den, and a new cap drops the old entries. Queries at many
     budgets for one cap, as in the combiner's split sweep, share the
-    passes that their multiplier searches have in common.
+    passes that their multiplier searches have in common. passes and
+    exact_keys count the greedy passes run and the units keyed exactly in
+    them.
     """
 
     P: tuple[int, ...]
     W: tuple[int, ...]
     lp: int
     lw: int
+    passes: int = field(default=0, init=False)
+    exact_keys: int = field(default=0, init=False)
     _cap: Optional[int] = field(default=None, init=False, repr=False)
     _passes: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        self._e = max(self.P, default=0).bit_length()
+        self._f = max(self.W, default=0).bit_length()
+        # Python's int true division rounds correctly, down to subnormals.
+        self._pf = np.array([p / (1 << self._e) for p in self.P], dtype=np.float64)
+        self._wf = np.array([w / (1 << self._f) for w in self.W], dtype=np.float64)
+        fits = len(self.W) << self._f < 1 << 62
+        self.W_array = np.array(self.W, dtype=np.int64 if fits else object)
 
     @classmethod
     def of(cls, units) -> "_IntScaling":
@@ -117,6 +145,22 @@ class _IntScaling:
             if w > 0 and p * top_w > top_p * w:
                 top_p, top_w = p, w
         return top_p, top_w
+
+    def float_keys(self, num: int, den: int) -> np.ndarray:
+        """Every unit's key den*P - num*W divided by s = max(den*2^e, num*2^f),
+        in float64, each within KEY_ERROR of its exact value.
+
+        With a = den*2^e and b = num*2^f the scaled key is
+        (a/s)*(P/2^e) - (b/s)*(W/2^f): both factors are at most 1 and both
+        fractions lie in [0, 1), so the five correctly rounded operations
+        (two stored fractions, one ratio, one product, one difference) err
+        by at most u each relative to terms at most 1, and the subnormal
+        ones by at most 2^-1075 absolute. Nothing can overflow.
+        """
+        a, b = den << self._e, num << self._f
+        if a >= b:
+            return self._pf - (b / a) * self._wf
+        return (a / b) * self._pf - self._wf
 
     def maximizer(self, cap: int, num: int, den: int):
         """_lightest_maximizer at nu = num/den, cached for the current cap."""
@@ -140,6 +184,52 @@ def _over(values, lcm: int) -> tuple[int, ...]:
     )
 
 
+def _greedy_pass(scaled: _IntScaling, cap: int, num: int, den: int):
+    """The units at nu = num/den split by the entry threshold of the greedy
+    selection on keys den*P - num*W: returns (above, cut, tied).
+
+    When at most cap keys are positive, cut is 0, above holds the units
+    with a positive key and tied the (W, index) pairs of the zero-key units.
+    Otherwise cut is the cap-th largest key, above holds the units keyed
+    above it and tied the (W, index) pairs of the units at it.
+
+    The pass is exact while almost every unit is ranked in float. With
+    E = KEY_ERROR, a float key above E is positive and one below -E is not;
+    only |kf| <= E gets its exact integer key. At the cap cut, cf, the
+    cap-th largest float key among the positive units, lies within E of
+    the exact cap-th key, so float keys above cf + 2E are above the cut
+    and those below cf - 2E under it; only the band between is keyed
+    exactly and ranked by exact key.
+    """
+    P, W = scaled.P, scaled.W
+    kf = scaled.float_keys(num, den)
+    unsure = (abs(kf) <= KEY_ERROR).nonzero()[0].tolist()
+    exact = {i: den * P[i] - num * W[i] for i in unsure}
+    pos = (kf > KEY_ERROR).nonzero()[0]
+    extra = [i for i, key in exact.items() if key > 0]
+    if extra:
+        pos = np.concatenate((pos, extra))
+    scaled.passes += 1
+    if len(pos) <= cap:
+        scaled.exact_keys += len(exact)
+        return pos, 0, [(W[i], i) for i, key in exact.items() if key == 0]
+    kpos = kf[pos]
+    rank = len(pos) - cap
+    cf = np.partition(kpos, rank)[rank]
+    high = kpos > cf + 2 * KEY_ERROR
+    above = pos[high]
+    band = pos[~high & (kpos >= cf - 2 * KEY_ERROR)].tolist()
+    for i in band:
+        if i not in exact:
+            exact[i] = den * P[i] - num * W[i]
+    scaled.exact_keys += len(exact)
+    cut = sorted((exact[i] for i in band), reverse=True)[cap - len(above) - 1]
+    extra = [i for i in band if exact[i] > cut]
+    if extra:
+        above = np.concatenate((above, extra))
+    return above, cut, [(W[i], i) for i in band if exact[i] == cut]
+
+
 def _lightest_maximizer(scaled: _IntScaling, cap: int, num: int, den: int):
     """Lightest maximizer S of the inner Lagrangian problem at nu = num/den:
     the top-cap units by positive key den*P - num*W, ties at the cap-th key
@@ -147,15 +237,12 @@ def _lightest_maximizer(scaled: _IntScaling, cap: int, num: int, den: int):
 
     Returns (sum of P over S, sum of W over S, indices of S).
     """
-    P, W = scaled.P, scaled.W
-    keys = [den * p - num * w for p, w in zip(P, W)]
-    chosen = [i for i, key in enumerate(keys) if key > 0]
-    if len(chosen) > cap:
-        cut = sorted((keys[i] for i in chosen), reverse=True)[cap - 1]
-        tied = sorted((W[i], i) for i in chosen if keys[i] == cut)
-        chosen = [i for i in chosen if keys[i] > cut]
-        chosen += [i for _, i in tied[: cap - len(chosen)]]
-    return sum(P[i] for i in chosen), sum(W[i] for i in chosen), chosen
+    above, cut, tied = _greedy_pass(scaled, cap, num, den)
+    fill = sorted(tied)[: cap - len(above)] if cut else []
+    chosen = above.tolist() + [i for _, i in fill]
+    p_sum = sum(map(scaled.P.__getitem__, chosen))
+    w_sum = int(scaled.W_array[above].sum()) + sum(w for w, _ in fill)
+    return p_sum, w_sum, chosen
 
 
 def _critical_multiplier(
@@ -192,7 +279,7 @@ def _critical_multiplier(
 
 def _vertex(scaled: _IntScaling, budget_w: Fraction, cap: int, num: int, den: int):
     """Optimal LP vertex at the critical multiplier nu* = num/den > 0, built
-    on the integer keys den*P - num*W.
+    on the integer keys den*P - num*W of one greedy pass.
 
     Units with a positive key go in, up to the cap. The weight row is then
     made exactly tight with the units whose key ties the entry threshold
@@ -202,36 +289,34 @@ def _vertex(scaled: _IntScaling, budget_w: Fraction, cap: int, num: int, den: in
     primal sum of P*x, key sum G of a maximizer); den*primal equals
     num*budget_w + G exactly when primal and dual values agree.
     """
-    P, W = scaled.P, scaled.W
+    P = scaled.P
     bn, bd = budget_w.numerator, budget_w.denominator
-    keys = [den * p - num * w for p, w in zip(P, W)]
-    integral = [i for i, key in enumerate(keys) if key > 0]
+    above, cut, tied = _greedy_pass(scaled, cap, num, den)
+    integral = above.tolist()
+    used = int(scaled.W_array[above].sum())
+    g = den * sum(map(P.__getitem__, integral)) - num * used
     fractional = []
-    if len(integral) <= cap:
+    if not cut:
         # Pad the weight up to the budget with zero-key units, which are
         # free for the inner objective, heaviest first.
-        g = sum(keys[i] for i in integral)
-        used = sum(W[i] for i in integral)
         assert bd * used <= bn, "greedy selection exceeds budget at mu*"
-        zeros = sorted((-W[i], i) for i, key in enumerate(keys) if key == 0)
-        for neg_w, i in zeros[: cap - len(integral)]:
+        zeros = sorted(tied, key=lambda t: (-t[0], t[1]))
+        for w, i in zeros[: cap - len(integral)]:
             if bd * used == bn:
                 break
-            if bd * (used - neg_w) <= bn:
+            if bd * (used + w) <= bn:
                 integral.append(i)
-                used -= neg_w
+                used += w
             else:
-                fractional.append((i, Fraction(bn - bd * used, -bd * neg_w)))
+                fractional.append((i, Fraction(bn - bd * used, bd * w)))
                 break
         assert fractional or bd * used == bn, "cannot make weight row tight at mu*"
     else:
-        cut = sorted((keys[i] for i in integral), reverse=True)[cap - 1]
-        tied = sorted((W[i], i) for i in integral if keys[i] == cut)
-        integral = [i for i in integral if keys[i] > cut]
+        tied.sort()
         fill = cap - len(integral)
-        g = sum(keys[i] for i in integral) + fill * cut
+        g += fill * cut
         lightest, heaviest = tied[:fill], tied[fill:][::-1]
-        used = sum(W[i] for i in integral) + sum(w for w, _ in lightest)
+        used += sum(w for w, _ in lightest)
         assert bd * used <= bn, "lightest tied fill already over budget at mu*"
         swaps = 0
         for (w_in, i_in), (w_out, i_out) in zip(heaviest, lightest):
@@ -248,7 +333,8 @@ def _vertex(scaled: _IntScaling, budget_w: Fraction, cap: int, num: int, den: in
         assert fractional or bd * used == bn, "cannot reach weight target from ties"
         integral += [i for _, i in heaviest[:swaps]]
         integral += [i for _, i in lightest[swaps + bool(fractional):]]
-    primal = sum(P[i] for i in integral) + sum((P[i] * x for i, x in fractional), ZERO)
+    primal = sum(map(P.__getitem__, integral))
+    primal += sum((P[i] * x for i, x in fractional), ZERO)
     return integral, fractional, primal, g
 
 
@@ -320,6 +406,16 @@ class SmallSolver:
         self._memo: dict[tuple[Fraction, int], Fraction] = {}
         units = [u for u in self.items if u[1] > 0]
         self._lp_pool = units, _IntScaling.of(units)
+
+    @property
+    def passes(self) -> int:
+        """Greedy passes run over the pool so far."""
+        return self._lp_pool[1].passes
+
+    @property
+    def exact_keys(self) -> int:
+        """Units keyed exactly, as Python ints, over those passes."""
+        return self._lp_pool[1].exact_keys
 
     @classmethod
     def from_partition(cls, partition) -> "SmallSolver":

@@ -27,6 +27,7 @@ from kknapsack.instance_model import (
     make_solution,
 )
 from kknapsack.oracles import brute_force, exact_dp
+from kknapsack.small_items import solver_for_partition
 
 
 def mixed_instance(seed):
@@ -233,11 +234,15 @@ class TestDeterminismAndKnobs:
             "large_ids",
             "small_ids",
             "small_pool",
+            "small_passes",
+            "small_exact_keys",
         ):
             assert key in det, key
         assert det["small_pool"] == sum(
             len(c.members) for c in det["partition"].small_classes
         )
+        assert det["small_passes"] >= 1
+        assert 0 <= det["small_exact_keys"] <= det["small_passes"] * det["small_pool"]
         assert isinstance(det["split"], SplitCandidate)
         assert det["split_count"] >= 1
         assert det["grid_m"] == det["partition"].z * det["table"].grid.inv_eps
@@ -258,6 +263,38 @@ class TestDeterminismAndKnobs:
         assert det["small_pool"] == pool
         feas = evaluate_solution(inst, sol)
         assert feas.feasible, feas.violations
+
+
+class TestSplitSweep:
+    @pytest.mark.parametrize(
+        "family, n, K, eps, seed",
+        [
+            ("uniform", 60, 6, F(1, 4), 1),
+            ("correlated", 200, 8, F(1, 4), 2),
+            ("uniform", 40, 4, F(1, 2), 3),
+        ],
+    )
+    def test_pruned_sweep_keeps_the_first_maximum(self, family, n, K, eps, seed):
+        # Splits whose table weight recurs at a larger anchor of the same k
+        # are dropped; the chosen split must still be the first maximum of
+        # the full sweep, in its order (k outer, anchors ascending).
+        inst = generate_instance(family, n, K, seed=seed)
+        _, det = solve_with_details(inst, eps)
+        table, part = det["table"], det["partition"]
+        grid = table.grid
+        small = solver_for_partition(part)
+        full = []
+        for k in range(grid.z + 1):
+            for x in grid.anchor_indices():
+                if table.is_finite(x, k) and table.value_at(x, k) <= inst.budget:
+                    omega = inst.budget - table.value_at(x, k)
+                    total = grid.profit_value(x) + small.phi_dag(omega, part.cardinality - k)
+                    full.append((total, k, x))
+        best = max(total for total, _, _ in full)
+        first = next((k, x) for total, k, x in full if total == best)
+        assert (det["split"].large_slots, det["split"].grid_index) == first
+        assert det["split"].total == best
+        assert det["split_count"] < len(full)  # some split was dominated
 
 
 class TestExactMode:

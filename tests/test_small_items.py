@@ -7,10 +7,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import F, ZERO, inst_of
 import kknapsack.small_items as small_items
+from kknapsack.combiner import solve_with_details
 from kknapsack.generator import generate_instance
 from kknapsack.instance_model import Item
 from kknapsack.oracles import (
@@ -19,6 +21,7 @@ from kknapsack.oracles import (
     _expand_types,
     box_lp_fractions,
     critical_multiplier_enum,
+    lightest_maximizer_int,
     lp_vertex,
     round_small_weights,
     upsilon2,
@@ -31,11 +34,17 @@ from kknapsack.oracles import (
 from kknapsack.preprocessing import build_partition, half_approx_opt
 from kknapsack.small_items import (
     SmallSolver,
+    _IntScaling,
+    _lightest_maximizer,
     _units,
     solve_box_lp,
     solver_for_partition,
     upsilon1,
 )
+
+# The greedy pass ranks units in float64; an overflow or an invalid value
+# there must fail loudly rather than rank by inf or nan.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def pool(seed, n, frac=False, pmax=20, wmax=15):
@@ -87,6 +96,37 @@ def shaped_pool(shape, rnd, n):
             p = w if j % 2 else 2 * w + 5
         else:
             p = Fraction(rnd.randint(1, 60))
+        out.append((uid, p, w))
+    return out
+
+
+WIDE_SHAPES = ["huge-span", "huge-weights", "both-span", "near-ties"]
+
+
+def wide_pool(shape, rnd, n):
+    """n units whose scaled data stress the float-filtered greedy pass:
+    huge-span     profits 2^0 .. 2^1200, so P/2^e is subnormal or zero for
+                  the small ones;
+    huge-weights  weights from 2^62 up, held as Python ints in the pass;
+    both-span     profits and weights each spanning 2^1100;
+    near-ties     profits and weights near 2^60 that differ in the last
+                  bits, so float keys cannot tell most units apart.
+    """
+    ids = rnd.sample(range(1, 10 * n + 1), n)
+    out = []
+    for uid in ids:
+        if shape == "huge-span":
+            p = Fraction(rnd.randint(1, 9) << rnd.randint(0, 1200), rnd.choice([1, 3]))
+            w = Fraction(rnd.randint(1, 40))
+        elif shape == "huge-weights":
+            p = Fraction(rnd.randint(1, 60))
+            w = Fraction(rnd.randint(1, 9) << rnd.randint(62, 90))
+        elif shape == "both-span":
+            p = Fraction(rnd.randint(1, 9) << rnd.randint(0, 1100))
+            w = Fraction(rnd.randint(1, 9) << rnd.randint(0, 1100))
+        else:
+            p = Fraction((1 << 60) + rnd.randint(0, 7))
+            w = Fraction((1 << 60) + rnd.randint(0, 7))
         out.append((uid, p, w))
     return out
 
@@ -271,6 +311,21 @@ class TestIntegerVertex:
                 routes.add(vertex_route(ev, units, min(cap, len(positive(units)))))
         assert routes >= {"fast", "padding", "tied"}
 
+    @pytest.mark.parametrize("shape", WIDE_SHAPES)
+    def test_wide_pools_equal_fraction_reference(self, shape):
+        rnd = random.Random(f"vertex-{shape}")
+        searched = 0
+        for _ in range(25):
+            units = wide_pool(shape, rnd, rnd.randint(1, 24))
+            cap = rnd.randint(1, len(units))
+            total = sum((w for _, _, w in units), ZERO)
+            budget = total * Fraction(rnd.randint(0, 100), 100)
+            ev = solve_box_lp(units, budget, cap)
+            assert ev == box_lp_fractions(positive(units), budget, cap)
+            check_primal(ev, units, budget, cap)
+            searched += ev.mu > 0
+        assert searched
+
     def test_padding_with_zero_keys(self):
         # p = w everywhere: at mu* = 1 every key is zero, so the vertex is
         # all padding, heaviest first, with one fractional part.
@@ -281,6 +336,107 @@ class TestIntegerVertex:
         assert ev.integral_ids == (1,)
         assert ev.value == 5
         assert ev == box_lp_fractions(units, F(5), 2)
+
+
+def same_pass(got, ref):
+    """A production pass and the Python-int reference select the same units
+    with the same sums."""
+    return (got[0], got[1], sorted(got[2])) == ref
+
+
+class TestFloatFilteredPass:
+    """The numpy pass against lightest_maximizer_int, which keys every unit
+    as a Python int."""
+
+    def check_pool(self, units, rnd, trials=12):
+        units = positive(units)
+        scaled = _IntScaling.of(units)
+        n = len(units)
+        for _ in range(trials):
+            cap = rnd.randint(1, n)
+            i, j = rnd.randrange(n), rnd.randrange(n)
+            if scaled.W[i] > scaled.W[j] and scaled.P[i] > scaled.P[j]:
+                # A pairwise crossing, where two keys tie.
+                num, den = scaled.P[i] - scaled.P[j], scaled.W[i] - scaled.W[j]
+            elif scaled.W[i] > 0:
+                num, den = scaled.P[i], scaled.W[i]  # unit i's key is zero
+            else:
+                num, den = rnd.randint(0, 50), rnd.randint(1, 50)
+            for nu in [(num, den), (0, 1), scaled.top_ratio]:
+                got = _lightest_maximizer(scaled, cap, *nu)
+                assert same_pass(got, lightest_maximizer_int(scaled.P, scaled.W, cap, *nu))
+
+    @pytest.mark.parametrize("shape", SHAPES + ["concave", "alternating"] + WIDE_SHAPES)
+    def test_matches_python_int_reference(self, shape):
+        rnd = random.Random(f"filter-{shape}")
+        for _ in range(30):
+            self.check_pool(
+                (wide_pool if shape in WIDE_SHAPES else shaped_pool)(
+                    shape, rnd, rnd.randint(1, 60)
+                ),
+                rnd,
+            )
+
+    def test_subset_sum_and_equal_ratio_ties(self):
+        # Every ratio ties: at nu = 1 (or 3/2) every key is zero, and at
+        # nu = 0 the cap cuts through runs of equal profits.
+        rnd = random.Random("filter-ties")
+        for n in (1, 7, 300):
+            for ratio in (Fraction(1), Fraction(3, 2)):
+                units = [
+                    (uid, ratio * w, w)
+                    for uid, w in enumerate(
+                        (Fraction(rnd.randint(1, 12)) for _ in range(n)), start=1
+                    )
+                ]
+                scaled = _IntScaling.of(units)
+                for cap in {1, max(1, n // 3), n}:
+                    for nu in [(0, 1), scaled.top_ratio, (1, 2), (2, 1)]:
+                        got = _lightest_maximizer(scaled, cap, *nu)
+                        ref = lightest_maximizer_int(scaled.P, scaled.W, cap, *nu)
+                        assert same_pass(got, ref)
+
+    def test_wide_pools_take_their_paths(self):
+        rnd = random.Random("filter-paths")
+        huge_p = _IntScaling.of(positive(wide_pool("huge-span", rnd, 40)))
+        small = huge_p._pf[huge_p._pf < 2.0**-1022]
+        assert len(small)  # subnormal or flushed to zero
+        huge_w = _IntScaling.of(positive(wide_pool("huge-weights", rnd, 40)))
+        assert huge_w.W_array.dtype == object
+        plain = _IntScaling.of(positive(shaped_pool("random", rnd, 40)))
+        assert plain.W_array.dtype == np.int64
+
+    @pytest.mark.parametrize("shape", ["ties", "fractional", "geometric"] + WIDE_SHAPES)
+    def test_search_intersections_match_reference(self, monkeypatch, shape):
+        # Every (num, den) the multiplier search and the fast path visit.
+        seen = []
+        original = small_items._lightest_maximizer
+
+        def recorded(scaled, cap, num, den):
+            got = original(scaled, cap, num, den)
+            seen.append((scaled, cap, num, den, got))
+            return got
+
+        monkeypatch.setattr(small_items, "_lightest_maximizer", recorded)
+        rnd = random.Random(f"filter-search-{shape}")
+        pool_of = wide_pool if shape in WIDE_SHAPES else shaped_pool
+        for _ in range(20):
+            units = pool_of(shape, rnd, rnd.randint(2, 40))
+            budget, cap = over_budget_case(units, rnd)
+            if budget is not None:
+                solve_box_lp(units, budget, cap)
+        assert len(seen) >= 20
+        for scaled, cap, num, den, got in seen:
+            assert same_pass(got, lightest_maximizer_int(scaled.P, scaled.W, cap, num, den))
+
+    def test_exact_keys_stay_rare(self):
+        # A filter that silently keyed every unit exactly would stay correct
+        # but slow; on this solve about 0.45% of the keys are exact.
+        inst = generate_instance("uniform", 5000, 256, seed=1)
+        _, det = solve_with_details(inst, Fraction(1, 2))
+        assert det["small_passes"] > 0
+        limit = 0.01 * det["small_passes"] * det["small_pool"]
+        assert det["small_exact_keys"] <= limit
 
 
 class TestExactPoolAtEverySize:
