@@ -1,16 +1,20 @@
 #!/usr/bin/env python3
-"""Exactly-K selection: profit shifting, repair, and infeasibility.
+"""Exactly-K selection: the same pipeline with exactly-k semantics.
 
-Requiring exactly K items (not at most K) breaks the usual approximation
-argument: the optimum may be tiny or even zero while every K-item set has
-large weight, so a plain (1 - eps) guarantee on the raw profits is
-meaningless. The solver handles this by shifting every profit up by a
-constant Delta large enough that any K-item selection dominates any smaller
-one, solving the shifted at-most instance, and tightening the internal
-accuracy until the shift-induced error provably fits inside the user's eps.
+Requiring exactly K items (not at most K) changes what a feasible selection
+is, not how the solver works. It runs the at-most pipeline with four
+differences:
 
-This script runs one normal exactly-K solve (with the round ledger), one
-all-zero-profit solve (the shortcut), and one infeasible instance, then
+- an item is kept only if it fits beside the K-1 lightest other items,
+  since no feasible K-set contains any other;
+- items below the profit floor are kept as zero-profit fillers, because a
+  K-set may need them to fill its slots;
+- a weight-table cell and a small-side LP take exactly k items;
+- the small LP's vertex has no or two fractional parts, which sum to one,
+  so retrieval adds the lighter of the two.
+
+This script runs one normal exactly-K solve, one where fillers must fill
+the selection, one all-zero-profit solve and one infeasible instance, then
 verifies each outcome against exhaustive enumeration.
 
 Usage:
@@ -62,40 +66,57 @@ def main() -> int:
     print("=" * 64)
     inst = build(
         [(60, 9), (44, 6), (31, 4), (20, 3), (12, 2), (5, 1), (1, 1)],
-        budget=12,
+        budget=10,
         k=3,
     )
     sol, details = solve_with_details(inst, eps)
     report = evaluate_solution(inst, sol)
+    part = details["partition"]
     print(f"selected {sorted(sol.selected)}: profit {sol.total_profit}, "
           f"weight {sol.total_weight}, count {sol.count}")
     print(f"feasible: {report.feasible}")
-    print(f"profit shift Delta = {details['delta']}")
-    for i, rnd in enumerate(details["rounds"], start=1):
-        print(f"  round {i}: internal eps {rnd['internal_eps']}, "
-              f"count {rnd['count']}, repaired {rnd['repaired']}, "
-              f"accepted {rnd['accepted']}")
+    print(f"internal eps {details['internal_eps']}, grid m = {details['grid_m']}, "
+          f"large slots {details['split'].large_slots}, "
+          f"small ids {list(details['small_ids'])}")
+    print(f"discarded: {sorted(part.discarded)} (item 1 fits alone, but no "
+          "feasible 3-set holds it)")
     opt = exact_optimum(inst)
     print(f"exhaustive exactly-3 optimum: {opt}")
-    ok &= report.feasible and sol.count == 3
+    ok &= report.feasible and sol.count == 3 and 1 in part.discarded
     ok &= sol.total_profit >= (1 - eps) * opt
 
     print()
     print("=" * 64)
-    print("2. all profits zero (any feasible 2-item set is optimal)")
+    print("2. fillers: two valuable items, the rest nearly worthless")
+    print("=" * 64)
+    inst_f = build([(500, 6), (400, 6), (1, 1), (1, 1), (2, 2), (1, 3)], budget=14, k=4)
+    sol_f, details_f = solve_with_details(inst_f, eps)
+    report_f = evaluate_solution(inst_f, sol_f)
+    fillers = [it.id for it in details_f["partition"].fillers]
+    print(f"selected {sorted(sol_f.selected)}: profit {sol_f.total_profit}, "
+          f"weight {sol_f.total_weight}, count {sol_f.count}")
+    print(f"zero-profit fillers kept by the partition: {fillers}")
+    opt_f = exact_optimum(inst_f)
+    print(f"exhaustive exactly-4 optimum: {opt_f}")
+    ok &= report_f.feasible and sol_f.count == 4 and bool(fillers)
+    ok &= sol_f.total_profit >= (1 - eps) * opt_f
+
+    print()
+    print("=" * 64)
+    print("3. all profits zero (any feasible 2-item set is optimal)")
     print("=" * 64)
     inst0 = build([(0, 4), (0, 2), (0, 7), (0, 5)], budget=9, k=2)
     sol0, details0 = solve_with_details(inst0, eps)
     report0 = evaluate_solution(inst0, sol0)
     print(f"selected {sorted(sol0.selected)}: weight {sol0.total_weight}, "
           f"count {sol0.count}, feasible {report0.feasible}")
-    print(f"rounds used: {len(details0['rounds'])} "
-          "(zero baseline short-circuits the shift machinery)")
+    print(f"trivial: {details0.get('trivial', False)} "
+          "(the estimate is 0, so the K lightest are returned)")
     ok &= report0.feasible and sol0.count == 2
 
     print()
     print("=" * 64)
-    print("3. infeasible: no 3 items fit in the budget")
+    print("4. infeasible: no 3 items fit in the budget")
     print("=" * 64)
     inst_bad = build([(9, 8), (7, 7), (5, 6), (3, 9)], budget=14, k=3)
     try:

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
 from .rationals import format_rational, parse_rational
 
@@ -172,38 +172,6 @@ def evaluate_solution(inst: Instance, sol: Solution) -> FeasibilityReport:
         total_weight=weight,
         count=count,
         violations=tuple(violations),
-    )
-
-
-def convert_exact_to_atmost(
-    inst: Instance, delta: Optional[Fraction] = None
-) -> tuple[Instance, Fraction]:
-    """Shift every profit by Delta so that more items always beat fewer.
-
-    On the shifted at-most-K instance, any optimum selects exactly K items
-    whenever some feasible K-item solution exists: as long as Delta exceeds
-    the total profit of every feasible selection of fewer than K items,
-    extending such a selection by one more fitting item always gains more
-    (Delta plus a nonnegative profit) than the entire profit it could ever
-    collect. The default Delta = 1 + sum of all profits is always safe;
-    callers may pass any tighter bound that still dominates every feasible
-    sub-K selection. Returns (shifted instance, Delta);
-    value_exact = value_atmost - K*Delta.
-    """
-    if inst.mode is not Mode.EXACT:
-        raise ValueError("convert_exact_to_atmost requires an EXACT-mode instance")
-    if delta is None:
-        delta = Fraction(1) + sum((it.profit for it in inst.items), Fraction(0))
-    else:
-        delta = Fraction(delta)
-        if delta <= 0:
-            raise ValueError(f"delta must be positive, got {delta}")
-    shifted = tuple(
-        Item(id=it.id, profit=it.profit + delta, weight=it.weight) for it in inst.items
-    )
-    return (
-        Instance(items=shifted, budget=inst.budget, cardinality=inst.cardinality, mode=Mode.AT_MOST),
-        delta,
     )
 
 

@@ -2,7 +2,10 @@
 
 For items whose rounded profits exceed eps*opt_estimate the solver keeps a
 table phi(q, k) = least total weight reaching grid profit at least q*delta
-with at most k such items, q in 0..m, k in 0..z, delta = eps*opt_estimate/z.
+with at most k such items (exactly k in exactly-K mode), q in 0..m,
+k in 0..z, delta = eps*opt_estimate/z. The two modes differ only in the
+table the folds start from: at most k puts weight 0 at every (0, k),
+exactly k only at (0, 0).
 Profit classes enter one at a time by a structured (min,+) convolution:
 every member of a class carries the same snapped profit tau*delta and the
 members are weight-sorted, so a cell only needs the best member COUNT theta:
@@ -112,12 +115,13 @@ class Stage:
 class WeightTable:
     """phi(q, k) storage plus backpointers and the stage chain.
 
-    Invariants (checked by oracles.check_table): row q=0 is all zeros;
-    column k=0 is infinite for q >= 1; values are non-decreasing in q and
-    non-increasing in k. Cells hold weights times weight_scale; a cell at or
-    above inf is infinite. backptr[q, k] is the member count the last
-    convolved class contributes to cell (q, k); 0 everywhere on tables that
-    never saw a class.
+    Invariants (checked by oracles.check_table): column k=0 is infinite for
+    q >= 1 and values are non-decreasing in q. At most k: row q=0 is all
+    zeros and values are non-increasing in k. Exactly k: cell (0, 0) is 0,
+    and nothing orders the columns. Cells hold weights times weight_scale;
+    a cell at or above inf is infinite. backptr[q, k] is the member count
+    the last convolved class contributes to cell (q, k); 0 everywhere on
+    tables that never saw a class.
 
     values and backptr are indexed [q, k]; tables built here expose them as
     .T views of k-major (z+1, m+1) arrays, and convolve accepts either
@@ -169,12 +173,16 @@ def table_format(classes) -> tuple[int, int]:
 
 
 def trivial_table(
-    grid: ProfitGrid, weight_scale: int = 1, inf: int = INT_INF
+    grid: ProfitGrid,
+    weight_scale: int = 1,
+    inf: int = INT_INF,
+    exactly_k: bool = False,
 ) -> WeightTable:
-    """No classes folded yet: profit 0 is free, anything more impossible."""
+    """No classes folded yet: profit 0 is free with any number of slots, or
+    with exactly zero items when exactly_k; anything more is impossible."""
     m, z = grid.m, grid.z
     values = np.full((z + 1, m + 1), inf, dtype=np.int64 if inf == INT_INF else object)
-    values[:, 0] = 0
+    values[: 1 if exactly_k else z + 1, 0] = 0
     backptr = np.zeros((z + 1, m + 1), dtype=backptr_dtype(grid))
     return WeightTable(grid, values.T, backptr.T, None, weight_scale, inf)
 
@@ -186,8 +194,8 @@ def snap_class_profit(grid: ProfitGrid, cls: LargeClass) -> int:
     i.e. under eps*opt_estimate/z total over any z items. Large profits
     strictly exceed eps*opt_estimate = z*delta, so tau >= z always. The
     floor of (profit_scale/delta) * growth^index is taken through certified
-    brackets so the exact rounded profit (astronomically long at the indices
-    profit-shifted instances produce) is never materialised.
+    brackets so the exact rounded profit (tens of thousands of digits at
+    small eps) is never materialised.
     """
     tau = geometric_floor(cls.profit_scale / grid.delta, cls.growth, cls.index)
     assert tau >= grid.z, (tau, grid.z)
@@ -211,12 +219,13 @@ def convolve(acc: WeightTable, cls: LargeClass) -> WeightTable:
     out[k, q] = min over theta of prefix[theta] + acc[k - theta, q - theta*tau]
     (profit index clamped at 0). Starting from the theta=0 candidate (acc
     itself), each pass compares in place with strict <, so the smallest
-    theta wins ties. Columns q <= theta*tau read acc's zero row, i.e. the
-    constant prefix[theta]; the rest read acc shifted by (theta, theta*tau),
-    cut off past acc's last finite profit row (column k=z is each row's
-    minimum). No clamp is needed: the sentinel plus a prefix never beats a
-    stored value, which is at most the sentinel, and for int64 cells
-    INT_INF + prefix < 2**63.
+    theta wins ties. Columns q <= theta*tau read acc's profit-0 cells,
+    prefix[theta] + acc[k - theta, 0] (just prefix[theta] at most k); the
+    rest read acc shifted by (theta, theta*tau), cut off past acc's last
+    finite profit row, the largest over the columns k (exactly k tables
+    have no column that is each row's minimum). No clamp is needed: the
+    sentinel plus a prefix never beats a stored value, which is at most the
+    sentinel, and for int64 cells INT_INF + prefix < 2**63.
     """
     grid = acc.grid
     m, z = grid.m, grid.z
@@ -228,9 +237,9 @@ def convolve(acc: WeightTable, cls: LargeClass) -> WeightTable:
     best = src.copy()
     best_theta = np.zeros((z + 1, m + 1), dtype=backptr_dtype(grid))
     # acc's profit rows 1..last_finite hold every finite shifted read.
-    last_finite = int(np.searchsorted(src[z], acc.inf)) - 1
+    last_finite = max(int(np.searchsorted(row, acc.inf)) for row in src) - 1
     cand = np.empty((z, min(m, last_finite)), dtype=src.dtype)
-    less = np.empty((z, m), dtype=bool)
+    less = np.empty((z, m + 1), dtype=bool)
 
     def improve(theta: int, cols: slice, c) -> None:
         out, out_theta = best[theta:, cols], best_theta[theta:, cols]
@@ -241,7 +250,8 @@ def convolve(acc: WeightTable, cls: LargeClass) -> WeightTable:
 
     for theta in range(1, min(cls.size, z) + 1):
         weight, shift = prefix[theta], theta * tau
-        improve(theta, slice(1, min(shift, m) + 1), weight)
+        below = src[: z + 1 - theta, :1] + weight  # acc's profit-0 cells
+        improve(theta, slice(0, min(shift, m) + 1), below)
         width = min(m - shift, last_finite)
         if width > 0:
             c = cand[: z + 1 - theta, :width]
@@ -265,7 +275,9 @@ def build_phi_L(
     passed to observer loses its values when the next class is folded.
     """
     grid = ProfitGrid.from_partition(partition)
-    acc = trivial_table(grid, *table_format(partition.large_classes))
+    acc = trivial_table(
+        grid, *table_format(partition.large_classes), exactly_k=partition.exactly_k
+    )
     for cls in partition.large_classes:
         prev, acc = acc, convolve(acc, cls)
         prev.values = None

@@ -14,6 +14,10 @@ the LP's vertex at that multiplier in Fractions; the paper's breakpoint set
 scale; the column scanner and the paper's divide-and-conquer slice search
 (enumerate_slices, slice_index) re-derive slice costs from raw table reads.
 
+convert_exact_to_atmost is the classic reduction of exactly-K to at-most-K
+by a profit shift. Production does not use it: exactly-K mode runs the
+same pipeline with exactly-k semantics.
+
 The paper's small-side ladder for K > 1/eps also lives here (weight
 rounding, WeightBuckets, upsilon2 through upsilon5), because production
 answers every small-side query with upsilon1 instead. Its upsilon4 runs
@@ -35,7 +39,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .instance_model import Instance, Mode
+from .instance_model import Instance, Item, Mode
 from .large_items import (
     INT_INF,
     INT_WEIGHT_LIMIT,
@@ -236,6 +240,42 @@ def _dp_fraction(inst: Instance, W: int, K: int):
 
 
 # ---------------------------------------------------------------------------
+# The exactly-K to at-most-K reduction by profit shift.
+# ---------------------------------------------------------------------------
+
+def convert_exact_to_atmost(
+    inst: Instance, delta: Optional[Fraction] = None
+) -> tuple[Instance, Fraction]:
+    """Shift every profit by Delta so that more items always beat fewer.
+
+    On the shifted at-most-K instance, any optimum selects exactly K items
+    whenever some feasible K-item solution exists: as long as Delta exceeds
+    the total profit of every feasible selection of fewer than K items,
+    extending such a selection by one more fitting item always gains more
+    (Delta plus a nonnegative profit) than the entire profit it could ever
+    collect. The default Delta = 1 + sum of all profits is always safe;
+    callers may pass any tighter bound that still dominates every feasible
+    sub-K selection. Returns (shifted instance, Delta);
+    value_exact = value_atmost - K*Delta.
+    """
+    if inst.mode is not Mode.EXACT:
+        raise ValueError("convert_exact_to_atmost requires an EXACT-mode instance")
+    if delta is None:
+        delta = Fraction(1) + sum((it.profit for it in inst.items), Fraction(0))
+    else:
+        delta = Fraction(delta)
+        if delta <= 0:
+            raise ValueError(f"delta must be positive, got {delta}")
+    shifted = tuple(
+        Item(id=it.id, profit=it.profit + delta, weight=it.weight) for it in inst.items
+    )
+    return (
+        Instance(items=shifted, budget=inst.budget, cardinality=inst.cardinality, mode=Mode.AT_MOST),
+        delta,
+    )
+
+
+# ---------------------------------------------------------------------------
 # Weight-table references: full (min,+) enumeration, subset enumeration,
 # the closed-form single-class table and the structural invariants.
 # ---------------------------------------------------------------------------
@@ -263,14 +303,14 @@ def naive_convolve(a: WeightTable, b: WeightTable) -> WeightTable:
     return WeightTable(grid, out, weight_scale=a.weight_scale, inf=a.inf)
 
 
-def exhaustive_table(grid, items) -> WeightTable:
+def exhaustive_table(grid, items, exactly_k: bool = False) -> WeightTable:
     """Min-weight table over an arbitrary item set by subset enumeration
     (n <= 14): cell (q, k) gets the lightest subset with at most k items
-    whose total profit reaches q*delta. Cells hold weights times the lcm of
-    the items' weight denominators, and the sentinel follows the fold's rule
-    (INT_INF while the scaled total stays below INT_WEIGHT_LIMIT, else
-    object cells above the total): the format build_phi_L would choose for
-    the same item set."""
+    (exactly k when exactly_k) whose total profit reaches q*delta. Cells
+    hold weights times the lcm of the items' weight denominators, and the
+    sentinel follows the fold's rule (INT_INF while the scaled total stays
+    below INT_WEIGHT_LIMIT, else object cells above the total): the format
+    build_phi_L would choose for the same item set."""
     items = list(items)
     if len(items) > EXHAUSTIVE_TABLE_LIMIT:
         raise ValueError(f"exhaustive_table handles at most {EXHAUSTIVE_TABLE_LIMIT} items")
@@ -280,7 +320,7 @@ def exhaustive_table(grid, items) -> WeightTable:
         weight_scale = math.lcm(weight_scale, it.weight.denominator)
     total = sum((it.weight for it in items), ZERO) * weight_scale
     inf = INT_INF if total < INT_WEIGHT_LIMIT else int(total) + INT_INF
-    out = trivial_table(grid, weight_scale, inf).values.copy()
+    out = trivial_table(grid, weight_scale, inf, exactly_k).values.copy()
     for r in range(len(items) + 1):
         for combo in itertools.combinations(items, r):
             profit = sum((it.profit for it in combo), ZERO)
@@ -293,7 +333,7 @@ def exhaustive_table(grid, items) -> WeightTable:
             assert scaled.denominator == 1, (weight, weight_scale)
             scaled = scaled.numerator
             for q in range(q_top + 1):
-                for k in range(count, z + 1):
+                for k in range(count, count + 1 if exactly_k else z + 1):
                     if scaled < out[q, k]:
                         out[q, k] = scaled
     return WeightTable(grid, out, weight_scale=weight_scale, inf=inf)
@@ -325,12 +365,15 @@ def base_table(
     return table
 
 
-def check_table(table: WeightTable) -> None:
+def check_table(table: WeightTable, exactly_k: bool = False) -> None:
     """Assert the structural invariants; cheap enough for tests to call on
-    every table they build."""
+    every table they build. Both kinds: column k=0 is infinite for q >= 1
+    and values are non-decreasing in q. At most k: row q=0 is all zeros and
+    values are non-increasing in k. Exactly k: cell (0, 0) is 0, and
+    nothing orders the columns."""
     grid = table.grid
     m, z = grid.m, grid.z
-    for k in range(z + 1):
+    for k in range(1 if exactly_k else z + 1):
         assert table.value_at(0, k) == ZERO
     for q in range(1, m + 1):
         assert not table.is_finite(q, 0)
@@ -338,7 +381,7 @@ def check_table(table: WeightTable) -> None:
         for k in range(z + 1):
             v = table.value_at(q, k)
             assert table.value_at(q - 1, k) <= v
-            if k:
+            if k and not exactly_k:
                 assert v <= table.value_at(q, k - 1)
 
 
@@ -346,17 +389,22 @@ def check_table(table: WeightTable) -> None:
 # Two-row LP by vertex enumeration.
 # ---------------------------------------------------------------------------
 
-def lp_vertex(items, budget: Fraction, cardinality: int) -> OracleResult:
-    """Exact optimum of max p.x st w.x <= budget, sum x <= cardinality,
-    0 <= x <= 1, by enumerating every vertex shape (n <= 12).
+def lp_vertex(
+    items, budget: Fraction, cardinality: int, *, equality: bool = False
+) -> OracleResult:
+    """Exact optimum of max p.x st w.x <= budget, sum x <= cardinality (or
+    sum x = cardinality with equality), 0 <= x <= 1, by enumerating every
+    vertex shape (n <= 12). Under the equality row the value is None when
+    no point is feasible.
 
     A vertex has at most two coordinates strictly inside their box. The
     enumeration covers: all-integral points; one fractional coordinate
     making the weight row tight (a fractional coordinate tightening only
     the cardinality row would have to be integral, so that shape is
-    degenerate); and two fractional coordinates with both rows tight
-    (skipping equal weights, whose 2x2 system is singular and realised by
-    other shapes).
+    degenerate; under the equality row the coordinates sum to an integer,
+    so the shape cannot occur); and two fractional coordinates with both
+    rows tight (skipping equal weights, whose 2x2 system is singular and
+    realised by other shapes).
     """
     entries = [(it.id, Fraction(it.profit), Fraction(it.weight)) for it in items]
     n = len(entries)
@@ -365,12 +413,12 @@ def lp_vertex(items, budget: Fraction, cardinality: int) -> OracleResult:
     if budget < 0 or cardinality < 0:
         raise ValueError("budget and cardinality must be non-negative")
 
-    best_value = ZERO
+    best_value: Optional[Fraction] = None
     best_x: dict[int, Fraction] = {}
 
     def consider(value: Fraction, x: dict[int, Fraction]) -> None:
         nonlocal best_value, best_x
-        if value > best_value:
+        if best_value is None or value > best_value:
             best_value = value
             best_x = {i: v for i, v in x.items() if v != 0}
 
@@ -380,10 +428,12 @@ def lp_vertex(items, budget: Fraction, cardinality: int) -> OracleResult:
         w_sum = sum((entries[i][2] for i in chosen), ZERO)
         if w_sum > budget or len(chosen) > cardinality:
             continue
+        if equality and len(chosen) != cardinality:
+            continue
         p_sum = sum((entries[i][1] for i in chosen), ZERO)
         consider(p_sum, {entries[i][0]: Fraction(1) for i in chosen})
 
-    for frac in ids:
+    for frac in ([] if equality else ids):
         fid, fp, fw = entries[frac]
         if fw == 0:
             continue
@@ -431,22 +481,26 @@ def lp_vertex(items, budget: Fraction, cardinality: int) -> OracleResult:
     )
 
 
-def _lightest_maximizer_weight(units, mu: Fraction, cap: int) -> Fraction:
-    """Weight of the lightest top-cap selection by positive adjusted profit
-    p - mu*w, recomputed in Fractions."""
-    positives = sorted((mu * w - p, w) for _, p, w in units if p - mu * w > 0)
-    return sum((w for _, w in positives[:cap]), ZERO)
+def _lightest_maximizer_weight(
+    units, mu: Fraction, cap: int, equality: bool = False
+) -> Fraction:
+    """Weight of the lightest top-cap selection by adjusted profit
+    p - mu*w (positive ones only, unless equality), recomputed in
+    Fractions."""
+    ranked = sorted((mu * w - p, w) for _, p, w in units if equality or p - mu * w > 0)
+    return sum((w for _, w in ranked[:cap]), ZERO)
 
 
-def lightest_maximizer_int(P, W, cap: int, num: int, den: int):
+def lightest_maximizer_int(P, W, cap: int, num: int, den: int, equality: bool = False):
     """Reference for small_items._lightest_maximizer: the top-cap units by
-    positive key den*P - num*W, ties at the cap-th key going to the lighter
-    unit and then to the lower index, with every key a Python int.
+    key den*P - num*W (positive keys only, unless equality), ties at the
+    cap-th key going to the lighter unit and then to the lower index, with
+    every key a Python int.
 
     Returns (sum of P over the selection, sum of W, sorted indices).
     """
     keys = [den * p - num * w for p, w in zip(P, W)]
-    chosen = [i for i, key in enumerate(keys) if key > 0]
+    chosen = [i for i, key in enumerate(keys) if equality or key > 0]
     if len(chosen) > cap:
         cut = sorted((keys[i] for i in chosen), reverse=True)[cap - 1]
         tied = sorted((W[i], i) for i in chosen if keys[i] == cut)
@@ -455,21 +509,24 @@ def lightest_maximizer_int(P, W, cap: int, num: int, den: int):
     return sum(P[i] for i in chosen), sum(W[i] for i in chosen), sorted(chosen)
 
 
-def critical_multiplier_enum(units, budget: Fraction, cap: int) -> Fraction:
+def critical_multiplier_enum(
+    units, budget: Fraction, cap: int, equality: bool = False
+) -> Fraction:
     """Smallest multiplier mu >= 0 whose lightest maximizer of the box LP's
     inner Lagrangian problem fits the budget, by binary search over every
     candidate breakpoint.
 
-    units are (id, profit, weight) triples with positive profits, and the
-    lightest top-cap-by-profit selection must exceed the budget (a
-    ValueError otherwise). The
-    lightest-maximizer weight is non-increasing in mu (an exchange argument
-    on the inner objective) and changes only where a unit's adjusted profit
-    crosses zero or another unit's. Those are the positive profit/weight
-    ratios and the positive pairwise crossings (p_i - p_j)/(w_i - w_j), all
-    O(u^2) of them, so the first fitting candidate is the answer.
+    units are (id, profit, weight) triples (with positive profits unless
+    equality), and the lightest top-cap-by-profit selection must exceed the
+    budget (a ValueError otherwise), while under the equality row the cap
+    lightest units must fit it. The lightest-maximizer weight is
+    non-increasing in mu (an exchange argument on the inner objective) and
+    changes only where a unit's adjusted profit crosses zero (inequality
+    row) or another unit's. Those are the positive profit/weight ratios and
+    the positive pairwise crossings (p_i - p_j)/(w_i - w_j), all O(u^2) of
+    them, so the first fitting candidate is the answer.
     """
-    if _lightest_maximizer_weight(units, ZERO, cap) <= budget:
+    if _lightest_maximizer_weight(units, ZERO, cap, equality) <= budget:
         raise ValueError("the top-cap selection fits: no multiplier to search")
     cand = set()
     for i, (_, pi, wi) in enumerate(units):
@@ -484,7 +541,7 @@ def critical_multiplier_enum(units, budget: Fraction, cap: int) -> Fraction:
     lo, hi = 0, len(cand) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if _lightest_maximizer_weight(units, cand[mid], cap) <= budget:
+        if _lightest_maximizer_weight(units, cand[mid], cap, equality) <= budget:
             hi = mid
         else:
             lo = mid + 1
@@ -495,25 +552,27 @@ def critical_multiplier_enum(units, budget: Fraction, cap: int) -> Fraction:
 # The box LP in Fractions, and the paper's breakpoint-set route for upsilon4.
 # ---------------------------------------------------------------------------
 
-def _greedy_weight_range(units, mu: Fraction, cap: int):
+def _greedy_weight_range(units, mu: Fraction, cap: int, equality: bool = False):
     """Weight range [wmin, wmax] over maximizers of the inner Lagrangian
     problem at multiplier mu, plus the inner optimum g(mu).
 
     Maximizers take every unit with adjusted profit p - mu*w above the
     entry threshold and fill remaining cardinality from the tied units;
     their total weight spans [lightest fill, heaviest fill], extended by
-    optional zero-adjusted units when the threshold is zero.
+    optional zero-adjusted units when the threshold is zero. Under the
+    equality row every unit is ranked and the threshold is the cap-th
+    adjusted profit, whatever its sign.
     """
     positives = []
     zeros = []
     for uid, p, w in units:
         adj = p - mu * w
-        if adj > 0:
+        if adj > 0 or equality:
             positives.append((adj, w, uid))
         elif adj == 0 and p > 0:
             zeros.append(w)
 
-    if len(positives) <= cap:
+    if len(positives) <= cap and not equality:
         g = sum((a for a, _, _ in positives), ZERO)
         wmin = sum((w for _, w, _ in positives), ZERO)
         room = cap - len(positives)
@@ -533,32 +592,37 @@ def _greedy_weight_range(units, mu: Fraction, cap: int):
     return wmin, wmax, g
 
 
-def _dual_at(units, mu: Fraction, budget: Fraction, cap: int) -> Fraction:
-    _, _, g = _greedy_weight_range(units, mu, cap)
+def _dual_at(
+    units, mu: Fraction, budget: Fraction, cap: int, equality: bool = False
+) -> Fraction:
+    _, _, g = _greedy_weight_range(units, mu, cap, equality)
     return mu * budget + g
 
 
-def _vertex_at_multiplier(units, mu: Fraction, budget: Fraction, cap: int):
+def _vertex_at_multiplier(
+    units, mu: Fraction, budget: Fraction, cap: int, equality: bool = False
+):
     """Optimal LP vertex at the critical multiplier.
 
     Maximizes the inner Lagrangian objective while making the weight row
     exactly tight (for mu > 0), yielding at most two fractional components:
     mandatory units fully in, then the tied/optional units adjusted by full
-    swaps plus one final fractional swap.
+    swaps plus one final fractional swap. Under the equality row every
+    unit is ranked, so exactly cap units are taken.
     Returns (x: dict id->Fraction, value: Fraction).
     """
     positives = []
     zeros = []
     for uid, p, w in units:
         adj = p - mu * w
-        if adj > 0:
+        if adj > 0 or equality:
             positives.append((adj, w, uid, p))
         elif adj == 0 and p > 0:
             zeros.append((w, uid, p))
 
     x: dict[int, Fraction] = {}
 
-    if len(positives) <= cap:
+    if len(positives) <= cap and not equality:
         # Every positive unit is mandatory; pad weight up to the budget with
         # zero-adjusted units (free for the inner objective).
         used_w = ZERO
@@ -620,18 +684,26 @@ def _vertex_at_multiplier(units, mu: Fraction, budget: Fraction, cap: int):
     return x, value
 
 
-def box_lp_fractions(units, budget: Fraction, cap: int) -> SmallEval:
-    """max p.x st w.x <= budget, sum x <= cap, x in [0,1], in Fractions.
+def box_lp_fractions(
+    units, budget: Fraction, cap: int, equality: bool = False
+) -> Optional[SmallEval]:
+    """max p.x st w.x <= budget, x in [0,1] and sum x <= cap (sum x = cap
+    with equality), in Fractions.
 
-    units are id-ascending (id, profit, weight) triples with positive
-    profits. If the lightest top-cap-by-profit selection fits, it is the
-    answer at mu = 0. Otherwise the vertex is built at the multiplier of
-    critical_multiplier_enum by swapping tied units up to the budget, and
-    its value is checked against the dual value there. This is the box LP
-    that small_items.solve_box_lp computes on integer keys, down to the
-    vertex it picks.
+    units are id-ascending (id, profit, weight) triples, with positive
+    profits unless equality; under the equality row the answer is None when
+    no cap units fit the budget. If the lightest top-cap-by-profit selection
+    fits, it is the answer at mu = 0. Otherwise the vertex is built at the
+    multiplier of critical_multiplier_enum by swapping tied units up to the
+    budget, and its value is checked against the dual value there. This is
+    the box LP that small_items.solve_box_lp computes on integer keys, down
+    to the vertex it picks.
     """
     budget = Fraction(budget)
+    if equality:
+        lightest = sorted(w for _, _, w in units)[:cap]
+        if not 0 <= cap <= len(units) or budget < 0 or sum(lightest, ZERO) > budget:
+            return None
     cap = max(0, min(int(cap), len(units)))
     if cap == 0 or not units or budget < 0:
         return SmallEval(ZERO, {}, ())
@@ -640,9 +712,9 @@ def box_lp_fractions(units, budget: Fraction, cap: int) -> SmallEval:
         ids = tuple(sorted(uid for uid, _, _ in top))
         value = sum((p for _, p, _ in top), ZERO)
         return SmallEval(value, {uid: Fraction(1) for uid in ids}, ids, mu=ZERO)
-    mu = critical_multiplier_enum(units, budget, cap)
-    x, value = _vertex_at_multiplier(units, mu, budget, cap)
-    dual = _dual_at(units, mu, budget, cap)
+    mu = critical_multiplier_enum(units, budget, cap, equality)
+    x, value = _vertex_at_multiplier(units, mu, budget, cap, equality)
+    dual = _dual_at(units, mu, budget, cap, equality)
     assert value == dual, f"primal {value} != dual {dual} at mu*={mu}"
     integral = tuple(sorted(uid for uid, v in x.items() if v == 1))
     return SmallEval(value, x, integral, mu=mu)
@@ -782,8 +854,7 @@ def column_scan(acc: WeightTable, cls, tau: int, cells) -> list[int]:
         best_t = 0
         best_v = None
         for theta in range(0, min(k, cls.size) + 1):
-            rho = q - theta * tau
-            rest = ZERO if rho <= 0 else acc.value_at(rho, k - theta)
+            rest = acc.value_at(max(q - theta * tau, 0), k - theta)
             v = prefix[theta] + rest
             if best_v is None or v < best_v:
                 best_v, best_t = v, theta
@@ -879,8 +950,7 @@ def slice_search(acc: WeightTable, cls, tau: int, cells) -> list[int]:
 
     def evaluate(zeta: int, theta: int):
         rho = q0 + (zeta - theta) * tau
-        rest = ZERO if rho <= 0 else acc.value_at(rho, k0 + zeta - theta)
-        return prefix[theta] + rest
+        return prefix[theta] + acc.value_at(max(rho, 0), k0 + zeta - theta)
 
     return slice_index(len(cells), lambda zeta: min(k0 + zeta, cls.size), evaluate)
 

@@ -6,11 +6,13 @@ within a factor of 2. Items are then split by profit relative to the
 estimate: profits above eps*opt_estimate are "large" and get rounded UP to
 the right endpoint of their geometric interval; profits in
 [eps*opt_estimate/K, eps*opt_estimate] are "small" and get rounded DOWN to
-a geometric point; profits below eps*opt_estimate/K are discarded (their
-total contribution to any feasible solution is at most eps*opt_estimate).
-Small classes keep only their K lightest members -- some optimal solution
+a geometric point; profits below eps*opt_estimate/K are discarded in
+at-most mode and become zero-profit fillers in exactly-K mode (either way
+K of them are worth less than eps*opt_estimate). Small classes and the
+fillers keep only their K lightest members -- some optimal solution
 survives the pruning because equal-profit items are interchangeable and
-lighter is never worse.
+lighter is never worse. Exactly-K mode first drops the items no feasible
+K-set contains.
 """
 
 from __future__ import annotations
@@ -20,15 +22,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .instance_model import Instance, Item
-from .small_items import upsilon1
+from .instance_model import Instance, Item, Mode
+from .small_items import solve_box_lp
 
 ZERO = Fraction(0)
 
 
 class TrivialInstanceError(ValueError):
-    """Raised when no item contributes positive profit within the budget;
-    the empty selection is optimal."""
+    """Raised when no feasible selection has positive profit; the empty
+    selection (exactly K: the K lightest) is optimal."""
+
+
+class InfeasibleInstanceError(Exception):
+    """Exact mode: no K items fit within the budget."""
 
 
 @dataclass(frozen=True)
@@ -39,8 +45,7 @@ class LargeClass:
     (scale*growth^(i-1), scale*growth^i] where scale = eps*opt_estimate and
     growth = 1+eps; every member counts as
     rounded_profit = scale*growth^index. The exact rounded profit is
-    materialised lazily: on profit-shifted instances the indices reach the
-    hundreds of thousands and the exact power is an integer with as many
+    materialised lazily: at small eps it runs to tens of thousands of
     digits, which the hot paths never need (they compare and floor through
     certified fixed-point brackets instead). Members are sorted by weight
     ascending (ties by id) and prefix_weights[j] is the total weight of the
@@ -94,10 +99,11 @@ class SmallClass:
 class Partition:
     """Complete rounding/partitioning state for one solve.
 
-    discarded holds the ids dropped for being oversize (weight > budget) or
-    below the profit floor eps*opt_estimate/K. cardinality is carried along
-    because the small-item relaxations need K itself, not only
-    z = min(K, ceil(1/eps)).
+    discarded holds the ids that are not candidates (see candidate_items),
+    are pruned, or lie below the profit floor eps*opt_estimate/K, except the
+    fillers: in exactly-K mode (exactly_k) the K lightest of those, counted
+    at profit 0. cardinality is carried along because the small-item
+    relaxations need K itself, not only z = min(K, ceil(1/eps)).
     """
 
     opt_estimate: Fraction
@@ -108,6 +114,8 @@ class Partition:
     large_classes: tuple[LargeClass, ...]
     small_classes: tuple[SmallClass, ...]
     discarded: frozenset[int]
+    exactly_k: bool = False
+    fillers: tuple[Item, ...] = ()
 
     @property
     def class_count(self) -> int:
@@ -144,32 +152,54 @@ class Partition:
                 for c in self.small_classes
             ],
             "discarded": sorted(self.discarded),
+            "fillers": [it.id for it in self.fillers],
         }
 
 
-def _fitting_items(inst: Instance) -> list[Item]:
-    return [it for it in inst.items if it.weight <= inst.budget]
+def candidate_items(inst: Instance) -> list[Item]:
+    """The items some feasible selection contains, in input order: those
+    that fit, and in exactly-K mode fit beside the K-1 lightest others,
+    i.e. weigh at most the budget minus the K-1 lightest. Raises
+    InfeasibleInstanceError when no K items fit together."""
+    fitting = [it for it in inst.items if it.weight <= inst.budget]
+    if inst.mode is not Mode.EXACT:
+        return fitting
+    K = inst.cardinality
+    if len(fitting) < K:
+        raise InfeasibleInstanceError(
+            f"only {len(fitting)} items fit individually, need {K}"
+        )
+    lightest = sorted(it.weight for it in fitting)[:K]
+    if sum(lightest, ZERO) > inst.budget:
+        raise InfeasibleInstanceError(
+            f"the {K} lightest items weigh {sum(lightest, ZERO)} > budget {inst.budget}"
+        )
+    room = inst.budget - sum(lightest[:-1], ZERO)
+    return [it for it in fitting if it.weight <= room]
 
 
 def half_approx_opt(inst: Instance) -> Fraction:
-    """Lower estimate v with v <= OPT <= 2v.
+    """Lower estimate v with v <= OPT <= 2v (OPT over exactly-K sets in
+    exactly-K mode).
 
-    Solves the LP relaxation over the fitting items exactly; its optimal
-    vertex has at most two fractional components, and when both rows are
-    tight the fractional parts sum to exactly one unit, so
-    LP <= integral_part + best_single. Hence
-    max(integral_part, best_single) >= LP/2 >= OPT/2, and both candidates
-    are feasible selections, so the max is also <= OPT.
+    Solves the LP relaxation over the candidate items exactly (cardinality
+    row sum x = K in exactly-K mode). Its vertex has at most two fractional
+    components, and when it has two they sum to exactly one. Its rounding --
+    the integral part, plus in exactly-K mode the lighter fractional unit --
+    is feasible and loses at most one item's profit, so
+    max(rounding, best_single) >= LP/2 >= OPT/2, and it is <= OPT.
     """
-    fitting = _fitting_items(inst)
-    if not fitting:
+    items = candidate_items(inst)
+    if not items:
         return ZERO
-    best_single = max((it.profit for it in fitting), default=ZERO)
-    lp = upsilon1(fitting, inst.budget, inst.cardinality)
-    integral_value = sum(
-        (inst.by_id[uid].profit for uid in lp.integral_ids), ZERO
-    )
-    return max(integral_value, best_single, ZERO)
+    best_single = max((it.profit for it in items), default=ZERO)
+    exactly_k = inst.mode is Mode.EXACT
+    lp = solve_box_lp(items, inst.budget, inst.cardinality, equality=exactly_k)
+    ids = lp.integral_ids
+    if exactly_k:
+        ids = lp.rounded_ids(lambda uid: inst.by_id[uid].weight)
+    rounded = sum((inst.by_id[uid].profit for uid in ids), ZERO)
+    return max(rounded, best_single, ZERO)
 
 
 def _ceil_inv(eps: Fraction) -> int:
@@ -177,10 +207,11 @@ def _ceil_inv(eps: Fraction) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Exact arithmetic on growth powers. Class indices on profit-shifted
-# instances reach the hundreds of thousands, where growth**i is a ratio of
-# integers with hundreds of thousands of digits. Three layers keep that
-# affordable: (a) exact powers are cached per growth and built by Python's
+# Exact arithmetic on growth powers. By the class-count bound
+# _check_partition asserts, an index is at most about log_{1+eps}(K/eps):
+# at eps = 1/800 (user eps 1/100) and K = 10^4 about 12,700, where growth**i
+# has terms of about 37,000 digits. Three layers keep that affordable:
+# (a) exact powers are cached per growth and built by Python's
 # binary exponentiation; (b) Fractions combining them never run gcd on two
 # huge integers -- growth is stored in lowest terms, so its power's terms are
 # coprime by construction and only small-versus-huge reductions remain;
@@ -354,36 +385,41 @@ def _geometric_index_up(ratio: Fraction, eps: Fraction) -> int:
 def build_partition(inst: Instance, eps: Fraction) -> Partition:
     """Partition the instance's items into geometric profit classes.
 
-    Oversize items (weight > budget) are discarded first; the optimum
-    estimate is computed over what remains. Large members are stored sorted
-    by ascending weight with prefix sums; small classes are pruned to their
-    K lightest members.
+    Items no feasible selection contains (see candidate_items) are discarded
+    first; the optimum estimate is computed over what remains. Large members
+    are stored sorted by ascending weight with prefix sums; small classes,
+    and in exactly-K mode the fillers, are pruned to their K lightest
+    members.
     """
     eps = Fraction(eps)
     if not (0 < eps < 1):
         raise ValueError(f"epsilon must be in (0,1), got {eps}")
     K = inst.cardinality
-    fitting = _fitting_items(inst)
-    oversize = {it.id for it in inst.items if it.weight > inst.budget}
+    exactly_k = inst.mode is Mode.EXACT
+    candidates = candidate_items(inst)
 
     opt_estimate = 2 * half_approx_opt(inst)
     if opt_estimate <= 0:
         raise TrivialInstanceError(
-            "no fitting item has positive profit; the empty solution is optimal"
+            "no feasible selection has positive profit; the empty solution is optimal"
         )
 
     z = min(K, _ceil_inv(eps))
     large_floor = eps * opt_estimate  # profits above this are large
-    small_floor = large_floor / K  # profits below this are discarded
+    small_floor = large_floor / K  # profits below this are discarded or fillers
     growth = 1 + eps
 
-    discarded = set(oversize)
+    kept_ids = {it.id for it in candidates}
+    discarded = {it.id for it in inst.items if it.id not in kept_ids}
     large_groups: dict[int, list[Item]] = {}
     small_groups: dict[int, list[Item]] = {}
-    for it in fitting:
+    fillers: list[Item] = []
+    for it in candidates:
         p = it.profit
         if p < small_floor:
             discarded.add(it.id)
+            if exactly_k:
+                fillers.append(it)
         elif p <= large_floor:
             # Round down: smallest i >= 0 with large_floor*(1+eps)^(-i) <= p.
             i = _geometric_index_up(large_floor / p, eps)
@@ -393,6 +429,8 @@ def build_partition(inst: Instance, eps: Fraction) -> Partition:
             # p <= large_floor * (1+eps)^i.
             i = _geometric_index_up(p / large_floor, eps)
             large_groups.setdefault(i, []).append(it)
+    fillers = sorted(fillers, key=lambda t: (t.weight, t.id))[:K]
+    discarded.difference_update(it.id for it in fillers)
 
     large_classes = []
     for i in sorted(large_groups):
@@ -433,6 +471,8 @@ def build_partition(inst: Instance, eps: Fraction) -> Partition:
         large_classes=tuple(large_classes),
         small_classes=tuple(small_classes),
         discarded=frozenset(discarded),
+        exactly_k=exactly_k,
+        fillers=tuple(fillers),
     )
     _check_partition(partition, inst)
     return partition
@@ -481,6 +521,11 @@ def _check_partition(partition: Partition, inst: Instance) -> None:
                 assert not _pow_reaches(
                     growth, c.index - 1, r.numerator, r.denominator
                 ), (it, c.index)
+    # Fillers: exactly-K mode only, at most K, each below the profit floor.
+    assert partition.exactly_k or not partition.fillers
+    assert len(partition.fillers) <= partition.cardinality
+    for it in partition.fillers:
+        assert it.profit * partition.cardinality < large_floor, it
 
     # Class-count bound: at most ceil(log_{1+eps}(1/eps)) large indices plus
     # ceil(log_{1+eps}(K)) + 1 small indices, together within

@@ -2,10 +2,11 @@
 
 The subproblem: given the small-profit items (geometrically rounded profits,
 original weights), a residual weight budget omega and a residual cardinality
-cap k, estimate the best achievable profit. Exact integer optimization is
+k, estimate the best achievable profit. Exact integer optimization is
 replaced by upsilon1, the plain LP relaxation (box constraints + one weight
 row + one cardinality row), solved exactly at a vertex with at most two
-fractional components. Its critical Lagrange multiplier is found by line
+fractional components (sum x = k in exactly-K mode, where two fractional
+components sum to one). Its critical Lagrange multiplier is found by line
 intersection on the convex dual, and its vertex built, on integer keys: the
 data is scaled to integers once, and only the at most two fractional
 components are Fractions. Each greedy pass ranks the units by float64 keys
@@ -26,6 +27,7 @@ item id.
 
 from __future__ import annotations
 
+import itertools
 import math
 import weakref
 from dataclasses import dataclass, field
@@ -75,9 +77,22 @@ class SmallEval:
     def fractional_count(self) -> int:
         return sum(1 for v in self.fractional_solution.values() if 0 < v < 1)
 
+    def rounded_ids(self, weight_of) -> tuple[int, ...]:
+        """Rounding of a vertex under sum x = cap: the integral ids plus the
+        lighter fractional unit. The two fractional parts sum to one, so the
+        count is cap and min(w_a, w_b) <= x_a*w_a + x_b*w_b fits."""
+        frac = [i for i, v in self.fractional_solution.items() if v < 1]
+        assert not frac or (
+            len(frac) == 2 and sum(self.fractional_solution[i] for i in frac) == 1
+        ), self.fractional_solution
+        if not frac:
+            return self.integral_ids
+        return self.integral_ids + (min(frac, key=lambda i: (weight_of(i), i)),)
+
 
 # ---------------------------------------------------------------------------
-# Exact box-LP engine: max p.x st w.x <= budget, 1.x <= cap, 0 <= x <= 1.
+# Exact box-LP engine: max p.x st w.x <= budget, 1.x <= cap (or = cap under
+# the equality row), 0 <= x <= 1.
 # upsilon1 is exactly this program; oracles.upsilon4 reuses it.
 # ---------------------------------------------------------------------------
 
@@ -107,13 +122,14 @@ class _IntScaling:
     budgets for one cap, as in the combiner's split sweep, share the
     passes that their multiplier searches have in common. passes and
     exact_keys count the greedy passes run and the units keyed exactly in
-    them.
+    them. equality selects the row sum x = cap over sum x <= cap.
     """
 
     P: tuple[int, ...]
     W: tuple[int, ...]
     lp: int
     lw: int
+    equality: bool = False
     passes: int = field(default=0, init=False)
     exact_keys: int = field(default=0, init=False)
     _cap: Optional[int] = field(default=None, init=False, repr=False)
@@ -129,12 +145,12 @@ class _IntScaling:
         self.W_array = np.array(self.W, dtype=np.int64 if fits else object)
 
     @classmethod
-    def of(cls, units) -> "_IntScaling":
+    def of(cls, units, equality: bool = False) -> "_IntScaling":
         profits = [p for _, p, _ in units]
         weights = [w for _, _, w in units]
         lp = math.lcm(*(p.denominator for p in profits))
         lw = math.lcm(*(w.denominator for w in weights))
-        return cls(_over(profits, lp), _over(weights, lw), lp, lw)
+        return cls(_over(profits, lp), _over(weights, lw), lp, lw, equality)
 
     @cached_property
     def top_ratio(self) -> tuple[int, int]:
@@ -145,6 +161,11 @@ class _IntScaling:
             if w > 0 and p * top_w > top_p * w:
                 top_p, top_w = p, w
         return top_p, top_w
+
+    @cached_property
+    def lightest(self) -> list[int]:
+        """lightest[c] is the least total W of c units."""
+        return list(itertools.accumulate(sorted(self.W), initial=0))
 
     def float_keys(self, num: int, den: int) -> np.ndarray:
         """Every unit's key den*P - num*W divided by s = max(den*2^e, num*2^f),
@@ -188,31 +209,37 @@ def _greedy_pass(scaled: _IntScaling, cap: int, num: int, den: int):
     """The units at nu = num/den split by the entry threshold of the greedy
     selection on keys den*P - num*W: returns (above, cut, tied).
 
-    When at most cap keys are positive, cut is 0, above holds the units
-    with a positive key and tied the (W, index) pairs of the zero-key units.
-    Otherwise cut is the cap-th largest key, above holds the units keyed
-    above it and tied the (W, index) pairs of the units at it.
+    When at most cap keys are positive (inequality row only), cut is None,
+    above holds the units with a positive key and tied the (W, index) pairs
+    of the zero-key units. Otherwise cut is the cap-th largest key, above
+    holds the units keyed above it and tied the (W, index) pairs of the
+    units at it; the equality row ranks every unit, so its cut may be zero
+    or negative.
 
     The pass is exact while almost every unit is ranked in float. With
     E = KEY_ERROR, a float key above E is positive and one below -E is not;
-    only |kf| <= E gets its exact integer key. At the cap cut, cf, the
-    cap-th largest float key among the positive units, lies within E of
-    the exact cap-th key, so float keys above cf + 2E are above the cut
-    and those below cf - 2E under it; only the band between is keyed
-    exactly and ranked by exact key.
+    only |kf| <= E gets its exact integer key (for the inequality row's
+    sign test). At the cap cut, cf, the cap-th largest float key among the
+    ranked units, lies within E of the exact cap-th key, so float
+    keys above cf + 2E are above the cut and those below cf - 2E under it;
+    only the band between is keyed exactly and ranked by exact key.
     """
     P, W = scaled.P, scaled.W
     kf = scaled.float_keys(num, den)
-    unsure = (abs(kf) <= KEY_ERROR).nonzero()[0].tolist()
-    exact = {i: den * P[i] - num * W[i] for i in unsure}
-    pos = (kf > KEY_ERROR).nonzero()[0]
-    extra = [i for i, key in exact.items() if key > 0]
-    if extra:
-        pos = np.concatenate((pos, extra))
     scaled.passes += 1
-    if len(pos) <= cap:
-        scaled.exact_keys += len(exact)
-        return pos, 0, [(W[i], i) for i, key in exact.items() if key == 0]
+    if scaled.equality:
+        exact = {}
+        pos = np.arange(len(P))
+    else:
+        unsure = (abs(kf) <= KEY_ERROR).nonzero()[0].tolist()
+        exact = {i: den * P[i] - num * W[i] for i in unsure}
+        pos = (kf > KEY_ERROR).nonzero()[0]
+        extra = [i for i, key in exact.items() if key > 0]
+        if extra:
+            pos = np.concatenate((pos, extra))
+        if len(pos) <= cap:
+            scaled.exact_keys += len(exact)
+            return pos, None, [(W[i], i) for i, key in exact.items() if key == 0]
     kpos = kf[pos]
     rank = len(pos) - cap
     cf = np.partition(kpos, rank)[rank]
@@ -232,13 +259,14 @@ def _greedy_pass(scaled: _IntScaling, cap: int, num: int, den: int):
 
 def _lightest_maximizer(scaled: _IntScaling, cap: int, num: int, den: int):
     """Lightest maximizer S of the inner Lagrangian problem at nu = num/den:
-    the top-cap units by positive key den*P - num*W, ties at the cap-th key
-    going to the lighter unit and then to the lower index.
+    the top-cap units by key den*P - num*W (only positive keys under the
+    inequality row), ties at the cap-th key going to the lighter unit and
+    then to the lower index.
 
     Returns (sum of P over S, sum of W over S, indices of S).
     """
     above, cut, tied = _greedy_pass(scaled, cap, num, den)
-    fill = sorted(tied)[: cap - len(above)] if cut else []
+    fill = sorted(tied)[: cap - len(above)] if cut is not None else []
     chosen = above.tolist() + [i for _, i in fill]
     p_sum = sum(map(scaled.P.__getitem__, chosen))
     w_sum = int(scaled.W_array[above].sum()) + sum(w for w, _ in fill)
@@ -257,14 +285,21 @@ def _critical_multiplier(
     the lightest one gives the right derivative. The bracket [a, b] keeps
     wmin(a) > budget >= wmin(b). It starts from a = 0, where the caller
     found the lightest selection (pa, wa) over budget, and from b = max P/W,
-    where only weightless units keep a positive key. The lines at a and b
-    cross at c = (P_a - P_b)/(W_a - W_b). If L(c) lies on the line at a, L
-    is linear on [a, c] with negative slope and on [c, b] with slope >= 0,
-    so c is mu*. Otherwise c replaces the end whose side of the budget it
-    shares. Each replacement strictly raises the slope at a or lowers it at
-    b, so the loop ends.
+    where only weightless units keep a positive key; under the equality row
+    from b = max P - min P + 1, where every lighter unit keys above every
+    heavier one, so the selection is the cap lightest, which the caller
+    found to fit. The lines at a
+    and b cross at c = (P_a - P_b)/(W_a - W_b). If L(c) lies on the line at
+    a, L is linear on [a, c] with negative slope and on [c, b] with
+    slope >= 0, so c is mu*. Otherwise c replaces the end whose side of the
+    budget it shares. Each replacement strictly raises the slope at a or
+    lowers it at b, so the loop ends.
     """
-    pb, wb, _ = scaled.maximizer(cap, *scaled.top_ratio)
+    if scaled.equality:
+        end = (max(scaled.P) - min(scaled.P) + 1, 1)
+    else:
+        end = scaled.top_ratio
+    pb, wb, _ = scaled.maximizer(cap, *end)
     while True:
         num, den = pa - pb, wa - wb
         pc, wc, _ = scaled.maximizer(cap, num, den)
@@ -281,13 +316,13 @@ def _vertex(scaled: _IntScaling, budget_w: Fraction, cap: int, num: int, den: in
     """Optimal LP vertex at the critical multiplier nu* = num/den > 0, built
     on the integer keys den*P - num*W of one greedy pass.
 
-    Units with a positive key go in, up to the cap. The weight row is then
-    made exactly tight with the units whose key ties the entry threshold
-    (the zero-key units when the positive ones fit the cap): full swaps
-    first, then one final fractional swap, so at most two components are
-    fractional. Returns (integral indices, fractional (index, x) pairs,
-    primal sum of P*x, key sum G of a maximizer); den*primal equals
-    num*budget_w + G exactly when primal and dual values agree.
+    Units keyed above the entry threshold go in. The weight row is then
+    made exactly tight with the units whose key ties it (the zero-key units
+    when the selection stops short of the cap): full swaps first, then one
+    final fractional swap, so at most two components are fractional.
+    Returns (integral indices, fractional (index, x) pairs, primal sum of
+    P*x, key sum G of a maximizer); den*primal equals num*budget_w + G
+    exactly when primal and dual values agree.
     """
     P = scaled.P
     bn, bd = budget_w.numerator, budget_w.denominator
@@ -296,7 +331,7 @@ def _vertex(scaled: _IntScaling, budget_w: Fraction, cap: int, num: int, den: in
     used = int(scaled.W_array[above].sum())
     g = den * sum(map(P.__getitem__, integral)) - num * used
     fractional = []
-    if not cut:
+    if cut is None:
         # Pad the weight up to the budget with zero-key units, which are
         # free for the inner objective, heaviest first.
         assert bd * used <= bn, "greedy selection exceeds budget at mu*"
@@ -338,8 +373,12 @@ def _vertex(scaled: _IntScaling, budget_w: Fraction, cap: int, num: int, den: in
     return integral, fractional, primal, g
 
 
-def solve_box_lp(items, budget: Fraction, cap: int) -> SmallEval:
-    """Exact optimum of max p.x st w.x <= budget, sum x <= cap, x in [0,1].
+def solve_box_lp(
+    items, budget: Fraction, cap: int, *, equality: bool = False
+) -> Optional[SmallEval]:
+    """Exact optimum of max p.x st w.x <= budget, sum x <= cap, x in [0,1];
+    with equality, sum x = cap over every unit, zero profits included, and
+    None when no cap units fit the budget.
 
     Fast path: if the minimum-weight top-cap-by-profit selection fits, it is
     integral and optimal. Otherwise the weight row is tight at the optimum:
@@ -347,32 +386,48 @@ def solve_box_lp(items, budget: Fraction, cap: int) -> SmallEval:
     search on integer-scaled data, then a vertex with at most two fractional
     components is constructed at it from the same integer keys.
     """
-    units = [u for u in _units(items) if u[1] > 0]
-    return _solve_units(units, _IntScaling.of(units), Fraction(budget), cap)
+    units = _units(items)
+    if not equality:
+        units = [u for u in units if u[1] > 0]
+    scaled = _IntScaling.of(units, equality)
+    return _evaluation(units, scaled, _solve_units(scaled, Fraction(budget), int(cap)))
 
 
-def _solve_units(units, scaled: _IntScaling, budget: Fraction, cap: int) -> SmallEval:
-    """solve_box_lp on units already normalized, id-sorted and filtered to
-    positive profit, given their integer scaling. Every answer off the fast
-    path is certified: its primal value equals the dual value at mu*."""
-    cap = max(0, min(int(cap), len(units)))
-    if cap == 0 or not units or budget < 0:
-        return SmallEval(ZERO, {}, ())
+def _solve_units(scaled: _IntScaling, budget: Fraction, cap: int):
+    """solve_box_lp on a scaled pool as a raw vertex (primal, integral,
+    fractional, num, den): the value times lp, pool indices, and nu*, 0/1 on
+    the fast path and None/None when nothing is taken; None if infeasible.
+    Every answer off the fast path is certified: its primal value equals
+    the dual value at nu*."""
+    n = len(scaled.P)
+    if scaled.equality:
+        if budget < 0 or not 0 <= cap <= n or scaled.lightest[cap] > budget * scaled.lw:
+            return None
+    else:
+        cap = max(0, min(cap, n))
+    if cap == 0 or budget < 0:
+        return 0, [], [], None, None
 
     budget_w = budget * scaled.lw
     top_p, top_w, top = scaled.maximizer(cap, 0, 1)
     if top_w <= budget_w:
-        ids = tuple(units[i][0] for i in sorted(top))
-        return SmallEval(Fraction(top_p, scaled.lp), dict.fromkeys(ids, ONE), ids, mu=ZERO)
+        return top_p, top, [], 0, 1
 
     num, den = _critical_multiplier(scaled, budget_w, cap, top_p, top_w)
     integral, fractional, primal, g = _vertex(scaled, budget_w, cap, num, den)
     assert den * primal == num * budget_w + g, f"primal != dual at nu*={num}/{den}"
-    integral.sort()
-    ids = tuple(units[i][0] for i in integral)
+    return primal, integral, fractional, num, den
+
+
+def _evaluation(units, scaled: _IntScaling, raw) -> Optional[SmallEval]:
+    """The SmallEval of a raw vertex from _solve_units over these units."""
+    if raw is None:
+        return None
+    primal, integral, fractional, num, den = raw
+    ids = tuple(units[i][0] for i in sorted(integral))
     x = dict.fromkeys(ids, ONE)
     x.update((units[i][0], v) for i, v in fractional)
-    mu = Fraction(num * scaled.lw, den * scaled.lp)
+    mu = None if num is None else Fraction(num * scaled.lw, den * scaled.lp)
     return SmallEval(Fraction(primal, scaled.lp), x, ids, mu=mu)
 
 
@@ -394,18 +449,20 @@ class SmallSolver:
 
     Every query is upsilon1, run by the integer-keyed box-LP engine over the
     pool's positive-profit units, whose greedy passes the pool's scaling
-    caches per cap. Values are memoized per exact (omega, k).
+    caches per cap. With exactly_k a query takes exactly k of all units,
+    zero-profit fillers included, and is None when no k units fit omega.
+    Values are memoized per exact (omega, k).
     """
 
     # Every pool is solved exactly; benchmark traces read this flag.
     exact = True
 
-    def __init__(self, items, K: int):
+    def __init__(self, items, K: int, exactly_k: bool = False):
         self.items = _units(items)
         self.K = int(K)
-        self._memo: dict[tuple[Fraction, int], Fraction] = {}
-        units = [u for u in self.items if u[1] > 0]
-        self._lp_pool = units, _IntScaling.of(units)
+        self._memo: dict[tuple[Fraction, int], Optional[Fraction]] = {}
+        units = self.items if exactly_k else [u for u in self.items if u[1] > 0]
+        self._lp_pool = units, _IntScaling.of(units, exactly_k)
 
     @property
     def passes(self) -> int:
@@ -420,35 +477,42 @@ class SmallSolver:
     @classmethod
     def from_partition(cls, partition) -> "SmallSolver":
         """Build a solver over a partition's pruned small classes, using the
-        class-rounded profits and the original weights."""
+        class-rounded profits and the original weights, plus its zero-profit
+        fillers in exactly-K mode."""
         pool = [
             (item.id, klass.rounded_profit, item.weight)
             for klass in partition.small_classes
             for item in klass.members
         ]
-        return cls(pool, K=partition.cardinality)
+        pool += [(item.id, ZERO, item.weight) for item in partition.fillers]
+        return cls(pool, K=partition.cardinality, exactly_k=partition.exactly_k)
 
     def register_query_weights(self, omegas) -> None:
         """Announce the residual budgets the combiner will query. Nothing is
         precomputed from them; the call is where benchmark traces count the
         combiner's splits."""
 
-    def phi_dag(self, omega: Fraction, k: int) -> Fraction:
-        """Approximation value for residual budget omega, cardinality k."""
+    def phi_dag(self, omega: Fraction, k: int) -> Optional[Fraction]:
+        """Approximation value for residual budget omega, cardinality k;
+        None when exactly k units cannot fit omega (exactly-K mode only)."""
         omega = Fraction(omega)
         if omega < 0:
             raise ValueError("negative residual budget")
         k = max(0, min(int(k), self.K))
         key = (omega, k)
         if key not in self._memo:
-            self._memo[key] = _solve_units(*self._lp_pool, omega, k).value
+            scaled = self._lp_pool[1]
+            raw = _solve_units(scaled, omega, k)
+            self._memo[key] = None if raw is None else Fraction(raw[0], scaled.lp)
         return self._memo[key]
 
-    def eval_detail(self, omega: Fraction, k: int) -> SmallEval:
+    def eval_detail(self, omega: Fraction, k: int) -> Optional[SmallEval]:
         """Full evaluation (with solution structure) for retrieval: the LP
-        vertex, whose integral ids are a feasible selection."""
+        vertex, whose integral ids are a feasible selection (in exactly-K
+        mode, its rounded_ids are). None where phi_dag is None."""
         k = max(0, min(int(k), self.K))
-        return _solve_units(*self._lp_pool, Fraction(omega), k)
+        units, scaled = self._lp_pool
+        return _evaluation(units, scaled, _solve_units(scaled, Fraction(omega), k))
 
 
 _PARTITION_SOLVERS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()

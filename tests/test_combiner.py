@@ -1,6 +1,5 @@
-"""End-to-end solves: the split sweep in at-most mode, the profit-shift
-reduction with repair and certification in exact mode, and the diagnostics
-both report."""
+"""End-to-end solves: the split sweep in at-most mode, the same pipeline with
+exactly-K semantics, and the diagnostics both report."""
 
 import random
 from dataclasses import replace
@@ -13,7 +12,6 @@ from conftest import F, ZERO, best_subset, inst_of
 from kknapsack.combiner import (
     InfeasibleInstanceError,
     InvalidInstanceError,
-    MAX_EXACT_ROUNDS,
     SplitCandidate,
     solve,
     solve_with_details,
@@ -323,7 +321,7 @@ class TestExactMode:
         sol, det = solve_with_details(inst, F(1, 2))
         assert sol.count == 2
         assert sol.selected == {1, 2}  # the two lightest
-        assert det["lb0"] == 0 and det["rounds"] == []
+        assert det["trivial"] is True and det["rounds"] == []
 
     @pytest.mark.parametrize("seed", range(30))
     def test_guarantee_vs_exact_optimum(self, seed):
@@ -340,56 +338,65 @@ class TestExactMode:
         feas = evaluate_solution(inst, sol)
         assert feas.feasible, feas.violations
         assert sol.total_profit >= (1 - eps) * ref[0]
-        assert len(det["rounds"]) <= 2
-        assert det["rounds"][-1]["accepted"] is True
+        if not det.get("trivial"):
+            assert det["rounds"] == [{"internal_eps": eps / 8}]
 
     def test_details_surface(self):
         inst = self.exact_inst(77, n=12, K=3)
         sol, det = solve_with_details(inst, F(1, 4))
         assert det["exact_mode"] is True
-        assert det["lb0"] > 0
-        assert det["delta"] > det["lb0"]
-        for r in det["rounds"]:
-            for key in (
-                "internal_eps",
-                "count",
-                "repaired",
-                "opt_estimate_shifted",
-                "accepted",
-            ):
-                assert key in r, key
-        assert "final" in det
+        assert det["rounds"] == [{"internal_eps": F(1, 32)}]
+        assert det["final"] == {"grid_m": det["grid_m"]}
+        # One pipeline: the at-most keys, at the same internal accuracy.
+        _, det_atmost = solve_with_details(replace(inst, mode=Mode.AT_MOST), F(1, 4))
+        assert set(det_atmost) <= set(det)
+        assert det["grid_m"] == det["partition"].z * det["table"].grid.inv_eps
+        assert det["partition"].exactly_k is True
+        assert frozenset(det["large_ids"]) | frozenset(det["small_ids"]) == sol.selected
+        assert len(det["large_ids"]) == det["split"].large_slots
+        assert len(det["small_ids"]) == 3 - det["split"].large_slots
 
-    def test_repair_branch(self, monkeypatch):
+    def test_grid_does_not_grow_with_k(self):
+        # The former profit shift drove the internal accuracy towards
+        # eps/(32K); the native pipeline keeps eps/8 in both modes.
+        base = generate_instance("uniform", 200, 20, seed=3)
+        budget = sum(it.weight for it in base.items) / 4
+        for K in (5, 20, 80):
+            grids = []
+            for mode in (Mode.AT_MOST, Mode.EXACT):
+                inst = Instance(items=base.items, budget=budget, cardinality=K, mode=mode)
+                sol, det = solve_with_details(inst, F(1, 4))
+                grids.append(det["grid_m"])
+                assert evaluate_solution(inst, sol).feasible
+            assert grids[0] == grids[1] == min(K, 32) * 32
+
+    def test_fillers_complete_the_selection(self):
+        # Three valuable items and many nearly worthless light ones: every
+        # 6-set needs three items from below the profit floor, which the
+        # partition keeps as zero-profit fillers.
+        triples = [(1, 900, 5), (2, 800, 5), (3, 700, 5)]
+        triples += [(uid, 1, 1) for uid in range(4, 14)]
+        inst = inst_of(triples, 18, 6, mode=Mode.EXACT)
+        sol, det = solve_with_details(inst, F(1, 4))
+        part = det["partition"]
+        assert len(part.fillers) == 6  # the K lightest of the ten
+        assert sol.count == 6 and {1, 2, 3} <= sol.selected
+        assert sol.total_profit == best_subset(inst, exact_count=6)[0]
+
+    def test_items_no_k_set_contains_are_discarded(self):
+        # Item 4 fits alone but not beside the two lightest others.
         inst = inst_of(
-            [(1, 9, 2), (2, 7, 3), (3, 6, 1), (4, 2, 2)], 8, 3, mode=Mode.EXACT
+            [(1, 5, 3), (2, 5, 3), (3, 4, 4), (4, 50, 8)], 12, 3, mode=Mode.EXACT
         )
-        real_atmost = combiner._solve_atmost
+        sol, det = solve_with_details(inst, F(1, 4))
+        assert 4 in det["partition"].discarded
+        assert sol.selected == {1, 2, 3}
 
-        def short_solve(shifted, eps_int, eps_label):
-            # Return a deliberately short (1-item) selection with a tiny
-            # claimed estimate so the certificate accepts immediately and
-            # the repair path must supply the missing slots.
-            sol = make_solution(shifted, frozenset({1}), eps_label)
-            return sol, {"opt_estimate": F(1, 1000)}
-
-        monkeypatch.setattr(combiner, "_solve_atmost", short_solve)
-        sol, det = solve_with_details(inst, F(1, 2))
-        monkeypatch.setattr(combiner, "_solve_atmost", real_atmost)
-        assert sol.count == 3
-        assert det["rounds"][0]["repaired"] is True
-        assert det["rounds"][0]["count"] == 3  # count after repair
-        # Repair swaps in the K lightest fitting items: ids 3, 1, 4 or 2 by
-        # (weight, id): weights 1,2,2,3 -> ids 3,1,4.
-        assert sol.selected == {3, 1, 4}
-
-    def test_round_cap_is_a_guard_not_a_path(self):
-        # Normal instances certify in at most two rounds; the cap exists
-        # only to make an impossible runaway loud.
-        assert MAX_EXACT_ROUNDS >= 2
-        inst = self.exact_inst(5, n=10, K=3)
-        _, det = solve_with_details(inst, F(3, 4))
-        assert 1 <= len(det["rounds"]) <= 2
+    def test_pool_equal_to_k(self):
+        # K = n: the only candidate set is every item.
+        inst = inst_of([(1, 3, 2), (2, 0, 1), (3, 9, 4)], 7, 3, mode=Mode.EXACT)
+        sol = solve(inst, F(1, 2))
+        assert sol.selected == {1, 2, 3}
 
     def test_fractional_weights_exact_mode(self):
         inst = inst_of(

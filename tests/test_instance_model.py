@@ -1,4 +1,5 @@
-"""Instances, solutions, feasibility judgments, mode conversion, and io."""
+"""Instances, solutions, feasibility judgments, and io; plus the exactly-K
+to at-most-K profit-shift reduction, which lives in oracles.py."""
 
 import itertools
 from fractions import Fraction
@@ -13,7 +14,6 @@ from kknapsack.instance_model import (
     Instance,
     Item,
     Mode,
-    convert_exact_to_atmost,
     dumps_instance,
     evaluate_solution,
     instance_from_dict,
@@ -25,6 +25,7 @@ from kknapsack.instance_model import (
     save_instance_csv,
     validate_instance,
 )
+from kknapsack.oracles import convert_exact_to_atmost
 
 
 class TestInstanceBasics:

@@ -18,7 +18,7 @@ import pytest
 
 from conftest import F, ZERO, inst_of
 from kknapsack.combiner import solve_with_details
-from kknapsack.instance_model import Item
+from kknapsack.instance_model import Item, Mode
 from kknapsack.large_items import (
     INT_WEIGHT_LIMIT,
     ProfitGrid,
@@ -32,6 +32,7 @@ from kknapsack.large_items import (
     trivial_table,
 )
 from kknapsack.oracles import (
+    EXHAUSTIVE_TABLE_LIMIT,
     base_table,
     brute_force,
     check_table,
@@ -790,3 +791,96 @@ class TestOffGridClassProfits:
         assert exact_profit == opt / 2
         gap = exact_profit - profit_at(folded, omega / 2, 3) * delta
         assert 0 <= gap <= (grid.z + 1) * delta
+
+
+def exact_fold(grid, classes):
+    """convolve from the exactly-k trivial table."""
+    acc = trivial_table(grid, *table_format(classes), exactly_k=True)
+    for cls in classes:
+        acc = convolve(acc, cls)
+    return acc
+
+
+def snapped_members(grid, classes):
+    """Every member under its class's snapped grid profit, so that subset
+    enumeration sums the same profits the fold does."""
+    return [
+        Item(id=it.id, profit=snap_class_profit(grid, cls) * grid.delta, weight=it.weight)
+        for cls in classes
+        for it in cls.members
+    ]
+
+
+class TestExactlyKTables:
+    """Tables whose cell (q, k) takes exactly k large items: the fold starts
+    from a table with only (0, 0) free, reads acc's profit-0 cells below
+    theta*tau, and cuts its shifted reads at the last finite row of any
+    column, since no column is each row's minimum."""
+
+    def test_trivial_table_frees_only_the_origin(self):
+        grid = ProfitGrid(delta=F(1), z=3, inv_eps=2)
+        table = trivial_table(grid, exactly_k=True)
+        finite = [(q, k) for q in range(grid.m + 1) for k in range(grid.z + 1)
+                  if table.is_finite(q, k)]
+        assert finite == [(0, 0)]
+        check_table(table, exactly_k=True)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_fold_matches_subset_enumeration(self, seed):
+        grid, classes = make_system(700 + seed, frac=seed % 2 == 0, huge=seed % 4 == 3)
+        table = exact_fold(grid, classes)
+        check_table(table, exactly_k=True)
+        reference = exhaustive_table(grid, snapped_members(grid, classes), exactly_k=True)
+        assert_same_values(table, reference)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_backpointers_match_column_scan(self, seed):
+        grid, classes = make_system(800 + seed, frac=seed % 2 == 1)
+        acc = trivial_table(grid, *table_format(classes), exactly_k=True)
+        for cls in classes:
+            tau = snap_class_profit(grid, cls)
+            out = convolve(acc, cls)
+            for cells in enumerate_slices(grid, tau):
+                expected = column_scan(acc, cls, tau, cells)
+                assert [int(out.backptr[q, k]) for q, k in cells] == expected
+                assert slice_search(acc, cls, tau, cells) == expected
+            acc = out
+
+    def test_column_z_below_its_rows_minimum(self):
+        # z = 3 but the first class has two members: after it, column k = 3
+        # is infinite in every row while columns 1 and 2 reach profit row 8.
+        # A fold that cut its reads at column z's last finite row would
+        # drop every finite read of the second class.
+        grid = ProfitGrid(delta=F(1), z=3, inv_eps=4)
+        first = mk_class(0, F(4), F(2), [3, 5], first_id=1)
+        second = mk_class(0, F(5), F(2), [2], first_id=3)
+        acc = exact_fold(grid, [first])
+        assert not any(acc.is_finite(q, 3) for q in range(grid.m + 1))
+        assert acc.is_finite(8, 2)
+        table = convolve(acc, second)
+        assert table.value_at(12, 3) == 10  # all three items
+        reference = exhaustive_table(grid, snapped_members(grid, [first, second]), exactly_k=True)
+        assert_same_values(table, reference)
+        check_table(table, exactly_k=True)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 5])
+    def test_build_phi_l_on_exactly_k_partitions(self, seed):
+        inst = generate_instance("uniform", 24, 4, seed=seed, weight_max=30, mode=Mode.EXACT)
+        part = build_partition(inst, F(1, 16))
+        assert part.exactly_k and part.large_classes
+        assert sum(c.size for c in part.large_classes) <= EXHAUSTIVE_TABLE_LIMIT
+        table = build_phi_L(part)
+        grid = table.grid
+        check_table(table, exactly_k=True)
+        reference = exhaustive_table(
+            grid, snapped_members(grid, part.large_classes), exactly_k=True
+        )
+        assert_same_values(table, reference)
+        # Every finite cell retrieves exactly k items of its weight.
+        by_id = {it.id: it for c in part.large_classes for it in c.members}
+        for q in grid.anchor_indices():
+            for k in range(grid.z + 1):
+                if table.is_finite(q, k):
+                    ids = retrieve_items(table, q, k)
+                    assert len(ids) == k
+                    assert sum((by_id[i].weight for i in ids), ZERO) == table.value_at(q, k)

@@ -18,6 +18,7 @@ from kknapsack.oracles import (
     LP_VERTEX_LIMIT,
     OracleMethod,
     brute_force,
+    check_table,
     column_scan,
     critical_multiplier_enum,
     exact_dp,
@@ -171,6 +172,19 @@ class TestExhaustiveTable:
         assert not t.is_finite(6, 2)
         assert not t.is_finite(1, 0)
 
+    def test_exactly_k_by_hand(self):
+        # The same two items with exactly k: one slot cannot take both, and
+        # two slots must, so (0, 2) costs their total weight.
+        grid = ProfitGrid(delta=F(1), z=2, inv_eps=3)
+        items = [Item(id=1, profit=F(2), weight=F(3)), Item(id=2, profit=F(3), weight=F(1))]
+        t = exhaustive_table(grid, items, exactly_k=True)
+        assert t.value_at(0, 0) == 0 and t.value_at(0, 1) == 1
+        assert t.value_at(0, 2) == 4 and t.value_at(2, 2) == 4
+        assert t.value_at(3, 1) == 1 and not t.is_finite(4, 1)
+        check_table(t, exactly_k=True)
+        with pytest.raises(AssertionError):  # (0, 2) > (0, 1): not an at-most table
+            check_table(t)
+
     def test_scaled_exact_storage(self):
         grid = ProfitGrid(delta=F(1), z=2, inv_eps=2)
         items = [Item(id=1, profit=F(3), weight=F(1, 2))]
@@ -214,6 +228,22 @@ class TestLpVertex:
         res = lp_vertex(items, F(5), 1)
         assert res.value == F(8)
         assert res.assignment == {1: F(1, 2), 2: F(1, 2)}
+
+    def test_equality_row(self):
+        # sum x = 2 forces the worthless item 3 in; at budget 4 the single
+        # fractional shapes of the inequality row are out.
+        items = [
+            Item(id=1, profit=F(10), weight=F(8)),
+            Item(id=2, profit=F(6), weight=F(2)),
+            Item(id=3, profit=F(0), weight=F(1)),
+        ]
+        assert lp_vertex(items, F(4), 2).value == F(6) + F(10, 4)
+        res = lp_vertex(items, F(4), 2, equality=True)
+        assert res.value == F(6) + F(10, 7)
+        assert res.assignment == {1: F(1, 7), 2: F(1), 3: F(6, 7)}
+        assert lp_vertex(items, F(2), 2, equality=True).value is None
+        assert lp_vertex(items, F(2), 3, equality=True).value is None
+        assert lp_vertex(items, F(11), 3, equality=True).value == 16
 
 
 def lagrangian(units, mu, budget, cap):

@@ -67,3 +67,30 @@ def test_trace_wraps_every_layer_of_a_large_k_solve(tmp_path, monkeypatch):
     assert metrics["small.queries"] > 0
     assert metrics["combiner.splits"] > 0
     assert list(tmp_path.iterdir()) == []
+
+
+def test_traced_quick_run_folds_one_round_per_exact_k_solve(monkeypatch):
+    # Exactly-K solves run the at-most pipeline once, on the grid of the
+    # internal accuracy eps/8: z * ceil(1/eps_int) rows, with z = min(K, ceil(1/eps_int)).
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import math
+    import workloads
+
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--quick", "--trace", "1",
+         "--workload", "exact-k"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    summary = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert summary["correct"] is True and summary["failed"] == 0
+    grids = set()
+    for job in workloads.build_corpus("exact-k", 1, workloads.DEFAULT_CORPUS_SEED, True):
+        inv = math.ceil(8 / job.eps)
+        grids.add(min(job.instance.cardinality, inv) * inv)
+    assert len(grids) == 1
+    metrics = summary["metrics"]
+    assert metrics["exactk.rounds"]["value"] == 1
+    assert metrics["exactk.grid_m"]["value"] == grids.pop()

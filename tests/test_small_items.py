@@ -18,6 +18,7 @@ from kknapsack.instance_model import Item
 from kknapsack.oracles import (
     BreakpointSet,
     WeightBuckets,
+    _dual_at,
     _expand_types,
     box_lp_fractions,
     critical_multiplier_enum,
@@ -709,3 +710,195 @@ class TestSmallSolver:
         inst = inst_of([(i, 10 + i, 3 + i % 4) for i in range(1, 10)], 12, 4)
         part = build_partition(inst, F(1, 4))
         assert solver_for_partition(part) is solver_for_partition(part)
+
+
+def with_zero_profits(units, rnd):
+    """The units with about a fifth of their profits set to zero, as the
+    zero-profit fillers of an exactly-K pool; id order."""
+    return sorted((uid, ZERO if rnd.random() < 0.2 else p, w) for uid, p, w in units)
+
+
+def equality_case(units, rnd):
+    """(budget, cap) for the equality row. Mostly the budget lies between
+    the cap lightest units' weight and the top-cap-by-profit selection's,
+    so the multiplier search runs; about one draw in eight is infeasible."""
+    cap = rnd.randint(0, len(units) + (rnd.random() < 0.1))
+    weights = sorted(w for _, _, w in units)
+    lightest = sum(weights[:cap], ZERO)
+    top = sum((w for _, _, w in sorted(units, key=lambda t: (-t[1], t[2]))[:cap]), ZERO)
+    if rnd.random() < 0.125:
+        return lightest - Fraction(rnd.randint(1, 4), 2), cap
+    return lightest + (top - lightest) * Fraction(rnd.randint(0, 100), 100), cap
+
+
+def check_equality_primal(ev, units, budget, cap):
+    """ev is a vertex of the LP with sum x = cap: exactly cap in total,
+    within budget, no or two fractional parts summing to one, and its
+    rounding (the lighter fractional unit in) is a feasible cap-set."""
+    by_id = {uid: (p, w) for uid, p, w in units}
+    x = ev.fractional_solution
+    assert all(0 < v <= 1 for v in x.values())
+    assert sum(x.values(), ZERO) == cap
+    assert sum((by_id[uid][0] * v for uid, v in x.items()), ZERO) == ev.value
+    assert sum((by_id[uid][1] * v for uid, v in x.items()), ZERO) <= budget
+    fractional = [v for v in x.values() if v < 1]
+    assert len(fractional) in (0, 2) and sum(fractional, ZERO) in (0, 1)
+    ids = ev.rounded_ids(lambda uid: by_id[uid][1])
+    assert len(set(ids)) == cap
+    assert sum((by_id[uid][1] for uid in ids), ZERO) <= budget
+
+
+def check_against_fractions(units, budget, cap):
+    """The engine's exact-cap answer equals the Fraction reference, down to
+    the vertex; off the fast path its multiplier is the enumerated one and
+    its value is the dual value there (the primal == dual certificate)."""
+    ev = solve_box_lp(units, budget, cap, equality=True)
+    ref = box_lp_fractions(units, budget, cap, equality=True)
+    assert ev == ref
+    if ev is None:
+        return None
+    check_equality_primal(ev, units, budget, cap)
+    if ev.mu:
+        assert ev.mu == critical_multiplier_enum(units, budget, cap, equality=True)
+        assert ev.value == _dual_at(units, ev.mu, budget, cap, equality=True)
+    return ev
+
+
+class TestEqualityRow:
+    """The box LP with sum x = cap, as exactly-K mode asks it: every unit
+    ranks, zero profits included, the cut may be zero or negative, and a
+    query the cap lightest units cannot fit is infeasible."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_lp_vertex(self, seed):
+        rnd = random.Random(f"equality-lp-{seed}")
+        units = pool(seed, rnd.randint(1, 10), frac=seed % 2 == 0)
+        units = [(uid, p, ZERO if rnd.random() < 0.15 else w) for uid, p, w in units]
+        units = with_zero_profits(units, rnd)
+        for _ in range(4):
+            budget, cap = equality_case(units, rnd)
+            ev = solve_box_lp(units, budget, cap, equality=True)
+            ref = lp_vertex(as_items(units), max(budget, ZERO), cap, equality=True)
+            if ev is None:
+                assert ref.value is None or budget < 0
+                continue
+            assert ev.value == ref.value
+            check_equality_primal(ev, units, budget, cap)
+
+    @pytest.mark.parametrize("shape", SHAPES + ["concave", "alternating"])
+    def test_equals_fraction_reference(self, shape):
+        rnd = random.Random(f"equality-fractions-{shape}")
+        searched = infeasible = 0
+        for _ in range(60):
+            units = with_zero_profits(shaped_pool(shape, rnd, rnd.randint(1, 30)), rnd)
+            ev = check_against_fractions(units, *equality_case(units, rnd))
+            infeasible += ev is None
+            searched += ev is not None and bool(ev.mu)
+        assert searched >= 10 and infeasible
+
+    @pytest.mark.parametrize("shape", WIDE_SHAPES)
+    def test_wide_pools_equal_fraction_reference(self, shape):
+        rnd = random.Random(f"equality-wide-{shape}")
+        searched = 0
+        for _ in range(25):
+            units = with_zero_profits(wide_pool(shape, rnd, rnd.randint(1, 24)), rnd)
+            ev = check_against_fractions(units, *equality_case(units, rnd))
+            searched += ev is not None and bool(ev.mu)
+        assert searched
+
+    def test_cuts_at_zero_and_below(self, monkeypatch):
+        # The vertex pass at mu* cuts at the cap-th key, whatever its sign.
+        cuts = []
+        original = small_items._greedy_pass
+
+        def recorded(scaled, cap, num, den):
+            out = original(scaled, cap, num, den)
+            cuts.append(out[1])
+            return out
+
+        monkeypatch.setattr(small_items, "_greedy_pass", recorded)
+        rnd = random.Random("equality-cuts")
+        for shape in ["ties", "random", "zero-weights"]:
+            for _ in range(40):
+                units = with_zero_profits(shaped_pool(shape, rnd, rnd.randint(2, 20)), rnd)
+                check_against_fractions(units, *equality_case(units, rnd))
+        assert None not in cuts
+        assert any(c == 0 for c in cuts) and any(c < 0 for c in cuts)
+
+    def test_zero_profit_pool_takes_the_cap_lightest(self):
+        units = [(1, ZERO, F(5)), (2, ZERO, F(1)), (3, ZERO, F(3)), (4, ZERO, F(2))]
+        ev = solve_box_lp(units, F(10), 3, equality=True)
+        assert ev.value == 0 and ev.integral_ids == (2, 3, 4)
+        assert solve_box_lp(units, F(5), 3, equality=True) is None
+        # At most, a zero-profit pool has nothing to take.
+        assert solve_box_lp(units, F(10), 3).integral_ids == ()
+
+    def test_weightless_units(self):
+        units = [(1, F(3), ZERO), (2, F(9), F(4)), (3, F(1), ZERO)]
+        ev = solve_box_lp(units, ZERO, 2, equality=True)
+        assert ev.integral_ids == (1, 3) and ev.value == 4
+        assert solve_box_lp(units, ZERO, 3, equality=True) is None
+        # Half of unit 2 fits; the other half slot goes to weightless unit 3,
+        # and rounding keeps the lighter of the two.
+        ev = check_against_fractions(units, F(2), 2)
+        assert ev.value == 8
+        assert ev.fractional_solution == {1: 1, 2: F(1, 2), 3: F(1, 2)}
+        assert ev.rounded_ids(lambda uid: units[uid - 1][2]) == (1, 3)
+
+    def test_cap_equal_to_pool_size(self):
+        units = [(1, F(3), F(2)), (2, ZERO, F(1)), (3, F(7), F(4))]
+        ev = solve_box_lp(units, F(7), 3, equality=True)
+        assert ev.integral_ids == (1, 2, 3) and ev.value == 10
+        assert solve_box_lp(units, F(13, 2), 3, equality=True) is None
+        assert solve_box_lp(units, F(100), 4, equality=True) is None
+
+    def test_infeasible_queries(self):
+        units = pool(3, 8)
+        lightest = sum(sorted(w for _, _, w in units)[:4], ZERO)
+        assert solve_box_lp(units, lightest, 4, equality=True) is not None
+        assert solve_box_lp(units, lightest - F(1, 2), 4, equality=True) is None
+        assert solve_box_lp(units, F(-1), 0, equality=True) is None
+        assert solve_box_lp(units, F(0), 0, equality=True).value == 0
+        solver = SmallSolver(units, K=9, exactly_k=True)
+        assert solver.phi_dag(lightest - F(1, 2), 4) is None
+        assert solver.eval_detail(lightest - F(1, 2), 4) is None
+        assert solver.phi_dag(F(1000), 9) is None  # more slots than units
+
+    @pytest.mark.parametrize("shape", SHAPES + WIDE_SHAPES)
+    def test_pass_matches_python_int_reference(self, shape):
+        rnd = random.Random(f"equality-pass-{shape}")
+        pool_of = wide_pool if shape in WIDE_SHAPES else shaped_pool
+        for _ in range(20):
+            units = with_zero_profits(pool_of(shape, rnd, rnd.randint(1, 50)), rnd)
+            scaled = _IntScaling.of(units, equality=True)
+            n = len(units)
+            end = (max(scaled.P) - min(scaled.P) + 1, 1)
+            for _ in range(6):
+                cap = rnd.randint(1, n)
+                i, j = rnd.randrange(n), rnd.randrange(n)
+                if scaled.W[i] != scaled.W[j]:
+                    # A pairwise crossing, where two keys tie.
+                    num, den = abs(scaled.P[i] - scaled.P[j]), abs(scaled.W[i] - scaled.W[j])
+                else:
+                    num, den = rnd.randint(0, 50), rnd.randint(1, 50)
+                for nu in [(num, den), (0, 1), end]:
+                    got = _lightest_maximizer(scaled, cap, *nu)
+                    ref = lightest_maximizer_int(scaled.P, scaled.W, cap, *nu, equality=True)
+                    assert same_pass(got, ref)
+            # At the bracket's right end the selection is the cap lightest.
+            cap = rnd.randint(1, n)
+            assert _lightest_maximizer(scaled, cap, *end)[1] == scaled.lightest[cap]
+
+    def test_solver_matches_solving_from_scratch(self):
+        units = with_zero_profits(pool(23, 60, frac=True, pmax=40, wmax=20), random.Random(5))
+        solver = SmallSolver(units, K=12, exactly_k=True)
+        rnd = random.Random(6)
+        answered = 0
+        for _ in range(60):
+            omega = Fraction(rnd.randint(1, 200), rnd.choice([1, 2, 3]))
+            k = rnd.choice([1, 4, 12])
+            ref = solve_box_lp(units, omega, k, equality=True)
+            assert solver.phi_dag(omega, k) == (None if ref is None else ref.value)
+            assert solver.eval_detail(omega, k) == ref
+            answered += ref is not None
+        assert answered > 20
