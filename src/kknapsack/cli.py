@@ -2,7 +2,7 @@
 
 Subcommands: solve (approximate one instance), generate (seeded instance
 families + manifest), verify (solve and compare against an exact oracle),
-bench (timing sweep over cardinality bounds), convert (JSON <-> CSV).
+convert (JSON <-> CSV).
 
 Exit codes: 0 success, 1 input or usage error, 2 infeasible exact-mode
 instance, 3 verification failure.
@@ -11,10 +11,7 @@ instance, 3 verification failure.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
-import statistics
 import sys
 import time
 from fractions import Fraction
@@ -128,12 +125,11 @@ def _dump_table(table) -> dict:
 
 def cmd_solve(args) -> int:
     eps = _parse_eps(args.epsilon)
-    internal = parse_rational(args.internal_eps) if args.internal_eps else None
     inst = _load_input(args)
 
     start = time.perf_counter()
     try:
-        sol, details = solve_with_details(inst, eps, internal_eps=internal)
+        sol, details = solve_with_details(inst, eps)
     except InvalidInstanceError as exc:
         print(f"error: invalid instance: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -216,13 +212,13 @@ def cmd_generate(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _verify_one(path: Path, eps: Fraction, oracle_name: str, internal) -> tuple[str, bool]:
+def _verify_one(path: Path, eps: Fraction, oracle_name: str) -> tuple[str, bool]:
     inst = load_instance(path)
     oracle_fn = brute_force if oracle_name == "brute" else exact_dp
     oracle = oracle_fn(inst)
 
     try:
-        sol, _ = solve_with_details(inst, eps, internal_eps=internal)
+        sol, _ = solve_with_details(inst, eps)
     except InfeasibleInstanceError:
         if oracle.value is None:
             return f"{path.name}: infeasible (oracle agrees) PASS", True
@@ -248,7 +244,6 @@ def _verify_one(path: Path, eps: Fraction, oracle_name: str, internal) -> tuple[
 
 def cmd_verify(args) -> int:
     eps = _parse_eps(args.epsilon)
-    internal = parse_rational(args.internal_eps) if args.internal_eps else None
     target = Path(args.input)
     if target.is_dir():
         files = sorted(p for p in target.glob("*.json") if p.name != "manifest.json")
@@ -262,7 +257,7 @@ def cmd_verify(args) -> int:
     failures = 0
     for path in files:
         try:
-            line, ok = _verify_one(path, eps, args.oracle, internal)
+            line, ok = _verify_one(path, eps, args.oracle)
         except ValueError as exc:
             raise _UsageError(f"{path.name}: {exc}") from None
         print(line)
@@ -270,58 +265,6 @@ def cmd_verify(args) -> int:
             failures += 1
     print(f"verified {len(files)} instance(s), {failures} failure(s)")
     return EXIT_VERIFY if failures else EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# bench
-# ---------------------------------------------------------------------------
-
-def _parse_cardinalities(values) -> list[int]:
-    out: list[int] = []
-    for chunk in values:
-        for piece in str(chunk).split(","):
-            piece = piece.strip()
-            if piece:
-                out.append(int(piece))
-    if not out:
-        raise _UsageError("bench needs at least one --cardinality value")
-    if any(k < 1 for k in out):
-        raise _UsageError("cardinality values must be >= 1")
-    return out
-
-
-def cmd_bench(args) -> int:
-    eps = _parse_eps(args.epsilon)
-    internal = parse_rational(args.internal_eps) if args.internal_eps else None
-    ks = _parse_cardinalities(args.cardinality)
-    if args.reps < 1:
-        raise _UsageError("--reps must be >= 1")
-
-    # One item pool shared by every run so only the cardinality bound varies.
-    base = generate_instance(args.distribution, args.n, ks[0], args.seed)
-
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["n", "K", "eps", "wall_ms", "peak_table_cells"])
-    for K in ks:
-        inst = Instance(
-            items=base.items,
-            budget=base.budget,
-            cardinality=K,
-            mode=Mode.AT_MOST,
-        )
-        walls = []
-        cells = 0
-        for _ in range(args.reps):
-            start = time.perf_counter()
-            _, details = solve_with_details(inst, eps, internal_eps=internal)
-            walls.append((time.perf_counter() - start) * 1000.0)
-            cells = details.get("table_cells", 0)
-        writer.writerow(
-            [args.n, K, args.epsilon, f"{statistics.median(walls):.3f}", cells]
-        )
-    _write_text(args.output, buf.getvalue())
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", required=True, help="relative error bound in (0,1)")
     p.add_argument("--mode", choices=[m.value for m in Mode], default=None)
     p.add_argument("--output", default=None, help="write the result JSON here")
-    p.add_argument("--internal-eps", default=None, help="override the internal rounding accuracy")
     p.add_argument("--dump-partition", default=None, help="write the partition summary JSON here")
     p.add_argument("--dump-tables", default=None, help="write the folded weight table JSON here")
     p.set_defaults(fn=cmd_solve)
@@ -383,20 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="instance file or directory")
     p.add_argument("--epsilon", required=True)
     p.add_argument("--oracle", choices=["brute", "dp"], default="brute")
-    p.add_argument("--internal-eps", default=None)
     p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("bench", help="timing sweep over cardinality bounds")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cardinality", action="append", required=True,
-                   help="K value or comma list; repeatable")
-    p.add_argument("--epsilon", required=True)
-    p.add_argument("--internal-eps", default=None)
-    p.add_argument("--distribution", default="uniform")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--reps", type=int, default=5)
-    p.add_argument("--output", default=None, help="write the CSV here (default stdout)")
-    p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("convert", help="convert between JSON and CSV instance files")
     _add_input_opts(p)

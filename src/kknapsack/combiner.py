@@ -20,11 +20,14 @@ README's accuracy contract.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .instance_model import (
+# InfeasibleInstanceError is re-exported for callers.
+from .instance_model import (  # noqa: F401
+    InfeasibleInstanceError,
     Instance,
     Mode,
     Solution,
@@ -33,13 +36,10 @@ from .instance_model import (
     validate_instance,
 )
 from .large_items import build_phi_L, retrieve_items
-# InfeasibleInstanceError is re-exported, and the benchmark's tracer wraps
-# combiner.half_approx_opt; neither is called here.
+# The benchmark's tracer wraps combiner.half_approx_opt; it is not called here.
 from .preprocessing import (  # noqa: F401
-    InfeasibleInstanceError,
     TrivialInstanceError,
     build_partition,
-    candidate_items,
     half_approx_opt,
 )
 from .small_items import solver_for_partition
@@ -61,16 +61,15 @@ class SplitCandidate:
     total: Fraction
 
 
-def solve(inst: Instance, eps_user, *, internal_eps=None) -> Solution:
-    sol, _ = solve_with_details(inst, eps_user, internal_eps=internal_eps)
+def solve(inst: Instance, eps_user) -> Solution:
+    sol, _ = solve_with_details(inst, eps_user)
     return sol
 
 
-def solve_with_details(
-    inst: Instance, eps_user, *, internal_eps=None
-) -> tuple[Solution, dict]:
+def solve_with_details(inst: Instance, eps_user) -> tuple[Solution, dict]:
     """Solve and return (solution, diagnostics). Diagnostics carry the
-    partition, the folded table and the chosen split for debug dumps."""
+    internal accuracy eps_user/8, the partition, the folded table and the
+    chosen split for debug dumps."""
     eps_user = Fraction(eps_user)
     if not 0 < eps_user < 1:
         raise ValueError(f"epsilon must be in (0,1), got {eps_user}")
@@ -78,10 +77,7 @@ def solve_with_details(
     if not report.ok:
         raise InvalidInstanceError("; ".join(report.errors))
 
-    eps_int = Fraction(internal_eps) if internal_eps is not None else eps_user / 8
-    if not 0 < eps_int < 1:
-        raise ValueError(f"internal epsilon must be in (0,1), got {eps_int}")
-
+    eps_int = eps_user / 8
     exactly_k = inst.mode is Mode.EXACT
     try:
         partition = build_partition(inst, eps_int)
@@ -90,8 +86,10 @@ def solve_with_details(
         # mode the K lightest, which fit (build_partition checked).
         ids, details = (), {"trivial": True, "internal_eps": eps_int}
         if exactly_k:
-            by_weight = sorted(candidate_items(inst), key=lambda it: (it.weight, it.id))
-            ids = [it.id for it in by_weight[: inst.cardinality]]
+            lightest = heapq.nsmallest(
+                inst.cardinality, inst.candidates, key=lambda it: (it.weight, it.id)
+            )
+            ids = [it.id for it in lightest]
             details.update(exact_mode=True, rounds=[])
         return make_solution(inst, ids, eps_user), details
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import heapq
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,6 +19,10 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 from .rationals import format_rational, parse_rational
+
+
+class InfeasibleInstanceError(Exception):
+    """Exact mode: no K items fit within the budget."""
 
 
 class Mode(enum.Enum):
@@ -45,6 +50,29 @@ class Instance:
     @cached_property
     def by_id(self) -> Mapping[int, Item]:
         return {it.id: it for it in self.items}
+
+    @cached_property
+    def candidates(self) -> tuple[Item, ...]:
+        """The items some feasible selection contains, in input order: those
+        that fit, and in exactly-K mode fit beside the K-1 lightest others,
+        i.e. weigh at most the budget minus the K-1 lightest. Raises
+        InfeasibleInstanceError when no K items fit together."""
+        fitting = [it for it in self.items if it.weight <= self.budget]
+        if self.mode is not Mode.EXACT:
+            return tuple(fitting)
+        K = self.cardinality
+        if len(fitting) < K:
+            raise InfeasibleInstanceError(
+                f"only {len(fitting)} items fit individually, need {K}"
+            )
+        lightest = heapq.nsmallest(K, (it.weight for it in fitting))
+        total = sum(lightest, Fraction(0))
+        if total > self.budget:
+            raise InfeasibleInstanceError(
+                f"the {K} lightest items weigh {total} > budget {self.budget}"
+            )
+        room = self.budget - sum(lightest[:-1], Fraction(0))
+        return tuple(it for it in fitting if it.weight <= room)
 
     @property
     def n(self) -> int:

@@ -41,7 +41,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -125,8 +124,7 @@ class WeightTable:
 
     values and backptr are indexed [q, k]; tables built here expose them as
     .T views of k-major (z+1, m+1) arrays, and convolve accepts either
-    layout. values is None on a table build_phi_L has superseded, including
-    one already handed to its observer.
+    layout. values is None on a table build_phi_L has superseded.
     """
 
     __slots__ = ("grid", "values", "backptr", "stage", "weight_scale", "inf")
@@ -262,17 +260,13 @@ def convolve(acc: WeightTable, cls: LargeClass) -> WeightTable:
     )
 
 
-def build_phi_L(
-    partition: Partition,
-    observer: Optional[Callable[[LargeClass, WeightTable], None]] = None,
-) -> WeightTable:
+def build_phi_L(partition: Partition) -> WeightTable:
     """Fold all large classes (ascending class index) into one table.
 
     Each superseded table is released once the next exists: its values go
     (retrieval reads only backpointers), and so does the stage-less root's
     all-zero backptr. The returned chain holds the head table plus one
-    backpointer byte per cell per class (four when z >= 256). A table
-    passed to observer loses its values when the next class is folded.
+    backpointer byte per cell per class (four when z >= 256).
     """
     grid = ProfitGrid.from_partition(partition)
     acc = trivial_table(
@@ -283,8 +277,6 @@ def build_phi_L(
         prev.values = None
         if prev.stage is None:
             prev.backptr = None
-        if observer is not None:
-            observer(cls, acc)
     return acc
 
 

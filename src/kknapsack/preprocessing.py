@@ -20,7 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .instance_model import Instance, Item, Mode
 from .small_items import solve_box_lp
@@ -31,10 +32,6 @@ ZERO = Fraction(0)
 class TrivialInstanceError(ValueError):
     """Raised when no feasible selection has positive profit; the empty
     selection (exactly K: the K lightest) is optimal."""
-
-
-class InfeasibleInstanceError(Exception):
-    """Exact mode: no K items fit within the budget."""
 
 
 @dataclass(frozen=True)
@@ -99,7 +96,7 @@ class SmallClass:
 class Partition:
     """Complete rounding/partitioning state for one solve.
 
-    discarded holds the ids that are not candidates (see candidate_items),
+    discarded holds the ids that are not candidates (see Instance.candidates),
     are pruned, or lie below the profit floor eps*opt_estimate/K, except the
     fillers: in exactly-K mode (exactly_k) the K lightest of those, counted
     at profit 0. cardinality is carried along because the small-item
@@ -156,28 +153,6 @@ class Partition:
         }
 
 
-def candidate_items(inst: Instance) -> list[Item]:
-    """The items some feasible selection contains, in input order: those
-    that fit, and in exactly-K mode fit beside the K-1 lightest others,
-    i.e. weigh at most the budget minus the K-1 lightest. Raises
-    InfeasibleInstanceError when no K items fit together."""
-    fitting = [it for it in inst.items if it.weight <= inst.budget]
-    if inst.mode is not Mode.EXACT:
-        return fitting
-    K = inst.cardinality
-    if len(fitting) < K:
-        raise InfeasibleInstanceError(
-            f"only {len(fitting)} items fit individually, need {K}"
-        )
-    lightest = sorted(it.weight for it in fitting)[:K]
-    if sum(lightest, ZERO) > inst.budget:
-        raise InfeasibleInstanceError(
-            f"the {K} lightest items weigh {sum(lightest, ZERO)} > budget {inst.budget}"
-        )
-    room = inst.budget - sum(lightest[:-1], ZERO)
-    return [it for it in fitting if it.weight <= room]
-
-
 def half_approx_opt(inst: Instance) -> Fraction:
     """Lower estimate v with v <= OPT <= 2v (OPT over exactly-K sets in
     exactly-K mode).
@@ -189,7 +164,7 @@ def half_approx_opt(inst: Instance) -> Fraction:
     is feasible and loses at most one item's profit, so
     max(rounding, best_single) >= LP/2 >= OPT/2, and it is <= OPT.
     """
-    items = candidate_items(inst)
+    items = inst.candidates
     if not items:
         return ZERO
     best_single = max((it.profit for it in items), default=ZERO)
@@ -220,13 +195,30 @@ def _ceil_inv(eps: Fraction) -> int:
 # only when the bracket straddles the answer, which takes a near-exact tie.
 # ---------------------------------------------------------------------------
 
-_POWER_CACHE: dict[tuple[int, int], dict[int, tuple[int, int]]] = {}
-_POWER_CACHE_GROWTHS = 64
-
 _BRACKET_BITS = 320
 _BRACKET_ONE = 1 << _BRACKET_BITS
-# per growth: {"ladder": [bracket of growth^(2^b)], "pow": {i: bracket}}
-_BRACKET_CACHE: dict[tuple[int, int], dict] = {}
+
+
+class _GrowthPowers(NamedTuple):
+    """What one growth has computed of its powers so far."""
+
+    terms: dict  # i -> coprime (numerator, denominator) of growth**i
+    ladder: list  # b -> bracket of growth**(2**b)
+    brackets: dict  # i -> bracket of growth**i
+
+
+@lru_cache(maxsize=64)
+def _powers(num: int, den: int) -> _GrowthPowers:
+    """The power record of growth num/den, kept for the 64 growths used
+    last."""
+    lo = (num << _BRACKET_BITS) // den
+    base = (lo, lo + 1)
+    return _GrowthPowers(
+        terms={0: (1, 1)},
+        ladder=[base],
+        brackets={0: (_BRACKET_ONE, _BRACKET_ONE), 1: base},
+    )
+
 
 # Building a Fraction from a known-coprime pair skips the normalisation gcd,
 # which dominates everything else once the integers are huge. The private
@@ -251,16 +243,10 @@ except AttributeError:  # pragma: no cover - exotic interpreter
 
 def _growth_terms(growth: Fraction, i: int) -> tuple[int, int]:
     """Exact (numerator, denominator) of growth**i, coprime, cached."""
-    key = (growth.numerator, growth.denominator)
-    per = _POWER_CACHE.get(key)
-    if per is None:
-        while len(_POWER_CACHE) >= _POWER_CACHE_GROWTHS:
-            _POWER_CACHE.pop(next(iter(_POWER_CACHE)))
-        per = _POWER_CACHE[key] = {0: (1, 1)}
-    hit = per.get(i)
+    terms = _powers(growth.numerator, growth.denominator).terms
+    hit = terms.get(i)
     if hit is None:
-        hit = (growth.numerator**i, growth.denominator**i)
-        per[i] = hit
+        hit = terms[i] = (growth.numerator**i, growth.denominator**i)
     return hit
 
 
@@ -292,20 +278,11 @@ def _bracket_pow(growth: Fraction, i: int) -> tuple[int, int]:
     intermediate is a few hundred bits, so a bracket costs microseconds at
     exponents where the exact power would fill megabytes.
     """
-    key = (growth.numerator, growth.denominator)
-    per = _BRACKET_CACHE.get(key)
-    if per is None:
-        while len(_BRACKET_CACHE) >= _POWER_CACHE_GROWTHS:
-            _BRACKET_CACHE.pop(next(iter(_BRACKET_CACHE)))
-        base_lo = (growth.numerator << _BRACKET_BITS) // growth.denominator
-        per = _BRACKET_CACHE[key] = {
-            "ladder": [(base_lo, base_lo + 1)],
-            "pow": {0: (_BRACKET_ONE, _BRACKET_ONE), 1: (base_lo, base_lo + 1)},
-        }
-    hit = per["pow"].get(i)
+    per = _powers(growth.numerator, growth.denominator)
+    hit = per.brackets.get(i)
     if hit is not None:
         return hit
-    ladder = per["ladder"]
+    ladder = per.ladder
     while (1 << len(ladder)) <= i:
         llo, lhi = ladder[-1]
         ladder.append(
@@ -320,7 +297,7 @@ def _bracket_pow(growth: Fraction, i: int) -> tuple[int, int]:
             hi = ((hi * bhi) >> _BRACKET_BITS) + 1
         rem >>= 1
         bit += 1
-    per["pow"][i] = (lo, hi)
+    per.brackets[i] = (lo, hi)
     return lo, hi
 
 
@@ -385,18 +362,18 @@ def _geometric_index_up(ratio: Fraction, eps: Fraction) -> int:
 def build_partition(inst: Instance, eps: Fraction) -> Partition:
     """Partition the instance's items into geometric profit classes.
 
-    Items no feasible selection contains (see candidate_items) are discarded
-    first; the optimum estimate is computed over what remains. Large members
-    are stored sorted by ascending weight with prefix sums; small classes,
-    and in exactly-K mode the fillers, are pruned to their K lightest
-    members.
+    Items no feasible selection contains (see Instance.candidates) are
+    discarded first; the optimum estimate is computed over what remains.
+    Large members are stored sorted by ascending weight with prefix sums;
+    small classes, and in exactly-K mode the fillers, are pruned to their K
+    lightest members.
     """
     eps = Fraction(eps)
     if not (0 < eps < 1):
         raise ValueError(f"epsilon must be in (0,1), got {eps}")
     K = inst.cardinality
     exactly_k = inst.mode is Mode.EXACT
-    candidates = candidate_items(inst)
+    candidates = inst.candidates
 
     opt_estimate = 2 * half_approx_opt(inst)
     if opt_estimate <= 0:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -439,7 +438,7 @@ def upsilon1(items, omega: Fraction, k: int) -> SmallEval:
 
 
 # ---------------------------------------------------------------------------
-# SmallSolver: pool-level evaluator with memoization.
+# SmallSolver: pool-level evaluator.
 # ---------------------------------------------------------------------------
 
 
@@ -451,7 +450,6 @@ class SmallSolver:
     pool's positive-profit units, whose greedy passes the pool's scaling
     caches per cap. With exactly_k a query takes exactly k of all units,
     zero-profit fillers included, and is None when no k units fit omega.
-    Values are memoized per exact (omega, k).
     """
 
     # Every pool is solved exactly; benchmark traces read this flag.
@@ -460,7 +458,6 @@ class SmallSolver:
     def __init__(self, items, K: int, exactly_k: bool = False):
         self.items = _units(items)
         self.K = int(K)
-        self._memo: dict[tuple[Fraction, int], Optional[Fraction]] = {}
         units = self.items if exactly_k else [u for u in self.items if u[1] > 0]
         self._lp_pool = units, _IntScaling.of(units, exactly_k)
 
@@ -499,12 +496,9 @@ class SmallSolver:
         if omega < 0:
             raise ValueError("negative residual budget")
         k = max(0, min(int(k), self.K))
-        key = (omega, k)
-        if key not in self._memo:
-            scaled = self._lp_pool[1]
-            raw = _solve_units(scaled, omega, k)
-            self._memo[key] = None if raw is None else Fraction(raw[0], scaled.lp)
-        return self._memo[key]
+        scaled = self._lp_pool[1]
+        raw = _solve_units(scaled, omega, k)
+        return None if raw is None else Fraction(raw[0], scaled.lp)
 
     def eval_detail(self, omega: Fraction, k: int) -> Optional[SmallEval]:
         """Full evaluation (with solution structure) for retrieval: the LP
@@ -515,13 +509,7 @@ class SmallSolver:
         return _evaluation(units, scaled, _solve_units(scaled, Fraction(omega), k))
 
 
-_PARTITION_SOLVERS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
 def solver_for_partition(partition) -> SmallSolver:
-    """SmallSolver for a partition, cached per partition object."""
-    solver = _PARTITION_SOLVERS.get(partition)
-    if solver is None:
-        solver = SmallSolver.from_partition(partition)
-        _PARTITION_SOLVERS[partition] = solver
-    return solver
+    """SmallSolver for a partition; the combiner's entry point, which
+    benchmark traces wrap to count pools."""
+    return SmallSolver.from_partition(partition)

@@ -646,7 +646,7 @@ def test_c10_cardinality_independence_trend(criterion):
             walls = []
             for _ in range(5):
                 t0 = time.perf_counter()
-                _, det = solve_with_details(inst, F(4, 5), internal_eps=F(1, 10))
+                _, det = solve_with_details(inst, F(4, 5))
                 walls.append(time.perf_counter() - t0)
                 z_seen.add(det["z"])
             medians[K] = statistics.median(walls)

@@ -115,19 +115,14 @@ class TestSolve:
         assert "7/2" in {cell for row in tab["values"] for cell in row}
 
     def test_internal_eps_flag(self, inst_file, capsys):
-        rc = main(
-            [
-                "solve",
-                "--input",
-                str(inst_file),
-                "--epsilon",
-                "1/2",
-                "--internal-eps",
-                "1/4",
-            ]
-        )
-        assert rc == EXIT_OK
-        assert json.loads(capsys.readouterr().out)["epsilon_user"] == "1/2"
+        # The internal accuracy is always eps/8; argparse rejects the old
+        # override flag on solve and verify as unrecognised.
+        for command in ("solve", "verify"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--input", str(inst_file), "--epsilon", "1/2",
+                      "--internal-eps", "1/4"])
+            assert exc.value.code == 2
+            assert "--internal-eps" in capsys.readouterr().err
 
     def test_csv_input_needs_budget_and_cardinality(self, tmp_path, capsys):
         csv_path = tmp_path / "items.csv"
@@ -340,46 +335,12 @@ class TestVerify:
 
 
 class TestBench:
-    def test_csv_shape(self, tmp_path, capsys):
-        out_f = tmp_path / "bench.csv"
-        rc = main(
-            [
-                "bench",
-                "--n",
-                "30",
-                "--cardinality",
-                "2,4",
-                "--cardinality",
-                "6",
-                "--epsilon",
-                "1/2",
-                "--reps",
-                "2",
-                "--seed",
-                "3",
-                "--output",
-                str(out_f),
-            ]
-        )
-        assert rc == EXIT_OK
-        lines = out_f.read_text().strip().splitlines()
-        assert lines[0] == "n,K,eps,wall_ms,peak_table_cells"
-        rows = [l.split(",") for l in lines[1:]]
-        assert [r[1] for r in rows] == ["2", "4", "6"]
-        assert all(r[0] == "30" for r in rows)
-        assert all(r[2] == "1/2" for r in rows)
-        assert all(float(r[3]) >= 0 for r in rows)
-        assert all(int(r[4]) > 0 for r in rows)
-
-    def test_bad_reps_and_cardinality(self, capsys):
-        rc = main(
-            ["bench", "--n", "10", "--cardinality", "2", "--epsilon", "1/2", "--reps", "0"]
-        )
-        assert rc == EXIT_INPUT
-        rc = main(
-            ["bench", "--n", "10", "--cardinality", "0", "--epsilon", "1/2"]
-        )
-        assert rc == EXIT_INPUT
+    def test_subcommand_is_rejected(self, capsys):
+        # perfbench/ is the one benchmark; the CLI has no bench subcommand.
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--n", "30", "--cardinality", "2", "--epsilon", "1/2"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 class TestConvert:

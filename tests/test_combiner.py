@@ -44,15 +44,24 @@ def mixed_instance(seed):
 
 
 class TestValidation:
+    def test_internal_accuracy_is_fixed(self):
+        # eps_int is eps/8, which the accuracy contract's loss terms assume;
+        # there is no parameter to change it.
+        inst = generate_instance("uniform", 12, 3, seed=5, weight_max=15)
+        sol, det = solve_with_details(inst, F(1, 2))
+        assert det["internal_eps"] == F(1, 16)
+        assert det["partition"].epsilon == F(1, 16)
+        assert sol.epsilon_used == F(1, 2)
+        with pytest.raises(TypeError):
+            solve(inst, F(1, 2), internal_eps=F(1, 3))
+        with pytest.raises(TypeError):
+            solve_with_details(inst, F(1, 2), internal_eps=F(1, 3))
+
     def test_epsilon_range(self):
         inst = inst_of([(1, 5, 1)], 3, 1)
         for bad in (0, 1, 2, F(-1, 2)):
             with pytest.raises(ValueError):
                 solve(inst, bad)
-        with pytest.raises(ValueError):
-            solve(inst, F(1, 2), internal_eps=0)
-        with pytest.raises(ValueError):
-            solve(inst, F(1, 2), internal_eps=1)
 
     def test_invalid_instance(self):
         dup = inst_of([(1, 5, 1), (1, 4, 1)], 3, 1)
@@ -209,13 +218,6 @@ class TestDeterminismAndKnobs:
         if det["partition"].large_classes:
             assert det7["table"].weight_scale == 7 * det["table"].weight_scale
 
-    def test_internal_eps_override(self):
-        inst = generate_instance("uniform", 12, 3, seed=5, weight_max=15)
-        sol, det = solve_with_details(inst, F(1, 2), internal_eps=F(1, 3))
-        assert det["internal_eps"] == F(1, 3)
-        assert det["partition"].epsilon == F(1, 3)
-        assert sol.epsilon_used == F(1, 2)
-
     def test_details_surface(self):
         inst = generate_instance("uniform", 18, 4, seed=9, weight_max=25)
         sol, det = solve_with_details(inst, F(1, 4))
@@ -251,13 +253,14 @@ class TestDeterminismAndKnobs:
 
 
     def test_details_report_a_float_pool(self):
-        # K * eps_int = 10 > 1, where the paper would switch to its ladder,
-        # over a pool of 114 items: the box LP answers it and the selection
-        # is feasible.
+        # K = 20 > 1/eps_int = 16, where the paper would switch to its
+        # ladder, over a pool of 50 items: the box LP answers it and the
+        # selection is feasible.
         inst = generate_instance("correlated", 300, 20, seed=2)
-        sol, det = solve_with_details(inst, F(1, 2), internal_eps=F(1, 2))
+        sol, det = solve_with_details(inst, F(1, 2))
+        assert inst.cardinality * det["internal_eps"] > 1
         pool = sum(len(c.members) for c in det["partition"].small_classes)
-        assert pool == 114
+        assert pool == 50
         assert det["small_pool"] == pool
         feas = evaluate_solution(inst, sol)
         assert feas.feasible, feas.violations

@@ -497,14 +497,6 @@ class TestLeanStages:
                 retrieved += 1
         assert retrieved > grid.z
 
-    def test_observer_table_loses_values_after_next_fold(self):
-        inst = generate_instance("uniform", 24, 6, seed=0, weight_max=30)
-        part = build_partition(inst, F(1, 8))
-        seen = []
-        table = build_phi_L(part, observer=lambda cls, acc: seen.append(acc))
-        assert seen[-1] is table and table.values is not None
-        assert all(t.values is None for t in seen[:-1])
-
 
 class TestScaledStorage:
     def test_scale_for_is_lcm_of_weight_denominators(self):
@@ -605,13 +597,15 @@ class TestPickKindAndBuild:
         assert_same_values(table, reference)
         check_table(table)
 
-    def test_observer_sees_ascending_classes(self):
+    def test_stage_chain_folds_ascending_classes(self):
         inst = generate_instance("uniform", 24, 6, seed=0, weight_max=30)
         part = build_partition(inst, F(1, 8))
         assert len(part.large_classes) >= 2
-        seen = []
-        build_phi_L(part, observer=lambda cls, acc: seen.append(cls.index))
-        assert seen == sorted(c.index for c in part.large_classes)
+        folded, t = [], build_phi_L(part)
+        while t.stage is not None:
+            folded.append(t.stage.cls.index)
+            t = t.stage.prev
+        assert folded[::-1] == sorted(c.index for c in part.large_classes)
 
 
 class TestProfitAt:

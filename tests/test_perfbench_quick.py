@@ -32,7 +32,7 @@ def test_quick_run_solves_every_workload_correctly(tmp_path):
 
 def test_trace_wraps_every_layer_of_a_large_k_solve(tmp_path, monkeypatch):
     # The quick run above is untraced. Here the benchmark's tracer wraps one
-    # solve with K * eps_int = 10 > 1 and a small pool of 114 items, which
+    # solve with K = 20 > 1/eps_int = 16 and a small pool of 50 items, which
     # the paper would answer with its upsilon2 ladder.
     monkeypatch.chdir(tmp_path)
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
@@ -54,13 +54,14 @@ def test_trace_wraps_every_layer_of_a_large_k_solve(tmp_path, monkeypatch):
         for owner, attr, original in wrapped:
             assert getattr(owner, attr) is not original, attr
         start = perf_counter()
-        kknapsack.solve_with_details(inst, Fraction(1, 2), internal_eps=Fraction(1, 2))
+        _, det = kknapsack.solve_with_details(inst, Fraction(1, 2))
         traced_s = perf_counter() - start
     finally:
         tracer.uninstall()
     for owner, attr, original in wrapped:
         assert getattr(owner, attr) is original, attr
 
+    assert inst.cardinality * det["internal_eps"] > 1 and det["small_pool"] == 50
     metrics = tracer.layer_metrics(traced_s, traced_s, 1)
     assert metrics["small.float_pools"] == 0
     assert metrics["small.exact_pools"] >= 1

@@ -14,7 +14,7 @@ from conftest import F, ZERO, inst_of
 import kknapsack.small_items as small_items
 from kknapsack.combiner import solve_with_details
 from kknapsack.generator import generate_instance
-from kknapsack.instance_model import Item
+from kknapsack.instance_model import Item, Mode
 from kknapsack.oracles import (
     BreakpointSet,
     WeightBuckets,
@@ -39,13 +39,8 @@ from kknapsack.small_items import (
     _lightest_maximizer,
     _units,
     solve_box_lp,
-    solver_for_partition,
     upsilon1,
 )
-
-# The greedy pass ranks units in float64; an overflow or an invalid value
-# there must fail loudly rather than rank by inf or nan.
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def pool(seed, n, frac=False, pmax=20, wmax=15):
@@ -685,14 +680,49 @@ class TestSmallSolver:
             assert solver.phi_dag(omega, k) == ref.value
             assert solver.eval_detail(omega, k) == ref
 
-    def test_memoization_and_clamping(self):
+    def test_k_clamps_and_negative_budget_raises(self):
         solver = self.mk_solver()
-        v = solver.phi_dag(F(7), 99)  # k clamps to K
-        assert (F(7), solver.K) in solver._memo
-        assert solver.phi_dag(F(7), solver.K) is v
+        assert solver.phi_dag(F(7), 99) == solver.phi_dag(F(7), solver.K)
+        assert solver.eval_detail(F(7), 99) == solver.eval_detail(F(7), solver.K)
         assert solver.phi_dag(F(0), 2) == 0
         with pytest.raises(ValueError):
             solver.phi_dag(F(-1), 2)
+
+    @pytest.mark.parametrize(
+        "family, n, K, eps, mode, seed",
+        [
+            ("uniform", 80, 8, F(1, 4), Mode.AT_MOST, 1),
+            ("correlated", 200, 20, F(1, 2), Mode.AT_MOST, 2),
+            ("subset-sum", 100, 6, F(1, 4), Mode.AT_MOST, 3),
+            ("uniform", 80, 8, F(1, 4), Mode.EXACT, 4),
+            ("correlated", 120, 12, F(1, 2), Mode.EXACT, 5),
+        ],
+    )
+    def test_a_solve_asks_each_query_once(
+        self, monkeypatch, family, n, K, eps, mode, seed
+    ):
+        # SmallSolver keeps no memo: the combiner's sweep keeps one anchor
+        # per table weight within each k, so no (omega, k) recurs in a
+        # solve, and retrieval evaluates the winning split once.
+        asked, details = [], []
+        phi_dag, eval_detail = SmallSolver.phi_dag, SmallSolver.eval_detail
+
+        def counted_phi_dag(self, omega, k):
+            asked.append((Fraction(omega), int(k)))
+            return phi_dag(self, omega, k)
+
+        def counted_eval_detail(self, omega, k):
+            details.append((Fraction(omega), int(k)))
+            return eval_detail(self, omega, k)
+
+        monkeypatch.setattr(SmallSolver, "phi_dag", counted_phi_dag)
+        monkeypatch.setattr(SmallSolver, "eval_detail", counted_eval_detail)
+        inst = generate_instance(family, n, K, seed=seed, mode=mode)
+        _, det = solve_with_details(inst, eps)
+        assert len(asked) > 1
+        assert len(set(asked)) == len(asked)
+        split = det["split"]
+        assert details == [(split.small_budget, K - split.large_slots)]
 
     def test_from_partition_uses_rounded_profits(self):
         inst = inst_of([(i, 10 + i, 3 + i % 4) for i in range(1, 10)], 12, 4)
@@ -705,11 +735,6 @@ class TestSmallSolver:
         }
         assert {uid: p for uid, p, _ in solver.items} == expected
         assert solver.K == part.cardinality
-
-    def test_solver_for_partition_is_cached(self):
-        inst = inst_of([(i, 10 + i, 3 + i % 4) for i in range(1, 10)], 12, 4)
-        part = build_partition(inst, F(1, 4))
-        assert solver_for_partition(part) is solver_for_partition(part)
 
 
 def with_zero_profits(units, rnd):
