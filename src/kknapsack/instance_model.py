@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .rationals import format_rational, parse_rational
+from .rationals import exact_sum, format_rational, parse_rational
 
 
 class InfeasibleInstanceError(Exception):
@@ -66,12 +66,12 @@ class Instance:
                 f"only {len(fitting)} items fit individually, need {K}"
             )
         lightest = heapq.nsmallest(K, (it.weight for it in fitting))
-        total = sum(lightest, Fraction(0))
+        total = exact_sum(lightest)
         if total > self.budget:
             raise InfeasibleInstanceError(
                 f"the {K} lightest items weigh {total} > budget {self.budget}"
             )
-        room = self.budget - sum(lightest[:-1], Fraction(0))
+        room = self.budget - exact_sum(lightest[:-1])
         return tuple(it for it in fitting if it.weight <= room)
 
     @property
@@ -105,8 +105,8 @@ class Solution:
 def make_solution(inst: Instance, ids: Iterable[int], epsilon_used: Fraction) -> Solution:
     """Build a Solution with sums recomputed exactly from the instance."""
     ids = frozenset(ids)
-    profit = sum((inst.by_id[i].profit for i in ids), Fraction(0))
-    weight = sum((inst.by_id[i].weight for i in ids), Fraction(0))
+    profit = exact_sum(inst.by_id[i].profit for i in ids)
+    weight = exact_sum(inst.by_id[i].weight for i in ids)
     return Solution(
         selected=ids,
         total_profit=profit,
@@ -150,6 +150,7 @@ def validate_instance(inst: Instance) -> ValidationReport:
         errors.append(f"budget must be >= 0, got {inst.budget}")
 
     seen: set[int] = set()
+    fitting = 0
     for it in inst.items:
         if it.id in seen:
             errors.append(f"duplicate item id {it.id}")
@@ -161,10 +162,11 @@ def validate_instance(inst: Instance) -> ValidationReport:
         if it.weight > inst.budget:
             warnings.append(f"item {it.id}: weight exceeds budget (removable)")
             removable.add(it.id)
+        else:
+            fitting += 1
 
     if not inst.items:
         warnings.append("trivial instance: no items")
-    fitting = sum(1 for it in inst.items if it.weight <= inst.budget)
     if inst.mode is Mode.EXACT and fitting < inst.cardinality:
         warnings.append(
             f"exact mode: only {fitting} items fit individually, "
@@ -180,8 +182,8 @@ def evaluate_solution(inst: Instance, sol: Solution) -> FeasibilityReport:
     if unknown:
         raise KeyError(f"solution references unknown item ids: {sorted(unknown)}")
 
-    profit = sum((inst.by_id[i].profit for i in sol.selected), Fraction(0))
-    weight = sum((inst.by_id[i].weight for i in sol.selected), Fraction(0))
+    profit = exact_sum(inst.by_id[i].profit for i in sol.selected)
+    weight = exact_sum(inst.by_id[i].weight for i in sol.selected)
     count = len(sol.selected)
 
     violations: list[str] = []

@@ -14,6 +14,10 @@ the LP's vertex at that multiplier in Fractions; the paper's breakpoint set
 scale; the column scanner and the paper's divide-and-conquer slice search
 (enumerate_slices, slice_index) re-derive slice costs from raw table reads.
 
+reference_partition classifies every item with its own bracket search
+(_geometric_index_up) and sorts members as Fractions; build_partition must
+return the same partition from its integer class thresholds.
+
 convert_exact_to_atmost is the classic reduction of exactly-K to at-most-K
 by a profit shift. Production does not use it: exactly-K mode runs the
 same pipeline with exactly-k semantics.
@@ -49,6 +53,8 @@ from .large_items import (
     snap_class_profit,
     trivial_table,
 )
+from . import preprocessing
+from .preprocessing import LargeClass, Partition, SmallClass, _geometric_index_up
 from .small_items import SmallEval, _units, solve_box_lp
 
 ZERO = Fraction(0)
@@ -272,6 +278,78 @@ def convert_exact_to_atmost(
     return (
         Instance(items=shifted, budget=inst.budget, cardinality=inst.cardinality, mode=Mode.AT_MOST),
         delta,
+    )
+
+
+# ---------------------------------------------------------------------------
+# The partition reference: one bracket search per item, Fraction sorts.
+# ---------------------------------------------------------------------------
+
+def reference_partition(inst: Instance, eps: Fraction) -> Partition:
+    """The partition build_partition must return, classified item by item:
+    each profit's class index is the bracket search _geometric_index_up on
+    its Fraction ratio to eps*opt_estimate, and members are sorted by
+    (weight, id) as Fractions. The estimate is read through
+    preprocessing.half_approx_opt at call time, like build_partition."""
+    eps = Fraction(eps)
+    K = inst.cardinality
+    exactly_k = inst.mode is Mode.EXACT
+    candidates = inst.candidates
+    opt_estimate = 2 * preprocessing.half_approx_opt(inst)
+    large_floor = eps * opt_estimate
+    small_floor = large_floor / K
+    growth = 1 + eps
+
+    kept_ids = {it.id for it in candidates}
+    discarded = {it.id for it in inst.items if it.id not in kept_ids}
+    large_groups: dict[int, list[Item]] = {}
+    small_groups: dict[int, list[Item]] = {}
+    fillers: list[Item] = []
+    for it in candidates:
+        p = it.profit
+        if p < small_floor:
+            discarded.add(it.id)
+            if exactly_k:
+                fillers.append(it)
+        elif p <= large_floor:
+            # Round down: smallest i >= 0 with large_floor*(1+eps)^(-i) <= p.
+            i = _geometric_index_up(large_floor / p, eps)
+            small_groups.setdefault(i, []).append(it)
+        else:
+            # Round up: smallest i >= 1 with p <= large_floor*(1+eps)^i.
+            i = _geometric_index_up(p / large_floor, eps)
+            large_groups.setdefault(i, []).append(it)
+
+    def lightest_first(members):
+        return sorted(members, key=lambda t: (t.weight, t.id))
+
+    fillers = lightest_first(fillers)[:K]
+    discarded.difference_update(it.id for it in fillers)
+    large_classes = []
+    for i in sorted(large_groups):
+        members = lightest_first(large_groups[i])
+        prefix = [ZERO]
+        for it in members:
+            prefix.append(prefix[-1] + it.weight)
+        large_classes.append(
+            LargeClass(i, large_floor, growth, tuple(members), tuple(prefix))
+        )
+    small_classes = []
+    for i in sorted(small_groups):
+        members = lightest_first(small_groups[i])
+        discarded.update(it.id for it in members[K:])
+        small_classes.append(SmallClass(i, large_floor, growth, tuple(members[:K])))
+    return Partition(
+        opt_estimate=opt_estimate,
+        epsilon=eps,
+        z=min(K, math.ceil(1 / eps)),
+        cardinality=K,
+        budget=inst.budget,
+        large_classes=tuple(large_classes),
+        small_classes=tuple(small_classes),
+        discarded=frozenset(discarded),
+        exactly_k=exactly_k,
+        fillers=tuple(fillers),
     )
 
 

@@ -18,13 +18,17 @@ K-set contains.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import accumulate, groupby
+from operator import itemgetter
 from typing import NamedTuple
 
 from .instance_model import Instance, Item, Mode
-from .small_items import solve_box_lp
+from .rationals import exact_sum
+from .small_items import _over, solve_box_lp
 
 ZERO = Fraction(0)
 
@@ -173,12 +177,8 @@ def half_approx_opt(inst: Instance) -> Fraction:
     ids = lp.integral_ids
     if exactly_k:
         ids = lp.rounded_ids(lambda uid: inst.by_id[uid].weight)
-    rounded = sum((inst.by_id[uid].profit for uid in ids), ZERO)
+    rounded = exact_sum(inst.by_id[uid].profit for uid in ids)
     return max(rounded, best_single, ZERO)
-
-
-def _ceil_inv(eps: Fraction) -> int:
-    return math.ceil(1 / Fraction(eps))
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +193,13 @@ def _ceil_inv(eps: Fraction) -> int:
 # (c) comparisons and floors go through certified fixed-point brackets
 # (320 fractional bits, outward rounding) and fall back to exact integers
 # only when the bracket straddles the answer, which takes a near-exact tie.
+# build_partition takes one bracket per class boundary, not per item. In
+# integer profit units P = p*lp, with S = eps*opt_estimate*lp, large class
+# i >= 1 is floor(S*g^(i-1)) < P <= floor(S*g^i) and small class j >= 0 is
+# ceil(S*g^-j) <= P < ceil(S*g^(1-j)); a ceiling is the floor plus one
+# unless _pow_reaches finds the boundary an exact integer, so a profit on a
+# boundary joins the class whose rounded profit it equals. _check_partition
+# still checks every member with its own bracket.
 # ---------------------------------------------------------------------------
 
 _BRACKET_BITS = 320
@@ -366,7 +373,8 @@ def build_partition(inst: Instance, eps: Fraction) -> Partition:
     discarded first; the optimum estimate is computed over what remains.
     Large members are stored sorted by ascending weight with prefix sums;
     small classes, and in exactly-K mode the fillers, are pruned to their K
-    lightest members.
+    lightest members. Each item's class is one bisect of its integer profit
+    over boundaries computed once (see the comment block above).
     """
     eps = Fraction(eps)
     if not (0 < eps < 1):
@@ -381,68 +389,61 @@ def build_partition(inst: Instance, eps: Fraction) -> Partition:
             "no feasible selection has positive profit; the empty solution is optimal"
         )
 
-    z = min(K, _ceil_inv(eps))
     large_floor = eps * opt_estimate  # profits above this are large
-    small_floor = large_floor / K  # profits below this are discarded or fillers
     growth = 1 + eps
+    lp = math.lcm(*(it.profit.denominator for it in candidates))
+    lw = math.lcm(*(it.weight.denominator for it in candidates))
+    P = _over((it.profit for it in candidates), lp)
+    scale = large_floor * lp
+    sn, sd = scale.numerator, scale.denominator
+    floor_p = -(-sn // (sd * K))  # ceil(S/K): below it, discarded or filler
+    top = max(P)
+    large_bounds = [geometric_floor(scale, growth, 0)]  # floor(S*g^i)
+    while large_bounds[-1] < top:
+        large_bounds.append(geometric_floor(scale, growth, len(large_bounds)))
+    small_bounds: list[int] = []  # -ceil(S*g^-j), negated to ascend
+    while not small_bounds or -small_bounds[-1] > floor_p:
+        j = len(small_bounds)
+        f = geometric_floor(scale, growth, -j)
+        exact = f and _pow_reaches(growth, j, sn, sd * f)  # S*g^-j == f
+        small_bounds.append(-f if exact else -f - 1)
 
-    kept_ids = {it.id for it in candidates}
-    discarded = {it.id for it in inst.items if it.id not in kept_ids}
-    large_groups: dict[int, list[Item]] = {}
-    small_groups: dict[int, list[Item]] = {}
-    fillers: list[Item] = []
-    for it in candidates:
-        p = it.profit
-        if p < small_floor:
-            discarded.add(it.id)
-            if exactly_k:
-                fillers.append(it)
-        elif p <= large_floor:
-            # Round down: smallest i >= 0 with large_floor*(1+eps)^(-i) <= p.
-            i = _geometric_index_up(large_floor / p, eps)
-            small_groups.setdefault(i, []).append(it)
+    discarded: set[int] = set()  # no id sets when every item is a candidate
+    if len(candidates) < inst.n:
+        discarded = {it.id for it in inst.items} - {it.id for it in candidates}
+    rows = []  # (kind, class, W, id, position): kind 0 filler, 1 small, 2 large
+    for k, (it, p) in enumerate(zip(candidates, P)):
+        if p < floor_p:
+            if not exactly_k:
+                discarded.add(it.id)
+                continue
+            kind, i = 0, 0
+        elif p <= large_bounds[0]:
+            kind, i = 1, bisect_left(small_bounds, -p)
         else:
-            # Round up: smallest i (>= 1 since p > large_floor) with
-            # p <= large_floor * (1+eps)^i.
-            i = _geometric_index_up(p / large_floor, eps)
-            large_groups.setdefault(i, []).append(it)
-    fillers = sorted(fillers, key=lambda t: (t.weight, t.id))[:K]
-    discarded.difference_update(it.id for it in fillers)
+            kind, i = 2, bisect_left(large_bounds, p)
+        w = it.weight
+        rows.append((kind, i, w.numerator * (lw // w.denominator), it.id, k))
 
-    large_classes = []
-    for i in sorted(large_groups):
-        members = sorted(large_groups[i], key=lambda t: (t.weight, t.id))
-        prefix = [ZERO]
-        for it in members:
-            prefix.append(prefix[-1] + it.weight)
-        large_classes.append(
-            LargeClass(
-                index=i,
-                profit_scale=large_floor,
-                growth=growth,
-                members=tuple(members),
-                prefix_weights=tuple(prefix),
-            )
-        )
-
-    small_classes = []
-    for i in sorted(small_groups):
-        members = sorted(small_groups[i], key=lambda t: (t.weight, t.id))
-        kept = members[:K]
+    large_classes, small_classes, fillers = [], [], []
+    for (kind, i), group in groupby(sorted(rows), key=itemgetter(0, 1)):
+        group = list(group)
+        members = tuple(candidates[r[4]] for r in group)
+        if kind == 2:
+            sums = accumulate((r[2] for r in group), initial=0)
+            prefix = tuple(Fraction(s, lw) for s in sums)
+            large_classes.append(LargeClass(i, large_floor, growth, members, prefix))
+            continue
         discarded.update(it.id for it in members[K:])
-        small_classes.append(
-            SmallClass(
-                index=i,
-                profit_scale=large_floor,
-                growth=growth,
-                members=tuple(kept),
-            )
-        )
+        if kind == 0:
+            fillers = members[:K]
+        else:
+            small_classes.append(SmallClass(i, large_floor, growth, members[:K]))
 
     partition = Partition(
         opt_estimate=opt_estimate,
         epsilon=eps,
-        z=z,
+        z=min(K, math.ceil(1 / eps)),
         cardinality=K,
         budget=inst.budget,
         large_classes=tuple(large_classes),
@@ -469,35 +470,26 @@ def _check_partition(partition: Partition, inst: Instance) -> None:
     opt = partition.opt_estimate
     growth = 1 + eps
     large_floor = eps * opt
+    ln, ld = large_floor.numerator, large_floor.denominator
     n = inst.n
 
     for c in partition.large_classes:
         assert c.index >= 1 and c.profit_scale == large_floor and c.growth == growth
         for it in c.members:
-            r = it.profit / large_floor
-            assert _pow_reaches(growth, c.index, r.numerator, r.denominator), (
-                it,
-                c.index,
-            )
-            assert not _pow_reaches(
-                growth, c.index - 1, r.numerator, r.denominator
-            ), (it, c.index)
+            rn, rd = it.profit.numerator * ld, it.profit.denominator * ln
+            assert _pow_reaches(growth, c.index, rn, rd), (it, c.index)
+            assert not _pow_reaches(growth, c.index - 1, rn, rd), (it, c.index)
         assert len(c.prefix_weights) == c.size + 1
     for c in partition.small_classes:
         assert c.index >= 0 and c.profit_scale == large_floor and c.growth == growth
         assert c.size <= partition.cardinality
         for it in c.members:
-            r = large_floor / it.profit
-            assert _pow_reaches(growth, c.index, r.numerator, r.denominator), (
-                it,
-                c.index,
-            )
+            rn, rd = ln * it.profit.denominator, ld * it.profit.numerator
+            assert _pow_reaches(growth, c.index, rn, rd), (it, c.index)
             # For index 0 the upper bound profit < scale*growth holds by the
             # small/large split itself (profit <= scale < scale*growth).
             if c.index:
-                assert not _pow_reaches(
-                    growth, c.index - 1, r.numerator, r.denominator
-                ), (it, c.index)
+                assert not _pow_reaches(growth, c.index - 1, rn, rd), (it, c.index)
     # Fillers: exactly-K mode only, at most K, each below the profit floor.
     assert partition.exactly_k or not partition.fillers
     assert len(partition.fillers) <= partition.cardinality

@@ -1,15 +1,17 @@
 """Exact-rational plumbing shared across the package.
 
 Profits, weights and budgets are fractions.Fraction end to end; this module
-adds the two pieces the standard library lacks: a saturating infinity
-sentinel for "no feasible packing" table cells, and the string forms used by
-the instance file formats ("num/den", plain integers, or decimal strings).
+adds the pieces the standard library lacks: a saturating infinity sentinel
+for "no feasible packing" table cells, an exact sum that normalises once,
+and the string forms used by the instance file formats ("num/den", plain
+integers, or decimal strings).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, Union
 
 
 class _SaturatingInfinity:
@@ -70,6 +72,17 @@ ExtendedRational = Union[Fraction, _SaturatingInfinity]
 
 def is_finite(value: ExtendedRational) -> bool:
     return value is not INF
+
+
+def exact_sum(values: Iterable[Fraction]) -> Fraction:
+    """Exact sum, as sum(values, Fraction(0)) but with one gcd instead of
+    one per term: the numerators are added over the lcm of the
+    denominators."""
+    values = list(values)
+    den = math.lcm(*{v.denominator for v in values})
+    if den == 1:
+        return Fraction(sum(v.numerator for v in values))
+    return Fraction(sum(v.numerator * (den // v.denominator) for v in values), den)
 
 
 def parse_rational(text) -> Fraction:

@@ -147,8 +147,8 @@ class _IntScaling:
     def of(cls, units, equality: bool = False) -> "_IntScaling":
         profits = [p for _, p, _ in units]
         weights = [w for _, _, w in units]
-        lp = math.lcm(*(p.denominator for p in profits))
-        lw = math.lcm(*(w.denominator for w in weights))
+        lp = math.lcm(*{p.denominator for p in profits})
+        lw = math.lcm(*{w.denominator for w in weights})
         return cls(_over(profits, lp), _over(weights, lw), lp, lw, equality)
 
     @cached_property
@@ -197,11 +197,21 @@ class _IntScaling:
 def _over(values, lcm: int) -> tuple[int, ...]:
     """Numerators of the values over the common denominator lcm. A value
     already over lcm, such as any integer when lcm is 1, keeps its numerator
-    object, so integral pools allocate no new ints."""
-    return tuple(
-        v.numerator if v.denominator == lcm else v.numerator * (lcm // v.denominator)
-        for v in values
-    )
+    object, so integral pools allocate no new ints; any other value is
+    scaled once and shared by its repeats, as class-rounded profits are."""
+    scaled: dict[tuple[int, int], int] = {}
+    out = []
+    for v in values:
+        n, d = v.numerator, v.denominator
+        if d == lcm:
+            out.append(n)
+            continue
+        key = (n, d)
+        x = scaled.get(key)
+        if x is None:
+            x = scaled[key] = n * (lcm // d)
+        out.append(x)
+    return tuple(out)
 
 
 def _greedy_pass(scaled: _IntScaling, cap: int, num: int, den: int):

@@ -87,6 +87,29 @@ class TestValidateInstance:
         assert report.ok
         assert any("infeasible" in w for w in report.warnings)
 
+    def test_exact_mode_fit_count_with_oversize_and_duplicates(self):
+        # Both copies of id 1 fit and both count; both copies of id 3 are
+        # oversize and are each reported. Order of every message is input order.
+        inst = inst_of(
+            [(1, 3, 4), (2, 1, 11), (1, 2, 10), (3, 1, 12), (3, 2, 13)],
+            10,
+            4,
+            mode=Mode.EXACT,
+        )
+        report = validate_instance(inst)
+        assert report.errors == ("duplicate item id 1", "duplicate item id 3")
+        assert report.warnings == (
+            "item 2: weight exceeds budget (removable)",
+            "item 3: weight exceeds budget (removable)",
+            "item 3: weight exceeds budget (removable)",
+            "exact mode: only 2 items fit individually, fewer than K=4; "
+            "instance is infeasible",
+        )
+        assert report.removable_ids == frozenset({2, 3})
+        # At K = 2 the two fitting copies suffice: no infeasibility warning.
+        enough = Instance(items=inst.items, budget=inst.budget, cardinality=2, mode=Mode.EXACT)
+        assert not any("fit individually" in w for w in validate_instance(enough).warnings)
+
 
 class TestSolutions:
     def test_make_solution_sums_exactly(self):

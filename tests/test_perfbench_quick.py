@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("midscale-mix", "large-fold", "wide-n", "exact-k")
 
@@ -70,7 +72,21 @@ def test_trace_wraps_every_layer_of_a_large_k_solve(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_traced_quick_run_folds_one_round_per_exact_k_solve(monkeypatch):
+@pytest.fixture
+def spans_left_as_found():
+    """The traced run writes its spans into perfbench/out/; remove the file,
+    and the directory when the run created it, unless they existed before."""
+    out_dir = ROOT / "perfbench" / "out"
+    spans = out_dir / "spans-exact-k-seed1.json"
+    had_dir, had_spans = out_dir.exists(), spans.exists()
+    yield
+    if not had_spans:
+        spans.unlink(missing_ok=True)
+        if not had_dir and out_dir.is_dir() and not any(out_dir.iterdir()):
+            out_dir.rmdir()
+
+
+def test_traced_quick_run_folds_one_round_per_exact_k_solve(monkeypatch, spans_left_as_found):
     # Exactly-K solves run the at-most pipeline once, on the grid of the
     # internal accuracy eps/8: z * ceil(1/eps_int) rows, with z = min(K, ceil(1/eps_int)).
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))

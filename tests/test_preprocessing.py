@@ -2,15 +2,19 @@
 arithmetic (cached powers, certified fixed-point brackets) they ride on."""
 
 import math
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import F, ZERO, best_subset, inst_of
-from kknapsack.generator import generate_instance
-from kknapsack.instance_model import Instance, Mode
+from kknapsack import preprocessing
+from kknapsack.generator import DISTRIBUTIONS, generate_instance
+from kknapsack.instance_model import Instance, Item, Mode
+from kknapsack.oracles import reference_partition
 from kknapsack.preprocessing import (
     TrivialInstanceError,
     _check_partition,
@@ -29,6 +33,7 @@ from kknapsack.preprocessing import (
 growths = st.builds(
     lambda a, b: Fraction(a + b, a), st.integers(1, 50), st.integers(1, 50)
 )
+ROOT = Path(__file__).resolve().parent.parent
 scales = st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(1000))
 
 
@@ -288,3 +293,134 @@ class TestBuildPartition:
             summary = part.summary()
             assert len(summary["large_classes"]) == len(part.large_classes)
             assert len(summary["small_classes"]) == len(part.small_classes)
+
+
+def _acceptance_corpora():
+    """The C01 and C02 instances, each at the internal accuracies (user eps
+    over 8) their solves partition at."""
+    for seed in range(500):
+        rnd = random.Random(10_000 + seed)
+        dist = DISTRIBUTIONS[seed % len(DISTRIBUTIONS)]
+        n, K = rnd.randint(4, 18), rnd.randint(1, 6)
+        inst = generate_instance(
+            dist, n, K, seed=seed, weight_max=rnd.choice([10, 50, 200]),
+            integral=rnd.random() < 0.7,
+        )
+        yield inst, F(1, 32)
+    for seed in range(100):
+        rnd = random.Random(20_000 + seed)
+        dist = DISTRIBUTIONS[seed % len(DISTRIBUTIONS)]
+        n, K = rnd.randint(30, 200), rnd.randint(2, 20)
+        inst = generate_instance(dist, n, K, seed=seed, weight_max=40)
+        if inst.budget > 1000:
+            inst = Instance(items=inst.items, budget=F(1000), cardinality=K)
+        yield inst, F(1, 80)
+        yield inst, F(3, 80)
+
+
+def _assert_matches_reference(inst, eps):
+    """build_partition equals the per-item reference; returns the partition,
+    or None when the instance is trivial."""
+    try:
+        part = build_partition(inst, eps)
+    except TrivialInstanceError:
+        return None
+    assert part == reference_partition(inst, eps)
+    return part
+
+
+class TestIntegerThresholds:
+    """build_partition's integer class thresholds against the reference
+    partition, which searches each item's class with its own brackets."""
+
+    def test_acceptance_corpora(self):
+        built = [_assert_matches_reference(inst, eps) for inst, eps in _acceptance_corpora()]
+        assert sum(p is not None for p in built) > 650
+        assert any(p and p.large_classes for p in built)
+
+    def test_perfbench_quick_corpora(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        import workloads
+
+        for name in workloads.WORKLOADS:
+            for job in workloads.build_corpus(name, 1, workloads.DEFAULT_CORPUS_SEED, True):
+                assert _assert_matches_reference(job.instance, job.eps / 8) is not None
+
+    @pytest.mark.parametrize("mode", [Mode.AT_MOST, Mode.EXACT])
+    @pytest.mark.parametrize("scale", [F(4**7 * 5**7), F(4**7 * 5**7, 3), F(7, 3)])
+    def test_profits_on_boundaries(self, monkeypatch, scale, mode):
+        # scale = eps*opt_estimate, fixed by pinning the estimate. Items sit
+        # on every boundary scale*g^j (the profit floor scale/K included) and
+        # one P-unit either side; scale 4^7*5^7 makes every boundary an
+        # integer, the others leave lp > 1 and near-ties in P units.
+        eps, K = F(1, 4), 8
+        growth = 1 + eps
+        monkeypatch.setattr(preprocessing, "half_approx_opt", lambda inst: scale / eps / 2)
+        bounds = [scale * growth**j for j in range(-10, 7)] + [scale / K]
+        lp = math.lcm(*(b.denominator for b in bounds))
+        profits = [b + F(d, lp) for b in bounds for d in (-1, 0, 1)] + [ZERO]
+        triples = [(i, p, 1 + (7 * i) % 5) for i, p in enumerate(profits, 1)]
+        inst = inst_of(triples, 10**6, K, mode=mode)
+        part = _assert_matches_reference(inst, eps)
+        on_grid = set(bounds[:-1])
+        for c in part.large_classes + part.small_classes:
+            for it in c.members:
+                assert (it.profit == c.rounded_profit) == (it.profit in on_grid)
+        assert len(part.discarded) + len(part.fillers) + part.large_item_count + (
+            part.small_item_count
+        ) == len(profits)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fractional_and_huge_values(self, seed):
+        big = 2**70
+        base = generate_instance("uniform", 60, 6, seed=seed, integral=False)
+        assert math.lcm(*(it.profit.denominator for it in base.items)) > 1
+        _assert_matches_reference(base, F(1, 16))
+        items = tuple(
+            Item(it.id, it.profit * big + it.id, it.weight * big + seed) for it in base.items
+        )
+        huge = Instance(items, base.budget * big, base.cardinality, base.mode)
+        assert max(it.profit for it in huge.items) > 2**62
+        _assert_matches_reference(huge, F(1, 16))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_exactly_k_fillers(self, seed):
+        inst = generate_instance("uniform", 80, 12, seed=seed, mode=Mode.EXACT)
+        part = _assert_matches_reference(inst, F(1, 16))
+        assert part.exactly_k and part.fillers
+
+    @pytest.mark.parametrize("mode", [Mode.AT_MOST, Mode.EXACT])
+    def test_cardinality_at_least_n(self, mode):
+        base = generate_instance("correlated", 15, 3, seed=4, weight_max=20)
+        for K in (15, 20) if mode is Mode.AT_MOST else (15,):
+            inst = Instance(base.items, F(10**4), K, mode)
+            part = _assert_matches_reference(inst, F(1, 16))
+            # Nothing is pruned: only profits below the floor are dropped.
+            floor = part.epsilon * part.opt_estimate / K
+            assert all(inst.by_id[i].profit < floor for i in part.discarded)
+
+    @pytest.mark.parametrize("mode", [Mode.AT_MOST, Mode.EXACT])
+    def test_all_equal_profits(self, mode):
+        inst = inst_of([(i, 3, 1 + i % 4) for i in range(1, 21)], 30, 4, mode=mode)
+        part = _assert_matches_reference(inst, F(1, 8))
+        assert part.class_count == 1 and part.small_item_count == 4
+
+    def test_no_per_item_index_search(self, monkeypatch):
+        # A per-item bracket search would call _geometric_index_up once per
+        # item; build_partition must call it a fixed number of times.
+        calls = []
+        search = preprocessing._geometric_index_up
+
+        def counting(ratio, eps):
+            calls.append(ratio)
+            return search(ratio, eps)
+
+        monkeypatch.setattr(preprocessing, "_geometric_index_up", counting)
+        counts = []
+        for n in (200, 2000):
+            inst = generate_instance("uniform", n, 16, seed=5)
+            part = build_partition(inst, F(1, 16))
+            assert part.small_item_count > 16
+            counts.append(len(calls))
+            calls.clear()
+        assert counts[0] == counts[1] <= 2, counts

@@ -1,4 +1,5 @@
-"""Exact-rational plumbing: string forms and the saturating infinity."""
+"""Exact-rational plumbing: string forms, the saturating infinity and the
+one-gcd exact sum."""
 
 import pickle
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kknapsack.rationals import INF, format_rational, is_finite, parse_rational
+from kknapsack.rationals import INF, exact_sum, format_rational, is_finite, parse_rational
 
 
 class TestParseRational:
@@ -38,6 +39,17 @@ class TestParseRational:
     def test_garbage_rejected(self, bad):
         with pytest.raises((ValueError, ZeroDivisionError)):
             parse_rational(bad)
+
+
+class TestExactSum:
+    @given(st.lists(st.fractions() | st.integers(-(2**70), 2**70), max_size=30))
+    def test_equals_term_by_term_sum(self, values):
+        got = exact_sum(iter(values))
+        assert got == sum(values, Fraction(0)) and type(got) is Fraction
+
+    def test_empty_and_integral(self):
+        assert exact_sum([]) == 0
+        assert exact_sum([Fraction(3), Fraction(-5), Fraction(9)]) == 7
 
 
 class TestFormatRational:
