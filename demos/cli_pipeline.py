@@ -60,8 +60,11 @@ def main() -> int:
         out = json.loads(proc.stdout)
         print(f"parsed solve output: value={out['value']} "
               f"weight={out['weight']} items={out['items']}")
+        print(f"answered at internal eps {out['internal_eps']}, certified "
+              f"value / LP bound >= {out['certified_ratio']}")
         ok &= set(out) == {
-            "value", "weight", "count", "items", "epsilon_user", "elapsed_ms"
+            "value", "weight", "count", "items", "epsilon_user", "internal_eps",
+            "certified_ratio", "elapsed_ms",
         }
         ok &= out["count"] == len(out["items"]) <= 3
 

@@ -13,6 +13,11 @@ differences:
 - the small LP's vertex has no or two fractional parts, which sum to one,
   so retrieval adds the lighter of the two.
 
+Like every solve, it first runs at internal accuracy eps and keeps that
+answer only when it reaches (1 - eps/2) times the LP bound on OPT (here the
+LP with the row sum x = K); otherwise it solves again at eps/8. The script
+prints which level answered and the certified ratio value / LP.
+
 This script runs one normal exactly-K solve, one where fillers must fill
 the selection, one all-zero-profit solve and one infeasible instance, then
 verifies each outcome against exhaustive enumeration.
@@ -75,7 +80,10 @@ def main() -> int:
     print(f"selected {sorted(sol.selected)}: profit {sol.total_profit}, "
           f"weight {sol.total_weight}, count {sol.count}")
     print(f"feasible: {report.feasible}")
-    print(f"internal eps {details['internal_eps']}, grid m = {details['grid_m']}, "
+    print(f"answered at internal eps {details['internal_eps']} "
+          f"(fell back to eps/8: {details['fell_back']}), "
+          f"certified ratio value/LP = {float(details['certified_ratio']):.4f}")
+    print(f"grid m = {details['grid_m']}, "
           f"large slots {details['split'].large_slots}, "
           f"small ids {list(details['small_ids'])}")
     print(f"discarded: {sorted(part.discarded)} (item 1 fits alone, but no "
@@ -84,6 +92,7 @@ def main() -> int:
     print(f"exhaustive exactly-3 optimum: {opt}")
     ok &= report.feasible and sol.count == 3 and 1 in part.discarded
     ok &= sol.total_profit >= (1 - eps) * opt
+    ok &= details["fell_back"] or details["certified_ratio"] >= 1 - eps / 2
 
     print()
     print("=" * 64)

@@ -23,7 +23,7 @@ from kknapsack import Instance, Item, Mode, build_partition, half_approx_opt
 def show(partition, inst) -> bool:
     ok = True
     print(f"  optimum estimate : {partition.opt_estimate}"
-          f" (2 * greedy half-approximation {half_approx_opt(inst)})")
+          f" (2 * greedy half-approximation {half_approx_opt(inst).value})")
     large_floor = partition.epsilon * partition.opt_estimate
     keep_floor = large_floor / partition.cardinality
     print(f"  large-item floor : profit > {large_floor}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -144,6 +145,10 @@ def cmd_solve(args) -> int:
         "count": sol.count,
         "items": sorted(sol.selected),
         "epsilon_user": format_rational(eps),
+        "internal_eps": format_rational(details["internal_eps"]),
+        # value / LP bound, rounded down so that it stays a lower bound on
+        # value / OPT.
+        "certified_ratio": math.floor(details["certified_ratio"] * 10**6) / 10**6,
         "elapsed_ms": round(elapsed_ms, 3),
     }
     _write_text(args.output, json.dumps(out, indent=2) + "\n")

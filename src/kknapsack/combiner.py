@@ -16,6 +16,10 @@ query takes exactly its k units (a split whose small side cannot is
 skipped), and retrieval rounds the small vertex by adding the lighter of its
 two fractional units. The error analysis is the at-most one; see the
 README's accuracy contract.
+
+A solve runs the pipeline at two internal accuracies at most: first at the
+user's eps, kept only when the estimate's LP bound certifies the answer,
+then at eps/8, the paper's scheme.
 """
 
 from __future__ import annotations
@@ -36,12 +40,7 @@ from .instance_model import (  # noqa: F401
     validate_instance,
 )
 from .large_items import build_phi_L, retrieve_items
-# The benchmark's tracer wraps combiner.half_approx_opt; it is not called here.
-from .preprocessing import (  # noqa: F401
-    TrivialInstanceError,
-    build_partition,
-    half_approx_opt,
-)
+from .preprocessing import OptimumEstimate, build_partition, half_approx_opt
 from .small_items import solver_for_partition
 
 
@@ -67,9 +66,17 @@ def solve(inst: Instance, eps_user) -> Solution:
 
 
 def solve_with_details(inst: Instance, eps_user) -> tuple[Solution, dict]:
-    """Solve and return (solution, diagnostics). Diagnostics carry the
-    internal accuracy eps_user/8, the partition, the folded table and the
-    chosen split for debug dumps."""
+    """Solve and return (solution, diagnostics).
+
+    The pipeline runs first at the coarse internal accuracy eps_user, and
+    that answer stands only when the LP bound certifies it: value >=
+    (1 - eps_user/2) * lp_bound >= (1 - eps_user/2) * OPT. Otherwise the
+    same pipeline runs again at eps_user/8, the accuracy the paper's
+    analysis needs for (1 - eps_user) * OPT, and its answer stands. The
+    estimate, and with it the LP bound, is computed once for both levels.
+    Diagnostics carry the level that answered (internal_eps), fell_back,
+    lp_bound and certified_ratio = value / lp_bound, plus that level's
+    partition, folded table and chosen split for debug dumps."""
     eps_user = Fraction(eps_user)
     if not 0 < eps_user < 1:
         raise ValueError(f"epsilon must be in (0,1), got {eps_user}")
@@ -77,22 +84,51 @@ def solve_with_details(inst: Instance, eps_user) -> tuple[Solution, dict]:
     if not report.ok:
         raise InvalidInstanceError("; ".join(report.errors))
 
-    eps_int = eps_user / 8
     exactly_k = inst.mode is Mode.EXACT
-    try:
-        partition = build_partition(inst, eps_int)
-    except TrivialInstanceError:
-        # Every feasible selection is worth 0: take none, or in exactly-K
-        # mode the K lightest, which fit (build_partition checked).
-        ids, details = (), {"trivial": True, "internal_eps": eps_int}
+    estimate = half_approx_opt(inst)
+    lp_bound = estimate.lp_bound
+    if estimate.value <= 0:
+        # Every feasible selection is worth 0 (and so is the LP): take none,
+        # or in exactly-K mode the K lightest, which fit (Instance.candidates
+        # checked). The answer is optimal, certified_ratio 1.
+        ids, details = (), {"trivial": True, "internal_eps": eps_user}
         if exactly_k:
             lightest = heapq.nsmallest(
                 inst.cardinality, inst.candidates, key=lambda it: (it.weight, it.id)
             )
             ids = [it.id for it in lightest]
             details.update(exact_mode=True, rounds=[])
+        details.update(fell_back=False, lp_bound=lp_bound, certified_ratio=Fraction(1))
         return make_solution(inst, ids, eps_user), details
 
+    target = (1 - eps_user / 2) * lp_bound
+    rounds = []
+    for eps_int in (eps_user, eps_user / 8):
+        sol, details = solve_at_accuracy(inst, eps_user, eps_int, estimate)
+        rounds.append({"internal_eps": eps_int})
+        if sol.total_profit >= target:
+            break
+    details.update(
+        fell_back=len(rounds) > 1,
+        lp_bound=lp_bound,
+        certified_ratio=sol.total_profit / lp_bound,
+    )
+    if exactly_k:
+        # Read by the benchmark's per-layer trace (exactk.rounds and
+        # exactk.grid_m) until the solver reports its own trace.
+        details.update(exact_mode=True, rounds=rounds, final={"grid_m": details["grid_m"]})
+    return sol, details
+
+
+def solve_at_accuracy(
+    inst: Instance, eps_user: Fraction, eps_int: Fraction, estimate: OptimumEstimate
+) -> tuple[Solution, dict]:
+    """One run of the pipeline at internal accuracy eps_int on a validated,
+    non-trivial instance (estimate.value > 0): partition, fold, split sweep
+    and retrieval. At eps_int = eps_user/8 this is the paper's scheme and
+    the answer is at least (1 - eps_user) * OPT; solve_with_details calls it
+    at both of its levels."""
+    partition = build_partition(inst, eps_int, estimate)
     table = build_phi_L(partition)
     grid = table.grid
     small = solver_for_partition(partition)
@@ -142,7 +178,7 @@ def solve_with_details(inst: Instance, eps_user) -> tuple[Solution, dict]:
     large_ids = retrieve_items(table, best.grid_index, best.large_slots)
     small_detail = small.eval_detail(best.small_budget, K - best.large_slots)
     small_ids = small_detail.integral_ids
-    if exactly_k:
+    if partition.exactly_k:
         small_ids = small_detail.rounded_ids(lambda uid: inst.by_id[uid].weight)
     ids = frozenset(large_ids) | frozenset(small_ids)
     sol = make_solution(inst, ids, eps_user)
@@ -166,10 +202,4 @@ def solve_with_details(inst: Instance, eps_user) -> tuple[Solution, dict]:
         "small_passes": small.passes,
         "small_exact_keys": small.exact_keys,
     }
-    if exactly_k:
-        # Read by the benchmark's per-layer trace (exactk.rounds and
-        # exactk.grid_m) until the solver reports its own trace.
-        details.update(
-            exact_mode=True, rounds=[{"internal_eps": eps_int}], final={"grid_m": grid.m}
-        )
     return sol, details

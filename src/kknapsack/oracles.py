@@ -295,7 +295,7 @@ def reference_partition(inst: Instance, eps: Fraction) -> Partition:
     K = inst.cardinality
     exactly_k = inst.mode is Mode.EXACT
     candidates = inst.candidates
-    opt_estimate = 2 * preprocessing.half_approx_opt(inst)
+    opt_estimate = 2 * preprocessing.half_approx_opt(inst).value
     large_floor = eps * opt_estimate
     small_floor = large_floor / K
     growth = 1 + eps

@@ -1,12 +1,13 @@
 """Optimum estimation and geometric partitioning of items.
 
 The pipeline never knows the true optimum; it works with the estimate
-opt_estimate = 2 * half_approx_opt, which brackets the optimum from above
-within a factor of 2. Items are then split by profit relative to the
-estimate: profits above eps*opt_estimate are "large" and get rounded UP to
-the right endpoint of their geometric interval; profits in
-[eps*opt_estimate/K, eps*opt_estimate] are "small" and get rounded DOWN to
-a geometric point; profits below eps*opt_estimate/K are discarded in
+opt_estimate = 2 * half_approx_opt(inst).value, which brackets the optimum
+from above within a factor of 2 (the same call returns the LP upper bound
+on the optimum that certifies answers). Items are then split by profit
+relative to the estimate: profits above eps*opt_estimate are "large" and
+get rounded UP to the right endpoint of their geometric interval; profits
+in [eps*opt_estimate/K, eps*opt_estimate] are "small" and get rounded DOWN
+to a geometric point; profits below eps*opt_estimate/K are discarded in
 at-most mode and become zero-profit fillers in exactly-K mode (either way
 K of them are worth less than eps*opt_estimate). Small classes and the
 fillers keep only their K lightest members -- some optimal solution
@@ -24,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, groupby
 from operator import itemgetter
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .instance_model import Instance, Item, Mode
 from .rationals import exact_sum
@@ -157,20 +158,28 @@ class Partition:
         }
 
 
-def half_approx_opt(inst: Instance) -> Fraction:
-    """Lower estimate v with v <= OPT <= 2v (OPT over exactly-K sets in
-    exactly-K mode).
+class OptimumEstimate(NamedTuple):
+    """The estimate's two bounds on OPT (OPT over exactly-K sets in
+    exactly-K mode): value <= OPT <= 2*value, and OPT <= lp_bound, the
+    value of the LP relaxation whose rounding gave value."""
+
+    value: Fraction
+    lp_bound: Fraction
+
+
+def half_approx_opt(inst: Instance) -> OptimumEstimate:
+    """Lower estimate v with v <= OPT <= 2v, and the LP bound it comes from.
 
     Solves the LP relaxation over the candidate items exactly (cardinality
     row sum x = K in exactly-K mode). Its vertex has at most two fractional
     components, and when it has two they sum to exactly one. Its rounding --
     the integral part, plus in exactly-K mode the lighter fractional unit --
     is feasible and loses at most one item's profit, so
-    max(rounding, best_single) >= LP/2 >= OPT/2, and it is <= OPT.
+    v = max(rounding, best_single) >= LP/2 >= OPT/2, and v <= OPT <= LP.
     """
     items = inst.candidates
     if not items:
-        return ZERO
+        return OptimumEstimate(ZERO, ZERO)
     best_single = max((it.profit for it in items), default=ZERO)
     exactly_k = inst.mode is Mode.EXACT
     lp = solve_box_lp(items, inst.budget, inst.cardinality, equality=exactly_k)
@@ -178,7 +187,7 @@ def half_approx_opt(inst: Instance) -> Fraction:
     if exactly_k:
         ids = lp.rounded_ids(lambda uid: inst.by_id[uid].weight)
     rounded = exact_sum(inst.by_id[uid].profit for uid in ids)
-    return max(rounded, best_single, ZERO)
+    return OptimumEstimate(max(rounded, best_single, ZERO), lp.value)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +208,7 @@ def half_approx_opt(inst: Instance) -> Fraction:
 # ceil(S*g^-j) <= P < ceil(S*g^(1-j)); a ceiling is the floor plus one
 # unless _pow_reaches finds the boundary an exact integer, so a profit on a
 # boundary joins the class whose rounded profit it equals. _check_partition
-# still checks every member with its own bracket.
+# checks every member against its class's bounds through _pow_reaches.
 # ---------------------------------------------------------------------------
 
 _BRACKET_BITS = 320
@@ -366,11 +375,14 @@ def _geometric_index_up(ratio: Fraction, eps: Fraction) -> int:
     return hi
 
 
-def build_partition(inst: Instance, eps: Fraction) -> Partition:
+def build_partition(
+    inst: Instance, eps: Fraction, estimate: Optional[OptimumEstimate] = None
+) -> Partition:
     """Partition the instance's items into geometric profit classes.
 
     Items no feasible selection contains (see Instance.candidates) are
-    discarded first; the optimum estimate is computed over what remains.
+    discarded first; the optimum estimate is computed over what remains,
+    unless the caller passes the one it already has.
     Large members are stored sorted by ascending weight with prefix sums;
     small classes, and in exactly-K mode the fillers, are pruned to their K
     lightest members. Each item's class is one bisect of its integer profit
@@ -383,7 +395,9 @@ def build_partition(inst: Instance, eps: Fraction) -> Partition:
     exactly_k = inst.mode is Mode.EXACT
     candidates = inst.candidates
 
-    opt_estimate = 2 * half_approx_opt(inst)
+    if estimate is None:
+        estimate = half_approx_opt(inst)
+    opt_estimate = 2 * estimate.value
     if opt_estimate <= 0:
         raise TrivialInstanceError(
             "no feasible selection has positive profit; the empty solution is optimal"
@@ -459,42 +473,53 @@ def build_partition(inst: Instance, eps: Fraction) -> Partition:
 def _check_partition(partition: Partition, inst: Instance) -> None:
     """Structural invariants, cheap enough to run on every build.
 
-    Membership checks run on the ratio profit/(eps*opt_estimate) through the
-    exact bracket comparator, so they stay cheap even when class indices are
-    huge: a large member of class i satisfies
-    growth^(i-1) < ratio <= growth^i, a small member of class i satisfies
-    growth^i >= 1/ratio > growth^(i-1) (equivalently
-    scale*growth^(-i) <= profit < scale*growth^(-i+1)).
+    Membership checks run in integer profit units P = p*lp, with lp the lcm
+    of the members' profit denominators and S = eps*opt_estimate*lp, through
+    the exact bracket comparator, so they stay cheap even when class indices
+    are huge: a large member of class i satisfies
+    growth^(i-1) < P/S <= growth^i, a small member of class i satisfies
+    growth^i >= S/P > growth^(i-1) (equivalently
+    S*growth^(-i) <= P < S*growth^(-i+1)). Both conditions are intervals in
+    P, so every member of a class meets them exactly when its least and its
+    greatest P do; only those two are compared to the growth powers.
     """
     eps = partition.epsilon
     opt = partition.opt_estimate
     growth = 1 + eps
     large_floor = eps * opt
-    ln, ld = large_floor.numerator, large_floor.denominator
+    K = partition.cardinality
     n = inst.n
+
+    classes = partition.large_classes + partition.small_classes
+    members = [it for c in classes for it in c.members] + list(partition.fillers)
+    lp = math.lcm(*{it.profit.denominator for it in members})
+    scale = large_floor * lp
+    sn, sd = scale.numerator, scale.denominator
+
+    def units(items) -> list[int]:
+        return [it.profit.numerator * (lp // it.profit.denominator) for it in items]
 
     for c in partition.large_classes:
         assert c.index >= 1 and c.profit_scale == large_floor and c.growth == growth
-        for it in c.members:
-            rn, rd = it.profit.numerator * ld, it.profit.denominator * ln
-            assert _pow_reaches(growth, c.index, rn, rd), (it, c.index)
-            assert not _pow_reaches(growth, c.index - 1, rn, rd), (it, c.index)
+        P = units(c.members)
+        assert _pow_reaches(growth, c.index, max(P) * sd, sn), c
+        assert not _pow_reaches(growth, c.index - 1, min(P) * sd, sn), c
         assert len(c.prefix_weights) == c.size + 1
     for c in partition.small_classes:
         assert c.index >= 0 and c.profit_scale == large_floor and c.growth == growth
-        assert c.size <= partition.cardinality
-        for it in c.members:
-            rn, rd = ln * it.profit.denominator, ld * it.profit.numerator
-            assert _pow_reaches(growth, c.index, rn, rd), (it, c.index)
-            # For index 0 the upper bound profit < scale*growth holds by the
-            # small/large split itself (profit <= scale < scale*growth).
-            if c.index:
-                assert not _pow_reaches(growth, c.index - 1, rn, rd), (it, c.index)
-    # Fillers: exactly-K mode only, at most K, each below the profit floor.
+        assert c.size <= K
+        P = units(c.members)
+        assert _pow_reaches(growth, c.index, sn, sd * min(P)), c
+        # For index 0 the upper bound P < S*growth holds by the small/large
+        # split itself (P <= S < S*growth).
+        if c.index:
+            assert not _pow_reaches(growth, c.index - 1, sn, sd * max(P)), c
+    # Fillers: exactly-K mode only, at most K, each below the profit floor:
+    # P*K < S.
     assert partition.exactly_k or not partition.fillers
-    assert len(partition.fillers) <= partition.cardinality
-    for it in partition.fillers:
-        assert it.profit * partition.cardinality < large_floor, it
+    assert len(partition.fillers) <= K
+    if partition.fillers:
+        assert max(units(partition.fillers)) * K * sd < sn, partition.fillers
 
     # Class-count bound: at most ceil(log_{1+eps}(1/eps)) large indices plus
     # ceil(log_{1+eps}(K)) + 1 small indices, together within

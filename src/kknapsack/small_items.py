@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -80,7 +81,9 @@ class SmallEval:
         """Rounding of a vertex under sum x = cap: the integral ids plus the
         lighter fractional unit. The two fractional parts sum to one, so the
         count is cap and min(w_a, w_b) <= x_a*w_a + x_b*w_b fits."""
-        frac = [i for i, v in self.fractional_solution.items() if v < 1]
+        # Every value lies in (0, 1], so the fractional ones are those with
+        # a denominator other than 1, found without comparing Fractions.
+        frac = [i for i, v in self.fractional_solution.items() if v.denominator != 1]
         assert not frac or (
             len(frac) == 2 and sum(self.fractional_solution[i] for i in frac) == 1
         ), self.fractional_solution
@@ -112,8 +115,9 @@ class _IntScaling:
     P - nu*W with nu = mu*lp/lw, so at nu = num/den every unit's greedy key
     den*P - num*W is an integer. The scaling also keeps P/2^e and W/2^f in
     float64, with e and f the bit lengths of max P and max W, from which
-    float_keys ranks every unit at once; W is kept as an int64 array when
-    no sum of weights can reach 2^62, and as Python ints otherwise.
+    float_keys ranks every unit at once; P and W are also kept as arrays
+    for summing selections, int64 when no sum of them can reach 2^62 and
+    Python ints otherwise.
 
     The scaling also caches the greedy passes of one cap at a time. A pass
     depends only on cap and on the value of nu, so it is keyed by the
@@ -138,10 +142,11 @@ class _IntScaling:
         self._e = max(self.P, default=0).bit_length()
         self._f = max(self.W, default=0).bit_length()
         # Python's int true division rounds correctly, down to subnormals.
-        self._pf = np.array([p / (1 << self._e) for p in self.P], dtype=np.float64)
-        self._wf = np.array([w / (1 << self._f) for w in self.W], dtype=np.float64)
-        fits = len(self.W) << self._f < 1 << 62
-        self.W_array = np.array(self.W, dtype=np.int64 if fits else object)
+        pd, wd = 1 << self._e, 1 << self._f
+        self._pf = np.array([p / pd for p in self.P], dtype=np.float64)
+        self._wf = np.array([w / wd for w in self.W], dtype=np.float64)
+        self.P_array = _sum_array(self.P, self._e)
+        self.W_array = _sum_array(self.W, self._f)
 
     @classmethod
     def of(cls, units, equality: bool = False) -> "_IntScaling":
@@ -192,6 +197,13 @@ class _IntScaling:
         if found is None:
             found = self._passes[key] = _lightest_maximizer(self, cap, *key)
         return found
+
+
+def _sum_array(values, bits: int) -> np.ndarray:
+    """values, each under 2^bits, as an array whose selections sum exactly:
+    int64 when no sum can reach 2^62, Python ints otherwise."""
+    fits = len(values) << bits < 1 << 62
+    return np.array(values, dtype=np.int64 if fits else object)
 
 
 def _over(values, lcm: int) -> tuple[int, ...]:
@@ -272,14 +284,14 @@ def _lightest_maximizer(scaled: _IntScaling, cap: int, num: int, den: int):
     inequality row), ties at the cap-th key going to the lighter unit and
     then to the lower index.
 
-    Returns (sum of P over S, sum of W over S, indices of S).
+    Returns (sum of P over S, sum of W over S, S as the index array of the
+    units keyed above the cut and the list of tied units filled in).
     """
     above, cut, tied = _greedy_pass(scaled, cap, num, den)
-    fill = sorted(tied)[: cap - len(above)] if cut is not None else []
-    chosen = above.tolist() + [i for _, i in fill]
-    p_sum = sum(map(scaled.P.__getitem__, chosen))
-    w_sum = int(scaled.W_array[above].sum()) + sum(w for w, _ in fill)
-    return p_sum, w_sum, chosen
+    fill = [i for _, i in sorted(tied)[: cap - len(above)]] if cut is not None else []
+    p_sum = int(scaled.P_array[above].sum()) + sum(map(scaled.P.__getitem__, fill))
+    w_sum = int(scaled.W_array[above].sum()) + sum(map(scaled.W.__getitem__, fill))
+    return p_sum, w_sum, (above, fill)
 
 
 def _critical_multiplier(
@@ -337,8 +349,9 @@ def _vertex(scaled: _IntScaling, budget_w: Fraction, cap: int, num: int, den: in
     bn, bd = budget_w.numerator, budget_w.denominator
     above, cut, tied = _greedy_pass(scaled, cap, num, den)
     integral = above.tolist()
+    p_above = int(scaled.P_array[above].sum())
     used = int(scaled.W_array[above].sum())
-    g = den * sum(map(P.__getitem__, integral)) - num * used
+    g = den * p_above - num * used
     fractional = []
     if cut is None:
         # Pad the weight up to the budget with zero-key units, which are
@@ -377,7 +390,7 @@ def _vertex(scaled: _IntScaling, budget_w: Fraction, cap: int, num: int, den: in
         assert fractional or bd * used == bn, "cannot reach weight target from ties"
         integral += [i for _, i in heaviest[:swaps]]
         integral += [i for _, i in lightest[swaps + bool(fractional):]]
-    primal = sum(map(P.__getitem__, integral))
+    primal = p_above + sum(map(P.__getitem__, integral[len(above):]))
     primal += sum((P[i] * x for i, x in fractional), ZERO)
     return integral, fractional, primal, g
 
@@ -418,9 +431,9 @@ def _solve_units(scaled: _IntScaling, budget: Fraction, cap: int):
         return 0, [], [], None, None
 
     budget_w = budget * scaled.lw
-    top_p, top_w, top = scaled.maximizer(cap, 0, 1)
+    top_p, top_w, (above, fill) = scaled.maximizer(cap, 0, 1)
     if top_w <= budget_w:
-        return top_p, top, [], 0, 1
+        return top_p, above.tolist() + fill, [], 0, 1
 
     num, den = _critical_multiplier(scaled, budget_w, cap, top_p, top_w)
     integral, fractional, primal, g = _vertex(scaled, budget_w, cap, num, den)
@@ -457,42 +470,59 @@ class SmallSolver:
     partition's small pool (rounded profits, original weights).
 
     Every query is upsilon1, run by the integer-keyed box-LP engine over the
-    pool's positive-profit units, whose greedy passes the pool's scaling
-    caches per cap. With exactly_k a query takes exactly k of all units,
-    zero-profit fillers included, and is None when no k units fit omega.
+    pool's units, whose greedy passes the pool's scaling caches per cap:
+    the positive-profit units, or with exactly_k every unit, zero-profit
+    fillers included; then a query takes exactly k units and is None when
+    no k units fit omega. items holds the pool as id-ascending
+    (id, profit, weight) triples and scaled their integer view.
     """
 
     # Every pool is solved exactly; benchmark traces read this flag.
     exact = True
 
-    def __init__(self, items, K: int, exactly_k: bool = False):
-        self.items = _units(items)
+    def __init__(self, units, scaled: _IntScaling, K: int):
+        self.items = units
+        self.scaled = scaled
         self.K = int(K)
-        units = self.items if exactly_k else [u for u in self.items if u[1] > 0]
-        self._lp_pool = units, _IntScaling.of(units, exactly_k)
+
+    @classmethod
+    def of(cls, items, K: int, exactly_k: bool = False) -> "SmallSolver":
+        """Solver over arbitrary items or (id, profit, weight) triples."""
+        units = _units(items)
+        if not exactly_k:
+            units = [u for u in units if u[1] > 0]
+        return cls(units, _IntScaling.of(units, exactly_k), K)
 
     @property
     def passes(self) -> int:
         """Greedy passes run over the pool so far."""
-        return self._lp_pool[1].passes
+        return self.scaled.passes
 
     @property
     def exact_keys(self) -> int:
         """Units keyed exactly, as Python ints, over those passes."""
-        return self._lp_pool[1].exact_keys
+        return self.scaled.exact_keys
 
     @classmethod
     def from_partition(cls, partition) -> "SmallSolver":
         """Build a solver over a partition's pruned small classes, using the
         class-rounded profits and the original weights, plus its zero-profit
-        fillers in exactly-K mode."""
-        pool = [
-            (item.id, klass.rounded_profit, item.weight)
-            for klass in partition.small_classes
-            for item in klass.members
-        ]
-        pool += [(item.id, ZERO, item.weight) for item in partition.fillers]
-        return cls(pool, K=partition.cardinality, exactly_k=partition.exactly_k)
+        fillers in exactly-K mode. The integer view is built in one pass:
+        each class's rounded profit is scaled once for all its members, and
+        the Fractions the partition holds are used as they are."""
+        groups = [(c.rounded_profit, c.members) for c in partition.small_classes]
+        groups.append((ZERO, partition.fillers))
+        lp = math.lcm(*(p.denominator for p, _ in groups))
+        rows = []  # (id, profit, weight, P)
+        for p, members in groups:
+            scaled_p = p.numerator * (lp // p.denominator)
+            rows += [(it.id, p, it.weight, scaled_p) for it in members]
+        rows.sort(key=itemgetter(0))
+        weights = [r[2] for r in rows]
+        lw = math.lcm(*{w.denominator for w in weights})
+        P = tuple(r[3] for r in rows)
+        scaled = _IntScaling(P, _over(weights, lw), lp, lw, partition.exactly_k)
+        return cls([r[:3] for r in rows], scaled, partition.cardinality)
 
     def register_query_weights(self, omegas) -> None:
         """Announce the residual budgets the combiner will query. Nothing is
@@ -506,7 +536,7 @@ class SmallSolver:
         if omega < 0:
             raise ValueError("negative residual budget")
         k = max(0, min(int(k), self.K))
-        scaled = self._lp_pool[1]
+        scaled = self.scaled
         raw = _solve_units(scaled, omega, k)
         return None if raw is None else Fraction(raw[0], scaled.lp)
 
@@ -515,8 +545,8 @@ class SmallSolver:
         vertex, whose integral ids are a feasible selection (in exactly-K
         mode, its rounded_ids are). None where phi_dag is None."""
         k = max(0, min(int(k), self.K))
-        units, scaled = self._lp_pool
-        return _evaluation(units, scaled, _solve_units(scaled, Fraction(omega), k))
+        scaled = self.scaled
+        return _evaluation(self.items, scaled, _solve_units(scaled, Fraction(omega), k))
 
 
 def solver_for_partition(partition) -> SmallSolver:

@@ -3,6 +3,8 @@
 best_subset below is a deliberately naive full enumeration used to
 cross-check both the solver and the oracles module; it must stay
 independent of any package internals beyond the instance types.
+solve_fine runs the solver's pipeline once at the paper's internal
+accuracy, for the tests that inspect that pipeline's structure.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, settings
 
-from kknapsack.instance_model import Instance, Item, Mode
+from kknapsack.combiner import solve_at_accuracy
+from kknapsack.instance_model import Instance, Item, Mode, validate_instance
+from kknapsack.preprocessing import half_approx_opt
 
 settings.register_profile(
     "suite",
@@ -68,6 +72,15 @@ def best_subset(inst: Instance, exact_count: int | None = None):
             if best is None or value > best[0]:
                 best = (value, frozenset(it.id for it in combo))
     return best
+
+
+def solve_fine(inst: Instance, eps):
+    """(solution, details) of a solve at internal accuracy eps/8 alone:
+    validation, the estimate and one pipeline run, without the certified
+    coarse level that solve_with_details tries first."""
+    eps = Fraction(eps)
+    assert validate_instance(inst).ok
+    return solve_at_accuracy(inst, eps, eps / 8, half_approx_opt(inst))
 
 
 @pytest.fixture

@@ -42,9 +42,16 @@ class TestSolve:
             "count",
             "items",
             "epsilon_user",
+            "internal_eps",
+            "certified_ratio",
             "elapsed_ms",
         }
         assert out["epsilon_user"] == "1/4"
+        # The coarse answer stands only when value >= (1 - eps/2) * LP.
+        assert out["internal_eps"] in ("1/4", "1/32")
+        assert 0 < out["certified_ratio"] <= 1
+        if out["internal_eps"] == "1/4":
+            assert out["certified_ratio"] >= 1 - Fraction(1, 8)
         assert out["items"] == sorted(out["items"])
         assert isinstance(out["count"], int)
         assert Fraction(out["value"]) > 0
@@ -115,8 +122,8 @@ class TestSolve:
         assert "7/2" in {cell for row in tab["values"] for cell in row}
 
     def test_internal_eps_flag(self, inst_file, capsys):
-        # The internal accuracy is always eps/8; argparse rejects the old
-        # override flag on solve and verify as unrecognised.
+        # The solver picks its internal accuracy itself; argparse rejects
+        # the old override flag on solve and verify as unrecognised.
         for command in ("solve", "verify"):
             with pytest.raises(SystemExit) as exc:
                 main([command, "--input", str(inst_file), "--epsilon", "1/2",

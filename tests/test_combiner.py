@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import kknapsack.combiner as combiner
-from conftest import F, ZERO, best_subset, inst_of
+from conftest import F, ZERO, best_subset, inst_of, solve_fine
 from kknapsack.combiner import (
     InfeasibleInstanceError,
     InvalidInstanceError,
@@ -25,7 +25,9 @@ from kknapsack.instance_model import (
     make_solution,
 )
 from kknapsack.oracles import brute_force, exact_dp
+from kknapsack.preprocessing import half_approx_opt
 from kknapsack.small_items import solver_for_partition
+from test_acceptance import c02_instances
 
 
 def mixed_instance(seed):
@@ -45,12 +47,13 @@ def mixed_instance(seed):
 
 class TestValidation:
     def test_internal_accuracy_is_fixed(self):
-        # eps_int is eps/8, which the accuracy contract's loss terms assume;
-        # there is no parameter to change it.
+        # eps_int is eps when the LP bound certifies that answer and eps/8,
+        # which the accuracy contract's loss terms assume, otherwise; there
+        # is no parameter to change either.
         inst = generate_instance("uniform", 12, 3, seed=5, weight_max=15)
         sol, det = solve_with_details(inst, F(1, 2))
-        assert det["internal_eps"] == F(1, 16)
-        assert det["partition"].epsilon == F(1, 16)
+        assert det["internal_eps"] == (F(1, 16) if det["fell_back"] else F(1, 2))
+        assert det["partition"].epsilon == det["internal_eps"]
         assert sol.epsilon_used == F(1, 2)
         with pytest.raises(TypeError):
             solve(inst, F(1, 2), internal_eps=F(1, 3))
@@ -257,7 +260,7 @@ class TestDeterminismAndKnobs:
         # ladder, over a pool of 50 items: the box LP answers it and the
         # selection is feasible.
         inst = generate_instance("correlated", 300, 20, seed=2)
-        sol, det = solve_with_details(inst, F(1, 2))
+        sol, det = solve_fine(inst, F(1, 2))
         assert inst.cardinality * det["internal_eps"] > 1
         pool = sum(len(c.members) for c in det["partition"].small_classes)
         assert pool == 50
@@ -280,7 +283,7 @@ class TestSplitSweep:
         # are dropped; the chosen split must still be the first maximum of
         # the full sweep, in its order (k outer, anchors ascending).
         inst = generate_instance(family, n, K, seed=seed)
-        _, det = solve_with_details(inst, eps)
+        _, det = solve_fine(inst, eps)
         table, part = det["table"], det["partition"]
         grid = table.grid
         small = solver_for_partition(part)
@@ -342,15 +345,17 @@ class TestExactMode:
         assert feas.feasible, feas.violations
         assert sol.total_profit >= (1 - eps) * ref[0]
         if not det.get("trivial"):
-            assert det["rounds"] == [{"internal_eps": eps / 8}]
+            levels = (eps, eps / 8)[: 1 + det["fell_back"]]
+            assert det["rounds"] == [{"internal_eps": e} for e in levels]
+            assert det["internal_eps"] == levels[-1]
 
     def test_details_surface(self):
         inst = self.exact_inst(77, n=12, K=3)
         sol, det = solve_with_details(inst, F(1, 4))
         assert det["exact_mode"] is True
-        assert det["rounds"] == [{"internal_eps": F(1, 32)}]
+        assert det["rounds"][-1] == {"internal_eps": det["internal_eps"]}
         assert det["final"] == {"grid_m": det["grid_m"]}
-        # One pipeline: the at-most keys, at the same internal accuracy.
+        # One pipeline: the at-most keys.
         _, det_atmost = solve_with_details(replace(inst, mode=Mode.AT_MOST), F(1, 4))
         assert set(det_atmost) <= set(det)
         assert det["grid_m"] == det["partition"].z * det["table"].grid.inv_eps
@@ -368,7 +373,7 @@ class TestExactMode:
             grids = []
             for mode in (Mode.AT_MOST, Mode.EXACT):
                 inst = Instance(items=base.items, budget=budget, cardinality=K, mode=mode)
-                sol, det = solve_with_details(inst, F(1, 4))
+                sol, det = solve_fine(inst, F(1, 4))
                 grids.append(det["grid_m"])
                 assert evaluate_solution(inst, sol).feasible
             assert grids[0] == grids[1] == min(K, 32) * 32
@@ -412,3 +417,60 @@ class TestExactMode:
         sol = solve(inst, F(1, 4))
         assert sol.count == 2
         assert sol.total_profit >= F(3, 4) * ref[0]
+
+
+class TestCoarseToFine:
+    """solve_with_details keeps its answer at eps_int = eps only when the
+    LP bound certifies it, value >= (1 - eps/2) * lp_bound, and otherwise
+    answers at eps/8."""
+
+    def test_uncertified_coarse_answer_falls_back(self):
+        # The first C02 instance (uniform, n=141, K=13) at eps = 1/10.
+        eps = F(1, 10)
+        inst = c02_instances()[0]
+        estimate = half_approx_opt(inst)
+        coarse, _ = combiner.solve_at_accuracy(inst, eps, eps, estimate)
+        assert coarse.total_profit < (1 - eps / 2) * estimate.lp_bound
+        sol, det = solve_with_details(inst, eps)
+        assert det["fell_back"] and det["internal_eps"] == eps / 8
+        assert det["lp_bound"] == estimate.lp_bound
+        assert det["certified_ratio"] == sol.total_profit / estimate.lp_bound
+        assert sol.total_profit >= (1 - eps) * exact_dp(inst).value
+
+    @pytest.fixture(scope="class")
+    def c02_solves(self):
+        """(eps, OPT, solution, details) of every C02 solve."""
+        out = []
+        for inst in c02_instances():
+            opt = exact_dp(inst).value
+            for eps in (F(1, 10), F(3, 10)):
+                out.append((eps, opt, *solve_with_details(inst, eps)))
+        return out
+
+    def test_certified_answers_against_exact_dp(self, c02_solves):
+        for eps, opt, sol, det in c02_solves:
+            assert det["lp_bound"] >= opt
+            assert sol.total_profit >= (1 - eps) * opt
+            if not det["fell_back"]:
+                assert det["internal_eps"] == eps
+                assert sol.total_profit >= (1 - eps / 2) * opt
+
+    def test_no_coarse_answer_is_accepted_unchecked(self, c02_solves):
+        fell_back = 0
+        for eps, _, sol, det in c02_solves:
+            assert det["certified_ratio"] == sol.total_profit / det["lp_bound"]
+            if det["fell_back"]:
+                fell_back += 1
+                assert det["internal_eps"] == eps / 8
+            else:
+                assert det["certified_ratio"] >= 1 - eps / 2
+        # Accepting every coarse answer would never fall back; on this
+        # corpus about a third of the solves do.
+        assert 0 < fell_back < len(c02_solves)
+
+    @pytest.mark.parametrize("mode", [Mode.AT_MOST, Mode.EXACT])
+    def test_trivial_instance_reports_the_certificate(self, mode):
+        inst = inst_of([(1, 0, 2), (2, 0, 1), (3, 0, 3)], 4, 2, mode=mode)
+        _, det = solve_with_details(inst, F(1, 2))
+        assert det["trivial"] and not det["fell_back"]
+        assert det["lp_bound"] == 0 and det["certified_ratio"] == 1

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import F, ZERO, inst_of
+from conftest import F, ZERO, inst_of, solve_fine
 from kknapsack.combiner import solve_with_details
 from kknapsack.instance_model import Item, Mode
 from kknapsack.large_items import (
@@ -539,7 +539,7 @@ class TestPickKindAndBuild:
 
     def test_fractional_weights_fold_as_int64(self):
         inst = generate_instance("correlated", 60, 8, seed=0, integral=False)
-        _, det = solve_with_details(inst, F(1, 4))
+        _, det = solve_fine(inst, F(1, 4))
         table, classes = det["table"], det["partition"].large_classes
         assert len(classes) >= 20
         denominators = {it.weight.denominator for c in classes for it in c.members}

@@ -34,8 +34,8 @@ def test_quick_run_solves_every_workload_correctly(tmp_path):
 
 def test_trace_wraps_every_layer_of_a_large_k_solve(tmp_path, monkeypatch):
     # The quick run above is untraced. Here the benchmark's tracer wraps one
-    # solve with K = 20 > 1/eps_int = 16 and a small pool of 50 items, which
-    # the paper would answer with its upsilon2 ladder.
+    # solve with K = 20 > 1/eps_int and a small pool of more than K items,
+    # which the paper would answer with its upsilon2 ladder.
     monkeypatch.chdir(tmp_path)
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     from fractions import Fraction
@@ -63,7 +63,8 @@ def test_trace_wraps_every_layer_of_a_large_k_solve(tmp_path, monkeypatch):
     for owner, attr, original in wrapped:
         assert getattr(owner, attr) is original, attr
 
-    assert inst.cardinality * det["internal_eps"] > 1 and det["small_pool"] == 50
+    assert inst.cardinality * det["internal_eps"] > 1
+    assert det["small_pool"] > inst.cardinality
     metrics = tracer.layer_metrics(traced_s, traced_s, 1)
     assert metrics["small.float_pools"] == 0
     assert metrics["small.exact_pools"] >= 1
@@ -87,11 +88,13 @@ def spans_left_as_found():
 
 
 def test_traced_quick_run_folds_one_round_per_exact_k_solve(monkeypatch, spans_left_as_found):
-    # Exactly-K solves run the at-most pipeline once, on the grid of the
-    # internal accuracy eps/8: z * ceil(1/eps_int) rows, with z = min(K, ceil(1/eps_int)).
+    # Exactly-K solves run the at-most pipeline once per accuracy level:
+    # rounds counts the levels run and grid_m is the answering level's grid,
+    # z * ceil(1/eps_int) rows with z = min(K, ceil(1/eps_int)).
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import math
     import workloads
+    from kknapsack import solve_with_details
 
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), "--quick", "--trace", "1",
@@ -103,11 +106,14 @@ def test_traced_quick_run_folds_one_round_per_exact_k_solve(monkeypatch, spans_l
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     summary = json.loads(proc.stdout.strip().splitlines()[-1])
     assert summary["correct"] is True and summary["failed"] == 0
-    grids = set()
+    rounds, grids = [], []
     for job in workloads.build_corpus("exact-k", 1, workloads.DEFAULT_CORPUS_SEED, True):
-        inv = math.ceil(8 / job.eps)
-        grids.add(min(job.instance.cardinality, inv) * inv)
-    assert len(grids) == 1
+        _, det = solve_with_details(job.instance, job.eps)
+        assert len(det["rounds"]) == 1 + det["fell_back"]
+        inv = math.ceil(1 / det["internal_eps"])
+        assert det["final"]["grid_m"] == min(job.instance.cardinality, inv) * inv
+        rounds.append(len(det["rounds"]))
+        grids.append(det["final"]["grid_m"])
     metrics = summary["metrics"]
-    assert metrics["exactk.rounds"]["value"] == 1
-    assert metrics["exactk.grid_m"]["value"] == grids.pop()
+    assert metrics["exactk.rounds"]["value"] == pytest.approx(sum(rounds) / len(rounds))
+    assert metrics["exactk.grid_m"]["value"] == pytest.approx(sum(grids) / len(grids))

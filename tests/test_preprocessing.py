@@ -3,6 +3,7 @@ arithmetic (cached powers, certified fixed-point brackets) they ride on."""
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -39,18 +40,29 @@ scales = st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(1000))
 
 class TestHalfApproxOpt:
     def test_single_item(self):
-        assert half_approx_opt(inst_of([(1, 10, 1)], 1, 1)) == 10
+        assert half_approx_opt(inst_of([(1, 10, 1)], 1, 1)) == (10, 10)
 
     def test_nothing_fits(self):
-        assert half_approx_opt(inst_of([(1, 10, 5)], 1, 1)) == 0
+        assert half_approx_opt(inst_of([(1, 10, 5)], 1, 1)) == (0, 0)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_two_sided_bound(self, seed):
         dist = ("uniform", "correlated", "subset-sum")[seed % 3]
         inst = generate_instance(dist, 12, 3, seed=100 + seed, weight_max=30)
-        v = half_approx_opt(inst)
+        v, lp_bound = half_approx_opt(inst)
         opt = best_subset(inst)[0]
-        assert v <= opt <= 2 * v
+        assert v <= opt <= 2 * v and opt <= lp_bound
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_two_sided_bound_exactly_k(self, seed):
+        # The equality-row LP bounds the best exactly-K value: OPT_K <= LP_K.
+        dist = ("uniform", "correlated", "subset-sum")[seed % 3]
+        base = generate_instance(dist, 12, 3, seed=100 + seed, weight_max=30)
+        budget = sum(it.weight for it in base.items) / 3  # above the 3 lightest
+        inst = Instance(base.items, budget, base.cardinality, Mode.EXACT)
+        v, lp_bound = half_approx_opt(inst)
+        opt = best_subset(inst, exact_count=inst.cardinality)[0]
+        assert v <= opt <= 2 * v and opt <= lp_bound
 
 
 class TestExactPowers:
@@ -127,7 +139,7 @@ class TestBracketComparisons:
 def reference_classes(inst, eps):
     """Classify items straight from the interval definitions with plain
     Fraction arithmetic -- independent of the bracket machinery."""
-    opt = 2 * half_approx_opt(inst)
+    opt = 2 * half_approx_opt(inst).value
     lf = eps * opt
     large: dict[int, set] = {}
     small: dict[int, set] = {}
@@ -209,7 +221,7 @@ class TestBuildPartition:
         part = build_partition(inst, eps)
         lf, large_ref, small_ref, dropped_ref = reference_classes(inst, eps)
 
-        assert part.opt_estimate == 2 * half_approx_opt(inst)
+        assert part.opt_estimate == 2 * half_approx_opt(inst).value
 
         got_large = {c.index: {it.id for it in c.members} for c in part.large_classes}
         assert got_large == large_ref
@@ -295,9 +307,48 @@ class TestBuildPartition:
             assert len(summary["small_classes"]) == len(part.small_classes)
 
 
+class TestCheckPartition:
+    """_check_partition compares only each class's least and greatest
+    profit to its bounds; a member outside them must still be caught."""
+
+    def partition(self):
+        base = generate_instance("uniform", 60, 3, seed=0)
+        budget = sum(it.weight for it in base.items) / 10
+        inst = Instance(base.items, budget, 3, Mode.EXACT)
+        part = build_partition(inst, F(1, 8))
+        assert len(part.large_classes) > 1 and len(part.small_classes) > 1
+        assert part.fillers
+        return inst, part
+
+    @pytest.mark.parametrize("kind", ["large", "small"])
+    def test_member_of_another_class_is_rejected(self, kind):
+        inst, part = self.partition()
+        classes = list(getattr(part, f"{kind}_classes"))
+        # Small classes hold at most K members; large ones are not pruned.
+        t = next(
+            i for i, c in enumerate(classes) if kind == "large" or c.size < part.cardinality
+        )
+        source = classes[t - 1 if t else t + 1]
+        moved = source.members[source.size // 2]
+        extra = {"members": classes[t].members + (moved,)}
+        if kind == "large":
+            prefix = classes[t].prefix_weights
+            extra["prefix_weights"] = prefix + (prefix[-1] + moved.weight,)
+        classes[t] = replace(classes[t], **extra)
+        with pytest.raises(AssertionError):
+            _check_partition(replace(part, **{f"{kind}_classes": tuple(classes)}), inst)
+
+    def test_filler_above_the_floor_is_rejected(self):
+        inst, part = self.partition()
+        small = part.small_classes[-1].members[0]
+        fillers = part.fillers[:-1] + (small,)
+        with pytest.raises(AssertionError):
+            _check_partition(replace(part, fillers=fillers), inst)
+
+
 def _acceptance_corpora():
-    """The C01 and C02 instances, each at the internal accuracies (user eps
-    over 8) their solves partition at."""
+    """The C01 and C02 instances, each at the internal accuracies their
+    solves partition at: the user's eps, and eps/8 after a fallback."""
     for seed in range(500):
         rnd = random.Random(10_000 + seed)
         dist = DISTRIBUTIONS[seed % len(DISTRIBUTIONS)]
@@ -306,6 +357,7 @@ def _acceptance_corpora():
             dist, n, K, seed=seed, weight_max=rnd.choice([10, 50, 200]),
             integral=rnd.random() < 0.7,
         )
+        yield inst, F(1, 4)
         yield inst, F(1, 32)
     for seed in range(100):
         rnd = random.Random(20_000 + seed)
@@ -314,8 +366,9 @@ def _acceptance_corpora():
         inst = generate_instance(dist, n, K, seed=seed, weight_max=40)
         if inst.budget > 1000:
             inst = Instance(items=inst.items, budget=F(1000), cardinality=K)
-        yield inst, F(1, 80)
-        yield inst, F(3, 80)
+        for eps in (F(1, 10), F(3, 10)):
+            yield inst, eps
+            yield inst, eps / 8
 
 
 def _assert_matches_reference(inst, eps):
@@ -344,7 +397,8 @@ class TestIntegerThresholds:
 
         for name in workloads.WORKLOADS:
             for job in workloads.build_corpus(name, 1, workloads.DEFAULT_CORPUS_SEED, True):
-                assert _assert_matches_reference(job.instance, job.eps / 8) is not None
+                for eps in (job.eps, job.eps / 8):
+                    assert _assert_matches_reference(job.instance, eps) is not None
 
     @pytest.mark.parametrize("mode", [Mode.AT_MOST, Mode.EXACT])
     @pytest.mark.parametrize("scale", [F(4**7 * 5**7), F(4**7 * 5**7, 3), F(7, 3)])
@@ -355,7 +409,8 @@ class TestIntegerThresholds:
         # integer, the others leave lp > 1 and near-ties in P units.
         eps, K = F(1, 4), 8
         growth = 1 + eps
-        monkeypatch.setattr(preprocessing, "half_approx_opt", lambda inst: scale / eps / 2)
+        pinned = preprocessing.OptimumEstimate(scale / eps / 2, scale / eps)
+        monkeypatch.setattr(preprocessing, "half_approx_opt", lambda inst: pinned)
         bounds = [scale * growth**j for j in range(-10, 7)] + [scale / K]
         lp = math.lcm(*(b.denominator for b in bounds))
         profits = [b + F(d, lp) for b in bounds for d in (-1, 0, 1)] + [ZERO]
