@@ -1,12 +1,13 @@
 """Top-level approximation solves, one pipeline for both cardinality modes.
 
 Round and partition the items, fold the high-profit classes into a weight
-table, then sweep every split of the budget and cardinality between the
+table, then sweep the splits of the budget and cardinality between the
 table side and the small-item relaxations -- table-side candidates are the
 coarse anchor profits x (multiples of eps*opt_estimate) crossed with the
 slot count k in 0..z; the small side answers the remaining budget and
-slots. The winning split is materialised into actual item ids and reported
-with profits recomputed exactly from the original instance.
+slots, asked only for the splits whose upper bound can still win. The
+winning split is materialised into actual item ids and reported with
+profits recomputed exactly from the original instance.
 
 Exactly-K mode ("pick exactly K") runs the same layers with exactly-k
 semantics, read from the instance's mode: the estimate and partition keep
@@ -25,17 +26,21 @@ then at eps/8, the paper's scheme.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
-# InfeasibleInstanceError is re-exported for callers.
+import numpy as np
+
+# InfeasibleInstanceError is re-exported for callers; evaluate_solution stays
+# importable here because the benchmark's per-layer trace wraps it.
 from .instance_model import (  # noqa: F401
     InfeasibleInstanceError,
     Instance,
     Mode,
     Solution,
     evaluate_solution,
+    feasibility_violations,
     make_solution,
     validate_instance,
 )
@@ -127,64 +132,99 @@ def solve_at_accuracy(
     non-trivial instance (estimate.value > 0): partition, fold, split sweep
     and retrieval. At eps_int = eps_user/8 this is the paper's scheme and
     the answer is at least (1 - eps_user) * OPT; solve_with_details calls it
-    at both of its levels."""
+    at both of its levels.
+
+    The sweep enumerates the splits (k, x) whose table cell fits the
+    budget, keeping the largest anchor per table weight within each k, and
+    answers with the first maximum of the full sweep in its order (k
+    ascending, then anchors ascending). It searches best-first: each split
+    is bounded by x*delta + top(K - k), where top(c) is the small side's
+    value for c units with the weight row dropped, and only the splits
+    whose bound can still beat the best total, or tie it from earlier in
+    the sweep order, are asked of the small side."""
     partition = build_partition(inst, eps_int, estimate)
     table = build_phi_L(partition)
     grid = table.grid
     small = solver_for_partition(partition)
     K = partition.cardinality
 
-    # Enumerate the feasible splits first and announce their residual budgets
-    # to the small solver before querying it. Within one k, a split whose
-    # table weight recurs at a larger anchor asks the same small query for
-    # less table profit, so only the largest anchor per weight is kept; a
-    # dropped split is strictly below its group's best, so the first
-    # maximal split of the full sweep is always kept.
-    splits: list[tuple[int, int, Fraction, Fraction]] = []
+    # The fitting anchor cells of each k, read as one column. Within one k,
+    # a split whose table weight recurs at a larger anchor asks the same
+    # small query for less table profit, so only the largest anchor per
+    # weight is kept; a dropped split is strictly below its group's best.
+    # Columns are non-decreasing in q, so equal weights are adjacent.
+    # Bounds and totals are exact integers (totals: rationals) in units of
+    # 1/(delta.denominator * lp): x*delta is x*step and top(c) is top*dd.
+    lp, dd = small.scaled.lp, grid.delta.denominator
+    step = grid.delta.numerator * lp
+    anchors = np.array(grid.anchor_indices())
+    fit = min(math.floor(inst.budget * table.weight_scale), table.inf - 1)
+    enumerated = []  # the scaled table weight of every split
+    heads = []  # (bound of the largest anchor, k, top(K - k), anchors, weights)
     for k in range(grid.z + 1):
-        column: dict[Fraction, int] = {}
-        for x in grid.anchor_indices():
-            if not table.is_finite(x, k):
-                continue
-            lw = table.value_at(x, k)
-            if lw <= inst.budget:
-                column.pop(lw, None)  # reinserting keeps the anchors in order
-                column[lw] = x
-        splits.extend((k, x, lw, inst.budget - lw) for lw, x in column.items())
-    small.register_query_weights([s[3] for s in splits])
-
-    best: Optional[SplitCandidate] = None
-    for k, x, lw, omega in splits:
-        sv = small.phi_dag(omega, K - k)
-        if sv is None:  # exactly-K: no K - k small units fit omega
+        cells = table.values[anchors, k]
+        idx = np.flatnonzero(cells <= fit)
+        if not idx.size:
             continue
-        total = grid.profit_value(x) + sv
-        if best is None or total > best.total:
-            best = SplitCandidate(
-                grid_index=x,
-                large_slots=k,
-                large_weight=lw,
-                small_budget=omega,
-                small_value=sv,
-                total=total,
-            )
+        keep = idx[np.append(cells[idx[1:]] != cells[idx[:-1]], True)]
+        xs, weights = anchors[keep].tolist(), cells[keep].tolist()
+        enumerated += weights
+        top = small.top_scaled(K - k)
+        if top is not None:  # exactly-K: else the pool has no K - k units
+            heads.append((xs[-1] * step + top * dd, k, top * dd, xs, weights))
+    small.register_query_weights(enumerated)
+    heads.sort(key=lambda h: (-h[0], h[1]))
+
+    best = None  # (total in units, k, x, large weight, omega, small value)
+    queries = 0
+    for head, k, top, xs, weights in heads:
+        if best is not None and head < best[0]:
+            break  # every later k is bounded by its head, at most this one
+        # Bounds fall with x, so the first split that cannot win ends its k.
+        for x, w in zip(reversed(xs), reversed(weights)):
+            bound = x * step + top
+            if best is not None and (
+                bound < best[0] or (bound == best[0] and (k, x) > best[1:3])
+            ):
+                break
+            lw = Fraction(w, table.weight_scale)
+            omega = inst.budget - lw
+            sv = small.phi_dag(omega, K - k)
+            queries += 1
+            if sv is None:  # exactly-K: no K - k small units fit omega
+                continue
+            total = x * step + sv * (lp * dd)
+            if (
+                best is None
+                or total > best[0]
+                or (total == best[0] and (k, x) < best[1:3])
+            ):
+                best = (total, k, x, lw, omega, sv)
     # At most K, (k=0, x=0) is always feasible. Exactly K, so is (j, 0) for
     # the j large items among the K lightest: the fold keeps the j lightest
     # large items and the small pool the K - j lightest others, and
     # j <= z, since j > 1/eps large items would be worth more than
     # opt_estimate.
     assert best is not None
+    _, k, x, lw, omega, sv = best
+    split = SplitCandidate(
+        grid_index=x,
+        large_slots=k,
+        large_weight=lw,
+        small_budget=omega,
+        small_value=sv,
+        total=grid.profit_value(x) + sv,
+    )
 
-    large_ids = retrieve_items(table, best.grid_index, best.large_slots)
-    small_detail = small.eval_detail(best.small_budget, K - best.large_slots)
+    large_ids = retrieve_items(table, x, k)
+    small_detail = small.eval_detail(omega, K - k)
     small_ids = small_detail.integral_ids
     if partition.exactly_k:
         small_ids = small_detail.rounded_ids(lambda uid: inst.by_id[uid].weight)
     ids = frozenset(large_ids) | frozenset(small_ids)
     sol = make_solution(inst, ids, eps_user)
-
-    feas = evaluate_solution(inst, sol)
-    assert feas.feasible, feas.violations
+    violations = feasibility_violations(inst, sol.total_weight, sol.count)
+    assert not violations, violations
 
     details = {
         "internal_eps": eps_int,
@@ -192,8 +232,9 @@ def solve_at_accuracy(
         "z": grid.z,
         "grid_m": grid.m,
         "table_cells": grid.cell_count,
-        "split": best,
-        "split_count": len(splits),
+        "split": split,
+        "split_count": len(enumerated),
+        "split_queries": queries,
         "partition": partition,
         "table": table,
         "large_ids": tuple(sorted(large_ids)),

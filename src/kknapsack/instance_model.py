@@ -185,7 +185,20 @@ def evaluate_solution(inst: Instance, sol: Solution) -> FeasibilityReport:
     profit = exact_sum(inst.by_id[i].profit for i in sol.selected)
     weight = exact_sum(inst.by_id[i].weight for i in sol.selected)
     count = len(sol.selected)
+    violations = feasibility_violations(inst, weight, count)
+    return FeasibilityReport(
+        feasible=not violations,
+        total_profit=profit,
+        total_weight=weight,
+        count=count,
+        violations=violations,
+    )
 
+
+def feasibility_violations(inst: Instance, weight: Fraction, count: int) -> tuple[str, ...]:
+    """Why a selection of this exact total weight and item count is
+    infeasible: over the budget, or against the count rule of inst's mode.
+    Empty when it is feasible."""
     violations: list[str] = []
     if weight > inst.budget:
         violations.append(f"weight {weight} exceeds budget {inst.budget} by {weight - inst.budget}")
@@ -195,14 +208,7 @@ def evaluate_solution(inst: Instance, sol: Solution) -> FeasibilityReport:
     else:
         if count != inst.cardinality:
             violations.append(f"cardinality {count} != required {inst.cardinality}")
-
-    return FeasibilityReport(
-        feasible=not violations,
-        total_profit=profit,
-        total_weight=weight,
-        count=count,
-        violations=tuple(violations),
-    )
+    return tuple(violations)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ every unit of one greedy pass as a Python int, and box_lp_fractions builds
 the LP's vertex at that multiplier in Fractions; the paper's breakpoint set
 (BreakpointSet, upsilon4_breakpoints) minimizes the heavy-side dual at desk
 scale; the column scanner and the paper's divide-and-conquer slice search
-(enumerate_slices, slice_index) re-derive slice costs from raw table reads.
+(enumerate_slices, slice_index) re-derive slice costs from raw table reads;
+full_split_sweep asks the small side for every fitting split, the sweep the
+combiner prunes by its bounds.
 
 reference_partition classifies every item with its own bracket search
 (_geometric_index_up) and sorts members as Fractions; build_partition must
@@ -461,6 +463,39 @@ def check_table(table: WeightTable, exactly_k: bool = False) -> None:
             assert table.value_at(q - 1, k) <= v
             if k and not exactly_k:
                 assert v <= table.value_at(q, k - 1)
+
+
+# ---------------------------------------------------------------------------
+# The combiner's split sweep without bounds.
+# ---------------------------------------------------------------------------
+
+def full_split_sweep(table: WeightTable, small, budget: Fraction, K: int):
+    """Every split (k, x) whose table cell fits the budget, asked of the
+    small solver in the sweep order, k ascending and then anchors
+    ascending, with no bound and no weight dedup. Returns ((k, x), total)
+    of the first maximum, total = x*delta + phi_dag(budget - phi(x, k),
+    K - k), the number of splits whose total ties it, and the number of
+    splits asked. Splits the small side cannot answer (None, exactly-K
+    mode) are skipped."""
+    grid = table.grid
+    best = None
+    ties = asked = 0
+    for k in range(grid.z + 1):
+        for x in grid.anchor_indices():
+            if not table.is_finite(x, k) or table.value_at(x, k) > budget:
+                continue
+            asked += 1
+            sv = small.phi_dag(budget - table.value_at(x, k), K - k)
+            if sv is None:
+                continue
+            total = grid.profit_value(x) + sv
+            if best is None or total > best[1]:
+                best, ties = ((k, x), total), 1
+            elif total == best[1]:
+                ties += 1
+    if best is None:
+        raise AssertionError("no split of the sweep is feasible")
+    return best[0], best[1], ties, asked
 
 
 # ---------------------------------------------------------------------------

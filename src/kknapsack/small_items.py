@@ -119,13 +119,15 @@ class _IntScaling:
     for summing selections, int64 when no sum of them can reach 2^62 and
     Python ints otherwise.
 
-    The scaling also caches the greedy passes of one cap at a time. A pass
-    depends only on cap and on the value of nu, so it is keyed by the
-    reduced num/den, and a new cap drops the old entries. Queries at many
-    budgets for one cap, as in the combiner's split sweep, share the
-    passes that their multiplier searches have in common. passes and
-    exact_keys count the greedy passes run and the units keyed exactly in
-    them. equality selects the row sum x = cap over sum x <= cap.
+    The scaling also caches greedy passes. A pass depends only on cap and
+    on the value of nu, so it is keyed by the reduced num/den. The pass at
+    nu = 0, the top cap units by profit, is kept for every cap; the passes
+    at nu > 0 are kept for one cap at a time, and a new cap drops them.
+    Queries at many budgets for one cap, as in the combiner's split sweep,
+    share the passes that their multiplier searches have in common, and
+    the vertex at nu* reuses the search's last pass. passes and exact_keys
+    count the greedy passes run and the units keyed exactly in them.
+    equality selects the row sum x = cap over sum x <= cap.
     """
 
     P: tuple[int, ...]
@@ -137,6 +139,7 @@ class _IntScaling:
     exact_keys: int = field(default=0, init=False)
     _cap: Optional[int] = field(default=None, init=False, repr=False)
     _passes: dict = field(default_factory=dict, init=False, repr=False)
+    _tops: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self._e = max(self.P, default=0).bit_length()
@@ -188,7 +191,14 @@ class _IntScaling:
         return (a / b) * self._pf - self._wf
 
     def maximizer(self, cap: int, num: int, den: int):
-        """_lightest_maximizer at nu = num/den, cached for the current cap."""
+        """_lightest_maximizer at nu = num/den: cached for every cap at
+        nu = 0, without its pass (no vertex is built there), and for the
+        current cap at nu > 0."""
+        if num == 0:
+            found = self._tops.get(cap)
+            if found is None:
+                found = self._tops[cap] = (*_lightest_maximizer(self, cap, 0, 1)[:3], None)
+            return found
         if cap != self._cap:
             self._cap, self._passes = cap, {}
         g = math.gcd(num, den)
@@ -285,13 +295,17 @@ def _lightest_maximizer(scaled: _IntScaling, cap: int, num: int, den: int):
     then to the lower index.
 
     Returns (sum of P over S, sum of W over S, S as the index array of the
-    units keyed above the cut and the list of tied units filled in).
+    units keyed above the cut and the list of tied units filled in, the
+    pass's (cut, tied)), with tied sorted when cut is not None.
     """
     above, cut, tied = _greedy_pass(scaled, cap, num, den)
-    fill = [i for _, i in sorted(tied)[: cap - len(above)]] if cut is not None else []
+    fill = []
+    if cut is not None:
+        tied.sort()
+        fill = [i for _, i in tied[: cap - len(above)]]
     p_sum = int(scaled.P_array[above].sum()) + sum(map(scaled.P.__getitem__, fill))
     w_sum = int(scaled.W_array[above].sum()) + sum(map(scaled.W.__getitem__, fill))
-    return p_sum, w_sum, (above, fill)
+    return p_sum, w_sum, (above, fill), (cut, tied)
 
 
 def _critical_multiplier(
@@ -320,10 +334,10 @@ def _critical_multiplier(
         end = (max(scaled.P) - min(scaled.P) + 1, 1)
     else:
         end = scaled.top_ratio
-    pb, wb, _ = scaled.maximizer(cap, *end)
+    pb, wb, *_ = scaled.maximizer(cap, *end)
     while True:
         num, den = pa - pb, wa - wb
-        pc, wc, _ = scaled.maximizer(cap, num, den)
+        pc, wc, *_ = scaled.maximizer(cap, num, den)
         if den * pc - num * wc == den * pa - num * wa:
             g = math.gcd(num, den)
             return num // g, den // g
@@ -335,7 +349,8 @@ def _critical_multiplier(
 
 def _vertex(scaled: _IntScaling, budget_w: Fraction, cap: int, num: int, den: int):
     """Optimal LP vertex at the critical multiplier nu* = num/den > 0, built
-    on the integer keys den*P - num*W of one greedy pass.
+    on the integer keys den*P - num*W of the greedy pass at nu*, which the
+    multiplier search has left in the scaling's cache.
 
     Units keyed above the entry threshold go in. The weight row is then
     made exactly tight with the units whose key ties it (the zero-key units
@@ -347,7 +362,7 @@ def _vertex(scaled: _IntScaling, budget_w: Fraction, cap: int, num: int, den: in
     """
     P = scaled.P
     bn, bd = budget_w.numerator, budget_w.denominator
-    above, cut, tied = _greedy_pass(scaled, cap, num, den)
+    _, _, (above, _), (cut, tied) = scaled.maximizer(cap, num, den)
     integral = above.tolist()
     p_above = int(scaled.P_array[above].sum())
     used = int(scaled.W_array[above].sum())
@@ -369,7 +384,7 @@ def _vertex(scaled: _IntScaling, budget_w: Fraction, cap: int, num: int, den: in
                 break
         assert fractional or bd * used == bn, "cannot make weight row tight at mu*"
     else:
-        tied.sort()
+        # tied is sorted and shared with the cache: only read slices of it.
         fill = cap - len(integral)
         g += fill * cut
         lightest, heaviest = tied[:fill], tied[fill:][::-1]
@@ -431,7 +446,7 @@ def _solve_units(scaled: _IntScaling, budget: Fraction, cap: int):
         return 0, [], [], None, None
 
     budget_w = budget * scaled.lw
-    top_p, top_w, (above, fill) = scaled.maximizer(cap, 0, 1)
+    top_p, top_w, (above, fill), _ = scaled.maximizer(cap, 0, 1)
     if top_w <= budget_w:
         return top_p, above.tolist() + fill, [], 0, 1
 
@@ -524,10 +539,24 @@ class SmallSolver:
         scaled = _IntScaling(P, _over(weights, lw), lp, lw, partition.exactly_k)
         return cls([r[:3] for r in rows], scaled, partition.cardinality)
 
-    def register_query_weights(self, omegas) -> None:
-        """Announce the residual budgets the combiner will query. Nothing is
-        precomputed from them; the call is where benchmark traces count the
-        combiner's splits."""
+    def register_query_weights(self, weights) -> None:
+        """Announce the splits the combiner's sweep enumerated, one entry
+        each (their scaled table weights); the sweep then queries only the
+        splits its bounds leave open. Nothing is precomputed from them; the
+        call is where benchmark traces count the combiner's splits."""
+
+    def top_scaled(self, k: int) -> Optional[int]:
+        """The most k units give with the weight row dropped, times
+        scaled.lp: the top k by profit, phi_dag's fast-path pass. It bounds
+        phi_dag(omega, k) from above at every omega. None when exactly k
+        units are more than the pool holds (exactly-K mode)."""
+        k = max(0, min(int(k), self.K))
+        scaled = self.scaled
+        n = len(scaled.P)
+        if scaled.equality and k > n:
+            return None
+        k = min(k, n)
+        return scaled.maximizer(k, 0, 1)[0] if k else 0
 
     def phi_dag(self, omega: Fraction, k: int) -> Optional[Fraction]:
         """Approximation value for residual budget omega, cardinality k;

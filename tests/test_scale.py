@@ -1,18 +1,21 @@
-"""Exactly-K mode at scale, each row solved in a child process of its own.
+"""Exactly-K mode at scale, each case solved in a child process of its own.
 
-A row builds one seeded instance, solves it in exactly-K mode and, on the
-same items, in at-most mode, and reports the selection, the solve times and
-the child's peak RSS. The child's address space is capped with
-resource.setrlimit(RLIMIT_AS) in that child only, so a regression fails the
-row instead of exhausting the machine's memory.
+A case builds one seeded item set and solves it, for each of its K, in
+exactly-K mode and, on the same items, in at-most mode; it reports every
+row's selection and solve times and the child's peak RSS. The child's
+address space is capped with resource.setrlimit(RLIMIT_AS) in that child
+only, so a regression fails the case instead of exhausting the machine's
+memory.
 
 The uniform rows share their items and budget (the budget of the K = 1024
 instance, so that every K is feasible) and vary K only, as criterion C10
 does for at-most mode: the exactly-K median wall time may vary by less than
-2x across K. Every row asserts exactly K items within budget, a peak RSS
-under 300 MB and a median wall time within 2x of at-most mode. The rows
-small enough for kknapsack.oracles.exact_dp also assert the (1 - eps)
-guarantee against the exact optimum.
+2x across K. They run in one child, and each repetition times every K once,
+so a change in the host's speed during the run reaches every K alike. Every
+row asserts exactly K items within budget, a peak RSS of its child under
+300 MB and a median wall time within 2x of at-most mode. The rows small
+enough for kknapsack.oracles.exact_dp also assert the (1 - eps) guarantee
+against the exact optimum.
 """
 
 import json
@@ -46,21 +49,32 @@ from kknapsack.generator import generate_instance
 spec = json.loads(sys.argv[1])
 base = generate_instance(spec["family"], spec["n"], spec["budget_k"], seed=spec["seed"])
 eps = Fraction(spec["eps"])
-times = {}
-for mode in (Mode.AT_MOST, Mode.EXACT):
-    inst = Instance(items=base.items, budget=base.budget, cardinality=spec["k"], mode=mode)
-    times[mode.value] = []
-    for _ in range(spec["reps"]):
+insts = {
+    (k, mode.value): Instance(items=base.items, budget=base.budget, cardinality=k, mode=mode)
+    for k in spec["ks"]
+    for mode in (Mode.AT_MOST, Mode.EXACT)
+}
+times = {key: [] for key in insts}
+last = {}
+for _ in range(spec["reps"]):  # each repetition solves every row once
+    for key, inst in insts.items():
         start = time.perf_counter()
-        sol = solve(inst, eps)
-        times[mode.value].append(time.perf_counter() - start)
-report = evaluate_solution(inst, sol)  # the last exactly-K solve
+        last[key] = solve(inst, eps)
+        times[key].append(time.perf_counter() - start)
+rows = {}
+for k in spec["ks"]:
+    key = (k, Mode.EXACT.value)
+    sol = last[key]  # the last exactly-K solve
+    report = evaluate_solution(insts[key], sol)
+    rows[k] = {
+        "times": {mode: times[(k, mode)] for mode in ("at_most", "exact")},
+        "ids": sorted(sol.selected),
+        "profit": str(report.total_profit),
+        "feasible": report.feasible,
+        "count": report.count,
+    }
 print(json.dumps({
-    "times": times,
-    "ids": sorted(sol.selected),
-    "profit": str(report.total_profit),
-    "feasible": report.feasible,
-    "count": report.count,
+    "rows": rows,
     "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
 }))
 """
@@ -70,9 +84,11 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_CAP, ADDRESS_SPACE_CAP))
 
 
-def run_row(family, n, k, seed, budget_k=None, reps=REPS) -> dict:
-    spec = {"family": family, "n": n, "k": k, "seed": seed, "eps": str(EPS),
-            "budget_k": budget_k or k, "reps": reps}
+def run_rows(family, n, ks, seed, budget_k=None, reps=REPS) -> dict:
+    """Solve the rows k in ks on one item set in one child; k -> row result,
+    each carrying its spec and the child's peak RSS."""
+    spec = {"family": family, "n": n, "ks": list(ks), "seed": seed, "eps": str(EPS),
+            "budget_k": budget_k or max(ks), "reps": reps}
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -82,8 +98,16 @@ def run_row(family, n, k, seed, budget_k=None, reps=REPS) -> dict:
     )
     assert proc.returncode == 0, proc.stderr[-3000:]
     out = json.loads(proc.stdout.strip().splitlines()[-1])
-    out["spec"] = spec
-    return out
+    rows = {}
+    for k in ks:
+        row = out["rows"][str(k)]
+        row.update(spec=dict(spec, k=k), peak_rss_mb=out["peak_rss_mb"])
+        rows[k] = row
+    return rows
+
+
+def run_row(family, n, k, seed, budget_k=None, reps=REPS) -> dict:
+    return run_rows(family, n, [k], seed, budget_k, reps)[k]
 
 
 def check_row(out):
@@ -97,10 +121,7 @@ def check_row(out):
 
 @pytest.fixture(scope="module")
 def uniform_rows():
-    return {
-        k: run_row("uniform", 2000, k, seed=3, budget_k=max(UNIFORM_KS))
-        for k in UNIFORM_KS
-    }
+    return run_rows("uniform", 2000, UNIFORM_KS, seed=3)
 
 
 @pytest.mark.parametrize("k", UNIFORM_KS)

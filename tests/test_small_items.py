@@ -703,7 +703,9 @@ class TestSmallSolver:
     ):
         # SmallSolver keeps no memo: the combiner's sweep keeps one anchor
         # per table weight within each k, so no (omega, k) recurs in one
-        # pipeline run, and retrieval evaluates the winning split once.
+        # pipeline run, and retrieval evaluates the winning split once. The
+        # sweep's bounds may settle a solve with one query, so the guard is
+        # that the wrapper saw every query the solve reports.
         asked, details = [], []
         phi_dag, eval_detail = SmallSolver.phi_dag, SmallSolver.eval_detail
 
@@ -719,7 +721,7 @@ class TestSmallSolver:
         monkeypatch.setattr(SmallSolver, "eval_detail", counted_eval_detail)
         inst = generate_instance(family, n, K, seed=seed, mode=mode)
         _, det = solve_fine(inst, eps)
-        assert len(asked) > 1
+        assert len(asked) == det["split_queries"] >= 1
         assert len(set(asked)) == len(asked)
         split = det["split"]
         assert details == [(split.small_budget, K - split.large_slots)]
