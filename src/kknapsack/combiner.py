@@ -25,10 +25,10 @@ then at eps/8, the paper's scheme.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
@@ -45,7 +45,8 @@ from .instance_model import (  # noqa: F401
     validate_instance,
 )
 from .large_items import build_phi_L, retrieve_items
-from .preprocessing import OptimumEstimate, build_partition, half_approx_opt
+from .preprocessing import CandidateView, OptimumEstimate, build_partition, candidate_view
+from .preprocessing import half_approx_opt
 from .small_items import solver_for_partition
 
 
@@ -78,7 +79,8 @@ def solve_with_details(inst: Instance, eps_user) -> tuple[Solution, dict]:
     (1 - eps_user/2) * lp_bound >= (1 - eps_user/2) * OPT. Otherwise the
     same pipeline runs again at eps_user/8, the accuracy the paper's
     analysis needs for (1 - eps_user) * OPT, and its answer stands. The
-    estimate, and with it the LP bound, is computed once for both levels.
+    candidates' CandidateView is built once per call, and the estimate, and
+    with it the LP bound, is computed once for both levels.
     Diagnostics carry the level that answered (internal_eps), fell_back,
     lp_bound and certified_ratio = value / lp_bound, plus that level's
     partition, folded table and chosen split for debug dumps."""
@@ -90,7 +92,8 @@ def solve_with_details(inst: Instance, eps_user) -> tuple[Solution, dict]:
         raise InvalidInstanceError("; ".join(report.errors))
 
     exactly_k = inst.mode is Mode.EXACT
-    estimate = half_approx_opt(inst)
+    view = candidate_view(inst)
+    estimate = half_approx_opt(inst, view)
     lp_bound = estimate.lp_bound
     if estimate.value <= 0:
         # Every feasible selection is worth 0 (and so is the LP): take none,
@@ -98,10 +101,9 @@ def solve_with_details(inst: Instance, eps_user) -> tuple[Solution, dict]:
         # checked). The answer is optimal, certified_ratio 1.
         ids, details = (), {"trivial": True, "internal_eps": eps_user}
         if exactly_k:
-            lightest = heapq.nsmallest(
-                inst.cardinality, inst.candidates, key=lambda it: (it.weight, it.id)
-            )
-            ids = [it.id for it in lightest]
+            # A stable sort: the view's rows ascend by id, so ties go by id.
+            lightest = np.argsort(view.W, kind="stable")[: inst.cardinality]
+            ids = view.ids[lightest].tolist()
             details.update(exact_mode=True, rounds=[])
         details.update(fell_back=False, lp_bound=lp_bound, certified_ratio=Fraction(1))
         return make_solution(inst, ids, eps_user), details
@@ -109,7 +111,7 @@ def solve_with_details(inst: Instance, eps_user) -> tuple[Solution, dict]:
     target = (1 - eps_user / 2) * lp_bound
     rounds = []
     for eps_int in (eps_user, eps_user / 8):
-        sol, details = solve_at_accuracy(inst, eps_user, eps_int, estimate)
+        sol, details = solve_at_accuracy(inst, eps_user, eps_int, estimate, view)
         rounds.append({"internal_eps": eps_int})
         if sol.total_profit >= target:
             break
@@ -126,11 +128,16 @@ def solve_with_details(inst: Instance, eps_user) -> tuple[Solution, dict]:
 
 
 def solve_at_accuracy(
-    inst: Instance, eps_user: Fraction, eps_int: Fraction, estimate: OptimumEstimate
+    inst: Instance,
+    eps_user: Fraction,
+    eps_int: Fraction,
+    estimate: OptimumEstimate,
+    view: Optional[CandidateView] = None,
 ) -> tuple[Solution, dict]:
     """One run of the pipeline at internal accuracy eps_int on a validated,
     non-trivial instance (estimate.value > 0): partition, fold, split sweep
-    and retrieval. At eps_int = eps_user/8 this is the paper's scheme and
+    and retrieval, on the candidates' view (built here when not given).
+    At eps_int = eps_user/8 this is the paper's scheme and
     the answer is at least (1 - eps_user) * OPT; solve_with_details calls it
     at both of its levels.
 
@@ -142,7 +149,9 @@ def solve_at_accuracy(
     value for c units with the weight row dropped, and only the splits
     whose bound can still beat the best total, or tie it from earlier in
     the sweep order, are asked of the small side."""
-    partition = build_partition(inst, eps_int, estimate)
+    if view is None:
+        view = candidate_view(inst)
+    partition = build_partition(inst, eps_int, estimate, view)
     table = build_phi_L(partition)
     grid = table.grid
     small = solver_for_partition(partition)
@@ -154,9 +163,11 @@ def solve_at_accuracy(
     # weight is kept; a dropped split is strictly below its group's best.
     # Columns are non-decreasing in q, so equal weights are adjacent.
     # Bounds and totals are exact integers (totals: rationals) in units of
-    # 1/(delta.denominator * lp): x*delta is x*step and top(c) is top*dd.
-    lp, dd = small.scaled.lp, grid.delta.denominator
-    step = grid.delta.numerator * lp
+    # 1/(delta.denominator * ln), with the pool's profits P/lp, lp = ln/ld:
+    # x*delta is x*step and top(c) is top*ld*dd.
+    ln, ld = small.scaled.lp.numerator, small.scaled.lp.denominator
+    dd = grid.delta.denominator
+    step = grid.delta.numerator * ln
     anchors = np.array(grid.anchor_indices())
     fit = min(math.floor(inst.budget * table.weight_scale), table.inf - 1)
     enumerated = []  # the scaled table weight of every split
@@ -171,7 +182,8 @@ def solve_at_accuracy(
         enumerated += weights
         top = small.top_scaled(K - k)
         if top is not None:  # exactly-K: else the pool has no K - k units
-            heads.append((xs[-1] * step + top * dd, k, top * dd, xs, weights))
+            top *= ld * dd
+            heads.append((xs[-1] * step + top, k, top, xs, weights))
     small.register_query_weights(enumerated)
     heads.sort(key=lambda h: (-h[0], h[1]))
 
@@ -193,7 +205,7 @@ def solve_at_accuracy(
             queries += 1
             if sv is None:  # exactly-K: no K - k small units fit omega
                 continue
-            total = x * step + sv * (lp * dd)
+            total = x * step + sv * (ln * dd)
             if (
                 best is None
                 or total > best[0]
@@ -220,9 +232,11 @@ def solve_at_accuracy(
     small_detail = small.eval_detail(omega, K - k)
     small_ids = small_detail.integral_ids
     if partition.exactly_k:
-        small_ids = small_detail.rounded_ids(lambda uid: inst.by_id[uid].weight)
+        small_ids = small_detail.rounded_ids(lambda uid: view.W[view.rows_of([uid])[0]])
     ids = frozenset(large_ids) | frozenset(small_ids)
-    sol = make_solution(inst, ids, eps_user)
+    # make_solution's exact sums, read from the view's integers.
+    profit, weight = view.totals(view.rows_of(ids))
+    sol = Solution(ids, profit, weight, len(ids), eps_user, profit)
     violations = feasibility_violations(inst, sol.total_weight, sol.count)
     assert not violations, violations
 
@@ -239,7 +253,7 @@ def solve_at_accuracy(
         "table": table,
         "large_ids": tuple(sorted(large_ids)),
         "small_ids": tuple(sorted(small_ids)),
-        "small_pool": len(small.items),
+        "small_pool": len(small.ids),
         "small_passes": small.passes,
         "small_exact_keys": small.exact_keys,
     }

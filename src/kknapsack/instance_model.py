@@ -18,6 +18,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .rationals import exact_sum, format_rational, parse_rational
 
 
@@ -57,7 +59,7 @@ class Instance:
         that fit, and in exactly-K mode fit beside the K-1 lightest others,
         i.e. weigh at most the budget minus the K-1 lightest. Raises
         InfeasibleInstanceError when no K items fit together."""
-        fitting = [it for it in self.items if it.weight <= self.budget]
+        fitting = _within(self.items, self.budget)
         if self.mode is not Mode.EXACT:
             return tuple(fitting)
         K = self.cardinality
@@ -71,8 +73,7 @@ class Instance:
             raise InfeasibleInstanceError(
                 f"the {K} lightest items weigh {total} > budget {self.budget}"
             )
-        room = self.budget - exact_sum(lightest[:-1])
-        return tuple(it for it in fitting if it.weight <= room)
+        return tuple(_within(fitting, self.budget - exact_sum(lightest[:-1])))
 
     @property
     def n(self) -> int:
@@ -87,6 +88,12 @@ class Instance:
             it.profit.denominator == 1 and it.weight.denominator == 1
             for it in self.items
         )
+
+
+def _within(items, budget) -> list[Item]:
+    """The items whose weight a/b is at most budget c/d: a*d <= c*b."""
+    c, d = budget.numerator, budget.denominator
+    return [it for it in items if (w := it.weight).numerator * d <= c * w.denominator]
 
 
 @dataclass(frozen=True)
@@ -139,41 +146,58 @@ class FeasibilityReport:
 
 def validate_instance(inst: Instance) -> ValidationReport:
     """Structural checks. Duplicate ids and negative values are fatal;
-    oversize items (w > W) are flagged removable, never removed here."""
+    oversize items (w > W) are flagged removable, never removed here.
+
+    The checks read integers, not Fraction comparisons: duplicates show as
+    equal neighbours among the sorted ids (an array of 8 bytes per id,
+    where a set's table takes about 50), negative values as negative
+    numerators, and an oversize weight a/b against the budget c/d as
+    a*d > c*b. With c >= 0 that needs a*d > c, so the weight denominators
+    are read only when the largest weight numerator passes that. Messages are built
+    for the flagged items only, in item order; the report equals
+    oracles.reference_validate's, which compares item by item."""
     errors: list[str] = []
     warnings: list[str] = []
-    removable: set[int] = set()
 
     if inst.cardinality < 1:
         errors.append(f"cardinality must be >= 1, got {inst.cardinality}")
     if inst.budget < 0:
         errors.append(f"budget must be >= 0, got {inst.budget}")
 
-    seen: set[int] = set()
-    fitting = 0
-    for it in inst.items:
-        if it.id in seen:
-            errors.append(f"duplicate item id {it.id}")
-        seen.add(it.id)
-        if it.profit < 0:
-            errors.append(f"item {it.id}: negative profit {it.profit}")
-        if it.weight < 0:
-            errors.append(f"item {it.id}: negative weight {it.weight}")
-        if it.weight > inst.budget:
-            warnings.append(f"item {it.id}: weight exceeds budget (removable)")
-            removable.add(it.id)
-        else:
-            fitting += 1
+    items = inst.items
+    ids = [it.id for it in items]
+    wn = [it.weight.numerator for it in items]
+    ids_sorted = np.sort(np.array(ids))
+    if (
+        (ids_sorted[1:] == ids_sorted[:-1]).nonzero()[0].size
+        or min(wn, default=0) < 0
+        or min((it.profit.numerator for it in items), default=0) < 0
+    ):
+        seen: set[int] = set()
+        for it in items:
+            if it.id in seen:
+                errors.append(f"duplicate item id {it.id}")
+            seen.add(it.id)
+            if it.profit.numerator < 0:
+                errors.append(f"item {it.id}: negative profit {it.profit}")
+            if it.weight.numerator < 0:
+                errors.append(f"item {it.id}: negative weight {it.weight}")
 
-    if not inst.items:
+    bn, bd = inst.budget.numerator, inst.budget.denominator
+    oversize = []
+    if bn < 0 or max(wn, default=0) * bd > bn:
+        oversize = [it.id for it in items if (w := it.weight).numerator * bd > bn * w.denominator]
+    warnings += [f"item {uid}: weight exceeds budget (removable)" for uid in oversize]
+    if not items:
         warnings.append("trivial instance: no items")
+    fitting = len(items) - len(oversize)
     if inst.mode is Mode.EXACT and fitting < inst.cardinality:
         warnings.append(
             f"exact mode: only {fitting} items fit individually, "
             f"fewer than K={inst.cardinality}; instance is infeasible"
         )
 
-    return ValidationReport(tuple(errors), tuple(warnings), frozenset(removable))
+    return ValidationReport(tuple(errors), tuple(warnings), frozenset(oversize))
 
 
 def evaluate_solution(inst: Instance, sol: Solution) -> FeasibilityReport:

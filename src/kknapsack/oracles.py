@@ -16,6 +16,10 @@ scale; the column scanner and the paper's divide-and-conquer slice search
 full_split_sweep asks the small side for every fitting split, the sweep the
 combiner prunes by its bounds.
 
+reference_validate checks every item with Fraction comparisons, one at a
+time; validate_instance must return the same report from its integer
+checks.
+
 reference_partition classifies every item with its own bracket search
 (_geometric_index_up) and sorts members as Fractions; build_partition must
 return the same partition from its integer class thresholds.
@@ -45,7 +49,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .instance_model import Instance, Item, Mode
+from .instance_model import Instance, Item, Mode, ValidationReport
 from .large_items import (
     INT_INF,
     INT_WEIGHT_LIMIT,
@@ -281,6 +285,50 @@ def convert_exact_to_atmost(
         Instance(items=shifted, budget=inst.budget, cardinality=inst.cardinality, mode=Mode.AT_MOST),
         delta,
     )
+
+
+# ---------------------------------------------------------------------------
+# The validation reference: Fraction comparisons, item by item.
+# ---------------------------------------------------------------------------
+
+def reference_validate(inst: Instance) -> ValidationReport:
+    """The report validate_instance must return, checked item by item with
+    Fraction comparisons: duplicate ids and negative values are errors,
+    oversize items (w > W) warnings and removable."""
+    errors: list[str] = []
+    warnings: list[str] = []
+    removable: set[int] = set()
+
+    if inst.cardinality < 1:
+        errors.append(f"cardinality must be >= 1, got {inst.cardinality}")
+    if inst.budget < 0:
+        errors.append(f"budget must be >= 0, got {inst.budget}")
+
+    seen: set[int] = set()
+    fitting = 0
+    for it in inst.items:
+        if it.id in seen:
+            errors.append(f"duplicate item id {it.id}")
+        seen.add(it.id)
+        if it.profit < 0:
+            errors.append(f"item {it.id}: negative profit {it.profit}")
+        if it.weight < 0:
+            errors.append(f"item {it.id}: negative weight {it.weight}")
+        if it.weight > inst.budget:
+            warnings.append(f"item {it.id}: weight exceeds budget (removable)")
+            removable.add(it.id)
+        else:
+            fitting += 1
+
+    if not inst.items:
+        warnings.append("trivial instance: no items")
+    if inst.mode is Mode.EXACT and fitting < inst.cardinality:
+        warnings.append(
+            f"exact mode: only {fitting} items fit individually, "
+            f"fewer than K={inst.cardinality}; instance is infeasible"
+        )
+
+    return ValidationReport(tuple(errors), tuple(warnings), frozenset(removable))
 
 
 # ---------------------------------------------------------------------------
@@ -610,8 +658,10 @@ def lightest_maximizer_int(P, W, cap: int, num: int, den: int, equality: bool = 
     cap-th key going to the lighter unit and then to the lower index, with
     every key a Python int.
 
-    Returns (sum of P over the selection, sum of W, sorted indices).
+    Returns (sum of P over the selection, sum of W, sorted indices). P and
+    W may be numpy arrays; their values are read as Python ints.
     """
+    P, W = [int(p) for p in P], [int(w) for w in W]
     keys = [den * p - num * w for p, w in zip(P, W)]
     chosen = [i for i, key in enumerate(keys) if equality or key > 0]
     if len(chosen) > cap:

@@ -1,4 +1,12 @@
-"""Optimum estimation and geometric partitioning of items.
+"""The candidates' integer view, optimum estimation and geometric
+partitioning of items.
+
+A solve reads its candidates' integers once, into a CandidateView that
+solve_with_details builds per call: the candidates in id order, their ids,
+and P = profit*lp and W = weight*lw over the lcms lp and lw of their
+denominators, int64 while n times the largest value stays below 2^62 and
+Python ints otherwise. The estimate, the partition, the small pool and the
+answer's sums read it; none of them compares Fractions per item.
 
 The pipeline never knows the true optimum; it works with the estimate
 opt_estimate = 2 * half_approx_opt(inst).value, which brackets the optimum
@@ -19,17 +27,17 @@ K-set contains.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, groupby
-from operator import itemgetter
+from itertools import accumulate
 from typing import NamedTuple, Optional
 
+import numpy as np
+
 from .instance_model import Instance, Item, Mode
-from .rationals import exact_sum
-from .small_items import _over, solve_box_lp
+from .small_items import _extremes, _IntScaling, _solve_units, _sum_array, _sum_at
 
 ZERO = Fraction(0)
 
@@ -52,7 +60,8 @@ class LargeClass:
     certified fixed-point brackets instead). Members are sorted by weight
     ascending (ties by id) and prefix_weights[j] is the total weight of the
     j lightest members -- the only statistic the weight-table construction
-    needs.
+    needs. rows are the members' rows in the partition's CandidateView
+    (None on partitions built without one).
     """
 
     index: int
@@ -60,6 +69,7 @@ class LargeClass:
     growth: Fraction
     members: tuple[Item, ...]
     prefix_weights: tuple[Fraction, ...]
+    rows: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     @cached_property
     def rounded_profit(self) -> Fraction:
@@ -80,13 +90,14 @@ class SmallClass:
     is the grid point at or directly below every member's profit, so the
     loss per item is under eps/(1+eps) of its profit (materialised lazily,
     like LargeClass.rounded_profit). Members are the class's K lightest
-    items, weight ascending, ties by id.
+    items, weight ascending, ties by id; rows as in LargeClass.
     """
 
     index: int
     profit_scale: Fraction
     growth: Fraction
     members: tuple[Item, ...]
+    rows: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     @cached_property
     def rounded_profit(self) -> Fraction:
@@ -105,7 +116,9 @@ class Partition:
     are pruned, or lie below the profit floor eps*opt_estimate/K, except the
     fillers: in exactly-K mode (exactly_k) the K lightest of those, counted
     at profit 0. cardinality is carried along because the small-item
-    relaxations need K itself, not only z = min(K, ceil(1/eps)).
+    relaxations need K itself, not only z = min(K, ceil(1/eps)). view is the
+    solve's CandidateView and filler_rows the fillers' rows in it; neither
+    takes part in equality.
     """
 
     opt_estimate: Fraction
@@ -118,6 +131,8 @@ class Partition:
     discarded: frozenset[int]
     exactly_k: bool = False
     fillers: tuple[Item, ...] = ()
+    filler_rows: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+    view: Optional["CandidateView"] = field(default=None, compare=False, repr=False)
 
     @property
     def class_count(self) -> int:
@@ -158,6 +173,75 @@ class Partition:
         }
 
 
+@dataclass(frozen=True, eq=False)
+class CandidateView:
+    """The integers of one solve's candidates (see Instance.candidates),
+    read once and shared by the estimate, the partition, the small pool and
+    the solution's sums.
+
+    Row r describes the candidate candidates[order[r]], and rows ascend by
+    id, so an order that breaks its ties by row breaks them by id. ids
+    holds the candidates' own id objects (an object array) and keys the
+    same ids as numbers to search (int64 when they fit). P = profit*lp and
+    W = weight*lw, with lp and lw the lcms of the candidates' profit and
+    weight denominators, are sum arrays (small_items._sum_array): int64 when
+    n times the largest value stays below 2^62, so every sum a consumer
+    forms fits, and Python ints otherwise.
+    """
+
+    candidates: tuple[Item, ...]
+    order: np.ndarray
+    ids: np.ndarray
+    keys: np.ndarray
+    P: np.ndarray
+    W: np.ndarray
+    lp: int
+    lw: int
+
+    def items_at(self, rows: np.ndarray) -> tuple[Item, ...]:
+        """The candidates at these rows."""
+        candidates = self.candidates
+        return tuple([candidates[i] for i in self.order[rows].tolist()])
+
+    def rows_of(self, ids) -> np.ndarray:
+        """The rows of these candidate ids."""
+        return np.searchsorted(self.keys, np.array(list(ids), dtype=self.keys.dtype))
+
+    def totals(self, rows: np.ndarray) -> tuple[Fraction, Fraction]:
+        """Exact total profit and weight of the candidates at these rows."""
+        return Fraction(int(self.P[rows].sum()), self.lp), Fraction(int(self.W[rows].sum()), self.lw)
+
+
+def candidate_view(inst: Instance) -> CandidateView:
+    """The CandidateView of inst, built afresh on every call: one pass over
+    the candidates reads their ids, numerators and denominators."""
+    candidates = inst.candidates
+    ids = [it.id for it in candidates]
+    keys = np.array(ids)
+    order = np.argsort(keys, kind="stable")
+    profits = [it.profit for it in candidates]
+    weights = [it.weight for it in candidates]
+    lp = math.lcm(*{p.denominator for p in profits})
+    lw = math.lcm(*{w.denominator for w in weights})
+    return CandidateView(
+        candidates,
+        order,
+        np.array(ids, dtype=object)[order],
+        keys[order],
+        _sum_array(_numerators(profits, lp))[order],
+        _sum_array(_numerators(weights, lw))[order],
+        lp,
+        lw,
+    )
+
+
+def _numerators(values, den: int) -> list[int]:
+    """The numerators of the values over the common denominator den."""
+    if den == 1:
+        return [v.numerator for v in values]
+    return [v.numerator * (den // v.denominator) for v in values]
+
+
 class OptimumEstimate(NamedTuple):
     """The estimate's two bounds on OPT (OPT over exactly-K sets in
     exactly-K mode): value <= OPT <= 2*value, and OPT <= lp_bound, the
@@ -167,27 +251,34 @@ class OptimumEstimate(NamedTuple):
     lp_bound: Fraction
 
 
-def half_approx_opt(inst: Instance) -> OptimumEstimate:
+def half_approx_opt(inst: Instance, view: Optional[CandidateView] = None) -> OptimumEstimate:
     """Lower estimate v with v <= OPT <= 2v, and the LP bound it comes from.
 
     Solves the LP relaxation over the candidate items exactly (cardinality
-    row sum x = K in exactly-K mode). Its vertex has at most two fractional
-    components, and when it has two they sum to exactly one. Its rounding --
-    the integral part, plus in exactly-K mode the lighter fractional unit --
-    is feasible and loses at most one item's profit, so
+    row sum x = K in exactly-K mode), on the integers of view (built here
+    when not given). Its vertex has at most two fractional components, and
+    when it has two they sum to exactly one. Its rounding -- the integral
+    part, plus in exactly-K mode the lighter fractional unit -- is feasible
+    and loses at most one item's profit, so
     v = max(rounding, best_single) >= LP/2 >= OPT/2, and v <= OPT <= LP.
     """
-    items = inst.candidates
-    if not items:
+    if view is None:
+        view = candidate_view(inst)
+    if not len(view.ids):
         return OptimumEstimate(ZERO, ZERO)
-    best_single = max((it.profit for it in items), default=ZERO)
     exactly_k = inst.mode is Mode.EXACT
-    lp = solve_box_lp(items, inst.budget, inst.cardinality, equality=exactly_k)
-    ids = lp.integral_ids
-    if exactly_k:
-        ids = lp.rounded_ids(lambda uid: inst.by_id[uid].weight)
-    rounded = exact_sum(inst.by_id[uid].profit for uid in ids)
-    return OptimumEstimate(max(rounded, best_single, ZERO), lp.value)
+    P, W = view.P, view.W
+    if not exactly_k:  # the inequality row's pool: positive profits only
+        positive = P > 0
+        P, W = P[positive], W[positive]
+    scaled = _IntScaling(P, W, view.lp, view.lw, exactly_k)
+    primal, integral, fractional, _, _ = _solve_units(scaled, inst.budget, inst.cardinality)
+    if exactly_k and fractional:
+        assert len(fractional) == 2 and sum(x for _, x in fractional) == 1, fractional
+        integral = integral + [min((i for i, _ in fractional), key=lambda i: (int(W[i]), i))]
+    rounded = _sum_at(P, integral)
+    best_single = _extremes(view.P)[1]
+    return OptimumEstimate(Fraction(max(rounded, best_single), view.lp), Fraction(primal, view.lp))
 
 
 # ---------------------------------------------------------------------------
@@ -376,24 +467,30 @@ def _geometric_index_up(ratio: Fraction, eps: Fraction) -> int:
 
 
 def build_partition(
-    inst: Instance, eps: Fraction, estimate: Optional[OptimumEstimate] = None
+    inst: Instance,
+    eps: Fraction,
+    estimate: Optional[OptimumEstimate] = None,
+    view: Optional[CandidateView] = None,
 ) -> Partition:
     """Partition the instance's items into geometric profit classes.
 
     Items no feasible selection contains (see Instance.candidates) are
     discarded first; the optimum estimate is computed over what remains,
-    unless the caller passes the one it already has.
+    unless the caller passes the one it already has, and so is the
+    candidates' CandidateView.
     Large members are stored sorted by ascending weight with prefix sums;
     small classes, and in exactly-K mode the fillers, are pruned to their K
-    lightest members. Each item's class is one bisect of its integer profit
-    over boundaries computed once (see the comment block above).
+    lightest members. Classes are assigned on the view's integer profits
+    against boundaries computed once (see the comment block above): one
+    searchsorted over int64 profits, one bisect per profit over Python
+    ints. One lexsort on (class, W) then orders every class; it is stable
+    and the view's rows ascend by id, so ties go by id.
     """
     eps = Fraction(eps)
     if not (0 < eps < 1):
         raise ValueError(f"epsilon must be in (0,1), got {eps}")
     K = inst.cardinality
     exactly_k = inst.mode is Mode.EXACT
-    candidates = inst.candidates
 
     if estimate is None:
         estimate = half_approx_opt(inst)
@@ -402,16 +499,16 @@ def build_partition(
         raise TrivialInstanceError(
             "no feasible selection has positive profit; the empty solution is optimal"
         )
+    if view is None:
+        view = candidate_view(inst)
 
     large_floor = eps * opt_estimate  # profits above this are large
     growth = 1 + eps
-    lp = math.lcm(*(it.profit.denominator for it in candidates))
-    lw = math.lcm(*(it.weight.denominator for it in candidates))
-    P = _over((it.profit for it in candidates), lp)
-    scale = large_floor * lp
+    P, W = view.P, view.W
+    scale = large_floor * view.lp
     sn, sd = scale.numerator, scale.denominator
     floor_p = -(-sn // (sd * K))  # ceil(S/K): below it, discarded or filler
-    top = max(P)
+    top = _extremes(P)[1]
     large_bounds = [geometric_floor(scale, growth, 0)]  # floor(S*g^i)
     while large_bounds[-1] < top:
         large_bounds.append(geometric_floor(scale, growth, len(large_bounds)))
@@ -422,37 +519,44 @@ def build_partition(
         exact = f and _pow_reaches(growth, j, sn, sd * f)  # S*g^-j == f
         small_bounds.append(-f if exact else -f - 1)
 
-    discarded: set[int] = set()  # no id sets when every item is a candidate
-    if len(candidates) < inst.n:
-        discarded = {it.id for it in inst.items} - {it.id for it in candidates}
-    rows = []  # (kind, class, W, id, position): kind 0 filler, 1 small, 2 large
-    for k, (it, p) in enumerate(zip(candidates, P)):
-        if p < floor_p:
-            if not exactly_k:
-                discarded.add(it.id)
-                continue
-            kind, i = 0, 0
-        elif p <= large_bounds[0]:
-            kind, i = 1, bisect_left(small_bounds, -p)
-        else:
-            kind, i = 2, bisect_left(large_bounds, p)
-        w = it.weight
-        rows.append((kind, i, w.numerator * (lw // w.denominator), it.id, k))
+    # Every class is an interval of P, so one ascending list of cut points
+    # gives each profit its slot, the number of cuts at or below it: slot 0
+    # lies below the floor, slot s in 1..J+1 is small class J+1-s, and slot
+    # s > J+1 is large class s-J-1.
+    J = len(small_bounds) - 1
+    cuts = [floor_p, *(-b for b in reversed(small_bounds[:-1])), *(b + 1 for b in large_bounds[:-1])]
+    slot = _bisect_right(cuts, P)
+    order = np.lexsort((W, slot))
+    slots = slot[order]
+    starts = np.flatnonzero(slots[1:] != slots[:-1]) + 1
 
-    large_classes, small_classes, fillers = [], [], []
-    for (kind, i), group in groupby(sorted(rows), key=itemgetter(0, 1)):
-        group = list(group)
-        members = tuple(candidates[r[4]] for r in group)
-        if kind == 2:
-            sums = accumulate((r[2] for r in group), initial=0)
-            prefix = tuple(Fraction(s, lw) for s in sums)
-            large_classes.append(LargeClass(i, large_floor, growth, members, prefix))
+    pruned = [order[:0]]  # rows of the candidates no class keeps
+    large_classes, small_classes = [], []
+    fillers, filler_rows = (), order[:0]
+    for group in np.split(order, starts):
+        s = int(slot[group[0]])
+        if s > J + 1:
+            sums = accumulate(W[group].tolist(), initial=0)
+            prefix = tuple(Fraction(w, view.lw) for w in sums)
+            members = view.items_at(group)
+            large_classes.append(LargeClass(s - J - 1, large_floor, growth, members, prefix, group))
             continue
-        discarded.update(it.id for it in members[K:])
-        if kind == 0:
-            fillers = members[:K]
+        if s == 0 and not exactly_k:
+            pruned.append(group)
+            continue
+        pruned.append(group[K:])
+        group = group[:K]
+        if s == 0:
+            fillers, filler_rows = view.items_at(group), group
         else:
-            small_classes.append(SmallClass(i, large_floor, growth, members[:K]))
+            members = view.items_at(group)
+            small_classes.append(SmallClass(J + 1 - s, large_floor, growth, members, group))
+    small_classes.reverse()  # slots ascend with profit, small indices descend
+
+    discarded = view.ids[np.concatenate(pruned)].tolist()
+    if len(view.ids) < inst.n:  # the items no feasible selection contains
+        kept = set(view.ids.tolist())
+        discarded += [it.id for it in inst.items if it.id not in kept]
 
     partition = Partition(
         opt_estimate=opt_estimate,
@@ -464,19 +568,31 @@ def build_partition(
         small_classes=tuple(small_classes),
         discarded=frozenset(discarded),
         exactly_k=exactly_k,
-        fillers=tuple(fillers),
+        fillers=fillers,
+        filler_rows=filler_rows,
+        view=view,
     )
     _check_partition(partition, inst)
     return partition
 
 
+def _bisect_right(cuts: list[int], values: np.ndarray) -> np.ndarray:
+    """bisect_right(cuts, v) for every v of an int64 or object array: one
+    searchsorted over int64 (every cut fits, since the cuts stop at the
+    largest value), one bisect per value over Python ints."""
+    if values.dtype == object:
+        return np.array([bisect_right(cuts, v) for v in values.tolist()], dtype=np.intp)
+    return np.searchsorted(np.array(cuts, dtype=np.int64), values, side="right")
+
+
 def _check_partition(partition: Partition, inst: Instance) -> None:
     """Structural invariants, cheap enough to run on every build.
 
-    Membership checks run in integer profit units P = p*lp, with lp the lcm
-    of the members' profit denominators and S = eps*opt_estimate*lp, through
-    the exact bracket comparator, so they stay cheap even when class indices
-    are huge: a large member of class i satisfies
+    Every class's members must be the candidates at its rows of the
+    partition's view. Membership checks then run on the view's integer
+    profits P = p*lp, with S = eps*opt_estimate*lp, through the exact
+    bracket comparator, so they stay cheap even when class indices are
+    huge: a large member of class i satisfies
     growth^(i-1) < P/S <= growth^i, a small member of class i satisfies
     growth^i >= S/P > growth^(i-1) (equivalently
     S*growth^(-i) <= P < S*growth^(-i+1)). Both conditions are intervals in
@@ -489,37 +605,37 @@ def _check_partition(partition: Partition, inst: Instance) -> None:
     large_floor = eps * opt
     K = partition.cardinality
     n = inst.n
-
-    classes = partition.large_classes + partition.small_classes
-    members = [it for c in classes for it in c.members] + list(partition.fillers)
-    lp = math.lcm(*{it.profit.denominator for it in members})
-    scale = large_floor * lp
+    view = partition.view
+    scale = large_floor * view.lp
     sn, sd = scale.numerator, scale.denominator
 
-    def units(items) -> list[int]:
-        return [it.profit.numerator * (lp // it.profit.denominator) for it in items]
+    def profits(members, rows) -> tuple[int, int]:
+        """(least, greatest) P of members, read at their rows."""
+        assert members == view.items_at(rows), "members are not the view's rows"
+        return _extremes(view.P[rows])
 
     for c in partition.large_classes:
         assert c.index >= 1 and c.profit_scale == large_floor and c.growth == growth
-        P = units(c.members)
-        assert _pow_reaches(growth, c.index, max(P) * sd, sn), c
-        assert not _pow_reaches(growth, c.index - 1, min(P) * sd, sn), c
+        least, greatest = profits(c.members, c.rows)
+        assert _pow_reaches(growth, c.index, greatest * sd, sn), c
+        assert not _pow_reaches(growth, c.index - 1, least * sd, sn), c
         assert len(c.prefix_weights) == c.size + 1
     for c in partition.small_classes:
         assert c.index >= 0 and c.profit_scale == large_floor and c.growth == growth
         assert c.size <= K
-        P = units(c.members)
-        assert _pow_reaches(growth, c.index, sn, sd * min(P)), c
+        least, greatest = profits(c.members, c.rows)
+        assert _pow_reaches(growth, c.index, sn, sd * least), c
         # For index 0 the upper bound P < S*growth holds by the small/large
         # split itself (P <= S < S*growth).
         if c.index:
-            assert not _pow_reaches(growth, c.index - 1, sn, sd * max(P)), c
+            assert not _pow_reaches(growth, c.index - 1, sn, sd * greatest), c
     # Fillers: exactly-K mode only, at most K, each below the profit floor:
     # P*K < S.
     assert partition.exactly_k or not partition.fillers
     assert len(partition.fillers) <= K
     if partition.fillers:
-        assert max(units(partition.fillers)) * K * sd < sn, partition.fillers
+        _, greatest = profits(partition.fillers, partition.filler_rows)
+        assert greatest * K * sd < sn, partition.fillers
 
     # Class-count bound: at most ceil(log_{1+eps}(1/eps)) large indices plus
     # ceil(log_{1+eps}(K)) + 1 small indices, together within

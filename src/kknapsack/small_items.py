@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -81,9 +80,8 @@ class SmallEval:
         """Rounding of a vertex under sum x = cap: the integral ids plus the
         lighter fractional unit. The two fractional parts sum to one, so the
         count is cap and min(w_a, w_b) <= x_a*w_a + x_b*w_b fits."""
-        # Every value lies in (0, 1], so the fractional ones are those with
-        # a denominator other than 1, found without comparing Fractions.
-        frac = [i for i, v in self.fractional_solution.items() if v.denominator != 1]
+        # The fractional ids are those that are not integral.
+        frac = list(self.fractional_solution.keys() - set(self.integral_ids))
         assert not frac or (
             len(frac) == 2 and sum(self.fractional_solution[i] for i in frac) == 1
         ), self.fractional_solution
@@ -108,16 +106,19 @@ KEY_ERROR = 8 * 2.0**-53 + 2.0**-1000
 
 @dataclass(eq=False)
 class _IntScaling:
-    """Units scaled once to integers: P_i = p_i*lp and W_i = w_i*lw, with lp
-    and lw the lcm of the profit and weight denominators.
+    """Units scaled to integers: P_i = p_i*lp and W_i = w_i*lw, with lw a
+    common denominator of the weights and lp a positive rational that makes
+    every profit integral: a common denominator of the profits, or one
+    divided by a common factor of the scaled profits.
 
     In these units the adjusted profit p - mu*w is proportional to
     P - nu*W with nu = mu*lp/lw, so at nu = num/den every unit's greedy key
-    den*P - num*W is an integer. The scaling also keeps P/2^e and W/2^f in
+    den*P - num*W is an integer. P and W are sum arrays (see _sum_array):
+    int64 when no sum of them can reach 2^62, Python ints otherwise, so
+    selections sum exactly; single values are read as Python ints before
+    they meet a multiplier. The scaling also keeps P/2^e and W/2^f in
     float64, with e and f the bit lengths of max P and max W, from which
-    float_keys ranks every unit at once; P and W are also kept as arrays
-    for summing selections, int64 when no sum of them can reach 2^62 and
-    Python ints otherwise.
+    float_keys ranks every unit at once.
 
     The scaling also caches greedy passes. A pass depends only on cap and
     on the value of nu, so it is keyed by the reduced num/den. The pass at
@@ -130,9 +131,9 @@ class _IntScaling:
     equality selects the row sum x = cap over sum x <= cap.
     """
 
-    P: tuple[int, ...]
-    W: tuple[int, ...]
-    lp: int
+    P: np.ndarray
+    W: np.ndarray
+    lp: Fraction
     lw: int
     equality: bool = False
     passes: int = field(default=0, init=False)
@@ -142,14 +143,10 @@ class _IntScaling:
     _tops: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        self._e = max(self.P, default=0).bit_length()
-        self._f = max(self.W, default=0).bit_length()
-        # Python's int true division rounds correctly, down to subnormals.
-        pd, wd = 1 << self._e, 1 << self._f
-        self._pf = np.array([p / pd for p in self.P], dtype=np.float64)
-        self._wf = np.array([w / wd for w in self.W], dtype=np.float64)
-        self.P_array = _sum_array(self.P, self._e)
-        self.W_array = _sum_array(self.W, self._f)
+        self._e = _extremes(self.P)[1].bit_length()
+        self._f = _extremes(self.W)[1].bit_length()
+        self._pf = _over_power(self.P, self._e)
+        self._wf = _over_power(self.W, self._f)
 
     @classmethod
     def of(cls, units, equality: bool = False) -> "_IntScaling":
@@ -157,22 +154,40 @@ class _IntScaling:
         weights = [w for _, _, w in units]
         lp = math.lcm(*{p.denominator for p in profits})
         lw = math.lcm(*{w.denominator for w in weights})
-        return cls(_over(profits, lp), _over(weights, lw), lp, lw, equality)
+        P = _sum_array([p.numerator * (lp // p.denominator) for p in profits])
+        W = _sum_array([w.numerator * (lw // w.denominator) for w in weights])
+        return cls(P, W, lp, lw, equality)
 
     @cached_property
     def top_ratio(self) -> tuple[int, int]:
         """(P, W) of a unit with the largest ratio P/W over W > 0, or (0, 1)
-        when every unit is weightless."""
+        when every unit is weightless.
+
+        On int64 units the float ratio (P/2^e)/(W/2^f) is within 3u of the
+        exact one, u = 2^-53 (two correctly rounded conversions, exact
+        power-of-two scalings, one division), so only the units within
+        2^-49 of the largest float ratio are compared exactly."""
+        P, W = self.P, self.W
+        heavy = np.flatnonzero(W > 0)
+        if heavy.size and object not in (P.dtype, W.dtype):
+            ratio = self._pf[heavy] / self._wf[heavy]
+            heavy = heavy[ratio >= ratio.max() * (1 - 2.0**-49)]
         top_p, top_w = 0, 1
-        for p, w in zip(self.P, self.W):
-            if w > 0 and p * top_w > top_p * w:
+        for i in heavy.tolist():
+            p, w = int(P[i]), int(W[i])
+            if p * top_w > top_p * w:
                 top_p, top_w = p, w
         return top_p, top_w
 
     @cached_property
+    def top_sums(self) -> list[int]:
+        """top_sums[c] is the greatest total P of c units."""
+        return list(itertools.accumulate(np.sort(self.P)[::-1].tolist(), initial=0))
+
+    @cached_property
     def lightest(self) -> list[int]:
         """lightest[c] is the least total W of c units."""
-        return list(itertools.accumulate(sorted(self.W), initial=0))
+        return list(itertools.accumulate(np.sort(self.W).tolist(), initial=0))
 
     def float_keys(self, num: int, den: int) -> np.ndarray:
         """Every unit's key den*P - num*W divided by s = max(den*2^e, num*2^f),
@@ -209,31 +224,41 @@ class _IntScaling:
         return found
 
 
-def _sum_array(values, bits: int) -> np.ndarray:
-    """values, each under 2^bits, as an array whose selections sum exactly:
-    int64 when no sum can reach 2^62, Python ints otherwise."""
-    fits = len(values) << bits < 1 << 62
+def _sum_array(values, count: Optional[int] = None) -> np.ndarray:
+    """Non-negative Python ints as an array whose sums of up to count of
+    them (default: all) are exact: int64 when count times the largest
+    cannot reach 2^62, Python ints otherwise."""
+    bits = max(values, default=0).bit_length()
+    fits = (len(values) if count is None else count) << bits < 1 << 62
     return np.array(values, dtype=np.int64 if fits else object)
 
 
-def _over(values, lcm: int) -> tuple[int, ...]:
-    """Numerators of the values over the common denominator lcm. A value
-    already over lcm, such as any integer when lcm is 1, keeps its numerator
-    object, so integral pools allocate no new ints; any other value is
-    scaled once and shared by its repeats, as class-rounded profits are."""
-    scaled: dict[tuple[int, int], int] = {}
-    out = []
-    for v in values:
-        n, d = v.numerator, v.denominator
-        if d == lcm:
-            out.append(n)
-            continue
-        key = (n, d)
-        x = scaled.get(key)
-        if x is None:
-            x = scaled[key] = n * (lcm // d)
-        out.append(x)
-    return tuple(out)
+def _sum_at(values: np.ndarray, idx) -> int:
+    """The exact sum of values at the indices idx, a list or an array."""
+    return int(values[idx].sum()) if len(idx) else 0
+
+
+def _extremes(values: np.ndarray) -> tuple[int, int]:
+    """(least, greatest) of the values as Python ints, (0, 0) when there
+    are none. Object arrays hold Python ints, so Python's own min and max
+    read them."""
+    if not len(values):
+        return 0, 0
+    if values.dtype == object:
+        ints = values.tolist()
+        return min(ints), max(ints)
+    return int(values.min()), int(values.max())
+
+
+def _over_power(values: np.ndarray, bits: int) -> np.ndarray:
+    """values / 2^bits in float64, each correctly rounded. On int64 the
+    conversion is correctly rounded and dividing by a power of two is then
+    exact (the quotients are at least 2^-63, far above the subnormals);
+    Python's int true division rounds correctly, down to subnormals."""
+    if values.dtype != object:
+        return values.astype(np.float64) / float(1 << bits)
+    d = 1 << bits
+    return np.array([v / d for v in values.tolist()], dtype=np.float64)
 
 
 def _greedy_pass(scaled: _IntScaling, cap: int, num: int, den: int):
@@ -245,7 +270,7 @@ def _greedy_pass(scaled: _IntScaling, cap: int, num: int, den: int):
     of the zero-key units. Otherwise cut is the cap-th largest key, above
     holds the units keyed above it and tied the (W, index) pairs of the
     units at it; the equality row ranks every unit, so its cut may be zero
-    or negative.
+    or negative. tied is sorted.
 
     The pass is exact while almost every unit is ranked in float. With
     E = KEY_ERROR, a float key above E is positive and one below -E is not;
@@ -255,37 +280,42 @@ def _greedy_pass(scaled: _IntScaling, cap: int, num: int, den: int):
     keys above cf + 2E are above the cut and those below cf - 2E under it;
     only the band between is keyed exactly and ranked by exact key.
     """
-    P, W = scaled.P, scaled.W
     kf = scaled.float_keys(num, den)
     scaled.passes += 1
     if scaled.equality:
-        exact = {}
-        pos = np.arange(len(P))
+        pos, kpos = None, kf  # every unit is ranked
     else:
-        unsure = (abs(kf) <= KEY_ERROR).nonzero()[0].tolist()
-        exact = {i: den * P[i] - num * W[i] for i in unsure}
         pos = (kf > KEY_ERROR).nonzero()[0]
-        extra = [i for i, key in exact.items() if key > 0]
+        unsure = _band_keys(scaled, (abs(kf) <= KEY_ERROR).nonzero()[0], num, den)
+        extra = [i for i, _, key in unsure if key > 0]
         if extra:
             pos = np.concatenate((pos, extra))
         if len(pos) <= cap:
-            scaled.exact_keys += len(exact)
-            return pos, None, [(W[i], i) for i, key in exact.items() if key == 0]
-    kpos = kf[pos]
-    rank = len(pos) - cap
+            return pos, None, sorted((w, i) for i, w, key in unsure if key == 0)
+        kpos = kf[pos]
+    rank = len(kpos) - cap
     cf = np.partition(kpos, rank)[rank]
     high = kpos > cf + 2 * KEY_ERROR
-    above = pos[high]
-    band = pos[~high & (kpos >= cf - 2 * KEY_ERROR)].tolist()
-    for i in band:
-        if i not in exact:
-            exact[i] = den * P[i] - num * W[i]
-    scaled.exact_keys += len(exact)
-    cut = sorted((exact[i] for i in band), reverse=True)[cap - len(above) - 1]
-    extra = [i for i in band if exact[i] > cut]
+    above = high.nonzero()[0]
+    band = (~high & (kpos >= cf - 2 * KEY_ERROR)).nonzero()[0]
+    if pos is not None:
+        above, band = pos[above], pos[band]
+    band = _band_keys(scaled, band, num, den)
+    cut = sorted((key for _, _, key in band), reverse=True)[cap - len(above) - 1]
+    extra = [i for i, _, key in band if key > cut]
     if extra:
         above = np.concatenate((above, extra))
-    return above, cut, [(W[i], i) for i in band if exact[i] == cut]
+    return above, cut, sorted((w, i) for i, w, key in band if key == cut)
+
+
+def _band_keys(scaled: _IntScaling, idx: np.ndarray, num: int, den: int) -> list:
+    """(index, W, exact key den*P - num*W) of the units at idx, in Python
+    ints, counted in scaled.exact_keys."""
+    if not idx.size:
+        return []
+    scaled.exact_keys += len(idx)
+    P, W = scaled.P[idx].tolist(), scaled.W[idx].tolist()
+    return [(i, w, den * p - num * w) for i, p, w in zip(idx.tolist(), P, W)]
 
 
 def _lightest_maximizer(scaled: _IntScaling, cap: int, num: int, den: int):
@@ -296,15 +326,17 @@ def _lightest_maximizer(scaled: _IntScaling, cap: int, num: int, den: int):
 
     Returns (sum of P over S, sum of W over S, S as the index array of the
     units keyed above the cut and the list of tied units filled in, the
-    pass's (cut, tied)), with tied sorted when cut is not None.
+    pass's (cut, tied)).
     """
     above, cut, tied = _greedy_pass(scaled, cap, num, den)
+    P, W = scaled.P, scaled.W
+    p_sum, w_sum = _sum_at(P, above), _sum_at(W, above)
     fill = []
     if cut is not None:
-        tied.sort()
-        fill = [i for _, i in tied[: cap - len(above)]]
-    p_sum = int(scaled.P_array[above].sum()) + sum(map(scaled.P.__getitem__, fill))
-    w_sum = int(scaled.W_array[above].sum()) + sum(map(scaled.W.__getitem__, fill))
+        filled = tied[: cap - len(above)]
+        fill = [i for _, i in filled]
+        p_sum += _sum_at(P, fill)
+        w_sum += sum(w for w, _ in filled)
     return p_sum, w_sum, (above, fill), (cut, tied)
 
 
@@ -331,7 +363,8 @@ def _critical_multiplier(
     lowers it at b, so the loop ends.
     """
     if scaled.equality:
-        end = (max(scaled.P) - min(scaled.P) + 1, 1)
+        least, greatest = _extremes(scaled.P)
+        end = (greatest - least + 1, 1)
     else:
         end = scaled.top_ratio
     pb, wb, *_ = scaled.maximizer(cap, *end)
@@ -364,8 +397,8 @@ def _vertex(scaled: _IntScaling, budget_w: Fraction, cap: int, num: int, den: in
     bn, bd = budget_w.numerator, budget_w.denominator
     _, _, (above, _), (cut, tied) = scaled.maximizer(cap, num, den)
     integral = above.tolist()
-    p_above = int(scaled.P_array[above].sum())
-    used = int(scaled.W_array[above].sum())
+    p_above = _sum_at(P, above)
+    used = _sum_at(scaled.W, above)
     g = den * p_above - num * used
     fractional = []
     if cut is None:
@@ -405,8 +438,8 @@ def _vertex(scaled: _IntScaling, budget_w: Fraction, cap: int, num: int, den: in
         assert fractional or bd * used == bn, "cannot reach weight target from ties"
         integral += [i for _, i in heaviest[:swaps]]
         integral += [i for _, i in lightest[swaps + bool(fractional):]]
-    primal = p_above + sum(map(P.__getitem__, integral[len(above):]))
-    primal += sum((P[i] * x for i, x in fractional), ZERO)
+    primal = p_above + _sum_at(P, integral[len(above):])
+    primal += sum((int(P[i]) * x for i, x in fractional), ZERO)
     return integral, fractional, primal, g
 
 
@@ -427,7 +460,8 @@ def solve_box_lp(
     if not equality:
         units = [u for u in units if u[1] > 0]
     scaled = _IntScaling.of(units, equality)
-    return _evaluation(units, scaled, _solve_units(scaled, Fraction(budget), int(cap)))
+    raw = _solve_units(scaled, Fraction(budget), int(cap))
+    return _evaluation([u[0] for u in units], scaled, raw)
 
 
 def _solve_units(scaled: _IntScaling, budget: Fraction, cap: int):
@@ -456,16 +490,17 @@ def _solve_units(scaled: _IntScaling, budget: Fraction, cap: int):
     return primal, integral, fractional, num, den
 
 
-def _evaluation(units, scaled: _IntScaling, raw) -> Optional[SmallEval]:
-    """The SmallEval of a raw vertex from _solve_units over these units."""
+def _evaluation(ids: list, scaled: _IntScaling, raw) -> Optional[SmallEval]:
+    """The SmallEval of a raw vertex from _solve_units over a pool whose
+    unit i has id ids[i]."""
     if raw is None:
         return None
     primal, integral, fractional, num, den = raw
-    ids = tuple(units[i][0] for i in sorted(integral))
-    x = dict.fromkeys(ids, ONE)
-    x.update((units[i][0], v) for i, v in fractional)
+    integral_ids = tuple(map(ids.__getitem__, sorted(integral)))
+    x = dict.fromkeys(integral_ids, ONE)
+    x.update((ids[i], v) for i, v in fractional)
     mu = None if num is None else Fraction(num * scaled.lw, den * scaled.lp)
-    return SmallEval(Fraction(primal, scaled.lp), x, ids, mu=mu)
+    return SmallEval(Fraction(primal, scaled.lp), x, integral_ids, mu=mu)
 
 
 def upsilon1(items, omega: Fraction, k: int) -> SmallEval:
@@ -488,15 +523,15 @@ class SmallSolver:
     pool's units, whose greedy passes the pool's scaling caches per cap:
     the positive-profit units, or with exactly_k every unit, zero-profit
     fillers included; then a query takes exactly k units and is None when
-    no k units fit omega. items holds the pool as id-ascending
-    (id, profit, weight) triples and scaled their integer view.
+    no k units fit omega. ids holds the pool's item ids in ascending order
+    and scaled the pool's integers in the same order.
     """
 
     # Every pool is solved exactly; benchmark traces read this flag.
     exact = True
 
-    def __init__(self, units, scaled: _IntScaling, K: int):
-        self.items = units
+    def __init__(self, ids, scaled: _IntScaling, K: int):
+        self.ids = ids
         self.scaled = scaled
         self.K = int(K)
 
@@ -506,7 +541,7 @@ class SmallSolver:
         units = _units(items)
         if not exactly_k:
             units = [u for u in units if u[1] > 0]
-        return cls(units, _IntScaling.of(units, exactly_k), K)
+        return cls([u[0] for u in units], _IntScaling.of(units, exactly_k), K)
 
     @property
     def passes(self) -> int:
@@ -522,22 +557,29 @@ class SmallSolver:
     def from_partition(cls, partition) -> "SmallSolver":
         """Build a solver over a partition's pruned small classes, using the
         class-rounded profits and the original weights, plus its zero-profit
-        fillers in exactly-K mode. The integer view is built in one pass:
-        each class's rounded profit is scaled once for all its members, and
-        the Fractions the partition holds are used as they are."""
-        groups = [(c.rounded_profit, c.members) for c in partition.small_classes]
-        groups.append((ZERO, partition.fillers))
-        lp = math.lcm(*(p.denominator for p, _ in groups))
-        rows = []  # (id, profit, weight, P)
-        for p, members in groups:
-            scaled_p = p.numerator * (lp // p.denominator)
-            rows += [(it.id, p, it.weight, scaled_p) for it in members]
-        rows.sort(key=itemgetter(0))
-        weights = [r[2] for r in rows]
-        lw = math.lcm(*{w.denominator for w in weights})
-        P = tuple(r[3] for r in rows)
-        scaled = _IntScaling(P, _over(weights, lw), lp, lw, partition.exactly_k)
-        return cls([r[:3] for r in rows], scaled, partition.cardinality)
+        fillers in exactly-K mode. The members are read by their rows in the
+        partition's candidate view: each class's rounded profit is scaled
+        once for all its members, and the weights are the view's W.
+
+        The rounded profits of small class j are S*g^-j, so over their
+        common denominator they share the factor b^j' of the deepest
+        pooled class j' for growth g = (a+b)/b; P divides it out. At large K
+        the pool reaches deep classes, and without that the P of uniform
+        n = 2000, K = 1024 take 82 bits instead of 28."""
+        view = partition.view
+        groups = [(c.rounded_profit, c.rows) for c in partition.small_classes]
+        groups.append((ZERO, partition.filler_rows))
+        den = math.lcm(*(p.denominator for p, _ in groups))
+        scaled_p = [p.numerator * (den // p.denominator) for p, _ in groups]
+        common = math.gcd(*scaled_p) or 1
+        rows = np.concatenate([r for _, r in groups])
+        P = _sum_array([p // common for p in scaled_p], count=len(rows))
+        P = np.repeat(P, [len(r) for _, r in groups])
+        lp = Fraction(den, common)
+        order = np.argsort(rows, kind="stable")  # view rows ascend by id
+        rows = rows[order]
+        scaled = _IntScaling(P[order], view.W[rows], lp, view.lw, partition.exactly_k)
+        return cls(view.ids[rows].tolist(), scaled, partition.cardinality)
 
     def register_query_weights(self, weights) -> None:
         """Announce the splits the combiner's sweep enumerated, one entry
@@ -546,17 +588,17 @@ class SmallSolver:
         call is where benchmark traces count the combiner's splits."""
 
     def top_scaled(self, k: int) -> Optional[int]:
-        """The most k units give with the weight row dropped, times
-        scaled.lp: the top k by profit, phi_dag's fast-path pass. It bounds
-        phi_dag(omega, k) from above at every omega. None when exactly k
-        units are more than the pool holds (exactly-K mode)."""
+        """The most k units give with the weight row dropped, in P units
+        (times scaled.lp): the sum of the k largest P, the value of
+        phi_dag's fast-path pass. It bounds phi_dag(omega, k) from above at
+        every omega. None when exactly k units are more than the pool holds
+        (exactly-K mode)."""
         k = max(0, min(int(k), self.K))
         scaled = self.scaled
         n = len(scaled.P)
         if scaled.equality and k > n:
             return None
-        k = min(k, n)
-        return scaled.maximizer(k, 0, 1)[0] if k else 0
+        return scaled.top_sums[min(k, n)]
 
     def phi_dag(self, omega: Fraction, k: int) -> Optional[Fraction]:
         """Approximation value for residual budget omega, cardinality k;
@@ -575,7 +617,7 @@ class SmallSolver:
         mode, its rounded_ids are). None where phi_dag is None."""
         k = max(0, min(int(k), self.K))
         scaled = self.scaled
-        return _evaluation(self.items, scaled, _solve_units(scaled, Fraction(omega), k))
+        return _evaluation(self.ids, scaled, _solve_units(scaled, Fraction(omega), k))
 
 
 def solver_for_partition(partition) -> SmallSolver:

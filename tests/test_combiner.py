@@ -19,6 +19,7 @@ from kknapsack.combiner import (
 from kknapsack.generator import generate_instance
 from kknapsack.instance_model import (
     Instance,
+    Item,
     Mode,
     Solution,
     evaluate_solution,
@@ -245,7 +246,10 @@ class TestDeterminismAndKnobs:
         assert det["small_pool"] == sum(
             len(c.members) for c in det["partition"].small_classes
         )
-        assert det["small_passes"] >= 1
+        # The chosen split's small query runs at least the pass at nu = 0,
+        # unless it asks for no units.
+        asks_units = det["small_pool"] > 0 and det["split"].large_slots < inst.cardinality
+        assert det["small_passes"] >= asks_units
         assert 0 <= det["small_exact_keys"] <= det["small_passes"] * det["small_pool"]
         assert isinstance(det["split"], SplitCandidate)
         assert 1 <= det["split_queries"] <= det["split_count"]
@@ -551,3 +555,39 @@ class TestCoarseToFine:
         _, det = solve_with_details(inst, F(1, 2))
         assert det["trivial"] and not det["fell_back"]
         assert det["lp_bound"] == 0 and det["certified_ratio"] == 1
+
+
+class TestPerItemWork:
+    def test_no_fraction_comparison_per_item(self, monkeypatch):
+        # Validation, candidates, the view, the estimate and the partition
+        # read integers: a Fraction comparison per item would show as a
+        # count that grows with n. The n = 2000 instance is the n = 200
+        # uniform one plus 900 zero-profit items that fit and 900 that do
+        # not, shuffled under fresh ids, so that the layers after them run
+        # alike (generated uniform instances of the two sizes ask different
+        # numbers of small-side queries, each comparing a few budgets).
+        calls = []
+        for name in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__"):
+            original = getattr(Fraction, name)
+
+            def counting(a, b, original=original):
+                calls.append(1)
+                return original(a, b)
+
+            monkeypatch.setattr(Fraction, name, counting)
+        base = generate_instance("uniform", 200, 16, seed=5)
+        counts, selections = [], []
+        for n in (200, 2000):
+            pad = [
+                Item(201 + j, F(0) if j % 2 else F(10**6), F(1) if j % 2 else base.budget + 1)
+                for j in range(n - 200)
+            ]
+            items = list(base.items) + pad
+            random.Random(n).shuffle(items)
+            inst = Instance(tuple(items), base.budget, base.cardinality)
+            calls.clear()
+            sol, _ = solve_with_details(inst, F(1, 4))
+            counts.append(len(calls))
+            selections.append(sol.selected)
+        assert selections[0] == selections[1]
+        assert counts[0] == counts[1] < 200, counts

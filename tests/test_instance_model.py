@@ -2,6 +2,7 @@
 to at-most-K profit-shift reduction, which lives in oracles.py."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,7 @@ from kknapsack.instance_model import (
     save_instance_csv,
     validate_instance,
 )
-from kknapsack.oracles import convert_exact_to_atmost
+from kknapsack.oracles import convert_exact_to_atmost, reference_validate
 
 
 class TestInstanceBasics:
@@ -109,6 +110,66 @@ class TestValidateInstance:
         # At K = 2 the two fitting copies suffice: no infeasibility warning.
         enough = Instance(items=inst.items, budget=inst.budget, cardinality=2, mode=Mode.EXACT)
         assert not any("fit individually" in w for w in validate_instance(enough).warnings)
+
+
+def _validation_case(seed: int) -> Instance:
+    """A seeded instance for the validation comparison. Ids come from a
+    small range, so some repeat; about one value in six is negative; values
+    and budgets mix plain ints, integral Fractions and fractional ones; a
+    few instances have no items."""
+    rnd = random.Random(f"validate-{seed}")
+
+    def value(scale):
+        v = rnd.randint(-scale // 5, scale)
+        kind = rnd.choice(("int", "integral", "fraction"))
+        if kind == "int":
+            return v
+        return Fraction(v) if kind == "integral" else Fraction(v, rnd.randint(2, 9))
+
+    n = 0 if seed % 17 == 0 else rnd.randint(1, 12)
+    items = tuple(
+        Item(id=rnd.randint(1, n + 3), profit=value(50), weight=value(30)) for _ in range(n)
+    )
+    budget = value(60) if seed % 5 else Fraction(rnd.randint(1, 200), rnd.randint(2, 7))
+    mode = Mode.EXACT if seed % 3 == 0 else Mode.AT_MOST
+    return Instance(items=items, budget=budget, cardinality=rnd.randint(0, 6), mode=mode)
+
+
+class TestValidateMatchesReference:
+    """validate_instance's integer checks against reference_validate's
+    Fraction comparisons: the same errors, warnings and removable ids, in
+    the same order."""
+
+    def test_seeded_instances(self):
+        seen = dict.fromkeys(
+            ("duplicate", "negative profit", "negative weight", "exceeds budget",
+             "fractional budget", "plain int", "no items"), 0,
+        )
+        for seed in range(400):
+            inst = _validation_case(seed)
+            report = validate_instance(inst)
+            assert report == reference_validate(inst), seed
+            text = " ".join(report.errors + report.warnings)
+            for key in ("duplicate", "negative profit", "negative weight", "exceeds budget", "no items"):
+                seen[key] += key in text
+            seen["fractional budget"] += Fraction(inst.budget).denominator > 1
+            seen["plain int"] += any(type(it.weight) is int for it in inst.items)
+        assert min(seen.values()) >= 10, seen
+
+    def test_negative_budget_with_negative_weights(self):
+        # -9/2 exceeds the budget -5 though its numerator -9 does not.
+        inst = inst_of([(1, 1, F(-9, 2)), (2, 1, F(-7))], F(-5), 1)
+        report = validate_instance(inst)
+        assert report == reference_validate(inst)
+        assert report.removable_ids == frozenset({1})
+
+    def test_generated_instances(self):
+        for dist in ("uniform", "correlated", "subset-sum"):
+            for integral in (True, False):
+                inst = generate_instance(dist, 40, 5, seed=3, integral=integral)
+                tight = Instance(inst.items, inst.budget / 8, 5, Mode.EXACT)
+                for case in (inst, tight):
+                    assert validate_instance(case) == reference_validate(case)
 
 
 class TestSolutions:

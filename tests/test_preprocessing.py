@@ -7,12 +7,13 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import F, ZERO, best_subset, inst_of
-from kknapsack import preprocessing
+from kknapsack import preprocessing, solve_with_details
 from kknapsack.generator import DISTRIBUTIONS, generate_instance
 from kknapsack.instance_model import Instance, Item, Mode
 from kknapsack.oracles import reference_partition
@@ -25,6 +26,7 @@ from kknapsack.preprocessing import (
     _pow_reaches,
     _scaled_pow,
     build_partition,
+    candidate_view,
     geometric_floor,
     half_approx_opt,
 )
@@ -479,3 +481,100 @@ class TestIntegerThresholds:
             counts.append(len(calls))
             calls.clear()
         assert counts[0] == counts[1] <= 2, counts
+
+
+def _times(inst, profit=1, weight=1) -> Instance:
+    """inst with every profit times profit, and every weight and the budget
+    times weight."""
+    items = tuple(Item(it.id, it.profit * profit, it.weight * weight) for it in inst.items)
+    return Instance(items, inst.budget * weight, inst.cardinality, inst.mode)
+
+
+def _boundary_base(family, seed, mode, n=60, K=6) -> Instance:
+    """A generated instance whose budget holds its K lightest items."""
+    base = generate_instance(family, n, K, seed=seed, weight_max=200)
+    lightest = sum(sorted(it.weight for it in base.items)[:K])
+    return Instance(base.items, max(base.budget, lightest), K, mode)
+
+
+def _structure(part):
+    """A partition by member ids: equal for instances whose profits, or
+    weights and budget, differ by a common factor."""
+    return (
+        [(c.index, [it.id for it in c.members]) for c in part.large_classes],
+        [(c.index, [it.id for it in c.members]) for c in part.small_classes],
+        sorted(part.discarded),
+        [it.id for it in part.fillers],
+    )
+
+
+def _primes(count: int, above: int) -> list[int]:
+    """The first count primes above above, by a sieve."""
+    limit = above + 40 * count + 100
+    sieve = bytearray([1]) * (limit + 1)
+    for i in range(2, int(limit**0.5) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
+    found = [i for i in range(above + 1, limit + 1) if sieve[i]]
+    assert len(found) >= count
+    return found[:count]
+
+
+class TestViewIntegerBoundary:
+    """The candidate view's int64/object rule at its boundary. numpy
+    integer arrays wrap silently, without a RuntimeWarning, so a view that
+    kept int64 past the rule would sum wrongly without a sign. Each case
+    asserts the object path, and that the estimate, the partition and the
+    selection are those of the same instance without the factor."""
+
+    EPS = F(1, 4)
+
+    def check(self, big, base, profit=1):
+        assert half_approx_opt(big) == tuple(v * profit for v in half_approx_opt(base))
+        assert _structure(build_partition(big, self.EPS)) == _structure(
+            build_partition(base, self.EPS)
+        )
+        sol, det = solve_with_details(big, self.EPS)
+        ref, det_ref = solve_with_details(base, self.EPS)
+        assert sol.selected == ref.selected
+        assert sol.total_profit == ref.total_profit * profit
+        assert det["fell_back"] == det_ref["fell_back"]
+
+    @pytest.mark.parametrize("mode", [Mode.AT_MOST, Mode.EXACT])
+    def test_profits_near_2_62(self, mode):
+        # Each scaled profit fits int64; sums of a few of them do not.
+        for seed, family in enumerate(DISTRIBUTIONS):
+            base = _boundary_base(family, seed, mode)
+            factor = (2**62 - 1) // max(it.profit for it in base.candidates)
+            big = _times(base, profit=factor)
+            P = candidate_view(big).P
+            assert P.dtype == object and 2**61 < max(P) < 2**63
+            assert candidate_view(base).P.dtype == np.int64
+            self.check(big, base, profit=factor)
+
+    @pytest.mark.parametrize("mode", [Mode.AT_MOST, Mode.EXACT])
+    def test_weights_times_2_70(self, mode):
+        for seed, family in enumerate(DISTRIBUTIONS):
+            base = _boundary_base(family, seed, mode)
+            big = _times(base, weight=2**70)
+            assert candidate_view(big).W.dtype == object
+            assert candidate_view(base).W.dtype == np.int64
+            self.check(big, base)
+
+    @pytest.mark.parametrize("mode", [Mode.AT_MOST, Mode.EXACT])
+    def test_distinct_prime_denominators(self, mode):
+        # Profit p_i/q_i over distinct primes q_i: the common denominator L
+        # has about n times the bits of one value. The same instance times
+        # L has integral profits.
+        n = 200
+        base = _boundary_base("uniform", 2, mode, n=n, K=16)
+        primes = _primes(n, 1000)
+        items = tuple(
+            Item(it.id, it.profit / q, it.weight) for it, q in zip(base.items, primes)
+        )
+        prime = Instance(items, sum(it.weight for it in items) / 4, base.cardinality, mode)
+        view = candidate_view(prime)
+        assert view.P.dtype == object and view.lp.bit_length() > 10 * len(view.ids)
+        L = math.lcm(*primes)
+        self.check(prime, _times(prime, profit=L), profit=F(1, L))
+        assert build_partition(prime, self.EPS) == reference_partition(prime, self.EPS)

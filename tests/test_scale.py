@@ -1,7 +1,8 @@
-"""Exactly-K mode at scale, each case solved in a child process of its own.
+"""Solves at scale, each case in a child process of its own: exactly-K rows
+and one at-most row.
 
-A case builds one seeded item set and solves it, for each of its K, in
-exactly-K mode and, on the same items, in at-most mode; it reports every
+An exactly-K case builds one seeded item set and solves it, for each of
+its K, in exactly-K mode and, on the same items, in at-most mode; it reports every
 row's selection and solve times and the child's peak RSS. The child's
 address space is capped with resource.setrlimit(RLIMIT_AS) in that child
 only, so a regression fails the case instead of exhausting the machine's
@@ -16,6 +17,11 @@ row asserts exactly K items within budget, a peak RSS of its child under
 300 MB and a median wall time within 2x of at-most mode. The rows small
 enough for kknapsack.oracles.exact_dp also assert the (1 - eps) guarantee
 against the exact optimum.
+
+The at-most row, uniform n = 1e5, K = 256, eps = 1/2, solves once in its own
+child and asserts a feasible answer, a certified ratio of at least 1 - eps,
+a peak RSS under 200 MB and a wall time under 3 s: the n term of the
+paper's bound, paid once per solve by every layer that reads the items.
 """
 
 import json
@@ -80,8 +86,42 @@ print(json.dumps({
 """
 
 
+AT_MOST_CHILD = r"""
+import json, resource, sys, time
+from fractions import Fraction
+from kknapsack import evaluate_solution, solve_with_details
+from kknapsack.generator import generate_instance
+
+spec = json.loads(sys.argv[1])
+inst = generate_instance(spec["family"], spec["n"], spec["k"], seed=spec["seed"])
+start = time.perf_counter()
+sol, details = solve_with_details(inst, Fraction(spec["eps"]))
+wall_s = time.perf_counter() - start
+print(json.dumps({
+    "wall_s": wall_s,
+    "feasible": evaluate_solution(inst, sol).feasible,
+    "certified_ratio": str(details["certified_ratio"]),
+    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+}))
+"""
+
+
 def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_CAP, ADDRESS_SPACE_CAP))
+
+
+def _run_child(script: str, spec: dict) -> dict:
+    """Run script with spec in a child whose address space is capped; the
+    JSON object on its last line of output."""
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(spec)],
+        env=env, capture_output=True, text=True, timeout=300,
+        preexec_fn=_cap_address_space,
+    )
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def run_rows(family, n, ks, seed, budget_k=None, reps=REPS) -> dict:
@@ -89,15 +129,7 @@ def run_rows(family, n, ks, seed, budget_k=None, reps=REPS) -> dict:
     each carrying its spec and the child's peak RSS."""
     spec = {"family": family, "n": n, "ks": list(ks), "seed": seed, "eps": str(EPS),
             "budget_k": budget_k or max(ks), "reps": reps}
-    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps(spec)],
-        env=env, capture_output=True, text=True, timeout=300,
-        preexec_fn=_cap_address_space,
-    )
-    assert proc.returncode == 0, proc.stderr[-3000:]
-    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    out = _run_child(CHILD, spec)
     rows = {}
     for k in ks:
         row = out["rows"][str(k)]
@@ -155,3 +187,12 @@ def test_exactly_k_guarantee_against_exact_dp(family, n, k, seed):
     inst = generate_instance(family, n, k, seed=seed)
     opt = exact_dp(Instance(items=inst.items, budget=inst.budget, cardinality=k, mode=Mode.EXACT)).value
     assert Fraction(out["profit"]) >= (1 - EPS) * opt
+
+
+def test_uniform_at_most_n_1e5():
+    eps = Fraction(1, 2)
+    out = _run_child(AT_MOST_CHILD, {"family": "uniform", "n": 100_000, "k": 256, "seed": 1, "eps": str(eps)})
+    assert out["feasible"]
+    assert Fraction(out["certified_ratio"]) >= 1 - eps, out
+    assert out["peak_rss_mb"] < 200, out
+    assert out["wall_s"] < 3.0, out

@@ -347,15 +347,16 @@ class TestFloatFilteredPass:
     def check_pool(self, units, rnd, trials=12):
         units = positive(units)
         scaled = _IntScaling.of(units)
+        P, W = scaled.P.tolist(), scaled.W.tolist()
         n = len(units)
         for _ in range(trials):
             cap = rnd.randint(1, n)
             i, j = rnd.randrange(n), rnd.randrange(n)
-            if scaled.W[i] > scaled.W[j] and scaled.P[i] > scaled.P[j]:
+            if W[i] > W[j] and P[i] > P[j]:
                 # A pairwise crossing, where two keys tie.
-                num, den = scaled.P[i] - scaled.P[j], scaled.W[i] - scaled.W[j]
-            elif scaled.W[i] > 0:
-                num, den = scaled.P[i], scaled.W[i]  # unit i's key is zero
+                num, den = P[i] - P[j], W[i] - W[j]
+            elif W[i] > 0:
+                num, den = P[i], W[i]  # unit i's key is zero
             else:
                 num, den = rnd.randint(0, 50), rnd.randint(1, 50)
             for nu in [(num, den), (0, 1), scaled.top_ratio]:
@@ -398,9 +399,9 @@ class TestFloatFilteredPass:
         small = huge_p._pf[huge_p._pf < 2.0**-1022]
         assert len(small)  # subnormal or flushed to zero
         huge_w = _IntScaling.of(positive(wide_pool("huge-weights", rnd, 40)))
-        assert huge_w.W_array.dtype == object
+        assert huge_w.W.dtype == object
         plain = _IntScaling.of(positive(shaped_pool("random", rnd, 40)))
-        assert plain.W_array.dtype == np.int64
+        assert plain.W.dtype == np.int64
 
     @pytest.mark.parametrize("shape", ["ties", "fractional", "geometric"] + WIDE_SHAPES)
     def test_search_intersections_match_reference(self, monkeypatch, shape):
@@ -666,17 +667,18 @@ class TestSmallSolver:
     def test_dispatch_upsilon1(self):
         solver = self.mk_solver(K=4)
         omega, k = F(10), 3
-        assert solver.phi_dag(omega, k) == upsilon1(solver.items, omega, k).value
+        assert solver.phi_dag(omega, k) == upsilon1(pool(0, 12), omega, k).value
 
     def test_dispatch_upsilon2(self):
         # K = 8 > 1/eps for the paper's eps = 1/2, where it would switch to
         # the ladder; the solver still answers with the box LP.
         solver = self.mk_solver(n=40, K=8, seed=3, frac=True)
+        units = pool(3, 40, frac=True)
         rnd = random.Random(4)
         for _ in range(30):
             omega = Fraction(rnd.randint(1, 60), rnd.choice([1, 2]))
             k = rnd.randint(1, 8)
-            ref = solve_box_lp(solver.items, omega, k)
+            ref = solve_box_lp(units, omega, k)
             assert solver.phi_dag(omega, k) == ref.value
             assert solver.eval_detail(omega, k) == ref
 
@@ -735,7 +737,8 @@ class TestSmallSolver:
             for klass in part.small_classes
             for it in klass.members
         }
-        assert {uid: p for uid, p, _ in solver.items} == expected
+        lp = solver.scaled.lp
+        assert {uid: Fraction(int(p), lp) for uid, p in zip(solver.ids, solver.scaled.P)} == expected
         assert solver.K == part.cardinality
 
 
@@ -898,14 +901,15 @@ class TestEqualityRow:
         for _ in range(20):
             units = with_zero_profits(pool_of(shape, rnd, rnd.randint(1, 50)), rnd)
             scaled = _IntScaling.of(units, equality=True)
+            P, W = scaled.P.tolist(), scaled.W.tolist()
             n = len(units)
-            end = (max(scaled.P) - min(scaled.P) + 1, 1)
+            end = (max(P) - min(P) + 1, 1)
             for _ in range(6):
                 cap = rnd.randint(1, n)
                 i, j = rnd.randrange(n), rnd.randrange(n)
-                if scaled.W[i] != scaled.W[j]:
+                if W[i] != W[j]:
                     # A pairwise crossing, where two keys tie.
-                    num, den = abs(scaled.P[i] - scaled.P[j]), abs(scaled.W[i] - scaled.W[j])
+                    num, den = abs(P[i] - P[j]), abs(W[i] - W[j])
                 else:
                     num, den = rnd.randint(0, 50), rnd.randint(1, 50)
                 for nu in [(num, den), (0, 1), end]:
