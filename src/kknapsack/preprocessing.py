@@ -512,18 +512,24 @@ def build_partition(
     large_bounds = [geometric_floor(scale, growth, 0)]  # floor(S*g^i)
     while large_bounds[-1] < top:
         large_bounds.append(geometric_floor(scale, growth, len(large_bounds)))
-    small_bounds: list[int] = []  # -ceil(S*g^-j), negated to ascend
+    # Small classes start at j0, the class of the largest profit at most
+    # floor(S): smallest j with S*g^-j <= that profit. At large K the small
+    # profits lie many classes below S, whose bounds nothing needs.
+    highest = _extremes(P[P <= large_bounds[0]])[1]
+    j0 = _geometric_index_up(scale / highest, eps) if highest else 0
+    small_bounds: list[int] = []  # -ceil(S*g^-j) for j >= j0, negated to ascend
     while not small_bounds or -small_bounds[-1] > floor_p:
-        j = len(small_bounds)
+        j = j0 + len(small_bounds)
         f = geometric_floor(scale, growth, -j)
         exact = f and _pow_reaches(growth, j, sn, sd * f)  # S*g^-j == f
         small_bounds.append(-f if exact else -f - 1)
 
     # Every class is an interval of P, so one ascending list of cut points
     # gives each profit its slot, the number of cuts at or below it: slot 0
-    # lies below the floor, slot s in 1..J+1 is small class J+1-s, and slot
-    # s > J+1 is large class s-J-1.
-    J = len(small_bounds) - 1
+    # lies below the floor, slot s in 1..J+1-j0 is small class J+1-s, and
+    # slot s > J+1-j0 is large class s-(J+1-j0).
+    J = j0 + len(small_bounds) - 1
+    smalls = J + 1 - j0
     cuts = [floor_p, *(-b for b in reversed(small_bounds[:-1])), *(b + 1 for b in large_bounds[:-1])]
     slot = _bisect_right(cuts, P)
     order = np.lexsort((W, slot))
@@ -535,11 +541,11 @@ def build_partition(
     fillers, filler_rows = (), order[:0]
     for group in np.split(order, starts):
         s = int(slot[group[0]])
-        if s > J + 1:
+        if s > smalls:
             sums = accumulate(W[group].tolist(), initial=0)
             prefix = tuple(Fraction(w, view.lw) for w in sums)
             members = view.items_at(group)
-            large_classes.append(LargeClass(s - J - 1, large_floor, growth, members, prefix, group))
+            large_classes.append(LargeClass(s - smalls, large_floor, growth, members, prefix, group))
             continue
         if s == 0 and not exactly_k:
             pruned.append(group)
