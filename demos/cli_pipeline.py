@@ -60,12 +60,14 @@ def main() -> int:
         out = json.loads(proc.stdout)
         print(f"parsed solve output: value={out['value']} "
               f"weight={out['weight']} items={out['items']}")
-        print(f"answered at internal eps {out['internal_eps']}, certified "
-              f"value / LP bound >= {out['certified_ratio']}")
+        print(f"answered by the {out['answer']} rung (last pipeline run at internal "
+              f"eps {out['internal_eps']}), certified value / LP bound >= "
+              f"{out['certified_ratio']}")
         ok &= set(out) == {
-            "value", "weight", "count", "items", "epsilon_user", "internal_eps",
-            "certified_ratio", "elapsed_ms",
+            "value", "weight", "count", "items", "epsilon_user", "answer",
+            "internal_eps", "certified_ratio", "elapsed_ms",
         }
+        ok &= out["answer"] in ("coarse", "rounding", "fine", "trivial")
         ok &= out["count"] == len(out["items"]) <= 3
 
         print("=" * 64)

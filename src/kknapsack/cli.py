@@ -145,6 +145,10 @@ def cmd_solve(args) -> int:
         "count": sol.count,
         "items": sorted(sol.selected),
         "epsilon_user": format_rational(eps),
+        # The rung that answered: coarse (the pipeline at eps), rounding (the
+        # estimate's LP rounding) or fine (the pipeline at eps/8); trivial
+        # when every selection is worth 0.
+        "answer": details["answer"],
         "internal_eps": format_rational(details["internal_eps"]),
         # value / LP bound, rounded down so that it stays a lower bound on
         # value / OPT.
@@ -153,15 +157,18 @@ def cmd_solve(args) -> int:
     }
     _write_text(args.output, json.dumps(out, indent=2) + "\n")
 
+    # Trivial and rounding answers come from no pipeline run: their dumps
+    # name the answer instead.
+    no_run = {"trivial": True} if details.get("trivial") else {"answer": details["answer"]}
     if args.dump_partition:
         part = details.get("partition")
-        summary = part.summary() if part is not None else {"trivial": True}
+        summary = part.summary() if part is not None else no_run
         Path(args.dump_partition).write_text(
             json.dumps(summary, indent=2) + "\n", encoding="utf-8"
         )
     if args.dump_tables:
         table = details.get("table")
-        payload = _dump_table(table) if table is not None else {"trivial": True}
+        payload = _dump_table(table) if table is not None else no_run
         Path(args.dump_tables).write_text(
             json.dumps(payload, indent=2) + "\n", encoding="utf-8"
         )

@@ -18,9 +18,10 @@ skipped), and retrieval rounds the small vertex by adding the lighter of its
 two fractional units. The error analysis is the at-most one; see the
 README's accuracy contract.
 
-A solve runs the pipeline at two internal accuracies at most: first at the
-user's eps, kept only when the estimate's LP bound certifies the answer,
-then at eps/8, the paper's scheme.
+A solve climbs three rungs at most and stops at the first answer the
+estimate's LP bound certifies: the pipeline at the user's eps, then the
+estimate's LP rounding completed greedily, then the pipeline at eps/8, the
+paper's scheme, whose answer stands without a certificate.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .instance_model import (  # noqa: F401
 from .large_items import build_phi_L, retrieve_items
 from .preprocessing import CandidateView, OptimumEstimate, build_partition, candidate_view
 from .preprocessing import half_approx_opt
-from .small_items import solver_for_partition
+from .small_items import _sum_at, solver_for_partition
 
 
 class InvalidInstanceError(ValueError):
@@ -74,16 +75,24 @@ def solve(inst: Instance, eps_user) -> Solution:
 def solve_with_details(inst: Instance, eps_user) -> tuple[Solution, dict]:
     """Solve and return (solution, diagnostics).
 
-    The pipeline runs first at the coarse internal accuracy eps_user, and
-    that answer stands only when the LP bound certifies it: value >=
-    (1 - eps_user/2) * lp_bound >= (1 - eps_user/2) * OPT. Otherwise the
-    same pipeline runs again at eps_user/8, the accuracy the paper's
-    analysis needs for (1 - eps_user) * OPT, and its answer stands. The
-    candidates' CandidateView is built once per call, and the estimate, and
-    with it the LP bound, is computed once for both levels.
-    Diagnostics carry the level that answered (internal_eps), fell_back,
-    lp_bound and certified_ratio = value / lp_bound, plus that level's
-    partition, folded table and chosen split for debug dumps."""
+    An answer stands when the LP bound certifies it: value >=
+    (1 - eps_user/2) * lp_bound >= (1 - eps_user/2) * OPT, which holds for
+    any feasible selection. Three rungs are tried in turn, and the first
+    answer so certified stands:
+    - coarse: the pipeline at internal accuracy eps_user;
+    - rounding: the estimate's LP rounding, in at-most mode completed
+      greedily (see completed_rounding);
+    - fine: the pipeline at eps_user/8, the accuracy the paper's analysis
+      needs for (1 - eps_user) * OPT; its answer stands uncertified.
+    The candidates' CandidateView is built once per call, and the estimate,
+    with its LP bound and rounding, is computed once for all rungs.
+    Diagnostics carry the rung that answered (answer: coarse, rounding or
+    fine; trivial when every selection is worth 0), internal_eps (the
+    accuracy of the last pipeline run: eps_user/8 when the fine rung
+    answered, else eps_user), fell_back (the fine rung answered),
+    opt_estimate, lp_bound and certified_ratio = value / lp_bound, plus,
+    when a pipeline answered, that run's partition, folded table, chosen
+    split and counters for debug dumps."""
     eps_user = Fraction(eps_user)
     if not 0 < eps_user < 1:
         raise ValueError(f"epsilon must be in (0,1), got {eps_user}")
@@ -99,7 +108,7 @@ def solve_with_details(inst: Instance, eps_user) -> tuple[Solution, dict]:
         # Every feasible selection is worth 0 (and so is the LP): take none,
         # or in exactly-K mode the K lightest, which fit (Instance.candidates
         # checked). The answer is optimal, certified_ratio 1.
-        ids, details = (), {"trivial": True, "internal_eps": eps_user}
+        ids, details = (), {"answer": "trivial", "trivial": True, "internal_eps": eps_user}
         if exactly_k:
             # A stable sort: the view's rows ascend by id, so ties go by id.
             lightest = np.argsort(view.W, kind="stable")[: inst.cardinality]
@@ -109,22 +118,69 @@ def solve_with_details(inst: Instance, eps_user) -> tuple[Solution, dict]:
         return make_solution(inst, ids, eps_user), details
 
     target = (1 - eps_user / 2) * lp_bound
-    rounds = []
-    for eps_int in (eps_user, eps_user / 8):
-        sol, details = solve_at_accuracy(inst, eps_user, eps_int, estimate, view)
-        rounds.append({"internal_eps": eps_int})
-        if sol.total_profit >= target:
-            break
+    sol, details = solve_at_accuracy(inst, eps_user, eps_user, estimate, view)
+    rounds = [{"internal_eps": eps_user}]
+    answer = "coarse"
+    if sol.total_profit < target:
+        rows = completed_rounding(inst, view, estimate.rounding)
+        sol, answer = _view_solution(inst, view, rows, eps_user), "rounding"
+        details = {"internal_eps": eps_user, "opt_estimate": 2 * estimate.value}
+        if sol.total_profit < target:
+            sol, details = solve_at_accuracy(inst, eps_user, eps_user / 8, estimate, view)
+            rounds.append({"internal_eps": eps_user / 8})
+            answer = "fine"
     details.update(
-        fell_back=len(rounds) > 1,
+        answer=answer,
+        fell_back=answer == "fine",
         lp_bound=lp_bound,
         certified_ratio=sol.total_profit / lp_bound,
     )
     if exactly_k:
         # Read by the benchmark's per-layer trace (exactk.rounds and
         # exactk.grid_m) until the solver reports its own trace.
-        details.update(exact_mode=True, rounds=rounds, final={"grid_m": details["grid_m"]})
+        details.update(exact_mode=True, rounds=rounds)
+        if answer != "rounding":
+            details["final"] = {"grid_m": details["grid_m"]}
     return sol, details
+
+
+def completed_rounding(inst: Instance, view: CandidateView, rounding: np.ndarray) -> np.ndarray:
+    """The view rows of a feasible selection built from the estimate's LP
+    rounding (OptimumEstimate.rounding).
+
+    In exactly-K mode the rounding itself: the integral part plus the
+    lighter fractional unit, K units that fit. In at-most mode the integral
+    part, which fits, completed greedily: the other positive-profit
+    candidates in order of decreasing P (ties: lighter W, then lower row)
+    each join while fewer than K are taken and their weight fits. One sort
+    and one pass that ends at K."""
+    if inst.mode is Mode.EXACT:
+        return rounding
+    P, W = view.P, view.W
+    free = P > 0
+    free[rounding] = False
+    rest = np.flatnonzero(free)
+    rest = rest[np.lexsort((rest, W[rest], -P[rest]))]
+    room = math.floor(inst.budget * view.lw) - _sum_at(W, rounding)
+    slots = inst.cardinality - len(rounding)
+    picked = []
+    for row, w in zip(rest.tolist(), W[rest].tolist()):
+        if len(picked) == slots:
+            break
+        if w <= room:
+            picked.append(row)
+            room -= w
+    return np.concatenate((rounding, np.array(picked, dtype=rounding.dtype)))
+
+
+def _view_solution(inst: Instance, view: CandidateView, rows: np.ndarray, eps_user) -> Solution:
+    """The Solution of the candidates at these view rows, with make_solution's
+    exact sums read from the view's integers; it must be feasible."""
+    profit, weight = view.totals(rows)
+    sol = Solution(frozenset(view.ids[rows].tolist()), profit, weight, len(rows), eps_user, profit)
+    violations = feasibility_violations(inst, sol.total_weight, sol.count)
+    assert not violations, violations
+    return sol
 
 
 def solve_at_accuracy(
@@ -234,11 +290,7 @@ def solve_at_accuracy(
     if partition.exactly_k:
         small_ids = small_detail.rounded_ids(lambda uid: view.W[view.rows_of([uid])[0]])
     ids = frozenset(large_ids) | frozenset(small_ids)
-    # make_solution's exact sums, read from the view's integers.
-    profit, weight = view.totals(view.rows_of(ids))
-    sol = Solution(ids, profit, weight, len(ids), eps_user, profit)
-    violations = feasibility_violations(inst, sol.total_weight, sol.count)
-    assert not violations, violations
+    sol = _view_solution(inst, view, view.rows_of(ids), eps_user)
 
     details = {
         "internal_eps": eps_int,

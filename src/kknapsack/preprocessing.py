@@ -242,13 +242,24 @@ def _numerators(values, den: int) -> list[int]:
     return [v.numerator * (den // v.denominator) for v in values]
 
 
-class OptimumEstimate(NamedTuple):
-    """The estimate's two bounds on OPT (OPT over exactly-K sets in
-    exactly-K mode): value <= OPT <= 2*value, and OPT <= lp_bound, the
-    value of the LP relaxation whose rounding gave value."""
-
+class _Bounds(NamedTuple):
     value: Fraction
     lp_bound: Fraction
+
+
+class OptimumEstimate(_Bounds):
+    """The estimate's two bounds on OPT (OPT over exactly-K sets in
+    exactly-K mode): value <= OPT <= 2*value, and OPT <= lp_bound, the
+    value of the LP relaxation whose rounding gave value. It is the pair
+    (value, lp_bound); rounding, the view rows of that rounding (None when
+    not known), rides along outside the pair."""
+
+    rounding: Optional[np.ndarray] = None
+
+    def __new__(cls, value, lp_bound, rounding=None):
+        self = super().__new__(cls, value, lp_bound)
+        self.rounding = rounding
+        return self
 
 
 def half_approx_opt(inst: Instance, view: Optional[CandidateView] = None) -> OptimumEstimate:
@@ -261,16 +272,18 @@ def half_approx_opt(inst: Instance, view: Optional[CandidateView] = None) -> Opt
     part, plus in exactly-K mode the lighter fractional unit -- is feasible
     and loses at most one item's profit, so
     v = max(rounding, best_single) >= LP/2 >= OPT/2, and v <= OPT <= LP.
+    The rounding's view rows are the estimate's rounding.
     """
     if view is None:
         view = candidate_view(inst)
     if not len(view.ids):
-        return OptimumEstimate(ZERO, ZERO)
+        return OptimumEstimate(ZERO, ZERO, view.order[:0])
     exactly_k = inst.mode is Mode.EXACT
     P, W = view.P, view.W
+    rows = None
     if not exactly_k:  # the inequality row's pool: positive profits only
-        positive = P > 0
-        P, W = P[positive], W[positive]
+        rows = np.flatnonzero(P > 0)
+        P, W = P[rows], W[rows]
     scaled = _IntScaling(P, W, view.lp, view.lw, exactly_k)
     primal, integral, fractional, _, _ = _solve_units(scaled, inst.budget, inst.cardinality)
     if exactly_k and fractional:
@@ -278,7 +291,10 @@ def half_approx_opt(inst: Instance, view: Optional[CandidateView] = None) -> Opt
         integral = integral + [min((i for i, _ in fractional), key=lambda i: (int(W[i]), i))]
     rounded = _sum_at(P, integral)
     best_single = _extremes(view.P)[1]
-    return OptimumEstimate(Fraction(max(rounded, best_single), view.lp), Fraction(primal, view.lp))
+    rounding = np.array(integral, dtype=np.intp) if rows is None else rows[integral]
+    return OptimumEstimate(
+        Fraction(max(rounded, best_single), view.lp), Fraction(primal, view.lp), rounding
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import kknapsack.cli as cli
-from conftest import F, inst_of
+from conftest import F, inst_of, solve_fine
 from kknapsack.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main
 from kknapsack.combiner import solve_with_details
 from kknapsack.instance_model import (
@@ -31,6 +31,20 @@ def inst_file(tmp_path):
     return path
 
 
+@pytest.fixture
+def pipeline_file(tmp_path):
+    """An instance whose solve at eps = 1/4 a pipeline run answers (the
+    coarse one), so that the dumps hold its partition and table. The
+    inst_file instance's LP optimum is integral, and the rounding answers
+    it."""
+    inst = inst_of(
+        [(1, 40, 3), (2, 30, 3), (3, 9, 2), (4, 7, 2), (5, 2, 1)], 6, 3
+    )
+    path = tmp_path / "pipeline.json"
+    save_instance(inst, path)
+    return path
+
+
 class TestSolve:
     def test_json_output_shape(self, inst_file, capsys):
         rc = main(["solve", "--input", str(inst_file), "--epsilon", "1/4"])
@@ -42,13 +56,16 @@ class TestSolve:
             "count",
             "items",
             "epsilon_user",
+            "answer",
             "internal_eps",
             "certified_ratio",
             "elapsed_ms",
         }
         assert out["epsilon_user"] == "1/4"
-        # The coarse answer stands only when value >= (1 - eps/2) * LP.
+        # The coarse answer and the rounding stand only when
+        # value >= (1 - eps/2) * LP; the fine level runs at eps/8.
         assert out["internal_eps"] in ("1/4", "1/32")
+        assert out["answer"] == "rounding"
         assert 0 < out["certified_ratio"] <= 1
         if out["internal_eps"] == "1/4":
             assert out["certified_ratio"] >= 1 - Fraction(1, 8)
@@ -62,7 +79,7 @@ class TestSolve:
             (inst.by_id[i].profit for i in out["items"]), Fraction(0)
         )
 
-    def test_output_file_and_dumps(self, inst_file, tmp_path, capsys):
+    def test_output_file_and_dumps(self, pipeline_file, tmp_path, capsys):
         out_f = tmp_path / "result.json"
         part_f = tmp_path / "partition.json"
         tab_f = tmp_path / "tables.json"
@@ -70,7 +87,7 @@ class TestSolve:
             [
                 "solve",
                 "--input",
-                str(inst_file),
+                str(pipeline_file),
                 "--epsilon",
                 "0.25",
                 "--output",
@@ -94,6 +111,22 @@ class TestSolve:
         assert all(len(row) == tab["z"] + 1 for row in tab["values"])
         assert tab["values"][0] == ["0"] * (tab["z"] + 1)
 
+    def test_rounding_answer_dumps_say_so(self, inst_file, tmp_path, capsys):
+        # No pipeline run answered, so no partition or table belongs to the
+        # answer: the dumps name the rung instead, as they say "trivial" for
+        # instances whose every selection is worth 0.
+        part_f = tmp_path / "partition.json"
+        tab_f = tmp_path / "tables.json"
+        rc = main(["solve", "--input", str(inst_file), "--epsilon", "1/4",
+                   "--dump-partition", str(part_f), "--dump-tables", str(tab_f)])
+        assert rc == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["answer"] == "rounding"
+        assert json.loads(part_f.read_text()) == {"answer": "rounding"}
+        assert json.loads(tab_f.read_text()) == {"answer": "rounding"}
+        _, det = solve_with_details(load_instance(inst_file), F(1, 4))
+        assert det["answer"] == "rounding"
+        assert not {"partition", "table", "split"} & set(det)
+
     def test_dump_tables_fractional_weights(self, tmp_path, capsys):
         # Fractional weights fold as integers over weight_scale 6; the dump
         # converts every cell back to the exact rational value_at reports.
@@ -107,9 +140,12 @@ class TestSolve:
         rc = main(argv + ["--dump-tables", str(tab_f)])
         assert rc == EXIT_OK
         capsys.readouterr()
-        tab = json.loads(tab_f.read_text())
+        # The rounding answers this solve, so the CLI dumps no table; the
+        # dump of the eps/8 level's table is checked instead.
+        assert json.loads(tab_f.read_text()) == {"answer": "rounding"}
+        table = solve_fine(inst, F(1, 4))[1]["table"]
+        tab = cli._dump_table(table)
         assert "kind" not in tab
-        table = solve_with_details(inst, F(1, 4))[1]["table"]
         assert table.weight_scale == 6
         expected = [
             [

@@ -2,6 +2,7 @@
 exactly-K semantics, and the diagnostics both report."""
 
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from kknapsack.instance_model import (
     make_solution,
 )
 from kknapsack.oracles import brute_force, exact_dp, full_split_sweep
-from kknapsack.preprocessing import half_approx_opt
+from kknapsack.preprocessing import candidate_view, half_approx_opt
 from kknapsack.small_items import solver_for_partition
 from test_acceptance import c02_instances
 
@@ -196,6 +197,86 @@ def degenerate_instance(row):
     return inst_of(triples, Fraction(4 * 10**6, 2**61 + 1), 17)
 
 
+def reference_completion(inst, rounding_ids) -> list:
+    """The completed rounding's ids, computed on the instance's Fractions:
+    the rounding, then in at-most mode the other positive-profit candidates
+    by decreasing profit (ties: lighter, then lower id), each taken while
+    fewer than K are taken and it fits."""
+    ids = list(rounding_ids)
+    if inst.mode is Mode.EXACT:
+        return ids
+    by_id = inst.by_id
+    room = inst.budget - sum((by_id[i].weight for i in ids), ZERO)
+    taken = set(ids)
+    rest = sorted(
+        (it for it in inst.candidates if it.profit > 0 and it.id not in taken),
+        key=lambda it: (-it.profit, it.weight, it.id),
+    )
+    for it in rest:
+        if len(ids) == inst.cardinality:
+            break
+        if it.weight <= room:
+            ids.append(it.id)
+            room -= it.weight
+    return ids
+
+
+class TestCompletedRounding:
+    """combiner.completed_rounding, the middle rung, stays feasible and
+    equals the Fraction reference on degenerate inputs in both modes."""
+
+    @pytest.mark.parametrize("mode", [Mode.AT_MOST, Mode.EXACT])
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "zero-profits",
+            "zero-weights",
+            "equal-ratios",
+            "K-at-least-n",
+            "zero-budget",
+            "huge-denominators",
+            "fractional-weights",
+            "huge-values",
+        ],
+    )
+    def test_feasible_on_degenerate_inputs(self, row, mode):
+        if row == "fractional-weights":
+            inst = generate_instance("correlated", 40, 6, seed=4, integral=False)
+        elif row == "huge-values":  # profits near 2^70, weights times 2^70
+            base = degenerate_instance("equal-ratios")
+            inst = replace(base, items=tuple(
+                replace(it, profit=it.profit * 2**70 + it.id, weight=it.weight * 2**70)
+                for it in base.items
+            ), budget=base.budget * 2**70)
+        else:
+            inst = degenerate_instance(row)
+        inst = replace(inst, mode=mode)
+        try:
+            view = candidate_view(inst)
+        except InfeasibleInstanceError:
+            assert mode is Mode.EXACT
+            return
+        if row in ("huge-denominators", "huge-values"):
+            assert view.P.dtype == object or view.W.dtype == object
+        estimate = half_approx_opt(inst, view)
+        rows = combiner.completed_rounding(inst, view, estimate.rounding)
+        ids = view.ids[rows].tolist()
+        assert len(set(ids)) == len(ids)
+        assert ids == reference_completion(inst, view.ids[estimate.rounding].tolist())
+        if mode is Mode.EXACT:
+            assert len(ids) == inst.cardinality
+        sol = make_solution(inst, ids, F(1, 2))
+        feas = evaluate_solution(inst, sol)
+        assert feas.feasible, feas.violations
+        assert view.totals(rows) == (sol.total_profit, sol.total_weight)
+        # The completion never loses the rounding's value.
+        assert view.totals(estimate.rounding)[0] <= sol.total_profit
+        # Whatever rung answers, the solve is feasible.
+        answer, _ = solve_with_details(inst, F(1, 2))
+        feas = evaluate_solution(inst, answer)
+        assert feas.feasible, feas.violations
+
+
 class TestDeterminismAndKnobs:
     def test_repeat_solves_identical(self):
         inst = mixed_instance(101)
@@ -210,21 +291,23 @@ class TestDeterminismAndKnobs:
         # Dividing every weight and the budget by 7 moves the fold to
         # weight_scale 7 without changing any comparison.
         inst = generate_instance("uniform", 16, 4, seed=seed, weight_max=20)
-        base, det = solve_with_details(inst, F(1, 4))
+        base, _ = solve_with_details(inst, F(1, 4))
         scaled = Instance(
             items=tuple(replace(it, weight=it.weight / 7) for it in inst.items),
             budget=inst.budget / 7,
             cardinality=inst.cardinality,
             mode=inst.mode,
         )
-        other, det7 = solve_with_details(scaled, F(1, 4))
+        other, _ = solve_with_details(scaled, F(1, 4))
         assert other.selected == base.selected
+        _, det = solve_fine(inst, F(1, 4))
+        _, det7 = solve_fine(scaled, F(1, 4))
         if det["partition"].large_classes:
             assert det7["table"].weight_scale == 7 * det["table"].weight_scale
 
     def test_details_surface(self):
         inst = generate_instance("uniform", 18, 4, seed=9, weight_max=25)
-        sol, det = solve_with_details(inst, F(1, 4))
+        sol, det = solve_fine(inst, F(1, 4))
         for key in (
             "internal_eps",
             "opt_estimate",
@@ -502,17 +585,43 @@ class TestExactMode:
 
 class TestCoarseToFine:
     """solve_with_details keeps its answer at eps_int = eps only when the
-    LP bound certifies it, value >= (1 - eps/2) * lp_bound, and otherwise
-    answers at eps/8."""
+    LP bound certifies it, value >= (1 - eps/2) * lp_bound, then the
+    completed LP rounding under the same certificate, and otherwise answers
+    at eps/8."""
 
-    def test_uncertified_coarse_answer_falls_back(self):
-        # The first C02 instance (uniform, n=141, K=13) at eps = 1/10.
+    def test_uncertified_coarse_answer_takes_the_rounding(self):
+        # The first C02 instance (uniform, n=141, K=13) at eps = 1/10: the
+        # coarse answer fails the certificate, the completed rounding meets it.
         eps = F(1, 10)
         inst = c02_instances()[0]
         estimate = half_approx_opt(inst)
         coarse, _ = combiner.solve_at_accuracy(inst, eps, eps, estimate)
         assert coarse.total_profit < (1 - eps / 2) * estimate.lp_bound
         sol, det = solve_with_details(inst, eps)
+        assert det["answer"] == "rounding" and not det["fell_back"]
+        assert det["internal_eps"] == eps
+        view = candidate_view(inst)
+        rows = combiner.completed_rounding(inst, view, estimate.rounding)
+        assert sol.selected == frozenset(view.ids[rows].tolist())
+        assert det["lp_bound"] == estimate.lp_bound
+        assert det["certified_ratio"] == sol.total_profit / estimate.lp_bound
+        assert det["certified_ratio"] >= 1 - eps / 2
+        assert sol.total_profit >= (1 - eps) * exact_dp(inst).value
+
+    def test_uncertified_coarse_answer_falls_back(self):
+        # The fifth C02 instance (correlated, n=55, K=2) at eps = 1/10: both
+        # the coarse answer and the completed rounding fail the certificate.
+        eps = F(1, 10)
+        inst = c02_instances()[4]
+        estimate = half_approx_opt(inst)
+        target = (1 - eps / 2) * estimate.lp_bound
+        coarse, _ = combiner.solve_at_accuracy(inst, eps, eps, estimate)
+        assert coarse.total_profit < target
+        view = candidate_view(inst)
+        rows = combiner.completed_rounding(inst, view, estimate.rounding)
+        assert view.totals(rows)[0] < target
+        sol, det = solve_with_details(inst, eps)
+        assert det["answer"] == "fine"
         assert det["fell_back"] and det["internal_eps"] == eps / 8
         assert det["lp_bound"] == estimate.lp_bound
         assert det["certified_ratio"] == sol.total_profit / estimate.lp_bound
@@ -532,22 +641,27 @@ class TestCoarseToFine:
         for eps, opt, sol, det in c02_solves:
             assert det["lp_bound"] >= opt
             assert sol.total_profit >= (1 - eps) * opt
-            if not det["fell_back"]:
+            if not det["fell_back"]:  # a coarse or rounding answer
                 assert det["internal_eps"] == eps
                 assert sol.total_profit >= (1 - eps / 2) * opt
 
     def test_no_coarse_answer_is_accepted_unchecked(self, c02_solves):
-        fell_back = 0
+        answers = Counter()
         for eps, _, sol, det in c02_solves:
             assert det["certified_ratio"] == sol.total_profit / det["lp_bound"]
+            answers[det["answer"]] += 1
+            assert det["fell_back"] == (det["answer"] == "fine")
             if det["fell_back"]:
-                fell_back += 1
                 assert det["internal_eps"] == eps / 8
             else:
                 assert det["certified_ratio"] >= 1 - eps / 2
-        # Accepting every coarse answer would never fall back; on this
-        # corpus about a third of the solves do.
-        assert 0 < fell_back < len(c02_solves)
+        # Accepting every coarse answer would never reach the other rungs,
+        # and accepting every completed rounding would never fall back. On
+        # this corpus a third of the solves take the rounding (67 of 200)
+        # and a few fall back (6).
+        assert answers["rounding"] > 0
+        assert 0 < answers["fine"] < answers["rounding"]
+        assert answers["coarse"] + answers["rounding"] + answers["fine"] == len(c02_solves)
 
     @pytest.mark.parametrize("mode", [Mode.AT_MOST, Mode.EXACT])
     def test_trivial_instance_reports_the_certificate(self, mode):

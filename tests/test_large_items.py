@@ -508,10 +508,12 @@ class TestScaledStorage:
 
 
 def check_object_fold(inst, eps):
-    """solve's fold took object cells, and on them: values equal the naive
-    fold, backpointers equal the column-scan argmins, retrieval realises
-    every finite cell, and the answer reaches (1 - eps) * OPT."""
-    sol, det = solve_with_details(inst, eps)
+    """The fold at internal accuracy eps/8 took object cells, and on them:
+    values equal the naive fold, backpointers equal the column-scan argmins,
+    retrieval realises every finite cell; and solve's answer reaches
+    (1 - eps) * OPT."""
+    sol, _ = solve_with_details(inst, eps)
+    _, det = solve_fine(inst, eps)
     table, classes = det["table"], det["partition"].large_classes
     grid = table.grid
     assert table.values.dtype == object
