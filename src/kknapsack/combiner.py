@@ -33,8 +33,9 @@ from typing import Optional
 
 import numpy as np
 
-# InfeasibleInstanceError is re-exported for callers; evaluate_solution stays
-# importable here because the benchmark's per-layer trace wraps it.
+# InfeasibleInstanceError is re-exported for callers; evaluate_solution and
+# make_solution stay importable here because the benchmark's per-layer trace
+# wraps them.
 from .instance_model import (  # noqa: F401
     InfeasibleInstanceError,
     Instance,
@@ -108,14 +109,14 @@ def solve_with_details(inst: Instance, eps_user) -> tuple[Solution, dict]:
         # Every feasible selection is worth 0 (and so is the LP): take none,
         # or in exactly-K mode the K lightest, which fit (Instance.candidates
         # checked). The answer is optimal, certified_ratio 1.
-        ids, details = (), {"answer": "trivial", "trivial": True, "internal_eps": eps_user}
+        rows = view.order[:0]
+        details = {"answer": "trivial", "trivial": True, "internal_eps": eps_user}
         if exactly_k:
             # A stable sort: the view's rows ascend by id, so ties go by id.
-            lightest = np.argsort(view.W, kind="stable")[: inst.cardinality]
-            ids = view.ids[lightest].tolist()
+            rows = np.argsort(view.W, kind="stable")[: inst.cardinality]
             details.update(exact_mode=True, rounds=[])
         details.update(fell_back=False, lp_bound=lp_bound, certified_ratio=Fraction(1))
-        return make_solution(inst, ids, eps_user), details
+        return _view_solution(inst, view, rows, eps_user), details
 
     target = (1 - eps_user / 2) * lp_bound
     sol, details = solve_at_accuracy(inst, eps_user, eps_user, estimate, view)
@@ -221,7 +222,7 @@ def solve_at_accuracy(
     # Bounds and totals are exact integers (totals: rationals) in units of
     # 1/(delta.denominator * ln), with the pool's profits P/lp, lp = ln/ld:
     # x*delta is x*step and top(c) is top*ld*dd.
-    ln, ld = small.scaled.lp.numerator, small.scaled.lp.denominator
+    ln, ld = small.lp.numerator, small.lp.denominator
     dd = grid.delta.denominator
     step = grid.delta.numerator * ln
     anchors = np.array(grid.anchor_indices())
@@ -285,10 +286,7 @@ def solve_at_accuracy(
     )
 
     large_ids = retrieve_items(table, x, k)
-    small_detail = small.eval_detail(omega, K - k)
-    small_ids = small_detail.integral_ids
-    if partition.exactly_k:
-        small_ids = small_detail.rounded_ids(lambda uid: view.W[view.rows_of([uid])[0]])
+    small_ids = small.eval_detail(omega, K - k).rounded_ids
     ids = frozenset(large_ids) | frozenset(small_ids)
     sol = _view_solution(inst, view, view.rows_of(ids), eps_user)
 

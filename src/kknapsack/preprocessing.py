@@ -6,7 +6,8 @@ solve_with_details builds per call: the candidates in id order, their ids,
 and P = profit*lp and W = weight*lw over the lcms lp and lw of their
 denominators, int64 while n times the largest value stays below 2^62 and
 Python ints otherwise. The estimate, the partition, the small pool and the
-answer's sums read it; none of them compares Fractions per item.
+answer's sums read it; none of them compares Fractions per item, and the
+estimate runs its LP on a small_items.SmallSolver over them.
 
 The pipeline never knows the true optimum; it works with the estimate
 opt_estimate = 2 * half_approx_opt(inst).value, which brackets the optimum
@@ -37,7 +38,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .instance_model import Instance, Item, Mode
-from .small_items import _extremes, _IntScaling, _solve_units, _sum_array, _sum_at
+from .small_items import SmallSolver, _extremes, _rounding, _solve_units, _sum_array, _sum_at
 
 ZERO = Fraction(0)
 
@@ -73,7 +74,7 @@ class LargeClass:
 
     @cached_property
     def rounded_profit(self) -> Fraction:
-        return _scaled_pow(self.profit_scale, self.growth, self.index)
+        return self.profit_scale * self.growth**self.index
 
     @property
     def size(self) -> int:
@@ -101,7 +102,7 @@ class SmallClass:
 
     @cached_property
     def rounded_profit(self) -> Fraction:
-        return _scaled_pow(self.profit_scale, self.growth, -self.index)
+        return self.profit_scale * self.growth**-self.index
 
     @property
     def size(self) -> int:
@@ -279,22 +280,16 @@ def half_approx_opt(inst: Instance, view: Optional[CandidateView] = None) -> Opt
     if not len(view.ids):
         return OptimumEstimate(ZERO, ZERO, view.order[:0])
     exactly_k = inst.mode is Mode.EXACT
-    P, W = view.P, view.W
-    rows = None
+    P, W, rows = view.P, view.W, np.arange(len(view.ids))
     if not exactly_k:  # the inequality row's pool: positive profits only
         rows = np.flatnonzero(P > 0)
         P, W = P[rows], W[rows]
-    scaled = _IntScaling(P, W, view.lp, view.lw, exactly_k)
-    primal, integral, fractional, _, _ = _solve_units(scaled, inst.budget, inst.cardinality)
-    if exactly_k and fractional:
-        assert len(fractional) == 2 and sum(x for _, x in fractional) == 1, fractional
-        integral = integral + [min((i for i, _ in fractional), key=lambda i: (int(W[i]), i))]
-    rounded = _sum_at(P, integral)
-    best_single = _extremes(view.P)[1]
-    rounding = np.array(integral, dtype=np.intp) if rows is None else rows[integral]
-    return OptimumEstimate(
-        Fraction(max(rounded, best_single), view.lp), Fraction(primal, view.lp), rounding
-    )
+    pool = SmallSolver(rows, P, W, view.lp, view.lw, inst.cardinality, exactly_k)
+    primal, integral, fractional, _, _ = _solve_units(pool, inst.budget, inst.cardinality)
+    if exactly_k:
+        integral = _rounding(W, integral, fractional)
+    value = max(_sum_at(P, integral), _extremes(view.P)[1])  # max(rounding, best_single)
+    return OptimumEstimate(Fraction(value, view.lp), Fraction(primal, view.lp), rows[integral])
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +297,11 @@ def half_approx_opt(inst: Instance, view: Optional[CandidateView] = None) -> Opt
 # _check_partition asserts, an index is at most about log_{1+eps}(K/eps):
 # at eps = 1/800 (user eps 1/100) and K = 10^4 about 12,700, where growth**i
 # has terms of about 37,000 digits. Three layers keep that affordable:
-# (a) exact powers are cached per growth and built by Python's
-# binary exponentiation; (b) Fractions combining them never run gcd on two
-# huge integers -- growth is stored in lowest terms, so its power's terms are
-# coprime by construction and only small-versus-huge reductions remain;
+# (a) the exact terms the bracket fallbacks need are cached per growth and
+# built by Python's binary exponentiation; (b) no solve builds a rounded
+# profit (SmallSolver.from_partition reads class indices), and reports and
+# checks get scale * growth**i, which CPython 3.10+ forms without a gcd of
+# two huge integers, as the power's terms are coprime by construction;
 # (c) comparisons and floors go through certified fixed-point brackets
 # (320 fractional bits, outward rounding) and fall back to exact integers
 # only when the bracket straddles the answer, which takes a near-exact tie.
@@ -343,27 +339,6 @@ def _powers(num: int, den: int) -> _GrowthPowers:
     )
 
 
-# Building a Fraction from a known-coprime pair skips the normalisation gcd,
-# which dominates everything else once the integers are huge. The private
-# slots are stable across CPython versions; verify once and fall back to the
-# plain constructor if the interpreter ever changes them.
-def _coprime_fraction_fast(n: int, d: int) -> Fraction:
-    f = Fraction.__new__(Fraction)
-    f._numerator = n
-    f._denominator = d
-    return f
-
-
-try:
-    _coprime_fraction = (
-        _coprime_fraction_fast
-        if _coprime_fraction_fast(3, 4) == Fraction(3, 4)
-        else Fraction
-    )
-except AttributeError:  # pragma: no cover - exotic interpreter
-    _coprime_fraction = Fraction
-
-
 def _growth_terms(growth: Fraction, i: int) -> tuple[int, int]:
     """Exact (numerator, denominator) of growth**i, coprime, cached."""
     terms = _powers(growth.numerator, growth.denominator).terms
@@ -371,27 +346,6 @@ def _growth_terms(growth: Fraction, i: int) -> tuple[int, int]:
     if hit is None:
         hit = terms[i] = (growth.numerator**i, growth.denominator**i)
     return hit
-
-
-def _growth_pow(growth: Fraction, i: int) -> Fraction:
-    return _coprime_fraction(*_growth_terms(growth, i))
-
-
-def _scaled_pow(scale: Fraction, growth: Fraction, i: int) -> Fraction:
-    """Exact scale * growth**i (i may be negative) for scale > 0.
-
-    growth**i has coprime terms, scale is already normalised, so after
-    dividing the two small-versus-huge cross gcds out the remaining pair is
-    coprime and the Fraction can be assembled without a huge-integer gcd.
-    """
-    if i >= 0:
-        pn, pd = _growth_terms(growth, i)
-    else:
-        pd, pn = _growth_terms(growth, -i)
-    sn, sd = scale.numerator, scale.denominator
-    g1 = math.gcd(sn, pd)
-    g2 = math.gcd(sd, pn)
-    return _coprime_fraction((sn // g1) * (pn // g2), (sd // g2) * (pd // g1))
 
 
 def _bracket_pow(growth: Fraction, i: int) -> tuple[int, int]:

@@ -12,7 +12,9 @@ data is scaled to integers once, and only the at most two fractional
 components are Fractions. Each greedy pass ranks the units by float64 keys
 with a proven error bound in one numpy pass, and computes the exact integer
 key only for the units that bound cannot place: those near zero at the sign
-test and those near the cap-th key at the cap cut.
+test and those near the cap-th key at the cap cut. A SmallSolver holds one
+pool's integers and passes: the estimate's LP pool, or a partition's small
+pool, whose integer profits come from the class indices.
 
 upsilon1 answers every query at every K. When K > 1/eps the paper switches
 to a ladder of relaxations over a light/heavy split of the pool; production
@@ -32,7 +34,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -64,30 +66,20 @@ class SmallEval:
 
     fractional_solution maps item id -> value in [0,1] (only nonzero
     entries); integral_ids are the ids at exactly 1; mu is the critical
-    dual multiplier.
+    dual multiplier. rounded_ids, the selection retrieval takes, are the
+    integral ids plus, under the row sum x = cap, the lighter fractional
+    unit (_rounding); never compared, and None from the oracles.
     """
 
     value: Fraction
     fractional_solution: dict
     integral_ids: tuple[int, ...]
     mu: Optional[Fraction] = None
+    rounded_ids: Optional[tuple[int, ...]] = field(default=None, compare=False)
 
     @property
     def fractional_count(self) -> int:
         return sum(1 for v in self.fractional_solution.values() if 0 < v < 1)
-
-    def rounded_ids(self, weight_of) -> tuple[int, ...]:
-        """Rounding of a vertex under sum x = cap: the integral ids plus the
-        lighter fractional unit. The two fractional parts sum to one, so the
-        count is cap and min(w_a, w_b) <= x_a*w_a + x_b*w_b fits."""
-        # The fractional ids are those that are not integral.
-        frac = list(self.fractional_solution.keys() - set(self.integral_ids))
-        assert not frac or (
-            len(frac) == 2 and sum(self.fractional_solution[i] for i in frac) == 1
-        ), self.fractional_solution
-        if not frac:
-            return self.integral_ids
-        return self.integral_ids + (min(frac, key=lambda i: (weight_of(i), i)),)
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +89,7 @@ class SmallEval:
 # ---------------------------------------------------------------------------
 
 
-# Bound on the error of every float key kf (see _IntScaling.float_keys): on
+# Bound on the error of every float key kf (see SmallSolver.float_keys): on
 # keys scaled into [-1, 1], |kf - key/scale| <= 6u + 8u^2 + 7*2^-1075 with
 # u = 2^-53. The slack up to 8u also covers the rounding of cf +- 2*KEY_ERROR
 # at the cap cut.
@@ -105,42 +97,56 @@ KEY_ERROR = 8 * 2.0**-53 + 2.0**-1000
 
 
 @dataclass(eq=False)
-class _IntScaling:
-    """Units scaled to integers: P_i = p_i*lp and W_i = w_i*lw, with lw a
-    common denominator of the weights and lp a positive rational that makes
-    every profit integral: a common denominator of the profits, or one
-    divided by a common factor of the scaled profits.
+class SmallSolver:
+    """One small pool: the units the box-LP engine ranks, scaled to
+    integers, and the caches its queries share. Each query is upsilon1 over
+    the pool, phi_dag_S(omega, k) for a partition's small pool (rounded
+    profits, original weights).
 
-    In these units the adjusted profit p - mu*w is proportional to
-    P - nu*W with nu = mu*lp/lw, so at nu = num/den every unit's greedy key
-    den*P - num*W is an integer. P and W are sum arrays (see _sum_array):
-    int64 when no sum of them can reach 2^62, Python ints otherwise, so
-    selections sum exactly; single values are read as Python ints before
-    they meet a multiplier. The scaling also keeps P/2^e and W/2^f in
-    float64, with e and f the bit lengths of max P and max W, from which
-    float_keys ranks every unit at once.
+    ids labels the units in ascending order: item ids, or the candidate
+    view's rows for the estimate's pool. The units are the positive-profit
+    ones, or with equality every unit, zero-profit fillers included; then a
+    query takes exactly k units and is None when no k units fit omega (the
+    row sum x = cap over sum x <= cap). K caps every query's k.
 
-    The scaling also caches greedy passes. A pass depends only on cap and
-    on the value of nu, so it is keyed by the reduced num/den. The pass at
-    nu = 0, the top cap units by profit, is kept for every cap; the passes
-    at nu > 0 are kept for one cap at a time, and a new cap drops them.
+    Unit i has P_i = p_i*lp and W_i = w_i*lw, with lw a common denominator
+    of the weights and lp a positive rational that makes every profit
+    integral: a common denominator of the profits, or one divided by a
+    common factor of the scaled profits (see from_partition). In these
+    units the adjusted profit p - mu*w is proportional to P - nu*W with
+    nu = mu*lp/lw, so at nu = num/den every unit's greedy key den*P - num*W
+    is an integer. P and W are sum arrays (see _sum_array): int64 when no
+    sum of them can reach 2^62, Python ints otherwise, so selections sum
+    exactly; single values are read as Python ints before they meet a
+    multiplier. The pool also keeps P/2^e and W/2^f in float64, with e and
+    f the bit lengths of max P and max W, from which float_keys ranks every
+    unit at once.
+
+    The pool caches greedy passes. A pass depends only on cap and on the
+    value of nu, so it is keyed by the reduced num/den. The pass at nu = 0,
+    the top cap units by profit, is kept for every cap; the passes at
+    nu > 0 are kept for one cap at a time, and a new cap drops them.
     Queries at many budgets for one cap, as in the combiner's split sweep,
-    share the passes that their multiplier searches have in common, and
-    the vertex at nu* reuses the search's last pass. passes and exact_keys
+    share the passes that their multiplier searches have in common, and the
+    vertex at nu* reuses the search's last pass. passes and exact_keys
     count the greedy passes run and the units keyed exactly in them.
-    equality selects the row sum x = cap over sum x <= cap.
     """
 
-    P: np.ndarray
-    W: np.ndarray
+    ids: Sequence
+    P: np.ndarray = field(repr=False)
+    W: np.ndarray = field(repr=False)
     lp: Fraction
     lw: int
+    K: int
     equality: bool = False
     passes: int = field(default=0, init=False)
     exact_keys: int = field(default=0, init=False)
     _cap: Optional[int] = field(default=None, init=False, repr=False)
     _passes: dict = field(default_factory=dict, init=False, repr=False)
     _tops: dict = field(default_factory=dict, init=False, repr=False)
+
+    # Every pool is solved exactly; benchmark traces read this flag.
+    exact = True
 
     def __post_init__(self):
         self._e = _extremes(self.P)[1].bit_length()
@@ -149,14 +155,54 @@ class _IntScaling:
         self._wf = _over_power(self.W, self._f)
 
     @classmethod
-    def of(cls, units, equality: bool = False) -> "_IntScaling":
+    def of(cls, items, K: int, exactly_k: bool = False) -> "SmallSolver":
+        """The pool of arbitrary items or (id, profit, weight) triples."""
+        units = _units(items)
+        if not exactly_k:
+            units = [u for u in units if u[1] > 0]
         profits = [p for _, p, _ in units]
         weights = [w for _, _, w in units]
         lp = math.lcm(*{p.denominator for p in profits})
         lw = math.lcm(*{w.denominator for w in weights})
         P = _sum_array([p.numerator * (lp // p.denominator) for p in profits])
         W = _sum_array([w.numerator * (lw // w.denominator) for w in weights])
-        return cls(P, W, lp, lw, equality)
+        return cls([u[0] for u in units], P, W, lp, lw, int(K), exactly_k)
+
+    @classmethod
+    def from_partition(cls, partition) -> "SmallSolver":
+        """The pool of a partition's pruned small classes, plus its
+        zero-profit fillers in exactly-K mode, read by their rows in the
+        partition's candidate view: the weights are the view's W, and the
+        profits come from the class indices alone.
+
+        Small class j counts its members at S*g^-j, with S its profit_scale
+        and g = c/b its growth in lowest terms. Over the pooled indices
+        jmin..jmax, class j gets P_j = b^(j-jmin) * c^(jmax-j) and the
+        fillers 0, so P_j/lp is the rounded profit for
+        lp = c^jmax / (S * b^jmin). The P of classes jmin and jmax are
+        coprime powers, so P is the coprime integer vector proportional to
+        the rounded profits, and no rounded profit is built. At large K the
+        pool reaches deep classes, and P over a plain common denominator of
+        the rounded profits would take 82 bits instead of 28 on uniform
+        n = 2000, K = 1024."""
+        view, classes = partition.view, partition.small_classes
+        lp, profits = Fraction(1), []
+        if classes:
+            S, g = classes[0].profit_scale, classes[0].growth
+            b, c = g.denominator, g.numerator
+            jmin, jmax = classes[0].index, classes[-1].index  # indices ascend
+            lp = g**jmax * b ** (jmax - jmin) / S
+            profits = [b ** (j.index - jmin) * c ** (jmax - j.index) for j in classes]
+        groups = [j.rows for j in classes] + [partition.filler_rows]
+        rows = np.concatenate(groups)
+        P = _sum_array(profits + [0], count=len(rows))
+        P = np.repeat(P, [len(r) for r in groups])
+        order = np.argsort(rows, kind="stable")  # view rows ascend by id
+        rows = rows[order]
+        return cls(
+            view.ids[rows].tolist(), P[order], view.W[rows], lp, view.lw,
+            partition.cardinality, partition.exactly_k,
+        )
 
     @cached_property
     def top_ratio(self) -> tuple[int, int]:
@@ -223,6 +269,40 @@ class _IntScaling:
             found = self._passes[key] = _lightest_maximizer(self, cap, *key)
         return found
 
+    def register_query_weights(self, weights) -> None:
+        """Announce the splits the combiner's sweep enumerated, one entry
+        each (their scaled table weights); the sweep then queries only the
+        splits its bounds leave open. Nothing is precomputed from them; the
+        call is where benchmark traces count the combiner's splits."""
+
+    def top_scaled(self, k: int) -> Optional[int]:
+        """The most k units give with the weight row dropped, in P units
+        (times lp): the sum of the k largest P, the value of phi_dag's
+        fast-path pass. It bounds phi_dag(omega, k) from above at every
+        omega. None when exactly k units are more than the pool holds
+        (exactly-K mode)."""
+        k = max(0, min(int(k), self.K))
+        n = len(self.P)
+        if self.equality and k > n:
+            return None
+        return self.top_sums[min(k, n)]
+
+    def phi_dag(self, omega: Fraction, k: int) -> Optional[Fraction]:
+        """Approximation value for residual budget omega, cardinality k;
+        None when exactly k units cannot fit omega (exactly-K mode only)."""
+        omega = Fraction(omega)
+        if omega < 0:
+            raise ValueError("negative residual budget")
+        raw = _solve_units(self, omega, max(0, min(int(k), self.K)))
+        return None if raw is None else Fraction(raw[0], self.lp)
+
+    def eval_detail(self, omega: Fraction, k: int) -> Optional[SmallEval]:
+        """Full evaluation (with solution structure) for retrieval: the LP
+        vertex, whose rounded_ids are a feasible selection. None where
+        phi_dag is None."""
+        k = max(0, min(int(k), self.K))
+        return _evaluation(self, _solve_units(self, Fraction(omega), k))
+
 
 def _sum_array(values, count: Optional[int] = None) -> np.ndarray:
     """Non-negative Python ints as an array whose sums of up to count of
@@ -261,7 +341,7 @@ def _over_power(values: np.ndarray, bits: int) -> np.ndarray:
     return np.array([v / d for v in values.tolist()], dtype=np.float64)
 
 
-def _greedy_pass(scaled: _IntScaling, cap: int, num: int, den: int):
+def _greedy_pass(pool: SmallSolver, cap: int, num: int, den: int):
     """The units at nu = num/den split by the entry threshold of the greedy
     selection on keys den*P - num*W: returns (above, cut, tied).
 
@@ -280,13 +360,13 @@ def _greedy_pass(scaled: _IntScaling, cap: int, num: int, den: int):
     keys above cf + 2E are above the cut and those below cf - 2E under it;
     only the band between is keyed exactly and ranked by exact key.
     """
-    kf = scaled.float_keys(num, den)
-    scaled.passes += 1
-    if scaled.equality:
+    kf = pool.float_keys(num, den)
+    pool.passes += 1
+    if pool.equality:
         pos, kpos = None, kf  # every unit is ranked
     else:
         pos = (kf > KEY_ERROR).nonzero()[0]
-        unsure = _band_keys(scaled, (abs(kf) <= KEY_ERROR).nonzero()[0], num, den)
+        unsure = _band_keys(pool, (abs(kf) <= KEY_ERROR).nonzero()[0], num, den)
         extra = [i for i, _, key in unsure if key > 0]
         if extra:
             pos = np.concatenate((pos, extra))
@@ -300,7 +380,7 @@ def _greedy_pass(scaled: _IntScaling, cap: int, num: int, den: int):
     band = (~high & (kpos >= cf - 2 * KEY_ERROR)).nonzero()[0]
     if pos is not None:
         above, band = pos[above], pos[band]
-    band = _band_keys(scaled, band, num, den)
+    band = _band_keys(pool, band, num, den)
     cut = sorted((key for _, _, key in band), reverse=True)[cap - len(above) - 1]
     extra = [i for i, _, key in band if key > cut]
     if extra:
@@ -308,17 +388,17 @@ def _greedy_pass(scaled: _IntScaling, cap: int, num: int, den: int):
     return above, cut, sorted((w, i) for i, w, key in band if key == cut)
 
 
-def _band_keys(scaled: _IntScaling, idx: np.ndarray, num: int, den: int) -> list:
+def _band_keys(pool: SmallSolver, idx: np.ndarray, num: int, den: int) -> list:
     """(index, W, exact key den*P - num*W) of the units at idx, in Python
-    ints, counted in scaled.exact_keys."""
+    ints, counted in pool.exact_keys."""
     if not idx.size:
         return []
-    scaled.exact_keys += len(idx)
-    P, W = scaled.P[idx].tolist(), scaled.W[idx].tolist()
+    pool.exact_keys += len(idx)
+    P, W = pool.P[idx].tolist(), pool.W[idx].tolist()
     return [(i, w, den * p - num * w) for i, p, w in zip(idx.tolist(), P, W)]
 
 
-def _lightest_maximizer(scaled: _IntScaling, cap: int, num: int, den: int):
+def _lightest_maximizer(pool: SmallSolver, cap: int, num: int, den: int):
     """Lightest maximizer S of the inner Lagrangian problem at nu = num/den:
     the top-cap units by key den*P - num*W (only positive keys under the
     inequality row), ties at the cap-th key going to the lighter unit and
@@ -328,8 +408,8 @@ def _lightest_maximizer(scaled: _IntScaling, cap: int, num: int, den: int):
     units keyed above the cut and the list of tied units filled in, the
     pass's (cut, tied)).
     """
-    above, cut, tied = _greedy_pass(scaled, cap, num, den)
-    P, W = scaled.P, scaled.W
+    above, cut, tied = _greedy_pass(pool, cap, num, den)
+    P, W = pool.P, pool.W
     p_sum, w_sum = _sum_at(P, above), _sum_at(W, above)
     fill = []
     if cut is not None:
@@ -341,7 +421,7 @@ def _lightest_maximizer(scaled: _IntScaling, cap: int, num: int, den: int):
 
 
 def _critical_multiplier(
-    scaled: _IntScaling, budget_w: Fraction, cap: int, pa: int, wa: int
+    pool: SmallSolver, budget_w: Fraction, cap: int, pa: int, wa: int
 ) -> tuple[int, int]:
     """nu* = num/den in lowest terms, the scaled image of
     mu* = min{mu >= 0 : wmin(mu) <= budget}, the leftmost minimizer of the
@@ -362,15 +442,15 @@ def _critical_multiplier(
     budget it shares. Each replacement strictly raises the slope at a or
     lowers it at b, so the loop ends.
     """
-    if scaled.equality:
-        least, greatest = _extremes(scaled.P)
+    if pool.equality:
+        least, greatest = _extremes(pool.P)
         end = (greatest - least + 1, 1)
     else:
-        end = scaled.top_ratio
-    pb, wb, *_ = scaled.maximizer(cap, *end)
+        end = pool.top_ratio
+    pb, wb, *_ = pool.maximizer(cap, *end)
     while True:
         num, den = pa - pb, wa - wb
-        pc, wc, *_ = scaled.maximizer(cap, num, den)
+        pc, wc, *_ = pool.maximizer(cap, num, den)
         if den * pc - num * wc == den * pa - num * wa:
             g = math.gcd(num, den)
             return num // g, den // g
@@ -380,10 +460,10 @@ def _critical_multiplier(
             pb, wb = pc, wc
 
 
-def _vertex(scaled: _IntScaling, budget_w: Fraction, cap: int, num: int, den: int):
+def _vertex(pool: SmallSolver, budget_w: Fraction, cap: int, num: int, den: int):
     """Optimal LP vertex at the critical multiplier nu* = num/den > 0, built
     on the integer keys den*P - num*W of the greedy pass at nu*, which the
-    multiplier search has left in the scaling's cache.
+    multiplier search has left in the pool's cache.
 
     Units keyed above the entry threshold go in. The weight row is then
     made exactly tight with the units whose key ties it (the zero-key units
@@ -393,12 +473,12 @@ def _vertex(scaled: _IntScaling, budget_w: Fraction, cap: int, num: int, den: in
     P*x, key sum G of a maximizer); den*primal equals num*budget_w + G
     exactly when primal and dual values agree.
     """
-    P = scaled.P
+    P = pool.P
     bn, bd = budget_w.numerator, budget_w.denominator
-    _, _, (above, _), (cut, tied) = scaled.maximizer(cap, num, den)
+    _, _, (above, _), (cut, tied) = pool.maximizer(cap, num, den)
     integral = above.tolist()
     p_above = _sum_at(P, above)
-    used = _sum_at(scaled.W, above)
+    used = _sum_at(pool.W, above)
     g = den * p_above - num * used
     fractional = []
     if cut is None:
@@ -456,51 +536,62 @@ def solve_box_lp(
     search on integer-scaled data, then a vertex with at most two fractional
     components is constructed at it from the same integer keys.
     """
-    units = _units(items)
-    if not equality:
-        units = [u for u in units if u[1] > 0]
-    scaled = _IntScaling.of(units, equality)
-    raw = _solve_units(scaled, Fraction(budget), int(cap))
-    return _evaluation([u[0] for u in units], scaled, raw)
+    pool = SmallSolver.of(items, cap, equality)
+    return _evaluation(pool, _solve_units(pool, Fraction(budget), int(cap)))
 
 
-def _solve_units(scaled: _IntScaling, budget: Fraction, cap: int):
-    """solve_box_lp on a scaled pool as a raw vertex (primal, integral,
-    fractional, num, den): the value times lp, pool indices, and nu*, 0/1 on
-    the fast path and None/None when nothing is taken; None if infeasible.
-    Every answer off the fast path is certified: its primal value equals
-    the dual value at nu*."""
-    n = len(scaled.P)
-    if scaled.equality:
-        if budget < 0 or not 0 <= cap <= n or scaled.lightest[cap] > budget * scaled.lw:
+def _solve_units(pool: SmallSolver, budget: Fraction, cap: int):
+    """solve_box_lp on a pool as a raw vertex (primal, integral, fractional,
+    num, den): the value times lp, pool indices, and nu*, 0/1 on the fast
+    path and None/None when nothing is taken; None if infeasible. Every
+    answer off the fast path is certified: its primal value equals the dual
+    value at nu*."""
+    n = len(pool.P)
+    if pool.equality:
+        if budget < 0 or not 0 <= cap <= n or pool.lightest[cap] > budget * pool.lw:
             return None
     else:
         cap = max(0, min(cap, n))
     if cap == 0 or budget < 0:
         return 0, [], [], None, None
 
-    budget_w = budget * scaled.lw
-    top_p, top_w, (above, fill), _ = scaled.maximizer(cap, 0, 1)
+    budget_w = budget * pool.lw
+    top_p, top_w, (above, fill), _ = pool.maximizer(cap, 0, 1)
     if top_w <= budget_w:
         return top_p, above.tolist() + fill, [], 0, 1
 
-    num, den = _critical_multiplier(scaled, budget_w, cap, top_p, top_w)
-    integral, fractional, primal, g = _vertex(scaled, budget_w, cap, num, den)
+    num, den = _critical_multiplier(pool, budget_w, cap, top_p, top_w)
+    integral, fractional, primal, g = _vertex(pool, budget_w, cap, num, den)
     assert den * primal == num * budget_w + g, f"primal != dual at nu*={num}/{den}"
     return primal, integral, fractional, num, den
 
 
-def _evaluation(ids: list, scaled: _IntScaling, raw) -> Optional[SmallEval]:
-    """The SmallEval of a raw vertex from _solve_units over a pool whose
-    unit i has id ids[i]."""
+def _rounding(W: np.ndarray, integral: list, fractional: list) -> list:
+    """The exactly-K rounding of a vertex under sum x = cap, in pool indices:
+    the integral part plus the lighter fractional unit, ties to the lower
+    index. The two fractional parts sum to one, so the count is cap, and
+    min(W_a, W_b) <= x_a*W_a + x_b*W_b keeps the weight row."""
+    if not fractional:
+        return integral
+    assert len(fractional) == 2 and sum(x for _, x in fractional) == 1, fractional
+    return integral + [min((i for i, _ in fractional), key=lambda i: (int(W[i]), i))]
+
+
+def _evaluation(pool: SmallSolver, raw) -> Optional[SmallEval]:
+    """The SmallEval of a raw vertex from _solve_units over the pool."""
     if raw is None:
         return None
     primal, integral, fractional, num, den = raw
-    integral_ids = tuple(map(ids.__getitem__, sorted(integral)))
+    ids = pool.ids
+    integral = sorted(integral)
+    integral_ids = tuple(map(ids.__getitem__, integral))
     x = dict.fromkeys(integral_ids, ONE)
     x.update((ids[i], v) for i, v in fractional)
-    mu = None if num is None else Fraction(num * scaled.lw, den * scaled.lp)
-    return SmallEval(Fraction(primal, scaled.lp), x, integral_ids, mu=mu)
+    if pool.equality:
+        integral = _rounding(pool.W, integral, fractional)
+    mu = None if num is None else Fraction(num * pool.lw, den * pool.lp)
+    rounded_ids = tuple(map(ids.__getitem__, integral))
+    return SmallEval(Fraction(primal, pool.lp), x, integral_ids, mu, rounded_ids)
 
 
 def upsilon1(items, omega: Fraction, k: int) -> SmallEval:
@@ -508,116 +599,6 @@ def upsilon1(items, omega: Fraction, k: int) -> SmallEval:
     cardinality cap k, box-relaxed variables. Vertex optimum, <= 2 fractional
     components."""
     return solve_box_lp(items, Fraction(omega), k)
-
-
-# ---------------------------------------------------------------------------
-# SmallSolver: pool-level evaluator.
-# ---------------------------------------------------------------------------
-
-
-class SmallSolver:
-    """Evaluates the small-item approximation phi_dag_S(omega, k) for one
-    partition's small pool (rounded profits, original weights).
-
-    Every query is upsilon1, run by the integer-keyed box-LP engine over the
-    pool's units, whose greedy passes the pool's scaling caches per cap:
-    the positive-profit units, or with exactly_k every unit, zero-profit
-    fillers included; then a query takes exactly k units and is None when
-    no k units fit omega. ids holds the pool's item ids in ascending order
-    and scaled the pool's integers in the same order.
-    """
-
-    # Every pool is solved exactly; benchmark traces read this flag.
-    exact = True
-
-    def __init__(self, ids, scaled: _IntScaling, K: int):
-        self.ids = ids
-        self.scaled = scaled
-        self.K = int(K)
-
-    @classmethod
-    def of(cls, items, K: int, exactly_k: bool = False) -> "SmallSolver":
-        """Solver over arbitrary items or (id, profit, weight) triples."""
-        units = _units(items)
-        if not exactly_k:
-            units = [u for u in units if u[1] > 0]
-        return cls([u[0] for u in units], _IntScaling.of(units, exactly_k), K)
-
-    @property
-    def passes(self) -> int:
-        """Greedy passes run over the pool so far."""
-        return self.scaled.passes
-
-    @property
-    def exact_keys(self) -> int:
-        """Units keyed exactly, as Python ints, over those passes."""
-        return self.scaled.exact_keys
-
-    @classmethod
-    def from_partition(cls, partition) -> "SmallSolver":
-        """Build a solver over a partition's pruned small classes, using the
-        class-rounded profits and the original weights, plus its zero-profit
-        fillers in exactly-K mode. The members are read by their rows in the
-        partition's candidate view: each class's rounded profit is scaled
-        once for all its members, and the weights are the view's W.
-
-        The rounded profits of small class j are S*g^-j, so over their
-        common denominator they share the factor b^j' of the deepest
-        pooled class j' for growth g = (a+b)/b; P divides it out. At large K
-        the pool reaches deep classes, and without that the P of uniform
-        n = 2000, K = 1024 take 82 bits instead of 28."""
-        view = partition.view
-        groups = [(c.rounded_profit, c.rows) for c in partition.small_classes]
-        groups.append((ZERO, partition.filler_rows))
-        den = math.lcm(*(p.denominator for p, _ in groups))
-        scaled_p = [p.numerator * (den // p.denominator) for p, _ in groups]
-        common = math.gcd(*scaled_p) or 1
-        rows = np.concatenate([r for _, r in groups])
-        P = _sum_array([p // common for p in scaled_p], count=len(rows))
-        P = np.repeat(P, [len(r) for _, r in groups])
-        lp = Fraction(den, common)
-        order = np.argsort(rows, kind="stable")  # view rows ascend by id
-        rows = rows[order]
-        scaled = _IntScaling(P[order], view.W[rows], lp, view.lw, partition.exactly_k)
-        return cls(view.ids[rows].tolist(), scaled, partition.cardinality)
-
-    def register_query_weights(self, weights) -> None:
-        """Announce the splits the combiner's sweep enumerated, one entry
-        each (their scaled table weights); the sweep then queries only the
-        splits its bounds leave open. Nothing is precomputed from them; the
-        call is where benchmark traces count the combiner's splits."""
-
-    def top_scaled(self, k: int) -> Optional[int]:
-        """The most k units give with the weight row dropped, in P units
-        (times scaled.lp): the sum of the k largest P, the value of
-        phi_dag's fast-path pass. It bounds phi_dag(omega, k) from above at
-        every omega. None when exactly k units are more than the pool holds
-        (exactly-K mode)."""
-        k = max(0, min(int(k), self.K))
-        scaled = self.scaled
-        n = len(scaled.P)
-        if scaled.equality and k > n:
-            return None
-        return scaled.top_sums[min(k, n)]
-
-    def phi_dag(self, omega: Fraction, k: int) -> Optional[Fraction]:
-        """Approximation value for residual budget omega, cardinality k;
-        None when exactly k units cannot fit omega (exactly-K mode only)."""
-        omega = Fraction(omega)
-        if omega < 0:
-            raise ValueError("negative residual budget")
-        k = max(0, min(int(k), self.K))
-        scaled = self.scaled
-        raw = _solve_units(scaled, omega, k)
-        return None if raw is None else Fraction(raw[0], scaled.lp)
-
-    def eval_detail(self, omega: Fraction, k: int) -> Optional[SmallEval]:
-        """Full evaluation (with solution structure) for retrieval: the LP
-        vertex, whose integral ids are a feasible selection (in exactly-K
-        mode, its rounded_ids are). None where phi_dag is None."""
-        k = max(0, min(int(k), self.K))
-        scaled = self.scaled
-        return _evaluation(self.ids, scaled, _solve_units(scaled, Fraction(omega), k))
 
 
 def solver_for_partition(partition) -> SmallSolver:

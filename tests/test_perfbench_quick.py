@@ -73,6 +73,57 @@ def test_trace_wraps_every_layer_of_a_large_k_solve(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_trace_keeps_the_estimate_pool_out_of_small_spans(monkeypatch):
+    # The estimate solves its LP on a SmallSolver pool of its own, through
+    # the engine and not the traced query methods: small.queries and
+    # small.detail_s count the combiner's pools only, and each pipeline
+    # level run builds one pool through solver_for_partition.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from dataclasses import replace
+    from fractions import Fraction
+
+    import kknapsack
+    import kknapsack.combiner as combiner
+    import spans
+    from kknapsack.generator import generate_instance
+    from kknapsack.instance_model import Mode
+    from test_acceptance import c02_instances
+
+    levels = []
+    run_level = combiner.solve_at_accuracy
+
+    def counted(*args, **kwargs):
+        levels.append(args[2])
+        return run_level(*args, **kwargs)
+
+    monkeypatch.setattr(combiner, "solve_at_accuracy", counted)
+    corpus = c02_instances()
+    # Answered coarse, by the rounding and by the fine level, at most K.
+    insts = [corpus[0], corpus[4], generate_instance("uniform", 2000, 64, seed=1)]
+    insts += [replace(inst, mode=Mode.EXACT) for inst in insts[:2]]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        answers = set()
+        for solve_id, inst in enumerate(insts):
+            tracer.solve_id = solve_id
+            answers.add(kknapsack.solve_with_details(inst, Fraction(1, 10))[1]["answer"])
+    finally:
+        tracer.uninstall()
+    assert answers >= {"coarse", "rounding", "fine"}
+
+    names = [s[spans.NAME] for s in tracer.spans]
+    assert names.count("solver_for_partition") == len(levels) > len(insts)
+    small = {"phi_dag", "eval_detail", "register_query_weights"}
+    assert small <= set(names)
+    for s in tracer.spans:
+        if s[spans.NAME] in small:
+            parent = s[spans.PARENT]
+            while parent >= 0:
+                assert tracer.spans[parent][spans.NAME] != "half_approx_opt", s
+                parent = tracer.spans[parent][spans.PARENT]
+
+
 @pytest.fixture
 def spans_left_as_found():
     """The traced run writes its spans into perfbench/out/; remove the file,

@@ -20,11 +20,8 @@ from kknapsack.oracles import reference_partition
 from kknapsack.preprocessing import (
     TrivialInstanceError,
     _check_partition,
-    _coprime_fraction,
     _geometric_index_up,
-    _growth_pow,
     _pow_reaches,
-    _scaled_pow,
     build_partition,
     candidate_view,
     geometric_floor,
@@ -65,24 +62,6 @@ class TestHalfApproxOpt:
         v, lp_bound = half_approx_opt(inst)
         opt = best_subset(inst, exact_count=inst.cardinality)[0]
         assert v <= opt <= 2 * v and opt <= lp_bound
-
-
-class TestExactPowers:
-    @given(growths, st.integers(0, 60))
-    def test_growth_pow_matches_reference(self, growth, i):
-        assert _growth_pow(growth, i) == growth**i
-
-    @given(scales, growths, st.integers(-60, 60))
-    def test_scaled_pow_matches_reference(self, scale, growth, i):
-        assert _scaled_pow(scale, growth, i) == scale * growth**i
-
-    @given(st.integers(1, 10**9), st.integers(1, 10**9))
-    def test_coprime_fraction_equals_constructor(self, a, b):
-        g = math.gcd(a, b)
-        n, d = a // g, b // g
-        fast = _coprime_fraction(n, d)
-        assert fast == Fraction(n, d)
-        assert fast.numerator == n and fast.denominator == d
 
 
 class TestBracketComparisons:

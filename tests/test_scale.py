@@ -1,5 +1,5 @@
 """Solves at scale, each case in a child process of its own: exactly-K rows
-and one at-most row.
+and two at-most rows.
 
 An exactly-K case builds one seeded item set and solves it, for each of
 its K, in exactly-K mode and, on the same items, in at-most mode; it reports every
@@ -18,10 +18,12 @@ row asserts exactly K items within budget, a peak RSS of its child under
 enough for kknapsack.oracles.exact_dp also assert the (1 - eps) guarantee
 against the exact optimum.
 
-The at-most row, uniform n = 1e5, K = 256, eps = 1/2, solves once in its own
-child and asserts a feasible answer, a certified ratio of at least 1 - eps,
-a peak RSS under 200 MB and a wall time under 3 s: the n term of the
-paper's bound, paid once per solve by every layer that reads the items.
+Each at-most row solves once in a child of its own and asserts a feasible
+answer, a certified ratio of at least 1 - eps, a peak RSS under 200 MB and
+a wall time under 3 s. Uniform n = 1e5, K = 256, eps = 1/2 measures the n
+term of the paper's bound, paid once per solve by every layer that reads
+the items; uniform n = 20000, K = 1024, eps = 1/5 a small pool whose
+classes run deep.
 """
 
 import json
@@ -189,10 +191,18 @@ def test_exactly_k_guarantee_against_exact_dp(family, n, k, seed):
     assert Fraction(out["profit"]) >= (1 - EPS) * opt
 
 
-def test_uniform_at_most_n_1e5():
-    eps = Fraction(1, 2)
-    out = _run_child(AT_MOST_CHILD, {"family": "uniform", "n": 100_000, "k": 256, "seed": 1, "eps": str(eps)})
+def check_at_most_row(n, k, eps):
+    out = _run_child(AT_MOST_CHILD, {"family": "uniform", "n": n, "k": k, "seed": 1, "eps": str(eps)})
     assert out["feasible"]
     assert Fraction(out["certified_ratio"]) >= 1 - eps, out
     assert out["peak_rss_mb"] < 200, out
     assert out["wall_s"] < 3.0, out
+
+
+def test_uniform_at_most_n_1e5():
+    check_at_most_row(100_000, 256, Fraction(1, 2))
+
+
+def test_uniform_at_most_k_1024():
+    # A small pool of about 9000 units that reaches deep small classes.
+    check_at_most_row(20_000, 1024, Fraction(1, 5))

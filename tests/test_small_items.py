@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from conftest import F, ZERO, inst_of, solve_fine
+from test_acceptance import c02_instances
+from test_combiner import in_mode
 import kknapsack.small_items as small_items
 from kknapsack.generator import generate_instance
 from kknapsack.instance_model import Item, Mode
@@ -31,10 +33,10 @@ from kknapsack.oracles import (
     upsilon4_breakpoints,
     upsilon5,
 )
-from kknapsack.preprocessing import build_partition, half_approx_opt
+from kknapsack.combiner import solve_with_details
+from kknapsack.preprocessing import LargeClass, SmallClass, build_partition, half_approx_opt
 from kknapsack.small_items import (
     SmallSolver,
-    _IntScaling,
     _lightest_maximizer,
     _units,
     solve_box_lp,
@@ -346,9 +348,9 @@ class TestFloatFilteredPass:
 
     def check_pool(self, units, rnd, trials=12):
         units = positive(units)
-        scaled = _IntScaling.of(units)
-        P, W = scaled.P.tolist(), scaled.W.tolist()
         n = len(units)
+        scaled = SmallSolver.of(units, K=n)
+        P, W = scaled.P.tolist(), scaled.W.tolist()
         for _ in range(trials):
             cap = rnd.randint(1, n)
             i, j = rnd.randrange(n), rnd.randrange(n)
@@ -386,7 +388,7 @@ class TestFloatFilteredPass:
                         (Fraction(rnd.randint(1, 12)) for _ in range(n)), start=1
                     )
                 ]
-                scaled = _IntScaling.of(units)
+                scaled = SmallSolver.of(units, K=n)
                 for cap in {1, max(1, n // 3), n}:
                     for nu in [(0, 1), scaled.top_ratio, (1, 2), (2, 1)]:
                         got = _lightest_maximizer(scaled, cap, *nu)
@@ -395,12 +397,12 @@ class TestFloatFilteredPass:
 
     def test_wide_pools_take_their_paths(self):
         rnd = random.Random("filter-paths")
-        huge_p = _IntScaling.of(positive(wide_pool("huge-span", rnd, 40)))
+        huge_p = SmallSolver.of(wide_pool("huge-span", rnd, 40), K=40)
         small = huge_p._pf[huge_p._pf < 2.0**-1022]
         assert len(small)  # subnormal or flushed to zero
-        huge_w = _IntScaling.of(positive(wide_pool("huge-weights", rnd, 40)))
+        huge_w = SmallSolver.of(wide_pool("huge-weights", rnd, 40), K=40)
         assert huge_w.W.dtype == object
-        plain = _IntScaling.of(positive(shaped_pool("random", rnd, 40)))
+        plain = SmallSolver.of(shaped_pool("random", rnd, 40), K=40)
         assert plain.W.dtype == np.int64
 
     @pytest.mark.parametrize("shape", ["ties", "fractional", "geometric"] + WIDE_SHAPES)
@@ -466,8 +468,7 @@ class TestExactPoolAtEverySize:
             for omega in omegas:
                 solve_box_lp(units, omega, k)
         assert swept < calls[0] / 2
-        scaled = solver.scaled
-        assert scaled._cap == caps[-1]  # only the last cap's passes are held
+        assert solver._cap == caps[-1]  # only the last cap's passes are held
 
 
 class TestRoundSmallWeights:
@@ -729,17 +730,56 @@ class TestSmallSolver:
         assert details == [(split.small_budget, K - split.large_slots)]
 
     def test_from_partition_uses_rounded_profits(self):
-        inst = inst_of([(i, 10 + i, 3 + i % 4) for i in range(1, 10)], 12, 4)
-        part = build_partition(inst, F(1, 4))
-        solver = SmallSolver.from_partition(part)
-        expected = {
-            it.id: klass.rounded_profit
-            for klass in part.small_classes
-            for it in klass.members
-        }
-        lp = solver.scaled.lp
-        assert {uid: Fraction(int(p), lp) for uid, p in zip(solver.ids, solver.scaled.P)} == expected
-        assert solver.K == part.cardinality
+        # Every unit's P/lp is its class's rounded profit (0 for a filler),
+        # and the nonzero P are coprime, on every kind of pool.
+        kinds = set()
+        for inst, eps in rounded_pool_cases():
+            part = build_partition(inst, eps)
+            solver = SmallSolver.from_partition(part)
+            expected = {
+                it.id: klass.rounded_profit
+                for klass in part.small_classes
+                for it in klass.members
+            }
+            expected.update((it.id, ZERO) for it in part.fillers)
+            assert solver.ids == sorted(expected)
+            P = solver.P.tolist()
+            value = {p: Fraction(p) / solver.lp for p in set(P)}
+            assert all(value[p] == expected[uid] for uid, p in zip(solver.ids, P))
+            assert math.gcd(*P) == (1 if any(P) else 0)
+            assert solver.K == part.cardinality
+            kinds.add(("single class", len(part.small_classes) == 1))
+            kinds.add(("fillers", bool(part.fillers)))
+            kinds.add(("deep", max((c.index for c in part.small_classes), default=0) >= 100))
+        assert all((kind, True) in kinds for kind in ("single class", "fillers", "deep"))
+
+    def test_solves_build_no_rounded_profit(self, monkeypatch):
+        def built(_):
+            raise AssertionError("a solve built a rounded profit")
+
+        for klass in (SmallClass, LargeClass):
+            monkeypatch.setattr(klass, "rounded_profit", property(built))
+        for inst, eps in rounded_pool_cases():
+            sol, _ = solve_with_details(inst, eps)
+            assert sol.count <= inst.cardinality
+
+
+def rounded_pool_cases():
+    """(instance, eps) pairs whose partitions' small pools the pool tests
+    check: the C02 corpus in both modes, each instance at one of its C02
+    accuracies and at the paper's eps/8; a pool of one class; an exactly-K
+    pool with zero-profit fillers; and uniform n=20000, K=1024, whose pool
+    of about 9000 units reaches small classes past index 100."""
+    for i, inst in enumerate(c02_instances()):
+        eps = (F(1, 10), F(3, 10))[i % 2]
+        for mode in (Mode.AT_MOST, Mode.EXACT):
+            for level in (eps, eps / 8):
+                yield in_mode(inst, mode), level
+    yield inst_of([(i, 10 + i, 3 + i % 4) for i in range(1, 10)], 12, 4), F(1, 4)
+    yield inst_of([(1, 40, 5), (2, 3, 1), (3, 3, 2), (4, 3, 4)], 9, 3), F(1, 2)
+    fillers = [(1, 40, 5), (2, 30, 4), (3, 12, 3), (4, 1, 1), (5, 1, 2), (6, 2, 2)]
+    yield inst_of(fillers, 9, 4, Mode.EXACT), F(1, 4)
+    yield generate_instance("uniform", 20000, 1024, seed=1), F(1, 5)
 
 
 def with_zero_profits(units, rnd):
@@ -773,7 +813,7 @@ def check_equality_primal(ev, units, budget, cap):
     assert sum((by_id[uid][1] * v for uid, v in x.items()), ZERO) <= budget
     fractional = [v for v in x.values() if v < 1]
     assert len(fractional) in (0, 2) and sum(fractional, ZERO) in (0, 1)
-    ids = ev.rounded_ids(lambda uid: by_id[uid][1])
+    ids = ev.rounded_ids
     assert len(set(ids)) == cap
     assert sum((by_id[uid][1] for uid in ids), ZERO) <= budget
 
@@ -873,7 +913,7 @@ class TestEqualityRow:
         ev = check_against_fractions(units, F(2), 2)
         assert ev.value == 8
         assert ev.fractional_solution == {1: 1, 2: F(1, 2), 3: F(1, 2)}
-        assert ev.rounded_ids(lambda uid: units[uid - 1][2]) == (1, 3)
+        assert ev.rounded_ids == (1, 3)
 
     def test_cap_equal_to_pool_size(self):
         units = [(1, F(3), F(2)), (2, ZERO, F(1)), (3, F(7), F(4))]
@@ -900,9 +940,9 @@ class TestEqualityRow:
         pool_of = wide_pool if shape in WIDE_SHAPES else shaped_pool
         for _ in range(20):
             units = with_zero_profits(pool_of(shape, rnd, rnd.randint(1, 50)), rnd)
-            scaled = _IntScaling.of(units, equality=True)
-            P, W = scaled.P.tolist(), scaled.W.tolist()
             n = len(units)
+            scaled = SmallSolver.of(units, K=n, exactly_k=True)
+            P, W = scaled.P.tolist(), scaled.W.tolist()
             end = (max(P) - min(P) + 1, 1)
             for _ in range(6):
                 cap = rnd.randint(1, n)
