@@ -5,9 +5,10 @@ table, then sweep the splits of the budget and cardinality between the
 table side and the small-item relaxations -- table-side candidates are the
 coarse anchor profits x (multiples of eps*opt_estimate) crossed with the
 slot count k in 0..z; the small side answers the remaining budget and
-slots, asked only for the splits whose upper bound can still win. The
-winning split is materialised into actual item ids and reported with
-profits recomputed exactly from the original instance.
+slots, asked only for the splits that no earlier split dominates (at most
+K) and whose upper bound can still win. The winning split is materialised
+into actual item ids and reported with profits recomputed exactly from the
+original instance.
 
 Exactly-K mode ("pick exactly K") runs the same layers with exactly-k
 semantics, read from the instance's mode: the estimate and partition keep
@@ -201,11 +202,17 @@ def solve_at_accuracy(
     The sweep enumerates the splits (k, x) whose table cell fits the
     budget, keeping the largest anchor per table weight within each k, and
     answers with the first maximum of the full sweep in its order (k
-    ascending, then anchors ascending). It searches best-first: each split
-    is bounded by x*delta + top(K - k), where top(c) is the small side's
-    value for c units with the weight row dropped, and only the splits
-    whose bound can still beat the best total, or tie it from earlier in
-    the sweep order, are asked of the small side."""
+    ascending, then anchors ascending). At most K it then drops every split
+    (k, x) of table weight w that a split (k', x') with k' < k, x' >= x and
+    w' <= w dominates: that split is worth at least as much, since phi_dag
+    cannot fall as its cap or budget rises, and comes earlier in the order.
+    Exactly K a cell holds exactly k items and a query takes exactly its
+    cap, so that monotonicity fails and no split is dropped this way. Of
+    the splits left, it searches best-first: each split is bounded by
+    x*delta + top(K - k), where top(c) is the small side's value for c
+    units with the weight row dropped, and only the splits whose bound can
+    still beat the best total, or tie it from earlier in the sweep order,
+    are asked of the small side."""
     if view is None:
         view = candidate_view(inst)
     partition = build_partition(inst, eps_int, estimate, view)
@@ -227,7 +234,14 @@ def solve_at_accuracy(
     step = grid.delta.numerator * ln
     anchors = np.array(grid.anchor_indices())
     fit = min(math.floor(inst.budget * table.weight_scale), table.inf - 1)
+    # Cross-k dominance, at most K only (see above): cover[i] is the least
+    # weight at an anchor >= anchors[i] over the columns k' < k, and a split
+    # is dominated when cover at its anchor is at most its own weight.
+    cover = None
+    if inst.mode is Mode.AT_MOST:
+        cover = np.full(len(anchors), table.inf, table.values.dtype)
     enumerated = []  # the scaled table weight of every split
+    dominated = 0
     heads = []  # (bound of the largest anchor, k, top(K - k), anchors, weights)
     for k in range(grid.z + 1):
         cells = table.values[anchors, k]
@@ -235,8 +249,15 @@ def solve_at_accuracy(
         if not idx.size:
             continue
         keep = idx[np.append(cells[idx[1:]] != cells[idx[:-1]], True)]
+        enumerated += cells[keep].tolist()
+        if cover is not None:
+            kept = keep[cover[keep] > cells[keep]]
+            dominated += keep.size - kept.size
+            cover = np.minimum(cover, np.minimum.accumulate(cells[::-1])[::-1])
+            keep = kept
+            if not keep.size:
+                continue
         xs, weights = anchors[keep].tolist(), cells[keep].tolist()
-        enumerated += weights
         top = small.top_scaled(K - k)
         if top is not None:  # exactly-K: else the pool has no K - k units
             top *= ld * dd
@@ -298,6 +319,7 @@ def solve_at_accuracy(
         "table_cells": grid.cell_count,
         "split": split,
         "split_count": len(enumerated),
+        "split_dominated": dominated,
         "split_queries": queries,
         "partition": partition,
         "table": table,

@@ -32,7 +32,7 @@ class Mode(enum.Enum):
     EXACT = "exact"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Item:
     id: int
     profit: Fraction

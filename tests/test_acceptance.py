@@ -690,6 +690,20 @@ def test_c10_cardinality_independence_trend(criterion):
     )
 
 
+def test_c10_small_side_work_does_not_grow_with_k():
+    # C10's instance has no large class at internal accuracy 1/10, so every
+    # split has x = 0 and the same table weight, and the split at k = 0
+    # dominates the rest: one small query at every K, and a bounded number
+    # of greedy passes however many slots it has.
+    base = generate_instance("uniform", 2000, 16, seed=7, weight_max=1000)
+    for K in (16, 64, 256, 1024):
+        inst = Instance(items=base.items, budget=base.budget, cardinality=K, mode=Mode.AT_MOST)
+        _, det = solve_fine(inst, F(4, 5))
+        assert det["internal_eps"] == F(1, 10)
+        assert det["split_queries"] == 1, (K, det["split_queries"])
+        assert det["small_passes"] <= 16, (K, det["small_passes"])
+
+
 # ---------------------------------------------------------------------------
 # 11. Exact-cardinality mode.
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import kknapsack.combiner as combiner
@@ -462,6 +463,112 @@ class TestSplitSweep:
                 split_ref.large_slots,
                 split_ref.grid_index,
             )
+
+
+# The exactly-K sweep over the C02 corpus (see test_exactly_k_sweep_is_unchanged):
+# small queries asked and the answers' total profit, before cross-k dominance.
+EXACT_C02_QUERIES = 1340
+EXACT_C02_PROFIT = 29375
+
+
+def dominated_splits(det, budget):
+    """The splits the sweep enumerates, as arrays k, x and w (the scaled
+    table weight) over the fitting anchor cells with the largest anchor per
+    weight within each k, and the matrix by[i, j]: split j dominates split
+    i, k_j < k_i, x_j >= x_i and w_j <= w_i. Read cell by cell from the
+    table, with no running minimum."""
+    table = det["table"]
+    fit = budget * table.weight_scale
+    splits = []
+    for k in range(table.grid.z + 1):
+        largest = {}
+        for x in table.grid.anchor_indices():
+            if table.is_finite(x, k) and table.values[x, k] <= fit:
+                largest[int(table.values[x, k])] = x
+        splits += [(k, x, w) for w, x in largest.items()]
+    k, x, w = (np.array(col) for col in zip(*splits))
+    by = (k[None, :] < k[:, None]) & (x[None, :] >= x[:, None]) & (w[None, :] <= w[:, None])
+    return k, x, w, by
+
+
+def sweep_with_asked(inst, eps_int, monkeypatch):
+    """sweep_level's run, also returning the (k, scaled table weight) of
+    every split the production sweep asked of the small side."""
+    asked = []
+
+    def recording(partition):
+        small = solver_for_partition(partition)
+        phi_dag = small.phi_dag
+
+        def query(omega, cap):
+            asked.append((omega, cap))
+            return phi_dag(omega, cap)
+
+        small.phi_dag = query
+        return small
+
+    with monkeypatch.context() as m:
+        m.setattr(combiner, "solver_for_partition", recording)
+        sol, det, *_ = sweep_level(inst, eps_int)
+    scale, K = det["table"].weight_scale, det["partition"].cardinality
+    return sol, det, {(K - cap, (inst.budget - omega) * scale) for omega, cap in asked}
+
+
+class TestCrossKDominance:
+    """At most K, the sweep drops every split (k, x) of table weight w that
+    a split (k', x') with k' < k, x' >= x and w' <= w dominates, before its
+    bounds are formed. Exactly K it drops none."""
+
+    def check_level(self, inst, eps_int, monkeypatch):
+        _, det, asked = sweep_with_asked(inst, eps_int, monkeypatch)
+        k, x, w, by = dominated_splits(det, inst.budget)
+        dropped = by.any(axis=1)
+        assert det["split_count"] == len(k)
+        assert det["split_dominated"] == dropped.sum()
+        # Each dropped split has a dominator that is kept, and no dropped
+        # split is asked; the chosen one (the full sweep's first maximum,
+        # checked by sweep_level) is kept.
+        assert (by[dropped] & ~dropped).any(axis=1).all()
+        kept = {(int(kk), int(ww)) for kk, ww in zip(k[~dropped], w[~dropped])}
+        assert asked <= kept
+        split = det["split"]
+        assert (split.large_slots, split.large_weight * det["table"].weight_scale) in kept
+        return det
+
+    def test_c02_corpus(self, monkeypatch):
+        dominated = splits = 0
+        for i, inst in enumerate(c02_instances()):
+            eps = (F(1, 10), F(3, 10))[i % 2]
+            for eps_int in (eps / 8, eps):
+                det = self.check_level(inst, eps_int, monkeypatch)
+                dominated += det["split_dominated"]
+                splits += det["split_count"]
+        # Most splits are dominated (81% when this guard was set).
+        assert dominated >= 0.5 * splits, (dominated, splits)
+
+    def test_tie_heavy_instances(self, monkeypatch):
+        dominated = splits = 0
+        for inst in tie_heavy_instances():
+            for eps_int in (F(1, 4), F(1, 16)):
+                det = self.check_level(inst, eps_int, monkeypatch)
+                dominated += det["split_dominated"]
+                splits += det["split_count"]
+        # 84% when this guard was set.
+        assert dominated >= 0.5 * splits, (dominated, splits)
+
+    def test_exactly_k_sweep_is_unchanged(self):
+        # The C02 corpus in exactly-K mode asks what the sweep asked before
+        # cross-k dominance, and answers alike: the totals below were read
+        # from that sweep.
+        queries, profit = 0, ZERO
+        for i, inst in enumerate(c02_instances()):
+            eps = (F(1, 10), F(3, 10))[i % 2]
+            for eps_int in (eps / 8, eps):
+                sol, det, *_ = sweep_level(in_mode(inst, Mode.EXACT), eps_int)
+                assert det["split_dominated"] == 0
+                queries += det["split_queries"]
+                profit += sol.total_profit
+        assert (queries, profit) == (EXACT_C02_QUERIES, EXACT_C02_PROFIT)
 
 
 class TestExactMode:

@@ -1,8 +1,11 @@
 """Instances, solutions, feasibility judgments, and io; plus the exactly-K
 to at-most-K profit-shift reduction, which lives in oracles.py."""
 
+import copy
 import itertools
+import pickle
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -47,6 +50,23 @@ class TestInstanceBasics:
             items=list(items_of([(1, 2, 3)])), budget=F(3), cardinality=1
         )
         assert isinstance(inst.items, tuple)
+
+    def test_items_are_slotted_and_survive_copies(self):
+        # Item keeps no per-instance __dict__; pickling, deep copies and
+        # dataclasses.replace still work on it and on Instance.
+        inst = inst_of([(1, F(5, 2), 2), (7, 3, F(1, 3))], 4, 2, mode=Mode.EXACT)
+        item = inst.items[0]
+        assert not hasattr(item, "__dict__")
+        assert inst.by_id[7] == inst.items[1]  # fills a cached property first
+        for obj in (item, inst):
+            for copy_of in (lambda o: pickle.loads(pickle.dumps(o)), copy.deepcopy):
+                other = copy_of(obj)
+                assert other == obj and other is not obj
+        assert replace(item, weight=F(3)) == Item(1, F(5, 2), F(3))
+        assert replace(item).profit == F(5, 2)
+        moved = replace(inst, budget=F(5), mode=Mode.AT_MOST)
+        assert (moved.items, moved.budget, moved.mode) == (inst.items, F(5), Mode.AT_MOST)
+        assert copy.deepcopy(inst).by_id[1] == item
 
 
 class TestValidateInstance:
