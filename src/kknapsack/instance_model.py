@@ -79,16 +79,6 @@ class Instance:
     def n(self) -> int:
         return len(self.items)
 
-    @cached_property
-    def is_integral(self) -> bool:
-        """True when every profit, weight, and the budget are integers."""
-        if self.budget.denominator != 1:
-            return False
-        return all(
-            it.profit.denominator == 1 and it.weight.denominator == 1
-            for it in self.items
-        )
-
 
 def _within(items, budget) -> list[Item]:
     """The items whose weight a/b is at most budget c/d: a*d <= c*b."""

@@ -18,12 +18,14 @@ strict-< update keeps the smallest argmin theta, the same choice as the
 paper's divide-and-conquer slice search (oracles.slice_index), which rests
 on the slope property of the argmins along each diagonal slice.
 
-Every table stores integer weights: each weight times weight_scale, the lcm
-of the folded members' weight denominators (1 for integral instances), so
-cell arithmetic is exact integer addition and comparison and value_at
-converts back on read. The cell dtype is decided once per fold: int64 with
-the sentinel INT_INF while the scaled total weight of the folded classes
-stays below INT_WEIGHT_LIMIT, and otherwise numpy object cells holding
+Every table stores integer weights in one unit, its weight_scale: the
+folded classes' LargeClass.weight_scale, which is the lw of the solve's
+CandidateView (1 for integral instances). A class's prefix sums are the
+view's integer weights W summed, so cell arithmetic is exact integer
+addition and comparison from the view to the table, and value_at converts
+back on read. The cell dtype is decided once per fold: int64 with the
+sentinel INT_INF while the scaled total weight of the folded classes stays
+below INT_WEIGHT_LIMIT, and otherwise numpy object cells holding
 Python ints with a sentinel above that total. A cell is infinite (the
 profit is unreachable) iff it holds at least the sentinel.
 
@@ -46,8 +48,6 @@ import numpy as np
 
 from .preprocessing import LargeClass, Partition, geometric_floor
 from .rationals import INF, ExtendedRational
-
-ZERO = Fraction(0)
 
 INT_INF = 1 << 62
 # Scaled total weights at or above this take object cells: INT_INF plus any
@@ -152,22 +152,14 @@ def backptr_dtype(grid: ProfitGrid):
     return np.uint8 if grid.z < 256 else np.int32
 
 
-def scale_for(classes) -> int:
-    """Shared weight denominator: lcm of all member weight denominators."""
-    scale = 1
-    for cls in classes:
-        for it in cls.members:
-            scale = math.lcm(scale, it.weight.denominator)
-    return scale
-
-
 def table_format(classes) -> tuple[int, int]:
-    """(weight_scale, inf) of the table that folds these classes: int64
-    cells with INT_INF while the scaled total weight stays below
-    INT_WEIGHT_LIMIT, else object cells with a sentinel above the total."""
-    scale = scale_for(classes)
-    total = sum((cls.prefix_weights[-1] for cls in classes), ZERO) * scale
-    return scale, (INT_INF if total < INT_WEIGHT_LIMIT else int(total) + INT_INF)
+    """(weight_scale, inf) of the table that folds these classes: their
+    shared unit (1 when there are none), and int64 cells with INT_INF while
+    their scaled total weight stays below INT_WEIGHT_LIMIT, else object
+    cells with a sentinel above the total."""
+    scale = classes[0].weight_scale if classes else 1
+    total = sum(cls.prefix_weights[-1] for cls in classes)
+    return scale, (INT_INF if total < INT_WEIGHT_LIMIT else total + INT_INF)
 
 
 def trivial_table(
@@ -200,16 +192,6 @@ def snap_class_profit(grid: ProfitGrid, cls: LargeClass) -> int:
     return tau
 
 
-def _scaled_prefix(cls: LargeClass, weight_scale: int) -> list[int]:
-    """Member weight prefix sums as exact integers times weight_scale."""
-    out = []
-    for w in cls.prefix_weights:
-        s = w * weight_scale
-        assert s.denominator == 1, (w, weight_scale)
-        out.append(s.numerator)
-    return out
-
-
 def convolve(acc: WeightTable, cls: LargeClass) -> WeightTable:
     """Fold one profit class into the accumulator table.
 
@@ -228,7 +210,8 @@ def convolve(acc: WeightTable, cls: LargeClass) -> WeightTable:
     grid = acc.grid
     m, z = grid.m, grid.z
     tau = snap_class_profit(grid, cls)
-    prefix = _scaled_prefix(cls, acc.weight_scale)
+    assert cls.weight_scale == acc.weight_scale, (cls.weight_scale, acc.weight_scale)
+    prefix = cls.prefix_weights
     src = np.ascontiguousarray(acc.values.T)
     if src.dtype == np.int64 and prefix[-1] >= INT_WEIGHT_LIMIT:
         raise ValueError("weights too large for int64 cells")

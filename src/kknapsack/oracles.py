@@ -339,8 +339,10 @@ def reference_partition(inst: Instance, eps: Fraction) -> Partition:
     """The partition build_partition must return, classified item by item:
     each profit's class index is the bracket search _geometric_index_up on
     its Fraction ratio to eps*opt_estimate, and members are sorted by
-    (weight, id) as Fractions. The estimate is read through
-    preprocessing.half_approx_opt at call time, like build_partition."""
+    (weight, id) as Fractions. Large prefix sums count in the lcm of the
+    candidates' weight denominators, taken here from the items themselves.
+    The estimate is read through preprocessing.half_approx_opt at call
+    time, like build_partition."""
     eps = Fraction(eps)
     K = inst.cardinality
     exactly_k = inst.mode is Mode.EXACT
@@ -375,14 +377,15 @@ def reference_partition(inst: Instance, eps: Fraction) -> Partition:
 
     fillers = lightest_first(fillers)[:K]
     discarded.difference_update(it.id for it in fillers)
+    lw = math.lcm(*(it.weight.denominator for it in candidates))
     large_classes = []
     for i in sorted(large_groups):
         members = lightest_first(large_groups[i])
-        prefix = [ZERO]
+        prefix = [0]
         for it in members:
-            prefix.append(prefix[-1] + it.weight)
+            prefix.append(prefix[-1] + int(it.weight * lw))
         large_classes.append(
-            LargeClass(i, large_floor, growth, tuple(members), tuple(prefix))
+            LargeClass(i, large_floor, growth, tuple(members), tuple(prefix), lw)
         )
     small_classes = []
     for i in sorted(small_groups):
@@ -437,8 +440,10 @@ def exhaustive_table(grid, items, exactly_k: bool = False) -> WeightTable:
     (exactly k when exactly_k) whose total profit reaches q*delta. Cells
     hold weights times the lcm of the items' weight denominators, and the
     sentinel follows the fold's rule (INT_INF while the scaled total stays
-    below INT_WEIGHT_LIMIT, else object cells above the total): the format
-    build_phi_L would choose for the same item set."""
+    below INT_WEIGHT_LIMIT, else object cells above the total). The unit
+    may differ from the one build_phi_L folds in (the CandidateView's lw,
+    which also counts the denominators of items outside the table), so
+    compare tables by value_at."""
     items = list(items)
     if len(items) > EXHAUSTIVE_TABLE_LIMIT:
         raise ValueError(f"exhaustive_table handles at most {EXHAUSTIVE_TABLE_LIMIT} items")
@@ -467,27 +472,26 @@ def exhaustive_table(grid, items, exactly_k: bool = False) -> WeightTable:
     return WeightTable(grid, out, weight_scale=weight_scale, inf=inf)
 
 
-def base_table(
-    grid, cls, weight_scale: int = 1, inf: int = INT_INF
-) -> WeightTable:
-    """Single-class table in closed form, with backpointers and a stage.
+def base_table(grid, cls, inf: int = INT_INF) -> WeightTable:
+    """Single-class table in closed form, with backpointers and a stage, in
+    the class's own weight unit.
 
     Reaching grid profit q needs theta = ceil(q / tau) members (each worth
     tau grid units); the lightest choice is the first theta members, weight
     prefix_weights[theta]; infeasible if theta exceeds k or the class size.
     """
+    weight_scale = cls.weight_scale
     tau = snap_class_profit(grid, cls)
     m, z = grid.m, grid.z
     table = trivial_table(grid, weight_scale, inf)
     values, backptr = table.values, table.backptr
-    prefix = [w * weight_scale for w in cls.prefix_weights]
-    assert all(w.denominator == 1 for w in prefix), (cls, weight_scale)
+    prefix = cls.prefix_weights
     for q in range(1, m + 1):
         theta = -(-q // tau)
         if theta > cls.size:
             continue
         for k in range(theta, z + 1):
-            values[q, k] = prefix[theta].numerator
+            values[q, k] = prefix[theta]
             backptr[q, k] = theta
     table.stage = Stage(prev=trivial_table(grid, weight_scale, inf), cls=cls, tau=tau)
     return table
@@ -1011,7 +1015,7 @@ def column_scan(acc: WeightTable, cls, tau: int, cells) -> list[int]:
     member count; re-derives the candidate costs from raw table reads."""
     if len(cells) > COLUMN_SCAN_LIMIT:
         raise ValueError(f"column_scan is limited to {COLUMN_SCAN_LIMIT} columns")
-    prefix = cls.prefix_weights
+    prefix = [Fraction(p, cls.weight_scale) for p in cls.prefix_weights]
     out = []
     for q, k in cells:
         best_t = 0
@@ -1109,7 +1113,7 @@ def slice_search(acc: WeightTable, cls, tau: int, cells) -> list[int]:
     """Smallest argmin of every column of one slice by slice_index, with
     candidate costs re-derived from raw table reads as in column_scan."""
     q0, k0 = cells[0]
-    prefix = cls.prefix_weights
+    prefix = [Fraction(p, cls.weight_scale) for p in cls.prefix_weights]
 
     def evaluate(zeta: int, theta: int):
         rho = q0 + (zeta - theta) * tau

@@ -60,16 +60,20 @@ class LargeClass:
     digits, which the hot paths never need (they compare and floor through
     certified fixed-point brackets instead). Members are sorted by weight
     ascending (ties by id) and prefix_weights[j] is the total weight of the
-    j lightest members -- the only statistic the weight-table construction
-    needs. rows are the members' rows in the partition's CandidateView
-    (None on partitions built without one).
+    j lightest members times weight_scale, an exact integer -- the only
+    statistic the weight-table construction needs. weight_scale is the
+    unit the prefixes count in: the lw of the partition's CandidateView,
+    so the fold adds the view's integer weights W as they are. rows are the
+    members' rows in the partition's CandidateView (None on partitions
+    built without one).
     """
 
     index: int
     profit_scale: Fraction
     growth: Fraction
     members: tuple[Item, ...]
-    prefix_weights: tuple[Fraction, ...]
+    prefix_weights: tuple[int, ...]
+    weight_scale: int
     rows: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     @cached_property
@@ -138,10 +142,6 @@ class Partition:
     @property
     def class_count(self) -> int:
         return len(self.large_classes) + len(self.small_classes)
-
-    @property
-    def large_item_count(self) -> int:
-        return sum(c.size for c in self.large_classes)
 
     @property
     def small_item_count(self) -> int:
@@ -448,13 +448,14 @@ def build_partition(
     discarded first; the optimum estimate is computed over what remains,
     unless the caller passes the one it already has, and so is the
     candidates' CandidateView.
-    Large members are stored sorted by ascending weight with prefix sums;
-    small classes, and in exactly-K mode the fillers, are pruned to their K
-    lightest members. Classes are assigned on the view's integer profits
-    against boundaries computed once (see the comment block above): one
-    searchsorted over int64 profits, one bisect per profit over Python
-    ints. One lexsort on (class, W) then orders every class; it is stable
-    and the view's rows ascend by id, so ties go by id.
+    Large members are stored sorted by ascending weight with the prefix
+    sums of their view weights W (unit lw); small classes, and in exactly-K
+    mode the fillers, are pruned to their K lightest members. Classes are
+    assigned on the view's integer profits against boundaries computed
+    once (see the comment block above): one searchsorted over int64
+    profits, one bisect per profit over Python ints. One lexsort on
+    (class, W) then orders every class; it is stable and the view's rows
+    ascend by id, so ties go by id.
     """
     eps = Fraction(eps)
     if not (0 < eps < 1):
@@ -512,10 +513,11 @@ def build_partition(
     for group in np.split(order, starts):
         s = int(slot[group[0]])
         if s > smalls:
-            sums = accumulate(W[group].tolist(), initial=0)
-            prefix = tuple(Fraction(w, view.lw) for w in sums)
+            prefix = tuple(accumulate(W[group].tolist(), initial=0))
             members = view.items_at(group)
-            large_classes.append(LargeClass(s - smalls, large_floor, growth, members, prefix, group))
+            large_classes.append(
+                LargeClass(s - smalls, large_floor, growth, members, prefix, view.lw, group)
+            )
             continue
         if s == 0 and not exactly_k:
             pruned.append(group)
@@ -565,7 +567,8 @@ def _check_partition(partition: Partition, inst: Instance) -> None:
     """Structural invariants, cheap enough to run on every build.
 
     Every class's members must be the candidates at its rows of the
-    partition's view. Membership checks then run on the view's integer
+    partition's view, and every large class counts its weights in the
+    view's unit lw. Membership checks then run on the view's integer
     profits P = p*lp, with S = eps*opt_estimate*lp, through the exact
     bracket comparator, so they stay cheap even when class indices are
     huge: a large member of class i satisfies
@@ -595,7 +598,7 @@ def _check_partition(partition: Partition, inst: Instance) -> None:
         least, greatest = profits(c.members, c.rows)
         assert _pow_reaches(growth, c.index, greatest * sd, sn), c
         assert not _pow_reaches(growth, c.index - 1, least * sd, sn), c
-        assert len(c.prefix_weights) == c.size + 1
+        assert len(c.prefix_weights) == c.size + 1 and c.weight_scale == view.lw
     for c in partition.small_classes:
         assert c.index >= 0 and c.profit_scale == large_floor and c.growth == growth
         assert c.size <= K

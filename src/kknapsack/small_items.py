@@ -77,10 +77,6 @@ class SmallEval:
     mu: Optional[Fraction] = None
     rounded_ids: Optional[tuple[int, ...]] = field(default=None, compare=False)
 
-    @property
-    def fractional_count(self) -> int:
-        return sum(1 for v in self.fractional_solution.values() if 0 < v < 1)
-
 
 # ---------------------------------------------------------------------------
 # Exact box-LP engine: max p.x st w.x <= budget, 1.x <= cap (or = cap under

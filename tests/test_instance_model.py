@@ -39,12 +39,6 @@ class TestInstanceBasics:
         assert inst.by_id[7].profit == 3
         assert inst.by_id[1].weight == 2
 
-    def test_is_integral(self):
-        assert inst_of([(1, 5, 2)], budget=4, cardinality=1).is_integral
-        assert not inst_of([(1, F(5, 2), 2)], budget=4, cardinality=1).is_integral
-        assert not inst_of([(1, 5, F(1, 2))], budget=4, cardinality=1).is_integral
-        assert not inst_of([(1, 5, 2)], budget=F(9, 2), cardinality=1).is_integral
-
     def test_items_coerced_to_tuple(self):
         inst = Instance(
             items=list(items_of([(1, 2, 3)])), budget=F(3), cardinality=1

@@ -11,7 +11,9 @@ multiply every weight by HUGE to get there."""
 import itertools
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -26,7 +28,6 @@ from kknapsack.large_items import (
     convolve,
     profit_at,
     retrieve_items,
-    scale_for,
     snap_class_profit,
     table_format,
     trivial_table,
@@ -51,22 +52,36 @@ HUGE = Fraction(INT_WEIGHT_LIMIT)
 
 
 def mk_class(index, profit_scale, growth, weights, first_id=1):
-    """LargeClass from raw member weights (sorted ascending here)."""
+    """LargeClass from raw member weights (sorted ascending here), its
+    prefix sums counted in the lcm of the weights' denominators."""
     weights = sorted(Fraction(w) for w in weights)
     members = tuple(
         Item(id=first_id + j, profit=Fraction(profit_scale), weight=w)
         for j, w in enumerate(weights)
     )
-    prefix = [ZERO]
-    for w in weights:
-        prefix.append(prefix[-1] + w)
+    unit = math.lcm(*(w.denominator for w in weights))
     return LargeClass(
         index=index,
         profit_scale=Fraction(profit_scale),
         growth=Fraction(growth),
         members=members,
-        prefix_weights=tuple(prefix),
+        prefix_weights=tuple(accumulate((int(w * unit) for w in weights), initial=0)),
+        weight_scale=unit,
     )
+
+
+def share_unit(classes):
+    """The classes recounted in one unit, the lcm of their own, as a
+    partition's classes all count in its view's lw."""
+    unit = math.lcm(*(cls.weight_scale for cls in classes))
+    return [
+        replace(
+            cls,
+            prefix_weights=tuple(p * (unit // cls.weight_scale) for p in cls.prefix_weights),
+            weight_scale=unit,
+        )
+        for cls in classes
+    ]
 
 
 def make_system(
@@ -99,7 +114,7 @@ def make_system(
             mk_class(rnd.randint(0, 2), scale, growth, weights, first_id=next_id)
         )
         next_id += count
-    return grid, classes
+    return grid, share_unit(classes)
 
 
 def cell_dtype(cells):
@@ -117,7 +132,7 @@ def naive_fold(grid, classes):
     fmt = table_format(classes)
     acc = trivial_table(grid, *fmt)
     for cls in classes:
-        acc = naive_convolve(acc, base_table(grid, cls, *fmt))
+        acc = naive_convolve(acc, base_table(grid, cls, fmt[1]))
     return acc
 
 
@@ -132,7 +147,8 @@ def assert_matches_search(out, acc, cls, search=slice_search):
         for (q, k), theta in zip(cells, search(acc, cls, tau, cells)):
             rho = q - theta * tau
             rest = ZERO if rho <= 0 else acc.value_at(rho, k - theta)
-            assert out.value_at(q, k) == cls.prefix_weights[theta] + rest, (q, k)
+            weight = Fraction(cls.prefix_weights[theta], cls.weight_scale)
+            assert out.value_at(q, k) == weight + rest, (q, k)
             assert out.backptr[q, k] == theta, (q, k)
 
 
@@ -236,7 +252,7 @@ class TestTrivialAndBase:
         grid, classes = make_system(4, frac=False, max_classes=1, huge=cells == "exact")
         cls = classes[0]
         acc = trivial_table(grid, *table_format([cls]))
-        base = base_table(grid, cls, *table_format([cls]))
+        base = base_table(grid, cls, table_format([cls])[1])
         assert base.values.dtype == cell_dtype(cells)
         if schedule == "vector":
             via_convolve = convolve(acc, cls)
@@ -498,15 +514,6 @@ class TestLeanStages:
         assert retrieved > grid.z
 
 
-class TestScaledStorage:
-    def test_scale_for_is_lcm_of_weight_denominators(self):
-        cls_a = mk_class(0, F(10), F(3, 2), [F(1, 2), F(3, 4)])
-        cls_b = mk_class(0, F(10), F(3, 2), [F(2, 3)], first_id=5)
-        assert scale_for([cls_a]) == 4
-        assert scale_for([cls_a, cls_b]) == 12
-        assert scale_for([]) == 1
-
-
 def check_object_fold(inst, eps):
     """The fold at internal accuracy eps/8 took object cells, and on them:
     values equal the naive fold, backpointers equal the column-scan argmins,
@@ -544,9 +551,8 @@ class TestPickKindAndBuild:
         _, det = solve_fine(inst, F(1, 4))
         table, classes = det["table"], det["partition"].large_classes
         assert len(classes) >= 20
-        denominators = {it.weight.denominator for c in classes for it in c.members}
         assert table.values.dtype == np.int64
-        assert table.weight_scale == math.lcm(*denominators) > 1
+        assert table.weight_scale == det["partition"].view.lw > 1
         assert_same_values(table, fold(table.grid, classes))
 
     def test_huge_weights_fold_as_object(self):
@@ -585,7 +591,7 @@ class TestPickKindAndBuild:
         assert len(part.large_classes) == 1
         grid = ProfitGrid.from_partition(part)
         table = build_phi_L(part)
-        base = base_table(grid, part.large_classes[0], *table_format(part.large_classes))
+        base = base_table(grid, part.large_classes[0], table_format(part.large_classes)[1])
         assert_same_values(table, base)
 
     @pytest.mark.parametrize("seed", [0, 2, 4, 5, 6])
@@ -608,6 +614,57 @@ class TestPickKindAndBuild:
             folded.append(t.stage.cls.index)
             t = t.stage.prev
         assert folded[::-1] == sorted(c.index for c in part.large_classes)
+
+
+# Large items weigh halves and small ones sevenths, so the view's unit lw = 14
+# has a factor 7 that no large member's weight denominator has.
+VIEW_UNIT_SYSTEMS = {
+    Mode.AT_MOST: [
+        (1, 25, 5), (2, 31, F(11, 2)), (3, 30, F(7, 2)), (4, 49, 6),
+        (5, 9, F(15, 7)), (6, 9, F(27, 7)), (7, 6, F(8, 7)), (8, 5, F(20, 7)),
+        (9, 7, F(26, 7)), (10, 9, 1),
+    ],
+    Mode.EXACT: [
+        (1, 50, F(11, 2)), (2, 57, 5), (3, 39, 6), (4, 49, F(7, 2)),
+        (5, 12, F(6, 7)), (6, 7, F(8, 7)), (7, 10, F(15, 7)), (8, 2, F(13, 7)),
+        (9, 11, F(8, 7)), (10, 9, F(15, 7)),
+    ],
+}
+
+
+class TestViewUnit:
+    """The fold counts weights in the partition's view unit lw, which may
+    exceed the lcm of the large members' own weight denominators."""
+
+    @pytest.mark.parametrize("mode", [Mode.AT_MOST, Mode.EXACT])
+    def test_fold_counts_in_the_view_unit(self, mode):
+        inst = inst_of(VIEW_UNIT_SYSTEMS[mode], 10, 4, mode=mode)
+        eps = F(1, 4)
+        part = build_partition(inst, eps)
+        classes = part.large_classes
+        assert len(classes) >= 2 and part.small_classes
+        assert {it.weight.denominator for c in classes for it in c.members} <= {1, 2}
+        assert part.view.lw == 14
+        table = build_phi_L(part)
+        assert table.weight_scale == part.view.lw
+        grid = table.grid
+        if mode is Mode.EXACT:
+            reference = exhaustive_table(grid, snapped_members(grid, classes), exactly_k=True)
+        else:
+            reference = naive_fold(grid, classes)
+        assert_same_values(table, reference)
+        sol, _ = solve_with_details(inst, eps)
+        assert sol.total_profit >= (1 - eps) * brute_force(inst).value
+
+    def test_convolve_refuses_another_unit(self):
+        grid = ProfitGrid(delta=F(1), z=2, inv_eps=3)
+        halves = mk_class(0, F(2), F(3, 2), [F(1, 2), F(3, 2)])
+        assert halves.weight_scale == 2
+        with pytest.raises(AssertionError):
+            convolve(trivial_table(grid), halves)
+        assert_same_values(
+            convolve(trivial_table(grid, 2), halves), base_table(grid, halves)
+        )
 
 
 class TestProfitAt:

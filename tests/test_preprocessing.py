@@ -264,10 +264,11 @@ class TestBuildPartition:
         for c in part.large_classes:
             weights = [it.weight for it in c.members]
             assert weights == sorted(weights)
+            assert c.weight_scale == part.view.lw
             prefix = [ZERO]
             for w in weights:
                 prefix.append(prefix[-1] + w)
-            assert list(c.prefix_weights) == prefix
+            assert list(c.prefix_weights) == [p * c.weight_scale for p in prefix]
 
     def test_estimate_brackets_true_optimum(self):
         for seed in range(8):
@@ -314,7 +315,8 @@ class TestCheckPartition:
         extra = {"members": classes[t].members + (moved,)}
         if kind == "large":
             prefix = classes[t].prefix_weights
-            extra["prefix_weights"] = prefix + (prefix[-1] + moved.weight,)
+            weight = int(moved.weight * part.view.lw)
+            extra["prefix_weights"] = prefix + (prefix[-1] + weight,)
         classes[t] = replace(classes[t], **extra)
         with pytest.raises(AssertionError):
             _check_partition(replace(part, **{f"{kind}_classes": tuple(classes)}), inst)
@@ -402,9 +404,8 @@ class TestIntegerThresholds:
         for c in part.large_classes + part.small_classes:
             for it in c.members:
                 assert (it.profit == c.rounded_profit) == (it.profit in on_grid)
-        assert len(part.discarded) + len(part.fillers) + part.large_item_count + (
-            part.small_item_count
-        ) == len(profits)
+        counted = len(part.discarded) + len(part.fillers) + part.small_item_count
+        assert counted + sum(c.size for c in part.large_classes) == len(profits)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_fractional_and_huge_values(self, seed):

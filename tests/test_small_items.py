@@ -164,7 +164,7 @@ def check_primal(ev, units, budget, cap):
     assert total_p == ev.value
     assert total_w <= budget
     assert total_x <= cap
-    assert ev.fractional_count <= 2
+    assert sum(0 < v < 1 for v in ev.fractional_solution.values()) <= 2
 
 
 class TestUpsilon1:
@@ -185,7 +185,7 @@ class TestUpsilon1:
         assert ev.value == 9
         assert ev.integral_ids == (1, 2)
         assert ev.mu == 0
-        assert ev.fractional_count == 0
+        assert all(v == 1 for v in ev.fractional_solution.values())
 
     def test_single_fractional_item(self):
         # One item heavier than the budget: take the fitting fraction.
