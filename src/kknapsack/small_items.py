@@ -95,7 +95,7 @@ KEY_ERROR = 8 * 2.0**-53 + 2.0**-1000
 @dataclass(eq=False)
 class SmallSolver:
     """One small pool: the units the box-LP engine ranks, scaled to
-    integers, and the caches its queries share. Each query is upsilon1 over
+    integers, and the passes its queries share. Each query is upsilon1 over
     the pool, phi_dag_S(omega, k) for a partition's small pool (rounded
     profits, original weights).
 
@@ -118,14 +118,14 @@ class SmallSolver:
     f the bit lengths of max P and max W, from which float_keys ranks every
     unit at once.
 
-    The pool caches greedy passes. A pass depends only on cap and on the
-    value of nu, so it is keyed by the reduced num/den. The pass at nu = 0,
-    the top cap units by profit, is kept for every cap; the passes at
-    nu > 0 are kept for one cap at a time, and a new cap drops them.
-    Queries at many budgets for one cap, as in the combiner's split sweep,
-    share the passes that their multiplier searches have in common, and the
-    vertex at nu* reuses the search's last pass. passes and exact_keys
-    count the greedy passes run and the units keyed exactly in them.
+    The pool memoizes greedy passes. A pass depends only on cap and on the
+    value of nu, so it is keyed by cap and the reduced num/den, and kept
+    for the pool's life: one estimate or one pipeline run, so the memo is
+    bounded by that run's queries. Queries at many budgets, as in the
+    combiner's split sweep, share the passes that their multiplier searches
+    have in common, at every cap, and the vertex at nu* reuses the search's
+    last pass. passes and exact_keys count the greedy passes run and the
+    units keyed exactly in them.
     """
 
     ids: Sequence
@@ -137,15 +137,14 @@ class SmallSolver:
     equality: bool = False
     passes: int = field(default=0, init=False)
     exact_keys: int = field(default=0, init=False)
-    _cap: Optional[int] = field(default=None, init=False, repr=False)
     _passes: dict = field(default_factory=dict, init=False, repr=False)
-    _tops: dict = field(default_factory=dict, init=False, repr=False)
 
     # Every pool is solved exactly; benchmark traces read this flag.
     exact = True
 
     def __post_init__(self):
-        self._e = _extremes(self.P)[1].bit_length()
+        self._max_p = _extremes(self.P)[1]
+        self._e = self._max_p.bit_length()
         self._f = _extremes(self.W)[1].bit_length()
         self._pf = _over_power(self.P, self._e)
         self._wf = _over_power(self.W, self._f)
@@ -201,35 +200,9 @@ class SmallSolver:
         )
 
     @cached_property
-    def top_ratio(self) -> tuple[int, int]:
-        """(P, W) of a unit with the largest ratio P/W over W > 0, or (0, 1)
-        when every unit is weightless.
-
-        On int64 units the float ratio (P/2^e)/(W/2^f) is within 3u of the
-        exact one, u = 2^-53 (two correctly rounded conversions, exact
-        power-of-two scalings, one division), so only the units within
-        2^-49 of the largest float ratio are compared exactly."""
-        P, W = self.P, self.W
-        heavy = np.flatnonzero(W > 0)
-        if heavy.size and object not in (P.dtype, W.dtype):
-            ratio = self._pf[heavy] / self._wf[heavy]
-            heavy = heavy[ratio >= ratio.max() * (1 - 2.0**-49)]
-        top_p, top_w = 0, 1
-        for i in heavy.tolist():
-            p, w = int(P[i]), int(W[i])
-            if p * top_w > top_p * w:
-                top_p, top_w = p, w
-        return top_p, top_w
-
-    @cached_property
     def top_sums(self) -> list[int]:
         """top_sums[c] is the greatest total P of c units."""
         return list(itertools.accumulate(np.sort(self.P)[::-1].tolist(), initial=0))
-
-    @cached_property
-    def lightest(self) -> list[int]:
-        """lightest[c] is the least total W of c units."""
-        return list(itertools.accumulate(np.sort(self.W).tolist(), initial=0))
 
     def float_keys(self, num: int, den: int) -> np.ndarray:
         """Every unit's key den*P - num*W divided by s = max(den*2^e, num*2^f),
@@ -248,21 +221,13 @@ class SmallSolver:
         return (a / b) * self._pf - self._wf
 
     def maximizer(self, cap: int, num: int, den: int):
-        """_lightest_maximizer at nu = num/den: cached for every cap at
-        nu = 0, without its pass (no vertex is built there), and for the
-        current cap at nu > 0."""
-        if num == 0:
-            found = self._tops.get(cap)
-            if found is None:
-                found = self._tops[cap] = (*_lightest_maximizer(self, cap, 0, 1)[:3], None)
-            return found
-        if cap != self._cap:
-            self._cap, self._passes = cap, {}
+        """_lightest_maximizer at nu = num/den, memoized by cap and the
+        reduced num/den."""
         g = math.gcd(num, den)
-        key = (num // g, den // g)
+        key = (cap, num // g, den // g)
         found = self._passes.get(key)
         if found is None:
-            found = self._passes[key] = _lightest_maximizer(self, cap, *key)
+            found = self._passes[key] = _lightest_maximizer(self, *key)
         return found
 
     def register_query_weights(self, weights) -> None:
@@ -277,7 +242,7 @@ class SmallSolver:
         fast-path pass. It bounds phi_dag(omega, k) from above at every
         omega. None when exactly k units are more than the pool holds
         (exactly-K mode)."""
-        k = max(0, min(int(k), self.K))
+        k = self._clamp(k)
         n = len(self.P)
         if self.equality and k > n:
             return None
@@ -286,18 +251,25 @@ class SmallSolver:
     def phi_dag(self, omega: Fraction, k: int) -> Optional[Fraction]:
         """Approximation value for residual budget omega, cardinality k;
         None when exactly k units cannot fit omega (exactly-K mode only)."""
-        omega = Fraction(omega)
-        if omega < 0:
-            raise ValueError("negative residual budget")
-        raw = _solve_units(self, omega, max(0, min(int(k), self.K)))
+        raw = self._query(omega, k)
         return None if raw is None else Fraction(raw[0], self.lp)
 
     def eval_detail(self, omega: Fraction, k: int) -> Optional[SmallEval]:
         """Full evaluation (with solution structure) for retrieval: the LP
         vertex, whose rounded_ids are a feasible selection. None where
         phi_dag is None."""
-        k = max(0, min(int(k), self.K))
-        return _evaluation(self, _solve_units(self, Fraction(omega), k))
+        return _evaluation(self, self._query(omega, k))
+
+    def _clamp(self, k: int) -> int:
+        return max(0, min(int(k), self.K))
+
+    def _query(self, omega: Fraction, k: int):
+        """_solve_units at omega, with k clamped to [0, K]; a negative
+        omega raises ValueError."""
+        omega = Fraction(omega)
+        if omega < 0:
+            raise ValueError("negative residual budget")
+        return _solve_units(self, omega, self._clamp(k))
 
 
 def _sum_array(values, count: Optional[int] = None) -> np.ndarray:
@@ -417,7 +389,7 @@ def _lightest_maximizer(pool: SmallSolver, cap: int, num: int, den: int):
 
 
 def _critical_multiplier(
-    pool: SmallSolver, budget_w: Fraction, cap: int, pa: int, wa: int
+    pool: SmallSolver, budget_w: Fraction, cap: int, pa: int, wa: int, pb: int, wb: int
 ) -> tuple[int, int]:
     """nu* = num/den in lowest terms, the scaled image of
     mu* = min{mu >= 0 : wmin(mu) <= budget}, the leftmost minimizer of the
@@ -426,24 +398,18 @@ def _critical_multiplier(
     Every maximizer S of the inner problem gives a supporting line of L,
     P_S + nu*(budget_w - W_S) in the scaled units (budget_w = budget*lw);
     the lightest one gives the right derivative. The bracket [a, b] keeps
-    wmin(a) > budget >= wmin(b). It starts from a = 0, where the caller
-    found the lightest selection (pa, wa) over budget, and from b = max P/W,
-    where only weightless units keep a positive key; under the equality row
-    from b = max P - min P + 1, where every lighter unit keys above every
-    heavier one, so the selection is the cap lightest, which the caller
-    found to fit. The lines at a
-    and b cross at c = (P_a - P_b)/(W_a - W_b). If L(c) lies on the line at
-    a, L is linear on [a, c] with negative slope and on [c, b] with
-    slope >= 0, so c is mu*. Otherwise c replaces the end whose side of the
-    budget it shares. Each replacement strictly raises the slope at a or
-    lowers it at b, so the loop ends.
+    wmin(a) > budget >= wmin(b). It starts from the sums (pa, wa) and
+    (pb, wb) of the caller's passes at a = 0, over budget, and at
+    b = max P + 1, within it. There every unit with W > 0, so W >= 1,
+    keys below every weightless one: under the inequality row only
+    weightless units keep a positive key, and under the equality row every
+    lighter unit keys above every heavier one, so the selection is the cap
+    lightest. The lines at a and b cross at c = (P_a - P_b)/(W_a - W_b).
+    If L(c) lies on the line at a, L is linear on [a, c] with negative
+    slope and on [c, b] with slope >= 0, so c is mu*. Otherwise c replaces
+    the end whose side of the budget it shares. Each replacement strictly
+    raises the slope at a or lowers it at b, so the loop ends.
     """
-    if pool.equality:
-        least, greatest = _extremes(pool.P)
-        end = (greatest - least + 1, 1)
-    else:
-        end = pool.top_ratio
-    pb, wb, *_ = pool.maximizer(cap, *end)
     while True:
         num, den = pa - pb, wa - wb
         pc, wc, *_ = pool.maximizer(cap, num, den)
@@ -543,11 +509,9 @@ def _solve_units(pool: SmallSolver, budget: Fraction, cap: int):
     answer off the fast path is certified: its primal value equals the dual
     value at nu*."""
     n = len(pool.P)
-    if pool.equality:
-        if budget < 0 or not 0 <= cap <= n or pool.lightest[cap] > budget * pool.lw:
-            return None
-    else:
-        cap = max(0, min(cap, n))
+    if pool.equality and (budget < 0 or not 0 <= cap <= n):
+        return None
+    cap = max(0, min(cap, n))
     if cap == 0 or budget < 0:
         return 0, [], [], None, None
 
@@ -556,7 +520,12 @@ def _solve_units(pool: SmallSolver, budget: Fraction, cap: int):
     if top_w <= budget_w:
         return top_p, above.tolist() + fill, [], 0, 1
 
-    num, den = _critical_multiplier(pool, budget_w, cap, top_p, top_w)
+    # The right end's pass weighs 0 under the inequality row; under the
+    # equality row it is the cap lightest units (see _critical_multiplier).
+    end_p, end_w, *_ = pool.maximizer(cap, pool._max_p + 1, 1)
+    if end_w > budget_w:
+        return None
+    num, den = _critical_multiplier(pool, budget_w, cap, top_p, top_w, end_p, end_w)
     integral, fractional, primal, g = _vertex(pool, budget_w, cap, num, den)
     assert den * primal == num * budget_w + g, f"primal != dual at nu*={num}/{den}"
     return primal, integral, fractional, num, den

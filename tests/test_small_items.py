@@ -335,6 +335,18 @@ class TestIntegerVertex:
         assert ev == box_lp_fractions(units, F(5), 2)
 
 
+def top_ratio(P, W):
+    """(P, W) of a unit with the largest ratio P/W over W > 0, exactly, or
+    (0, 1) when every unit is weightless."""
+    heavy = [(p, w) for p, w in zip(P, W) if w > 0]
+    return max(heavy, key=lambda t: Fraction(*t), default=(0, 1))
+
+
+def same_sums(scaled, cap, nu, mu):
+    """The passes at nu and mu select the same (P, W) sums."""
+    return _lightest_maximizer(scaled, cap, *nu)[:2] == _lightest_maximizer(scaled, cap, *mu)[:2]
+
+
 def same_pass(got, ref):
     """A production pass and the Python-int reference select the same units
     with the same sums."""
@@ -351,6 +363,7 @@ class TestFloatFilteredPass:
         n = len(units)
         scaled = SmallSolver.of(units, K=n)
         P, W = scaled.P.tolist(), scaled.W.tolist()
+        ratio = top_ratio(P, W)  # the top-ratio units' keys are zero there
         for _ in range(trials):
             cap = rnd.randint(1, n)
             i, j = rnd.randrange(n), rnd.randrange(n)
@@ -361,9 +374,12 @@ class TestFloatFilteredPass:
                 num, den = P[i], W[i]  # unit i's key is zero
             else:
                 num, den = rnd.randint(0, 50), rnd.randint(1, 50)
-            for nu in [(num, den), (0, 1), scaled.top_ratio]:
+            for nu in [(num, den), (0, 1), ratio]:
                 got = _lightest_maximizer(scaled, cap, *nu)
                 assert same_pass(got, lightest_maximizer_int(scaled.P, scaled.W, cap, *nu))
+            # The search's right end selects the weightless units, as the
+            # largest ratio does.
+            assert same_sums(scaled, cap, (max(P) + 1, 1), ratio)
 
     @pytest.mark.parametrize("shape", SHAPES + ["concave", "alternating"] + WIDE_SHAPES)
     def test_matches_python_int_reference(self, shape):
@@ -389,8 +405,9 @@ class TestFloatFilteredPass:
                     )
                 ]
                 scaled = SmallSolver.of(units, K=n)
+                ratio = top_ratio(scaled.P.tolist(), scaled.W.tolist())
                 for cap in {1, max(1, n // 3), n}:
-                    for nu in [(0, 1), scaled.top_ratio, (1, 2), (2, 1)]:
+                    for nu in [(0, 1), ratio, (1, 2), (2, 1)]:
                         got = _lightest_maximizer(scaled, cap, *nu)
                         ref = lightest_maximizer_int(scaled.P, scaled.W, cap, *nu)
                         assert same_pass(got, ref)
@@ -468,7 +485,12 @@ class TestExactPoolAtEverySize:
             for omega in omegas:
                 solve_box_lp(units, omega, k)
         assert swept < calls[0] / 2
-        assert solver._cap == caps[-1]  # only the last cap's passes are held
+        # Every cap's passes are kept: the same sweep again runs none.
+        passes = solver.passes
+        for k in caps:
+            for omega in omegas:
+                solver.phi_dag(omega, k)
+        assert solver.passes == passes
 
 
 class TestRoundSmallWeights:
@@ -690,6 +712,8 @@ class TestSmallSolver:
         assert solver.phi_dag(F(0), 2) == 0
         with pytest.raises(ValueError):
             solver.phi_dag(F(-1), 2)
+        with pytest.raises(ValueError):
+            solver.eval_detail(F(-1), 2)
 
     @pytest.mark.parametrize(
         "family, n, K, eps, mode, seed",
@@ -943,7 +967,7 @@ class TestEqualityRow:
             n = len(units)
             scaled = SmallSolver.of(units, K=n, exactly_k=True)
             P, W = scaled.P.tolist(), scaled.W.tolist()
-            end = (max(P) - min(P) + 1, 1)
+            end = (max(P) + 1, 1)
             for _ in range(6):
                 cap = rnd.randint(1, n)
                 i, j = rnd.randrange(n), rnd.randrange(n)
@@ -956,9 +980,11 @@ class TestEqualityRow:
                     got = _lightest_maximizer(scaled, cap, *nu)
                     ref = lightest_maximizer_int(scaled.P, scaled.W, cap, *nu, equality=True)
                     assert same_pass(got, ref)
-            # At the bracket's right end the selection is the cap lightest.
+            # At the bracket's right end the selection is the cap lightest,
+            # as at every nu above max P - min P.
             cap = rnd.randint(1, n)
-            assert _lightest_maximizer(scaled, cap, *end)[1] == scaled.lightest[cap]
+            assert _lightest_maximizer(scaled, cap, *end)[1] == sum(sorted(W)[:cap])
+            assert same_sums(scaled, cap, end, (max(P) - min(P) + 1, 1))
 
     def test_solver_matches_solving_from_scratch(self):
         units = with_zero_profits(pool(23, 60, frac=True, pmax=40, wmax=20), random.Random(5))
