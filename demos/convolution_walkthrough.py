@@ -20,7 +20,6 @@ from fractions import Fraction
 
 from kknapsack import Instance, Item, Mode, build_partition
 from kknapsack.large_items import build_phi_L, profit_at, retrieve_items
-from kknapsack.rationals import INF
 
 
 def main() -> int:
@@ -60,14 +59,14 @@ def main() -> int:
           f"for large items), top profit covered = {grid.m * grid.delta}")
 
     # Print the final table: minimum weight to reach q grid steps with <= k
-    # items; '-' marks unreachable cells.
+    # items; '-' marks unreachable cells, where value_at reads None.
     print()
     header = "  q\\k " + "".join(f"{k:>8}" for k in range(grid.z + 1))
     print(header)
     for q in range(0, grid.m + 1, max(1, grid.m // 12)):
         row = [f"{q:>5} "]
         for k in range(grid.z + 1):
-            v = table.value_at(q, k) if table.is_finite(q, k) else None
+            v = table.value_at(q, k)
             row.append(f"{str(v) if v is not None else '-':>8}")
         print("".join(row))
 
@@ -104,7 +103,7 @@ def main() -> int:
 
     print()
     print(f"{len(partition.large_classes)} class fold(s); "
-          f"INF sentinel prints as {INF!r}")
+          f"unreachable cells hold the integer sentinel {table.inf}")
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
 

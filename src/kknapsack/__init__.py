@@ -27,9 +27,11 @@ from .instance_model import (
     Mode,
     Solution,
     evaluate_solution,
+    format_rational,
     load_instance,
     load_instance_csv,
     make_solution,
+    parse_rational,
     save_instance,
     save_instance_csv,
     validate_instance,
@@ -42,12 +44,10 @@ from .preprocessing import (
     build_partition,
     half_approx_opt,
 )
-from .rationals import INF, format_rational, parse_rational
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "INF",
     "InfeasibleInstanceError",
     "Instance",
     "InvalidInstanceError",

@@ -23,13 +23,14 @@ from .generator import DISTRIBUTIONS, generate_instance
 from .instance_model import (
     Instance,
     Mode,
+    format_rational,
     load_instance,
     load_instance_csv,
+    parse_rational,
     save_instance,
     save_instance_csv,
 )
 from .oracles import brute_force, exact_dp
-from .rationals import format_rational, parse_rational
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -106,7 +107,7 @@ def _dump_table(table) -> dict:
         row = []
         for k in range(grid.z + 1):
             v = table.value_at(q, k)
-            row.append("inf" if not table.is_finite(q, k) else format_rational(v))
+            row.append("inf" if v is None else format_rational(v))
         rows.append(row)
     back = None
     if table.backptr is not None:

@@ -45,6 +45,7 @@ from .instance_model import (  # noqa: F401
     evaluate_solution,
     feasibility_violations,
     make_solution,
+    parse_rational,
     validate_instance,
 )
 from .large_items import build_phi_L, retrieve_items
@@ -75,7 +76,8 @@ def solve(inst: Instance, eps_user) -> Solution:
 
 
 def solve_with_details(inst: Instance, eps_user) -> tuple[Solution, dict]:
-    """Solve and return (solution, diagnostics).
+    """Solve and return (solution, diagnostics). eps_user is read by
+    parse_rational: a Fraction, int or string, and a float raises TypeError.
 
     An answer stands when the LP bound certifies it: value >=
     (1 - eps_user/2) * lp_bound >= (1 - eps_user/2) * OPT, which holds for
@@ -95,7 +97,7 @@ def solve_with_details(inst: Instance, eps_user) -> tuple[Solution, dict]:
     opt_estimate, lp_bound and certified_ratio = value / lp_bound, plus,
     when a pipeline answered, that run's partition, folded table, chosen
     split and counters for debug dumps."""
-    eps_user = Fraction(eps_user)
+    eps_user = parse_rational(eps_user)
     if not 0 < eps_user < 1:
         raise ValueError(f"epsilon must be in (0,1), got {eps_user}")
     report = validate_instance(inst)
@@ -179,7 +181,7 @@ def _view_solution(inst: Instance, view: CandidateView, rows: np.ndarray, eps_us
     """The Solution of the candidates at these view rows, with make_solution's
     exact sums read from the view's integers; it must be feasible."""
     profit, weight = view.totals(rows)
-    sol = Solution(frozenset(view.ids[rows].tolist()), profit, weight, len(rows), eps_user, profit)
+    sol = Solution(frozenset(view.ids[rows].tolist()), profit, weight, len(rows), eps_user)
     violations = feasibility_violations(inst, sol.total_weight, sol.count)
     assert not violations, violations
     return sol

@@ -5,6 +5,8 @@ weight budget W, a cardinality bound K, and a constraint mode: select at most
 K items, or exactly K. All bookkeeping here is exact (fractions.Fraction);
 solver modules may work in scaled integers internally but every
 feasibility statement made to a caller goes through this module's exact sums.
+The instance file formats write rationals as "num/den" or plain integers
+and read those or decimal strings (parse_rational, format_rational).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import csv
 import enum
 import heapq
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -20,7 +23,36 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .rationals import exact_sum, format_rational, parse_rational
+
+def exact_sum(values: Iterable[Fraction]) -> Fraction:
+    """Exact sum, as sum(values, Fraction(0)) but with one gcd instead of
+    one per term: the numerators are added over the lcm of the
+    denominators."""
+    values = list(values)
+    den = math.lcm(*{v.denominator for v in values})
+    if den == 1:
+        return Fraction(sum(v.numerator for v in values))
+    return Fraction(sum(v.numerator * (den // v.denominator) for v in values), den)
+
+
+def parse_rational(text) -> Fraction:
+    """Parse "3/4", "0.25", "7", or a plain int into an exact Fraction."""
+    if isinstance(text, Fraction):
+        return text
+    if isinstance(text, int):
+        return Fraction(text)
+    if isinstance(text, float):
+        # Fraction(float) would convert the binary expansion exactly, which
+        # is almost never what a file author meant. Require strings.
+        raise TypeError("rational values must be int or string, not float")
+    return Fraction(str(text).strip())
+
+
+def format_rational(value: Fraction) -> str:
+    """Inverse of parse_rational: "num/den", or "num" for integers."""
+    if value.denominator == 1:
+        return str(value.numerator)
+    return f"{value.numerator}/{value.denominator}"
 
 
 class InfeasibleInstanceError(Exception):
@@ -93,7 +125,6 @@ class Solution:
     total_weight: Fraction
     count: int
     epsilon_used: Fraction
-    opt_lower_bound: Fraction
 
     def __post_init__(self):
         object.__setattr__(self, "selected", frozenset(self.selected))
@@ -110,7 +141,6 @@ def make_solution(inst: Instance, ids: Iterable[int], epsilon_used: Fraction) ->
         total_weight=weight,
         count=len(ids),
         epsilon_used=epsilon_used,
-        opt_lower_bound=profit,
     )
 
 

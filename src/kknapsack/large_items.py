@@ -27,7 +27,8 @@ back on read. The cell dtype is decided once per fold: int64 with the
 sentinel INT_INF while the scaled total weight of the folded classes stays
 below INT_WEIGHT_LIMIT, and otherwise numpy object cells holding
 Python ints with a sentinel above that total. A cell is infinite (the
-profit is unreachable) iff it holds at least the sentinel.
+profit is unreachable) iff it holds at least the sentinel, which is the
+tables' only infinity: value_at reads such a cell as None.
 
 Storage is k-major: values and backpointers live in C-contiguous (z+1, m+1)
 arrays, and the table exposes their transposes, so reads index [q, k] while
@@ -43,11 +44,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
 from .preprocessing import LargeClass, Partition, geometric_floor
-from .rationals import INF, ExtendedRational
 
 INT_INF = 1 << 62
 # Scaled total weights at or above this take object cells: INT_INF plus any
@@ -139,9 +140,11 @@ class WeightTable:
         self.weight_scale = weight_scale
         self.inf = inf
 
-    def value_at(self, q: int, k: int) -> ExtendedRational:
+    def value_at(self, q: int, k: int) -> Optional[Fraction]:
+        """The weight of cell (q, k) as an exact rational, None where the
+        cell is infinite."""
         v = int(self.values[q, k])
-        return INF if v >= self.inf else Fraction(v, self.weight_scale)
+        return None if v >= self.inf else Fraction(v, self.weight_scale)
 
     def is_finite(self, q: int, k: int) -> bool:
         return int(self.values[q, k]) < self.inf

@@ -505,16 +505,18 @@ def check_table(table: WeightTable, exactly_k: bool = False) -> None:
     nothing orders the columns."""
     grid = table.grid
     m, z = grid.m, grid.z
+    # The integer cells, every infinite one read as the sentinel itself.
+    cells = np.minimum(table.values, table.inf)
     for k in range(1 if exactly_k else z + 1):
-        assert table.value_at(0, k) == ZERO
+        assert cells[0, k] == 0
     for q in range(1, m + 1):
         assert not table.is_finite(q, 0)
     for q in range(1, m + 1):
         for k in range(z + 1):
-            v = table.value_at(q, k)
-            assert table.value_at(q - 1, k) <= v
+            v = cells[q, k]
+            assert cells[q - 1, k] <= v
             if k and not exactly_k:
-                assert v <= table.value_at(q, k - 1)
+                assert v <= cells[q, k - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -1012,17 +1014,19 @@ def upsilon4_breakpoints(
 
 def column_scan(acc: WeightTable, cls, tau: int, cells) -> list[int]:
     """Smallest argmin of every column of one slice, by scanning every
-    member count; re-derives the candidate costs from raw table reads."""
+    member count; re-derives the candidate costs from raw integer cells,
+    each min(prefix + cell, acc.inf) so that infinite candidates all tie."""
     if len(cells) > COLUMN_SCAN_LIMIT:
         raise ValueError(f"column_scan is limited to {COLUMN_SCAN_LIMIT} columns")
-    prefix = [Fraction(p, cls.weight_scale) for p in cls.prefix_weights]
+    assert cls.weight_scale == acc.weight_scale, "class and table units differ"
+    prefix = cls.prefix_weights
     out = []
     for q, k in cells:
         best_t = 0
         best_v = None
         for theta in range(0, min(k, cls.size) + 1):
-            rest = acc.value_at(max(q - theta * tau, 0), k - theta)
-            v = prefix[theta] + rest
+            rest = int(acc.values[max(q - theta * tau, 0), k - theta])
+            v = min(prefix[theta] + rest, acc.inf)
             if best_v is None or v < best_v:
                 best_v, best_t = v, theta
         out.append(best_t)
@@ -1113,11 +1117,12 @@ def slice_search(acc: WeightTable, cls, tau: int, cells) -> list[int]:
     """Smallest argmin of every column of one slice by slice_index, with
     candidate costs re-derived from raw table reads as in column_scan."""
     q0, k0 = cells[0]
-    prefix = [Fraction(p, cls.weight_scale) for p in cls.prefix_weights]
+    assert cls.weight_scale == acc.weight_scale, "class and table units differ"
+    prefix = cls.prefix_weights
 
     def evaluate(zeta: int, theta: int):
         rho = q0 + (zeta - theta) * tau
-        return prefix[theta] + acc.value_at(max(rho, 0), k0 + zeta - theta)
+        return min(prefix[theta] + int(acc.values[max(rho, 0), k0 + zeta - theta]), acc.inf)
 
     return slice_index(len(cells), lambda zeta: min(k0 + zeta, cls.size), evaluate)
 

@@ -37,7 +37,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .instance_model import Instance, Item, Mode
+from .instance_model import Instance, Item, Mode, parse_rational
 from .small_items import SmallSolver, _extremes, _rounding, _solve_units, _sum_array, _sum_at
 
 ZERO = Fraction(0)
@@ -442,7 +442,8 @@ def build_partition(
     estimate: Optional[OptimumEstimate] = None,
     view: Optional[CandidateView] = None,
 ) -> Partition:
-    """Partition the instance's items into geometric profit classes.
+    """Partition the instance's items into geometric profit classes. eps is
+    read by parse_rational, so a float raises TypeError.
 
     Items no feasible selection contains (see Instance.candidates) are
     discarded first; the optimum estimate is computed over what remains,
@@ -457,21 +458,21 @@ def build_partition(
     (class, W) then orders every class; it is stable and the view's rows
     ascend by id, so ties go by id.
     """
-    eps = Fraction(eps)
+    eps = parse_rational(eps)
     if not (0 < eps < 1):
         raise ValueError(f"epsilon must be in (0,1), got {eps}")
     K = inst.cardinality
     exactly_k = inst.mode is Mode.EXACT
 
+    if view is None:
+        view = candidate_view(inst)
     if estimate is None:
-        estimate = half_approx_opt(inst)
+        estimate = half_approx_opt(inst, view)
     opt_estimate = 2 * estimate.value
     if opt_estimate <= 0:
         raise TrivialInstanceError(
             "no feasible selection has positive profit; the empty solution is optimal"
         )
-    if view is None:
-        view = candidate_view(inst)
 
     large_floor = eps * opt_estimate  # profits above this are large
     growth = 1 + eps

@@ -12,13 +12,13 @@ from kknapsack.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, EXIT_VERIFY, mai
 from kknapsack.combiner import solve_with_details
 from kknapsack.instance_model import (
     Mode,
+    format_rational,
     load_instance,
     make_solution,
     save_instance,
     save_instance_csv,
 )
 from kknapsack.oracles import brute_force
-from kknapsack.rationals import format_rational
 
 
 @pytest.fixture

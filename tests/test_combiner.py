@@ -69,6 +69,16 @@ class TestValidation:
             with pytest.raises(ValueError):
                 solve(inst, bad)
 
+    def test_epsilon_read_exactly(self):
+        # A float's binary expansion is never the accuracy meant (0.1 would
+        # run at 3602879701896397/2^55): refused, as the instance formats
+        # refuse it; a string parses exactly.
+        inst = generate_instance("uniform", 40, 5, seed=3)
+        with pytest.raises(TypeError):
+            solve(inst, 0.1)
+        sol, det = solve_with_details(inst, "1/4")
+        assert sol == solve(inst, F(1, 4)) and det["internal_eps"] == F(1, 4)
+
     def test_invalid_instance(self):
         dup = inst_of([(1, 5, 1), (1, 4, 1)], 3, 1)
         with pytest.raises(InvalidInstanceError):

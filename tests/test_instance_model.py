@@ -194,8 +194,6 @@ class TestSolutions:
         assert sol.total_weight == F(3, 4)
         assert sol.count == 2
         assert sol.epsilon_used == F(1, 4)
-        # A feasible solution's own value is a certified lower bound on OPT.
-        assert sol.opt_lower_bound == sol.total_profit
 
     def test_empty_selection_feasible_at_most(self):
         inst = inst_of([(1, 1, 1)], 1, 1)
@@ -234,7 +232,6 @@ class TestSolutions:
             total_weight=ZERO,
             count=1,
             epsilon_used=F(1, 2),
-            opt_lower_bound=ZERO,
         )
         with pytest.raises(KeyError):
             evaluate_solution(inst, bogus)

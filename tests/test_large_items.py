@@ -44,7 +44,6 @@ from kknapsack.oracles import (
     slice_search,
 )
 from kknapsack.preprocessing import LargeClass, build_partition
-from kknapsack.rationals import INF
 from kknapsack.generator import generate_instance
 
 # Multiplying every weight by this sends a fold to object cells.
@@ -138,7 +137,8 @@ def naive_fold(grid, classes):
 
 def assert_matches_search(out, acc, cls, search=slice_search):
     """out == convolve(acc, cls) cell for cell, values and backpointers,
-    rebuilt from an oracle's per-slice argmins and exact value_at reads."""
+    rebuilt from an oracle's per-slice argmins and exact value_at reads
+    (None where the argmin reads an infinite cell)."""
     grid = acc.grid
     tau = snap_class_profit(grid, cls)
     for k in range(grid.z + 1):
@@ -148,7 +148,8 @@ def assert_matches_search(out, acc, cls, search=slice_search):
             rho = q - theta * tau
             rest = ZERO if rho <= 0 else acc.value_at(rho, k - theta)
             weight = Fraction(cls.prefix_weights[theta], cls.weight_scale)
-            assert out.value_at(q, k) == weight + rest, (q, k)
+            expected = None if rest is None else weight + rest
+            assert out.value_at(q, k) == expected, (q, k)
             assert out.backptr[q, k] == theta, (q, k)
 
 
@@ -323,6 +324,23 @@ class TestConvolve:
     def test_schedules_bit_identical_exact(self, seed):
         grid, classes = make_system(100 + seed, frac=True, huge=True)
         self.check_schedules(grid, classes, "exact")
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("cells", ["exact", "int64"])
+    def test_value_at_is_none_exactly_on_infinite_cells(self, seed, cells):
+        # The integer sentinel is the tables' one infinity: value_at reads it
+        # as None, on the trivial table and after every class of the fold.
+        grid, classes = make_system(seed, frac=True, huge=cells == "exact")
+        table = trivial_table(grid, *table_format(classes))
+        for cls in [None, *classes]:
+            if cls is not None:
+                table = convolve(table, cls)
+            assert table.values.dtype == cell_dtype(cells)
+            for q in range(grid.m + 1):
+                for k in range(grid.z + 1):
+                    v = table.value_at(q, k)
+                    assert (v is None) == (not table.is_finite(q, k)), (q, k)
+                    assert v is None or v * table.weight_scale == table.values[q, k]
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("cells", ["exact", "int64"])
@@ -701,7 +719,7 @@ class TestProfitAt:
                 expected = 0
                 for q in range(grid.m + 1):
                     v = table.value_at(q, k)
-                    if v is not INF and v <= budget:
+                    if v is not None and v <= budget:
                         expected = q
                 assert profit_at(table, budget, k) == expected
 

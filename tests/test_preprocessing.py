@@ -154,6 +154,23 @@ class TestBuildPartition:
             with pytest.raises(ValueError):
                 build_partition(inst, bad)
 
+    def test_epsilon_read_exactly(self):
+        inst = generate_instance("uniform", 40, 5, seed=3)
+        with pytest.raises(TypeError):
+            build_partition(inst, 0.1)
+        assert build_partition(inst, "1/4") == build_partition(inst, F(1, 4))
+
+    def test_one_view_without_arguments(self, monkeypatch):
+        # Called alone, the partition builds the candidates' view once and
+        # hands it to the estimate.
+        calls = []
+        view = preprocessing.candidate_view
+        monkeypatch.setattr(
+            preprocessing, "candidate_view", lambda inst: calls.append(inst) or view(inst)
+        )
+        build_partition(generate_instance("uniform", 40, 5, seed=3), F(1, 4))
+        assert len(calls) == 1
+
     def test_trivial_when_nothing_fits(self):
         with pytest.raises(TrivialInstanceError):
             build_partition(inst_of([(1, 5, 9)], 2, 1), F(1, 2))
@@ -393,7 +410,7 @@ class TestIntegerThresholds:
         eps, K = F(1, 4), 8
         growth = 1 + eps
         pinned = preprocessing.OptimumEstimate(scale / eps / 2, scale / eps)
-        monkeypatch.setattr(preprocessing, "half_approx_opt", lambda inst: pinned)
+        monkeypatch.setattr(preprocessing, "half_approx_opt", lambda inst, view=None: pinned)
         bounds = [scale * growth**j for j in range(-10, 7)] + [scale / K]
         lp = math.lcm(*(b.denominator for b in bounds))
         profits = [b + F(d, lp) for b in bounds for d in (-1, 0, 1)] + [ZERO]

@@ -1,14 +1,13 @@
-"""Exact-rational plumbing: string forms, the saturating infinity and the
+"""Exact-rational plumbing of the instance formats: string forms and the
 one-gcd exact sum."""
 
-import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kknapsack.rationals import INF, exact_sum, format_rational, is_finite, parse_rational
+from kknapsack.instance_model import exact_sum, format_rational, parse_rational
 
 
 class TestParseRational:
@@ -63,45 +62,3 @@ class TestFormatRational:
     def test_round_trip(self, q):
         assert parse_rational(format_rational(q)) == q
 
-
-class TestSaturatingInfinity:
-    def test_singleton_and_pickle(self):
-        assert pickle.loads(pickle.dumps(INF)) is INF
-
-    def test_addition_saturates_both_sides(self):
-        assert INF + Fraction(5) is INF
-        assert Fraction(5) + INF is INF
-        assert INF + INF is INF
-
-    def test_ordering_above_every_rational(self):
-        for q in (Fraction(-10), Fraction(0), Fraction(10**18)):
-            assert q < INF
-            assert INF > q
-            assert not INF < q
-            assert not INF <= q
-            assert INF >= q
-
-    def test_reflexive_comparisons(self):
-        assert INF <= INF
-        assert INF >= INF
-        assert INF == INF
-        assert not INF < INF
-        assert not INF > INF
-
-    def test_never_equal_to_finites(self):
-        assert INF != Fraction(10**9)
-        assert INF != float("inf")
-
-    def test_disallowed_arithmetic_fails_loudly(self):
-        with pytest.raises(TypeError):
-            INF - Fraction(1)
-        with pytest.raises(TypeError):
-            INF * 2
-
-    def test_is_finite(self):
-        assert is_finite(Fraction(3))
-        assert not is_finite(INF)
-
-    def test_min_with_rationals_picks_finite(self):
-        assert min(INF, Fraction(4)) == Fraction(4)
-        assert min(Fraction(4), INF) == Fraction(4)

@@ -1,5 +1,5 @@
 """Solves at scale, each case in a child process of its own: exactly-K rows
-and two at-most rows.
+and three at-most rows.
 
 An exactly-K case builds one seeded item set and solves it, for each of
 its K, in exactly-K mode and, on the same items, in at-most mode; it reports every
@@ -23,7 +23,10 @@ answer, a certified ratio of at least 1 - eps, a peak RSS under 200 MB and
 a wall time under 3 s. Uniform n = 1e5, K = 256, eps = 1/2 measures the n
 term of the paper's bound, paid once per solve by every layer that reads
 the items; uniform n = 20000, K = 1024, eps = 1/5 a small pool whose
-classes run deep.
+classes run deep; uniform n = 20000, K = 64, eps = 1/4 with every value
+scaled by 2^70 (profits plus 1, weights plus 3) values past int64, so that
+the candidates' view holds Python ints and the solve runs the big-integer
+paths.
 """
 
 import json
@@ -91,19 +94,30 @@ print(json.dumps({
 AT_MOST_CHILD = r"""
 import json, resource, sys, time
 from fractions import Fraction
-from kknapsack import evaluate_solution, solve_with_details
+from kknapsack import Instance, Item, evaluate_solution, solve_with_details
 from kknapsack.generator import generate_instance
+from kknapsack.preprocessing import candidate_view
 
 spec = json.loads(sys.argv[1])
 inst = generate_instance(spec["family"], spec["n"], spec["k"], seed=spec["seed"])
+s = spec["scale"]
+if s > 1:
+    inst = Instance(
+        items=[Item(it.id, it.profit * s + 1, it.weight * s + 3) for it in inst.items],
+        budget=inst.budget * s,
+        cardinality=inst.cardinality,
+    )
 start = time.perf_counter()
 sol, details = solve_with_details(inst, Fraction(spec["eps"]))
 wall_s = time.perf_counter() - start
+peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+view = candidate_view(inst)
 print(json.dumps({
     "wall_s": wall_s,
     "feasible": evaluate_solution(inst, sol).feasible,
     "certified_ratio": str(details["certified_ratio"]),
-    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    "peak_rss_mb": peak_rss_mb,
+    "object_view": view.P.dtype == object and view.W.dtype == object,
 }))
 """
 
@@ -191,12 +205,14 @@ def test_exactly_k_guarantee_against_exact_dp(family, n, k, seed):
     assert Fraction(out["profit"]) >= (1 - EPS) * opt
 
 
-def check_at_most_row(n, k, eps):
-    out = _run_child(AT_MOST_CHILD, {"family": "uniform", "n": n, "k": k, "seed": 1, "eps": str(eps)})
+def check_at_most_row(n, k, eps, scale=1):
+    spec = {"family": "uniform", "n": n, "k": k, "seed": 1, "eps": str(eps), "scale": scale}
+    out = _run_child(AT_MOST_CHILD, spec)
     assert out["feasible"]
     assert Fraction(out["certified_ratio"]) >= 1 - eps, out
     assert out["peak_rss_mb"] < 200, out
     assert out["wall_s"] < 3.0, out
+    return out
 
 
 def test_uniform_at_most_n_1e5():
@@ -206,3 +222,11 @@ def test_uniform_at_most_n_1e5():
 def test_uniform_at_most_k_1024():
     # A small pool of about 9000 units that reaches deep small classes.
     check_at_most_row(20_000, 1024, Fraction(1, 5))
+
+
+def test_uniform_at_most_2_70_scale():
+    # The view's P and W are object arrays, so the Python-int paths run
+    # (the partition's per-value bisect among them), which no benchmark
+    # workload reaches.
+    out = check_at_most_row(20_000, 64, Fraction(1, 4), scale=2**70)
+    assert out["object_view"], out
