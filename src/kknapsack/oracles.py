@@ -1,38 +1,40 @@
 """Independent reference implementations ("oracles") used only by tests.
 
-Every oracle recomputes its answer from first principles with exact
-arithmetic and deliberately shares no code with the production paths it
-checks: the meet-in-the-middle search and the count-indexed DP know nothing
-of rounding or grids; the generic table convolution enumerates all profit
-and cardinality splits; the closed-form single-class table and the subset
-enumeration build tables without convolving; the LP enumerator visits every
-vertex shape of the two-row relaxation, the multiplier enumerator
-binary-searches all of its pairwise crossings, lightest_maximizer_int keys
-every unit of one greedy pass as a Python int, and box_lp_fractions builds
-the LP's vertex at that multiplier in Fractions; the paper's breakpoint set
-(BreakpointSet, upsilon4_breakpoints) minimizes the heavy-side dual at desk
-scale; the column scanner and the paper's divide-and-conquer slice search
-(enumerate_slices, slice_index) re-derive slice costs from raw table reads;
-full_split_sweep asks the small side for every fitting split, the sweep the
-combiner prunes by its bounds.
+Every oracle recomputes its answer with exact arithmetic, by a route other
+than the production path it checks: the meet-in-the-middle search and the
+count-indexed DP know nothing of rounding or grids; the generic table
+convolution enumerates all profit and cardinality splits; the closed-form
+single-class table and the subset enumeration build tables without
+convolving; the LP enumerator visits every vertex shape of the two-row
+relaxation, the multiplier enumerator binary-searches all of its pairwise
+crossings, and lightest_maximizer_int keys every unit of one greedy pass
+as a Python int; the column scanner and the paper's divide-and-conquer
+slice search (enumerate_slices, slice_index) re-derive slice costs from
+raw table reads; full_split_sweep asks the small solver it is given for
+every fitting split, the sweep the combiner prunes by its bounds.
+
+Six oracles reuse a production helper, and so do not check that helper:
+- reference_partition uses preprocessing._geometric_index_up for each
+  item's class index and reads the estimate through
+  preprocessing.half_approx_opt;
+- exhaustive_table starts from large_items.trivial_table;
+- base_table uses large_items.snap_class_profit and trivial_table;
+- round_small_weights and WeightBuckets normalize items with
+  small_items._units;
+- upsilon4 solves its LP with small_items.solve_box_lp.
 
 reference_validate checks every item with Fraction comparisons, one at a
 time; validate_instance must return the same report from its integer
 checks.
 
-reference_partition classifies every item with its own bracket search
-(_geometric_index_up) and sorts members as Fractions; build_partition must
-return the same partition from its integer class thresholds.
-
-convert_exact_to_atmost is the classic reduction of exactly-K to at-most-K
-by a profit shift. Production does not use it: exactly-K mode runs the
-same pipeline with exactly-k semantics.
+reference_partition classifies every item one at a time, on its Fraction
+ratio to the class floor, and sorts members as Fractions; build_partition
+must return the same partition from its integer class thresholds.
 
 The paper's small-side ladder for K > 1/eps also lives here (weight
 rounding, WeightBuckets, upsilon2 through upsilon5), because production
-answers every small-side query with upsilon1 instead. Its upsilon4 runs
-production's solve_box_lp on the rounded heavy items; upsilon4_breakpoints
-checks that dual minimization and upsilon2_linear checks the split search.
+answers every small-side query with upsilon1 instead. upsilon2_linear
+checks the ladder's split search.
 All guards here are hard errors -- an oracle silently falling back would
 defeat its purpose.
 """
@@ -81,9 +83,7 @@ _SOFT_INF = 1 << 61
 class OracleMethod(enum.Enum):
     BRUTE_FORCE = "brute_force"
     EXACT_DP = "exact_dp"
-    NAIVE_CONVOLVE = "naive_convolve"
     LP_VERTEX = "lp_vertex"
-    LINEAR_SCAN = "linear_scan"
 
 
 @dataclass(frozen=True)
@@ -249,42 +249,6 @@ def _dp_fraction(inst: Instance, W: int, K: int):
         return dp[K][W]
     finite = [row[W] for row in dp if row[W] is not None]
     return max(finite)
-
-
-# ---------------------------------------------------------------------------
-# The exactly-K to at-most-K reduction by profit shift.
-# ---------------------------------------------------------------------------
-
-def convert_exact_to_atmost(
-    inst: Instance, delta: Optional[Fraction] = None
-) -> tuple[Instance, Fraction]:
-    """Shift every profit by Delta so that more items always beat fewer.
-
-    On the shifted at-most-K instance, any optimum selects exactly K items
-    whenever some feasible K-item solution exists: as long as Delta exceeds
-    the total profit of every feasible selection of fewer than K items,
-    extending such a selection by one more fitting item always gains more
-    (Delta plus a nonnegative profit) than the entire profit it could ever
-    collect. The default Delta = 1 + sum of all profits is always safe;
-    callers may pass any tighter bound that still dominates every feasible
-    sub-K selection. Returns (shifted instance, Delta);
-    value_exact = value_atmost - K*Delta.
-    """
-    if inst.mode is not Mode.EXACT:
-        raise ValueError("convert_exact_to_atmost requires an EXACT-mode instance")
-    if delta is None:
-        delta = Fraction(1) + sum((it.profit for it in inst.items), Fraction(0))
-    else:
-        delta = Fraction(delta)
-        if delta <= 0:
-            raise ValueError(f"delta must be positive, got {delta}")
-    shifted = tuple(
-        Item(id=it.id, profit=it.profit + delta, weight=it.weight) for it in inst.items
-    )
-    return (
-        Instance(items=shifted, budget=inst.budget, cardinality=inst.cardinality, mode=Mode.AT_MOST),
-        delta,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -718,297 +682,6 @@ def critical_multiplier_enum(
 
 
 # ---------------------------------------------------------------------------
-# The box LP in Fractions, and the paper's breakpoint-set route for upsilon4.
-# ---------------------------------------------------------------------------
-
-def _greedy_weight_range(units, mu: Fraction, cap: int, equality: bool = False):
-    """Weight range [wmin, wmax] over maximizers of the inner Lagrangian
-    problem at multiplier mu, plus the inner optimum g(mu).
-
-    Maximizers take every unit with adjusted profit p - mu*w above the
-    entry threshold and fill remaining cardinality from the tied units;
-    their total weight spans [lightest fill, heaviest fill], extended by
-    optional zero-adjusted units when the threshold is zero. Under the
-    equality row every unit is ranked and the threshold is the cap-th
-    adjusted profit, whatever its sign.
-    """
-    positives = []
-    zeros = []
-    for uid, p, w in units:
-        adj = p - mu * w
-        if adj > 0 or equality:
-            positives.append((adj, w, uid))
-        elif adj == 0 and p > 0:
-            zeros.append(w)
-
-    if len(positives) <= cap and not equality:
-        g = sum((a for a, _, _ in positives), ZERO)
-        wmin = sum((w for _, w, _ in positives), ZERO)
-        room = cap - len(positives)
-        zeros.sort(reverse=True)
-        wmax = wmin + sum(zeros[: min(room, len(zeros))], ZERO)
-        return wmin, wmax, g
-
-    positives.sort(key=lambda t: (-t[0], t[2]))
-    threshold = positives[cap - 1][0]
-    above = [t for t in positives if t[0] > threshold]
-    tied_w = sorted(t[1] for t in positives if t[0] == threshold)
-    fill = cap - len(above)
-    g = sum((a for a, _, _ in above), ZERO) + threshold * fill
-    w_above = sum((w for _, w, _ in above), ZERO)
-    wmin = w_above + sum(tied_w[:fill], ZERO)
-    wmax = w_above + sum(tied_w[len(tied_w) - fill:], ZERO)
-    return wmin, wmax, g
-
-
-def _dual_at(
-    units, mu: Fraction, budget: Fraction, cap: int, equality: bool = False
-) -> Fraction:
-    _, _, g = _greedy_weight_range(units, mu, cap, equality)
-    return mu * budget + g
-
-
-def _vertex_at_multiplier(
-    units, mu: Fraction, budget: Fraction, cap: int, equality: bool = False
-):
-    """Optimal LP vertex at the critical multiplier.
-
-    Maximizes the inner Lagrangian objective while making the weight row
-    exactly tight (for mu > 0), yielding at most two fractional components:
-    mandatory units fully in, then the tied/optional units adjusted by full
-    swaps plus one final fractional swap. Under the equality row every
-    unit is ranked, so exactly cap units are taken.
-    Returns (x: dict id->Fraction, value: Fraction).
-    """
-    positives = []
-    zeros = []
-    for uid, p, w in units:
-        adj = p - mu * w
-        if adj > 0 or equality:
-            positives.append((adj, w, uid, p))
-        elif adj == 0 and p > 0:
-            zeros.append((w, uid, p))
-
-    x: dict[int, Fraction] = {}
-
-    if len(positives) <= cap and not equality:
-        # Every positive unit is mandatory; pad weight up to the budget with
-        # zero-adjusted units (free for the inner objective).
-        used_w = ZERO
-        for _, w, uid, _ in positives:
-            x[uid] = Fraction(1)
-            used_w += w
-        room = cap - len(positives)
-        residual = budget - used_w
-        assert residual >= 0, "greedy selection exceeds budget at mu*"
-        if mu > 0 and residual > 0:
-            zeros.sort(key=lambda t: (-t[0], t[1]))
-            for w, uid, _ in zeros:
-                if room <= 0 or residual <= 0:
-                    break
-                take = min(Fraction(1), residual / w)  # zero-adj => w > 0
-                x[uid] = take
-                residual -= take * w
-                room -= 1
-            assert residual == 0, "cannot make weight row tight at mu*"
-    else:
-        positives.sort(key=lambda t: (-t[0], t[2]))
-        threshold = positives[cap - 1][0]
-        above = [t for t in positives if t[0] > threshold]
-        tied = sorted(
-            (t for t in positives if t[0] == threshold), key=lambda t: (t[1], t[2])
-        )
-        fill = cap - len(above)
-        used_w = ZERO
-        for _, w, uid, _ in above:
-            x[uid] = Fraction(1)
-            used_w += w
-        target = budget - used_w
-        sel = tied[:fill]
-        unsel = list(reversed(tied[fill:]))  # heaviest first
-        cur = sum((t[1] for t in sel), ZERO)
-        assert cur <= target, "lightest tied fill already over budget at mu*"
-        for uid in (t[2] for t in sel):
-            x[uid] = Fraction(1)
-        if cur < target:
-            for swap_in, swap_out in zip(unsel, sel):
-                delta = swap_in[1] - swap_out[1]
-                if cur + delta <= target:
-                    x[swap_in[2]] = Fraction(1)
-                    x[swap_out[2]] = Fraction(0)
-                    cur += delta
-                    if cur == target:
-                        break
-                else:
-                    lam = (target - cur) / delta
-                    x[swap_in[2]] = lam
-                    x[swap_out[2]] = 1 - lam
-                    cur = target
-                    break
-        assert cur == target or mu == 0, "cannot reach weight target from ties"
-
-    x = {uid: v for uid, v in x.items() if v > 0}
-    by_id = {uid: (p, w) for uid, p, w in units}
-    value = sum((by_id[uid][0] * v for uid, v in x.items()), ZERO)
-    return x, value
-
-
-def box_lp_fractions(
-    units, budget: Fraction, cap: int, equality: bool = False
-) -> Optional[SmallEval]:
-    """max p.x st w.x <= budget, x in [0,1] and sum x <= cap (sum x = cap
-    with equality), in Fractions.
-
-    units are id-ascending (id, profit, weight) triples, with positive
-    profits unless equality; under the equality row the answer is None when
-    no cap units fit the budget. If the lightest top-cap-by-profit selection
-    fits, it is the answer at mu = 0. Otherwise the vertex is built at the
-    multiplier of critical_multiplier_enum by swapping tied units up to the
-    budget, and its value is checked against the dual value there. This is
-    the box LP that small_items.solve_box_lp computes on integer keys, down
-    to the vertex it picks.
-    """
-    budget = Fraction(budget)
-    if equality:
-        lightest = sorted(w for _, _, w in units)[:cap]
-        if not 0 <= cap <= len(units) or budget < 0 or sum(lightest, ZERO) > budget:
-            return None
-    cap = max(0, min(int(cap), len(units)))
-    if cap == 0 or not units or budget < 0:
-        return SmallEval(ZERO, {}, ())
-    top = sorted(units, key=lambda t: (-t[1], t[2], t[0]))[:cap]
-    if sum((w for _, _, w in top), ZERO) <= budget:
-        ids = tuple(sorted(uid for uid, _, _ in top))
-        value = sum((p for _, p, _ in top), ZERO)
-        return SmallEval(value, {uid: Fraction(1) for uid in ids}, ids, mu=ZERO)
-    mu = critical_multiplier_enum(units, budget, cap, equality)
-    x, value = _vertex_at_multiplier(units, mu, budget, cap, equality)
-    dual = _dual_at(units, mu, budget, cap, equality)
-    assert value == dual, f"primal {value} != dual {dual} at mu*={mu}"
-    integral = tuple(sorted(uid for uid, v in x.items() if v == 1))
-    return SmallEval(value, x, integral, mu=mu)
-
-
-@dataclass(frozen=True)
-class BreakpointSet:
-    """Candidate dual multipliers on the geometric grid.
-
-    values = scale * (1+eps)^b * ((1+eps)^c - 1)/((1+eps)^d - 1) over the
-    exponent box, deduplicated, ascending, with 0 prepended and a top cap
-    appended. scale carries the K*opt_estimate/omega factor relating the
-    profit grid to the rounded-weight grid, so every profit/weight ratio and
-    every pairwise crossing of typed units is a member.
-    """
-
-    values: tuple[Fraction, ...]
-    eps: Fraction
-    exponent_bound: int
-    scale: Fraction
-
-    @classmethod
-    def build(
-        cls, eps: Fraction, K: int, opt_estimate: Fraction, omega: Fraction
-    ) -> "BreakpointSet":
-        eps = Fraction(eps)
-        opt_estimate = Fraction(opt_estimate)
-        omega = Fraction(omega)
-        if omega <= 0 or opt_estimate <= 0:
-            return cls((ZERO,), eps, 0, Fraction(1))
-        growth = 1 + eps
-        # M = ceil(log_{1+eps}(K/eps)): smallest M with (1+eps)^M >= K/eps.
-        target = Fraction(K) / eps
-        M = 0
-        power = Fraction(1)
-        while power < target:
-            power *= growth
-            M += 1
-        bound = 2 * M + 1
-        guard = M + 1
-        if guard > 18:
-            raise ValueError(
-                f"breakpoint set would need exponent range {guard}; "
-                "materialization is only supported at desk scale"
-            )
-        powers = {0: Fraction(1)}
-        for e in range(1, max(bound, guard) + 1):
-            powers[e] = powers[e - 1] * growth
-            powers[-e] = 1 / powers[e]
-        scale = Fraction(K) * opt_estimate / omega
-        diffs = [powers[e] - 1 for e in range(-guard, guard + 1) if e != 0]
-        vals = {ZERO}
-        for b in range(-bound, bound + 1):
-            pb = powers[b]
-            for dc in diffs:
-                for dd in diffs:
-                    v = scale * pb * dc / dd
-                    if v > 0:
-                        vals.add(v)
-        cap_value = scale * powers[bound] * (powers[guard] - 1) + 1
-        vals.add(cap_value)
-        return cls(tuple(sorted(vals)), eps, bound, scale)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def upsilon4_breakpoints(
-    items,
-    omega: Fraction,
-    ell: int,
-    k: int,
-    eps: Fraction,
-    K: int,
-    breakpoints: BreakpointSet,
-) -> SmallEval:
-    """upsilon4 by the paper's route: min over the breakpoint set of the
-    dual L(mu) of the heavy-side LP (budget (1-eps)*omega, cap k-ell), by
-    convexity-guided binary search. The heavy side is rounded by the
-    production round_small_weights, so this checks the dual minimization,
-    not the rounding. Raises ArithmeticError when the set misses mu*.
-    """
-    omega = Fraction(omega)
-    eps = Fraction(eps)
-    _, s2_types = round_small_weights(items, omega, eps, K)
-    units = _expand_types(s2_types)
-    budget = (1 - eps) * omega
-    cap = max(0, min(int(k) - int(ell), len(units)))
-    if cap == 0 or not units or omega <= 0:
-        return SmallEval(ZERO, {}, (), mu=ZERO)
-
-    # Literal route: binary search on the descent direction over the sorted
-    # candidate set, exploiting convexity of L in mu.
-    vals = breakpoints.values
-    memo: dict[int, Fraction] = {}
-
-    def L(i: int) -> Fraction:
-        if i not in memo:
-            memo[i] = _dual_at(units, vals[i], budget, cap)
-        return memo[i]
-
-    lo, hi = 0, len(vals) - 1
-    while hi - lo > 2:
-        mid = (lo + hi) // 2
-        if L(mid) <= L(mid + 1):
-            hi = mid + 1
-        else:
-            lo = mid
-    best_i = min(range(lo, hi + 1), key=lambda i: (L(i), i))
-    mu = vals[best_i]
-    wmin, wmax, _ = _greedy_weight_range(units, mu, cap)
-    # Optimality certificate: 0 must lie in the subdifferential of L at mu*.
-    # At mu = 0 only the right derivative matters (wmin <= budget).
-    if not (wmin <= budget and (mu == 0 or budget <= wmax)):
-        raise ArithmeticError(
-            f"breakpoint set does not contain the optimal multiplier near {mu}"
-        )
-    x, value = _vertex_at_multiplier(units, mu, budget, cap)
-    dual = _dual_at(units, mu, budget, cap)
-    assert value == dual, f"upsilon4 primal {value} != dual {dual}"
-    integral = tuple(sorted(uid for uid, v in x.items() if v == 1))
-    return SmallEval(value, x, integral, mu=mu)
-
-
-# ---------------------------------------------------------------------------
 # Slice column minima: exhaustive scan and the paper's divide and conquer.
 # ---------------------------------------------------------------------------
 
@@ -1299,10 +972,13 @@ def upsilon4(
     """min over mu >= 0 of L(mu, omega, ell, k) -- the dual of the heavy-side
     LP with budget (1-eps)*omega and cardinality cap k-ell.
 
-    solve_box_lp finds the exact critical multiplier and certifies the
-    primal vertex against the dual value. The paper's route, a binary
-    search over a precomputed breakpoint set, is the desk-scale oracle
-    oracles.upsilon4_breakpoints.
+    This runs production's solve_box_lp on the rounded heavy units: it
+    finds the exact critical multiplier and certifies the primal vertex
+    against the dual value. The paper minimizes the dual over a
+    precomputed breakpoint set instead; that route is not kept. What is
+    checked here is the rounding and the cap k - ell: TestUpsilon4 and
+    acceptance criterion C07 compare the value with lp_vertex on the
+    rounded units.
     """
     omega = Fraction(omega)
     eps = Fraction(eps)

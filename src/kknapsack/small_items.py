@@ -533,13 +533,13 @@ def _solve_units(pool: SmallSolver, budget: Fraction, cap: int):
 
 def _rounding(W: np.ndarray, integral: list, fractional: list) -> list:
     """The exactly-K rounding of a vertex under sum x = cap, in pool indices:
-    the integral part plus the lighter fractional unit, ties to the lower
-    index. The two fractional parts sum to one, so the count is cap, and
-    min(W_a, W_b) <= x_a*W_a + x_b*W_b keeps the weight row."""
+    the integral part plus the lighter fractional unit, never a tie (_vertex
+    makes a swap fractional only when w_in > w_out). The parts sum to one, so
+    the count is cap, and min(W_a, W_b) <= x_a*W_a + x_b*W_b keeps the budget."""
     if not fractional:
         return integral
     assert len(fractional) == 2 and sum(x for _, x in fractional) == 1, fractional
-    return integral + [min((i for i, _ in fractional), key=lambda i: (int(W[i]), i))]
+    return integral + [min((i for i, _ in fractional), key=lambda i: int(W[i]))]
 
 
 def _evaluation(pool: SmallSolver, raw) -> Optional[SmallEval]:

@@ -3,8 +3,10 @@
 best_subset below is a deliberately naive full enumeration used to
 cross-check both the solver and the oracles module; it must stay
 independent of any package internals beyond the instance types.
-solve_fine runs the solver's pipeline once at the paper's internal
-accuracy, for the tests that inspect that pipeline's structure.
+dual_value is the box LP's Lagrangian dual, the certificate the small-side
+tests check the LP engine's answers against. solve_fine runs the solver's
+pipeline once at the paper's internal accuracy, for the tests that inspect
+that pipeline's structure.
 """
 
 from __future__ import annotations
@@ -72,6 +74,16 @@ def best_subset(inst: Instance, exact_count: int | None = None):
             if best is None or value > best[0]:
                 best = (value, frozenset(it.id for it in combo))
     return best
+
+
+def dual_value(units, mu, budget, cap, equality=False):
+    """The box LP's Lagrangian dual at multiplier mu >= 0 on the weight row:
+    mu*budget plus the cap largest adjusted profits p - mu*w over the
+    (id, profit, weight) units, the positive ones only unless equality
+    (sum x = cap). Every primal-feasible value is at most this, so a
+    feasible point that reaches it is optimal."""
+    adjusted = sorted((p - mu * w for _, p, w in units), reverse=True)[:cap]
+    return mu * budget + sum((a for a in adjusted if equality or a > 0), ZERO)
 
 
 def solve_fine(inst: Instance, eps):

@@ -1,8 +1,6 @@
-"""Instances, solutions, feasibility judgments, and io; plus the exactly-K
-to at-most-K profit-shift reduction, which lives in oracles.py."""
+"""Instances, solutions, feasibility judgments, and io."""
 
 import copy
-import itertools
 import pickle
 import random
 from dataclasses import replace
@@ -12,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import F, ZERO, best_subset, inst_of, items_of
+from conftest import F, ZERO, inst_of, items_of
 from kknapsack.generator import generate_instance
 from kknapsack.instance_model import (
     Instance,
@@ -29,7 +27,7 @@ from kknapsack.instance_model import (
     save_instance_csv,
     validate_instance,
 )
-from kknapsack.oracles import convert_exact_to_atmost, reference_validate
+from kknapsack.oracles import reference_validate
 
 
 class TestInstanceBasics:
@@ -235,68 +233,6 @@ class TestSolutions:
         )
         with pytest.raises(KeyError):
             evaluate_solution(inst, bogus)
-
-
-class TestConvertExactToAtmost:
-    def test_two_item_shift(self):
-        # Default shift is one more than the total profit: 1 + (1+2) = 4,
-        # so profits {1, 2} become {5, 6}.
-        inst = inst_of([(1, 1, 1), (2, 2, 1)], 2, 2, mode=Mode.EXACT)
-        shifted, delta = convert_exact_to_atmost(inst)
-        assert delta == 4
-        assert shifted.mode is Mode.AT_MOST
-        assert sorted(it.profit for it in shifted.items) == [5, 6]
-        assert shifted.budget == inst.budget
-        assert shifted.cardinality == inst.cardinality
-
-    def test_requires_exact_mode(self):
-        with pytest.raises(ValueError):
-            convert_exact_to_atmost(inst_of([(1, 1, 1)], 2, 1))
-
-    @pytest.mark.parametrize("bad", [0, -1, F(-1, 2)])
-    def test_rejects_nonpositive_delta(self, bad):
-        inst = inst_of([(1, 1, 1)], 2, 1, mode=Mode.EXACT)
-        with pytest.raises(ValueError):
-            convert_exact_to_atmost(inst, bad)
-
-    def test_custom_delta_applied(self):
-        inst = inst_of([(1, 1, 1), (2, 2, 1)], 2, 2, mode=Mode.EXACT)
-        shifted, delta = convert_exact_to_atmost(inst, F(7, 2))
-        assert delta == F(7, 2)
-        assert sorted(it.profit for it in shifted.items) == [F(9, 2), F(11, 2)]
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_shifted_optimum_recovers_exact_optimum(self, seed):
-        # On the shifted instance the at-most optimum must take exactly K
-        # items whenever any K-item set fits, and removing the K*delta shift
-        # must land on the best exactly-K value. Checked against a direct
-        # enumeration of all subsets on random 8-item instances.
-        base = generate_instance("uniform", 8, 3, seed=400 + seed, weight_max=12)
-        inst = Instance(
-            items=base.items, budget=base.budget, cardinality=3, mode=Mode.EXACT
-        )
-        exact_best = best_subset(inst, exact_count=3)
-        for delta_arg in (None, self._tight_delta(inst)):
-            shifted, delta = convert_exact_to_atmost(inst, delta_arg)
-            shifted_best = best_subset(shifted)
-            assert shifted_best is not None
-            value, ids = shifted_best
-            if exact_best is None:
-                assert len(ids) < 3
-            else:
-                assert len(ids) == 3
-                assert value - 3 * delta == exact_best[0]
-
-    @staticmethod
-    def _tight_delta(inst):
-        # One more than the best value over every feasible selection of
-        # fewer than K items -- the smallest shift the contract documents.
-        best = ZERO
-        for r in range(inst.cardinality):
-            for combo in itertools.combinations(inst.items, r):
-                if sum((it.weight for it in combo), ZERO) <= inst.budget:
-                    best = max(best, sum((it.profit for it in combo), ZERO))
-        return best + 1
 
 
 class TestSerialization:

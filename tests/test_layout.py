@@ -1,7 +1,8 @@
 """The package's layout rules: the public surface resolves, and the
 independent references in oracles.py stay out of the production modules
 (ROADMAP aim 2: one production implementation per stage plus one
-reference). Only the CLI's verify subcommand reads an oracle."""
+reference). Only the CLI's verify subcommand reads an oracle, and every
+reference in oracles.py has a reader."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import kknapsack
 
 PACKAGE = Path(kknapsack.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parent.parent
 ORACLE_READERS = {"cli.py", "oracles.py"}
 
 
@@ -35,3 +37,34 @@ def test_production_modules_do_not_import_oracles():
     assert len(sources) > 5, sources
     readers = {path.name for path in sources if _imports_oracles(ast.parse(path.read_text()))}
     assert readers <= ORACLE_READERS, readers - ORACLE_READERS
+
+
+def _oracle_imports(tree: ast.AST):
+    """The names a module imports from oracles, in any scope."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "oracles":
+            yield from (alias.name for alias in node.names)
+
+
+def test_every_oracle_has_a_reader():
+    # Start from the names tests, demos, perfbench and cli.py import from
+    # oracles.py, and follow the names each top-level definition uses. A
+    # definition left unreached is a reference that outlived its readers.
+    readers = [PACKAGE / "cli.py"]
+    for folder in ("tests", "demos", "perfbench"):
+        readers += sorted((ROOT / folder).rglob("*.py"))
+    assert len(readers) > 10, readers
+    roots = {name for path in readers for name in _oracle_imports(ast.parse(path.read_text()))}
+    uses = {
+        node.name: {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        for node in ast.parse((PACKAGE / "oracles.py").read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    reached, todo = set(), [name for name in roots if name in uses]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += [used for used in uses[name] if used in uses]
+    unread = sorted(set(uses) - reached)
+    assert not unread, unread

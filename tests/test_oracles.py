@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import F, ZERO, best_subset, inst_of
+from conftest import F, ZERO, best_subset, dual_value, inst_of
 from kknapsack.instance_model import Item, Mode
 from kknapsack.large_items import INT_INF, INT_WEIGHT_LIMIT, ProfitGrid, trivial_table
 from kknapsack.oracles import (
@@ -246,12 +246,6 @@ class TestLpVertex:
         assert lp_vertex(items, F(11), 3, equality=True).value == 16
 
 
-def lagrangian(units, mu, budget, cap):
-    """mu*budget plus the cap largest positive adjusted profits p - mu*w."""
-    adjusted = sorted((p - mu * w for _, p, w in units), reverse=True)
-    return mu * budget + sum((a for a in adjusted[:cap] if a > 0), ZERO)
-
-
 class TestCriticalMultiplierEnum:
     def test_two_fractional_vertex(self):
         # The vertex of TestLpVertex: the lines 10 - 8mu and 6 - 2mu cross
@@ -273,8 +267,8 @@ class TestCriticalMultiplierEnum:
         assert budget > 0
         mu = critical_multiplier_enum(units, budget, cap)
         optimum = lp_vertex(inst.items, budget, cap).value
-        assert lagrangian(units, mu, budget, cap) == optimum
-        assert lagrangian(units, mu * F(999, 1000), budget, cap) > optimum
+        assert dual_value(units, mu, budget, cap) == optimum
+        assert dual_value(units, mu * F(999, 1000), budget, cap) > optimum
 
 
 class TestColumnScan:

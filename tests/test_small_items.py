@@ -1,7 +1,13 @@
 """Small-item relaxations: the exact box LP and the pool-level SmallSolver
 that answers every query with it; plus the paper's ladder, kept as oracles
 (weight rounding, bucketed top-ell queries, the heavy-side dual, and the
-split search that combines them)."""
+split search that combines them).
+
+The box LP's answers are checked against LP vertex enumeration at desk
+size and, on larger and wider pools, certified by duality: a feasible
+primal whose value equals the Lagrangian dual value at its multiplier
+(conftest.dual_value) is optimal, and off the fast path that multiplier
+must be the enumerated critical one (oracles.critical_multiplier_enum)."""
 
 import math
 import random
@@ -10,18 +16,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import F, ZERO, inst_of, solve_fine
+from conftest import F, ZERO, dual_value, inst_of, solve_fine
 from test_acceptance import c02_instances
 from test_combiner import in_mode
 import kknapsack.small_items as small_items
 from kknapsack.generator import generate_instance
 from kknapsack.instance_model import Item, Mode
 from kknapsack.oracles import (
-    BreakpointSet,
     WeightBuckets,
-    _dual_at,
     _expand_types,
-    box_lp_fractions,
     critical_multiplier_enum,
     lightest_maximizer_int,
     lp_vertex,
@@ -30,7 +33,6 @@ from kknapsack.oracles import (
     upsilon2_linear,
     upsilon3,
     upsilon4,
-    upsilon4_breakpoints,
     upsilon5,
 )
 from kknapsack.combiner import solve_with_details
@@ -167,6 +169,16 @@ def check_primal(ev, units, budget, cap):
     assert sum(0 < v < 1 for v in ev.fractional_solution.values()) <= 2
 
 
+def check_certified(ev, units, budget, cap):
+    """ev is optimal for the LP with sum x <= cap: a feasible vertex whose
+    value is the dual value at its multiplier, which off the fast path is
+    the enumerated critical one."""
+    check_primal(ev, units, budget, cap)
+    assert ev.value == dual_value(units, ev.mu or ZERO, budget, cap)
+    if ev.mu:
+        assert ev.mu == critical_multiplier_enum(positive(units), budget, cap)
+
+
 class TestUpsilon1:
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_lp_vertex(self, seed):
@@ -292,8 +304,8 @@ def vertex_route(ev, units, cap):
 class TestIntegerVertex:
     @pytest.mark.parametrize("seed", range(3))
     def test_equals_fraction_reference(self, seed):
-        # Value, x, integral ids and mu all equal the Fraction reference,
-        # which builds the vertex at the enumerated multiplier.
+        # Every answer is certified in Fractions: a feasible vertex at the
+        # dual value of the enumerated multiplier.
         rnd = random.Random(f"vertex-{seed}")
         routes = set()
         for shape in ["ties", "equal-ratio", "zero-weights", "fractional", "geometric"]:
@@ -303,8 +315,7 @@ class TestIntegerVertex:
                 total = sum((w for _, _, w in units), ZERO)
                 budget = total * Fraction(rnd.randint(0, 100), 100)
                 ev = solve_box_lp(units, budget, cap)
-                assert ev == box_lp_fractions(positive(units), budget, cap)
-                check_primal(ev, units, budget, cap)
+                check_certified(ev, units, budget, cap)
                 routes.add(vertex_route(ev, units, min(cap, len(positive(units)))))
         assert routes >= {"fast", "padding", "tied"}
 
@@ -318,8 +329,7 @@ class TestIntegerVertex:
             total = sum((w for _, _, w in units), ZERO)
             budget = total * Fraction(rnd.randint(0, 100), 100)
             ev = solve_box_lp(units, budget, cap)
-            assert ev == box_lp_fractions(positive(units), budget, cap)
-            check_primal(ev, units, budget, cap)
+            check_certified(ev, units, budget, cap)
             searched += ev.mu > 0
         assert searched
 
@@ -332,7 +342,7 @@ class TestIntegerVertex:
         assert ev.fractional_solution == {1: F(1), 2: F(1, 3)}
         assert ev.integral_ids == (1,)
         assert ev.value == 5
-        assert ev == box_lp_fractions(units, F(5), 2)
+        check_certified(ev, units, F(5), 2)
 
 
 def top_ratio(P, W):
@@ -597,53 +607,6 @@ class TestUpsilon4:
         assert upsilon4([(1, F(3), F(2))], F(0), 0, 3, F(1, 2), 4).value == 0
 
 
-def rounded_profit_pool(seed, eps, K, opt, omega, n):
-    """Profits on the small-class rounded grid eps*opt*(1+eps)^(-i); weights
-    arbitrary positive rationals at most omega. This is the shape the
-    breakpoint set's membership argument covers."""
-    rnd = random.Random(seed)
-    floor = eps * opt / K
-    out = []
-    for uid in range(1, n + 1):
-        p = eps * opt
-        for _ in range(rnd.randint(0, 6)):
-            nxt = p / (1 + eps)
-            if nxt < floor:
-                break
-            p = nxt
-        w = Fraction(rnd.randint(1, int(omega * 4)), 4)
-        out.append((uid, p, w))
-    return out
-
-
-class TestBreakpointSet:
-    def test_structure(self):
-        bset = BreakpointSet.build(F(1, 2), 4, F(40), F(8))
-        vals = bset.values
-        assert vals[0] == 0
-        assert list(vals) == sorted(set(vals))
-        # M = ceil(log_1.5(8)) = 6 for K/eps = 8.
-        assert bset.exponent_bound == 13
-        assert bset.scale == F(4) * F(40) / F(8)
-
-    def test_desk_scale_guard(self):
-        with pytest.raises(ValueError):
-            BreakpointSet.build(F(1, 100), 10, F(40), F(8))
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_literal_route_matches_parametric(self, seed):
-        eps, K, opt, omega = F(1, 2), 4, F(40), F(8)
-        units = rounded_profit_pool(seed, eps, K, opt, omega, n=10)
-        bset = BreakpointSet.build(eps, K, opt, omega)
-        rnd = random.Random(seed)
-        ell = rnd.randint(0, 2)
-        k = rnd.randint(ell + 1, K)
-        via_set = upsilon4_breakpoints(units, omega, ell, k, eps, K, bset)
-        parametric = upsilon4(units, omega, ell, k, eps, K)
-        assert via_set.value == parametric.value
-        assert via_set.mu in bset.values
-
-
 class TestSplitSearch:
     @pytest.mark.parametrize("seed", range(15))
     def test_binary_search_matches_linear_scan(self, seed):
@@ -842,19 +805,20 @@ def check_equality_primal(ev, units, budget, cap):
     assert sum((by_id[uid][1] for uid in ids), ZERO) <= budget
 
 
-def check_against_fractions(units, budget, cap):
-    """The engine's exact-cap answer equals the Fraction reference, down to
-    the vertex; off the fast path its multiplier is the enumerated one and
-    its value is the dual value there (the primal == dual certificate)."""
+def solve_certified_equality(units, budget, cap):
+    """The engine's exact-cap answer, checked: None exactly when the cap
+    lightest units do not fit the budget, else a feasible vertex whose
+    value is the dual value at its multiplier, which off the fast path is
+    the enumerated critical one."""
     ev = solve_box_lp(units, budget, cap, equality=True)
-    ref = box_lp_fractions(units, budget, cap, equality=True)
-    assert ev == ref
+    lightest = sum(sorted(w for _, _, w in units)[:cap], ZERO)
+    assert (ev is None) == (cap > len(units) or lightest > budget)
     if ev is None:
         return None
     check_equality_primal(ev, units, budget, cap)
+    assert ev.value == dual_value(units, ev.mu or ZERO, budget, cap, equality=True)
     if ev.mu:
         assert ev.mu == critical_multiplier_enum(units, budget, cap, equality=True)
-        assert ev.value == _dual_at(units, ev.mu, budget, cap, equality=True)
     return ev
 
 
@@ -885,7 +849,7 @@ class TestEqualityRow:
         searched = infeasible = 0
         for _ in range(60):
             units = with_zero_profits(shaped_pool(shape, rnd, rnd.randint(1, 30)), rnd)
-            ev = check_against_fractions(units, *equality_case(units, rnd))
+            ev = solve_certified_equality(units, *equality_case(units, rnd))
             infeasible += ev is None
             searched += ev is not None and bool(ev.mu)
         assert searched >= 10 and infeasible
@@ -896,7 +860,7 @@ class TestEqualityRow:
         searched = 0
         for _ in range(25):
             units = with_zero_profits(wide_pool(shape, rnd, rnd.randint(1, 24)), rnd)
-            ev = check_against_fractions(units, *equality_case(units, rnd))
+            ev = solve_certified_equality(units, *equality_case(units, rnd))
             searched += ev is not None and bool(ev.mu)
         assert searched
 
@@ -915,7 +879,7 @@ class TestEqualityRow:
         for shape in ["ties", "random", "zero-weights"]:
             for _ in range(40):
                 units = with_zero_profits(shaped_pool(shape, rnd, rnd.randint(2, 20)), rnd)
-                check_against_fractions(units, *equality_case(units, rnd))
+                solve_certified_equality(units, *equality_case(units, rnd))
         assert None not in cuts
         assert any(c == 0 for c in cuts) and any(c < 0 for c in cuts)
 
@@ -934,7 +898,7 @@ class TestEqualityRow:
         assert solve_box_lp(units, ZERO, 3, equality=True) is None
         # Half of unit 2 fits; the other half slot goes to weightless unit 3,
         # and rounding keeps the lighter of the two.
-        ev = check_against_fractions(units, F(2), 2)
+        ev = solve_certified_equality(units, F(2), 2)
         assert ev.value == 8
         assert ev.fractional_solution == {1: 1, 2: F(1, 2), 3: F(1, 2)}
         assert ev.rounded_ids == (1, 3)
