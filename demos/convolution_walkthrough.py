@@ -72,20 +72,21 @@ def main() -> int:
 
     print()
     ok = True
-    by_id = {it.id: it for cls in partition.large_classes for it in cls.members}
+    # Classes and retrieval name candidates by their rows in the partition's
+    # view; the view's ids look the items up in the instance.
+    ids = partition.view.ids
+    by_id = {ids[r]: inst.by_id[ids[r]] for cls in partition.large_classes for r in cls.rows}
     rounded = {
-        it.id: cls.rounded_profit
-        for cls in partition.large_classes
-        for it in cls.members
+        ids[r]: cls.rounded_profit for cls in partition.large_classes for r in cls.rows
     }
     for omega, k in [(Fraction(15), 3), (Fraction(8), 2), (Fraction(3), 1)]:
         q = profit_at(table, omega, k)
-        ids = retrieve_items(table, q, k) if q > 0 else ()
-        weight = sum((by_id[i].weight for i in ids), Fraction(0))
+        witness = ids[list(retrieve_items(table, q, k) if q > 0 else ())].tolist()
+        weight = sum((by_id[i].weight for i in witness), Fraction(0))
         print(f"budget {omega}, k={k}: {q} grid steps "
-              f"(profit >= {q * grid.delta}), witness {sorted(ids)} "
+              f"(profit >= {q * grid.delta}), witness {sorted(witness)} "
               f"weighing {weight}")
-        ok &= weight <= omega and len(ids) <= k
+        ok &= weight <= omega and len(witness) <= k
 
         # Cross-check: no subset of large items beats the table's answer by
         # a full grid step beyond the documented discretization slack.

@@ -85,7 +85,7 @@ def main() -> int:
           f"certified ratio value/LP = {float(details['certified_ratio']):.4f}")
     print(f"grid m = {details['grid_m']}, "
           f"large slots {details['split'].large_slots}, "
-          f"small ids {list(details['small_ids'])}")
+          f"small ids {part.view.ids[list(details['small_rows'])].tolist()}")
     print(f"discarded: {sorted(part.discarded)} (item 1 fits alone, but no "
           "feasible 3-set holds it)")
     opt = exact_optimum(inst)
@@ -101,7 +101,8 @@ def main() -> int:
     inst_f = build([(500, 6), (400, 6), (1, 1), (1, 1), (2, 2), (1, 3)], budget=14, k=4)
     sol_f, details_f = solve_with_details(inst_f, eps)
     report_f = evaluate_solution(inst_f, sol_f)
-    fillers = [it.id for it in details_f["partition"].fillers]
+    part_f = details_f["partition"]
+    fillers = part_f.view.ids[list(part_f.filler_rows)].tolist()
     print(f"selected {sorted(sol_f.selected)}: profit {sol_f.total_profit}, "
           f"weight {sol_f.total_weight}, count {sol_f.count}")
     print(f"zero-profit fillers kept by the partition: {fillers}")

@@ -20,6 +20,12 @@ from fractions import Fraction
 from kknapsack import Instance, Item, Mode, build_partition, half_approx_opt
 
 
+def members(partition, inst, cls):
+    """The items of a class: its rows in the partition's candidate view
+    name candidates, whose ids the instance looks up."""
+    return [inst.by_id[i] for i in partition.view.ids[list(cls.rows)]]
+
+
 def show(partition, inst) -> bool:
     ok = True
     print(f"  optimum estimate : {partition.opt_estimate}"
@@ -29,25 +35,25 @@ def show(partition, inst) -> bool:
     print(f"  large-item floor : profit > {large_floor}")
     print(f"  keep floor       : profit >= {keep_floor}")
     for cls in partition.large_classes:
-        ids = [it.id for it in cls.members]
+        items = members(partition, inst, cls)
         print(f"  large class {cls.index:>2}  rounded profit {cls.rounded_profit}"
-              f"  members {ids}")
-        for it in cls.members:
+              f"  members {[it.id for it in items]}")
+        for it in items:
             # Large profits round UP onto the ladder, by less than (1+eps).
             ok &= it.profit <= cls.rounded_profit
             ok &= cls.rounded_profit <= (1 + partition.epsilon) * it.profit
     for cls in partition.small_classes:
-        ids = [it.id for it in cls.members]
+        items = members(partition, inst, cls)
         print(f"  small class {cls.index:>2}  rounded profit {cls.rounded_profit}"
-              f"  members {ids}")
-        for it in cls.members:
+              f"  members {[it.id for it in items]}")
+        for it in items:
             # Small profits round DOWN onto the ladder (never overstated).
             ok &= cls.rounded_profit <= it.profit
             ok &= it.profit <= (1 + partition.epsilon) * cls.rounded_profit
     print(f"  discarded ids    : {sorted(partition.discarded)}")
     counted = (
-        sum(len(c.members) for c in partition.large_classes)
-        + sum(len(c.members) for c in partition.small_classes)
+        sum(c.size for c in partition.large_classes)
+        + partition.small_item_count
         + len(partition.discarded)
     )
     ok &= counted == len(inst.items)

@@ -112,7 +112,7 @@ def solve_with_details(inst: Instance, eps_user) -> tuple[Solution, dict]:
         # Every feasible selection is worth 0 (and so is the LP): take none,
         # or in exactly-K mode the K lightest, which fit (Instance.candidates
         # checked). The answer is optimal, certified_ratio 1.
-        rows = view.order[:0]
+        rows = np.arange(0)
         details = {"answer": "trivial", "trivial": True, "internal_eps": eps_user}
         if exactly_k:
             # A stable sort: the view's rows ascend by id, so ties go by id.
@@ -179,9 +179,12 @@ def completed_rounding(inst: Instance, view: CandidateView, rounding: np.ndarray
 
 def _view_solution(inst: Instance, view: CandidateView, rows: np.ndarray, eps_user) -> Solution:
     """The Solution of the candidates at these view rows, with make_solution's
-    exact sums read from the view's integers; it must be feasible."""
+    exact sums read from the view's integers. The only place a solve reads
+    its candidates' ids; the rows must be distinct and feasible."""
+    ids = frozenset(view.ids[rows].tolist())
+    assert len(ids) == len(rows), "a candidate is selected twice"
     profit, weight = view.totals(rows)
-    sol = Solution(frozenset(view.ids[rows].tolist()), profit, weight, len(rows), eps_user)
+    sol = Solution(ids, profit, weight, len(rows), eps_user)
     violations = feasibility_violations(inst, sol.total_weight, sol.count)
     assert not violations, violations
     return sol
@@ -308,10 +311,10 @@ def solve_at_accuracy(
         total=grid.profit_value(x) + sv,
     )
 
-    large_ids = retrieve_items(table, x, k)
-    small_ids = small.eval_detail(omega, K - k).rounded_ids
-    ids = frozenset(large_ids) | frozenset(small_ids)
-    sol = _view_solution(inst, view, view.rows_of(ids), eps_user)
+    large_rows = retrieve_items(table, x, k)
+    small_rows = small.eval_detail(omega, K - k).rounded_ids
+    rows = np.array(large_rows + small_rows, dtype=np.intp)
+    sol = _view_solution(inst, view, rows, eps_user)
 
     details = {
         "internal_eps": eps_int,
@@ -325,8 +328,8 @@ def solve_at_accuracy(
         "split_queries": queries,
         "partition": partition,
         "table": table,
-        "large_ids": tuple(sorted(large_ids)),
-        "small_ids": tuple(sorted(small_ids)),
+        "large_rows": tuple(sorted(large_rows)),
+        "small_rows": tuple(sorted(small_rows)),
         "small_pool": len(small.ids),
         "small_passes": small.passes,
         "small_exact_keys": small.exact_keys,

@@ -45,7 +45,10 @@ def parse_rational(text) -> Fraction:
         # Fraction(float) would convert the binary expansion exactly, which
         # is almost never what a file author meant. Require strings.
         raise TypeError("rational values must be int or string, not float")
-    return Fraction(str(text).strip())
+    try:
+        return Fraction(str(text).strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def format_rational(value: Fraction) -> str:
@@ -275,11 +278,19 @@ def instance_to_dict(inst: Instance) -> dict:
     }
 
 
+def _integer(value) -> int:
+    """An integral JSON field: an int (not a bool) or a string holding one.
+    int() alone would truncate 2.5 to 2 and read true as 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def instance_from_dict(data: Mapping) -> Instance:
     try:
         items = tuple(
             Item(
-                id=int(entry["id"]),
+                id=_integer(entry["id"]),
                 profit=parse_rational(entry["profit"]),
                 weight=parse_rational(entry["weight"]),
             )
@@ -288,10 +299,10 @@ def instance_from_dict(data: Mapping) -> Instance:
         return Instance(
             items=items,
             budget=parse_rational(data["budget"]),
-            cardinality=int(data["cardinality"]),
+            cardinality=_integer(data["cardinality"]),
             mode=Mode(data.get("mode", "at_most")),
         )
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed instance data: {exc}") from exc
 
 
@@ -338,7 +349,7 @@ def _instance_from_csv(fh, budget, cardinality: int, mode: Mode) -> Instance:
                     weight=parse_rational(row["weight"]),
                 )
             )
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed CSV instance row: {exc}") from exc
     return Instance(
         items=tuple(items),

@@ -283,22 +283,24 @@ def profit_at(table: WeightTable, budget: Fraction, k: int) -> int:
 
 
 def retrieve_items(table: WeightTable, q: int, k: int) -> tuple[int, ...]:
-    """Item ids realising cell (q, k), by walking the stage chain.
+    """The candidate view rows realising cell (q, k), by walking the stage
+    chain.
 
     Only valid on finite cells. Each stage contributes the backpointer's
-    count of its class's lightest members; the remaining profit debt drops
-    by theta*tau (clamped at zero) and the cardinality slot by theta.
+    count of its class's lightest members (LargeClass.rows); the remaining
+    profit debt drops by theta*tau (clamped at zero) and the cardinality
+    slot by theta.
     """
     if not table.is_finite(q, k):
         raise ValueError(f"cell ({q}, {k}) is infeasible; nothing to retrieve")
-    ids: list[int] = []
+    rows: list[int] = []
     t = table
     while t.stage is not None:
         stage = t.stage
         theta = int(t.backptr[q, k])
-        ids.extend(it.id for it in stage.cls.members[:theta])
+        rows += stage.cls.rows[:theta]
         q = max(0, q - theta * stage.tau)
         k -= theta
         t = stage.prev
     assert q == 0 and k >= 0, (q, k)
-    return tuple(ids)
+    return tuple(rows)

@@ -303,10 +303,13 @@ def reference_partition(inst: Instance, eps: Fraction) -> Partition:
     """The partition build_partition must return, classified item by item:
     each profit's class index is the bracket search _geometric_index_up on
     its Fraction ratio to eps*opt_estimate, and members are sorted by
-    (weight, id) as Fractions. Large prefix sums count in the lcm of the
-    candidates' weight denominators, taken here from the items themselves.
-    The estimate is read through preprocessing.half_approx_opt at call
-    time, like build_partition."""
+    (weight, id) as Fractions. A member's row is the rank of its id among
+    the sorted candidate ids, as in the candidate view; the partition
+    carries candidate_view(inst) to read its rows by, which takes no part
+    in equality and no part in computing them. Large prefix sums
+    count in the lcm of the candidates' weight denominators, taken here
+    from the items themselves. The estimate is read through
+    preprocessing.half_approx_opt at call time, like build_partition."""
     eps = Fraction(eps)
     K = inst.cardinality
     exactly_k = inst.mode is Mode.EXACT
@@ -316,8 +319,8 @@ def reference_partition(inst: Instance, eps: Fraction) -> Partition:
     small_floor = large_floor / K
     growth = 1 + eps
 
-    kept_ids = {it.id for it in candidates}
-    discarded = {it.id for it in inst.items if it.id not in kept_ids}
+    row_of = {uid: r for r, uid in enumerate(sorted(it.id for it in candidates))}
+    discarded = {it.id for it in inst.items if it.id not in row_of}
     large_groups: dict[int, list[Item]] = {}
     small_groups: dict[int, list[Item]] = {}
     fillers: list[Item] = []
@@ -339,6 +342,9 @@ def reference_partition(inst: Instance, eps: Fraction) -> Partition:
     def lightest_first(members):
         return sorted(members, key=lambda t: (t.weight, t.id))
 
+    def rows(members) -> tuple[int, ...]:
+        return tuple(row_of[it.id] for it in members)
+
     fillers = lightest_first(fillers)[:K]
     discarded.difference_update(it.id for it in fillers)
     lw = math.lcm(*(it.weight.denominator for it in candidates))
@@ -349,13 +355,13 @@ def reference_partition(inst: Instance, eps: Fraction) -> Partition:
         for it in members:
             prefix.append(prefix[-1] + int(it.weight * lw))
         large_classes.append(
-            LargeClass(i, large_floor, growth, tuple(members), tuple(prefix), lw)
+            LargeClass(i, large_floor, growth, rows(members), tuple(prefix), lw)
         )
     small_classes = []
     for i in sorted(small_groups):
         members = lightest_first(small_groups[i])
         discarded.update(it.id for it in members[K:])
-        small_classes.append(SmallClass(i, large_floor, growth, tuple(members[:K])))
+        small_classes.append(SmallClass(i, large_floor, growth, rows(members[:K])))
     return Partition(
         opt_estimate=opt_estimate,
         epsilon=eps,
@@ -365,8 +371,9 @@ def reference_partition(inst: Instance, eps: Fraction) -> Partition:
         large_classes=tuple(large_classes),
         small_classes=tuple(small_classes),
         discarded=frozenset(discarded),
+        view=preprocessing.candidate_view(inst),
         exactly_k=exactly_k,
-        fillers=tuple(fillers),
+        filler_rows=rows(fillers),
     )
 
 

@@ -2,12 +2,13 @@
 partitioning of items.
 
 A solve reads its candidates' integers once, into a CandidateView that
-solve_with_details builds per call: the candidates in id order, their ids,
-and P = profit*lp and W = weight*lw over the lcms lp and lw of their
-denominators, int64 while n times the largest value stays below 2^62 and
-Python ints otherwise. The estimate, the partition, the small pool and the
-answer's sums read it; none of them compares Fractions per item, and the
-estimate runs its LP on a small_items.SmallSolver over them.
+solve_with_details builds per call: one row per candidate in id order,
+holding its id, P = profit*lp and W = weight*lw over the lcms lp and lw of
+the denominators, int64 while n times the largest value stays below 2^62
+and Python ints otherwise. The estimate, the partition, the small pool and
+the answer's sums read it and name candidates by row; none of them
+compares Fractions per item, and the estimate runs its LP on a
+small_items.SmallSolver over them.
 
 The pipeline never knows the true optimum; it works with the estimate
 opt_estimate = 2 * half_approx_opt(inst).value, which brackets the optimum
@@ -37,7 +38,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .instance_model import Instance, Item, Mode, parse_rational
+from .instance_model import Instance, Mode, parse_rational
 from .small_items import SmallSolver, _extremes, _rounding, _solve_units, _sum_array, _sum_at
 
 ZERO = Fraction(0)
@@ -58,23 +59,21 @@ class LargeClass:
     rounded_profit = scale*growth^index. The exact rounded profit is
     materialised lazily: at small eps it runs to tens of thousands of
     digits, which the hot paths never need (they compare and floor through
-    certified fixed-point brackets instead). Members are sorted by weight
-    ascending (ties by id) and prefix_weights[j] is the total weight of the
-    j lightest members times weight_scale, an exact integer -- the only
-    statistic the weight-table construction needs. weight_scale is the
-    unit the prefixes count in: the lw of the partition's CandidateView,
-    so the fold adds the view's integer weights W as they are. rows are the
-    members' rows in the partition's CandidateView (None on partitions
-    built without one).
+    certified fixed-point brackets instead). rows are the members' rows in
+    the partition's CandidateView, sorted by weight ascending (ties by id),
+    and prefix_weights[j] is the total weight of the j lightest members
+    times weight_scale, an exact integer -- the only statistic the
+    weight-table construction needs. weight_scale is the unit the prefixes
+    count in: the lw of the partition's CandidateView, so the fold adds the
+    view's integer weights W as they are.
     """
 
     index: int
     profit_scale: Fraction
     growth: Fraction
-    members: tuple[Item, ...]
+    rows: tuple[int, ...]
     prefix_weights: tuple[int, ...]
     weight_scale: int
-    rows: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     @cached_property
     def rounded_profit(self) -> Fraction:
@@ -82,7 +81,7 @@ class LargeClass:
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self.rows)
 
 
 @dataclass(frozen=True)
@@ -94,15 +93,14 @@ class SmallClass:
     and growth = 1+eps -- rounding DOWN: rounded_profit = scale*growth^(-index)
     is the grid point at or directly below every member's profit, so the
     loss per item is under eps/(1+eps) of its profit (materialised lazily,
-    like LargeClass.rounded_profit). Members are the class's K lightest
-    items, weight ascending, ties by id; rows as in LargeClass.
+    like LargeClass.rounded_profit). rows are the view rows of the class's
+    K lightest members, weight ascending, ties by id.
     """
 
     index: int
     profit_scale: Fraction
     growth: Fraction
-    members: tuple[Item, ...]
-    rows: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+    rows: tuple[int, ...]
 
     @cached_property
     def rounded_profit(self) -> Fraction:
@@ -110,7 +108,7 @@ class SmallClass:
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self.rows)
 
 
 @dataclass(frozen=True)
@@ -120,10 +118,11 @@ class Partition:
     discarded holds the ids that are not candidates (see Instance.candidates),
     are pruned, or lie below the profit floor eps*opt_estimate/K, except the
     fillers: in exactly-K mode (exactly_k) the K lightest of those, counted
-    at profit 0. cardinality is carried along because the small-item
-    relaxations need K itself, not only z = min(K, ceil(1/eps)). view is the
-    solve's CandidateView and filler_rows the fillers' rows in it; neither
-    takes part in equality.
+    at profit 0, whose view rows filler_rows holds (weight ascending, ties
+    by id). cardinality is carried along because the small-item
+    relaxations need K itself, not only z = min(K, ceil(1/eps)). view is
+    the solve's CandidateView, whose rows every class and the fillers name;
+    it takes no part in equality.
     """
 
     opt_estimate: Fraction
@@ -134,10 +133,9 @@ class Partition:
     large_classes: tuple[LargeClass, ...]
     small_classes: tuple[SmallClass, ...]
     discarded: frozenset[int]
+    view: CandidateView = field(compare=False, repr=False)
     exactly_k: bool = False
-    fillers: tuple[Item, ...] = ()
-    filler_rows: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
-    view: Optional["CandidateView"] = field(default=None, compare=False, repr=False)
+    filler_rows: tuple[int, ...] = ()
 
     @property
     def class_count(self) -> int:
@@ -170,7 +168,7 @@ class Partition:
                 for c in self.small_classes
             ],
             "discarded": sorted(self.discarded),
-            "fillers": [it.id for it in self.fillers],
+            "fillers": [self.view.ids[r] for r in self.filler_rows],
         }
 
 
@@ -180,33 +178,22 @@ class CandidateView:
     read once and shared by the estimate, the partition, the small pool and
     the solution's sums.
 
-    Row r describes the candidate candidates[order[r]], and rows ascend by
+    A row is the one handle on a candidate from here to the answer: the
+    partition's classes, the small pool's units and retrieval all name
+    candidates by row, and only the answer reads their ids. Rows ascend by
     id, so an order that breaks its ties by row breaks them by id. ids
-    holds the candidates' own id objects (an object array) and keys the
-    same ids as numbers to search (int64 when they fit). P = profit*lp and
-    W = weight*lw, with lp and lw the lcms of the candidates' profit and
-    weight denominators, are sum arrays (small_items._sum_array): int64 when
-    n times the largest value stays below 2^62, so every sum a consumer
-    forms fits, and Python ints otherwise.
+    holds the candidates' own id objects (an object array). P = profit*lp
+    and W = weight*lw, with lp and lw the lcms of the candidates' profit
+    and weight denominators, are sum arrays (small_items._sum_array): int64
+    when n times the largest value stays below 2^62, so every sum a
+    consumer forms fits, and Python ints otherwise.
     """
 
-    candidates: tuple[Item, ...]
-    order: np.ndarray
     ids: np.ndarray
-    keys: np.ndarray
     P: np.ndarray
     W: np.ndarray
     lp: int
     lw: int
-
-    def items_at(self, rows: np.ndarray) -> tuple[Item, ...]:
-        """The candidates at these rows."""
-        candidates = self.candidates
-        return tuple([candidates[i] for i in self.order[rows].tolist()])
-
-    def rows_of(self, ids) -> np.ndarray:
-        """The rows of these candidate ids."""
-        return np.searchsorted(self.keys, np.array(list(ids), dtype=self.keys.dtype))
 
     def totals(self, rows: np.ndarray) -> tuple[Fraction, Fraction]:
         """Exact total profit and weight of the candidates at these rows."""
@@ -218,17 +205,13 @@ def candidate_view(inst: Instance) -> CandidateView:
     the candidates reads their ids, numerators and denominators."""
     candidates = inst.candidates
     ids = [it.id for it in candidates]
-    keys = np.array(ids)
-    order = np.argsort(keys, kind="stable")
+    order = np.argsort(np.array(ids), kind="stable")
     profits = [it.profit for it in candidates]
     weights = [it.weight for it in candidates]
     lp = math.lcm(*{p.denominator for p in profits})
     lw = math.lcm(*{w.denominator for w in weights})
     return CandidateView(
-        candidates,
-        order,
         np.array(ids, dtype=object)[order],
-        keys[order],
         _sum_array(_numerators(profits, lp))[order],
         _sum_array(_numerators(weights, lw))[order],
         lp,
@@ -278,7 +261,7 @@ def half_approx_opt(inst: Instance, view: Optional[CandidateView] = None) -> Opt
     if view is None:
         view = candidate_view(inst)
     if not len(view.ids):
-        return OptimumEstimate(ZERO, ZERO, view.order[:0])
+        return OptimumEstimate(ZERO, ZERO, np.arange(0))
     exactly_k = inst.mode is Mode.EXACT
     P, W, rows = view.P, view.W, np.arange(len(view.ids))
     if not exactly_k:  # the inequality row's pool: positive profits only
@@ -449,9 +432,10 @@ def build_partition(
     discarded first; the optimum estimate is computed over what remains,
     unless the caller passes the one it already has, and so is the
     candidates' CandidateView.
-    Large members are stored sorted by ascending weight with the prefix
-    sums of their view weights W (unit lw); small classes, and in exactly-K
-    mode the fillers, are pruned to their K lightest members. Classes are
+    Every class holds its members' view rows by ascending weight, a large
+    one with the prefix sums of their view weights W (unit lw); small
+    classes, and in exactly-K mode the fillers, are pruned to their K
+    lightest members. Classes are
     assigned on the view's integer profits against boundaries computed
     once (see the comment block above): one searchsorted over int64
     profits, one bisect per profit over Python ints. One lexsort on
@@ -510,26 +494,23 @@ def build_partition(
 
     pruned = [order[:0]]  # rows of the candidates no class keeps
     large_classes, small_classes = [], []
-    fillers, filler_rows = (), order[:0]
+    filler_rows = ()
     for group in np.split(order, starts):
         s = int(slot[group[0]])
         if s > smalls:
             prefix = tuple(accumulate(W[group].tolist(), initial=0))
-            members = view.items_at(group)
-            large_classes.append(
-                LargeClass(s - smalls, large_floor, growth, members, prefix, view.lw, group)
-            )
+            rows = tuple(group.tolist())
+            large_classes.append(LargeClass(s - smalls, large_floor, growth, rows, prefix, view.lw))
             continue
         if s == 0 and not exactly_k:
             pruned.append(group)
             continue
         pruned.append(group[K:])
-        group = group[:K]
+        rows = tuple(group[:K].tolist())
         if s == 0:
-            fillers, filler_rows = view.items_at(group), group
+            filler_rows = rows
         else:
-            members = view.items_at(group)
-            small_classes.append(SmallClass(J + 1 - s, large_floor, growth, members, group))
+            small_classes.append(SmallClass(J + 1 - s, large_floor, growth, rows))
     small_classes.reverse()  # slots ascend with profit, small indices descend
 
     discarded = view.ids[np.concatenate(pruned)].tolist()
@@ -546,10 +527,9 @@ def build_partition(
         large_classes=tuple(large_classes),
         small_classes=tuple(small_classes),
         discarded=frozenset(discarded),
-        exactly_k=exactly_k,
-        fillers=fillers,
-        filler_rows=filler_rows,
         view=view,
+        exactly_k=exactly_k,
+        filler_rows=filler_rows,
     )
     _check_partition(partition, inst)
     return partition
@@ -567,14 +547,12 @@ def _bisect_right(cuts: list[int], values: np.ndarray) -> np.ndarray:
 def _check_partition(partition: Partition, inst: Instance) -> None:
     """Structural invariants, cheap enough to run on every build.
 
-    Every class's members must be the candidates at its rows of the
-    partition's view, and every large class counts its weights in the
-    view's unit lw. Membership checks then run on the view's integer
-    profits P = p*lp, with S = eps*opt_estimate*lp, through the exact
-    bracket comparator, so they stay cheap even when class indices are
-    huge: a large member of class i satisfies
-    growth^(i-1) < P/S <= growth^i, a small member of class i satisfies
-    growth^i >= S/P > growth^(i-1) (equivalently
+    Every large class counts its weights in the view's unit lw. Membership
+    checks run on the view's integer profits P = p*lp at each class's rows,
+    with S = eps*opt_estimate*lp, through the exact bracket comparator, so
+    they stay cheap even when class indices are huge: a large member of
+    class i satisfies growth^(i-1) < P/S <= growth^i, a small member of
+    class i satisfies growth^i >= S/P > growth^(i-1) (equivalently
     S*growth^(-i) <= P < S*growth^(-i+1)). Both conditions are intervals in
     P, so every member of a class meets them exactly when its least and its
     greatest P do; only those two are compared to the growth powers.
@@ -589,21 +567,16 @@ def _check_partition(partition: Partition, inst: Instance) -> None:
     scale = large_floor * view.lp
     sn, sd = scale.numerator, scale.denominator
 
-    def profits(members, rows) -> tuple[int, int]:
-        """(least, greatest) P of members, read at their rows."""
-        assert members == view.items_at(rows), "members are not the view's rows"
-        return _extremes(view.P[rows])
-
     for c in partition.large_classes:
         assert c.index >= 1 and c.profit_scale == large_floor and c.growth == growth
-        least, greatest = profits(c.members, c.rows)
+        least, greatest = _extremes(view.P[list(c.rows)])
         assert _pow_reaches(growth, c.index, greatest * sd, sn), c
         assert not _pow_reaches(growth, c.index - 1, least * sd, sn), c
         assert len(c.prefix_weights) == c.size + 1 and c.weight_scale == view.lw
     for c in partition.small_classes:
         assert c.index >= 0 and c.profit_scale == large_floor and c.growth == growth
         assert c.size <= K
-        least, greatest = profits(c.members, c.rows)
+        least, greatest = _extremes(view.P[list(c.rows)])
         assert _pow_reaches(growth, c.index, sn, sd * least), c
         # For index 0 the upper bound P < S*growth holds by the small/large
         # split itself (P <= S < S*growth).
@@ -611,11 +584,12 @@ def _check_partition(partition: Partition, inst: Instance) -> None:
             assert not _pow_reaches(growth, c.index - 1, sn, sd * greatest), c
     # Fillers: exactly-K mode only, at most K, each below the profit floor:
     # P*K < S.
-    assert partition.exactly_k or not partition.fillers
-    assert len(partition.fillers) <= K
-    if partition.fillers:
-        _, greatest = profits(partition.fillers, partition.filler_rows)
-        assert greatest * K * sd < sn, partition.fillers
+    fillers = partition.filler_rows
+    assert partition.exactly_k or not fillers
+    assert len(fillers) <= K
+    if fillers:
+        _, greatest = _extremes(view.P[list(fillers)])
+        assert greatest * K * sd < sn, fillers
 
     # Class-count bound: at most ceil(log_{1+eps}(1/eps)) large indices plus
     # ceil(log_{1+eps}(K)) + 1 small indices, together within

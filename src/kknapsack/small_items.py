@@ -64,11 +64,12 @@ def _units(items) -> list[tuple[int, Fraction, Fraction]]:
 class SmallEval:
     """Result of one relaxation evaluation.
 
-    fractional_solution maps item id -> value in [0,1] (only nonzero
-    entries); integral_ids are the ids at exactly 1; mu is the critical
-    dual multiplier. rounded_ids, the selection retrieval takes, are the
-    integral ids plus, under the row sum x = cap, the lighter fractional
-    unit (_rounding); never compared, and None from the oracles.
+    fractional_solution maps a unit's label (SmallSolver.ids: an item id,
+    or a view row) -> value in [0,1] (only nonzero entries); integral_ids
+    are the labels at exactly 1; mu is the critical dual multiplier.
+    rounded_ids, the selection retrieval takes, are the integral labels
+    plus, under the row sum x = cap, the lighter fractional unit
+    (_rounding); never compared, and None from the oracles.
     """
 
     value: Fraction
@@ -100,10 +101,11 @@ class SmallSolver:
     profits, original weights).
 
     ids labels the units in ascending order: item ids, or the candidate
-    view's rows for the estimate's pool. The units are the positive-profit
-    ones, or with equality every unit, zero-profit fillers included; then a
-    query takes exactly k units and is None when no k units fit omega (the
-    row sum x = cap over sum x <= cap). K caps every query's k.
+    view's rows, as in the estimate's pool and a partition's. The units are
+    the positive-profit ones, or with equality every unit, zero-profit
+    fillers included; then a query takes exactly k units and is None when
+    no k units fit omega (the row sum x = cap over sum x <= cap). K caps
+    every query's k.
 
     Unit i has P_i = p_i*lp and W_i = w_i*lw, with lw a common denominator
     of the weights and lp a positive rational that makes every profit
@@ -166,7 +168,7 @@ class SmallSolver:
     @classmethod
     def from_partition(cls, partition) -> "SmallSolver":
         """The pool of a partition's pruned small classes, plus its
-        zero-profit fillers in exactly-K mode, read by their rows in the
+        zero-profit fillers in exactly-K mode, labelled by their rows in the
         partition's candidate view: the weights are the view's W, and the
         profits come from the class indices alone.
 
@@ -189,13 +191,13 @@ class SmallSolver:
             lp = g**jmax * b ** (jmax - jmin) / S
             profits = [b ** (j.index - jmin) * c ** (jmax - j.index) for j in classes]
         groups = [j.rows for j in classes] + [partition.filler_rows]
-        rows = np.concatenate(groups)
+        rows = np.fromiter(itertools.chain(*groups), np.intp, sum(map(len, groups)))
         P = _sum_array(profits + [0], count=len(rows))
         P = np.repeat(P, [len(r) for r in groups])
         order = np.argsort(rows, kind="stable")  # view rows ascend by id
         rows = rows[order]
         return cls(
-            view.ids[rows].tolist(), P[order], view.W[rows], lp, view.lw,
+            rows.tolist(), P[order], view.W[rows], lp, view.lw,
             partition.cardinality, partition.exactly_k,
         )
 

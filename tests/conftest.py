@@ -53,6 +53,11 @@ def inst_of(triples, budget, cardinality, mode=Mode.AT_MOST) -> Instance:
     )
 
 
+def member_ids(part, rows) -> list:
+    """The ids of the candidates at these rows of the partition's view."""
+    return part.view.ids[list(rows)].tolist()
+
+
 def best_subset(inst: Instance, exact_count: int | None = None):
     """Full-enumeration optimum: (value, frozenset of ids), or None when no
     feasible selection exists (only possible with exact_count). At-most mode

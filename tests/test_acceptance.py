@@ -13,8 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from conftest import F, ZERO, inst_of, solve_fine
-from test_large_items import mk_class, share_unit
+from conftest import F, ZERO, inst_of, member_ids, solve_fine
+from test_large_items import class_items, mk_class, share_unit
 from kknapsack.combiner import InfeasibleInstanceError, solve_with_details
 from kknapsack.generator import DISTRIBUTIONS, generate_instance
 from kknapsack.instance_model import Instance, Item, Mode, evaluate_solution
@@ -227,13 +227,13 @@ def test_c03_convolution_oracle_equivalence(criterion):
             if not same:
                 mismatches += 1
                 continue
-            by_id = {it.id: it for cls in classes for it in cls.members}
+            by_row = {it.id: it for cls in classes for it in class_items(cls)}
             for q in range(grid.m + 1):
                 for k in range(grid.z + 1):
                     if not got.is_finite(q, k):
                         continue
-                    ids = retrieve_items(got, q, k)
-                    w = sum((by_id[i].weight for i in ids), ZERO)
+                    rows = retrieve_items(got, q, k)
+                    w = sum((by_row[r].weight for r in rows), ZERO)
                     if w != got.value_at(q, k):
                         mismatches += 1
         return mismatches == 0, f"{systems} systems, {mismatches} mismatches"
@@ -302,7 +302,11 @@ def test_c05_discretization_bound(criterion):
                 seed=30_000 + seed, weight_max=30,
             )
             part = build_partition(inst, F(1, 8))
-            pool = [(c.rounded_profit, it.weight) for c in part.large_classes for it in c.members]
+            pool = [
+                (c.rounded_profit, inst.by_id[i].weight)
+                for c in part.large_classes
+                for i in member_ids(part, c.rows)
+            ]
             if not 1 <= len(pool) <= 10:
                 continue
             instances += 1
@@ -510,9 +514,9 @@ def _small_pools(base_seed, eps, want, n_range, K_range):
         except Exception:
             continue
         pool = [
-            (it.id, c.rounded_profit, it.weight)
+            (i, c.rounded_profit, inst.by_id[i].weight)
             for c in part.small_classes
-            for it in c.members
+            for i in member_ids(part, c.rows)
         ]
         if not 1 <= len(pool) <= 22:
             continue

@@ -200,6 +200,20 @@ class TestSolve:
         rc = main(["solve", "--input", str(inst_file), "--epsilon=-1/2"])
         assert rc == EXIT_INPUT
 
+    @pytest.mark.parametrize("command", ["solve_eps", "verify_eps", "csv_budget"])
+    def test_zero_denominator_is_an_input_error(self, command, inst_file, tmp_path, capsys):
+        # "1/0" names no rational: exit 1 with an error line, no traceback.
+        if command == "csv_budget":
+            csv_path = tmp_path / "items.csv"
+            save_instance_csv(inst_of([(1, 5, 2), (2, 4, 1)], 3, 2), csv_path)
+            argv = ["solve", "--input", str(csv_path), "--epsilon", "1/4",
+                    "--budget", "1/0", "--cardinality", "2"]
+        else:
+            argv = [command.split("_")[0], "--input", str(inst_file), "--epsilon", "1/0"]
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_bad_threads(self, inst_file, capsys):
         # There is no --threads option; argparse rejects it as unrecognised.
         with pytest.raises(SystemExit) as exc:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import kknapsack.combiner as combiner
-from conftest import F, ZERO, best_subset, inst_of, solve_fine
+from conftest import F, ZERO, best_subset, inst_of, member_ids, solve_fine
 from kknapsack.combiner import (
     InfeasibleInstanceError,
     InvalidInstanceError,
@@ -330,16 +330,14 @@ class TestDeterminismAndKnobs:
             "split_queries",
             "partition",
             "table",
-            "large_ids",
-            "small_ids",
+            "large_rows",
+            "small_rows",
             "small_pool",
             "small_passes",
             "small_exact_keys",
         ):
             assert key in det, key
-        assert det["small_pool"] == sum(
-            len(c.members) for c in det["partition"].small_classes
-        )
+        assert det["small_pool"] == det["partition"].small_item_count
         # The chosen split's small query runs at least the pass at nu = 0,
         # unless it asks for no units.
         asks_units = det["small_pool"] > 0 and det["split"].large_slots < inst.cardinality
@@ -348,7 +346,9 @@ class TestDeterminismAndKnobs:
         assert isinstance(det["split"], SplitCandidate)
         assert 1 <= det["split_queries"] <= det["split_count"]
         assert det["grid_m"] == det["partition"].z * det["table"].grid.inv_eps
-        assert frozenset(det["large_ids"]) | frozenset(det["small_ids"]) == sol.selected
+        rows = det["large_rows"] + det["small_rows"]
+        assert frozenset(member_ids(det["partition"], rows)) == sol.selected
+        assert len(rows) == sol.count
         assert det["split"].total == det["split"].small_value + det[
             "table"
         ].grid.profit_value(det["split"].grid_index)
@@ -361,11 +361,20 @@ class TestDeterminismAndKnobs:
         inst = generate_instance("correlated", 300, 20, seed=2)
         sol, det = solve_fine(inst, F(1, 2))
         assert inst.cardinality * det["internal_eps"] > 1
-        pool = sum(len(c.members) for c in det["partition"].small_classes)
+        pool = det["partition"].small_item_count
         assert pool == 50
         assert det["small_pool"] == pool
         feas = evaluate_solution(inst, sol)
         assert feas.feasible, feas.violations
+
+    def test_answer_rejects_a_row_taken_twice(self):
+        # The answer concatenates the large and small rows; a row in both
+        # would count its candidate twice.
+        inst = inst_of([(1, 5, 1), (2, 4, 1), (3, 3, 1)], 3, 2)
+        view = candidate_view(inst)
+        assert combiner._view_solution(inst, view, np.array([0, 2]), F(1, 4)).count == 2
+        with pytest.raises(AssertionError, match="twice"):
+            combiner._view_solution(inst, view, np.array([1, 1]), F(1, 4))
 
 
 def sweep_level(inst, eps_int):
@@ -641,9 +650,10 @@ class TestExactMode:
         assert det["grid_m"] == det["partition"].z * det["table"].grid.inv_eps
         assert 1 <= det["split_queries"] <= det["split_count"]
         assert det["partition"].exactly_k is True
-        assert frozenset(det["large_ids"]) | frozenset(det["small_ids"]) == sol.selected
-        assert len(det["large_ids"]) == det["split"].large_slots
-        assert len(det["small_ids"]) == 3 - det["split"].large_slots
+        rows = det["large_rows"] + det["small_rows"]
+        assert frozenset(member_ids(det["partition"], rows)) == sol.selected
+        assert len(det["large_rows"]) == det["split"].large_slots
+        assert len(det["small_rows"]) == 3 - det["split"].large_slots
 
     def test_grid_does_not_grow_with_k(self):
         # The former profit shift drove the internal accuracy towards
@@ -668,7 +678,7 @@ class TestExactMode:
         inst = inst_of(triples, 18, 6, mode=Mode.EXACT)
         sol, det = solve_with_details(inst, F(1, 4))
         part = det["partition"]
-        assert len(part.fillers) == 6  # the K lightest of the ten
+        assert len(part.filler_rows) == 6  # the K lightest of the ten
         assert sol.count == 6 and {1, 2, 3} <= sol.selected
         assert sol.total_profit == best_subset(inst, exact_count=6)[0]
 

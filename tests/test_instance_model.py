@@ -273,6 +273,24 @@ class TestSerialization:
         with pytest.raises(ValueError):
             loads_instance(text)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("cardinality", 2.5), ("id", 1.7), ("cardinality", True)],
+    )
+    def test_integral_fields_are_not_truncated(self, field, value):
+        # int() would read 2.5 as 2, 1.7 as 1 and true as 1.
+        data = {
+            "budget": "4",
+            "cardinality": 2,
+            "items": [{"id": 1, "profit": "2", "weight": "1"}],
+        }
+        (data if field == "cardinality" else data["items"][0])[field] = value
+        with pytest.raises(ValueError, match="malformed instance data"):
+            instance_from_dict(data)
+        data["cardinality"], data["items"][0]["id"] = "3", " 7 "
+        inst = instance_from_dict(data)
+        assert inst.cardinality == 3 and inst.items[0].id == 7
+
     def test_csv_round_trip(self, tmp_path):
         inst = self._round_trippable()
         path = tmp_path / "inst.csv"

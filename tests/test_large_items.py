@@ -18,7 +18,7 @@ from itertools import accumulate
 import numpy as np
 import pytest
 
-from conftest import F, ZERO, inst_of, solve_fine
+from conftest import F, ZERO, inst_of, member_ids, solve_fine
 from kknapsack.combiner import solve_with_details
 from kknapsack.instance_model import Item, Mode
 from kknapsack.large_items import (
@@ -52,21 +52,37 @@ HUGE = Fraction(INT_WEIGHT_LIMIT)
 
 def mk_class(index, profit_scale, growth, weights, first_id=1):
     """LargeClass from raw member weights (sorted ascending here), its
-    prefix sums counted in the lcm of the weights' denominators."""
+    prefix sums counted in the lcm of the weights' denominators. Its rows
+    stand for the ids first_id, first_id + 1, ..., so retrieval returns
+    those ids."""
     weights = sorted(Fraction(w) for w in weights)
-    members = tuple(
-        Item(id=first_id + j, profit=Fraction(profit_scale), weight=w)
-        for j, w in enumerate(weights)
-    )
     unit = math.lcm(*(w.denominator for w in weights))
     return LargeClass(
         index=index,
         profit_scale=Fraction(profit_scale),
         growth=Fraction(growth),
-        members=members,
+        rows=tuple(range(first_id, first_id + len(weights))),
         prefix_weights=tuple(accumulate((int(w * unit) for w in weights), initial=0)),
         weight_scale=unit,
     )
+
+
+def class_items(cls):
+    """The members of a class built by mk_class as Items: each id is its
+    row, each weight a step of the prefix sums read in the class's unit,
+    and each profit the class's profit_scale. Classes of a real partition
+    read their members with instance_members instead."""
+    prefix, unit = cls.prefix_weights, cls.weight_scale
+    return [
+        Item(id=row, profit=cls.profit_scale, weight=Fraction(b - a, unit))
+        for row, a, b in zip(cls.rows, prefix, prefix[1:])
+    ]
+
+
+def instance_members(inst, part, cls):
+    """The instance's own Items behind a partition class, by row: read
+    through the view's ids, not rebuilt from the partition's prefix sums."""
+    return dict(zip(cls.rows, map(inst.by_id.get, member_ids(part, cls.rows))))
 
 
 def share_unit(classes):
@@ -363,7 +379,7 @@ class TestConvolve:
         cls = mk_class(0, F(8), F(3, 2), [2, 5, 9])
         assert snap_class_profit(grid, cls) == tau
         folded = fold(grid, [cls])
-        reference = exhaustive_table(grid, cls.members)
+        reference = exhaustive_table(grid, class_items(cls))
         assert_same_values(folded, reference)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -518,15 +534,17 @@ class TestLeanStages:
             for t in chain
         )
         assert held == 8 * cells + len(part.large_classes) * cells
-        by_id = {it.id: it for cls in part.large_classes for it in cls.members}
+        by_row = {}
+        for cls in part.large_classes:
+            by_row.update(instance_members(inst, part, cls))
         retrieved = 0
         for k in range(grid.z + 1):
             for q in grid.anchor_indices():
                 if not table.is_finite(q, k):
                     continue
-                ids = retrieve_items(table, q, k)
-                assert len(ids) <= k and len(set(ids)) == len(ids)
-                weight = sum((by_id[i].weight for i in ids), ZERO)
+                rows = retrieve_items(table, q, k)
+                assert len(rows) <= k and len(set(rows)) == len(rows)
+                weight = sum((by_row[r].weight for r in rows), ZERO)
                 assert weight == table.value_at(q, k)
                 retrieved += 1
         assert retrieved > grid.z
@@ -552,12 +570,13 @@ def check_object_fold(inst, eps):
             assert got == column_scan(acc, cls, tau, cells)
         acc = out
     assert np.array_equal(acc.backptr, table.backptr)
-    by_id = inst.by_id
+    ids = det["partition"].view.ids
     for q in range(grid.m + 1):
         for k in range(grid.z + 1):
             if table.is_finite(q, k):
-                ids = retrieve_items(table, q, k)
-                assert sum((by_id[i].weight for i in ids), ZERO) == table.value_at(q, k)
+                rows = list(retrieve_items(table, q, k))
+                weight = sum((inst.by_id[i].weight for i in ids[rows]), ZERO)
+                assert weight == table.value_at(q, k)
     assert sol.total_profit >= (1 - eps) * brute_force(inst).value
 
 
@@ -661,13 +680,16 @@ class TestViewUnit:
         part = build_partition(inst, eps)
         classes = part.large_classes
         assert len(classes) >= 2 and part.small_classes
-        assert {it.weight.denominator for c in classes for it in c.members} <= {1, 2}
+        members = [instance_members(inst, part, c).values() for c in classes]
+        assert {it.weight.denominator for m in members for it in m} <= {1, 2}
         assert part.view.lw == 14
         table = build_phi_L(part)
         assert table.weight_scale == part.view.lw
         grid = table.grid
         if mode is Mode.EXACT:
-            reference = exhaustive_table(grid, snapped_members(grid, classes), exactly_k=True)
+            reference = exhaustive_table(
+                grid, snapped_members(grid, classes, members), exactly_k=True
+            )
         else:
             reference = naive_fold(grid, classes)
         assert_same_values(table, reference)
@@ -734,12 +756,12 @@ class TestRetrieve:
     def test_retrieved_sets_realise_cells(self, seed):
         grid, classes = make_system(600 + seed, frac=seed % 3 == 0)
         table = fold(grid, classes)
-        by_id = {it.id: it for cls in classes for it in cls.members}
+        by_id = {it.id: it for cls in classes for it in class_items(cls)}
         tau_of = {}
         for cls in classes:
             tau = snap_class_profit(grid, cls)
-            for it in cls.members:
-                tau_of[it.id] = tau
+            for row in cls.rows:
+                tau_of[row] = tau
         for q in range(grid.m + 1):
             for k in range(grid.z + 1):
                 if not table.is_finite(q, k):
@@ -765,7 +787,7 @@ class TestGridRefinement:
             mk_class(0, F(80), F(2), [F(2), F(3)], first_id=1),
             mk_class(0, F(72), F(2), [F(1), F(4)], first_id=3),
         ]
-        items = [it for cls in classes for it in cls.members]
+        items = [it for cls in classes for it in class_items(cls)]
 
         def exact_opt(omega, k):
             best = ZERO
@@ -872,13 +894,16 @@ def exact_fold(grid, classes):
     return acc
 
 
-def snapped_members(grid, classes):
+def snapped_members(grid, classes, members=None):
     """Every member under its class's snapped grid profit, so that subset
-    enumeration sums the same profits the fold does."""
+    enumeration sums the same profits the fold does. members holds each
+    class's Items (class_items of each by default)."""
+    if members is None:
+        members = map(class_items, classes)
     return [
         Item(id=it.id, profit=snap_class_profit(grid, cls) * grid.delta, weight=it.weight)
-        for cls in classes
-        for it in cls.members
+        for cls, items in zip(classes, members)
+        for it in items
     ]
 
 
@@ -943,15 +968,18 @@ class TestExactlyKTables:
         table = build_phi_L(part)
         grid = table.grid
         check_table(table, exactly_k=True)
+        by_row = {}
+        for c in part.large_classes:
+            by_row.update(instance_members(inst, part, c))
+        members = [[by_row[r] for r in c.rows] for c in part.large_classes]
         reference = exhaustive_table(
-            grid, snapped_members(grid, part.large_classes), exactly_k=True
+            grid, snapped_members(grid, part.large_classes, members), exactly_k=True
         )
         assert_same_values(table, reference)
         # Every finite cell retrieves exactly k items of its weight.
-        by_id = {it.id: it for c in part.large_classes for it in c.members}
         for q in grid.anchor_indices():
             for k in range(grid.z + 1):
                 if table.is_finite(q, k):
-                    ids = retrieve_items(table, q, k)
-                    assert len(ids) == k
-                    assert sum((by_id[i].weight for i in ids), ZERO) == table.value_at(q, k)
+                    rows = retrieve_items(table, q, k)
+                    assert len(rows) == k
+                    assert sum((by_row[r].weight for r in rows), ZERO) == table.value_at(q, k)

@@ -12,6 +12,9 @@ import kknapsack
 PACKAGE = Path(kknapsack.__file__).resolve().parent
 ROOT = Path(__file__).resolve().parent.parent
 ORACLE_READERS = {"cli.py", "oracles.py"}
+# Past the instance model a candidate is a row of the solve's candidate
+# view; only these modules build or read Item objects.
+ITEM_READERS = {"__init__.py", "generator.py", "instance_model.py", "oracles.py"}
 
 
 def test_every_public_name_resolves():
@@ -68,3 +71,16 @@ def test_every_oracle_has_a_reader():
             todo += [used for used in uses[name] if used in uses]
     unread = sorted(set(uses) - reached)
     assert not unread, unread
+
+
+def _imports_item(tree: ast.AST) -> bool:
+    return any(
+        isinstance(node, ast.ImportFrom) and any(alias.name == "Item" for alias in node.names)
+        for node in ast.walk(tree)
+    )
+
+
+def test_only_the_instance_layer_imports_item():
+    sources = sorted(PACKAGE.glob("*.py"))
+    readers = {path.name for path in sources if _imports_item(ast.parse(path.read_text()))}
+    assert readers <= ITEM_READERS, readers - ITEM_READERS

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import F, ZERO, best_subset, inst_of
+from conftest import F, ZERO, best_subset, inst_of, member_ids
 from kknapsack import preprocessing, solve_with_details
 from kknapsack.generator import DISTRIBUTIONS, generate_instance
 from kknapsack.instance_model import Instance, Item, Mode
@@ -191,7 +191,7 @@ class TestBuildPartition:
         klass = part.small_classes[0]
         assert klass.index == 0
         assert klass.rounded_profit == 1
-        assert len(klass.members) == 4
+        assert klass.size == 4
 
     def test_z_formula(self):
         inst = inst_of([(i, 10 + i, 1) for i in range(1, 9)], 8, 6)
@@ -221,7 +221,7 @@ class TestBuildPartition:
 
         assert part.opt_estimate == 2 * half_approx_opt(inst).value
 
-        got_large = {c.index: {it.id for it in c.members} for c in part.large_classes}
+        got_large = {c.index: set(member_ids(part, c.rows)) for c in part.large_classes}
         assert got_large == large_ref
         for c in part.large_classes:
             assert c.rounded_profit == lf * (1 + eps) ** c.index
@@ -230,7 +230,7 @@ class TestBuildPartition:
         # the discarded pool. Membership must still agree per interval.
         K = inst.cardinality
         pruned: set[int] = set()
-        got_small = {c.index: {it.id for it in c.members} for c in part.small_classes}
+        got_small = {c.index: set(member_ids(part, c.rows)) for c in part.small_classes}
         assert set(got_small) == set(small_ref)
         for c in part.small_classes:
             ref = small_ref[c.index]
@@ -262,11 +262,11 @@ class TestBuildPartition:
         eps = F(1, 3)
         part = build_partition(inst, eps)
         for c in part.large_classes:
-            for it in c.members:
+            for it in map(inst.by_id.get, member_ids(part, c.rows)):
                 # Round-up: within one growth factor above the true profit.
                 assert it.profit <= c.rounded_profit < (1 + eps) * it.profit
         for c in part.small_classes:
-            for it in c.members:
+            for it in map(inst.by_id.get, member_ids(part, c.rows)):
                 # Round-down: within one growth factor below the true profit.
                 assert c.rounded_profit <= it.profit
                 if c.index:
@@ -279,7 +279,7 @@ class TestBuildPartition:
         inst = generate_instance("uniform", 26, 5, seed=30 + seed, weight_max=30)
         part = build_partition(inst, F(1, 4))
         for c in part.large_classes:
-            weights = [it.weight for it in c.members]
+            weights = [inst.by_id[i].weight for i in member_ids(part, c.rows)]
             assert weights == sorted(weights)
             assert c.weight_scale == part.view.lw
             prefix = [ZERO]
@@ -316,7 +316,7 @@ class TestCheckPartition:
         inst = Instance(base.items, budget, 3, Mode.EXACT)
         part = build_partition(inst, F(1, 8))
         assert len(part.large_classes) > 1 and len(part.small_classes) > 1
-        assert part.fillers
+        assert part.filler_rows
         return inst, part
 
     @pytest.mark.parametrize("kind", ["large", "small"])
@@ -328,11 +328,11 @@ class TestCheckPartition:
             i for i, c in enumerate(classes) if kind == "large" or c.size < part.cardinality
         )
         source = classes[t - 1 if t else t + 1]
-        moved = source.members[source.size // 2]
-        extra = {"members": classes[t].members + (moved,)}
+        moved = source.rows[source.size // 2]
+        extra = {"rows": classes[t].rows + (moved,)}
         if kind == "large":
             prefix = classes[t].prefix_weights
-            weight = int(moved.weight * part.view.lw)
+            weight = int(part.view.W[moved])
             extra["prefix_weights"] = prefix + (prefix[-1] + weight,)
         classes[t] = replace(classes[t], **extra)
         with pytest.raises(AssertionError):
@@ -340,10 +340,10 @@ class TestCheckPartition:
 
     def test_filler_above_the_floor_is_rejected(self):
         inst, part = self.partition()
-        small = part.small_classes[-1].members[0]
-        fillers = part.fillers[:-1] + (small,)
+        small = part.small_classes[-1].rows[0]
+        fillers = part.filler_rows[:-1] + (small,)
         with pytest.raises(AssertionError):
-            _check_partition(replace(part, fillers=fillers), inst)
+            _check_partition(replace(part, filler_rows=fillers), inst)
 
 
 def _acceptance_corpora():
@@ -419,9 +419,10 @@ class TestIntegerThresholds:
         part = _assert_matches_reference(inst, eps)
         on_grid = set(bounds[:-1])
         for c in part.large_classes + part.small_classes:
-            for it in c.members:
-                assert (it.profit == c.rounded_profit) == (it.profit in on_grid)
-        counted = len(part.discarded) + len(part.fillers) + part.small_item_count
+            for i in member_ids(part, c.rows):
+                profit = inst.by_id[i].profit
+                assert (profit == c.rounded_profit) == (profit in on_grid)
+        counted = len(part.discarded) + len(part.filler_rows) + part.small_item_count
         assert counted + sum(c.size for c in part.large_classes) == len(profits)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -441,7 +442,8 @@ class TestIntegerThresholds:
     def test_exactly_k_fillers(self, seed):
         inst = generate_instance("uniform", 80, 12, seed=seed, mode=Mode.EXACT)
         part = _assert_matches_reference(inst, F(1, 16))
-        assert part.exactly_k and part.fillers
+        assert part.exactly_k and part.filler_rows
+        assert reference_partition(inst, F(1, 16)).summary() == part.summary()
 
     @pytest.mark.parametrize("mode", [Mode.AT_MOST, Mode.EXACT])
     def test_cardinality_at_least_n(self, mode):
@@ -498,10 +500,10 @@ def _structure(part):
     """A partition by member ids: equal for instances whose profits, or
     weights and budget, differ by a common factor."""
     return (
-        [(c.index, [it.id for it in c.members]) for c in part.large_classes],
-        [(c.index, [it.id for it in c.members]) for c in part.small_classes],
+        [(c.index, member_ids(part, c.rows)) for c in part.large_classes],
+        [(c.index, member_ids(part, c.rows)) for c in part.small_classes],
         sorted(part.discarded),
-        [it.id for it in part.fillers],
+        member_ids(part, part.filler_rows),
     )
 
 

@@ -36,7 +36,7 @@ class TestParseRational:
 
     @pytest.mark.parametrize("bad", ["abc", "1/0", "", "2/3/4"])
     def test_garbage_rejected(self, bad):
-        with pytest.raises((ValueError, ZeroDivisionError)):
+        with pytest.raises(ValueError):
             parse_rational(bad)
 
 

@@ -723,20 +723,20 @@ class TestSmallSolver:
         for inst, eps in rounded_pool_cases():
             part = build_partition(inst, eps)
             solver = SmallSolver.from_partition(part)
+            # Units are labelled by view rows, as Python ints.
             expected = {
-                it.id: klass.rounded_profit
-                for klass in part.small_classes
-                for it in klass.members
+                row: klass.rounded_profit for klass in part.small_classes for row in klass.rows
             }
-            expected.update((it.id, ZERO) for it in part.fillers)
+            expected.update((row, ZERO) for row in part.filler_rows)
             assert solver.ids == sorted(expected)
+            assert all(type(row) is int for row in solver.ids)
             P = solver.P.tolist()
             value = {p: Fraction(p) / solver.lp for p in set(P)}
             assert all(value[p] == expected[uid] for uid, p in zip(solver.ids, P))
             assert math.gcd(*P) == (1 if any(P) else 0)
             assert solver.K == part.cardinality
             kinds.add(("single class", len(part.small_classes) == 1))
-            kinds.add(("fillers", bool(part.fillers)))
+            kinds.add(("fillers", bool(part.filler_rows)))
             kinds.add(("deep", max((c.index for c in part.small_classes), default=0) >= 100))
         assert all((kind, True) in kinds for kind in ("single class", "fillers", "deep"))
 
