@@ -4,8 +4,8 @@ Subcommands: solve (approximate one instance), generate (seeded instance
 families + manifest), verify (solve and compare against an exact oracle),
 convert (JSON <-> CSV).
 
-Exit codes: 0 success, 1 input or usage error, 2 infeasible exact-mode
-instance, 3 verification failure.
+Exit codes: 0 success, 1 input, usage or file error (a path that cannot be
+read or written), 2 infeasible exact-mode instance, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -358,7 +358,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (InvalidInstanceError, ValueError) as exc:
+    except (InvalidInstanceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InfeasibleInstanceError as exc:

@@ -39,12 +39,13 @@ def parse_rational(text) -> Fraction:
     """Parse "3/4", "0.25", "7", or a plain int into an exact Fraction."""
     if isinstance(text, Fraction):
         return text
+    if isinstance(text, (bool, float)):
+        # Fraction(float) would convert the binary expansion exactly, which
+        # is almost never what a file author meant, and a bool is an int
+        # that reads JSON's true as 1. Require strings.
+        raise TypeError(f"rational values must be int or string, not {type(text).__name__}")
     if isinstance(text, int):
         return Fraction(text)
-    if isinstance(text, float):
-        # Fraction(float) would convert the binary expansion exactly, which
-        # is almost never what a file author meant. Require strings.
-        raise TypeError("rational values must be int or string, not float")
     try:
         return Fraction(str(text).strip())
     except ZeroDivisionError:

@@ -48,7 +48,7 @@ from typing import Optional
 
 import numpy as np
 
-from .preprocessing import LargeClass, Partition, geometric_floor
+from .preprocessing import LargeClass, Partition
 
 INT_INF = 1 << 62
 # Scaled total weights at or above this take object cells: INT_INF plus any
@@ -185,12 +185,13 @@ def snap_class_profit(grid: ProfitGrid, cls: LargeClass) -> int:
 
     Snapping a class profit down onto the grid loses under delta per item,
     i.e. under eps*opt_estimate/z total over any z items. Large profits
-    strictly exceed eps*opt_estimate = z*delta, so tau >= z always. The
-    floor of (profit_scale/delta) * growth^index is taken through certified
-    brackets so the exact rounded profit (tens of thousands of digits at
-    small eps) is never materialised.
+    strictly exceed eps*opt_estimate = z*delta, so tau >= z always. tau is
+    the floor of r * growth^index for r = profit_scale/delta, taken as one
+    integer division of exact powers of growth's numerator and denominator,
+    without building the rounded profit as a Fraction.
     """
-    tau = geometric_floor(cls.profit_scale / grid.delta, cls.growth, cls.index)
+    r, g = cls.profit_scale / grid.delta, cls.growth
+    tau = r.numerator * g.numerator**cls.index // (r.denominator * g.denominator**cls.index)
     assert tau >= grid.z, (tau, grid.z)
     return tau
 

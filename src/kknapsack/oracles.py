@@ -14,8 +14,7 @@ raw table reads; full_split_sweep asks the small solver it is given for
 every fitting split, the sweep the combiner prunes by its bounds.
 
 Six oracles reuse a production helper, and so do not check that helper:
-- reference_partition uses preprocessing._geometric_index_up for each
-  item's class index and reads the estimate through
+- reference_partition reads the estimate through
   preprocessing.half_approx_opt;
 - exhaustive_table starts from large_items.trivial_table;
 - base_table uses large_items.snap_class_profit and trivial_table;
@@ -27,9 +26,11 @@ reference_validate checks every item with Fraction comparisons, one at a
 time; validate_instance must return the same report from its integer
 checks.
 
-reference_partition classifies every item one at a time, on its Fraction
-ratio to the class floor, and sorts members as Fractions; build_partition
-must return the same partition from its integer class thresholds.
+reference_partition classifies every item one at a time: geometric_index_up
+searches its class index on its Fraction ratio to the class floor, by
+doubling and then bisection over exact Fraction powers, and members are
+sorted as Fractions. build_partition must return the same partition from
+the integer class thresholds of its one walk over the powers.
 
 The paper's small-side ladder for K > 1/eps also lives here (weight
 rounding, WeightBuckets, upsilon2 through upsilon5), because production
@@ -62,7 +63,7 @@ from .large_items import (
     trivial_table,
 )
 from . import preprocessing
-from .preprocessing import LargeClass, Partition, SmallClass, _geometric_index_up
+from .preprocessing import LargeClass, Partition, SmallClass
 from .small_items import SmallEval, _units, solve_box_lp
 
 ZERO = Fraction(0)
@@ -296,17 +297,36 @@ def reference_validate(inst: Instance) -> ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# The partition reference: one bracket search per item, Fraction sorts.
+# The partition reference: one index search per item, Fraction sorts.
 # ---------------------------------------------------------------------------
+
+def geometric_index_up(ratio: Fraction, eps: Fraction) -> int:
+    """Smallest integer i >= 0 with (1+eps)^i >= ratio: doubling, then
+    bisection, every probe an exact Fraction power."""
+    growth = 1 + eps
+    if ratio <= 1:
+        return 0
+    hi = 1
+    while growth**hi < ratio:
+        hi *= 2
+    lo = hi // 2  # growth**lo < ratio: either lo = 0 or a failed probe
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        if growth**mid >= ratio:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
 
 def reference_partition(inst: Instance, eps: Fraction) -> Partition:
     """The partition build_partition must return, classified item by item:
-    each profit's class index is the bracket search _geometric_index_up on
-    its Fraction ratio to eps*opt_estimate, and members are sorted by
-    (weight, id) as Fractions. A member's row is the rank of its id among
-    the sorted candidate ids, as in the candidate view; the partition
-    carries candidate_view(inst) to read its rows by, which takes no part
-    in equality and no part in computing them. Large prefix sums
+    each profit's class index is geometric_index_up on its Fraction ratio
+    to eps*opt_estimate, with no boundary computed in advance, and members
+    are sorted by (weight, id) as Fractions. A member's row is the rank of
+    its id among the sorted candidate ids, as in the candidate view; the
+    partition carries candidate_view(inst) to read its rows by, which takes
+    no part in equality and no part in computing them. Large prefix sums
     count in the lcm of the candidates' weight denominators, taken here
     from the items themselves. The estimate is read through
     preprocessing.half_approx_opt at call time, like build_partition."""
@@ -332,11 +352,11 @@ def reference_partition(inst: Instance, eps: Fraction) -> Partition:
                 fillers.append(it)
         elif p <= large_floor:
             # Round down: smallest i >= 0 with large_floor*(1+eps)^(-i) <= p.
-            i = _geometric_index_up(large_floor / p, eps)
+            i = geometric_index_up(large_floor / p, eps)
             small_groups.setdefault(i, []).append(it)
         else:
             # Round up: smallest i >= 1 with p <= large_floor*(1+eps)^i.
-            i = _geometric_index_up(p / large_floor, eps)
+            i = geometric_index_up(p / large_floor, eps)
             large_groups.setdefault(i, []).append(it)
 
     def lightest_first(members):
@@ -367,7 +387,6 @@ def reference_partition(inst: Instance, eps: Fraction) -> Partition:
         epsilon=eps,
         z=min(K, math.ceil(1 / eps)),
         cardinality=K,
-        budget=inst.budget,
         large_classes=tuple(large_classes),
         small_classes=tuple(small_classes),
         discarded=frozenset(discarded),

@@ -32,7 +32,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple, Optional
 
@@ -56,13 +56,12 @@ class LargeClass:
     index i >= 1 covers original profits in
     (scale*growth^(i-1), scale*growth^i] where scale = eps*opt_estimate and
     growth = 1+eps; every member counts as
-    rounded_profit = scale*growth^index. The exact rounded profit is
-    materialised lazily: at small eps it runs to tens of thousands of
-    digits, which the hot paths never need (they compare and floor through
-    certified fixed-point brackets instead). rows are the members' rows in
-    the partition's CandidateView, sorted by weight ascending (ties by id),
-    and prefix_weights[j] is the total weight of the j lightest members
-    times weight_scale, an exact integer -- the only statistic the
+    rounded_profit = scale*growth^index. Reports and checks build that
+    Fraction lazily; the fold snaps it onto its grid with one exact integer
+    division instead (large_items.snap_class_profit). rows are the members'
+    rows in the partition's CandidateView, sorted by weight ascending (ties
+    by id), and prefix_weights[j] is the total weight of the j lightest
+    members times weight_scale, an exact integer -- the only statistic the
     weight-table construction needs. weight_scale is the unit the prefixes
     count in: the lw of the partition's CandidateView, so the fold adds the
     view's integer weights W as they are.
@@ -92,9 +91,10 @@ class SmallClass:
     [scale*growth^(-i), scale*growth^(-i+1)) where scale = eps*opt_estimate
     and growth = 1+eps -- rounding DOWN: rounded_profit = scale*growth^(-index)
     is the grid point at or directly below every member's profit, so the
-    loss per item is under eps/(1+eps) of its profit (materialised lazily,
-    like LargeClass.rounded_profit). rows are the view rows of the class's
-    K lightest members, weight ascending, ties by id.
+    loss per item is under eps/(1+eps) of its profit. It is built lazily,
+    like LargeClass.rounded_profit; the small pool reads class indices
+    instead. rows are the view rows of the class's K lightest members,
+    weight ascending, ties by id.
     """
 
     index: int
@@ -129,7 +129,6 @@ class Partition:
     epsilon: Fraction
     z: int
     cardinality: int
-    budget: Fraction
     large_classes: tuple[LargeClass, ...]
     small_classes: tuple[SmallClass, ...]
     discarded: frozenset[int]
@@ -275,150 +274,6 @@ def half_approx_opt(inst: Instance, view: Optional[CandidateView] = None) -> Opt
     return OptimumEstimate(Fraction(value, view.lp), Fraction(primal, view.lp), rows[integral])
 
 
-# ---------------------------------------------------------------------------
-# Exact arithmetic on growth powers. By the class-count bound
-# _check_partition asserts, an index is at most about log_{1+eps}(K/eps):
-# at eps = 1/800 (user eps 1/100) and K = 10^4 about 12,700, where growth**i
-# has terms of about 37,000 digits. Three layers keep that affordable:
-# (a) the exact terms the bracket fallbacks need are cached per growth and
-# built by Python's binary exponentiation; (b) no solve builds a rounded
-# profit (SmallSolver.from_partition reads class indices), and reports and
-# checks get scale * growth**i, which CPython 3.10+ forms without a gcd of
-# two huge integers, as the power's terms are coprime by construction;
-# (c) comparisons and floors go through certified fixed-point brackets
-# (320 fractional bits, outward rounding) and fall back to exact integers
-# only when the bracket straddles the answer, which takes a near-exact tie.
-# build_partition takes one bracket per class boundary, not per item. In
-# integer profit units P = p*lp, with S = eps*opt_estimate*lp, large class
-# i >= 1 is floor(S*g^(i-1)) < P <= floor(S*g^i) and small class j >= 0 is
-# ceil(S*g^-j) <= P < ceil(S*g^(1-j)); a ceiling is the floor plus one
-# unless _pow_reaches finds the boundary an exact integer, so a profit on a
-# boundary joins the class whose rounded profit it equals. _check_partition
-# checks every member against its class's bounds through _pow_reaches.
-# ---------------------------------------------------------------------------
-
-_BRACKET_BITS = 320
-_BRACKET_ONE = 1 << _BRACKET_BITS
-
-
-class _GrowthPowers(NamedTuple):
-    """What one growth has computed of its powers so far."""
-
-    terms: dict  # i -> coprime (numerator, denominator) of growth**i
-    ladder: list  # b -> bracket of growth**(2**b)
-    brackets: dict  # i -> bracket of growth**i
-
-
-@lru_cache(maxsize=64)
-def _powers(num: int, den: int) -> _GrowthPowers:
-    """The power record of growth num/den, kept for the 64 growths used
-    last."""
-    lo = (num << _BRACKET_BITS) // den
-    base = (lo, lo + 1)
-    return _GrowthPowers(
-        terms={0: (1, 1)},
-        ladder=[base],
-        brackets={0: (_BRACKET_ONE, _BRACKET_ONE), 1: base},
-    )
-
-
-def _growth_terms(growth: Fraction, i: int) -> tuple[int, int]:
-    """Exact (numerator, denominator) of growth**i, coprime, cached."""
-    terms = _powers(growth.numerator, growth.denominator).terms
-    hit = terms.get(i)
-    if hit is None:
-        hit = terms[i] = (growth.numerator**i, growth.denominator**i)
-    return hit
-
-
-def _bracket_pow(growth: Fraction, i: int) -> tuple[int, int]:
-    """Certified bracket (lo, hi) with lo <= growth**i * 2**BITS <= hi.
-
-    Built from a per-growth ladder of squarings with outward rounding; every
-    intermediate is a few hundred bits, so a bracket costs microseconds at
-    exponents where the exact power would fill megabytes.
-    """
-    per = _powers(growth.numerator, growth.denominator)
-    hit = per.brackets.get(i)
-    if hit is not None:
-        return hit
-    ladder = per.ladder
-    while (1 << len(ladder)) <= i:
-        llo, lhi = ladder[-1]
-        ladder.append(
-            ((llo * llo) >> _BRACKET_BITS, ((lhi * lhi) >> _BRACKET_BITS) + 1)
-        )
-    lo, hi = _BRACKET_ONE, _BRACKET_ONE
-    bit, rem = 0, i
-    while rem:
-        if rem & 1:
-            blo, bhi = ladder[bit]
-            lo = (lo * blo) >> _BRACKET_BITS
-            hi = ((hi * bhi) >> _BRACKET_BITS) + 1
-        rem >>= 1
-        bit += 1
-    per.brackets[i] = (lo, hi)
-    return lo, hi
-
-
-def _pow_reaches(growth: Fraction, i: int, rn: int, rd: int) -> bool:
-    """Exact truth of growth**i >= rn/rd (i >= 0, rn/rd > 0)."""
-    lo, hi = _bracket_pow(growth, i)
-    rfloor = (rn << _BRACKET_BITS) // rd
-    if lo >= rfloor + 1:
-        return True
-    if hi < rfloor:
-        return False
-    n, d = _growth_terms(growth, i)
-    return n * rd >= d * rn
-
-
-def geometric_floor(scale: Fraction, growth: Fraction, exponent: int) -> int:
-    """Exact floor(scale * growth**exponent) for scale > 0, growth > 1.
-
-    Decides through a fixed-point bracket whenever the value is further than
-    ~2^-300 from an integer; the exact big-integer route handles the rest
-    (in particular every exact tie, where floor must not round up).
-    """
-    if exponent >= 0:
-        lo, hi = _bracket_pow(growth, exponent)
-    else:
-        plo, phi = _bracket_pow(growth, -exponent)
-        lo = (_BRACKET_ONE * _BRACKET_ONE) // phi
-        hi = -((-_BRACKET_ONE * _BRACKET_ONE) // plo)
-    sn, sd = scale.numerator, scale.denominator
-    flo = (sn * lo) // (sd << _BRACKET_BITS)
-    fhi = (sn * hi) // (sd << _BRACKET_BITS)
-    if flo == fhi:
-        return flo
-    if exponent >= 0:
-        n, d = _growth_terms(growth, exponent)
-    else:
-        d, n = _growth_terms(growth, -exponent)
-    return (sn * n) // (sd * d)
-
-
-def _geometric_index_up(ratio: Fraction, eps: Fraction) -> int:
-    """Smallest integer i >= 0 with (1+eps)^i >= ratio, by doubling then
-    bisecting; every probe is a certified bracket comparison with an exact
-    integer fallback."""
-    if ratio <= 1:
-        return 0
-    growth = 1 + eps
-    rn, rd = ratio.numerator, ratio.denominator
-    hi = 1
-    while not _pow_reaches(growth, hi, rn, rd):
-        hi *= 2
-    lo = hi // 2  # reaches(lo) is False: either 0 (ratio > 1) or a failed probe
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if _pow_reaches(growth, mid, rn, rd):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def build_partition(
     inst: Instance,
     eps: Fraction,
@@ -435,12 +290,18 @@ def build_partition(
     Every class holds its members' view rows by ascending weight, a large
     one with the prefix sums of their view weights W (unit lw); small
     classes, and in exactly-K mode the fillers, are pruned to their K
-    lightest members. Classes are
-    assigned on the view's integer profits against boundaries computed
-    once (see the comment block above): one searchsorted over int64
-    profits, one bisect per profit over Python ints. One lexsort on
-    (class, W) then orders every class; it is stable and the view's rows
-    ascend by id, so ties go by id.
+    lightest members.
+
+    Classes are assigned on the view's integer profits P = p*lp. With
+    S = eps*opt_estimate*lp and g = 1 + eps, large class i >= 1 is
+    floor(S*g^(i-1)) < P <= floor(S*g^i) and small class j >= 0 is
+    ceil(S*g^-j) <= P < ceil(S*g^(1-j)), so a profit on a boundary joins
+    the class whose rounded profit it equals. Each boundary is one exact
+    integer division, computed once per class as the walk multiplies the
+    numerator and denominator of S*g^(+-i) by those of g. One searchsorted
+    over int64 profits (one bisect per profit over Python ints) places
+    every item, and one lexsort on (class, W) then orders every class; it
+    is stable and the view's rows ascend by id, so ties go by id.
     """
     eps = parse_rational(eps)
     if not (0 < eps < 1):
@@ -460,25 +321,30 @@ def build_partition(
 
     large_floor = eps * opt_estimate  # profits above this are large
     growth = 1 + eps
+    c, b = growth.numerator, growth.denominator
     P, W = view.P, view.W
     scale = large_floor * view.lp
     sn, sd = scale.numerator, scale.denominator
     floor_p = -(-sn // (sd * K))  # ceil(S/K): below it, discarded or filler
     top = _extremes(P)[1]
-    large_bounds = [geometric_floor(scale, growth, 0)]  # floor(S*g^i)
+    num, den = sn, sd  # S*g^i
+    large_bounds = [num // den]  # floor(S*g^i)
     while large_bounds[-1] < top:
-        large_bounds.append(geometric_floor(scale, growth, len(large_bounds)))
-    # Small classes start at j0, the class of the largest profit at most
-    # floor(S): smallest j with S*g^-j <= that profit. At large K the small
-    # profits lie many classes below S, whose bounds nothing needs.
-    highest = _extremes(P[P <= large_bounds[0]])[1]
-    j0 = _geometric_index_up(scale / highest, eps) if highest else 0
+        num, den = num * c, den * b
+        large_bounds.append(num // den)
+    # Small classes start at j0, the class of the largest small profit:
+    # smallest j with S*g^-j <= that profit. At large K the small profits
+    # lie many classes below S, whose bounds nothing needs. When no profit
+    # is small, j0 is the first class at or below ceil(S/K), so the walk
+    # never passes the floor.
+    highest = max(_extremes(P[P <= large_bounds[0]])[1], floor_p)
+    num, den, j0 = sn, sd, 0  # S*g^-j
+    while -(-num // den) > highest:
+        num, den, j0 = num * b, den * c, j0 + 1
     small_bounds: list[int] = []  # -ceil(S*g^-j) for j >= j0, negated to ascend
     while not small_bounds or -small_bounds[-1] > floor_p:
-        j = j0 + len(small_bounds)
-        f = geometric_floor(scale, growth, -j)
-        exact = f and _pow_reaches(growth, j, sn, sd * f)  # S*g^-j == f
-        small_bounds.append(-f if exact else -f - 1)
+        small_bounds.append(-num // den)
+        num, den = num * b, den * c
 
     # Every class is an interval of P, so one ascending list of cut points
     # gives each profit its slot, the number of cuts at or below it: slot 0
@@ -486,7 +352,7 @@ def build_partition(
     # slot s > J+1-j0 is large class s-(J+1-j0).
     J = j0 + len(small_bounds) - 1
     smalls = J + 1 - j0
-    cuts = [floor_p, *(-b for b in reversed(small_bounds[:-1])), *(b + 1 for b in large_bounds[:-1])]
+    cuts = [floor_p, *(-v for v in reversed(small_bounds[:-1])), *(v + 1 for v in large_bounds[:-1])]
     slot = _bisect_right(cuts, P)
     order = np.lexsort((W, slot))
     slots = slot[order]
@@ -523,7 +389,6 @@ def build_partition(
         epsilon=eps,
         z=min(K, math.ceil(1 / eps)),
         cardinality=K,
-        budget=inst.budget,
         large_classes=tuple(large_classes),
         small_classes=tuple(small_classes),
         discarded=frozenset(discarded),
@@ -549,39 +414,39 @@ def _check_partition(partition: Partition, inst: Instance) -> None:
 
     Every large class counts its weights in the view's unit lw. Membership
     checks run on the view's integer profits P = p*lp at each class's rows,
-    with S = eps*opt_estimate*lp, through the exact bracket comparator, so
-    they stay cheap even when class indices are huge: a large member of
-    class i satisfies growth^(i-1) < P/S <= growth^i, a small member of
-    class i satisfies growth^i >= S/P > growth^(i-1) (equivalently
-    S*growth^(-i) <= P < S*growth^(-i+1)). Both conditions are intervals in
-    P, so every member of a class meets them exactly when its least and its
-    greatest P do; only those two are compared to the growth powers.
+    with S = sn/sd = eps*opt_estimate*lp and growth g = c/b in lowest
+    terms: a large member of class i satisfies S*g^(i-1) < P <= S*g^i, a
+    small member of class i satisfies S*g^-i <= P < S*g^(1-i). Both are
+    cross-multiplied with the powers of c and b that _powers_at builds up
+    over the ascending class indices. Both conditions are intervals in P,
+    so every member of a class meets them exactly when its least and its
+    greatest P do; only those two are compared.
     """
     eps = partition.epsilon
-    opt = partition.opt_estimate
     growth = 1 + eps
-    large_floor = eps * opt
+    large_floor = eps * partition.opt_estimate
     K = partition.cardinality
-    n = inst.n
     view = partition.view
     scale = large_floor * view.lp
     sn, sd = scale.numerator, scale.denominator
 
-    for c in partition.large_classes:
-        assert c.index >= 1 and c.profit_scale == large_floor and c.growth == growth
-        least, greatest = _extremes(view.P[list(c.rows)])
-        assert _pow_reaches(growth, c.index, greatest * sd, sn), c
-        assert not _pow_reaches(growth, c.index - 1, least * sd, sn), c
-        assert len(c.prefix_weights) == c.size + 1 and c.weight_scale == view.lw
-    for c in partition.small_classes:
-        assert c.index >= 0 and c.profit_scale == large_floor and c.growth == growth
-        assert c.size <= K
-        least, greatest = _extremes(view.P[list(c.rows)])
-        assert _pow_reaches(growth, c.index, sn, sd * least), c
+    large = partition.large_classes
+    for cls, (below, at) in zip(large, _powers_at([c.index for c in large], growth)):
+        assert cls.index >= 1 and cls.profit_scale == large_floor and cls.growth == growth
+        least, greatest = _extremes(view.P[list(cls.rows)])
+        assert greatest * sd * at[1] <= sn * at[0], cls
+        assert sn * below[0] < least * sd * below[1], cls
+        assert len(cls.prefix_weights) == cls.size + 1 and cls.weight_scale == view.lw
+    small = partition.small_classes
+    for cls, (below, at) in zip(small, _powers_at([c.index for c in small], growth)):
+        assert cls.index >= 0 and cls.profit_scale == large_floor and cls.growth == growth
+        assert cls.size <= K
+        least, greatest = _extremes(view.P[list(cls.rows)])
+        assert sn * at[1] <= least * sd * at[0], cls
         # For index 0 the upper bound P < S*growth holds by the small/large
         # split itself (P <= S < S*growth).
-        if c.index:
-            assert not _pow_reaches(growth, c.index - 1, sn, sd * greatest), c
+        if cls.index:
+            assert greatest * sd * below[0] < sn * below[1], cls
     # Fillers: exactly-K mode only, at most K, each below the profit floor:
     # P*K < S.
     fillers = partition.filler_rows
@@ -591,14 +456,27 @@ def _check_partition(partition: Partition, inst: Instance) -> None:
         _, greatest = _extremes(view.P[list(fillers)])
         assert greatest * K * sd < sn, fillers
 
-    # Class-count bound: at most ceil(log_{1+eps}(1/eps)) large indices plus
-    # ceil(log_{1+eps}(K)) + 1 small indices, together within
-    # 2*ceil(log_{1+eps}(K/eps)) + 2; never more than n non-empty classes.
-    bound_exp = _geometric_index_up(
-        Fraction(partition.cardinality) / eps, eps
-    )
-    assert partition.class_count <= min(2 * bound_exp + 2, n), (
-        partition.class_count,
-        bound_exp,
-        n,
-    )
+    # Class-count bound: at most ceil(log_g(1/eps)) large indices plus
+    # ceil(log_g(K)) + 1 small indices, together within 2e + 2 for
+    # e = ceil(log_g(K/eps)); never more than n non-empty classes.
+    # count <= 2e + 2 holds iff e >= t = ceil((count - 2)/2), that is iff
+    # g^(t-1) < K/eps.
+    count = partition.class_count
+    t = -(-(count - 2) // 2)
+    c, b = growth.numerator, growth.denominator
+    assert t < 1 or c ** (t - 1) * eps.numerator < K * eps.denominator * b ** (t - 1), count
+    assert count <= inst.n, (count, inst.n)
+
+
+def _powers_at(indices: list[int], growth: Fraction):
+    """For each of the strictly ascending indices i >= 0, the terms of
+    growth**(i-1) and growth**i as (numerator, denominator) pairs, by one
+    walk over the powers (None stands for growth**-1)."""
+    c, b = growth.numerator, growth.denominator
+    i, below, at = 0, None, (1, 1)
+    for index in indices:
+        assert index >= i, indices
+        while i < index:
+            below, at, i = at, (at[0] * c, at[1] * b), i + 1
+        yield below, at
+        below, at, i = at, (at[0] * c, at[1] * b), i + 1

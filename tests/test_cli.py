@@ -214,6 +214,22 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("target", ["input", "output", "dump-tables", "convert"])
+    def test_unusable_path_is_an_input_error(self, target, pipeline_file, tmp_path, capsys):
+        # A directory as input, or an output into a missing directory:
+        # exit 1 with an error line, no traceback.
+        missing = str(tmp_path / "no-such-dir" / "out.json")
+        solve = ["solve", "--epsilon", "1/4", "--input"]
+        argv = {
+            "input": solve + [str(tmp_path)],
+            "output": solve + [str(pipeline_file), "--output", missing],
+            "dump-tables": solve + [str(pipeline_file), "--dump-tables", missing],
+            "convert": ["convert", "--input", str(pipeline_file), "--output", missing],
+        }[target]
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_bad_threads(self, inst_file, capsys):
         # There is no --threads option; argparse rejects it as unrecognised.
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,7 @@
 """Instances, solutions, feasibility judgments, and io."""
 
 import copy
+import json
 import pickle
 import random
 from dataclasses import replace
@@ -290,6 +291,22 @@ class TestSerialization:
         data["cardinality"], data["items"][0]["id"] = "3", " 7 "
         inst = instance_from_dict(data)
         assert inst.cardinality == 3 and inst.items[0].id == 7
+
+    @pytest.mark.parametrize(
+        "field, value", [("profit", True), ("weight", False), ("budget", True)]
+    )
+    def test_rational_fields_reject_bools(self, field, value):
+        # bool is an int subclass: parse_rational read true as 1, false as 0.
+        data = {
+            "budget": "4",
+            "cardinality": 2,
+            "items": [{"id": 1, "profit": "2", "weight": "1"}],
+        }
+        (data if field == "budget" else data["items"][0])[field] = value
+        with pytest.raises(ValueError, match="malformed instance data"):
+            instance_from_dict(data)
+        with pytest.raises(ValueError, match="malformed instance data"):
+            loads_instance(json.dumps(data))
 
     def test_csv_round_trip(self, tmp_path):
         inst = self._round_trippable()

@@ -2,7 +2,8 @@
 independent references in oracles.py stay out of the production modules
 (ROADMAP aim 2: one production implementation per stage plus one
 reference). Only the CLI's verify subcommand reads an oracle, and every
-reference in oracles.py has a reader."""
+reference in oracles.py has a reader. No production module keeps a
+process-wide memo, so no state outlives a solve."""
 
 import ast
 from pathlib import Path
@@ -84,3 +85,26 @@ def test_only_the_instance_layer_imports_item():
     sources = sorted(PACKAGE.glob("*.py"))
     readers = {path.name for path in sources if _imports_item(ast.parse(path.read_text()))}
     assert readers <= ITEM_READERS, readers - ITEM_READERS
+
+
+MEMO_DECORATORS = {"lru_cache", "cache"}
+
+
+def _memoises(tree: ast.AST) -> bool:
+    """Whether a module imports functools' lru_cache or cache, or reads
+    either off the functools module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            if any(alias.name in MEMO_DECORATORS for alias in node.names):
+                return True
+        elif isinstance(node, ast.Attribute) and node.attr in MEMO_DECORATORS:
+            if isinstance(node.value, ast.Name) and node.value.id == "functools":
+                return True
+    return False
+
+
+def test_no_production_module_memoises_across_solves():
+    sources = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "oracles.py"]
+    assert len(sources) > 5, sources
+    memos = {path.name for path in sources if _memoises(ast.parse(path.read_text()))}
+    assert not memos, memos

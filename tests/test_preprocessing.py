@@ -1,5 +1,7 @@
-"""Optimum estimate, geometric profit classes, and the exact big-exponent
-arithmetic (cached powers, certified fixed-point brackets) they ride on."""
+"""Optimum estimate and geometric profit classes: the partition's integer
+class thresholds, computed with exact powers of the growth, against the
+reference partition's per-item index search (oracles.geometric_index_up,
+itself checked here against a linear scan)."""
 
 import math
 import random
@@ -16,25 +18,16 @@ from conftest import F, ZERO, best_subset, inst_of, member_ids
 from kknapsack import preprocessing, solve_with_details
 from kknapsack.generator import DISTRIBUTIONS, generate_instance
 from kknapsack.instance_model import Instance, Item, Mode
-from kknapsack.oracles import reference_partition
+from kknapsack.oracles import geometric_index_up, reference_partition
 from kknapsack.preprocessing import (
     TrivialInstanceError,
     _check_partition,
-    _geometric_index_up,
-    _pow_reaches,
     build_partition,
     candidate_view,
-    geometric_floor,
     half_approx_opt,
 )
 
-# Growth ratios > 1 built from small integers; exponent ranges keep the
-# direct Fraction reference cheap.
-growths = st.builds(
-    lambda a, b: Fraction(a + b, a), st.integers(1, 50), st.integers(1, 50)
-)
 ROOT = Path(__file__).resolve().parent.parent
-scales = st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(1000))
 
 
 class TestHalfApproxOpt:
@@ -64,48 +57,15 @@ class TestHalfApproxOpt:
         assert v <= opt <= 2 * v and opt <= lp_bound
 
 
-class TestBracketComparisons:
-    @given(growths, st.integers(0, 80), st.integers(1, 10**6), st.integers(1, 10**6))
-    def test_pow_reaches_matches_exact(self, growth, i, rn, rd):
-        assert _pow_reaches(growth, i, rn, rd) == (growth**i >= Fraction(rn, rd))
-
-    def test_pow_reaches_exact_ties(self):
-        # (3/2)^2 == 9/4: ">= at equality" must answer True, and must flip
-        # for the next representable ratios on either side.
-        big = 10**40
-        assert _pow_reaches(F(3, 2), 2, 9, 4)
-        assert _pow_reaches(F(3, 2), 2, 9 * big - 1, 4 * big)
-        assert not _pow_reaches(F(3, 2), 2, 9 * big + 1, 4 * big)
-
-    @given(scales, growths, st.integers(-40, 40))
-    def test_geometric_floor_matches_reference(self, scale, growth, e):
-        assert geometric_floor(scale, growth, e) == math.floor(scale * growth**e)
-
-    def test_geometric_floor_exact_ties(self):
-        # Values landing exactly on an integer: floor must not round up.
-        assert geometric_floor(F(8, 9), F(3, 2), 2) == 2  # 8/9 * 9/4 == 2
-        assert geometric_floor(F(81, 4), F(3, 2), -2) == 9  # 81/4 * 4/9 == 9
-        assert geometric_floor(F(1), F(2), 100) == 2**100
-        assert geometric_floor(F(1), F(2), -3) == 0  # 1/8
-
-    @pytest.mark.parametrize("exponent", [50_000, -50_000])
-    def test_geometric_floor_huge_exponent(self, exponent):
-        # The bracket path must agree with the exact big-integer route at
-        # exponents where the power has tens of thousands of digits.
-        scale, growth = F(12345, 7), F(1025, 1024)
-        n = 1025 ** abs(exponent)
-        d = 1024 ** abs(exponent)
-        if exponent < 0:
-            n, d = d, n
-        expected = (scale.numerator * n) // (scale.denominator * d)
-        assert geometric_floor(scale, growth, exponent) == expected
+class TestGeometricIndexUp:
+    """The reference partition's index search."""
 
     @given(
         st.fractions(min_value=Fraction(1, 100), max_value=Fraction(10**6)),
         st.sampled_from([F(1, 2), F(3, 10), F(1, 7), F(2, 3)]),
     )
     def test_geometric_index_up_matches_brute_force(self, ratio, eps):
-        got = _geometric_index_up(ratio, eps)
+        got = geometric_index_up(ratio, eps)
         i = 0
         while (1 + eps) ** i < ratio:
             i += 1
@@ -114,12 +74,13 @@ class TestBracketComparisons:
     @pytest.mark.parametrize("k", [0, 1, 2, 7, 23])
     def test_geometric_index_up_exact_tie(self, k):
         eps = F(3, 10)
-        assert _geometric_index_up((1 + eps) ** k, eps) == k
+        assert geometric_index_up((1 + eps) ** k, eps) == k
 
 
 def reference_classes(inst, eps):
     """Classify items straight from the interval definitions with plain
-    Fraction arithmetic -- independent of the bracket machinery."""
+    Fraction arithmetic and a linear index scan -- independent of the
+    partition's integer thresholds and of any index search."""
     opt = 2 * half_approx_opt(inst).value
     lf = eps * opt
     large: dict[int, set] = {}
@@ -204,7 +165,7 @@ class TestBuildPartition:
         for seed in range(6):
             inst = generate_instance("uniform", 20, 5, seed=seed, weight_max=40)
             for eps in (F(1, 2), F(3, 10)):
-                cap = _geometric_index_up(1 / eps, eps)
+                cap = geometric_index_up(1 / eps, eps)
                 part = build_partition(inst, eps)
                 for c in part.large_classes:
                     assert 1 <= c.index <= cap
@@ -383,8 +344,9 @@ def _assert_matches_reference(inst, eps):
 
 
 class TestIntegerThresholds:
-    """build_partition's integer class thresholds against the reference
-    partition, which searches each item's class with its own brackets."""
+    """build_partition's integer class thresholds, one walk over exact
+    powers, against the reference partition, which searches each item's
+    class index on its own Fraction ratio."""
 
     def test_acceptance_corpora(self):
         built = [_assert_matches_reference(inst, eps) for inst, eps in _acceptance_corpora()]
@@ -455,31 +417,20 @@ class TestIntegerThresholds:
             floor = part.epsilon * part.opt_estimate / K
             assert all(inst.by_id[i].profit < floor for i in part.discarded)
 
+    @pytest.mark.parametrize("family", DISTRIBUTIONS)
+    def test_deep_class_indices(self, family):
+        # eps = 1/800 puts the small classes of K = 40 more than 2000 steps
+        # below the large floor, where each power has tens of thousands of
+        # bits.
+        inst = generate_instance(family, 60, 40, seed=2)
+        part = _assert_matches_reference(inst, F(1, 800))
+        assert max(c.index for c in part.large_classes + part.small_classes) > 2000
+
     @pytest.mark.parametrize("mode", [Mode.AT_MOST, Mode.EXACT])
     def test_all_equal_profits(self, mode):
         inst = inst_of([(i, 3, 1 + i % 4) for i in range(1, 21)], 30, 4, mode=mode)
         part = _assert_matches_reference(inst, F(1, 8))
         assert part.class_count == 1 and part.small_item_count == 4
-
-    def test_no_per_item_index_search(self, monkeypatch):
-        # A per-item bracket search would call _geometric_index_up once per
-        # item; build_partition must call it a fixed number of times.
-        calls = []
-        search = preprocessing._geometric_index_up
-
-        def counting(ratio, eps):
-            calls.append(ratio)
-            return search(ratio, eps)
-
-        monkeypatch.setattr(preprocessing, "_geometric_index_up", counting)
-        counts = []
-        for n in (200, 2000):
-            inst = generate_instance("uniform", n, 16, seed=5)
-            part = build_partition(inst, F(1, 16))
-            assert part.small_item_count > 16
-            counts.append(len(calls))
-            calls.clear()
-        assert counts[0] == counts[1] <= 2, counts
 
 
 def _times(inst, profit=1, weight=1) -> Instance:

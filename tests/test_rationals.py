@@ -34,6 +34,12 @@ class TestParseRational:
         with pytest.raises(TypeError):
             parse_rational(0.1)
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_rejected(self, flag):
+        # bool is an int subclass; JSON's true must not read as 1.
+        with pytest.raises(TypeError):
+            parse_rational(flag)
+
     @pytest.mark.parametrize("bad", ["abc", "1/0", "", "2/3/4"])
     def test_garbage_rejected(self, bad):
         with pytest.raises(ValueError):
