@@ -33,7 +33,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -301,7 +301,8 @@ def build_partition(
     numerator and denominator of S*g^(+-i) by those of g. One searchsorted
     over int64 profits (one bisect per profit over Python ints) places
     every item, and one lexsort on (class, W) then orders every class; it
-    is stable and the view's rows ascend by id, so ties go by id.
+    is stable and the view's rows ascend by id, so ties go by id. Every
+    class and the fillers are runs of that order, cut out as list slices.
     """
     eps = parse_rational(eps)
     if not (0 < eps < 1):
@@ -356,27 +357,27 @@ def build_partition(
     slot = _bisect_right(cuts, P)
     order = np.lexsort((W, slot))
     slots = slot[order]
-    starts = np.flatnonzero(slots[1:] != slots[:-1]) + 1
+    bounds = [0, *(np.flatnonzero(slots[1:] != slots[:-1]) + 1).tolist(), len(order)]
 
     pruned = [order[:0]]  # rows of the candidates no class keeps
     large_classes, small_classes = [], []
     filler_rows = ()
-    for group in np.split(order, starts):
-        s = int(slot[group[0]])
+    rows, weights = order.tolist(), W[order].tolist()
+    for s, a, z in zip(slots[bounds[:-1]].tolist(), bounds, bounds[1:]):
         if s > smalls:
-            prefix = tuple(accumulate(W[group].tolist(), initial=0))
-            rows = tuple(group.tolist())
-            large_classes.append(LargeClass(s - smalls, large_floor, growth, rows, prefix, view.lw))
+            prefix = tuple(accumulate(weights[a:z], initial=0))
+            klass = LargeClass(s - smalls, large_floor, growth, tuple(rows[a:z]), prefix, view.lw)
+            large_classes.append(klass)
             continue
         if s == 0 and not exactly_k:
-            pruned.append(group)
+            pruned.append(order[a:z])
             continue
-        pruned.append(group[K:])
-        rows = tuple(group[:K].tolist())
+        pruned.append(order[a + K : z])
+        kept = tuple(rows[a : min(a + K, z)])
         if s == 0:
-            filler_rows = rows
+            filler_rows = kept
         else:
-            small_classes.append(SmallClass(J + 1 - s, large_floor, growth, rows))
+            small_classes.append(SmallClass(J + 1 - s, large_floor, growth, kept))
     small_classes.reverse()  # slots ascend with profit, small indices descend
 
     discarded = view.ids[np.concatenate(pruned)].tolist()
@@ -420,7 +421,8 @@ def _check_partition(partition: Partition, inst: Instance) -> None:
     cross-multiplied with the powers of c and b that _powers_at builds up
     over the ascending class indices. Both conditions are intervals in P,
     so every member of a class meets them exactly when its least and its
-    greatest P do; only those two are compared.
+    greatest P do; only those two are compared, read for every class from
+    one gather over their rows and one reduceat each.
     """
     eps = partition.epsilon
     growth = 1 + eps
@@ -430,18 +432,23 @@ def _check_partition(partition: Partition, inst: Instance) -> None:
     scale = large_floor * view.lp
     sn, sd = scale.numerator, scale.denominator
 
-    large = partition.large_classes
+    large, small = partition.large_classes, partition.small_classes
+    sizes = np.array([c.size for c in large + small], np.intp)
+    assert sizes.all(), "an empty class"
+    rows = np.fromiter(chain.from_iterable(c.rows for c in large + small), np.intp, sizes.sum())
+    values, starts = view.P[rows], np.cumsum(sizes) - sizes
+    least, greatest = np.minimum.reduceat(values, starts), np.maximum.reduceat(values, starts)
+    extremes = zip(least.tolist(), greatest.tolist())
     for cls, (below, at) in zip(large, _powers_at([c.index for c in large], growth)):
         assert cls.index >= 1 and cls.profit_scale == large_floor and cls.growth == growth
-        least, greatest = _extremes(view.P[list(cls.rows)])
+        least, greatest = next(extremes)
         assert greatest * sd * at[1] <= sn * at[0], cls
         assert sn * below[0] < least * sd * below[1], cls
         assert len(cls.prefix_weights) == cls.size + 1 and cls.weight_scale == view.lw
-    small = partition.small_classes
     for cls, (below, at) in zip(small, _powers_at([c.index for c in small], growth)):
         assert cls.index >= 0 and cls.profit_scale == large_floor and cls.growth == growth
         assert cls.size <= K
-        least, greatest = _extremes(view.P[list(cls.rows)])
+        least, greatest = next(extremes)
         assert sn * at[1] <= least * sd * at[0], cls
         # For index 0 the upper bound P < S*growth holds by the small/large
         # split itself (P <= S < S*growth).

@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -120,14 +119,20 @@ class SmallSolver:
     f the bit lengths of max P and max W, from which float_keys ranks every
     unit at once.
 
-    The pool memoizes greedy passes. A pass depends only on cap and on the
-    value of nu, so it is keyed by cap and the reduced num/den, and kept
-    for the pool's life: one estimate or one pipeline run, so the memo is
-    bounded by that run's queries. Queries at many budgets, as in the
-    combiner's split sweep, share the passes that their multiplier searches
-    have in common, at every cap, and the vertex at nu* reuses the search's
-    last pass. passes and exact_keys count the greedy passes run and the
-    units keyed exactly in them.
+    The pool memoizes greedy passes and query vertices for its life: one
+    estimate or one pipeline run, so the memo is bounded by that run's
+    queries. A pass depends only on cap and on the value of nu, so it is
+    keyed by cap and the reduced num/den. Queries at many budgets, as in
+    the combiner's split sweep, share the passes that their multiplier
+    searches have in common, at every cap, and the vertex at nu* reuses the
+    search's last pass. A vertex is keyed by (omega, k), so eval_detail on
+    a split phi_dag answered solves nothing. passes and exact_keys count
+    the greedy passes run and the units keyed exactly in them.
+
+    A partition's pool is built from runs (from_partition): P is
+    np.repeat(values, counts)[order] with values descending, so max P, the
+    floats P/2^e and top_sums, where top_sums[c] is the greatest total P of
+    c units, come from one value per class, not from every unit.
     """
 
     ids: Sequence
@@ -140,16 +145,24 @@ class SmallSolver:
     passes: int = field(default=0, init=False)
     exact_keys: int = field(default=0, init=False)
     _passes: dict = field(default_factory=dict, init=False, repr=False)
+    _vertices: dict = field(default_factory=dict, init=False, repr=False)
+    runs: InitVar[Optional[tuple]] = None
 
     # Every pool is solved exactly; benchmark traces read this flag.
     exact = True
 
-    def __post_init__(self):
-        self._max_p = _extremes(self.P)[1]
+    def __post_init__(self, runs):
+        self._max_p = _extremes(self.P)[1] if runs is None else runs[0][0]
         self._e = self._max_p.bit_length()
         self._f = _extremes(self.W)[1].bit_length()
-        self._pf = _over_power(self.P, self._e)
         self._wf = _over_power(self.W, self._f)
+        if runs is None:
+            self._pf = _over_power(self.P, self._e)
+            return
+        values, counts, order = runs
+        self._pf = np.repeat(_over_power(np.array(values, object), self._e), counts)[order]
+        units = itertools.chain.from_iterable(map(itertools.repeat, values, counts))
+        self.top_sums = list(itertools.accumulate(units, initial=0))
 
     @classmethod
     def of(cls, items, K: int, exactly_k: bool = False) -> "SmallSolver":
@@ -181,7 +194,8 @@ class SmallSolver:
         the rounded profits, and no rounded profit is built. At large K the
         pool reaches deep classes, and P over a plain common denominator of
         the rounded profits would take 82 bits instead of 28 on uniform
-        n = 2000, K = 1024."""
+        n = 2000, K = 1024. The classes ascend by index, so their P descend:
+        with the fillers last, they are the pool's runs."""
         view, classes = partition.view, partition.small_classes
         lp, profits = Fraction(1), []
         if classes:
@@ -191,20 +205,15 @@ class SmallSolver:
             lp = g**jmax * b ** (jmax - jmin) / S
             profits = [b ** (j.index - jmin) * c ** (jmax - j.index) for j in classes]
         groups = [j.rows for j in classes] + [partition.filler_rows]
-        rows = np.fromiter(itertools.chain(*groups), np.intp, sum(map(len, groups)))
-        P = _sum_array(profits + [0], count=len(rows))
-        P = np.repeat(P, [len(r) for r in groups])
+        values, counts = profits + [0], [len(r) for r in groups]
+        rows = np.fromiter(itertools.chain(*groups), np.intp, sum(counts))
+        P = np.repeat(_sum_array(values, count=len(rows)), counts)
         order = np.argsort(rows, kind="stable")  # view rows ascend by id
         rows = rows[order]
         return cls(
             rows.tolist(), P[order], view.W[rows], lp, view.lw,
-            partition.cardinality, partition.exactly_k,
+            partition.cardinality, partition.exactly_k, runs=(values, counts, order),
         )
-
-    @cached_property
-    def top_sums(self) -> list[int]:
-        """top_sums[c] is the greatest total P of c units."""
-        return list(itertools.accumulate(np.sort(self.P)[::-1].tolist(), initial=0))
 
     def float_keys(self, num: int, den: int) -> np.ndarray:
         """Every unit's key den*P - num*W divided by s = max(den*2^e, num*2^f),
@@ -239,11 +248,11 @@ class SmallSolver:
         call is where benchmark traces count the combiner's splits."""
 
     def top_scaled(self, k: int) -> Optional[int]:
-        """The most k units give with the weight row dropped, in P units
-        (times lp): the sum of the k largest P, the value of phi_dag's
-        fast-path pass. It bounds phi_dag(omega, k) from above at every
-        omega. None when exactly k units are more than the pool holds
-        (exactly-K mode)."""
+        """The most k units of a partition's pool give with the weight row
+        dropped, in P units (times lp): the sum of the k largest P, the
+        value of phi_dag's fast-path pass. It bounds phi_dag(omega, k) from
+        above at every omega. None when exactly k units are more than the
+        pool holds (exactly-K mode)."""
         k = self._clamp(k)
         n = len(self.P)
         if self.equality and k > n:
@@ -266,12 +275,14 @@ class SmallSolver:
         return max(0, min(int(k), self.K))
 
     def _query(self, omega: Fraction, k: int):
-        """_solve_units at omega, with k clamped to [0, K]; a negative
-        omega raises ValueError."""
-        omega = Fraction(omega)
-        if omega < 0:
+        """_solve_units at omega, with k clamped to [0, K], memoized by
+        both; a negative omega raises ValueError."""
+        key = Fraction(omega), self._clamp(k)
+        if key[0] < 0:
             raise ValueError("negative residual budget")
-        return _solve_units(self, omega, self._clamp(k))
+        if key not in self._vertices:
+            self._vertices[key] = _solve_units(self, *key)
+        return self._vertices[key]
 
 
 def _sum_array(values, count: Optional[int] = None) -> np.ndarray:

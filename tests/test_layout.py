@@ -3,7 +3,8 @@ independent references in oracles.py stay out of the production modules
 (ROADMAP aim 2: one production implementation per stage plus one
 reference). Only the CLI's verify subcommand reads an oracle, and every
 reference in oracles.py has a reader. No production module keeps a
-process-wide memo, so no state outlives a solve."""
+process-wide memo, so no state outlives a solve, and none calls np.unique,
+whose first call leaves numpy.ma resident."""
 
 import ast
 from pathlib import Path
@@ -108,3 +109,28 @@ def test_no_production_module_memoises_across_solves():
     assert len(sources) > 5, sources
     memos = {path.name for path in sources if _memoises(ast.parse(path.read_text()))}
     assert not memos, memos
+
+
+def _calls_unique(tree: ast.AST) -> bool:
+    """Whether a module reads unique off numpy (np.unique, numpy.unique) or
+    imports it from numpy."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            if any(alias.name == "unique" for alias in node.names):
+                return True
+        elif isinstance(node, ast.Attribute) and node.attr == "unique":
+            if isinstance(node.value, ast.Name) and node.value.id in {"np", "numpy"}:
+                return True
+    return False
+
+
+def test_no_production_module_calls_np_unique():
+    # np.unique imports numpy.ma on its first call, and the module stays
+    # resident (about 0.5 MiB) in every process that solves; class order
+    # and sorted runs give the same groups without it.
+    sources = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "oracles.py"]
+    assert len(sources) > 5, sources
+    callers = {path.name for path in sources if _calls_unique(ast.parse(path.read_text()))}
+    assert not callers, callers
+    assert _calls_unique(ast.parse("import numpy as np\nnp.unique([1])"))
+    assert _calls_unique(ast.parse("from numpy import unique"))

@@ -20,6 +20,7 @@ from kknapsack.generator import DISTRIBUTIONS, generate_instance
 from kknapsack.instance_model import Instance, Item, Mode
 from kknapsack.oracles import geometric_index_up, reference_partition
 from kknapsack.preprocessing import (
+    OptimumEstimate,
     TrivialInstanceError,
     _check_partition,
     build_partition,
@@ -295,6 +296,38 @@ class TestCheckPartition:
             prefix = classes[t].prefix_weights
             weight = int(part.view.W[moved])
             extra["prefix_weights"] = prefix + (prefix[-1] + weight,)
+        classes[t] = replace(classes[t], **extra)
+        with pytest.raises(AssertionError):
+            _check_partition(replace(part, **{f"{kind}_classes": tuple(classes)}), inst)
+
+    @pytest.mark.parametrize(
+        "kind, index", [("large", 1), ("large", 2), ("small", 1), ("small", 2), ("small", 3)]
+    )
+    def test_profit_on_the_open_boundary_is_rejected(self, kind, index):
+        # S = eps*opt_estimate = 40 and g = 3/2, so the boundaries S and
+        # S*g = 60 are integers: a profit on one of them equals the bound
+        # that large class index's lower end and small class index's upper
+        # end exclude, and only a strict comparison rejects it there.
+        eps, g = F(1, 2), F(3, 2)
+        profits = [5, 15, 18, 20, 27, 30, 40, 50, 60, 80]
+        inst = inst_of([(i, p, 1 + i % 3) for i, p in enumerate(profits, 1)], 100, 3)
+        part = build_partition(inst, eps, OptimumEstimate(F(40), F(80)))
+        S = eps * part.opt_estimate
+        if kind == "large":
+            boundary = math.floor(S * g ** (index - 1))  # large i: floor(S*g^(i-1)) < P
+        else:
+            boundary = math.ceil(S * g ** (1 - index))  # small i: P < ceil(S*g^(1-i))
+        if index == 1:
+            assert boundary == S  # the boundary is exact, not rounded
+        row = profits.index(boundary)  # rows ascend by id
+        assert part.view.P[row] == boundary
+        classes = list(getattr(part, f"{kind}_classes"))
+        t = next(i for i, c in enumerate(classes) if c.index == index)
+        assert row not in classes[t].rows
+        extra = {"rows": classes[t].rows + (row,)}
+        if kind == "large":
+            prefix = classes[t].prefix_weights
+            extra["prefix_weights"] = prefix + (prefix[-1] + int(part.view.W[row]),)
         classes[t] = replace(classes[t], **extra)
         with pytest.raises(AssertionError):
             _check_partition(replace(part, **{f"{kind}_classes": tuple(classes)}), inst)

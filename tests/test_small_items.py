@@ -9,6 +9,7 @@ primal whose value equals the Lagrangian dual value at its multiplier
 (conftest.dual_value) is optimal, and off the fast path that multiplier
 must be the enumerated critical one (oracles.critical_multiplier_enum)."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -691,9 +692,10 @@ class TestSmallSolver:
     def test_a_solve_asks_each_query_once(
         self, monkeypatch, family, n, K, eps, mode, seed
     ):
-        # SmallSolver keeps no memo: the combiner's sweep keeps one anchor
-        # per table weight within each k, so no (omega, k) recurs in one
-        # pipeline run, and retrieval evaluates the winning split once. The
+        # The combiner's sweep keeps one anchor per table weight within each
+        # k, so it asks no (omega, k) twice in one pipeline run, and
+        # retrieval asks for the winning split's detail once; the pool's
+        # vertex memo then answers it from the query phi_dag solved. The
         # sweep's bounds may settle a solve with one query, so the guard is
         # that the wrapper saw every query the solve reports.
         asked, details = [], []
@@ -740,6 +742,44 @@ class TestSmallSolver:
             kinds.add(("deep", max((c.index for c in part.small_classes), default=0) >= 100))
         assert all((kind, True) in kinds for kind in ("single class", "fillers", "deep"))
 
+    def test_class_runs_give_the_per_unit_values(self):
+        # from_partition reads max P, the floats P/2^e and top_sums from one
+        # value per class; they must equal what the units themselves give,
+        # on C02's pools and on large-fold's object pools of 42-43 classes.
+        classes = []
+        for inst, eps in itertools.chain(rounded_pool_cases(), large_fold_cases()):
+            part = build_partition(inst, eps)
+            solver = SmallSolver.from_partition(part)
+            P = solver.P.tolist()
+            assert solver._max_p == max(P, default=0)
+            expected = small_items._over_power(solver.P, solver._max_p.bit_length())
+            assert solver._pf.dtype == np.float64
+            assert solver._pf.tobytes() == expected.tobytes()  # bit for bit
+            assert solver.top_sums == list(itertools.accumulate(sorted(P, reverse=True), initial=0))
+            classes.append((len(part.small_classes), solver.P.dtype))
+        assert classes[-2:] == [(43, object), (42, object)]
+
+    def test_detail_reuses_the_query_vertex(self, monkeypatch):
+        # eval_detail at a split phi_dag answered reads the kept vertex: no
+        # greedy pass and no second _solve_units.
+        calls = []
+        solve_units = small_items._solve_units
+        monkeypatch.setattr(
+            small_items, "_solve_units", lambda *a: calls.append(a[1:]) or solve_units(*a)
+        )
+        inst, eps = next(large_fold_cases())
+        part = build_partition(inst, eps)
+        K = part.cardinality
+        omega = inst.budget / 3
+        solver = SmallSolver.from_partition(part)
+        value = solver.phi_dag(omega, K)
+        passes = solver.passes
+        assert passes > 1 and len(calls) == 1  # the query left the fast path
+        detail = solver.eval_detail(omega, K)
+        assert solver.passes == passes and len(calls) == 1
+        assert detail.value == value
+        assert detail == SmallSolver.from_partition(part).eval_detail(omega, K)
+
     def test_solves_build_no_rounded_profit(self, monkeypatch):
         def built(_):
             raise AssertionError("a solve built a rounded profit")
@@ -767,6 +807,14 @@ def rounded_pool_cases():
     fillers = [(1, 40, 5), (2, 30, 4), (3, 12, 3), (4, 1, 1), (5, 1, 2), (6, 2, 2)]
     yield inst_of(fillers, 9, 4, Mode.EXACT), F(1, 4)
     yield generate_instance("uniform", 20000, 1024, seed=1), F(1, 5)
+
+
+def large_fold_cases():
+    """The benchmark's large-fold instances, correlated n = 2000, K = 64 at
+    eps = 1/10: their small pools span 42-43 classes, so P holds Python
+    ints."""
+    for index in range(2):
+        yield generate_instance("correlated", 2000, 64, seed=1, index=index), F(1, 10)
 
 
 def with_zero_profits(units, rnd):
