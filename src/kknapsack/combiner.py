@@ -44,6 +44,7 @@ from .instance_model import (  # noqa: F401
     Solution,
     evaluate_solution,
     feasibility_violations,
+    item_columns,
     make_solution,
     parse_rational,
     validate_instance,
@@ -88,8 +89,8 @@ def solve_with_details(inst: Instance, eps_user) -> tuple[Solution, dict]:
       greedily (see completed_rounding);
     - fine: the pipeline at eps_user/8, the accuracy the paper's analysis
       needs for (1 - eps_user) * OPT; its answer stands uncertified.
-    The candidates' CandidateView is built once per call, and the estimate,
-    with its LP bound and rounding, is computed once for all rungs.
+    The items are read once per call (item_columns) for validation and the
+    CandidateView; the estimate and its LP bound once for all rungs.
     Diagnostics carry the rung that answered (answer: coarse, rounding or
     fine; trivial when every selection is worth 0), internal_eps (the
     accuracy of the last pipeline run: eps_user/8 when the fine rung
@@ -100,17 +101,18 @@ def solve_with_details(inst: Instance, eps_user) -> tuple[Solution, dict]:
     eps_user = parse_rational(eps_user)
     if not 0 < eps_user < 1:
         raise ValueError(f"epsilon must be in (0,1), got {eps_user}")
-    report = validate_instance(inst)
+    columns = item_columns(inst)
+    report = validate_instance(inst, columns)
     if not report.ok:
         raise InvalidInstanceError("; ".join(report.errors))
 
     exactly_k = inst.mode is Mode.EXACT
-    view = candidate_view(inst)
+    view = candidate_view(inst, columns)
     estimate = half_approx_opt(inst, view)
     lp_bound = estimate.lp_bound
     if estimate.value <= 0:
         # Every feasible selection is worth 0 (and so is the LP): take none,
-        # or in exactly-K mode the K lightest, which fit (Instance.candidates
+        # or in exactly-K mode the K lightest, which fit (candidate_rows
         # checked). The answer is optimal, certified_ratio 1.
         rows = np.arange(0)
         details = {"answer": "trivial", "trivial": True, "internal_eps": eps_user}

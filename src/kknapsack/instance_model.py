@@ -5,7 +5,9 @@ weight budget W, a cardinality bound K, and a constraint mode: select at most
 K items, or exactly K. All bookkeeping here is exact (fractions.Fraction);
 solver modules may work in scaled integers internally but every
 feasibility statement made to a caller goes through this module's exact sums.
-The instance file formats write rationals as "num/den" or plain integers
+A solve reads each item once, into integer columns (item_columns), and
+validation, the candidates and their view are numpy passes over those. The
+instance file formats write rationals as "num/den" or plain integers
 and read those or decimal strings (parse_rational, format_rational).
 """
 
@@ -13,13 +15,12 @@ from __future__ import annotations
 
 import csv
 import enum
-import heapq
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -89,37 +90,92 @@ class Instance:
     def by_id(self) -> Mapping[int, Item]:
         return {it.id: it for it in self.items}
 
-    @cached_property
-    def candidates(self) -> tuple[Item, ...]:
-        """The items some feasible selection contains, in input order: those
-        that fit, and in exactly-K mode fit beside the K-1 lightest others,
-        i.e. weigh at most the budget minus the K-1 lightest. Raises
-        InfeasibleInstanceError when no K items fit together."""
-        fitting = _within(self.items, self.budget)
-        if self.mode is not Mode.EXACT:
-            return tuple(fitting)
-        K = self.cardinality
-        if len(fitting) < K:
-            raise InfeasibleInstanceError(
-                f"only {len(fitting)} items fit individually, need {K}"
-            )
-        lightest = heapq.nsmallest(K, (it.weight for it in fitting))
-        total = exact_sum(lightest)
-        if total > self.budget:
-            raise InfeasibleInstanceError(
-                f"the {K} lightest items weigh {total} > budget {self.budget}"
-            )
-        return tuple(_within(fitting, self.budget - exact_sum(lightest[:-1])))
-
     @property
     def n(self) -> int:
         return len(self.items)
 
 
-def _within(items, budget) -> list[Item]:
-    """The items whose weight a/b is at most budget c/d: a*d <= c*b."""
-    c, d = budget.numerator, budget.denominator
-    return [it for it in items if (w := it.weight).numerator * d <= c * w.denominator]
+class ItemColumns(NamedTuple):
+    """Row i is item i: its own id object, the id as an integer key, and the
+    numerators and denominators pn/pd, wn/wd (int64, or Python ints past int64)."""
+
+    ids: np.ndarray
+    keys: np.ndarray
+    pn: np.ndarray
+    pd: np.ndarray
+    wn: np.ndarray
+    wd: np.ndarray
+
+
+def item_columns(inst: Instance) -> ItemColumns:
+    """inst's ItemColumns: one pass reads each id, numerator and denominator."""
+    ids, pn, pd, wn, wd = columns = [], [], [], [], []
+    for it in inst.items:
+        p, w = it.profit, it.weight
+        ids.append(it.id)
+        pn.append(p.numerator)
+        pd.append(p.denominator)
+        wn.append(w.numerator)
+        wd.append(w.denominator)
+    return ItemColumns(np.array(ids, dtype=object), *map(_column, columns))
+
+
+def _column(values: list) -> np.ndarray:
+    try:
+        return np.fromiter(values, np.int64, len(values))
+    except OverflowError:  # a value past int64
+        return np.array(values, dtype=object)
+
+
+def _bits(values: np.ndarray) -> int:
+    return max(map(abs, _extremes(values))).bit_length()
+
+
+def _exceeds(num: np.ndarray, den: np.ndarray, c: int, d: int) -> np.ndarray:
+    """num/den > c/d (den, d > 0) as num*d > c*den, in int64 while it fits."""
+    if max(_bits(num) + d.bit_length(), c.bit_length() + _bits(den)) > 62:
+        num, den = num.astype(object), den.astype(object)
+    return num * d > c * den
+
+
+def scaled_column(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, int]:
+    """(num*(L//den) as a sum array, L) for L the lcm of the positive den."""
+    lcm = math.lcm(*set(den.tolist())) if _extremes(den)[1] > 1 else 1
+    if lcm > 1 and _bits(num) + lcm.bit_length() > 62:
+        num, den = num.astype(object), den.astype(object)
+    return _sum_array(num if lcm == 1 else num * (lcm // den)), lcm
+
+
+def candidate_rows(inst: Instance, columns: ItemColumns) -> np.ndarray:
+    """The ascending rows of the items some feasible selection contains: those
+    that fit, and exactly K, fit beside the K-1 lightest others (one
+    np.partition). Raises InfeasibleInstanceError when no K items fit together."""
+    bn, bd = inst.budget.numerator, inst.budget.denominator
+    rows = np.flatnonzero(~_exceeds(columns.wn, columns.wd, bn, bd))
+    if inst.mode is not Mode.EXACT:
+        return rows
+    K = inst.cardinality
+    if len(rows) < K:
+        raise InfeasibleInstanceError(f"only {len(rows)} items fit individually, need {K}")
+    W, lw = scaled_column(columns.wn[rows], columns.wd[rows])
+    lightest = np.partition(W, K - 1)[:K]
+    total = int(lightest.sum())
+    if (w := Fraction(total, lw)) > inst.budget:
+        raise InfeasibleInstanceError(f"the {K} lightest items weigh {w} > budget {inst.budget}")
+    # W/lw <= budget - (the K-1 lightest): W <= floor(budget*lw) - (total - the K-th).
+    return rows[W <= (bn * lw) // bd - (total - (int(lightest.max()) if K else 0))]
+
+
+def _sum_array(values: np.ndarray, count: Optional[int] = None) -> np.ndarray:
+    """Non-negative integers whose sums of up to count (default: all) are exact:
+    int64 when count times the largest cannot reach 2^62, else Python ints."""
+    fits = (len(values) if count is None else count) << _extremes(values)[1].bit_length() < 1 << 62
+    return values.astype(np.int64 if fits else object)
+
+
+def _extremes(values: np.ndarray) -> tuple[int, int]:
+    """(least, greatest) of the values as Python ints, (0, 0) when empty."""
+    return (int(values.min()), int(values.max())) if len(values) else (0, 0)
 
 
 @dataclass(frozen=True)
@@ -168,18 +224,14 @@ class FeasibilityReport:
     violations: tuple[str, ...] = ()
 
 
-def validate_instance(inst: Instance) -> ValidationReport:
+def validate_instance(inst: Instance, columns: Optional[ItemColumns] = None) -> ValidationReport:
     """Structural checks. Duplicate ids and negative values are fatal;
     oversize items (w > W) are flagged removable, never removed here.
 
-    The checks read integers, not Fraction comparisons: duplicates show as
-    equal neighbours among the sorted ids (an array of 8 bytes per id,
-    where a set's table takes about 50), negative values as negative
-    numerators, and an oversize weight a/b against the budget c/d as
-    a*d > c*b. With c >= 0 that needs a*d > c, so the weight denominators
-    are read only when the largest weight numerator passes that. Messages are built
-    for the flagged items only, in item order; the report equals
-    oracles.reference_validate's, which compares item by item."""
+    The checks read inst's item columns (read here when not given): one sort
+    of the ids, the columns' signs, and a*d > c*b for a weight a/b against
+    the budget c/d. Messages are built for the flagged items only, in item
+    order; the report equals oracles.reference_validate's."""
     errors: list[str] = []
     warnings: list[str] = []
 
@@ -188,33 +240,24 @@ def validate_instance(inst: Instance) -> ValidationReport:
     if inst.budget < 0:
         errors.append(f"budget must be >= 0, got {inst.budget}")
 
-    items = inst.items
-    ids = [it.id for it in items]
-    wn = [it.weight.numerator for it in items]
-    ids_sorted = np.sort(np.array(ids))
-    if (
-        (ids_sorted[1:] == ids_sorted[:-1]).nonzero()[0].size
-        or min(wn, default=0) < 0
-        or min((it.profit.numerator for it in items), default=0) < 0
-    ):
-        seen: set[int] = set()
-        for it in items:
-            if it.id in seen:
-                errors.append(f"duplicate item id {it.id}")
-            seen.add(it.id)
-            if it.profit.numerator < 0:
-                errors.append(f"item {it.id}: negative profit {it.profit}")
-            if it.weight.numerator < 0:
-                errors.append(f"item {it.id}: negative weight {it.weight}")
+    cols = item_columns(inst) if columns is None else columns
+    keys, repeats = np.sort(cols.keys), set()
+    if (keys[1:] == keys[:-1]).any():  # the later items of each repeated id
+        order = np.argsort(cols.keys, kind="stable")
+        repeats = set(order[1:][cols.keys[order[1:]] == cols.keys[order[:-1]]].tolist())
+    for i in sorted(repeats.union(np.flatnonzero((cols.pn < 0) | (cols.wn < 0)).tolist())):
+        uid, p = cols.ids[i], Fraction(int(cols.pn[i]), int(cols.pd[i]))
+        w = Fraction(int(cols.wn[i]), int(cols.wd[i]))
+        errors += [f"duplicate item id {uid}"] * (i in repeats)
+        errors += [f"item {uid}: negative profit {p}"] * (p < 0)
+        errors += [f"item {uid}: negative weight {w}"] * (w < 0)
 
-    bn, bd = inst.budget.numerator, inst.budget.denominator
-    oversize = []
-    if bn < 0 or max(wn, default=0) * bd > bn:
-        oversize = [it.id for it in items if (w := it.weight).numerator * bd > bn * w.denominator]
+    over = _exceeds(cols.wn, cols.wd, inst.budget.numerator, inst.budget.denominator)
+    oversize = cols.ids[over].tolist()
     warnings += [f"item {uid}: weight exceeds budget (removable)" for uid in oversize]
-    if not items:
+    if not inst.items:
         warnings.append("trivial instance: no items")
-    fitting = len(items) - len(oversize)
+    fitting = inst.n - len(oversize)
     if inst.mode is Mode.EXACT and fitting < inst.cardinality:
         warnings.append(
             f"exact mode: only {fitting} items fit individually, "

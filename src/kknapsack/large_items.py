@@ -222,7 +222,7 @@ def convolve(acc: WeightTable, cls: LargeClass) -> WeightTable:
     best = src.copy()
     best_theta = np.zeros((z + 1, m + 1), dtype=backptr_dtype(grid))
     # acc's profit rows 1..last_finite hold every finite shifted read.
-    last_finite = max(int(np.searchsorted(row, acc.inf)) for row in src) - 1
+    last_finite = int(np.count_nonzero(src < acc.inf, axis=1).max()) - 1
     cand = np.empty((z, min(m, last_finite)), dtype=src.dtype)
     less = np.empty((z, m + 1), dtype=bool)
 

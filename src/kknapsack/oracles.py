@@ -24,7 +24,9 @@ Six oracles reuse a production helper, and so do not check that helper:
 
 reference_validate checks every item with Fraction comparisons, one at a
 time; validate_instance must return the same report from its integer
-checks.
+checks. reference_candidates compares Fractions too, with a heap for the
+K lightest; instance_model.candidate_rows must pick the same items from
+its integer columns.
 
 reference_partition classifies every item one at a time: geometric_index_up
 searches its class index on its Fraction ratio to the class floor, by
@@ -43,6 +45,7 @@ defeat its purpose.
 from __future__ import annotations
 
 import enum
+import heapq
 import itertools
 import math
 from bisect import bisect_left, bisect_right
@@ -52,7 +55,14 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .instance_model import Instance, Item, Mode, ValidationReport
+from .instance_model import (
+    InfeasibleInstanceError,
+    Instance,
+    Item,
+    Mode,
+    ValidationReport,
+    exact_sum,
+)
 from .large_items import (
     INT_INF,
     INT_WEIGHT_LIMIT,
@@ -296,6 +306,30 @@ def reference_validate(inst: Instance) -> ValidationReport:
     return ValidationReport(tuple(errors), tuple(warnings), frozenset(removable))
 
 
+def reference_candidates(inst: Instance) -> tuple[Item, ...]:
+    """The items some feasible selection contains, in input order: those
+    that fit, and in exactly-K mode fit beside the K-1 lightest others, i.e.
+    weigh at most the budget minus the K-1 lightest. Raises
+    InfeasibleInstanceError when no K items fit together."""
+    fitting = _within(inst.items, inst.budget)
+    if inst.mode is not Mode.EXACT:
+        return tuple(fitting)
+    K = inst.cardinality
+    if len(fitting) < K:
+        raise InfeasibleInstanceError(f"only {len(fitting)} items fit individually, need {K}")
+    lightest = heapq.nsmallest(K, (it.weight for it in fitting))
+    total = exact_sum(lightest)
+    if total > inst.budget:
+        raise InfeasibleInstanceError(f"the {K} lightest items weigh {total} > budget {inst.budget}")
+    return tuple(_within(fitting, inst.budget - exact_sum(lightest[:-1])))
+
+
+def _within(items, budget) -> list[Item]:
+    """The items whose weight a/b is at most budget c/d: a*d <= c*b."""
+    c, d = budget.numerator, budget.denominator
+    return [it for it in items if (w := it.weight).numerator * d <= c * w.denominator]
+
+
 # ---------------------------------------------------------------------------
 # The partition reference: one index search per item, Fraction sorts.
 # ---------------------------------------------------------------------------
@@ -333,7 +367,7 @@ def reference_partition(inst: Instance, eps: Fraction) -> Partition:
     eps = Fraction(eps)
     K = inst.cardinality
     exactly_k = inst.mode is Mode.EXACT
-    candidates = inst.candidates
+    candidates = reference_candidates(inst)
     opt_estimate = 2 * preprocessing.half_approx_opt(inst).value
     large_floor = eps * opt_estimate
     small_floor = large_floor / K

@@ -1,8 +1,8 @@
 """The candidates' integer view, optimum estimation and geometric
 partitioning of items.
 
-A solve reads its candidates' integers once, into a CandidateView that
-solve_with_details builds per call: one row per candidate in id order,
+A solve reads its items once, into instance_model.item_columns, and builds
+from those a CandidateView per call: one row per candidate in id order,
 holding its id, P = profit*lp and W = weight*lw over the lcms lp and lw of
 the denominators, int64 while n times the largest value stays below 2^62
 and Python ints otherwise. The estimate, the partition, the small pool and
@@ -29,7 +29,6 @@ K-set contains.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -38,8 +37,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .instance_model import Instance, Mode, parse_rational
-from .small_items import SmallSolver, _extremes, _rounding, _solve_units, _sum_array, _sum_at
+from .instance_model import ItemColumns, Instance, Mode, _extremes, candidate_rows
+from .instance_model import item_columns, parse_rational, scaled_column
+from .small_items import SmallSolver, _rounding, _solve_units, _sum_at
 
 ZERO = Fraction(0)
 
@@ -115,7 +115,7 @@ class SmallClass:
 class Partition:
     """Complete rounding/partitioning state for one solve.
 
-    discarded holds the ids that are not candidates (see Instance.candidates),
+    discarded holds the ids that are not candidates (see candidate_rows),
     are pruned, or lie below the profit floor eps*opt_estimate/K, except the
     fillers: in exactly-K mode (exactly_k) the K lightest of those, counted
     at profit 0, whose view rows filler_rows holds (weight ascending, ties
@@ -173,9 +173,9 @@ class Partition:
 
 @dataclass(frozen=True, eq=False)
 class CandidateView:
-    """The integers of one solve's candidates (see Instance.candidates),
-    read once and shared by the estimate, the partition, the small pool and
-    the solution's sums.
+    """The integers of one solve's candidates (see candidate_rows), built
+    once from the item columns and shared by the estimate, the partition,
+    the small pool and the solution's sums.
 
     A row is the one handle on a candidate from here to the answer: the
     partition's classes, the small pool's units and retrieval all name
@@ -183,7 +183,7 @@ class CandidateView:
     id, so an order that breaks its ties by row breaks them by id. ids
     holds the candidates' own id objects (an object array). P = profit*lp
     and W = weight*lw, with lp and lw the lcms of the candidates' profit
-    and weight denominators, are sum arrays (small_items._sum_array): int64
+    and weight denominators, are sum arrays (instance_model._sum_array): int64
     when n times the largest value stays below 2^62, so every sum a
     consumer forms fits, and Python ints otherwise.
     """
@@ -199,30 +199,14 @@ class CandidateView:
         return Fraction(int(self.P[rows].sum()), self.lp), Fraction(int(self.W[rows].sum()), self.lw)
 
 
-def candidate_view(inst: Instance) -> CandidateView:
-    """The CandidateView of inst, built afresh on every call: one pass over
-    the candidates reads their ids, numerators and denominators."""
-    candidates = inst.candidates
-    ids = [it.id for it in candidates]
-    order = np.argsort(np.array(ids), kind="stable")
-    profits = [it.profit for it in candidates]
-    weights = [it.weight for it in candidates]
-    lp = math.lcm(*{p.denominator for p in profits})
-    lw = math.lcm(*{w.denominator for w in weights})
-    return CandidateView(
-        np.array(ids, dtype=object)[order],
-        _sum_array(_numerators(profits, lp))[order],
-        _sum_array(_numerators(weights, lw))[order],
-        lp,
-        lw,
-    )
-
-
-def _numerators(values, den: int) -> list[int]:
-    """The numerators of the values over the common denominator den."""
-    if den == 1:
-        return [v.numerator for v in values]
-    return [v.numerator * (den // v.denominator) for v in values]
+def candidate_view(inst: Instance, columns: Optional[ItemColumns] = None) -> CandidateView:
+    """inst's CandidateView, built on every call from its item columns."""
+    cols = item_columns(inst) if columns is None else columns
+    rows = candidate_rows(inst, cols)
+    rows = rows[np.argsort(cols.keys[rows])]  # ids are distinct in a valid instance
+    P, lp = scaled_column(cols.pn[rows], cols.pd[rows])
+    W, lw = scaled_column(cols.wn[rows], cols.wd[rows])
+    return CandidateView(cols.ids[rows], P, W, lp, lw)
 
 
 class _Bounds(NamedTuple):
@@ -283,7 +267,7 @@ def build_partition(
     """Partition the instance's items into geometric profit classes. eps is
     read by parse_rational, so a float raises TypeError.
 
-    Items no feasible selection contains (see Instance.candidates) are
+    Items no feasible selection contains (see candidate_rows) are
     discarded first; the optimum estimate is computed over what remains,
     unless the caller passes the one it already has, and so is the
     candidates' CandidateView.
@@ -299,10 +283,10 @@ def build_partition(
     the class whose rounded profit it equals. Each boundary is one exact
     integer division, computed once per class as the walk multiplies the
     numerator and denominator of S*g^(+-i) by those of g. One searchsorted
-    over int64 profits (one bisect per profit over Python ints) places
-    every item, and one lexsort on (class, W) then orders every class; it
-    is stable and the view's rows ascend by id, so ties go by id. Every
-    class and the fillers are runs of that order, cut out as list slices.
+    over the profits' dtype (int64 profits get int64 cuts: the cuts stop at
+    the largest) places every item, and one lexsort on (class, W) orders
+    every class; it is stable and the view's rows ascend by id, so ties go
+    by id. Every class and the fillers are runs of that order, as slices.
     """
     eps = parse_rational(eps)
     if not (0 < eps < 1):
@@ -354,7 +338,7 @@ def build_partition(
     J = j0 + len(small_bounds) - 1
     smalls = J + 1 - j0
     cuts = [floor_p, *(-v for v in reversed(small_bounds[:-1])), *(v + 1 for v in large_bounds[:-1])]
-    slot = _bisect_right(cuts, P)
+    slot = np.searchsorted(np.array(cuts, dtype=P.dtype), P, side="right")
     order = np.lexsort((W, slot))
     slots = slot[order]
     bounds = [0, *(np.flatnonzero(slots[1:] != slots[:-1]) + 1).tolist(), len(order)]
@@ -401,15 +385,6 @@ def build_partition(
     return partition
 
 
-def _bisect_right(cuts: list[int], values: np.ndarray) -> np.ndarray:
-    """bisect_right(cuts, v) for every v of an int64 or object array: one
-    searchsorted over int64 (every cut fits, since the cuts stop at the
-    largest value), one bisect per value over Python ints."""
-    if values.dtype == object:
-        return np.array([bisect_right(cuts, v) for v in values.tolist()], dtype=np.intp)
-    return np.searchsorted(np.array(cuts, dtype=np.int64), values, side="right")
-
-
 def _check_partition(partition: Partition, inst: Instance) -> None:
     """Structural invariants, cheap enough to run on every build.
 
@@ -439,14 +414,17 @@ def _check_partition(partition: Partition, inst: Instance) -> None:
     values, starts = view.P[rows], np.cumsum(sizes) - sizes
     least, greatest = np.minimum.reduceat(values, starts), np.maximum.reduceat(values, starts)
     extremes = zip(least.tolist(), greatest.tolist())
+    for attr, value in (("profit_scale", large_floor), ("growth", growth)):
+        distinct = {id(v): v for v in (getattr(c, attr) for c in large + small)}
+        assert all(v == value for v in distinct.values()), attr
     for cls, (below, at) in zip(large, _powers_at([c.index for c in large], growth)):
-        assert cls.index >= 1 and cls.profit_scale == large_floor and cls.growth == growth
+        assert cls.index >= 1
         least, greatest = next(extremes)
         assert greatest * sd * at[1] <= sn * at[0], cls
         assert sn * below[0] < least * sd * below[1], cls
         assert len(cls.prefix_weights) == cls.size + 1 and cls.weight_scale == view.lw
     for cls, (below, at) in zip(small, _powers_at([c.index for c in small], growth)):
-        assert cls.index >= 0 and cls.profit_scale == large_floor and cls.growth == growth
+        assert cls.index >= 0
         assert cls.size <= K
         least, greatest = next(extremes)
         assert sn * at[1] <= least * sd * at[0], cls

@@ -33,9 +33,11 @@ import itertools
 import math
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
+
+from .instance_model import _extremes, _sum_array, scaled_column
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -99,9 +101,9 @@ class SmallSolver:
     the pool, phi_dag_S(omega, k) for a partition's small pool (rounded
     profits, original weights).
 
-    ids labels the units in ascending order: item ids, or the candidate
-    view's rows, as in the estimate's pool and a partition's. The units are
-    the positive-profit ones, or with equality every unit, zero-profit
+    ids labels the units in ascending order: an array of item ids, or of
+    the view's rows, as in the estimate's pool and a partition's. The units
+    are the positive-profit ones, or with equality every unit, zero-profit
     fillers included; then a query takes exactly k units and is None when
     no k units fit omega (the row sum x = cap over sum x <= cap). K caps
     every query's k.
@@ -132,10 +134,10 @@ class SmallSolver:
     A partition's pool is built from runs (from_partition): P is
     np.repeat(values, counts)[order] with values descending, so max P, the
     floats P/2^e and top_sums, where top_sums[c] is the greatest total P of
-    c units, come from one value per class, not from every unit.
+    c <= K units, come from one value per class, not from every unit.
     """
 
-    ids: Sequence
+    ids: np.ndarray
     P: np.ndarray = field(repr=False)
     W: np.ndarray = field(repr=False)
     lp: Fraction
@@ -162,21 +164,19 @@ class SmallSolver:
         values, counts, order = runs
         self._pf = np.repeat(_over_power(np.array(values, object), self._e), counts)[order]
         units = itertools.chain.from_iterable(map(itertools.repeat, values, counts))
-        self.top_sums = list(itertools.accumulate(units, initial=0))
+        self.top_sums = list(itertools.accumulate(itertools.islice(units, self.K), initial=0))
 
     @classmethod
     def of(cls, items, K: int, exactly_k: bool = False) -> "SmallSolver":
         """The pool of arbitrary items or (id, profit, weight) triples."""
-        units = _units(items)
-        if not exactly_k:
-            units = [u for u in units if u[1] > 0]
-        profits = [p for _, p, _ in units]
-        weights = [w for _, _, w in units]
-        lp = math.lcm(*{p.denominator for p in profits})
-        lw = math.lcm(*{w.denominator for w in weights})
-        P = _sum_array([p.numerator * (lp // p.denominator) for p in profits])
-        W = _sum_array([w.numerator * (lw // w.denominator) for w in weights])
-        return cls([u[0] for u in units], P, W, lp, lw, int(K), exactly_k)
+        units = [u for u in _units(items) if exactly_k or u[1] > 0]
+        pn, pd, wn, wd = (
+            np.array([getattr(u[k], f) for u in units], object)
+            for k in (1, 2)
+            for f in ("numerator", "denominator")
+        )
+        (P, lp), (W, lw) = scaled_column(pn, pd), scaled_column(wn, wd)
+        return cls(np.array([u[0] for u in units], dtype=object), P, W, lp, lw, int(K), exactly_k)
 
     @classmethod
     def from_partition(cls, partition) -> "SmallSolver":
@@ -207,11 +207,11 @@ class SmallSolver:
         groups = [j.rows for j in classes] + [partition.filler_rows]
         values, counts = profits + [0], [len(r) for r in groups]
         rows = np.fromiter(itertools.chain(*groups), np.intp, sum(counts))
-        P = np.repeat(_sum_array(values, count=len(rows)), counts)
-        order = np.argsort(rows, kind="stable")  # view rows ascend by id
+        P = np.repeat(_sum_array(np.array(values, object), count=len(rows)), counts)
+        order = np.argsort(rows)  # distinct view rows, which ascend by id
         rows = rows[order]
         return cls(
-            rows.tolist(), P[order], view.W[rows], lp, view.lw,
+            rows, P[order], view.W[rows], lp, view.lw,
             partition.cardinality, partition.exactly_k, runs=(values, counts, order),
         )
 
@@ -285,30 +285,9 @@ class SmallSolver:
         return self._vertices[key]
 
 
-def _sum_array(values, count: Optional[int] = None) -> np.ndarray:
-    """Non-negative Python ints as an array whose sums of up to count of
-    them (default: all) are exact: int64 when count times the largest
-    cannot reach 2^62, Python ints otherwise."""
-    bits = max(values, default=0).bit_length()
-    fits = (len(values) if count is None else count) << bits < 1 << 62
-    return np.array(values, dtype=np.int64 if fits else object)
-
-
 def _sum_at(values: np.ndarray, idx) -> int:
     """The exact sum of values at the indices idx, a list or an array."""
     return int(values[idx].sum()) if len(idx) else 0
-
-
-def _extremes(values: np.ndarray) -> tuple[int, int]:
-    """(least, greatest) of the values as Python ints, (0, 0) when there
-    are none. Object arrays hold Python ints, so Python's own min and max
-    read them."""
-    if not len(values):
-        return 0, 0
-    if values.dtype == object:
-        ints = values.tolist()
-        return min(ints), max(ints)
-    return int(values.min()), int(values.max())
 
 
 def _over_power(values: np.ndarray, bits: int) -> np.ndarray:
@@ -450,22 +429,21 @@ def _vertex(pool: SmallSolver, budget_w: Fraction, cap: int, num: int, den: int)
     """
     P = pool.P
     bn, bd = budget_w.numerator, budget_w.denominator
-    _, _, (above, _), (cut, tied) = pool.maximizer(cap, num, den)
-    integral = above.tolist()
-    p_above = _sum_at(P, above)
-    used = _sum_at(pool.W, above)
+    p_sum, w_sum, (above, fill), (cut, tied) = pool.maximizer(cap, num, den)
+    p_above = p_sum - _sum_at(P, fill)
+    used = w_sum - sum(w for w, _ in tied[: len(fill)])
     g = den * p_above - num * used
-    fractional = []
+    taken, fractional = [], []  # the units taken beyond above
     if cut is None:
         # Pad the weight up to the budget with zero-key units, which are
         # free for the inner objective, heaviest first.
         assert bd * used <= bn, "greedy selection exceeds budget at mu*"
         zeros = sorted(tied, key=lambda t: (-t[0], t[1]))
-        for w, i in zeros[: cap - len(integral)]:
+        for w, i in zeros[: cap - len(above)]:
             if bd * used == bn:
                 break
             if bd * (used + w) <= bn:
-                integral.append(i)
+                taken.append(i)
                 used += w
             else:
                 fractional.append((i, Fraction(bn - bd * used, bd * w)))
@@ -473,7 +451,7 @@ def _vertex(pool: SmallSolver, budget_w: Fraction, cap: int, num: int, den: int)
         assert fractional or bd * used == bn, "cannot make weight row tight at mu*"
     else:
         # tied is sorted and shared with the cache: only read slices of it.
-        fill = cap - len(integral)
+        fill = cap - len(above)
         g += fill * cut
         lightest, heaviest = tied[:fill], tied[fill:][::-1]
         used += sum(w for w, _ in lightest)
@@ -491,11 +469,11 @@ def _vertex(pool: SmallSolver, budget_w: Fraction, cap: int, num: int, den: int)
                 fractional = [(i_in, lam), (i_out, ONE - lam)]
                 break
         assert fractional or bd * used == bn, "cannot reach weight target from ties"
-        integral += [i for _, i in heaviest[:swaps]]
-        integral += [i for _, i in lightest[swaps + bool(fractional):]]
-    primal = p_above + _sum_at(P, integral[len(above):])
+        taken += [i for _, i in heaviest[:swaps]]
+        taken += [i for _, i in lightest[swaps + bool(fractional):]]
+    primal = p_above + _sum_at(P, taken)
     primal += sum((int(P[i]) * x for i, x in fractional), ZERO)
-    return integral, fractional, primal, g
+    return np.concatenate((above, np.array(taken, dtype=np.intp))), fractional, primal, g
 
 
 def solve_box_lp(
@@ -526,12 +504,12 @@ def _solve_units(pool: SmallSolver, budget: Fraction, cap: int):
         return None
     cap = max(0, min(cap, n))
     if cap == 0 or budget < 0:
-        return 0, [], [], None, None
+        return 0, np.arange(0), [], None, None
 
     budget_w = budget * pool.lw
     top_p, top_w, (above, fill), _ = pool.maximizer(cap, 0, 1)
     if top_w <= budget_w:
-        return top_p, above.tolist() + fill, [], 0, 1
+        return top_p, np.concatenate((above, np.array(fill, dtype=np.intp))), [], 0, 1
 
     # The right end's pass weighs 0 under the inequality row; under the
     # equality row it is the cap lightest units (see _critical_multiplier).
@@ -544,7 +522,7 @@ def _solve_units(pool: SmallSolver, budget: Fraction, cap: int):
     return primal, integral, fractional, num, den
 
 
-def _rounding(W: np.ndarray, integral: list, fractional: list) -> list:
+def _rounding(W: np.ndarray, integral: np.ndarray, fractional: list) -> np.ndarray:
     """The exactly-K rounding of a vertex under sum x = cap, in pool indices:
     the integral part plus the lighter fractional unit, never a tie (_vertex
     makes a swap fractional only when w_in > w_out). The parts sum to one, so
@@ -552,7 +530,7 @@ def _rounding(W: np.ndarray, integral: list, fractional: list) -> list:
     if not fractional:
         return integral
     assert len(fractional) == 2 and sum(x for _, x in fractional) == 1, fractional
-    return integral + [min((i for i, _ in fractional), key=lambda i: int(W[i]))]
+    return np.append(integral, min((i for i, _ in fractional), key=lambda i: int(W[i])))
 
 
 def _evaluation(pool: SmallSolver, raw) -> Optional[SmallEval]:
@@ -561,14 +539,13 @@ def _evaluation(pool: SmallSolver, raw) -> Optional[SmallEval]:
         return None
     primal, integral, fractional, num, den = raw
     ids = pool.ids
-    integral = sorted(integral)
-    integral_ids = tuple(map(ids.__getitem__, integral))
+    integral = np.sort(integral)
+    integral_ids = tuple(ids[integral].tolist())
     x = dict.fromkeys(integral_ids, ONE)
-    x.update((ids[i], v) for i, v in fractional)
-    if pool.equality:
-        integral = _rounding(pool.W, integral, fractional)
+    x.update(zip(ids[[i for i, _ in fractional]].tolist(), (v for _, v in fractional)))
+    rounded = _rounding(pool.W, integral, fractional) if pool.equality else integral
+    rounded_ids = integral_ids + tuple(ids[rounded[len(integral):]].tolist())
     mu = None if num is None else Fraction(num * pool.lw, den * pool.lp)
-    rounded_ids = tuple(map(ids.__getitem__, integral))
     return SmallEval(Fraction(primal, pool.lp), x, integral_ids, mu, rounded_ids)
 
 

@@ -27,7 +27,7 @@ from kknapsack.instance_model import (
     evaluate_solution,
     make_solution,
 )
-from kknapsack.oracles import brute_force, exact_dp, full_split_sweep
+from kknapsack.oracles import brute_force, exact_dp, full_split_sweep, reference_candidates
 from kknapsack.preprocessing import candidate_view, half_approx_opt
 from kknapsack.small_items import solver_for_partition
 from test_acceptance import c02_instances
@@ -220,7 +220,7 @@ def reference_completion(inst, rounding_ids) -> list:
     room = inst.budget - sum((by_id[i].weight for i in ids), ZERO)
     taken = set(ids)
     rest = sorted(
-        (it for it in inst.candidates if it.profit > 0 and it.id not in taken),
+        (it for it in reference_candidates(inst) if it.profit > 0 and it.id not in taken),
         key=lambda it: (-it.profit, it.weight, it.id),
     )
     for it in rest:
@@ -832,3 +832,31 @@ class TestPerItemWork:
             selections.append(sol.selected)
         assert selections[0] == selections[1]
         assert counts[0] == counts[1] < 200, counts
+
+    @pytest.mark.parametrize("mode", [Mode.AT_MOST, Mode.EXACT])
+    def test_each_item_value_is_read_once(self, mode):
+        # A solve reads its items in one pass (instance_model.item_columns)
+        # and shares it between validation, the candidates and their view:
+        # each profit's and weight's numerator and denominator are read at
+        # most once. Any later Fraction comparison or arithmetic on an item
+        # value would read them again.
+        reads = Counter()
+
+        class Counted(Fraction):
+            @property
+            def numerator(self):
+                reads[id(self), "numerator"] += 1
+                return self._numerator
+
+            @property
+            def denominator(self):
+                reads[id(self), "denominator"] += 1
+                return self._denominator
+
+        base = generate_instance("uniform", 200, 16, seed=5, integral=False)
+        items = tuple(Item(it.id, Counted(it.profit), Counted(it.weight)) for it in base.items)
+        inst = Instance(items, base.budget, base.cardinality, mode)
+        sol, _ = solve_with_details(inst, F(1, 4))
+        assert sol.selected and max(reads.values()) == 1
+        assert len(reads) == 4 * len(items)  # every value read, each field once
+

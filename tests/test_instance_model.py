@@ -12,14 +12,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import F, ZERO, inst_of, items_of
-from kknapsack.generator import generate_instance
+from kknapsack.generator import DISTRIBUTIONS, generate_instance
 from kknapsack.instance_model import (
+    InfeasibleInstanceError,
     Instance,
     Item,
     Mode,
+    candidate_rows,
     dumps_instance,
     evaluate_solution,
     instance_from_dict,
+    item_columns,
     load_instance,
     load_instance_csv,
     loads_instance,
@@ -28,7 +31,8 @@ from kknapsack.instance_model import (
     save_instance_csv,
     validate_instance,
 )
-from kknapsack.oracles import reference_validate
+from kknapsack.oracles import reference_candidates, reference_validate
+from test_acceptance import c02_instances
 
 
 class TestInstanceBasics:
@@ -183,6 +187,96 @@ class TestValidateMatchesReference:
                 tight = Instance(inst.items, inst.budget / 8, 5, Mode.EXACT)
                 for case in (inst, tight):
                     assert validate_instance(case) == reference_validate(case)
+
+    def test_values_past_int64(self):
+        # Ids and values past int64 put the columns on Python ints; ids
+        # mixing signs beyond 2^63 must not be ranked as floats. Ids 2^70 and
+        # 2^70 + 1 differ in float64 by nothing.
+        big = 2**70
+        items = (
+            Item(big, F(big + 1, 3), F(big, 7)),
+            Item(big + 1, F(5), F(-(big + 3), 11)),
+            Item(-(2**65), F(-big), F(2)),
+            Item(big, F(1), F(1, big)),
+            Item(2**63 + 5, F(2**64, 2**66 + 1), F(big * 3)),
+            Item(-(2**65), F(3), F(big)),
+        )
+        for budget in (F(big), F(big * 3 - 1, 1), F(-1, big)):
+            for mode in Mode:
+                inst = Instance(items, budget, 3, mode)
+                report = validate_instance(inst)
+                assert report == reference_validate(inst)
+                assert report.errors.count(f"duplicate item id {big}") == 1
+                assert any("negative weight" in e for e in report.errors)
+
+
+class TestCandidateRows:
+    """candidate_rows on the item columns against
+    oracles.reference_candidates, which compares Fractions item by item and
+    heaps the K lightest: the same items in input order, or the same
+    InfeasibleInstanceError message."""
+
+    @staticmethod
+    def verdict(inst) -> str:
+        try:
+            expected = reference_candidates(inst)
+        except InfeasibleInstanceError as exc:
+            with pytest.raises(InfeasibleInstanceError) as got:
+                candidate_rows(inst, item_columns(inst))
+            assert str(got.value) == str(exc)
+            return str(exc).split()[0]  # "only" or "the"
+        rows = candidate_rows(inst, item_columns(inst))
+        assert [inst.items[r] for r in rows.tolist()] == list(expected)
+        return "pruned" if len(expected) < inst.n else "all"
+
+    @staticmethod
+    def variants(inst):
+        """inst in both modes, at its own budget and at budgets that make
+        exactly K prune (or fail): between the K lightest weights' total and
+        twice it, and just below it."""
+        lightest = sum(sorted(it.weight for it in inst.items)[: inst.cardinality])
+        for budget in (inst.budget, lightest * F(5, 4), lightest - F(1, 2)):
+            for mode in Mode:
+                yield Instance(inst.items, budget, inst.cardinality, mode)
+
+    def test_c02_corpus(self):
+        seen = {}
+        for inst in c02_instances():
+            for case in self.variants(inst):
+                key = (case.mode, self.verdict(case))
+                seen[key] = seen.get(key, 0) + 1
+        assert {key[1] for key in seen if key[0] is Mode.EXACT} >= {"all", "pruned", "the"}, seen
+        assert {key[1] for key in seen if key[0] is Mode.AT_MOST} == {"all", "pruned"}, seen
+
+    def test_fractional_and_past_int64_values(self):
+        verdicts = set()
+        for seed, dist in enumerate(DISTRIBUTIONS):
+            base = generate_instance(dist, 60, 7, seed=seed, integral=False)
+            big = Instance(
+                tuple(Item(it.id, it.profit * 2**70 + 1, it.weight * 2**70 + 3) for it in base.items),
+                base.budget * 2**70,
+                base.cardinality,
+            )
+            assert item_columns(big).wn.dtype == object
+            for inst in (base, big):
+                verdicts.update(self.verdict(case) for case in self.variants(inst))
+        assert verdicts >= {"pruned", "the"}, verdicts
+
+    def test_exactly_zero_keeps_every_fitting_item(self):
+        # No K-1 lightest to leave room for; validation rejects K < 1, but
+        # the candidates of such an instance still follow the reference.
+        inst = inst_of([(1, 1, 3), (2, 2, 9), (3, 1, 4)], 5, 0, mode=Mode.EXACT)
+        assert self.verdict(inst) == "pruned"
+
+    def test_both_infeasible_verdicts(self):
+        few = inst_of([(1, 1, 8), (2, 1, 11), (3, 1, 9)], 10, 3, mode=Mode.EXACT)
+        heavy = inst_of([(1, 1, F(7, 2)), (2, 1, 4), (3, 1, 5)], 7, 2, mode=Mode.EXACT)
+        assert self.verdict(few) == "only"
+        assert self.verdict(heavy) == "the"
+        with pytest.raises(InfeasibleInstanceError, match="only 2 items fit individually, need 3"):
+            candidate_rows(few, item_columns(few))
+        with pytest.raises(InfeasibleInstanceError, match="the 2 lightest items weigh 15/2 > budget 7"):
+            candidate_rows(heavy, item_columns(heavy))
 
 
 class TestSolutions:

@@ -4,7 +4,9 @@ independent references in oracles.py stay out of the production modules
 reference). Only the CLI's verify subcommand reads an oracle, and every
 reference in oracles.py has a reader. No production module keeps a
 process-wide memo, so no state outlives a solve, and none calls np.unique,
-whose first call leaves numpy.ma resident."""
+whose first call leaves numpy.ma resident. The instance layer reads each
+item once per solve (item_columns), so the partition and the combiner read
+no item's profit or weight, and no production module heaps Fractions."""
 
 import ast
 from pathlib import Path
@@ -86,6 +88,44 @@ def test_only_the_instance_layer_imports_item():
     sources = sorted(PACKAGE.glob("*.py"))
     readers = {path.name for path in sources if _imports_item(ast.parse(path.read_text()))}
     assert readers <= ITEM_READERS, readers - ITEM_READERS
+
+
+ITEM_FIELDS = {"profit", "weight"}
+
+
+def _item_field_reads(tree: ast.AST) -> set[str]:
+    """The Item value fields a module reads as attributes, on any object."""
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ITEM_FIELDS
+    }
+
+
+def test_solver_layers_read_no_item_values():
+    # Past the instance layer a candidate is a row of the solve's view, whose
+    # integers come from the one read of the items (item_columns).
+    for name in ("preprocessing.py", "combiner.py"):
+        assert not _item_field_reads(ast.parse((PACKAGE / name).read_text())), name
+    assert _item_field_reads(ast.parse("[it.profit for it in items]")) == {"profit"}
+
+
+def _imports_heapq(tree: ast.AST) -> bool:
+    return any(
+        (isinstance(node, ast.Import) and any(alias.name == "heapq" for alias in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "heapq")
+        for node in ast.walk(tree)
+    )
+
+
+def test_no_production_module_imports_heapq():
+    # The K lightest come from np.partition on integer weights; a heap of
+    # Fractions (oracles.reference_candidates) is the reference only.
+    sources = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "oracles.py"]
+    assert len(sources) > 5, sources
+    importers = {path.name for path in sources if _imports_heapq(ast.parse(path.read_text()))}
+    assert not importers, importers
+    assert _imports_heapq(ast.parse("from heapq import nsmallest"))
 
 
 MEMO_DECORATORS = {"lru_cache", "cache"}

@@ -18,7 +18,7 @@ from conftest import F, ZERO, best_subset, inst_of, member_ids
 from kknapsack import preprocessing, solve_with_details
 from kknapsack.generator import DISTRIBUTIONS, generate_instance
 from kknapsack.instance_model import Instance, Item, Mode
-from kknapsack.oracles import geometric_index_up, reference_partition
+from kknapsack.oracles import geometric_index_up, reference_candidates, reference_partition
 from kknapsack.preprocessing import (
     OptimumEstimate,
     TrivialInstanceError,
@@ -528,7 +528,7 @@ class TestViewIntegerBoundary:
         # Each scaled profit fits int64; sums of a few of them do not.
         for seed, family in enumerate(DISTRIBUTIONS):
             base = _boundary_base(family, seed, mode)
-            factor = (2**62 - 1) // max(it.profit for it in base.candidates)
+            factor = (2**62 - 1) // max(it.profit for it in reference_candidates(base))
             big = _times(base, profit=factor)
             P = candidate_view(big).P
             assert P.dtype == object and 2**61 < max(P) < 2**63

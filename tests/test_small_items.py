@@ -725,13 +725,13 @@ class TestSmallSolver:
         for inst, eps in rounded_pool_cases():
             part = build_partition(inst, eps)
             solver = SmallSolver.from_partition(part)
-            # Units are labelled by view rows, as Python ints.
+            # Units are labelled by view rows.
             expected = {
                 row: klass.rounded_profit for klass in part.small_classes for row in klass.rows
             }
             expected.update((row, ZERO) for row in part.filler_rows)
-            assert solver.ids == sorted(expected)
-            assert all(type(row) is int for row in solver.ids)
+            assert solver.ids.tolist() == sorted(expected)
+            assert solver.ids.dtype == np.intp
             P = solver.P.tolist()
             value = {p: Fraction(p) / solver.lp for p in set(P)}
             assert all(value[p] == expected[uid] for uid, p in zip(solver.ids, P))
@@ -743,8 +743,8 @@ class TestSmallSolver:
         assert all((kind, True) in kinds for kind in ("single class", "fillers", "deep"))
 
     def test_class_runs_give_the_per_unit_values(self):
-        # from_partition reads max P, the floats P/2^e and top_sums from one
-        # value per class; they must equal what the units themselves give,
+        # from_partition reads max P, the floats P/2^e and top_sums (up to K
+        # units) from one value per class; they must equal what the units give,
         # on C02's pools and on large-fold's object pools of 42-43 classes.
         classes = []
         for inst, eps in itertools.chain(rounded_pool_cases(), large_fold_cases()):
@@ -755,7 +755,8 @@ class TestSmallSolver:
             expected = small_items._over_power(solver.P, solver._max_p.bit_length())
             assert solver._pf.dtype == np.float64
             assert solver._pf.tobytes() == expected.tobytes()  # bit for bit
-            assert solver.top_sums == list(itertools.accumulate(sorted(P, reverse=True), initial=0))
+            top = sorted(P, reverse=True)[: solver.K]
+            assert solver.top_sums == list(itertools.accumulate(top, initial=0))
             classes.append((len(part.small_classes), solver.P.dtype))
         assert classes[-2:] == [(43, object), (42, object)]
 
