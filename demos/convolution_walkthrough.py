@@ -19,7 +19,8 @@ import itertools
 from fractions import Fraction
 
 from kknapsack import Instance, Item, Mode, build_partition
-from kknapsack.large_items import build_phi_L, profit_at, retrieve_items
+from kknapsack.large_items import build_phi_L, retrieve_items
+from kknapsack.oracles import profit_at
 
 
 def main() -> int:

@@ -52,7 +52,7 @@ from .instance_model import (  # noqa: F401
 from .large_items import build_phi_L, retrieve_items
 from .preprocessing import CandidateView, OptimumEstimate, build_partition, candidate_view
 from .preprocessing import half_approx_opt
-from .small_items import _sum_at, solver_for_partition
+from .small_items import solver_for_partition
 
 
 class InvalidInstanceError(ValueError):
@@ -158,25 +158,35 @@ def completed_rounding(inst: Instance, view: CandidateView, rounding: np.ndarray
     lighter fractional unit, K units that fit. In at-most mode the integral
     part, which fits, completed greedily: the other positive-profit
     candidates in order of decreasing P (ties: lighter W, then lower row)
-    each join while fewer than K are taken and their weight fits. One sort
-    and one pass that ends at K."""
+    each join while fewer than K are taken and their weight fits. Only the
+    candidates that fit the initial room are sorted; the longest fitting
+    prefix joins at once (a cumulative sum), then each step jumps to the
+    next candidate that fits, until the least weight left (a suffix
+    minimum) exceeds the room."""
     if inst.mode is Mode.EXACT:
         return rounding
     P, W = view.P, view.W
-    free = P > 0
+    room = math.floor(inst.budget * view.lw) - int(W[rounding].sum())
+    if W.dtype != object:
+        room = min(room, 1 << 62)  # every sum of an int64 W is below 2^62
+    free = (P > 0) & (W <= room)
     free[rounding] = False
     rest = np.flatnonzero(free)
     rest = rest[np.lexsort((rest, W[rest], -P[rest]))]
-    room = math.floor(inst.budget * view.lw) - _sum_at(W, rounding)
+    w = W[rest]
     slots = inst.cardinality - len(rounding)
-    picked = []
-    for row, w in zip(rest.tolist(), W[rest].tolist()):
-        if len(picked) == slots:
-            break
-        if w <= room:
-            picked.append(row)
-            room -= w
-    return np.concatenate((rounding, np.array(picked, dtype=rounding.dtype)))
+    at = min(int(np.searchsorted(np.cumsum(w), room, "right")), slots)
+    picked = [rounding, rest[:at]]
+    room -= int(w[:at].sum())
+    slots -= at
+    least = np.minimum.accumulate(w[::-1])[::-1]  # least weight from each position on
+    while slots and at < len(w) and least[at] <= room:
+        at += int(np.argmax(w[at:] <= room))
+        picked.append(rest[at : at + 1])
+        room -= int(w[at])
+        slots -= 1
+        at += 1
+    return np.concatenate(picked)
 
 
 def _view_solution(inst: Instance, view: CandidateView, rows: np.ndarray, eps_user) -> Solution:
@@ -204,7 +214,9 @@ def solve_at_accuracy(
     and retrieval, on the candidates' view (built here when not given).
     At eps_int = eps_user/8 this is the paper's scheme and
     the answer is at least (1 - eps_user) * OPT; solve_with_details calls it
-    at both of its levels.
+    at both of its levels. Retrieval takes the winning split's view rows
+    from the table's backpointers and from SmallSolver.eval_detail (the
+    vertex phi_dag solved, rounded); the answer reads their ids once.
 
     The sweep enumerates the splits (k, x) whose table cell fits the
     budget, keeping the largest anchor per table weight within each k, and
@@ -314,8 +326,8 @@ def solve_at_accuracy(
     )
 
     large_rows = retrieve_items(table, x, k)
-    small_rows = small.eval_detail(omega, K - k).rounded_ids
-    rows = np.array(large_rows + small_rows, dtype=np.intp)
+    small_rows = small.eval_detail(omega, K - k)
+    rows = np.concatenate((np.array(large_rows, dtype=np.intp), small_rows))
     sol = _view_solution(inst, view, rows, eps_user)
 
     details = {
@@ -331,7 +343,7 @@ def solve_at_accuracy(
         "partition": partition,
         "table": table,
         "large_rows": tuple(sorted(large_rows)),
-        "small_rows": tuple(sorted(small_rows)),
+        "small_rows": tuple(np.sort(small_rows).tolist()),
         "small_pool": len(small.ids),
         "small_passes": small.passes,
         "small_exact_keys": small.exact_keys,

@@ -267,22 +267,6 @@ def build_phi_L(partition: Partition) -> WeightTable:
     return acc
 
 
-def profit_at(table: WeightTable, budget: Fraction, k: int) -> int:
-    """Largest grid index q with phi(q, k) <= budget (>= 0; row 0 is free).
-
-    The column is non-decreasing in q, so this is a binary search. A scaled
-    integer cell fits under the rational budget iff it is at most
-    floor(budget * weight_scale).
-    """
-    grid = table.grid
-    if not 0 <= k <= grid.z:
-        raise ValueError(f"cardinality slot {k} outside 0..{grid.z}")
-    if budget < 0:
-        raise ValueError("budget must be non-negative")
-    cap = min(math.floor(budget * table.weight_scale), table.inf - 1)
-    return int(np.searchsorted(table.values[:, k], cap, side="right")) - 1
-
-
 def retrieve_items(table: WeightTable, q: int, k: int) -> tuple[int, ...]:
     """The candidate view rows realising cell (q, k), by walking the stage
     chain.

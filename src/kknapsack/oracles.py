@@ -13,14 +13,19 @@ slice search (enumerate_slices, slice_index) re-derive slice costs from
 raw table reads; full_split_sweep asks the small solver it is given for
 every fitting split, the sweep the combiner prunes by its bounds.
 
-Six oracles reuse a production helper, and so do not check that helper:
+Four oracles reuse a production helper, and so do not check that helper:
 - reference_partition reads the estimate through
   preprocessing.half_approx_opt;
 - exhaustive_table starts from large_items.trivial_table;
 - base_table uses large_items.snap_class_profit and trivial_table;
-- round_small_weights and WeightBuckets normalize items with
-  small_items._units;
-- upsilon4 solves its LP with small_items.solve_box_lp.
+- upsilon4 solves its LP with solve_box_lp.
+
+solve_box_lp and upsilon1 are not references but an adapter: they run
+production's box-LP engine (small_items._solve_units) on a pool built from
+an item list (solver_of), and report its vertex as a SmallEval. The tests
+check that engine through them, against lp_vertex, critical_multiplier_enum
+and the Lagrangian dual. profit_at reads the largest fitting grid index of
+one table column, for the table tests and the convolution walkthrough.
 
 reference_validate checks every item with Fraction comparisons, one at a
 time; validate_instance must return the same report from its integer
@@ -49,7 +54,7 @@ import heapq
 import itertools
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -63,6 +68,7 @@ from .instance_model import (
     ValidationReport,
     exact_sum,
 )
+from .instance_model import scaled_column
 from .large_items import (
     INT_INF,
     INT_WEIGHT_LIMIT,
@@ -74,9 +80,10 @@ from .large_items import (
 )
 from . import preprocessing
 from .preprocessing import LargeClass, Partition, SmallClass
-from .small_items import SmallEval, _units, solve_box_lp
+from .small_items import SmallSolver, _rounding, _solve_units
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 BRUTE_FORCE_LIMIT = 22
 LP_VERTEX_LIMIT = 12
@@ -574,6 +581,120 @@ def full_split_sweep(table: WeightTable, small, budget: Fraction, K: int):
     if best is None:
         raise AssertionError("no split of the sweep is feasible")
     return best[0], best[1], ties, asked
+
+
+def profit_at(table: WeightTable, budget: Fraction, k: int) -> int:
+    """Largest grid index q with phi(q, k) <= budget (>= 0; row 0 is free).
+
+    The column is non-decreasing in q, so this is a binary search. A scaled
+    integer cell fits under the rational budget iff it is at most
+    floor(budget * weight_scale).
+    """
+    grid = table.grid
+    if not 0 <= k <= grid.z:
+        raise ValueError(f"cardinality slot {k} outside 0..{grid.z}")
+    if budget < 0:
+        raise ValueError("budget must be non-negative")
+    cap = min(math.floor(budget * table.weight_scale), table.inf - 1)
+    return int(np.searchsorted(table.values[:, k], cap, side="right")) - 1
+
+
+# ---------------------------------------------------------------------------
+# The box LP on an item list: production's engine on a pool of its own.
+# ---------------------------------------------------------------------------
+
+
+def _fraction(v) -> Fraction:
+    return v if type(v) is Fraction else Fraction(v)
+
+
+def _units(items) -> list[tuple[int, Fraction, Fraction]]:
+    """Normalize items to (id, profit, weight) triples, id-ascending. Values
+    that already are Fractions are kept, not copied."""
+    out = []
+    for it in items:
+        if isinstance(it, tuple):
+            uid, p, w = it
+        else:
+            uid, p, w = it.id, it.profit, it.weight
+        out.append((int(uid), _fraction(p), _fraction(w)))
+    out.sort(key=lambda t: t[0])
+    return out
+
+
+@dataclass(frozen=True)
+class SmallEval:
+    """Result of one relaxation evaluation.
+
+    fractional_solution maps a unit's label (SmallSolver.ids: an item id,
+    or a view row) -> value in [0,1] (only nonzero entries); integral_ids
+    are the labels at exactly 1; mu is the critical dual multiplier.
+    rounded_ids, the selection SmallSolver.eval_detail returns, are the
+    integral labels plus, under the row sum x = cap, the lighter fractional
+    unit (small_items._rounding); never compared, and None from upsilon4's
+    empty case.
+    """
+
+    value: Fraction
+    fractional_solution: dict
+    integral_ids: tuple[int, ...]
+    mu: Optional[Fraction] = None
+    rounded_ids: Optional[tuple[int, ...]] = field(default=None, compare=False)
+
+
+def solver_of(items, K: int, exactly_k: bool = False) -> SmallSolver:
+    """The SmallSolver pool of arbitrary items or (id, profit, weight)
+    triples, labelled by item id: every unit with equality, else the
+    positive-profit ones."""
+    units = [u for u in _units(items) if exactly_k or u[1] > 0]
+    pn, pd, wn, wd = (
+        np.array([getattr(u[k], f) for u in units], object)
+        for k in (1, 2)
+        for f in ("numerator", "denominator")
+    )
+    (P, lp), (W, lw) = scaled_column(pn, pd), scaled_column(wn, wd)
+    return SmallSolver(np.array([u[0] for u in units], dtype=object), P, W, lp, lw, int(K), exactly_k)
+
+
+def _evaluation(pool: SmallSolver, raw) -> Optional[SmallEval]:
+    """The SmallEval of a raw vertex of small_items._solve_units over the
+    pool: its labels, x values and mu = nu*lw/lp; None for None."""
+    if raw is None:
+        return None
+    primal, integral, fractional, num, den = raw
+    ids = pool.ids
+    integral = np.sort(integral)
+    integral_ids = tuple(ids[integral].tolist())
+    x = dict.fromkeys(integral_ids, ONE)
+    x.update(zip(ids[[i for i, _ in fractional]].tolist(), (v for _, v in fractional)))
+    rounded = _rounding(pool.W, integral, fractional) if pool.equality else integral
+    rounded_ids = integral_ids + tuple(ids[rounded[len(integral):]].tolist())
+    mu = None if num is None else Fraction(num * pool.lw, den * pool.lp)
+    return SmallEval(Fraction(primal, pool.lp), x, integral_ids, mu, rounded_ids)
+
+
+def query_evaluation(pool: SmallSolver, omega: Fraction, k: int) -> Optional[SmallEval]:
+    """The SmallEval of a pool's query (omega, k), read from the vertex the
+    pool memoizes for phi_dag and eval_detail."""
+    return _evaluation(pool, pool._query(omega, k))
+
+
+def solve_box_lp(
+    items, budget: Fraction, cap: int, *, equality: bool = False
+) -> Optional[SmallEval]:
+    """Exact optimum of max p.x st w.x <= budget, sum x <= cap, x in [0,1];
+    with equality, sum x = cap over every unit, zero profits included, and
+    None when no cap units fit the budget. Production's engine
+    (small_items._solve_units) on a pool of the items of its own."""
+    pool = solver_of(items, cap, equality)
+    return _evaluation(pool, _solve_units(pool, Fraction(budget), int(cap)))
+
+
+def upsilon1(items, omega: Fraction, k: int) -> SmallEval:
+    """Exact LP relaxation of the small-item knapsack: weight budget omega,
+    cardinality cap k, box-relaxed variables. Vertex optimum, <= 2 fractional
+    components."""
+    return solve_box_lp(items, Fraction(omega), k)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ import numpy as np
 
 from .instance_model import ItemColumns, Instance, Mode, _extremes, candidate_rows
 from .instance_model import item_columns, parse_rational, scaled_column
-from .small_items import SmallSolver, _rounding, _solve_units, _sum_at
+from .small_items import SmallSolver, _rounding, _solve_units
 
 ZERO = Fraction(0)
 
@@ -254,7 +254,7 @@ def half_approx_opt(inst: Instance, view: Optional[CandidateView] = None) -> Opt
     primal, integral, fractional, _, _ = _solve_units(pool, inst.budget, inst.cardinality)
     if exactly_k:
         integral = _rounding(W, integral, fractional)
-    value = max(_sum_at(P, integral), _extremes(view.P)[1])  # max(rounding, best_single)
+    value = max(int(P[integral].sum()), _extremes(view.P)[1])  # max(rounding, best_single)
     return OptimumEstimate(Fraction(value, view.lp), Fraction(primal, view.lp), rows[integral])
 
 

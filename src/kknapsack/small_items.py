@@ -9,19 +9,20 @@ fractional components (sum x = k in exactly-K mode, where two fractional
 components sum to one). Its critical Lagrange multiplier is found by line
 intersection on the convex dual, and its vertex built, on integer keys: the
 data is scaled to integers once, and only the at most two fractional
-components are Fractions. Each greedy pass ranks the units by float64 keys
-with a proven error bound in one numpy pass, and computes the exact integer
-key only for the units that bound cannot place: those near zero at the sign
-test and those near the cap-th key at the cap cut. A SmallSolver holds one
-pool's integers and passes: the estimate's LP pool, or a partition's small
-pool, whose integer profits come from the class indices.
+components are Fractions.
+
+A greedy pass ranks the units by float64 keys with a proven error bound
+(one np.partition, one mask, one product summing it) and keys exactly only
+the band of units the bound cannot place. A SmallSolver holds one pool's
+integers and passes: the estimate's, or a partition's small pool.
 
 upsilon1 answers every query at every K. When K > 1/eps the paper switches
 to a ladder of relaxations over a light/heavy split of the pool; production
 does not. The vertex has at most two fractional components and each small
 item's profit is at most eps*opt_estimate, so dropping them loses at most
 2*eps*opt_estimate -- tighter than the 4*eps*opt_estimate the ladder is
-allowed. The ladder is kept in oracles.py as a desk-scale reference.
+allowed. The ladder, and an entry point that solves the LP on an item
+list, are kept in oracles.py as desk-scale references.
 
 All arithmetic is exact. Ties everywhere are broken deterministically by
 item id.
@@ -37,53 +38,14 @@ from typing import Optional
 
 import numpy as np
 
-from .instance_model import _extremes, _sum_array, scaled_column
+from .instance_model import _extremes, _sum_array
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def _fraction(v) -> Fraction:
-    return v if type(v) is Fraction else Fraction(v)
-
-
-def _units(items) -> list[tuple[int, Fraction, Fraction]]:
-    """Normalize items to (id, profit, weight) triples, id-ascending. Values
-    that already are Fractions are kept, not copied."""
-    out = []
-    for it in items:
-        if isinstance(it, tuple):
-            uid, p, w = it
-        else:
-            uid, p, w = it.id, it.profit, it.weight
-        out.append((int(uid), _fraction(p), _fraction(w)))
-    out.sort(key=lambda t: t[0])
-    return out
-
-
-@dataclass(frozen=True)
-class SmallEval:
-    """Result of one relaxation evaluation.
-
-    fractional_solution maps a unit's label (SmallSolver.ids: an item id,
-    or a view row) -> value in [0,1] (only nonzero entries); integral_ids
-    are the labels at exactly 1; mu is the critical dual multiplier.
-    rounded_ids, the selection retrieval takes, are the integral labels
-    plus, under the row sum x = cap, the lighter fractional unit
-    (_rounding); never compared, and None from the oracles.
-    """
-
-    value: Fraction
-    fractional_solution: dict
-    integral_ids: tuple[int, ...]
-    mu: Optional[Fraction] = None
-    rounded_ids: Optional[tuple[int, ...]] = field(default=None, compare=False)
 
 
 # ---------------------------------------------------------------------------
 # Exact box-LP engine: max p.x st w.x <= budget, 1.x <= cap (or = cap under
 # the equality row), 0 <= x <= 1.
-# upsilon1 is exactly this program; oracles.upsilon4 reuses it.
 # ---------------------------------------------------------------------------
 
 
@@ -101,12 +63,11 @@ class SmallSolver:
     the pool, phi_dag_S(omega, k) for a partition's small pool (rounded
     profits, original weights).
 
-    ids labels the units in ascending order: an array of item ids, or of
-    the view's rows, as in the estimate's pool and a partition's. The units
-    are the positive-profit ones, or with equality every unit, zero-profit
-    fillers included; then a query takes exactly k units and is None when
-    no k units fit omega (the row sum x = cap over sum x <= cap). K caps
-    every query's k.
+    ids labels the units in ascending order: view rows in the estimate's
+    pool and a partition's, item ids in oracles.solver_of's. The units are the positive-profit
+    ones, or with equality every unit, zero-profit fillers included; then a
+    query takes exactly k units and is None when no k units fit omega (the
+    row sum x = cap over sum x <= cap). K caps every query's k.
 
     Unit i has P_i = p_i*lp and W_i = w_i*lw, with lw a common denominator
     of the weights and lp a positive rational that makes every profit
@@ -116,25 +77,26 @@ class SmallSolver:
     nu = mu*lp/lw, so at nu = num/den every unit's greedy key den*P - num*W
     is an integer. P and W are sum arrays (see _sum_array): int64 when no
     sum of them can reach 2^62, Python ints otherwise, so selections sum
-    exactly; single values are read as Python ints before they meet a
-    multiplier. The pool also keeps P/2^e and W/2^f in float64, with e and
-    f the bit lengths of max P and max W, from which float_keys ranks every
-    unit at once.
+    exactly. The pool also keeps the rows (P, W) stacked, so that one take
+    reads both at any units, and P/2^e and W/2^f in float64 (e, f the bit
+    lengths of max P and max W) for float_keys.
 
     The pool memoizes greedy passes and query vertices for its life: one
     estimate or one pipeline run, so the memo is bounded by that run's
     queries. A pass depends only on cap and on the value of nu, so it is
-    keyed by cap and the reduced num/den. Queries at many budgets, as in
-    the combiner's split sweep, share the passes that their multiplier
-    searches have in common, at every cap, and the vertex at nu* reuses the
-    search's last pass. A vertex is keyed by (omega, k), so eval_detail on
-    a split phi_dag answered solves nothing. passes and exact_keys count
-    the greedy passes run and the units keyed exactly in them.
+    keyed by cap and the reduced num/den; the split sweep's searches share
+    passes, and the vertex at nu* reuses the search's last one. A vertex is
+    keyed by (omega, k), so eval_detail on a split phi_dag answered solves
+    nothing. passes and exact_keys count the passes and their exact keys.
 
     A partition's pool is built from runs (from_partition): P is
     np.repeat(values, counts)[order] with values descending, so max P, the
     floats P/2^e and top_sums, where top_sums[c] is the greatest total P of
-    c <= K units, come from one value per class, not from every unit.
+    c <= K units, come from one value per class, not from every unit. A run
+    lists its units by ascending W, then index, so top_rows[:c], the labels
+    of the first c units in run order, are the pass at nu = 0's selection,
+    of weight top_weights[c - 1]; such a pool runs no pass at nu = 0
+    (top_rows is None for other pools).
     """
 
     ids: np.ndarray
@@ -156,27 +118,20 @@ class SmallSolver:
     def __post_init__(self, runs):
         self._max_p = _extremes(self.P)[1] if runs is None else runs[0][0]
         self._e = self._max_p.bit_length()
-        self._f = _extremes(self.W)[1].bit_length()
+        self._min_w, max_w = _extremes(self.W)
+        self._f = max_w.bit_length()
         self._wf = _over_power(self.W, self._f)
+        self._pw = np.empty((2, len(self.P)), np.result_type(self.P, self.W))
+        self._pw[0], self._pw[1] = self.P, self.W
+        self.top_rows = None
         if runs is None:
             self._pf = _over_power(self.P, self._e)
             return
-        values, counts, order = runs
+        values, counts, order, self.top_rows, top_w = runs
         self._pf = np.repeat(_over_power(np.array(values, object), self._e), counts)[order]
         units = itertools.chain.from_iterable(map(itertools.repeat, values, counts))
         self.top_sums = list(itertools.accumulate(itertools.islice(units, self.K), initial=0))
-
-    @classmethod
-    def of(cls, items, K: int, exactly_k: bool = False) -> "SmallSolver":
-        """The pool of arbitrary items or (id, profit, weight) triples."""
-        units = [u for u in _units(items) if exactly_k or u[1] > 0]
-        pn, pd, wn, wd = (
-            np.array([getattr(u[k], f) for u in units], object)
-            for k in (1, 2)
-            for f in ("numerator", "denominator")
-        )
-        (P, lp), (W, lw) = scaled_column(pn, pd), scaled_column(wn, wd)
-        return cls(np.array([u[0] for u in units], dtype=object), P, W, lp, lw, int(K), exactly_k)
+        self.top_weights = np.cumsum(top_w)
 
     @classmethod
     def from_partition(cls, partition) -> "SmallSolver":
@@ -208,11 +163,13 @@ class SmallSolver:
         values, counts = profits + [0], [len(r) for r in groups]
         rows = np.fromiter(itertools.chain(*groups), np.intp, sum(counts))
         P = np.repeat(_sum_array(np.array(values, object), count=len(rows)), counts)
+        first = rows[: partition.cardinality]  # the first units in run order
         order = np.argsort(rows)  # distinct view rows, which ascend by id
         rows = rows[order]
+        runs = values, counts, order, first, view.W[first]
         return cls(
             rows, P[order], view.W[rows], lp, view.lw,
-            partition.cardinality, partition.exactly_k, runs=(values, counts, order),
+            partition.cardinality, partition.exactly_k, runs=runs,
         )
 
     def float_keys(self, num: int, den: int) -> np.ndarray:
@@ -265,11 +222,16 @@ class SmallSolver:
         raw = self._query(omega, k)
         return None if raw is None else Fraction(raw[0], self.lp)
 
-    def eval_detail(self, omega: Fraction, k: int) -> Optional[SmallEval]:
-        """Full evaluation (with solution structure) for retrieval: the LP
-        vertex, whose rounded_ids are a feasible selection. None where
-        phi_dag is None."""
-        return _evaluation(self, self._query(omega, k))
+    def eval_detail(self, omega: Fraction, k: int) -> Optional[np.ndarray]:
+        """The labels (ids) of the selection retrieval takes at this query:
+        the LP vertex's integral units, plus under the row sum x = k the
+        lighter fractional unit (_rounding), a feasible selection. None
+        where phi_dag is None."""
+        raw = self._query(omega, k)
+        if raw is None:
+            return None
+        _, integral, fractional, _, _ = raw
+        return self.ids[_rounding(self.W, integral, fractional) if self.equality else integral]
 
     def _clamp(self, k: int) -> int:
         return max(0, min(int(k), self.K))
@@ -277,17 +239,13 @@ class SmallSolver:
     def _query(self, omega: Fraction, k: int):
         """_solve_units at omega, with k clamped to [0, K], memoized by
         both; a negative omega raises ValueError."""
-        key = Fraction(omega), self._clamp(k)
-        if key[0] < 0:
+        omega, k = Fraction(omega), self._clamp(k)
+        if omega.numerator < 0:
             raise ValueError("negative residual budget")
+        key = omega.numerator, omega.denominator, k  # ints hash faster
         if key not in self._vertices:
-            self._vertices[key] = _solve_units(self, *key)
+            self._vertices[key] = _solve_units(self, omega, k)
         return self._vertices[key]
-
-
-def _sum_at(values: np.ndarray, idx) -> int:
-    """The exact sum of values at the indices idx, a list or an array."""
-    return int(values[idx].sum()) if len(idx) else 0
 
 
 def _over_power(values: np.ndarray, bits: int) -> np.ndarray:
@@ -301,87 +259,91 @@ def _over_power(values: np.ndarray, bits: int) -> np.ndarray:
     return np.array([v / d for v in values.tolist()], dtype=np.float64)
 
 
-def _greedy_pass(pool: SmallSolver, cap: int, num: int, den: int):
-    """The units at nu = num/den split by the entry threshold of the greedy
-    selection on keys den*P - num*W: returns (above, cut, tied).
-
-    When at most cap keys are positive (inequality row only), cut is None,
-    above holds the units with a positive key and tied the (W, index) pairs
-    of the zero-key units. Otherwise cut is the cap-th largest key, above
-    holds the units keyed above it and tied the (W, index) pairs of the
-    units at it; the equality row ranks every unit, so its cut may be zero
-    or negative. tied is sorted.
-
-    The pass is exact while almost every unit is ranked in float. With
-    E = KEY_ERROR, a float key above E is positive and one below -E is not;
-    only |kf| <= E gets its exact integer key (for the inequality row's
-    sign test). At the cap cut, cf, the cap-th largest float key among the
-    ranked units, lies within E of the exact cap-th key, so float
-    keys above cf + 2E are above the cut and those below cf - 2E under it;
-    only the band between is keyed exactly and ranked by exact key.
-    """
-    kf = pool.float_keys(num, den)
-    pool.passes += 1
-    if pool.equality:
-        pos, kpos = None, kf  # every unit is ranked
-    else:
-        pos = (kf > KEY_ERROR).nonzero()[0]
-        unsure = _band_keys(pool, (abs(kf) <= KEY_ERROR).nonzero()[0], num, den)
-        extra = [i for i, _, key in unsure if key > 0]
-        if extra:
-            pos = np.concatenate((pos, extra))
-        if len(pos) <= cap:
-            return pos, None, sorted((w, i) for i, w, key in unsure if key == 0)
-        kpos = kf[pos]
-    rank = len(kpos) - cap
-    cf = np.partition(kpos, rank)[rank]
-    high = kpos > cf + 2 * KEY_ERROR
-    above = high.nonzero()[0]
-    band = (~high & (kpos >= cf - 2 * KEY_ERROR)).nonzero()[0]
-    if pos is not None:
-        above, band = pos[above], pos[band]
-    band = _band_keys(pool, band, num, den)
-    cut = sorted((key for _, _, key in band), reverse=True)[cap - len(above) - 1]
-    extra = [i for i, _, key in band if key > cut]
-    if extra:
-        above = np.concatenate((above, extra))
-    return above, cut, sorted((w, i) for i, w, key in band if key == cut)
-
-
-def _band_keys(pool: SmallSolver, idx: np.ndarray, num: int, den: int) -> list:
-    """(index, W, exact key den*P - num*W) of the units at idx, in Python
-    ints, counted in pool.exact_keys."""
-    if not idx.size:
-        return []
-    pool.exact_keys += len(idx)
-    P, W = pool.P[idx].tolist(), pool.W[idx].tolist()
-    return [(i, w, den * p - num * w) for i, p, w in zip(idx.tolist(), P, W)]
-
-
 def _lightest_maximizer(pool: SmallSolver, cap: int, num: int, den: int):
-    """Lightest maximizer S of the inner Lagrangian problem at nu = num/den:
-    the top-cap units by key den*P - num*W (only positive keys under the
-    inequality row), ties at the cap-th key going to the lighter unit and
-    then to the lower index.
+    """Lightest maximizer S of the inner Lagrangian problem at nu = num/den,
+    1 <= cap <= len(pool.P): the top-cap units by key den*P - num*W (only
+    positive keys under the inequality row), ties at the cap-th key going to
+    the lighter unit and then to the lower index.
 
-    Returns (sum of P over S, sum of W over S, S as the index array of the
-    units keyed above the cut and the list of tied units filled in, the
-    pass's (cut, tied)).
+    Returns (P over S, W over S, above, cut, tied, P over above, W over
+    above). Under the inequality row with at most cap positive keys, cut is
+    None, above holds the positive-key units and tied the zero-key ones.
+    Otherwise cut is the cap-th largest key (zero or negative only under the
+    equality row), above holds the units keyed above it and tied those at
+    it, of which S takes the first cap - |above|. tied holds sorted
+    (W, index, P) triples; above is an index array.
+
+    With E = KEY_ERROR, a float key below -E is negative, so the inequality
+    row ranks only the units keyed at least -E. cf, the cap-th largest float
+    key among the ranked, lies within E of the exact cap-th key c*, so keys
+    above hi = cf + 2E are above c* and keys below lo = cf - 2E under it;
+    the inequality row clips hi to at least E (keys above it are positive)
+    and lo to at least -E. Fewer than cap units key above hi, and the band
+    [lo, hi] holds every unit at c* and, when c* <= 0, every non-negative
+    key not above hi. So the band's exact keys decide S. 14 numpy calls
+    under the equality row and 15 under the inequality row (3 fewer with an
+    empty band), plus 3 when more than cap keys may be positive, which the
+    partition and a new band need.
     """
-    above, cut, tied = _greedy_pass(pool, cap, num, den)
-    P, W = pool.P, pool.W
-    p_sum, w_sum = _sum_at(P, above), _sum_at(W, above)
-    fill = []
+    pool.passes += 1
+    kf = pool.float_keys(num, den)
+    if pool.equality:
+        cf = np.partition(kf, len(kf) - cap).item(len(kf) - cap)
+        hi, lo = cf + 2 * KEY_ERROR, cf - 2 * KEY_ERROR
+        ranked = kf >= lo
+    else:
+        hi, lo = KEY_ERROR, -KEY_ERROR
+        ranked = kf >= lo  # the keys that may be >= 0
+        rank = np.count_nonzero(ranked) - cap
+        if rank > 0:  # else at most cap keys are positive: no cut
+            cf = np.partition(kf[ranked], rank).item(rank)
+            hi, lo = max(cf + 2 * KEY_ERROR, hi), max(cf - 2 * KEY_ERROR, lo)
+            ranked = kf >= lo
+    high = kf > hi
+    above = high.nonzero()[0]
+    band = (ranked ^ high).nonzero()[0]
+    p_sum, w_sum = pool._pw.take(above, 1).sum(1).tolist()
+    bp = bw = units = []
+    if band.size:
+        pool.exact_keys += band.size
+        (bp, bw), units = pool._pw.take(band, 1).tolist(), band.tolist()
+    keys = [den * p - num * w for p, w in zip(bp, bw)]
+    need = cap - len(above)  # >= 1 after a partition: fewer than cap keys above hi
+    cuts = keys if pool.equality else [key for key in keys if key > 0]
+    cut = sorted(cuts, reverse=True)[need - 1] if 0 < need <= len(cuts) else None
+    assert cut is not None or not pool.equality, "the equality row's cut is outside the band"
+    level = 0 if cut is None else cut
+    extra, tied = [], []
+    for key, p, w, i in zip(keys, bp, bw, units):
+        if key > level:
+            extra.append(i)
+            p_sum += p
+            w_sum += w
+        elif key == level:
+            tied.append((w, i, p))
+    tied.sort()
+    if extra:
+        above = np.concatenate((above, np.array(extra, np.intp)))
+    p_above, w_above = p_sum, w_sum
     if cut is not None:
-        filled = tied[: cap - len(above)]
-        fill = [i for _, i in filled]
-        p_sum += _sum_at(P, fill)
-        w_sum += sum(w for w, _ in filled)
-    return p_sum, w_sum, (above, fill), (cut, tied)
+        for w, _, p in tied[: cap - len(above)]:
+            p_sum += p
+            w_sum += w
+    return p_sum, w_sum, above, cut, tied, p_above, w_above
+
+
+def _selection(found, cap: int) -> np.ndarray:
+    """The indices of a pass's selection S: above, then the tied units S
+    takes."""
+    _, _, above, cut, tied, _, _ = found
+    if cut is None:
+        return above
+    fill = [i for _, i, _ in tied[: cap - len(above)]]
+    return np.concatenate((above, np.array(fill, dtype=np.intp)))
 
 
 def _critical_multiplier(
-    pool: SmallSolver, budget_w: Fraction, cap: int, pa: int, wa: int, pb: int, wb: int
+    pool: SmallSolver, fits: int, cap: int, pa: int, wa: int, pb: int, wb: int
 ) -> tuple[int, int]:
     """nu* = num/den in lowest terms, the scaled image of
     mu* = min{mu >= 0 : wmin(mu) <= budget}, the leftmost minimizer of the
@@ -389,18 +351,15 @@ def _critical_multiplier(
 
     Every maximizer S of the inner problem gives a supporting line of L,
     P_S + nu*(budget_w - W_S) in the scaled units (budget_w = budget*lw);
-    the lightest one gives the right derivative. The bracket [a, b] keeps
-    wmin(a) > budget >= wmin(b). It starts from the sums (pa, wa) and
-    (pb, wb) of the caller's passes at a = 0, over budget, and at
-    b = max P + 1, within it. There every unit with W > 0, so W >= 1,
-    keys below every weightless one: under the inequality row only
-    weightless units keep a positive key, and under the equality row every
-    lighter unit keys above every heavier one, so the selection is the cap
-    lightest. The lines at a and b cross at c = (P_a - P_b)/(W_a - W_b).
-    If L(c) lies on the line at a, L is linear on [a, c] with negative
-    slope and on [c, b] with slope >= 0, so c is mu*. Otherwise c replaces
-    the end whose side of the budget it shares. Each replacement strictly
-    raises the slope at a or lowers it at b, so the loop ends.
+    the lightest one gives the right derivative. A selection fits when its
+    W is at most fits = floor(budget_w). The bracket [a, b] keeps
+    wmin(a) > budget >= wmin(b), from the caller's sums (pa, wa) at a = 0
+    and (pb, wb) at b = max P + 1. The lines at a and b cross at
+    c = (P_a - P_b)/(W_a - W_b). If L(c) lies on the line
+    at a, L is linear on [a, c] with negative slope and on [c, b] with
+    slope >= 0, so c is mu*. Otherwise c replaces the end whose side of the
+    budget it shares. Each replacement strictly raises the slope at a or
+    lowers it at b, so the loop ends.
     """
     while True:
         num, den = pa - pb, wa - wb
@@ -408,13 +367,13 @@ def _critical_multiplier(
         if den * pc - num * wc == den * pa - num * wa:
             g = math.gcd(num, den)
             return num // g, den // g
-        if wc > budget_w:
+        if wc > fits:
             pa, wa = pc, wc
         else:
             pb, wb = pc, wc
 
 
-def _vertex(pool: SmallSolver, budget_w: Fraction, cap: int, num: int, den: int):
+def _vertex(pool: SmallSolver, bn: int, bd: int, cap: int, num: int, den: int):
     """Optimal LP vertex at the critical multiplier nu* = num/den > 0, built
     on the integer keys den*P - num*W of the greedy pass at nu*, which the
     multiplier search has left in the pool's cache.
@@ -423,30 +382,27 @@ def _vertex(pool: SmallSolver, budget_w: Fraction, cap: int, num: int, den: int)
     made exactly tight with the units whose key ties it (the zero-key units
     when the selection stops short of the cap): full swaps first, then one
     final fractional swap, so at most two components are fractional.
-    Returns (integral indices, fractional (index, x) pairs, primal sum of
-    P*x, key sum G of a maximizer); den*primal equals num*budget_w + G
-    exactly when primal and dual values agree.
+    The scaled budget is bn/bd. Returns (integral indices, fractional
+    (index, x) pairs, primal sum of P*x, key sum G of a maximizer);
+    den*primal equals num*bn/bd + G exactly when primal and dual values
+    agree.
     """
-    P = pool.P
-    bn, bd = budget_w.numerator, budget_w.denominator
-    p_sum, w_sum, (above, fill), (cut, tied) = pool.maximizer(cap, num, den)
-    p_above = p_sum - _sum_at(P, fill)
-    used = w_sum - sum(w for w, _ in tied[: len(fill)])
-    g = den * p_above - num * used
-    taken, fractional = [], []  # the units taken beyond above
+    _, _, above, cut, tied, primal, used = pool.maximizer(cap, num, den)
+    g = den * primal - num * used
+    taken, fractional = [], []  # tied units taken whole, and (unit, x) parts
     if cut is None:
         # Pad the weight up to the budget with zero-key units, which are
         # free for the inner objective, heaviest first.
         assert bd * used <= bn, "greedy selection exceeds budget at mu*"
         zeros = sorted(tied, key=lambda t: (-t[0], t[1]))
-        for w, i in zeros[: cap - len(above)]:
+        for unit in zeros[: cap - len(above)]:
             if bd * used == bn:
                 break
-            if bd * (used + w) <= bn:
-                taken.append(i)
-                used += w
+            if bd * (used + unit[0]) <= bn:
+                taken.append(unit)
+                used += unit[0]
             else:
-                fractional.append((i, Fraction(bn - bd * used, bd * w)))
+                fractional.append((unit, Fraction(bn - bd * used, bd * unit[0])))
                 break
         assert fractional or bd * used == bn, "cannot make weight row tight at mu*"
     else:
@@ -454,51 +410,46 @@ def _vertex(pool: SmallSolver, budget_w: Fraction, cap: int, num: int, den: int)
         fill = cap - len(above)
         g += fill * cut
         lightest, heaviest = tied[:fill], tied[fill:][::-1]
-        used += sum(w for w, _ in lightest)
+        used += sum(w for w, _, _ in lightest)
         assert bd * used <= bn, "lightest tied fill already over budget at mu*"
         swaps = 0
-        for (w_in, i_in), (w_out, i_out) in zip(heaviest, lightest):
+        for unit_in, unit_out in zip(heaviest, lightest):
             if bd * used == bn:
                 break
-            delta = w_in - w_out
+            delta = unit_in[0] - unit_out[0]
             if bd * (used + delta) <= bn:
                 used += delta
                 swaps += 1
             else:
                 lam = Fraction(bn - bd * used, bd * delta)
-                fractional = [(i_in, lam), (i_out, ONE - lam)]
+                fractional = [(unit_in, lam), (unit_out, ONE - lam)]
                 break
         assert fractional or bd * used == bn, "cannot reach weight target from ties"
-        taken += [i for _, i in heaviest[:swaps]]
-        taken += [i for _, i in lightest[swaps + bool(fractional):]]
-    primal = p_above + _sum_at(P, taken)
-    primal += sum((int(P[i]) * x for i, x in fractional), ZERO)
-    return np.concatenate((above, np.array(taken, dtype=np.intp))), fractional, primal, g
-
-
-def solve_box_lp(
-    items, budget: Fraction, cap: int, *, equality: bool = False
-) -> Optional[SmallEval]:
-    """Exact optimum of max p.x st w.x <= budget, sum x <= cap, x in [0,1];
-    with equality, sum x = cap over every unit, zero profits included, and
-    None when no cap units fit the budget.
-
-    Fast path: if the minimum-weight top-cap-by-profit selection fits, it is
-    integral and optimal. Otherwise the weight row is tight at the optimum:
-    the critical Lagrange multiplier is found by an exact line-intersection
-    search on integer-scaled data, then a vertex with at most two fractional
-    components is constructed at it from the same integer keys.
-    """
-    pool = SmallSolver.of(items, cap, equality)
-    return _evaluation(pool, _solve_units(pool, Fraction(budget), int(cap)))
+        taken = heaviest[:swaps] + lightest[swaps + bool(fractional):]
+    primal += sum(p for _, _, p in taken)
+    primal += sum(unit[2] * x for unit, x in fractional)
+    integral = np.concatenate((above, np.array([i for _, i, _ in taken], dtype=np.intp)))
+    return integral, [(unit[1], x) for unit, x in fractional], primal, g
 
 
 def _solve_units(pool: SmallSolver, budget: Fraction, cap: int):
-    """solve_box_lp on a pool as a raw vertex (primal, integral, fractional,
-    num, den): the value times lp, pool indices, and nu*, 0/1 on the fast
-    path and None/None when nothing is taken; None if infeasible. Every
-    answer off the fast path is certified: its primal value equals the dual
-    value at nu*."""
+    """Exact optimum of max P.x/lp st W.x <= budget*lw, sum x <= cap (with
+    equality: = cap, None when no cap units fit), 0 <= x <= 1, over the pool,
+    as a raw vertex (primal, integral, fractional, num, den): the value times
+    lp, pool indices, and nu*, 0/1 on the fast path and None/None when
+    nothing is taken.
+
+    Fast path: if the lightest top-cap selection at nu = 0 fits, it is
+    integral and optimal. Otherwise the weight row is tight: the critical
+    multiplier comes from _critical_multiplier and the vertex from _vertex,
+    certified by primal value == dual value at nu*.
+
+    The search's bracket starts at a = 0 and b = max P + 1. At b every unit
+    with W >= 1 keys below every weightless one: under the inequality row
+    only weightless units key positive, so with none the selection is empty
+    and no pass runs; under the equality row the selection is the cap
+    lightest, and decides whether any cap units fit.
+    """
     n = len(pool.P)
     if pool.equality and (budget < 0 or not 0 <= cap <= n):
         return None
@@ -506,19 +457,26 @@ def _solve_units(pool: SmallSolver, budget: Fraction, cap: int):
     if cap == 0 or budget < 0:
         return 0, np.arange(0), [], None, None
 
-    budget_w = budget * pool.lw
-    top_p, top_w, (above, fill), _ = pool.maximizer(cap, 0, 1)
-    if top_w <= budget_w:
-        return top_p, np.concatenate((above, np.array(fill, dtype=np.intp))), [], 0, 1
-
-    # The right end's pass weighs 0 under the inequality row; under the
-    # equality row it is the cap lightest units (see _critical_multiplier).
-    end_p, end_w, *_ = pool.maximizer(cap, pool._max_p + 1, 1)
-    if end_w > budget_w:
-        return None
-    num, den = _critical_multiplier(pool, budget_w, cap, top_p, top_w, end_p, end_w)
-    integral, fractional, primal, g = _vertex(pool, budget_w, cap, num, den)
-    assert den * primal == num * budget_w + g, f"primal != dual at nu*={num}/{den}"
+    bn, bd = budget.numerator * pool.lw, budget.denominator  # budget*lw = bn/bd
+    fits = bn // bd  # the most W that fits
+    top = None
+    if pool.top_rows is None:
+        top = pool.maximizer(cap, 0, 1)
+        top_p, top_w = top[0], top[1]
+    else:
+        top_p, top_w = pool.top_sums[cap], int(pool.top_weights[cap - 1])
+    if top_w <= fits:
+        if top is not None:
+            return top_p, _selection(top, cap), [], 0, 1
+        return top_p, np.searchsorted(pool.ids, pool.top_rows[:cap]), [], 0, 1
+    end_p = end_w = 0  # the inequality row's pass at b when no unit is weightless
+    if pool.equality or not pool._min_w:
+        end_p, end_w, *_ = pool.maximizer(cap, pool._max_p + 1, 1)
+        if end_w > fits:
+            return None
+    num, den = _critical_multiplier(pool, fits, cap, top_p, top_w, end_p, end_w)
+    integral, fractional, primal, g = _vertex(pool, bn, bd, cap, num, den)
+    assert den * bd * primal == num * bn + g * bd, f"primal != dual at nu*={num}/{den}"
     return primal, integral, fractional, num, den
 
 
@@ -529,31 +487,8 @@ def _rounding(W: np.ndarray, integral: np.ndarray, fractional: list) -> np.ndarr
     the count is cap, and min(W_a, W_b) <= x_a*W_a + x_b*W_b keeps the budget."""
     if not fractional:
         return integral
-    assert len(fractional) == 2 and sum(x for _, x in fractional) == 1, fractional
+    assert len(fractional) == 2 and fractional[0][1] + fractional[1][1] == 1, fractional
     return np.append(integral, min((i for i, _ in fractional), key=lambda i: int(W[i])))
-
-
-def _evaluation(pool: SmallSolver, raw) -> Optional[SmallEval]:
-    """The SmallEval of a raw vertex from _solve_units over the pool."""
-    if raw is None:
-        return None
-    primal, integral, fractional, num, den = raw
-    ids = pool.ids
-    integral = np.sort(integral)
-    integral_ids = tuple(ids[integral].tolist())
-    x = dict.fromkeys(integral_ids, ONE)
-    x.update(zip(ids[[i for i, _ in fractional]].tolist(), (v for _, v in fractional)))
-    rounded = _rounding(pool.W, integral, fractional) if pool.equality else integral
-    rounded_ids = integral_ids + tuple(ids[rounded[len(integral):]].tolist())
-    mu = None if num is None else Fraction(num * pool.lw, den * pool.lp)
-    return SmallEval(Fraction(primal, pool.lp), x, integral_ids, mu, rounded_ids)
-
-
-def upsilon1(items, omega: Fraction, k: int) -> SmallEval:
-    """Exact LP relaxation of the small-item knapsack: weight budget omega,
-    cardinality cap k, box-relaxed variables. Vertex optimum, <= 2 fractional
-    components."""
-    return solve_box_lp(items, Fraction(omega), k)
 
 
 def solver_for_partition(partition) -> SmallSolver:

@@ -4,7 +4,8 @@ best_subset below is a deliberately naive full enumeration used to
 cross-check both the solver and the oracles module; it must stay
 independent of any package internals beyond the instance types.
 dual_value is the box LP's Lagrangian dual, the certificate the small-side
-tests check the LP engine's answers against. solve_fine runs the solver's
+tests check the LP engine's answers against, and evaluation_counter counts
+the engine's greedy passes. solve_fine runs the solver's
 pipeline once at the paper's internal accuracy, for the tests that inspect
 that pipeline's structure.
 """
@@ -17,6 +18,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, settings
 
+import kknapsack.small_items as small_items
 from kknapsack.combiner import solve_at_accuracy
 from kknapsack.instance_model import Instance, Item, Mode, validate_instance
 from kknapsack.preprocessing import half_approx_opt
@@ -89,6 +91,21 @@ def dual_value(units, mu, budget, cap, equality=False):
     feasible point that reaches it is optimal."""
     adjusted = sorted((p - mu * w for _, p, w in units), reverse=True)[:cap]
     return mu * budget + sum((a for a in adjusted if equality or a > 0), ZERO)
+
+
+def evaluation_counter(monkeypatch):
+    """Wrap the greedy pass of the box-LP engine
+    (small_items._lightest_maximizer); the returned list's single entry
+    counts its calls."""
+    calls = [0]
+    original = small_items._lightest_maximizer
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(small_items, "_lightest_maximizer", counted)
+    return calls
 
 
 def solve_fine(inst: Instance, eps):

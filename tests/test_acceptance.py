@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from conftest import F, ZERO, inst_of, member_ids, solve_fine
+from conftest import F, ZERO, evaluation_counter, inst_of, member_ids, solve_fine
 from test_large_items import class_items, mk_class, share_unit
 from kknapsack.combiner import InfeasibleInstanceError, solve_with_details
 from kknapsack.generator import DISTRIBUTIONS, generate_instance
@@ -22,7 +22,6 @@ from kknapsack.large_items import (
     ProfitGrid,
     build_phi_L,
     convolve,
-    profit_at,
     retrieve_items,
     snap_class_profit,
     table_format,
@@ -39,15 +38,16 @@ from kknapsack.oracles import (
     exhaustive_table,
     lp_vertex,
     naive_convolve,
+    profit_at,
     round_small_weights,
     slice_search,
+    upsilon1,
     upsilon2,
     upsilon2_linear,
     upsilon4,
     upsilon5,
 )
 from kknapsack.preprocessing import build_partition
-from kknapsack.small_items import upsilon1
 
 
 def run_criterion(criterion, num, description, body):
@@ -707,6 +707,24 @@ def test_c10_small_side_work_does_not_grow_with_k():
         assert det["split_queries"] == 1, (K, det["split_queries"])
         assert det["small_passes"] <= 16, (K, det["small_passes"])
 
+
+
+def test_k_spread_rows_pass_counts(monkeypatch):
+    # The exactly-K rows of tests/test_scale.py's K-spread test (uniform
+    # n = 2000, seed 3, the K = 1024 budget, eps = 1/4): the greedy passes of
+    # one public solve, the estimate's LP and the pipeline pool's queries
+    # together. A pool of partition classes reads its pass at nu = 0 from
+    # the class runs, so below K = 1024 only the estimate's fast-path pass
+    # runs. A change that adds passes fails here without a timer.
+    base = generate_instance("uniform", 2000, 1024, seed=3)
+    calls = evaluation_counter(monkeypatch)
+    counts = {}
+    for K in (16, 64, 256, 1024):
+        inst = Instance(items=base.items, budget=base.budget, cardinality=K, mode=Mode.EXACT)
+        calls[0] = 0
+        solve_with_details(inst, F(1, 4))
+        counts[K] = calls[0]
+    assert counts == {16: 1, 64: 1, 256: 1, 1024: 22}, counts
 
 # ---------------------------------------------------------------------------
 # 11. Exact-cardinality mode.

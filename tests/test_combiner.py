@@ -1,6 +1,7 @@
 """End-to-end solves: the split sweep in at-most mode, the same pipeline with
 exactly-K semantics, and the diagnostics both report."""
 
+import math
 import random
 from collections import Counter
 from dataclasses import replace
@@ -287,6 +288,42 @@ class TestCompletedRounding:
         feas = evaluate_solution(inst, answer)
         assert feas.feasible, feas.violations
 
+
+    def test_equals_the_plain_scan(self):
+        # The prefix, jump and suffix-minimum scan picks the rows, in the
+        # same order, that the plain scan below picks one candidate at a
+        # time: on C02's corpus, the tie-heavy instances and uniform
+        # n = 20000, whose rounding leaves little room for many candidates.
+        cases = c02_instances() + tie_heavy_instances()
+        cases.append(generate_instance("uniform", 20000, 256, seed=1))
+        completed = 0
+        for inst in cases:
+            view = candidate_view(inst)
+            rounding = half_approx_opt(inst, view).rounding
+            rows = combiner.completed_rounding(inst, view, rounding)
+            assert np.array_equal(rows, plain_completion(inst, view, rounding))
+            completed += len(rows) > len(rounding)
+        assert completed > len(cases) // 2
+
+
+def plain_completion(inst, view, rounding):
+    """completed_rounding as a plain scan: the positive-profit candidates
+    outside the rounding by decreasing P (ties: lighter W, then lower row),
+    each taken while fewer than K are taken and it fits."""
+    P, W = view.P, view.W
+    free = P > 0
+    free[rounding] = False
+    rest = np.flatnonzero(free)
+    rest = rest[np.lexsort((rest, W[rest], -P[rest]))]
+    room = math.floor(inst.budget * view.lw) - int(W[rounding].sum())
+    picked = []
+    for row, w in zip(rest.tolist(), W[rest].tolist()):
+        if len(rounding) + len(picked) == inst.cardinality:
+            break
+        if w <= room:
+            picked.append(row)
+            room -= w
+    return np.concatenate((rounding, np.array(picked, dtype=rounding.dtype)))
 
 class TestDeterminismAndKnobs:
     def test_repeat_solves_identical(self):

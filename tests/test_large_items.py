@@ -26,7 +26,6 @@ from kknapsack.large_items import (
     ProfitGrid,
     build_phi_L,
     convolve,
-    profit_at,
     retrieve_items,
     snap_class_profit,
     table_format,
@@ -41,6 +40,7 @@ from kknapsack.oracles import (
     enumerate_slices,
     exhaustive_table,
     naive_convolve,
+    profit_at,
     slice_search,
 )
 from kknapsack.preprocessing import LargeClass, build_partition

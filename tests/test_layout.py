@@ -6,9 +6,13 @@ reference in oracles.py has a reader. No production module keeps a
 process-wide memo, so no state outlives a solve, and none calls np.unique,
 whose first call leaves numpy.ma resident. The instance layer reads each
 item once per solve (item_columns), so the partition and the combiner read
-no item's profit or weight, and no production module heaps Fractions."""
+no item's profit or weight, and no production module heaps Fractions.
+Every top-level name a production module defines is read by production,
+from the public names or the CLI's entry points; what only tests read
+lives in oracles.py or the tests."""
 
 import ast
+import re
 from pathlib import Path
 
 import kknapsack
@@ -174,3 +178,87 @@ def test_no_production_module_calls_np_unique():
     assert not callers, callers
     assert _calls_unique(ast.parse("import numpy as np\nnp.unique([1])"))
     assert _calls_unique(ast.parse("from numpy import unique"))
+
+
+def _top_level_definitions(tree: ast.Module) -> dict:
+    """name -> node of every top-level function, class and assigned name."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name):
+                    out[target.id] = node
+    return out
+
+
+def _unread_definitions(sources: dict, roots) -> list:
+    """The (module, name) top-level definitions of the modules in sources
+    (module name -> source text) that no root reaches. Roots are (module,
+    name) pairs, plus every top-level statement that defines nothing; a
+    definition reaches the names it reads, in its own module or imported
+    from a sibling by a relative import."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    defined = {module: _top_level_definitions(tree) for module, tree in trees.items()}
+    imported = {}
+    for module, tree in trees.items():
+        table = imported[module] = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in trees:
+                for alias in node.names:
+                    table[alias.asname or alias.name] = (node.module, alias.name)
+
+    def reads(module, node):
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                if n.id in defined[module]:
+                    yield module, n.id
+                elif n.id in imported[module]:
+                    yield imported[module][n.id]
+
+    todo = list(roots)
+    quiet = (ast.FunctionDef, ast.ClassDef, ast.Assign, ast.AnnAssign, ast.Import, ast.ImportFrom)
+    for module, tree in trees.items():
+        todo += (ref for node in tree.body if not isinstance(node, quiet) for ref in reads(module, node))
+    reached = set()
+    while todo:
+        module, name = todo.pop()
+        if (module, name) not in reached and name in defined.get(module, {}):
+            reached.add((module, name))
+            todo += reads(module, defined[module][name])
+    return sorted(
+        (module, name)
+        for module, names in defined.items()
+        for name in names
+        if (module, name) not in reached and not name.startswith("__")
+    )
+
+
+def test_every_production_name_has_a_production_reader():
+    # Start from the public names, the CLI's entry points and the modules'
+    # top-level statements, and follow the names each top-level definition
+    # reads. A definition left unreached serves only the tests or the
+    # oracles, and belongs in oracles.py or a test.
+    sources = {
+        path.stem: path.read_text()
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "oracles.py"
+    }
+    assert len(sources) > 5, sources
+    init = ast.parse(sources["__init__"])
+    public = {
+        alias.asname or alias.name: node.module
+        for node in init.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    roots = [(public[name], name) for name in kknapsack.__all__ if name in public]
+    # The [project.scripts] entry points of pyproject.toml, "module:function".
+    scripts = (ROOT / "pyproject.toml").read_text().split("[project.scripts]")[1].split("\n[")[0]
+    roots += re.findall(r'=\s*"[\w.]*?(\w+):(\w+)"', scripts)
+    assert ("cli", "main") in roots and ("combiner", "solve") in roots, roots
+    unread = _unread_definitions(sources, roots)
+    assert not unread, unread
+    fake = {"a": "from .b import used\nused()\n", "b": "def used():\n    pass\ndef unused():\n    pass\n"}
+    assert _unread_definitions(fake, []) == [("b", "unused")]

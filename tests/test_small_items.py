@@ -17,19 +17,24 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import F, ZERO, dual_value, inst_of, solve_fine
+from conftest import F, ZERO, dual_value, evaluation_counter, inst_of, solve_fine
 from test_acceptance import c02_instances
-from test_combiner import in_mode
+from test_combiner import in_mode, tie_heavy_instances
 import kknapsack.small_items as small_items
 from kknapsack.generator import generate_instance
 from kknapsack.instance_model import Item, Mode
 from kknapsack.oracles import (
     WeightBuckets,
     _expand_types,
+    _units,
     critical_multiplier_enum,
     lightest_maximizer_int,
     lp_vertex,
+    query_evaluation,
     round_small_weights,
+    solve_box_lp,
+    solver_of,
+    upsilon1,
     upsilon2,
     upsilon2_linear,
     upsilon3,
@@ -38,13 +43,7 @@ from kknapsack.oracles import (
 )
 from kknapsack.combiner import solve_with_details
 from kknapsack.preprocessing import LargeClass, SmallClass, build_partition, half_approx_opt
-from kknapsack.small_items import (
-    SmallSolver,
-    _lightest_maximizer,
-    _units,
-    solve_box_lp,
-    upsilon1,
-)
+from kknapsack.small_items import SmallSolver, _lightest_maximizer, _selection
 
 
 def pool(seed, n, frac=False, pmax=20, wmax=15):
@@ -247,20 +246,6 @@ class TestUpsilon1:
         check_primal(ev, units, omega, cap)
 
 
-def evaluation_counter(monkeypatch):
-    """Wrap the greedy evaluator of the multiplier search; the returned
-    list's single entry counts its calls."""
-    calls = [0]
-    original = small_items._lightest_maximizer
-
-    def counted(*args):
-        calls[0] += 1
-        return original(*args)
-
-    monkeypatch.setattr(small_items, "_lightest_maximizer", counted)
-    return calls
-
-
 class TestMultiplierSearchWork:
     @pytest.mark.parametrize("n", [40, 400, 3000])
     @pytest.mark.parametrize("shape", ["ties", "concave", "alternating", "random"])
@@ -286,6 +271,29 @@ class TestMultiplierSearchWork:
         calls = evaluation_counter(monkeypatch)
         assert half_approx_opt(inst).value > 0
         assert 0 < calls[0] <= 8
+
+    def test_every_solve_search_finds_the_enumerated_multiplier(self, monkeypatch):
+        # Every multiplier search of the public solves on C02's corpus (at
+        # most K) and on the tie-heavy instances (both modes), estimate and
+        # pipelines alike, ends at the critical multiplier that the pairwise
+        # enumeration finds on the pool's scaled integers.
+        searches = []
+        original = small_items._critical_multiplier
+
+        def recorded(pool, fits, cap, *ends):
+            nu = original(pool, fits, cap, *ends)
+            searches.append((pool, fits, cap, nu))
+            return nu
+
+        monkeypatch.setattr(small_items, "_critical_multiplier", recorded)
+        cases = [(inst, Mode.AT_MOST) for inst in c02_instances()]
+        cases += [(inst, mode) for inst in tie_heavy_instances() for mode in Mode]
+        for inst, mode in cases:
+            solve_with_details(in_mode(inst, mode), F(1, 10))
+        assert len(searches) > 500
+        for pool, fits, cap, (num, den) in searches:
+            units = [(i, F(p), F(w)) for i, (p, w) in enumerate(zip(pool.P.tolist(), pool.W.tolist()))]
+            assert F(num, den) == critical_multiplier_enum(units, fits, cap, pool.equality)
 
 
 def vertex_route(ev, units, cap):
@@ -358,11 +366,20 @@ def same_sums(scaled, cap, nu, mu):
     return _lightest_maximizer(scaled, cap, *nu)[:2] == _lightest_maximizer(scaled, cap, *mu)[:2]
 
 
-def same_pass(got, ref):
+def same_pass(got, ref, cap):
     """A production pass and the Python-int reference select the same units
     with the same sums."""
-    above, fill = got[2]
-    return (got[0], got[1], sorted(above.tolist() + fill)) == ref
+    return (got[0], got[1], sorted(_selection(got, cap).tolist())) == ref
+
+
+def check_detail(solver, omega, k, ref):
+    """The pool's vertex at (omega, k) is the item-list LP's answer ref, and
+    eval_detail returns ref's rounded selection."""
+    assert query_evaluation(solver, omega, k) == ref
+    rows = solver.eval_detail(omega, k)
+    assert (None if rows is None else sorted(rows.tolist())) == (
+        None if ref is None else sorted(ref.rounded_ids)
+    )
 
 
 class TestFloatFilteredPass:
@@ -372,7 +389,7 @@ class TestFloatFilteredPass:
     def check_pool(self, units, rnd, trials=12):
         units = positive(units)
         n = len(units)
-        scaled = SmallSolver.of(units, K=n)
+        scaled = solver_of(units, K=n)
         P, W = scaled.P.tolist(), scaled.W.tolist()
         ratio = top_ratio(P, W)  # the top-ratio units' keys are zero there
         for _ in range(trials):
@@ -387,7 +404,7 @@ class TestFloatFilteredPass:
                 num, den = rnd.randint(0, 50), rnd.randint(1, 50)
             for nu in [(num, den), (0, 1), ratio]:
                 got = _lightest_maximizer(scaled, cap, *nu)
-                assert same_pass(got, lightest_maximizer_int(scaled.P, scaled.W, cap, *nu))
+                assert same_pass(got, lightest_maximizer_int(scaled.P, scaled.W, cap, *nu), cap)
             # The search's right end selects the weightless units, as the
             # largest ratio does.
             assert same_sums(scaled, cap, (max(P) + 1, 1), ratio)
@@ -415,22 +432,22 @@ class TestFloatFilteredPass:
                         (Fraction(rnd.randint(1, 12)) for _ in range(n)), start=1
                     )
                 ]
-                scaled = SmallSolver.of(units, K=n)
+                scaled = solver_of(units, K=n)
                 ratio = top_ratio(scaled.P.tolist(), scaled.W.tolist())
                 for cap in {1, max(1, n // 3), n}:
                     for nu in [(0, 1), ratio, (1, 2), (2, 1)]:
                         got = _lightest_maximizer(scaled, cap, *nu)
                         ref = lightest_maximizer_int(scaled.P, scaled.W, cap, *nu)
-                        assert same_pass(got, ref)
+                        assert same_pass(got, ref, cap)
 
     def test_wide_pools_take_their_paths(self):
         rnd = random.Random("filter-paths")
-        huge_p = SmallSolver.of(wide_pool("huge-span", rnd, 40), K=40)
+        huge_p = solver_of(wide_pool("huge-span", rnd, 40), K=40)
         small = huge_p._pf[huge_p._pf < 2.0**-1022]
         assert len(small)  # subnormal or flushed to zero
-        huge_w = SmallSolver.of(wide_pool("huge-weights", rnd, 40), K=40)
+        huge_w = solver_of(wide_pool("huge-weights", rnd, 40), K=40)
         assert huge_w.W.dtype == object
-        plain = SmallSolver.of(shaped_pool("random", rnd, 40), K=40)
+        plain = solver_of(shaped_pool("random", rnd, 40), K=40)
         assert plain.W.dtype == np.int64
 
     @pytest.mark.parametrize("shape", ["ties", "fractional", "geometric"] + WIDE_SHAPES)
@@ -454,7 +471,7 @@ class TestFloatFilteredPass:
                 solve_box_lp(units, budget, cap)
         assert len(seen) >= 20
         for scaled, cap, num, den, got in seen:
-            assert same_pass(got, lightest_maximizer_int(scaled.P, scaled.W, cap, num, den))
+            assert same_pass(got, lightest_maximizer_int(scaled.P, scaled.W, cap, num, den), cap)
 
     def test_exact_keys_stay_rare(self):
         # A filter that silently keyed every unit exactly would stay correct
@@ -469,7 +486,7 @@ class TestFloatFilteredPass:
 class TestExactPoolAtEverySize:
     def test_large_upsilon1_pool_matches_solving_from_scratch(self):
         units = pool(17, 104, frac=True, pmax=40, wmax=20)
-        solver = SmallSolver.of(units, K=8)
+        solver = solver_of(units, K=8)
         rnd = random.Random(3)
         searched = 0
         for _ in range(60):  # caps interleave from one query to the next
@@ -477,7 +494,7 @@ class TestExactPoolAtEverySize:
             k = rnd.choice([1, 3, 8])
             ref = solve_box_lp(units, omega, k)
             assert solver.phi_dag(omega, k) == ref.value
-            assert solver.eval_detail(omega, k) == ref
+            check_detail(solver, omega, k, ref)
             searched += ref.mu > 0
         assert searched > 20
 
@@ -486,7 +503,7 @@ class TestExactPoolAtEverySize:
         caps = [8, 5, 2]
         omegas = [Fraction(w, 2) for w in range(2, 120, 3)]
         calls = evaluation_counter(monkeypatch)
-        solver = SmallSolver.of(units, K=8)
+        solver = solver_of(units, K=8)
         for k in caps:  # k outermost, as in the combiner's split sweep
             for omega in omegas:
                 solver.phi_dag(omega, k)
@@ -649,7 +666,7 @@ class TestSplitSearch:
 
 class TestSmallSolver:
     def mk_solver(self, n=12, K=4, seed=0, frac=False):
-        return SmallSolver.of(pool(seed, n, frac=frac), K=K)
+        return solver_of(pool(seed, n, frac=frac), K=K)
 
     def test_dispatch_upsilon1(self):
         solver = self.mk_solver(K=4)
@@ -667,12 +684,13 @@ class TestSmallSolver:
             k = rnd.randint(1, 8)
             ref = solve_box_lp(units, omega, k)
             assert solver.phi_dag(omega, k) == ref.value
-            assert solver.eval_detail(omega, k) == ref
+            check_detail(solver, omega, k, ref)
 
     def test_k_clamps_and_negative_budget_raises(self):
         solver = self.mk_solver()
         assert solver.phi_dag(F(7), 99) == solver.phi_dag(F(7), solver.K)
-        assert solver.eval_detail(F(7), 99) == solver.eval_detail(F(7), solver.K)
+        assert query_evaluation(solver, F(7), 99) == query_evaluation(solver, F(7), solver.K)
+        assert np.array_equal(solver.eval_detail(F(7), 99), solver.eval_detail(F(7), solver.K))
         assert solver.phi_dag(F(0), 2) == 0
         with pytest.raises(ValueError):
             solver.phi_dag(F(-1), 2)
@@ -778,8 +796,8 @@ class TestSmallSolver:
         assert passes > 1 and len(calls) == 1  # the query left the fast path
         detail = solver.eval_detail(omega, K)
         assert solver.passes == passes and len(calls) == 1
-        assert detail.value == value
-        assert detail == SmallSolver.from_partition(part).eval_detail(omega, K)
+        assert query_evaluation(solver, omega, K).value == value
+        assert np.array_equal(detail, SmallSolver.from_partition(part).eval_detail(omega, K))
 
     def test_solves_build_no_rounded_profit(self, monkeypatch):
         def built(_):
@@ -916,14 +934,14 @@ class TestEqualityRow:
     def test_cuts_at_zero_and_below(self, monkeypatch):
         # The vertex pass at mu* cuts at the cap-th key, whatever its sign.
         cuts = []
-        original = small_items._greedy_pass
+        original = small_items._lightest_maximizer
 
         def recorded(scaled, cap, num, den):
             out = original(scaled, cap, num, den)
-            cuts.append(out[1])
+            cuts.append(out[3])
             return out
 
-        monkeypatch.setattr(small_items, "_greedy_pass", recorded)
+        monkeypatch.setattr(small_items, "_lightest_maximizer", recorded)
         rnd = random.Random("equality-cuts")
         for shape in ["ties", "random", "zero-weights"]:
             for _ in range(40):
@@ -966,7 +984,7 @@ class TestEqualityRow:
         assert solve_box_lp(units, lightest - F(1, 2), 4, equality=True) is None
         assert solve_box_lp(units, F(-1), 0, equality=True) is None
         assert solve_box_lp(units, F(0), 0, equality=True).value == 0
-        solver = SmallSolver.of(units, K=9, exactly_k=True)
+        solver = solver_of(units, K=9, exactly_k=True)
         assert solver.phi_dag(lightest - F(1, 2), 4) is None
         assert solver.eval_detail(lightest - F(1, 2), 4) is None
         assert solver.phi_dag(F(1000), 9) is None  # more slots than units
@@ -978,7 +996,7 @@ class TestEqualityRow:
         for _ in range(20):
             units = with_zero_profits(pool_of(shape, rnd, rnd.randint(1, 50)), rnd)
             n = len(units)
-            scaled = SmallSolver.of(units, K=n, exactly_k=True)
+            scaled = solver_of(units, K=n, exactly_k=True)
             P, W = scaled.P.tolist(), scaled.W.tolist()
             end = (max(P) + 1, 1)
             for _ in range(6):
@@ -992,7 +1010,7 @@ class TestEqualityRow:
                 for nu in [(num, den), (0, 1), end]:
                     got = _lightest_maximizer(scaled, cap, *nu)
                     ref = lightest_maximizer_int(scaled.P, scaled.W, cap, *nu, equality=True)
-                    assert same_pass(got, ref)
+                    assert same_pass(got, ref, cap)
             # At the bracket's right end the selection is the cap lightest,
             # as at every nu above max P - min P.
             cap = rnd.randint(1, n)
@@ -1001,7 +1019,7 @@ class TestEqualityRow:
 
     def test_solver_matches_solving_from_scratch(self):
         units = with_zero_profits(pool(23, 60, frac=True, pmax=40, wmax=20), random.Random(5))
-        solver = SmallSolver.of(units, K=12, exactly_k=True)
+        solver = solver_of(units, K=12, exactly_k=True)
         rnd = random.Random(6)
         answered = 0
         for _ in range(60):
@@ -1009,6 +1027,6 @@ class TestEqualityRow:
             k = rnd.choice([1, 4, 12])
             ref = solve_box_lp(units, omega, k, equality=True)
             assert solver.phi_dag(omega, k) == (None if ref is None else ref.value)
-            assert solver.eval_detail(omega, k) == ref
+            check_detail(solver, omega, k, ref)
             answered += ref is not None
         assert answered > 20
