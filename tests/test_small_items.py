@@ -762,7 +762,8 @@ class TestSmallSolver:
 
     def test_class_runs_give_the_per_unit_values(self):
         # from_partition reads max P, the floats P/2^e and top_sums (up to K
-        # units) from one value per class; they must equal what the units give,
+        # units) from one value per class, and the pass at nu = 0 from the
+        # runs (top_rows, top_weights); they must equal what the units give,
         # on C02's pools and on large-fold's object pools of 42-43 classes.
         classes = []
         for inst, eps in itertools.chain(rounded_pool_cases(), large_fold_cases()):
@@ -775,6 +776,12 @@ class TestSmallSolver:
             assert solver._pf.tobytes() == expected.tobytes()  # bit for bit
             top = sorted(P, reverse=True)[: solver.K]
             assert solver.top_sums == list(itertools.accumulate(top, initial=0))
+            for cap in {min(1, len(top)), len(top) // 2, len(top)} - {0}:
+                p_sum, w_sum, chosen = lightest_maximizer_int(
+                    solver.P, solver.W, cap, 0, 1, equality=solver.equality
+                )
+                assert (solver.top_sums[cap], solver.top_weights[cap - 1]) == (p_sum, w_sum)
+                assert sorted(solver.top_rows[:cap].tolist()) == solver.ids[chosen].tolist()
             classes.append((len(part.small_classes), solver.P.dtype))
         assert classes[-2:] == [(43, object), (42, object)]
 
