@@ -280,10 +280,10 @@ def _lightest_maximizer(pool: SmallSolver, cap: int, num: int, den: int):
     the inequality row clips hi to at least E (keys above it are positive)
     and lo to at least -E. Fewer than cap units key above hi, and the band
     [lo, hi] holds every unit at c* and, when c* <= 0, every non-negative
-    key not above hi. So the band's exact keys decide S. 14 numpy calls
-    under the equality row and 15 under the inequality row (3 fewer with an
-    empty band), plus 3 when more than cap keys may be positive, which the
-    partition and a new band need.
+    key not above hi. So the band's exact keys decide S. 14 numpy calls (3
+    fewer with an empty band), and under the inequality row 3 more when
+    more than cap keys may be positive, which the partition and a new band
+    need.
     """
     pool.passes += 1
     kf = pool.float_keys(num, den)
