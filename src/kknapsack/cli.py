@@ -4,8 +4,11 @@ Subcommands: solve (approximate one instance), generate (seeded instance
 families + manifest), verify (solve and compare against an exact oracle),
 convert (JSON <-> CSV).
 
-Exit codes: 0 success, 1 input, usage or file error (a path that cannot be
-read or written), 2 infeasible exact-mode instance, 3 verification failure.
+Exit codes: 0 success, 1 input or file error (an instance or argument
+value the commands reject, a path that cannot be read or written), 2
+infeasible exact-mode instance, 3 verification failure. argparse's own
+rejections (an unknown option or subcommand, a missing required option, a
+--mode or --count it cannot parse) also exit 2, after its usage message.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ EXIT_INFEASIBLE = 2
 EXIT_VERIFY = 3
 
 
-class _UsageError(Exception):
+class _UsageError(ValueError):
     pass
 
 
@@ -52,25 +55,16 @@ def _parse_eps(text: str) -> Fraction:
     return eps
 
 
-def _parse_mode(text):
-    if text is None:
-        return None
-    try:
-        return Mode(text)
-    except ValueError:
-        raise _UsageError(f"bad mode {text!r}; use at_most or exact") from None
-
-
 def _load_input(args) -> Instance:
     path = Path(args.input)
     if not path.exists():
         raise _UsageError(f"input file not found: {path}")
     fmt = args.format or ("csv" if path.suffix.lower() == ".csv" else "json")
-    mode = _parse_mode(getattr(args, "mode", None))
+    if fmt == "csv" and (args.budget is None or args.cardinality is None):
+        raise _UsageError("CSV input needs --budget and --cardinality")
+    mode = Mode(args.mode) if args.mode else None  # argparse checked the choice
     try:
         if fmt == "csv":
-            if args.budget is None or args.cardinality is None:
-                raise _UsageError("CSV input needs --budget and --cardinality")
             inst = load_instance_csv(
                 path,
                 parse_rational(args.budget),
@@ -135,9 +129,6 @@ def cmd_solve(args) -> int:
     except InvalidInstanceError as exc:
         print(f"error: invalid instance: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except InfeasibleInstanceError as exc:
-        print(f"error: infeasible exact-mode instance: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     elapsed_ms = (time.perf_counter() - start) * 1000.0
 
     out = {
@@ -185,7 +176,7 @@ def cmd_generate(args) -> int:
         raise _UsageError(
             f"bad distribution {args.distribution!r}; pick one of {DISTRIBUTIONS}"
         )
-    mode = _parse_mode(args.mode) or Mode.AT_MOST
+    mode = Mode(args.mode or Mode.AT_MOST.value)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -355,10 +346,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (InvalidInstanceError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # _UsageError and InvalidInstanceError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InfeasibleInstanceError as exc:

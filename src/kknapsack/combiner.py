@@ -111,17 +111,15 @@ def solve_with_details(inst: Instance, eps_user) -> tuple[Solution, dict]:
     estimate = half_approx_opt(inst, view)
     lp_bound = estimate.lp_bound
     if estimate.value <= 0:
-        # Every feasible selection is worth 0 (and so is the LP): take none,
-        # or in exactly-K mode the K lightest, which fit (candidate_rows
-        # checked). The answer is optimal, certified_ratio 1.
-        rows = np.arange(0)
+        # Every feasible selection is worth 0 (and so is the LP), and the
+        # estimate's rounding is optimal: empty at most K, and exactly K the
+        # K lightest by (W, id), which fit (candidate_rows checked).
+        # certified_ratio 1.
         details = {"answer": "trivial", "trivial": True, "internal_eps": eps_user}
         if exactly_k:
-            # A stable sort: the view's rows ascend by id, so ties go by id.
-            rows = np.argsort(view.W, kind="stable")[: inst.cardinality]
             details.update(exact_mode=True, rounds=[])
         details.update(fell_back=False, lp_bound=lp_bound, certified_ratio=Fraction(1))
-        return _view_solution(inst, view, rows, eps_user), details
+        return _view_solution(inst, view, estimate.rounding, eps_user), details
 
     target = (1 - eps_user / 2) * lp_bound
     sol, details = solve_at_accuracy(inst, eps_user, eps_user, estimate, view)

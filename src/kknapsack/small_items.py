@@ -14,7 +14,9 @@ components are Fractions.
 A greedy pass ranks the units by float64 keys with a proven error bound
 (one np.partition, one mask, one product summing it) and keys exactly only
 the band of units the bound cannot place. A SmallSolver holds one pool's
-integers and passes: the estimate's, or a partition's small pool.
+integers and passes: the estimate's, in id order, or a partition's small
+pool, in the order of its class runs, whose pass at nu = 0 it reads off
+the runs. One vertex builder serves both cardinality rows.
 
 upsilon1 answers every query at every K. When K > 1/eps the paper switches
 to a ladder of relaxations over a light/heavy split of the pool; production
@@ -63,11 +65,15 @@ class SmallSolver:
     the pool, phi_dag_S(omega, k) for a partition's small pool (rounded
     profits, original weights).
 
-    ids labels the units in ascending order: view rows in the estimate's
-    pool and a partition's, item ids in oracles.solver_of's. The units are the positive-profit
-    ones, or with equality every unit, zero-profit fillers included; then a
-    query takes exactly k units and is None when no k units fit omega (the
-    row sum x = cap over sum x <= cap). K caps every query's k.
+    ids labels the units: view rows in the estimate's pool and a
+    partition's, item ids in oracles.solver_of's. They ascend, except in a
+    partition's pool, which lists its units in run order (from_partition).
+    Either way, units of equal key and equal W lie in ascending id order,
+    so the index tie-breaks below break ties by id. The units are the
+    positive-profit ones, or with equality every unit, zero-profit fillers
+    included; then a query takes exactly k units and is None when no k
+    units fit omega (the row sum x = cap over sum x <= cap). K caps every
+    query's k.
 
     Unit i has P_i = p_i*lp and W_i = w_i*lw, with lw a common denominator
     of the weights and lp a positive rational that makes every profit
@@ -90,13 +96,12 @@ class SmallSolver:
     nothing. passes and exact_keys count the passes and their exact keys.
 
     A partition's pool is built from runs (from_partition): P is
-    np.repeat(values, counts)[order] with values descending, so max P, the
-    floats P/2^e and top_sums, where top_sums[c] is the greatest total P of
-    c <= K units, come from one value per class, not from every unit. A run
-    lists its units by ascending W, then index, so top_rows[:c], the labels
-    of the first c units in run order, are the pass at nu = 0's selection,
-    of weight top_weights[c - 1]; such a pool runs no pass at nu = 0
-    (top_rows is None for other pools).
+    np.repeat(values, counts) with values descending, so max P and the
+    floats P/2^e come from one value per class, not from every unit. A run
+    lists its units by ascending W, then view row, so the first c units are
+    the pass at nu = 0's selection for cap c, and such a pool reads that
+    pass (left_end) from prefix sums of its first K units instead of
+    running it.
     """
 
     ids: np.ndarray
@@ -123,22 +128,22 @@ class SmallSolver:
         self._wf = _over_power(self.W, self._f)
         self._pw = np.empty((2, len(self.P)), np.result_type(self.P, self.W))
         self._pw[0], self._pw[1] = self.P, self.W
-        self.top_rows = None
+        self._runs_sums = None
         if runs is None:
             self._pf = _over_power(self.P, self._e)
             return
-        values, counts, order, self.top_rows, top_w = runs
-        self._pf = np.repeat(_over_power(np.array(values, object), self._e), counts)[order]
-        units = itertools.chain.from_iterable(map(itertools.repeat, values, counts))
-        self.top_sums = list(itertools.accumulate(itertools.islice(units, self.K), initial=0))
-        self.top_weights = np.cumsum(top_w)
+        values, counts = runs
+        self._pf = np.repeat(_over_power(np.array(values, object), self._e), counts)
+        self._runs_sums = np.cumsum(self._pw[:, : self.K], 1)
 
     @classmethod
     def from_partition(cls, partition) -> "SmallSolver":
         """The pool of a partition's pruned small classes, plus its
         zero-profit fillers in exactly-K mode, labelled by their rows in the
-        partition's candidate view: the weights are the view's W, and the
-        profits come from the class indices alone.
+        partition's candidate view and listed in run order: class by class,
+        each class by ascending W and then view row, the fillers last. The
+        weights are the view's W, and the profits come from the class
+        indices alone.
 
         Small class j counts its members at S*g^-j, with S its profit_scale
         and g = c/b its growth in lowest terms. Over the pooled indices
@@ -150,7 +155,9 @@ class SmallSolver:
         pool reaches deep classes, and P over a plain common denominator of
         the rounded profits would take 82 bits instead of 28 on uniform
         n = 2000, K = 1024. The classes ascend by index, so their P descend:
-        with the fillers last, they are the pool's runs."""
+        with the fillers last, they are the pool's runs. Two units of equal
+        key and equal W have equal P, so they share a class, where run order
+        is view-row order and so id order."""
         view, classes = partition.view, partition.small_classes
         lp, profits = Fraction(1), []
         if classes:
@@ -163,13 +170,9 @@ class SmallSolver:
         values, counts = profits + [0], [len(r) for r in groups]
         rows = np.fromiter(itertools.chain(*groups), np.intp, sum(counts))
         P = np.repeat(_sum_array(np.array(values, object), count=len(rows)), counts)
-        first = rows[: partition.cardinality]  # the first units in run order
-        order = np.argsort(rows)  # distinct view rows, which ascend by id
-        rows = rows[order]
-        runs = values, counts, order, first, view.W[first]
         return cls(
-            rows, P[order], view.W[rows], lp, view.lw,
-            partition.cardinality, partition.exactly_k, runs=runs,
+            rows, P, view.W[rows], lp, view.lw,
+            partition.cardinality, partition.exactly_k, runs=(values, counts),
         )
 
     def float_keys(self, num: int, den: int) -> np.ndarray:
@@ -204,17 +207,30 @@ class SmallSolver:
         splits its bounds leave open. Nothing is precomputed from them; the
         call is where benchmark traces count the combiner's splits."""
 
+    def left_end(self, cap: int):
+        """(P sum, W sum, units) of the pass at nu = 0 for
+        1 <= cap <= len(P): the selection of the cap largest P, lightest
+        then lowest index first among ties, and the left end of the
+        multiplier search's bracket. A partition's pool reads it from its
+        runs, whose first cap units it is; any other pool runs the pass,
+        which is memoized."""
+        if self._runs_sums is None:
+            found = self.maximizer(cap, 0, 1)
+            return found[0], found[1], _selection(found, cap)
+        p_sum, w_sum = self._runs_sums[:, cap - 1].tolist()
+        return p_sum, w_sum, np.arange(cap)
+
     def top_scaled(self, k: int) -> Optional[int]:
-        """The most k units of a partition's pool give with the weight row
-        dropped, in P units (times lp): the sum of the k largest P, the
-        value of phi_dag's fast-path pass. It bounds phi_dag(omega, k) from
-        above at every omega. None when exactly k units are more than the
-        pool holds (exactly-K mode)."""
-        k = self._clamp(k)
-        n = len(self.P)
+        """The most k units of the pool give with the weight row dropped,
+        in P units (times lp): the sum of the k largest P, the value of
+        phi_dag's fast-path pass. It bounds phi_dag(omega, k) from above at
+        every omega. None when exactly k units are more than the pool holds
+        (exactly-K mode)."""
+        k, n = self._clamp(k), len(self.P)
         if self.equality and k > n:
             return None
-        return self.top_sums[min(k, n)]
+        k = min(k, n)
+        return self.left_end(k)[0] if k else 0
 
     def phi_dag(self, omega: Fraction, k: int) -> Optional[Fraction]:
         """Approximation value for residual budget omega, cardinality k;
@@ -378,58 +394,49 @@ def _vertex(pool: SmallSolver, bn: int, bd: int, cap: int, num: int, den: int):
     on the integer keys den*P - num*W of the greedy pass at nu*, which the
     multiplier search has left in the pool's cache.
 
-    Units keyed above the entry threshold go in. The weight row is then
-    made exactly tight with the units whose key ties it (the zero-key units
-    when the selection stops short of the cap): full swaps first, then one
-    final fractional swap, so at most two components are fractional.
+    Units keyed above the cut go in, and the fill = cap - |above| lightest
+    units at the cut. The weight row is then made exactly tight by swapping
+    the heaviest units at the cut for the lightest inside: full swaps
+    first, then one final fractional swap, so at most two components are
+    fractional. Under sum x <= cap with fewer than cap positive keys there
+    is no cut: the fill unused slots are weightless, profitless slack units
+    (index None, key 0) ahead of the zero-key units, so the swaps pad the
+    weight row with zero-key units, which are free for the inner
+    objective. Slack units never reach the returned rows. The tie order
+    among equal weights: with slack, zero-key units go in heaviest first,
+    the lower index first; with a cut, the higher index first (the pass's
+    tied list reversed).
     The scaled budget is bn/bd. Returns (integral indices, fractional
     (index, x) pairs, primal sum of P*x, key sum G of a maximizer);
     den*primal equals num*bn/bd + G exactly when primal and dual values
     agree.
     """
     _, _, above, cut, tied, primal, used = pool.maximizer(cap, num, den)
-    g = den * primal - num * used
-    taken, fractional = [], []  # tied units taken whole, and (unit, x) parts
-    if cut is None:
-        # Pad the weight up to the budget with zero-key units, which are
-        # free for the inner objective, heaviest first.
-        assert bd * used <= bn, "greedy selection exceeds budget at mu*"
-        zeros = sorted(tied, key=lambda t: (-t[0], t[1]))
-        for unit in zeros[: cap - len(above)]:
-            if bd * used == bn:
-                break
-            if bd * (used + unit[0]) <= bn:
-                taken.append(unit)
-                used += unit[0]
-            else:
-                fractional.append((unit, Fraction(bn - bd * used, bd * unit[0])))
-                break
-        assert fractional or bd * used == bn, "cannot make weight row tight at mu*"
-    else:
-        # tied is sorted and shared with the cache: only read slices of it.
-        fill = cap - len(above)
-        g += fill * cut
-        lightest, heaviest = tied[:fill], tied[fill:][::-1]
-        used += sum(w for w, _, _ in lightest)
-        assert bd * used <= bn, "lightest tied fill already over budget at mu*"
-        swaps = 0
-        for unit_in, unit_out in zip(heaviest, lightest):
-            if bd * used == bn:
-                break
-            delta = unit_in[0] - unit_out[0]
-            if bd * (used + delta) <= bn:
-                used += delta
-                swaps += 1
-            else:
-                lam = Fraction(bn - bd * used, bd * delta)
-                fractional = [(unit_in, lam), (unit_out, ONE - lam)]
-                break
-        assert fractional or bd * used == bn, "cannot reach weight target from ties"
-        taken = heaviest[:swaps] + lightest[swaps + bool(fractional):]
-    primal += sum(p for _, _, p in taken)
-    primal += sum(unit[2] * x for unit, x in fractional)
-    integral = np.concatenate((above, np.array([i for _, i, _ in taken], dtype=np.intp)))
-    return integral, [(unit[1], x) for unit, x in fractional], primal, g
+    fill = cap - len(above)
+    if cut is None:  # sorted anew: the pass memo's tied list is shared
+        cut, tied = 0, [(0, None, 0)] * fill + sorted(tied, key=lambda t: (t[0], -t[1]))
+    g = den * primal - num * used + fill * cut
+    lightest, heaviest = tied[:fill], tied[fill:][::-1]
+    used += sum(w for w, _, _ in lightest)
+    assert bd * used <= bn, "lightest fill already over budget at mu*"
+    swaps, fractional = 0, []  # full swaps, and the (unit, x) parts
+    for unit_in, unit_out in zip(heaviest, lightest):
+        if bd * used == bn:
+            break
+        delta = unit_in[0] - unit_out[0]
+        if bd * (used + delta) <= bn:
+            used += delta
+            swaps += 1
+        else:
+            lam = Fraction(bn - bd * used, bd * delta)
+            fractional = [(unit_in, lam), (unit_out, ONE - lam)]
+            break
+    assert fractional or bd * used == bn, "cannot make weight row tight at mu*"
+    taken = heaviest[:swaps] + lightest[swaps + bool(fractional):]
+    primal += sum(p for _, _, p in taken) + sum(unit[2] * x for unit, x in fractional)
+    integral = np.array([i for _, i, _ in taken if i is not None], dtype=np.intp)
+    fractional = [(unit[1], x) for unit, x in fractional if unit[1] is not None]
+    return np.concatenate((above, integral)), fractional, primal, g
 
 
 def _solve_units(pool: SmallSolver, budget: Fraction, cap: int):
@@ -439,10 +446,11 @@ def _solve_units(pool: SmallSolver, budget: Fraction, cap: int):
     lp, pool indices, and nu*, 0/1 on the fast path and None/None when
     nothing is taken.
 
-    Fast path: if the lightest top-cap selection at nu = 0 fits, it is
-    integral and optimal. Otherwise the weight row is tight: the critical
-    multiplier comes from _critical_multiplier and the vertex from _vertex,
-    certified by primal value == dual value at nu*.
+    Fast path: if the pass at nu = 0 (SmallSolver.left_end, read the same
+    way on every pool) fits, its selection is integral and optimal.
+    Otherwise the weight row is tight, and that pass is the bracket's left
+    end: the critical multiplier comes from _critical_multiplier and the
+    vertex from _vertex, certified by primal value == dual value at nu*.
 
     The search's bracket starts at a = 0 and b = max P + 1. At b every unit
     with W >= 1 keys below every weightless one: under the inequality row
@@ -459,16 +467,9 @@ def _solve_units(pool: SmallSolver, budget: Fraction, cap: int):
 
     bn, bd = budget.numerator * pool.lw, budget.denominator  # budget*lw = bn/bd
     fits = bn // bd  # the most W that fits
-    top = None
-    if pool.top_rows is None:
-        top = pool.maximizer(cap, 0, 1)
-        top_p, top_w = top[0], top[1]
-    else:
-        top_p, top_w = pool.top_sums[cap], int(pool.top_weights[cap - 1])
+    top_p, top_w, units = pool.left_end(cap)
     if top_w <= fits:
-        if top is not None:
-            return top_p, _selection(top, cap), [], 0, 1
-        return top_p, np.searchsorted(pool.ids, pool.top_rows[:cap]), [], 0, 1
+        return top_p, units, [], 0, 1
     end_p = end_w = 0  # the inequality row's pass at b when no unit is weightless
     if pool.equality or not pool._min_w:
         end_p, end_w, *_ = pool.maximizer(cap, pool._max_p + 1, 1)

@@ -655,6 +655,18 @@ class TestExactMode:
         assert sol.selected == {1, 2}  # the two lightest
         assert det["trivial"] is True and det["rounds"] == []
 
+    def test_zero_profit_shortcut_breaks_weight_ties_by_id(self):
+        # The answer is the estimate's rounding: the K lightest by weight,
+        # the lower id first among equal weights, whatever the input order.
+        items = [(5, 0, 2), (3, 0, 1), (9, 0, 2), (1, 0, F(5, 2)), (7, 0, 2), (2, 0, 3)]
+        inst = inst_of(items, 6, 3, mode=Mode.EXACT)
+        sol, det = solve_with_details(inst, F(1, 2))
+        assert sol.selected == {3, 5, 7} and sol.total_weight == 5
+        assert det["answer"] == "trivial" and det["trivial"] is True and det["rounds"] == []
+        assert det["exact_mode"] is True
+        at_most, det = solve_with_details(in_mode(inst, Mode.AT_MOST), F(1, 2))
+        assert at_most.selected == frozenset() and det["answer"] == "trivial"
+
     @pytest.mark.parametrize("seed", range(30))
     def test_guarantee_vs_exact_optimum(self, seed):
         inst = self.exact_inst(seed)

@@ -8,8 +8,9 @@ whose first call leaves numpy.ma resident. The instance layer reads each
 item once per solve (item_columns), so the partition and the combiner read
 no item's profit or weight, and no production module heaps Fractions.
 Every top-level name a production module defines is read by production,
-from the public names or the CLI's entry points; what only tests read
-lives in oracles.py or the tests."""
+from the public names or the CLI's entry points, and every method, class
+attribute and self attribute of a production class is read in production
+or the benchmark; what only tests read lives in oracles.py or the tests."""
 
 import ast
 import re
@@ -262,3 +263,74 @@ def test_every_production_name_has_a_production_reader():
     assert not unread, unread
     fake = {"a": "from .b import used\nused()\n", "b": "def used():\n    pass\ndef unused():\n    pass\n"}
     assert _unread_definitions(fake, []) == [("b", "unused")]
+
+
+def _class_members(tree: ast.AST) -> set:
+    """(class, name) of every method, property and plain class attribute a
+    class in tree defines, and of every self.<name> its methods assign.
+    Annotated class-body names, the fields of dataclasses and NamedTuples,
+    are public records and left out, and so are dunder names."""
+    out = set()
+    for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                out.add((cls.name, node.name))
+                out.update(
+                    (cls.name, n.attr)
+                    for n in ast.walk(node)
+                    if isinstance(n, ast.Attribute)
+                    and isinstance(n.ctx, ast.Store)
+                    and isinstance(n.value, ast.Name)
+                    and n.value.id == "self"
+                )
+            elif isinstance(node, ast.Assign):
+                out.update((cls.name, t.id) for t in node.targets if isinstance(t, ast.Name))
+    return {(cls, name) for cls, name in out if not name.startswith("__")}
+
+
+def _attribute_reads(tree: ast.AST) -> set[str]:
+    """Every name tree reads as an attribute, on any object."""
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def _unread_members(sources: list[str], readers: list[str]) -> list:
+    """The (class, name) members of the classes in sources that no reader
+    reads as an attribute."""
+    reads = set().union(*(_attribute_reads(ast.parse(text)) for text in readers))
+    members = set().union(*(_class_members(ast.parse(text)) for text in sources))
+    return sorted((cls, name) for cls, name in members if name not in reads)
+
+
+def test_every_production_member_has_a_reader():
+    # The top-level rule above cannot see inside a class. Every method,
+    # property and class attribute of a production class, and every
+    # attribute a production method sets on self, must be read, by name, in
+    # production or in the benchmark (whose tracer reads, for one, the
+    # small pool's exact flag). A member only tests or oracles read belongs
+    # with them.
+    production = [
+        path.read_text() for path in sorted(PACKAGE.glob("*.py")) if path.name != "oracles.py"
+    ]
+    benchmark = [path.read_text() for path in sorted((ROOT / "perfbench").rglob("*.py"))]
+    assert len(production) > 5 and benchmark
+    unread = _unread_members(production, production + benchmark)
+    assert not unread, unread
+    planted = (
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class A:\n"
+        "    field: int\n"
+        "    flag = True\n"
+        "    def used(self):\n"
+        "        self.kept = self.field\n"
+        "        self.dropped = 1\n"
+        "    @property\n"
+        "    def unused(self):\n"
+        "        return self.kept\n"
+        "A(1).used()\n"
+    )
+    assert _unread_members([planted], [planted]) == [("A", "dropped"), ("A", "flag"), ("A", "unused")]

@@ -42,7 +42,13 @@ from kknapsack.oracles import (
     upsilon5,
 )
 from kknapsack.combiner import solve_with_details
-from kknapsack.preprocessing import LargeClass, SmallClass, build_partition, half_approx_opt
+from kknapsack.preprocessing import (
+    LargeClass,
+    SmallClass,
+    build_partition,
+    candidate_view,
+    half_approx_opt,
+)
 from kknapsack.small_items import SmallSolver, _lightest_maximizer, _selection
 
 
@@ -310,6 +316,53 @@ def vertex_route(ev, units, cap):
     return "positive keys only"
 
 
+def vertex_by_the_rule(P, W, budget, cap, num, den, equality, flip=False):
+    """The LP vertex at nu* = num/den, as (integral indices, {index: x}),
+    by the tie rule written out as a plain loop. Under sum x <= cap with at
+    most cap positive keys, the positive-key units go in, then zero-key
+    units pad the weight row heaviest first, the lower index first among
+    equal weights, the last one fractional. Otherwise the units above the
+    cap-th key c go in, with the fill lightest units at c (lower index
+    first); then the heaviest at c outside (higher index first) are swapped
+    for the lightest inside until the row is tight, the last swap
+    fractional. flip reverses the index order among equal weights."""
+    keys = [den * p - num * w for p, w in zip(P, W)]
+    ranked = [i for i, key in enumerate(keys) if equality or key > 0]
+    sign = -1 if flip else 1
+    if len(ranked) <= cap and not equality:
+        chosen, used, fractional = list(ranked), sum(W[i] for i in ranked), {}
+        zeros = [i for i, key in enumerate(keys) if key == 0]
+        zeros.sort(key=lambda i: (-W[i], sign * i))
+        for i in zeros[: cap - len(chosen)]:
+            if used == budget:
+                break
+            if used + W[i] <= budget:
+                chosen.append(i)
+                used += W[i]
+            else:
+                fractional[i] = (budget - used) / W[i]
+                break
+        return chosen, fractional
+    cut = sorted((keys[i] for i in ranked), reverse=True)[cap - 1]
+    above = [i for i in ranked if keys[i] > cut]
+    tied = sorted((i for i in ranked if keys[i] == cut), key=lambda i: (W[i], sign * i))
+    fill = cap - len(above)
+    inside, outside = tied[:fill], tied[fill:][::-1]
+    used = sum(W[i] for i in above + inside)
+    swaps, fractional = 0, {}
+    for i, o in zip(outside, inside):
+        if used == budget:
+            break
+        if used + W[i] - W[o] <= budget:
+            used += W[i] - W[o]
+            swaps += 1
+        else:
+            lam = (budget - used) / (W[i] - W[o])
+            fractional = {i: lam, o: 1 - lam}
+            break
+    return above + outside[:swaps] + inside[swaps + bool(fractional):], fractional
+
+
 class TestIntegerVertex:
     @pytest.mark.parametrize("seed", range(3))
     def test_equals_fraction_reference(self, seed):
@@ -341,6 +394,37 @@ class TestIntegerVertex:
             check_certified(ev, units, budget, cap)
             searched += ev.mu > 0
         assert searched
+
+    def test_tie_order_under_both_rows(self):
+        # Subset-sum pools (P = W, weights 1..5, so many units weigh the
+        # same) key every unit 0 at nu* = 1. Which of several equal-weight
+        # units the vertex takes is then decided by the tie order alone;
+        # both rows must keep the rule vertex_by_the_rule spells out, and
+        # the draws must include cases where the flipped order differs.
+        rnd = random.Random("tie-order")
+        differs = {False: 0, True: 0}
+        for equality in (False, True):
+            for _ in range(150):
+                n = rnd.randint(4, 25)
+                units = [(i, F(w), F(w)) for i, w in enumerate(rnd.choices(range(1, 6), k=n), 1)]
+                cap = rnd.randint(1, n)
+                weights = sorted(int(w) for _, _, w in units)
+                low = sum(weights[:cap]) if equality else 0
+                high = sum(weights[-cap:])
+                if high <= low:
+                    continue
+                budget = F(rnd.randint(2 * low, 2 * high - 1), 2)
+                pool = solver_of(units, cap, equality)
+                primal, integral, fractional, num, den = small_items._solve_units(pool, budget, cap)
+                assert (num, den) == (1, 1)
+                P, W = pool.P.tolist(), pool.W.tolist()
+                args = P, W, budget * pool.lw, cap, num, den, equality
+                rows, parts = vertex_by_the_rule(*args)
+                assert sorted(integral.tolist()) == sorted(rows)
+                assert dict(fractional) == parts
+                assert primal == sum(P[i] for i in rows) + sum(P[i] * x for i, x in parts.items())
+                differs[equality] += (rows, parts) != vertex_by_the_rule(*args, flip=True)
+        assert min(differs.values()) >= 5, differs
 
     def test_padding_with_zero_keys(self):
         # p = w everywhere: at mu* = 1 every key is zero, so the vertex is
@@ -738,7 +822,9 @@ class TestSmallSolver:
 
     def test_from_partition_uses_rounded_profits(self):
         # Every unit's P/lp is its class's rounded profit (0 for a filler),
-        # and the nonzero P are coprime, on every kind of pool.
+        # and the nonzero P are coprime, on every kind of pool. The units
+        # are listed in run order: class by class, each by ascending W and
+        # then view row, the fillers last.
         kinds = set()
         for inst, eps in rounded_pool_cases():
             part = build_partition(inst, eps)
@@ -748,23 +834,36 @@ class TestSmallSolver:
                 row: klass.rounded_profit for klass in part.small_classes for row in klass.rows
             }
             expected.update((row, ZERO) for row in part.filler_rows)
-            assert solver.ids.tolist() == sorted(expected)
+            runs = [klass.rows for klass in part.small_classes] + [part.filler_rows]
+            W = part.view.W
+            assert all(list(run) == sorted(run, key=lambda r: (W[r], r)) for run in runs)
+            assert solver.ids.tolist() == [row for run in runs for row in run]
             assert solver.ids.dtype == np.intp
             P = solver.P.tolist()
+            assert P == sorted(P, reverse=True)
             value = {p: Fraction(p) / solver.lp for p in set(P)}
             assert all(value[p] == expected[uid] for uid, p in zip(solver.ids, P))
             assert math.gcd(*P) == (1 if any(P) else 0)
             assert solver.K == part.cardinality
+            # The pass at nu = 0 takes the first units in run order.
+            cap = min(solver.K, len(P))
+            if cap:
+                _, _, chosen = lightest_maximizer_int(
+                    solver.P, solver.W, cap, 0, 1, equality=solver.equality
+                )
+                assert chosen == solver.left_end(cap)[2].tolist() == list(range(cap))
             kinds.add(("single class", len(part.small_classes) == 1))
             kinds.add(("fillers", bool(part.filler_rows)))
             kinds.add(("deep", max((c.index for c in part.small_classes), default=0) >= 100))
         assert all((kind, True) in kinds for kind in ("single class", "fillers", "deep"))
 
     def test_class_runs_give_the_per_unit_values(self):
-        # from_partition reads max P, the floats P/2^e and top_sums (up to K
-        # units) from one value per class, and the pass at nu = 0 from the
-        # runs (top_rows, top_weights); they must equal what the units give,
-        # on C02's pools and on large-fold's object pools of 42-43 classes.
+        # from_partition reads max P and the floats P/2^e from one value per
+        # class, and the pass at nu = 0 (left_end) from prefix sums of the
+        # first units in run order; they must equal what the units give, on
+        # C02's pools and on large-fold's object pools of 42-43 classes. The
+        # estimate's pool, in id order, runs that pass instead, and must
+        # answer alike.
         classes = []
         for inst, eps in itertools.chain(rounded_pool_cases(), large_fold_cases()):
             part = build_partition(inst, eps)
@@ -774,14 +873,19 @@ class TestSmallSolver:
             expected = small_items._over_power(solver.P, solver._max_p.bit_length())
             assert solver._pf.dtype == np.float64
             assert solver._pf.tobytes() == expected.tobytes()  # bit for bit
-            top = sorted(P, reverse=True)[: solver.K]
-            assert solver.top_sums == list(itertools.accumulate(top, initial=0))
-            for cap in {min(1, len(top)), len(top) // 2, len(top)} - {0}:
-                p_sum, w_sum, chosen = lightest_maximizer_int(
-                    solver.P, solver.W, cap, 0, 1, equality=solver.equality
-                )
-                assert (solver.top_sums[cap], solver.top_weights[cap - 1]) == (p_sum, w_sum)
-                assert sorted(solver.top_rows[:cap].tolist()) == solver.ids[chosen].tolist()
+            for pool in (solver, estimate_pool(inst)):
+                top = sorted(pool.P.tolist(), reverse=True)[: pool.K]
+                for cap in {min(1, len(top)), len(top) // 2, len(top)} - {0}:
+                    p_sum, w_sum, chosen = lightest_maximizer_int(
+                        pool.P, pool.W, cap, 0, 1, equality=pool.equality
+                    )
+                    got_p, got_w, units = pool.left_end(cap)
+                    assert (got_p, got_w) == (p_sum, w_sum) and p_sum == sum(top[:cap])
+                    assert type(got_p) is int and type(got_w) is int
+                    assert sorted(units.tolist()) == chosen
+                    assert pool.top_scaled(cap) == p_sum
+                assert pool.top_scaled(0) == 0
+            assert solver.passes == 0  # read off the runs
             classes.append((len(part.small_classes), solver.P.dtype))
         assert classes[-2:] == [(43, object), (42, object)]
 
@@ -833,6 +937,19 @@ def rounded_pool_cases():
     fillers = [(1, 40, 5), (2, 30, 4), (3, 12, 3), (4, 1, 1), (5, 1, 2), (6, 2, 2)]
     yield inst_of(fillers, 9, 4, Mode.EXACT), F(1, 4)
     yield generate_instance("uniform", 20000, 1024, seed=1), F(1, 5)
+
+
+def estimate_pool(inst):
+    """The pool half_approx_opt builds over the candidates, in id order:
+    the positive-profit ones at most K, every one exactly K."""
+    view = candidate_view(inst)
+    rows = np.arange(len(view.ids))
+    if inst.mode is Mode.AT_MOST:
+        rows = np.flatnonzero(view.P > 0)
+    return SmallSolver(
+        rows, view.P[rows], view.W[rows], view.lp, view.lw, inst.cardinality,
+        inst.mode is Mode.EXACT,
+    )
 
 
 def large_fold_cases():
