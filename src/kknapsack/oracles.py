@@ -369,7 +369,9 @@ def reference_partition(inst: Instance, eps: Fraction) -> Partition:
     partition carries candidate_view(inst) to read its rows by, which takes
     no part in equality and no part in computing them. Large prefix sums
     count in the lcm of the candidates' weight denominators, taken here
-    from the items themselves. The estimate is read through
+    from the items themselves. The discarded ids are collected as one set,
+    and the partition takes it as the rows of the candidates in it and the
+    ids of the rest. The estimate is read through
     preprocessing.half_approx_opt at call time, like build_partition."""
     eps = Fraction(eps)
     K = inst.cardinality
@@ -430,10 +432,11 @@ def reference_partition(inst: Instance, eps: Fraction) -> Partition:
         cardinality=K,
         large_classes=tuple(large_classes),
         small_classes=tuple(small_classes),
-        discarded=frozenset(discarded),
+        pruned_rows=np.array([row_of[i] for i in discarded if i in row_of], np.intp),
         view=preprocessing.candidate_view(inst),
         exactly_k=exactly_k,
         filler_rows=rows(fillers),
+        infeasible_ids=tuple(i for i in discarded if i not in row_of),
     )
 
 

@@ -24,12 +24,17 @@ fillers keep only their K lightest members -- some optimal solution
 survives the pruning because equal-profit items are interchangeable and
 lighter is never worse. Exactly-K mode first drops the items no feasible
 K-set contains.
+
+The partition's work follows the rows it keeps: at most K the rows below
+the floor leave through one mask and never enter the sort, only the kept
+rows become Python ints (each class's own tuple), and the set of discarded
+ids is built only when something reads it, which no solve does.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain
@@ -111,7 +116,7 @@ class SmallClass:
         return len(self.rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
     """Complete rounding/partitioning state for one solve.
 
@@ -119,10 +124,21 @@ class Partition:
     are pruned, or lie below the profit floor eps*opt_estimate/K, except the
     fillers: in exactly-K mode (exactly_k) the K lightest of those, counted
     at profit 0, whose view rows filler_rows holds (weight ascending, ties
-    by id). cardinality is carried along because the small-item
-    relaxations need K itself, not only z = min(K, ceil(1/eps)). view is
-    the solve's CandidateView, whose rows every class and the fillers name;
-    it takes no part in equality.
+    by id). The partition keeps the candidates among them as view rows,
+    pruned_rows (an int array in no set order), and the rest as
+    infeasible_ids; discarded is built from the two the first time it is
+    read, and nothing on the solve path reads it. cardinality is carried
+    along because the small-item relaxations need K itself, not only
+    z = min(K, ceil(1/eps)). view is the solve's CandidateView, whose rows
+    every class and the fillers name.
+
+    Two partitions are equal when their estimate, accuracy, classes,
+    discarded ids and fillers are; view and the row arrays take no part.
+    kept_rows lists every row a class or the fillers keep, as one int
+    array: the large classes', then the small classes', each by ascending
+    index and in the class's own order, then the fillers'. build_partition
+    hands it over (kept); otherwise, as after dataclasses.replace, it is
+    read from the tuples on first use.
     """
 
     opt_estimate: Fraction
@@ -131,10 +147,37 @@ class Partition:
     cardinality: int
     large_classes: tuple[LargeClass, ...]
     small_classes: tuple[SmallClass, ...]
-    discarded: frozenset[int]
-    view: CandidateView = field(compare=False, repr=False)
+    pruned_rows: np.ndarray = field(repr=False)
+    view: CandidateView = field(repr=False)
     exactly_k: bool = False
     filler_rows: tuple[int, ...] = ()
+    infeasible_ids: tuple[int, ...] = ()
+    kept: InitVar[Optional[np.ndarray]] = None
+
+    def __post_init__(self, kept):
+        if kept is not None:
+            self.__dict__["kept_rows"] = kept
+
+    def _compared(self) -> tuple:
+        return (self.opt_estimate, self.epsilon, self.z, self.cardinality, self.large_classes,
+                self.small_classes, self.discarded, self.exactly_k, self.filler_rows)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __hash__(self):
+        return hash(self._compared())
+
+    @cached_property
+    def discarded(self) -> frozenset[int]:
+        return frozenset(chain(self.view.ids[self.pruned_rows].tolist(), self.infeasible_ids))
+
+    @cached_property
+    def kept_rows(self) -> np.ndarray:
+        groups = [c.rows for c in self.large_classes + self.small_classes] + [self.filler_rows]
+        return np.fromiter(chain.from_iterable(groups), np.intp, sum(map(len, groups)))
 
     @property
     def class_count(self) -> int:
@@ -284,9 +327,14 @@ def build_partition(
     integer division, computed once per class as the walk multiplies the
     numerator and denominator of S*g^(+-i) by those of g. One searchsorted
     over the profits' dtype (int64 profits get int64 cuts: the cuts stop at
-    the largest) places every item, and one lexsort on (class, W) orders
-    every class; it is stable and the view's rows ascend by id, so ties go
-    by id. Every class and the fillers are runs of that order, as slices.
+    the largest) places every item. At most K the rows below the floor are
+    discarded through one mask; the other rows, and exactly K every row (the
+    fillers are the floor rows' K lightest), enter one lexsort on
+    (class, W). It is stable and the view's rows ascend by id, so ties go
+    by id. Every class and the fillers are runs of that order, as array
+    slices; each run becomes Python ints only for the rows its class keeps,
+    and the kept rows go to the Partition as one array (kept_rows). The
+    pruned rows stay an array, and discarded is built from them on read.
     """
     eps = parse_rational(eps)
     if not (0 < eps < 1):
@@ -339,35 +387,39 @@ def build_partition(
     smalls = J + 1 - j0
     cuts = [floor_p, *(-v for v in reversed(small_bounds[:-1])), *(v + 1 for v in large_bounds[:-1])]
     slot = np.searchsorted(np.array(cuts, dtype=P.dtype), P, side="right")
-    order = np.lexsort((W, slot))
+    # pruned collects the rows no class keeps.
+    if exactly_k:  # the fillers are the floor rows' K lightest, so every row is sorted
+        order, pruned = np.lexsort((W, slot)), [np.arange(0)]
+    else:  # every floor row is discarded: one mask, and the sort skips them
+        live = np.flatnonzero(slot)
+        order, pruned = live[np.lexsort((W[live], slot[live]))], [np.flatnonzero(slot == 0)]
     slots = slot[order]
-    bounds = [0, *(np.flatnonzero(slots[1:] != slots[:-1]) + 1).tolist(), len(order)]
+    starts = np.flatnonzero(np.diff(slots, prepend=-1)).tolist()  # where each slot's run starts
 
-    pruned = [order[:0]]  # rows of the candidates no class keeps
-    large_classes, small_classes = [], []
-    filler_rows = ()
-    rows, weights = order.tolist(), W[order].tolist()
-    for s, a, z in zip(slots[bounds[:-1]].tolist(), bounds, bounds[1:]):
+    large_classes, small_classes, large_rows, small_rows = [], [], [], []
+    fillers = order[:0]
+    for s, a, z in zip(slots[starts].tolist(), starts, starts[1:] + [len(order)]):
+        rows = order[a:z]
         if s > smalls:
-            prefix = tuple(accumulate(weights[a:z], initial=0))
-            klass = LargeClass(s - smalls, large_floor, growth, tuple(rows[a:z]), prefix, view.lw)
+            prefix = tuple(accumulate(W[rows].tolist(), initial=0))
+            klass = LargeClass(s - smalls, large_floor, growth, tuple(rows.tolist()), prefix, view.lw)
             large_classes.append(klass)
+            large_rows.append(rows)
             continue
-        if s == 0 and not exactly_k:
-            pruned.append(order[a:z])
-            continue
-        pruned.append(order[a + K : z])
-        kept = tuple(rows[a : min(a + K, z)])
+        pruned.append(rows[K:])
+        rows = rows[:K]
         if s == 0:
-            filler_rows = kept
+            fillers = rows
         else:
-            small_classes.append(SmallClass(J + 1 - s, large_floor, growth, kept))
+            small_classes.append(SmallClass(J + 1 - s, large_floor, growth, tuple(rows.tolist())))
+            small_rows.append(rows)
     small_classes.reverse()  # slots ascend with profit, small indices descend
+    small_rows.reverse()
 
-    discarded = view.ids[np.concatenate(pruned)].tolist()
+    infeasible_ids = ()
     if len(view.ids) < inst.n:  # the items no feasible selection contains
-        kept = set(view.ids.tolist())
-        discarded += [it.id for it in inst.items if it.id not in kept]
+        candidates = set(view.ids.tolist())
+        infeasible_ids = tuple(it.id for it in inst.items if it.id not in candidates)
 
     partition = Partition(
         opt_estimate=opt_estimate,
@@ -376,10 +428,12 @@ def build_partition(
         cardinality=K,
         large_classes=tuple(large_classes),
         small_classes=tuple(small_classes),
-        discarded=frozenset(discarded),
+        pruned_rows=np.concatenate(pruned),
         view=view,
         exactly_k=exactly_k,
-        filler_rows=filler_rows,
+        filler_rows=tuple(fillers.tolist()),
+        infeasible_ids=infeasible_ids,
+        kept=np.concatenate([*large_rows, *small_rows, fillers]),
     )
     _check_partition(partition, inst)
     return partition
@@ -410,7 +464,9 @@ def _check_partition(partition: Partition, inst: Instance) -> None:
     large, small = partition.large_classes, partition.small_classes
     sizes = np.array([c.size for c in large + small], np.intp)
     assert sizes.all(), "an empty class"
-    rows = np.fromiter(chain.from_iterable(c.rows for c in large + small), np.intp, sizes.sum())
+    kept, fillers = partition.kept_rows, partition.filler_rows
+    rows = kept[: len(kept) - len(fillers)]
+    assert len(rows) == sizes.sum(), "the kept rows disagree with the classes"
     values, starts = view.P[rows], np.cumsum(sizes) - sizes
     least, greatest = np.minimum.reduceat(values, starts), np.maximum.reduceat(values, starts)
     extremes = zip(least.tolist(), greatest.tolist())
@@ -434,11 +490,10 @@ def _check_partition(partition: Partition, inst: Instance) -> None:
             assert greatest * sd * below[0] < sn * below[1], cls
     # Fillers: exactly-K mode only, at most K, each below the profit floor:
     # P*K < S.
-    fillers = partition.filler_rows
     assert partition.exactly_k or not fillers
     assert len(fillers) <= K
     if fillers:
-        _, greatest = _extremes(view.P[list(fillers)])
+        _, greatest = _extremes(view.P[kept[len(rows) :]])
         assert greatest * K * sd < sn, fillers
 
     # Class-count bound: at most ceil(log_g(1/eps)) large indices plus

@@ -32,7 +32,6 @@ item id.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
@@ -41,8 +40,6 @@ from typing import Optional
 import numpy as np
 
 from .instance_model import _extremes, _sum_array
-
-ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +138,9 @@ class SmallSolver:
         """The pool of a partition's pruned small classes, plus its
         zero-profit fillers in exactly-K mode, labelled by their rows in the
         partition's candidate view and listed in run order: class by class,
-        each class by ascending W and then view row, the fillers last. The
-        weights are the view's W, and the profits come from the class
-        indices alone.
+        each class by ascending W and then view row, the fillers last, as
+        the tail of the partition's kept_rows. The weights are the view's W,
+        and the profits come from the class indices alone.
 
         Small class j counts its members at S*g^-j, with S its profit_scale
         and g = c/b its growth in lowest terms. Over the pooled indices
@@ -166,9 +163,10 @@ class SmallSolver:
             jmin, jmax = classes[0].index, classes[-1].index  # indices ascend
             lp = g**jmax * b ** (jmax - jmin) / S
             profits = [b ** (j.index - jmin) * c ** (jmax - j.index) for j in classes]
-        groups = [j.rows for j in classes] + [partition.filler_rows]
-        values, counts = profits + [0], [len(r) for r in groups]
-        rows = np.fromiter(itertools.chain(*groups), np.intp, sum(counts))
+        values = profits + [0]
+        counts = [j.size for j in classes] + [len(partition.filler_rows)]
+        kept = partition.kept_rows  # the small classes' and the fillers' rows come last
+        rows = kept[len(kept) - sum(counts) :]
         P = np.repeat(_sum_array(np.array(values, object), count=len(rows)), counts)
         return cls(
             rows, P, view.W[rows], lp, view.lw,
@@ -275,6 +273,14 @@ def _over_power(values: np.ndarray, bits: int) -> np.ndarray:
     return np.array([v / d for v in values.tolist()], dtype=np.float64)
 
 
+def _kth(keys: np.ndarray, k: int) -> float:
+    """The k-th smallest of keys (from 0), partitioning keys in place.
+    np.partition would copy them again and costs about 2.5 us more a call
+    on 2000 units, where a whole greedy pass takes about 18 us."""
+    keys.partition(k)
+    return keys.item(k)
+
+
 def _lightest_maximizer(pool: SmallSolver, cap: int, num: int, den: int):
     """Lightest maximizer S of the inner Lagrangian problem at nu = num/den,
     1 <= cap <= len(pool.P): the top-cap units by key den*P - num*W (only
@@ -296,15 +302,15 @@ def _lightest_maximizer(pool: SmallSolver, cap: int, num: int, den: int):
     the inequality row clips hi to at least E (keys above it are positive)
     and lo to at least -E. Fewer than cap units key above hi, and the band
     [lo, hi] holds every unit at c* and, when c* <= 0, every non-negative
-    key not above hi. So the band's exact keys decide S. 14 numpy calls (3
-    fewer with an empty band), and under the inequality row 3 more when
-    more than cap keys may be positive, which the partition and a new band
-    need.
+    key not above hi. So the band's exact keys decide S. 15 numpy calls
+    under the equality row and 14 under the inequality row (3 fewer with an
+    empty band), and under the inequality row 3 more when more than cap
+    keys may be positive, which the partition and a new band need.
     """
     pool.passes += 1
     kf = pool.float_keys(num, den)
     if pool.equality:
-        cf = np.partition(kf, len(kf) - cap).item(len(kf) - cap)
+        cf = _kth(kf.copy(), len(kf) - cap)
         hi, lo = cf + 2 * KEY_ERROR, cf - 2 * KEY_ERROR
         ranked = kf >= lo
     else:
@@ -312,7 +318,7 @@ def _lightest_maximizer(pool: SmallSolver, cap: int, num: int, den: int):
         ranked = kf >= lo  # the keys that may be >= 0
         rank = np.count_nonzero(ranked) - cap
         if rank > 0:  # else at most cap keys are positive: no cut
-            cf = np.partition(kf[ranked], rank).item(rank)
+            cf = _kth(kf[ranked], rank)
             hi, lo = max(cf + 2 * KEY_ERROR, hi), max(cf - 2 * KEY_ERROR, lo)
             ranked = kf >= lo
     high = kf > hi
@@ -428,12 +434,14 @@ def _vertex(pool: SmallSolver, bn: int, bd: int, cap: int, num: int, den: int):
             used += delta
             swaps += 1
         else:
-            lam = Fraction(bn - bd * used, bd * delta)
-            fractional = [(unit_in, lam), (unit_out, ONE - lam)]
+            share, q = bn - bd * used, bd * delta  # x = share/q in, the rest out
+            fractional = [(unit_in, Fraction(share, q)), (unit_out, Fraction(q - share, q))]
             break
     assert fractional or bd * used == bn, "cannot make weight row tight at mu*"
     taken = heaviest[:swaps] + lightest[swaps + bool(fractional):]
-    primal += sum(p for _, _, p in taken) + sum(unit[2] * x for unit, x in fractional)
+    primal += sum(p for _, _, p in taken)
+    if fractional:  # one Fraction for the two parts, not four operations on them
+        primal = Fraction(primal * q + unit_in[2] * share + unit_out[2] * (q - share), q)
     integral = np.array([i for _, i, _ in taken if i is not None], dtype=np.intp)
     fractional = [(unit[1], x) for unit, x in fractional if unit[1] is not None]
     return np.concatenate((above, integral)), fractional, primal, g

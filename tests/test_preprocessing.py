@@ -3,6 +3,7 @@ class thresholds, computed with exact powers of the growth, against the
 reference partition's per-item index search (oracles.geometric_index_up,
 itself checked here against a linear scan)."""
 
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -27,6 +28,8 @@ from kknapsack.preprocessing import (
     candidate_view,
     half_approx_opt,
 )
+from test_acceptance import c02_instances
+from test_combiner import in_mode, tie_heavy_instances
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -266,6 +269,122 @@ class TestBuildPartition:
             summary = part.summary()
             assert len(summary["large_classes"]) == len(part.large_classes)
             assert len(summary["small_classes"]) == len(part.small_classes)
+
+
+def sort_everything(inst, eps):
+    """(large, small, fillers, discarded) by the rule build_partition
+    followed before its floor rows skipped the sort: every candidate in one
+    stable lexsort on (class, W), each class a run of that order, small
+    classes and the fillers cut to their K lightest. Classes are read with
+    oracles.geometric_index_up on each distinct view profit; large and
+    small are lists of (index, rows), and the ids of the items that are not
+    candidates are discarded too."""
+    view = candidate_view(inst)
+    K, exactly_k = inst.cardinality, inst.mode is Mode.EXACT
+    S = eps * 2 * half_approx_opt(inst, view).value * view.lp
+
+    def klass(p):  # ascends with p: the floor, small classes, large classes
+        if p * K < S:
+            return 0, 0
+        if p <= S:
+            return 1, -geometric_index_up(S / p, eps)
+        return 2, geometric_index_up(p / S, eps)
+
+    P = view.P.tolist()
+    key = {p: klass(p) for p in set(P)}
+    rank = {k: r for r, k in enumerate(sorted(set(key.values())))}
+    order = np.lexsort((view.W, np.array([rank[key[p]] for p in P], dtype=np.intp)))
+    large, small, fillers, pruned = [], [], (), []
+    for (kind, index), run in itertools.groupby(order.tolist(), lambda r: key[P[r]]):
+        run = tuple(run)
+        if kind == 2:
+            large.append((index, run))
+        elif kind == 1 or exactly_k:
+            pruned += run[K:]
+            if kind == 1:
+                small.append((-index, run[:K]))
+            else:
+                fillers = run[:K]
+        else:
+            pruned += run
+    candidates = set(view.ids.tolist())
+    outside = {it.id for it in inst.items if it.id not in candidates}
+    return large, small[::-1], fillers, frozenset(view.ids[list(pruned)].tolist()) | outside
+
+
+class TestFloorRowsSkipTheSort:
+    """build_partition sorts only the rows some class or the fillers may
+    keep, lists each class's own rows and builds discarded on read. Its
+    classes, fillers and discarded ids must be those of sorting every
+    candidate (sort_everything), in both modes."""
+
+    @staticmethod
+    def assert_same(inst, eps):
+        try:
+            part = build_partition(inst, eps)
+        except TrivialInstanceError:
+            return None
+        large, small, fillers, discarded = sort_everything(inst, eps)
+        assert [(c.index, c.rows) for c in part.large_classes] == large
+        assert [(c.index, c.rows) for c in part.small_classes] == small
+        assert part.filler_rows == fillers
+        assert part.discarded == discarded
+        return part
+
+    @pytest.mark.parametrize("mode", [Mode.AT_MOST, Mode.EXACT])
+    def test_wide_uniform_job(self, monkeypatch, mode):
+        # wide-n's uniform job, n = 20000, K = 256, eps = 1/2: about half
+        # the rows lie below the floor.
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        import workloads
+
+        job = workloads.build_corpus("wide-n", 401, workloads.DEFAULT_CORPUS_SEED, False)[0]
+        assert job.instance.n == 20000 and job.instance.cardinality == 256
+        part = self.assert_same(in_mode(job.instance, mode), job.eps)
+        assert len(part.discarded) > 10_000 and part.small_classes
+        assert bool(part.filler_rows) == (mode is Mode.EXACT)
+
+    @pytest.mark.parametrize("mode", [Mode.AT_MOST, Mode.EXACT])
+    def test_c02_and_tie_heavy_corpora(self, mode):
+        # The tie-heavy instances put equal weights at the K-th place of a
+        # class, where the tie-break by row decides who is pruned.
+        built = [
+            self.assert_same(in_mode(inst, mode), eps)
+            for inst in c02_instances() + tie_heavy_instances()
+            for eps in (F(1, 10), F(3, 10))
+        ]
+        assert sum(p is not None for p in built) > 200
+        assert any(p and p.large_classes for p in built)
+        # Some class keeps a row whose P and W a pruned row shares.
+        def pruned_tie(part):
+            P, W = part.view.P, part.view.W
+            pruned = set(zip(P[part.pruned_rows].tolist(), W[part.pruned_rows].tolist()))
+            return any((P[c.rows[-1]], W[c.rows[-1]]) in pruned for c in part.small_classes)
+
+        assert any(pruned_tie(p) for p in built if p)
+
+    @pytest.mark.parametrize("mode", [Mode.AT_MOST, Mode.EXACT])
+    def test_no_row_survives_the_floor(self, mode):
+        # K = 1 and eps = 3/4: the floor 2*eps*10/K = 15 lies above every
+        # profit, so no class keeps a row; exactly K keeps the lightest as
+        # the one filler.
+        inst = inst_of([(1, 10, 3), (2, 9, 1), (3, 4, 2)], 10, 1, mode=mode)
+        part = self.assert_same(inst, F(3, 4))
+        assert part.class_count == 0 and part == reference_partition(inst, F(3, 4))
+        if mode is Mode.EXACT:
+            assert member_ids(part, part.filler_rows) == [2] and part.discarded == {1, 3}
+        else:
+            assert not part.filler_rows and part.discarded == {1, 2, 3}
+        assert part.kept_rows.tolist() == list(part.filler_rows)
+        sol, _ = solve_with_details(inst, F(3, 4))
+        assert sol.count == 1 and sol.total_profit >= F(9)
+
+    def test_discarded_is_built_on_read(self):
+        inst = generate_instance("uniform", 300, 4, seed=5)
+        part = build_partition(inst, F(1, 4))
+        assert "discarded" not in vars(part)
+        assert part.discarded == reference_partition(inst, F(1, 4)).discarded
+        assert "discarded" in vars(part)
 
 
 class TestCheckPartition:
