@@ -108,19 +108,29 @@ class ItemColumns(NamedTuple):
 
 
 def item_columns(inst: Instance) -> ItemColumns:
-    """inst's ItemColumns: one pass reads each id, numerator and denominator."""
+    """inst's ItemColumns: one pass reads each id, and each profit and weight
+    with one as_integer_ratio() call (a Fraction's, or a plain int's). A
+    denominator column of ones, as on integral instances, is not converted
+    value by value."""
     ids, pn, pd, wn, wd = columns = [], [], [], [], []
+    add_id, add_pn, add_pd, add_wn, add_wd = (c.append for c in columns)
     for it in inst.items:
-        p, w = it.profit, it.weight
-        ids.append(it.id)
-        pn.append(p.numerator)
-        pd.append(p.denominator)
-        wn.append(w.numerator)
-        wd.append(w.denominator)
-    return ItemColumns(np.array(ids, dtype=object), *map(_column, columns))
+        a, b = it.profit.as_integer_ratio()
+        c, d = it.weight.as_integer_ratio()
+        add_id(it.id)
+        add_pn(a)
+        add_pd(b)
+        add_wn(c)
+        add_wd(d)
+    return ItemColumns(
+        np.array(ids, dtype=object), _column(ids), _column(pn), _column(pd, ones=True),
+        _column(wn), _column(wd, ones=True),
+    )
 
 
-def _column(values: list) -> np.ndarray:
+def _column(values: list, ones: bool = False) -> np.ndarray:
+    if ones and values.count(1) == len(values):  # a denominator column of integral values
+        return np.ones(len(values), np.int64)
     try:
         return np.fromiter(values, np.int64, len(values))
     except OverflowError:  # a value past int64

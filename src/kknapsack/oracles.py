@@ -370,8 +370,9 @@ def reference_partition(inst: Instance, eps: Fraction) -> Partition:
     no part in equality and no part in computing them. Large prefix sums
     count in the lcm of the candidates' weight denominators, taken here
     from the items themselves. The discarded ids are collected as one set,
-    and the partition takes it as the rows of the candidates in it and the
-    ids of the rest. The estimate is read through
+    and the partition takes the rows of the candidates in it; the ids of
+    the rest, which are not candidates, it reads from its view's columns.
+    The estimate is read through
     preprocessing.half_approx_opt at call time, like build_partition."""
     eps = Fraction(eps)
     K = inst.cardinality
@@ -436,7 +437,6 @@ def reference_partition(inst: Instance, eps: Fraction) -> Partition:
         view=preprocessing.candidate_view(inst),
         exactly_k=exactly_k,
         filler_rows=rows(fillers),
-        infeasible_ids=tuple(i for i in discarded if i not in row_of),
     )
 
 

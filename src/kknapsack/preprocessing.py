@@ -26,9 +26,12 @@ lighter is never worse. Exactly-K mode first drops the items no feasible
 K-set contains.
 
 The partition's work follows the rows it keeps: at most K the rows below
-the floor leave through one mask and never enter the sort, only the kept
-rows become Python ints (each class's own tuple), and the set of discarded
-ids is built only when something reads it, which no solve does.
+the floor leave through one mask and never enter the sort, one np.sort of
+packed int64 keys orders the rest, only a large class's rows become Python
+ints on every build, and the small classes' and the fillers' tuples of
+rows, the ids of the items that are not candidates and the set of
+discarded ids are built only when something reads them, which no solve
+does.
 """
 
 from __future__ import annotations
@@ -88,6 +91,28 @@ class LargeClass:
         return len(self.rows)
 
 
+class _Rows:
+    """A dataclass field of view rows that also takes an int array. The
+    value is kept as given, and an array becomes a tuple of Python ints the
+    first time the field is read; len(vars(obj)[name]) counts the rows
+    without building it. build_partition hands over slices of its sort
+    order, and a solve reads only the counts and Partition.kept_rows."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return ()  # the field's default
+        rows = vars(obj)[self.name]
+        if not isinstance(rows, tuple):
+            rows = vars(obj)[self.name] = tuple(rows.tolist())
+        return rows
+
+    def __set__(self, obj, rows):
+        vars(obj)[self.name] = rows
+
+
 @dataclass(frozen=True)
 class SmallClass:
     """Geometric profit class of small items.
@@ -99,13 +124,15 @@ class SmallClass:
     loss per item is under eps/(1+eps) of its profit. It is built lazily,
     like LargeClass.rounded_profit; the small pool reads class indices
     instead. rows are the view rows of the class's K lightest members,
-    weight ascending, ties by id.
+    weight ascending, ties by id: a tuple, built on first read from the
+    array build_partition hands over (see _Rows); size counts them without
+    building it.
     """
 
     index: int
     profit_scale: Fraction
     growth: Fraction
-    rows: tuple[int, ...]
+    rows: tuple[int, ...] = _Rows()
 
     @cached_property
     def rounded_profit(self) -> Fraction:
@@ -113,7 +140,7 @@ class SmallClass:
 
     @property
     def size(self) -> int:
-        return len(self.rows)
+        return len(vars(self)["rows"])
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,13 +151,15 @@ class Partition:
     are pruned, or lie below the profit floor eps*opt_estimate/K, except the
     fillers: in exactly-K mode (exactly_k) the K lightest of those, counted
     at profit 0, whose view rows filler_rows holds (weight ascending, ties
-    by id). The partition keeps the candidates among them as view rows,
-    pruned_rows (an int array in no set order), and the rest as
-    infeasible_ids; discarded is built from the two the first time it is
-    read, and nothing on the solve path reads it. cardinality is carried
-    along because the small-item relaxations need K itself, not only
-    z = min(K, ceil(1/eps)). view is the solve's CandidateView, whose rows
-    every class and the fillers name.
+    by id; a tuple built on first read, like SmallClass.rows, and counted
+    without it by filler_count). The partition keeps the candidates among
+    the discarded as view rows, pruned_rows (an int array in no set order).
+    The rest, infeasible_ids, and discarded itself are built from the view
+    and its item columns the first time they are read, and nothing on the
+    solve path reads them. cardinality is carried along because the
+    small-item relaxations need K itself, not only z = min(K, ceil(1/eps)).
+    view is the solve's CandidateView, whose rows every class and the
+    fillers name.
 
     Two partitions are equal when their estimate, accuracy, classes,
     discarded ids and fillers are; view and the row arrays take no part.
@@ -150,8 +179,7 @@ class Partition:
     pruned_rows: np.ndarray = field(repr=False)
     view: CandidateView = field(repr=False)
     exactly_k: bool = False
-    filler_rows: tuple[int, ...] = ()
-    infeasible_ids: tuple[int, ...] = ()
+    filler_rows: tuple[int, ...] = _Rows()
     kept: InitVar[Optional[np.ndarray]] = None
 
     def __post_init__(self, kept):
@@ -173,6 +201,19 @@ class Partition:
     @cached_property
     def discarded(self) -> frozenset[int]:
         return frozenset(chain(self.view.ids[self.pruned_rows].tolist(), self.infeasible_ids))
+
+    @cached_property
+    def infeasible_ids(self) -> tuple[int, ...]:
+        """The ids of the items that are not candidates, in item order."""
+        ids = self.view.columns.ids
+        if len(ids) == len(self.view.ids):
+            return ()
+        candidates = set(self.view.ids.tolist())
+        return tuple(i for i in ids.tolist() if i not in candidates)
+
+    @property
+    def filler_count(self) -> int:
+        return len(vars(self)["filler_rows"])
 
     @cached_property
     def kept_rows(self) -> np.ndarray:
@@ -228,7 +269,8 @@ class CandidateView:
     and W = weight*lw, with lp and lw the lcms of the candidates' profit
     and weight denominators, are sum arrays (instance_model._sum_array): int64
     when n times the largest value stays below 2^62, so every sum a
-    consumer forms fits, and Python ints otherwise.
+    consumer forms fits, and Python ints otherwise. columns are the item
+    columns the view was built from.
     """
 
     ids: np.ndarray
@@ -236,6 +278,7 @@ class CandidateView:
     W: np.ndarray
     lp: int
     lw: int
+    columns: ItemColumns = field(repr=False)
 
     def totals(self, rows: np.ndarray) -> tuple[Fraction, Fraction]:
         """Exact total profit and weight of the candidates at these rows."""
@@ -249,7 +292,7 @@ def candidate_view(inst: Instance, columns: Optional[ItemColumns] = None) -> Can
     rows = rows[np.argsort(cols.keys[rows])]  # ids are distinct in a valid instance
     P, lp = scaled_column(cols.pn[rows], cols.pd[rows])
     W, lw = scaled_column(cols.wn[rows], cols.wd[rows])
-    return CandidateView(cols.ids[rows], P, W, lp, lw)
+    return CandidateView(cols.ids[rows], P, W, lp, lw, cols)
 
 
 class _Bounds(NamedTuple):
@@ -329,12 +372,15 @@ def build_partition(
     over the profits' dtype (int64 profits get int64 cuts: the cuts stop at
     the largest) places every item. At most K the rows below the floor are
     discarded through one mask; the other rows, and exactly K every row (the
-    fillers are the floor rows' K lightest), enter one lexsort on
-    (class, W). It is stable and the view's rows ascend by id, so ties go
-    by id. Every class and the fillers are runs of that order, as array
-    slices; each run becomes Python ints only for the rows its class keeps,
-    and the kept rows go to the Partition as one array (kept_rows). The
-    pruned rows stay an array, and discarded is built from them on read.
+    fillers are the floor rows' K lightest), are ordered by (class, W, row)
+    with one np.sort of packed int64 keys (_class_order; a stable lexsort
+    on (class, W) where a key would pass 63 bits). The view's rows ascend
+    by id, so ties go by id. Every class and the fillers are runs of that
+    order, as array slices. A large class's run becomes Python ints (its
+    rows and prefix sums); a small class and the fillers keep their slice,
+    cut to the K lightest, and build their tuple of rows only when read.
+    The kept rows go to the Partition as one array (kept_rows). The pruned
+    rows stay an array, and discarded is built from them on read.
     """
     eps = parse_rational(eps)
     if not (0 < eps < 1):
@@ -389,11 +435,12 @@ def build_partition(
     slot = np.searchsorted(np.array(cuts, dtype=P.dtype), P, side="right")
     # pruned collects the rows no class keeps.
     if exactly_k:  # the fillers are the floor rows' K lightest, so every row is sorted
-        order, pruned = np.lexsort((W, slot)), [np.arange(0)]
+        order, slots = _class_order(slot, W)
+        pruned = [np.arange(0)]
     else:  # every floor row is discarded: one mask, and the sort skips them
         live = np.flatnonzero(slot)
-        order, pruned = live[np.lexsort((W[live], slot[live]))], [np.flatnonzero(slot == 0)]
-    slots = slot[order]
+        order, slots = _class_order(slot[live], W[live])
+        order, pruned = live[order], [np.flatnonzero(slot == 0)]
     starts = np.flatnonzero(np.diff(slots, prepend=-1)).tolist()  # where each slot's run starts
 
     large_classes, small_classes, large_rows, small_rows = [], [], [], []
@@ -411,15 +458,10 @@ def build_partition(
         if s == 0:
             fillers = rows
         else:
-            small_classes.append(SmallClass(J + 1 - s, large_floor, growth, tuple(rows.tolist())))
+            small_classes.append(SmallClass(J + 1 - s, large_floor, growth, rows))
             small_rows.append(rows)
     small_classes.reverse()  # slots ascend with profit, small indices descend
     small_rows.reverse()
-
-    infeasible_ids = ()
-    if len(view.ids) < inst.n:  # the items no feasible selection contains
-        candidates = set(view.ids.tolist())
-        infeasible_ids = tuple(it.id for it in inst.items if it.id not in candidates)
 
     partition = Partition(
         opt_estimate=opt_estimate,
@@ -431,12 +473,30 @@ def build_partition(
         pruned_rows=np.concatenate(pruned),
         view=view,
         exactly_k=exactly_k,
-        filler_rows=tuple(fillers.tolist()),
-        infeasible_ids=infeasible_ids,
+        filler_rows=fillers,
         kept=np.concatenate([*large_rows, *small_rows, fillers]),
     )
     _check_partition(partition, inst)
     return partition
+
+
+def _class_order(slot: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions 0..n-1 sorted by (slot, W, position), and the slots in
+    that order: the order of a stable lexsort on (slot, W), for slots and
+    weights >= 0 (validation rejects negative weights). While they fit in
+    63 bits, the three are packed into one int64 key per position,
+    slot << (w + r) | W << r | position for w and r the bit lengths of the
+    largest W and position, and one np.sort of the keys gives both. Object
+    weights, or keys past 63 bits, take the lexsort."""
+    n = len(slot)
+    if n and W.dtype != object:
+        r = (n - 1).bit_length()
+        shift = int(W.max()).bit_length() + r
+        if int(slot.max()).bit_length() + shift <= 63:
+            keys = np.sort(slot << shift | W << r | np.arange(n))
+            return keys & ((1 << r) - 1), keys >> shift
+    order = np.lexsort((W, slot))
+    return order, slot[order]
 
 
 def _check_partition(partition: Partition, inst: Instance) -> None:
@@ -464,8 +524,8 @@ def _check_partition(partition: Partition, inst: Instance) -> None:
     large, small = partition.large_classes, partition.small_classes
     sizes = np.array([c.size for c in large + small], np.intp)
     assert sizes.all(), "an empty class"
-    kept, fillers = partition.kept_rows, partition.filler_rows
-    rows = kept[: len(kept) - len(fillers)]
+    kept, filler_count = partition.kept_rows, partition.filler_count
+    rows = kept[: len(kept) - filler_count]
     assert len(rows) == sizes.sum(), "the kept rows disagree with the classes"
     values, starts = view.P[rows], np.cumsum(sizes) - sizes
     least, greatest = np.minimum.reduceat(values, starts), np.maximum.reduceat(values, starts)
@@ -490,11 +550,11 @@ def _check_partition(partition: Partition, inst: Instance) -> None:
             assert greatest * sd * below[0] < sn * below[1], cls
     # Fillers: exactly-K mode only, at most K, each below the profit floor:
     # P*K < S.
-    assert partition.exactly_k or not fillers
-    assert len(fillers) <= K
-    if fillers:
+    assert partition.exactly_k or not filler_count
+    assert filler_count <= K
+    if filler_count:
         _, greatest = _extremes(view.P[kept[len(rows) :]])
-        assert greatest * K * sd < sn, fillers
+        assert greatest * K * sd < sn, partition.filler_rows
 
     # Class-count bound: at most ceil(log_g(1/eps)) large indices plus
     # ceil(log_g(K)) + 1 small indices, together within 2e + 2 for

@@ -164,7 +164,7 @@ class SmallSolver:
             lp = g**jmax * b ** (jmax - jmin) / S
             profits = [b ** (j.index - jmin) * c ** (jmax - j.index) for j in classes]
         values = profits + [0]
-        counts = [j.size for j in classes] + [len(partition.filler_rows)]
+        counts = [j.size for j in classes] + [partition.filler_count]
         kept = partition.kept_rows  # the small classes' and the fillers' rows come last
         rows = kept[len(kept) - sum(counts) :]
         P = np.repeat(_sum_array(np.array(values, object), count=len(rows)), counts)

@@ -12,6 +12,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from conftest import F, ZERO, evaluation_counter, inst_of, member_ids, solve_fine
 from test_large_items import class_items, mk_class, share_unit
@@ -644,6 +645,7 @@ def test_c09_split_concavity_and_search(criterion):
 # 10. Wall-time independence from the cardinality bound.
 # ---------------------------------------------------------------------------
 
+@pytest.mark.timing
 def test_c10_cardinality_independence_trend(criterion):
     # The pipeline at internal accuracy 1/10 (solve_fine at eps = 4/5), and
     # the public solve, which tries eps_int = 4/5 first. Each repetition

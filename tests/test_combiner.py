@@ -888,7 +888,8 @@ class TestPerItemWork:
         # and shares it between validation, the candidates and their view:
         # each profit's and weight's numerator and denominator are read at
         # most once. Any later Fraction comparison or arithmetic on an item
-        # value would read them again.
+        # value would read them again. An as_integer_ratio() call reads both
+        # fields once.
         reads = Counter()
 
         class Counted(Fraction):
@@ -901,6 +902,11 @@ class TestPerItemWork:
             def denominator(self):
                 reads[id(self), "denominator"] += 1
                 return self._denominator
+
+            def as_integer_ratio(self):
+                reads[id(self), "numerator"] += 1
+                reads[id(self), "denominator"] += 1
+                return self._numerator, self._denominator
 
         base = generate_instance("uniform", 200, 16, seed=5, integral=False)
         items = tuple(Item(it.id, Counted(it.profit), Counted(it.weight)) for it in base.items)

@@ -7,11 +7,13 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import F, ZERO, inst_of, items_of
+from kknapsack import solve_with_details
 from kknapsack.generator import DISTRIBUTIONS, generate_instance
 from kknapsack.instance_model import (
     InfeasibleInstanceError,
@@ -208,6 +210,61 @@ class TestValidateMatchesReference:
                 assert report == reference_validate(inst)
                 assert report.errors.count(f"duplicate item id {big}") == 1
                 assert any("negative weight" in e for e in report.errors)
+
+
+class TestItemColumns:
+    """item_columns reads each value with one as_integer_ratio() call, a
+    Fraction's or a plain int's, and builds a denominator column of ones
+    without converting its values. Every column must hold the values' own
+    ids, numerators and denominators: int64 while they fit, Python ints
+    past int64."""
+
+    @staticmethod
+    def assert_columns(inst):
+        cols = item_columns(inst)
+        values = [(it.id, F(it.profit), F(it.weight)) for it in inst.items]
+        assert cols.ids.dtype == object and cols.ids.tolist() == [i for i, _, _ in values]
+        assert cols.keys.tolist() == [i for i, _, _ in values]
+        assert cols.pn.tolist() == [p.numerator for _, p, _ in values]
+        assert cols.pd.tolist() == [p.denominator for _, p, _ in values]
+        assert cols.wn.tolist() == [w.numerator for _, _, w in values]
+        assert cols.wd.tolist() == [w.denominator for _, _, w in values]
+        return cols
+
+    def test_plain_int_values(self):
+        base = generate_instance("uniform", 50, 5, seed=2)
+        ints = replace(base, items=[Item(it.id, int(it.profit), int(it.weight)) for it in base.items])
+        cols = self.assert_columns(ints)
+        assert all(c.dtype == np.int64 for c in cols[1:])
+        assert cols.pd.tolist() == cols.wd.tolist() == [1] * 50
+        assert all((a == b).all() for a, b in zip(cols[1:], item_columns(base)[1:]))
+        # Ints beside Fractions, and a denominator column that is not all ones.
+        mixed = replace(base, items=[
+            Item(it.id, it.profit / 2 if it.id % 3 else int(it.profit), int(it.weight))
+            for it in base.items
+        ])
+        assert 2 in self.assert_columns(mixed).pd.tolist()
+        for inst in (ints, mixed):
+            sol, _ = solve_with_details(inst, F(1, 4))
+            ref, _ = solve_with_details(replace(inst, items=[
+                Item(it.id, F(it.profit), F(it.weight)) for it in inst.items
+            ]), F(1, 4))
+            assert sol == ref
+
+    def test_values_past_int64(self):
+        big = 2**70
+        items = (
+            Item(1, F(big + 1, 3), F(5)),
+            Item(2, big, F(7, big)),
+            Item(2**64, F(2), 3),
+            Item(4, F(1, 2), F(big - 1, 5)),
+        )
+        cols = self.assert_columns(Instance(items, F(big), 2))
+        assert [c.dtype for c in cols] == [object, object, object, np.int64, object, object]
+        # Ones stay int64 beside numerators past int64.
+        cols = self.assert_columns(Instance((Item(1, big, 3), Item(2, 5, -big)), F(1), 1))
+        assert [c.dtype for c in cols[1:]] == [np.int64, object, np.int64, object, np.int64]
+        assert cols.pd.tolist() == cols.wd.tolist() == [1, 1]
 
 
 class TestCandidateRows:

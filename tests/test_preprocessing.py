@@ -16,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import F, ZERO, best_subset, inst_of, member_ids
-from kknapsack import preprocessing, solve_with_details
+from kknapsack import combiner, preprocessing, solve_with_details
 from kknapsack.generator import DISTRIBUTIONS, generate_instance
 from kknapsack.instance_model import Instance, Item, Mode
 from kknapsack.oracles import geometric_index_up, reference_candidates, reference_partition
@@ -385,6 +385,107 @@ class TestFloorRowsSkipTheSort:
         assert "discarded" not in vars(part)
         assert part.discarded == reference_partition(inst, F(1, 4)).discarded
         assert "discarded" in vars(part)
+
+    @pytest.mark.parametrize("mode", [Mode.AT_MOST, Mode.EXACT])
+    def test_row_tuples_and_infeasible_ids_are_built_on_read(self, monkeypatch, mode):
+        # A solve reads the classes' and the fillers' counts and kept_rows
+        # only: the rows stay the arrays build_partition handed over, and
+        # the ids of the items that are not candidates (here most of them,
+        # and one added last that does not fit) are not looked for.
+        base = generate_instance("uniform", 300, 4, seed=5)
+        heavy = Item(10**6, F(5), base.budget + 1)
+        inst = Instance(base.items + (heavy,), base.budget, 4, mode)
+        built = []
+
+        def spy(*args):
+            built.append(build_partition(*args))
+            return built[-1]
+
+        monkeypatch.setattr(combiner, "build_partition", spy)
+        solve_with_details(inst, F(1, 4))
+        part = built[0]
+        stored = [vars(c)["rows"] for c in part.small_classes] + [vars(part)["filler_rows"]]
+        assert part.small_classes and all(isinstance(r, np.ndarray) for r in stored)
+        assert "infeasible_ids" not in vars(part)
+        assert [c.size for c in part.small_classes] == list(map(len, stored[:-1]))
+        assert part.filler_count == len(stored[-1]) == (4 if mode is Mode.EXACT else 0)
+        assert part == reference_partition(inst, part.epsilon)  # discarded agrees
+        position = {it.id: i for i, it in enumerate(inst.items)}
+        assert part.infeasible_ids[-1] == heavy.id  # in item order
+        assert sorted(part.infeasible_ids, key=position.get) == list(part.infeasible_ids)
+        assert all(isinstance(vars(c)["rows"], tuple) for c in part.small_classes)
+
+
+def _order_paths(monkeypatch) -> list:
+    """Spy on build_partition's class order: one entry per call, "lexsort"
+    when the call fell back to np.lexsort and "packed" otherwise."""
+    paths, class_order, lexsort = [], preprocessing._class_order, np.lexsort
+
+    def spy(slot, W):
+        fell_back = []
+        monkeypatch.setattr(np, "lexsort", lambda keys: fell_back.append(1) or lexsort(keys))
+        try:
+            return class_order(slot, W)
+        finally:
+            monkeypatch.setattr(np, "lexsort", lexsort)
+            paths.append("lexsort" if fell_back else "packed")
+
+    monkeypatch.setattr(preprocessing, "_class_order", spy)
+    return paths
+
+
+class TestPackedClassOrder:
+    """build_partition orders its rows by one np.sort of int64 keys packing
+    (slot, W, row), and by a stable lexsort on (slot, W) where a key would
+    pass 63 bits or W holds Python ints. On either path its classes, fillers
+    and discarded ids must be sort_everything's."""
+
+    def test_order_equals_the_stable_lexsort(self):
+        rng = np.random.default_rng(5)
+        # (n, largest W, largest slot): ties throughout, then keys of 58
+        # bits, then of 74 bits, which take the lexsort.
+        for n, w_max, s_max in [(0, 1, 1), (1, 0, 0), (200, 3, 4), (3000, 2**40, 30), (3000, 2**55, 40)]:
+            slot, W = rng.integers(0, s_max + 1, n), rng.integers(0, w_max + 1, n)
+            order, slots = preprocessing._class_order(slot, W)
+            expected = np.lexsort((W, slot))
+            assert order.tolist() == expected.tolist()
+            assert slots.tolist() == slot[expected].tolist()
+
+    @pytest.mark.parametrize("mode", [Mode.AT_MOST, Mode.EXACT])
+    def test_c02_corpus_packs(self, monkeypatch, mode):
+        paths = _order_paths(monkeypatch)
+        for inst in c02_instances():
+            for eps in (F(1, 10), F(3, 10)):
+                TestFloorRowsSkipTheSort.assert_same(in_mode(inst, mode), eps)
+        assert len(paths) > 150 and set(paths) == {"packed"}
+
+    @pytest.mark.parametrize("mode", [Mode.AT_MOST, Mode.EXACT])
+    def test_values_times_2_70_take_the_lexsort(self, monkeypatch, mode):
+        # Every profit and weight, and the budget, times 2^70: W holds
+        # Python ints.
+        paths = _order_paths(monkeypatch)
+        for seed, family in enumerate(DISTRIBUTIONS):
+            big = _times(_boundary_base(family, seed, mode), profit=2**70, weight=2**70)
+            assert candidate_view(big).W.dtype == object
+            assert TestFloorRowsSkipTheSort.assert_same(big, F(1, 4))
+        assert paths == ["lexsort"] * len(DISTRIBUTIONS)
+
+    @pytest.mark.parametrize("mode", [Mode.AT_MOST, Mode.EXACT])
+    def test_key_past_63_bits_takes_the_lexsort(self, monkeypatch, mode):
+        # Every item fits the budget, so all 60 are candidates. Weights
+        # scaled to a largest W of 56 bits stay int64 in the view (60 of
+        # them sum below 2^62), but W, the row (5 or 6 bits) and the slot
+        # (3 bits) together need more than 63 bits.
+        paths = _order_paths(monkeypatch)
+        base = generate_instance("uniform", 60, 6, seed=1, weight_max=200)
+        base = Instance(base.items, sum(it.weight for it in base.items), 6, mode)
+        big = _times(base, weight=2**56 // int(candidate_view(base).W.max()))
+        W = candidate_view(big).W
+        assert W.dtype == np.int64 and int(W.max()).bit_length() == 56
+        part = TestFloorRowsSkipTheSort.assert_same(big, F(1, 4))
+        assert paths == ["lexsort"] and part.class_count >= 4
+        assert _structure(part) == _structure(build_partition(base, F(1, 4)))
+        assert paths == ["lexsort", "packed"]
 
 
 class TestCheckPartition:

@@ -177,6 +177,7 @@ def test_uniform_exactly_k_row(uniform_rows, k):
     check_row(uniform_rows[k])
 
 
+@pytest.mark.timing
 def test_uniform_exactly_k_time_independent_of_k(uniform_rows):
     medians = {k: statistics.median(out["times"]["exact"]) for k, out in uniform_rows.items()}
     spread = max(medians.values()) / min(medians.values())
