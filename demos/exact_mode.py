@@ -102,7 +102,7 @@ def main() -> int:
     sol_f, details_f = solve_with_details(inst_f, eps)
     report_f = evaluate_solution(inst_f, sol_f)
     part_f = details_f["partition"]
-    fillers = part_f.view.ids[list(part_f.filler_rows)].tolist()
+    fillers = part_f.view.ids[part_f.filler_rows].tolist()
     print(f"selected {sorted(sol_f.selected)}: profit {sol_f.total_profit}, "
           f"weight {sol_f.total_weight}, count {sol_f.count}")
     print(f"zero-profit fillers kept by the partition: {fillers}")

@@ -23,7 +23,7 @@ from kknapsack import Instance, Item, Mode, build_partition, half_approx_opt
 def members(partition, inst, cls):
     """The items of a class: its rows in the partition's candidate view
     name candidates, whose ids the instance looks up."""
-    return [inst.by_id[i] for i in partition.view.ids[list(cls.rows)]]
+    return [inst.by_id[i] for i in partition.view.ids[cls.rows]]
 
 
 def show(partition, inst) -> bool:

@@ -17,6 +17,7 @@ import csv
 import enum
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -71,9 +72,29 @@ class Mode(enum.Enum):
 
 @dataclass(frozen=True, slots=True)
 class Item:
+    """One item. profit and weight are kept as given when they are ints or
+    Fractions (subclasses included, bools excluded); another integral
+    number, such as a numpy integer, becomes an int, and anything else, a
+    float included, raises TypeError naming the item, the rule
+    parse_rational applies to files."""
+
     id: int
     profit: Fraction
     weight: Fraction
+
+    def __post_init__(self):
+        if type(self.profit) in _EXACT and type(self.weight) in _EXACT:
+            return
+        for name in ("profit", "weight"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (numbers.Integral, Fraction)):
+                kind = type(value).__name__
+                raise TypeError(f"item {self.id}: {name} must be an int or a Fraction, not {kind}")
+            if not isinstance(value, (int, Fraction)):
+                object.__setattr__(self, name, int(value))
+
+
+_EXACT = frozenset({int, Fraction})  # the value types Item keeps without a check
 
 
 @dataclass(frozen=True)

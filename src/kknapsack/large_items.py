@@ -272,9 +272,9 @@ def retrieve_items(table: WeightTable, q: int, k: int) -> tuple[int, ...]:
     chain.
 
     Only valid on finite cells. Each stage contributes the backpointer's
-    count of its class's lightest members (LargeClass.rows); the remaining
-    profit debt drops by theta*tau (clamped at zero) and the cardinality
-    slot by theta.
+    count of its class's lightest members, the head of the np.intp array
+    LargeClass.rows read as ints; the remaining profit debt drops by
+    theta*tau (clamped at zero) and the cardinality slot by theta.
     """
     if not table.is_finite(q, k):
         raise ValueError(f"cell ({q}, {k}) is infeasible; nothing to retrieve")
@@ -283,7 +283,7 @@ def retrieve_items(table: WeightTable, q: int, k: int) -> tuple[int, ...]:
     while t.stage is not None:
         stage = t.stage
         theta = int(t.backptr[q, k])
-        rows += stage.cls.rows[:theta]
+        rows += stage.cls.rows[:theta].tolist()
         q = max(0, q - theta * stage.tau)
         k -= theta
         t = stage.prev

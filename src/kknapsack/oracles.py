@@ -365,15 +365,15 @@ def reference_partition(inst: Instance, eps: Fraction) -> Partition:
     each profit's class index is geometric_index_up on its Fraction ratio
     to eps*opt_estimate, with no boundary computed in advance, and members
     are sorted by (weight, id) as Fractions. A member's row is the rank of
-    its id among the sorted candidate ids, as in the candidate view; the
+    its id among the sorted candidate ids, as in the candidate view, and
+    every class and the fillers hold theirs in an np.intp array; the
     partition carries candidate_view(inst) to read its rows by, which takes
-    no part in equality and no part in computing them. Large prefix sums
-    count in the lcm of the candidates' weight denominators, taken here
-    from the items themselves. The discarded ids are collected as one set,
-    and the partition takes the rows of the candidates in it; the ids of
-    the rest, which are not candidates, it reads from its view's columns.
-    The estimate is read through
-    preprocessing.half_approx_opt at call time, like build_partition."""
+    no part in computing them. Large prefix sums count in the lcm of the
+    candidates' weight denominators, taken here from the items themselves.
+    The discarded ids are collected as one set, and the partition takes the
+    rows of the candidates in it; the ids of the rest, which are not
+    candidates, it reads from its view's columns. The estimate is read
+    through preprocessing.half_approx_opt at call time, like build_partition."""
     eps = Fraction(eps)
     K = inst.cardinality
     exactly_k = inst.mode is Mode.EXACT
@@ -406,8 +406,8 @@ def reference_partition(inst: Instance, eps: Fraction) -> Partition:
     def lightest_first(members):
         return sorted(members, key=lambda t: (t.weight, t.id))
 
-    def rows(members) -> tuple[int, ...]:
-        return tuple(row_of[it.id] for it in members)
+    def rows(members) -> np.ndarray:
+        return np.array([row_of[it.id] for it in members], np.intp)
 
     fillers = lightest_first(fillers)[:K]
     discarded.difference_update(it.id for it in fillers)

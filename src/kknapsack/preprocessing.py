@@ -27,17 +27,17 @@ K-set contains.
 
 The partition's work follows the rows it keeps: at most K the rows below
 the floor leave through one mask and never enter the sort, one np.sort of
-packed int64 keys orders the rest, only a large class's rows become Python
-ints on every build, and the small classes' and the fillers' tuples of
-rows, the ids of the items that are not candidates and the set of
-discarded ids are built only when something reads them, which no solve
-does.
+packed int64 keys orders the rest, and every class and the fillers hold
+their rows as np.intp slices of that order. Only a large class's prefix
+sums become Python ints on every build; the ids of the items that are not
+candidates and the set of discarded ids are built only when something
+reads them, which no solve does.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain
@@ -57,7 +57,7 @@ class TrivialInstanceError(ValueError):
     selection (exactly K: the K lightest) is optimal."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LargeClass:
     """Geometric profit class of large items.
 
@@ -67,18 +67,18 @@ class LargeClass:
     rounded_profit = scale*growth^index. Reports and checks build that
     Fraction lazily; the fold snaps it onto its grid with one exact integer
     division instead (large_items.snap_class_profit). rows are the members'
-    rows in the partition's CandidateView, sorted by weight ascending (ties
-    by id), and prefix_weights[j] is the total weight of the j lightest
-    members times weight_scale, an exact integer -- the only statistic the
-    weight-table construction needs. weight_scale is the unit the prefixes
-    count in: the lw of the partition's CandidateView, so the fold adds the
-    view's integer weights W as they are.
+    rows in the partition's CandidateView, an np.intp array sorted by weight
+    ascending (ties by id), and prefix_weights[j] is the total weight of the
+    j lightest members times weight_scale, an exact integer -- the only
+    statistic the weight-table construction needs. weight_scale is the unit
+    the prefixes count in: the lw of the partition's CandidateView, so the
+    fold adds the view's integer weights W as they are.
     """
 
     index: int
     profit_scale: Fraction
     growth: Fraction
-    rows: tuple[int, ...]
+    rows: np.ndarray
     prefix_weights: tuple[int, ...]
     weight_scale: int
 
@@ -91,29 +91,7 @@ class LargeClass:
         return len(self.rows)
 
 
-class _Rows:
-    """A dataclass field of view rows that also takes an int array. The
-    value is kept as given, and an array becomes a tuple of Python ints the
-    first time the field is read; len(vars(obj)[name]) counts the rows
-    without building it. build_partition hands over slices of its sort
-    order, and a solve reads only the counts and Partition.kept_rows."""
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return ()  # the field's default
-        rows = vars(obj)[self.name]
-        if not isinstance(rows, tuple):
-            rows = vars(obj)[self.name] = tuple(rows.tolist())
-        return rows
-
-    def __set__(self, obj, rows):
-        vars(obj)[self.name] = rows
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SmallClass:
     """Geometric profit class of small items.
 
@@ -123,16 +101,14 @@ class SmallClass:
     is the grid point at or directly below every member's profit, so the
     loss per item is under eps/(1+eps) of its profit. It is built lazily,
     like LargeClass.rounded_profit; the small pool reads class indices
-    instead. rows are the view rows of the class's K lightest members,
-    weight ascending, ties by id: a tuple, built on first read from the
-    array build_partition hands over (see _Rows); size counts them without
-    building it.
+    instead. rows are the view rows of the class's K lightest members, an
+    np.intp array by weight ascending, ties by id.
     """
 
     index: int
     profit_scale: Fraction
     growth: Fraction
-    rows: tuple[int, ...] = _Rows()
+    rows: np.ndarray
 
     @cached_property
     def rounded_profit(self) -> Fraction:
@@ -140,7 +116,7 @@ class SmallClass:
 
     @property
     def size(self) -> int:
-        return len(vars(self)["rows"])
+        return len(self.rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,24 +126,20 @@ class Partition:
     discarded holds the ids that are not candidates (see candidate_rows),
     are pruned, or lie below the profit floor eps*opt_estimate/K, except the
     fillers: in exactly-K mode (exactly_k) the K lightest of those, counted
-    at profit 0, whose view rows filler_rows holds (weight ascending, ties
-    by id; a tuple built on first read, like SmallClass.rows, and counted
-    without it by filler_count). The partition keeps the candidates among
-    the discarded as view rows, pruned_rows (an int array in no set order).
-    The rest, infeasible_ids, and discarded itself are built from the view
-    and its item columns the first time they are read, and nothing on the
-    solve path reads them. cardinality is carried along because the
-    small-item relaxations need K itself, not only z = min(K, ceil(1/eps)).
-    view is the solve's CandidateView, whose rows every class and the
-    fillers name.
+    at profit 0, whose view rows filler_rows holds (an np.intp array by
+    weight ascending, ties by id; empty at most K). The partition keeps the
+    candidates among the discarded as view rows, pruned_rows (an int array
+    in no set order). The rest, infeasible_ids, and discarded itself are
+    built from the view and its item columns the first time they are read,
+    and nothing on the solve path reads them. cardinality is carried along
+    because the small-item relaxations need K itself, not only
+    z = min(K, ceil(1/eps)). view is the solve's CandidateView, whose rows
+    every class and the fillers name.
 
-    Two partitions are equal when their estimate, accuracy, classes,
-    discarded ids and fillers are; view and the row arrays take no part.
-    kept_rows lists every row a class or the fillers keep, as one int
-    array: the large classes', then the small classes', each by ascending
-    index and in the class's own order, then the fillers'. build_partition
-    hands it over (kept); otherwise, as after dataclasses.replace, it is
-    read from the tuples on first use.
+    A partition and its classes compare by identity. kept_rows lists every
+    row a class or the fillers keep, as one int array built on first read:
+    the large classes', then the small classes', each by ascending index and
+    in the class's own order, then the fillers'.
     """
 
     opt_estimate: Fraction
@@ -178,25 +150,8 @@ class Partition:
     small_classes: tuple[SmallClass, ...]
     pruned_rows: np.ndarray = field(repr=False)
     view: CandidateView = field(repr=False)
-    exactly_k: bool = False
-    filler_rows: tuple[int, ...] = _Rows()
-    kept: InitVar[Optional[np.ndarray]] = None
-
-    def __post_init__(self, kept):
-        if kept is not None:
-            self.__dict__["kept_rows"] = kept
-
-    def _compared(self) -> tuple:
-        return (self.opt_estimate, self.epsilon, self.z, self.cardinality, self.large_classes,
-                self.small_classes, self.discarded, self.exactly_k, self.filler_rows)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._compared() == other._compared()
-
-    def __hash__(self):
-        return hash(self._compared())
+    exactly_k: bool
+    filler_rows: np.ndarray
 
     @cached_property
     def discarded(self) -> frozenset[int]:
@@ -211,14 +166,10 @@ class Partition:
         candidates = set(self.view.ids.tolist())
         return tuple(i for i in ids.tolist() if i not in candidates)
 
-    @property
-    def filler_count(self) -> int:
-        return len(vars(self)["filler_rows"])
-
     @cached_property
     def kept_rows(self) -> np.ndarray:
-        groups = [c.rows for c in self.large_classes + self.small_classes] + [self.filler_rows]
-        return np.fromiter(chain.from_iterable(groups), np.intp, sum(map(len, groups)))
+        classes = self.large_classes + self.small_classes
+        return np.concatenate([c.rows for c in classes] + [self.filler_rows])
 
     @property
     def class_count(self) -> int:
@@ -251,7 +202,7 @@ class Partition:
                 for c in self.small_classes
             ],
             "discarded": sorted(self.discarded),
-            "fillers": [self.view.ids[r] for r in self.filler_rows],
+            "fillers": self.view.ids[self.filler_rows].tolist(),
         }
 
 
@@ -375,12 +326,10 @@ def build_partition(
     fillers are the floor rows' K lightest), are ordered by (class, W, row)
     with one np.sort of packed int64 keys (_class_order; a stable lexsort
     on (class, W) where a key would pass 63 bits). The view's rows ascend
-    by id, so ties go by id. Every class and the fillers are runs of that
-    order, as array slices. A large class's run becomes Python ints (its
-    rows and prefix sums); a small class and the fillers keep their slice,
-    cut to the K lightest, and build their tuple of rows only when read.
-    The kept rows go to the Partition as one array (kept_rows). The pruned
-    rows stay an array, and discarded is built from them on read.
+    by id, so ties go by id. Every class and the fillers hold their run of
+    that order as an np.intp slice, a small class and the fillers cut to
+    the K lightest; only a large class's prefix sums become Python ints.
+    The pruned rows stay an array, and discarded is built from them on read.
     """
     eps = parse_rational(eps)
     if not (0 < eps < 1):
@@ -443,15 +392,13 @@ def build_partition(
         order, pruned = live[order], [np.flatnonzero(slot == 0)]
     starts = np.flatnonzero(np.diff(slots, prepend=-1)).tolist()  # where each slot's run starts
 
-    large_classes, small_classes, large_rows, small_rows = [], [], [], []
+    large_classes, small_classes = [], []
     fillers = order[:0]
     for s, a, z in zip(slots[starts].tolist(), starts, starts[1:] + [len(order)]):
         rows = order[a:z]
         if s > smalls:
             prefix = tuple(accumulate(W[rows].tolist(), initial=0))
-            klass = LargeClass(s - smalls, large_floor, growth, tuple(rows.tolist()), prefix, view.lw)
-            large_classes.append(klass)
-            large_rows.append(rows)
+            large_classes.append(LargeClass(s - smalls, large_floor, growth, rows, prefix, view.lw))
             continue
         pruned.append(rows[K:])
         rows = rows[:K]
@@ -459,9 +406,7 @@ def build_partition(
             fillers = rows
         else:
             small_classes.append(SmallClass(J + 1 - s, large_floor, growth, rows))
-            small_rows.append(rows)
     small_classes.reverse()  # slots ascend with profit, small indices descend
-    small_rows.reverse()
 
     partition = Partition(
         opt_estimate=opt_estimate,
@@ -474,7 +419,6 @@ def build_partition(
         view=view,
         exactly_k=exactly_k,
         filler_rows=fillers,
-        kept=np.concatenate([*large_rows, *small_rows, fillers]),
     )
     _check_partition(partition, inst)
     return partition
@@ -524,9 +468,7 @@ def _check_partition(partition: Partition, inst: Instance) -> None:
     large, small = partition.large_classes, partition.small_classes
     sizes = np.array([c.size for c in large + small], np.intp)
     assert sizes.all(), "an empty class"
-    kept, filler_count = partition.kept_rows, partition.filler_count
-    rows = kept[: len(kept) - filler_count]
-    assert len(rows) == sizes.sum(), "the kept rows disagree with the classes"
+    rows = partition.kept_rows[: sizes.sum()]  # the classes' rows, the fillers' follow
     values, starts = view.P[rows], np.cumsum(sizes) - sizes
     least, greatest = np.minimum.reduceat(values, starts), np.maximum.reduceat(values, starts)
     extremes = zip(least.tolist(), greatest.tolist())
@@ -550,11 +492,10 @@ def _check_partition(partition: Partition, inst: Instance) -> None:
             assert greatest * sd * below[0] < sn * below[1], cls
     # Fillers: exactly-K mode only, at most K, each below the profit floor:
     # P*K < S.
-    assert partition.exactly_k or not filler_count
-    assert filler_count <= K
-    if filler_count:
-        _, greatest = _extremes(view.P[kept[len(rows) :]])
-        assert greatest * K * sd < sn, partition.filler_rows
+    fillers = partition.filler_rows
+    assert partition.exactly_k or not len(fillers)
+    assert len(fillers) <= K
+    assert _extremes(view.P[fillers])[1] * K * sd < sn, fillers
 
     # Class-count bound: at most ceil(log_g(1/eps)) large indices plus
     # ceil(log_g(K)) + 1 small indices, together within 2e + 2 for

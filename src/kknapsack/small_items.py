@@ -139,8 +139,9 @@ class SmallSolver:
         zero-profit fillers in exactly-K mode, labelled by their rows in the
         partition's candidate view and listed in run order: class by class,
         each class by ascending W and then view row, the fillers last, as
-        the tail of the partition's kept_rows. The weights are the view's W,
-        and the profits come from the class indices alone.
+        the tail of the partition's kept_rows (the classes' and the fillers'
+        np.intp arrays). The weights are the view's W, and the profits come
+        from the class indices alone.
 
         Small class j counts its members at S*g^-j, with S its profit_scale
         and g = c/b its growth in lowest terms. Over the pooled indices
@@ -164,7 +165,7 @@ class SmallSolver:
             lp = g**jmax * b ** (jmax - jmin) / S
             profits = [b ** (j.index - jmin) * c ** (jmax - j.index) for j in classes]
         values = profits + [0]
-        counts = [j.size for j in classes] + [partition.filler_count]
+        counts = [j.size for j in classes] + [len(partition.filler_rows)]
         kept = partition.kept_rows  # the small classes' and the fillers' rows come last
         rows = kept[len(kept) - sum(counts) :]
         P = np.repeat(_sum_array(np.array(values, object), count=len(rows)), counts)

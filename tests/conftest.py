@@ -7,14 +7,17 @@ dual_value is the box LP's Lagrangian dual, the certificate the small-side
 tests check the LP engine's answers against, and evaluation_counter counts
 the engine's greedy passes. solve_fine runs the solver's
 pipeline once at the paper's internal accuracy, for the tests that inspect
-that pipeline's structure.
+that pipeline's structure. partition_fields is what tests compare two
+partitions by, since a partition and its classes compare by identity.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -58,6 +61,29 @@ def inst_of(triples, budget, cardinality, mode=Mode.AT_MOST) -> Instance:
 def member_ids(part, rows) -> list:
     """The ids of the candidates at these rows of the partition's view."""
     return part.view.ids[list(rows)].tolist()
+
+
+def partition_fields(part) -> dict:
+    """The fields two partitions of one instance must agree on: the
+    estimate, epsilon, z, K, the mode, discarded, the fillers' rows and
+    every field of every class, with each row array as a list of ints.
+    view and pruned_rows take no part; discarded names the pruned rows by
+    id."""
+    fields = _fields(part, skip={"view", "pruned_rows"})
+    fields["large_classes"] = [_fields(c) for c in part.large_classes]
+    fields["small_classes"] = [_fields(c) for c in part.small_classes]
+    fields["discarded"] = part.discarded
+    return fields
+
+
+def _fields(record, skip=()) -> dict:
+    """A dataclass instance's fields by name, arrays as lists."""
+    out = {}
+    for field in dataclasses.fields(record):
+        if field.name not in skip:
+            value = getattr(record, field.name)
+            out[field.name] = value.tolist() if isinstance(value, np.ndarray) else value
+    return out
 
 
 def best_subset(inst: Instance, exact_count: int | None = None):

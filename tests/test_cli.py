@@ -2,12 +2,13 @@
 shapes, exit codes, file effects, and determinism of the generate command."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 import kknapsack.cli as cli
-from conftest import F, inst_of, solve_fine
+from conftest import F, inst_of, member_ids, solve_fine
 from kknapsack.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main
 from kknapsack.combiner import solve_with_details
 from kknapsack.instance_model import (
@@ -110,6 +111,32 @@ class TestSolve:
         assert len(tab["values"]) == tab["m"] + 1
         assert all(len(row) == tab["z"] + 1 for row in tab["values"])
         assert tab["values"][0] == ["0"] * (tab["z"] + 1)
+
+    def test_exactly_k_dump_lists_the_fillers(self, tmp_path, capsys):
+        # Exactly K = 2 at eps = 1/4 the estimate is 72, so the items worth
+        # less than eps*72/K = 9 (ids 3 and 4) are the fillers. A pipeline
+        # run answers, and the dump holds its partition: the fillers' ids as
+        # JSON ints, lightest first, and every class's size.
+        inst = inst_of(
+            [(1, 18, 27), (2, 19, 17), (3, 2, 23), (4, 3, 10), (5, 9, 22), (6, 17, 14)], 37, 2
+        )
+        path, part_f = tmp_path / "inst.json", tmp_path / "partition.json"
+        save_instance(inst, path)
+        rc = main(["solve", "--input", str(path), "--mode", "exact", "--epsilon", "1/4",
+                   "--dump-partition", str(part_f)])
+        assert rc == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert out["answer"] in ("coarse", "fine") and out["count"] == 2
+        dumped = json.loads(part_f.read_text())
+        assert dumped["fillers"] == [4, 3] and all(type(i) is int for i in dumped["fillers"])
+        _, det = solve_with_details(replace(inst, mode=Mode.EXACT), F(1, 4))
+        part = det["partition"]
+        assert dumped["fillers"] == member_ids(part, part.filler_rows)
+        for kind in ("large_classes", "small_classes"):
+            sizes = [(c["index"], c["size"]) for c in dumped[kind]]
+            assert sizes == [(c.index, c.size) for c in getattr(part, kind)]
+        sizes = sum(c["size"] for c in dumped["large_classes"] + dumped["small_classes"])
+        assert sizes + len(dumped["fillers"]) + len(dumped["discarded"]) == inst.n
 
     def test_rounding_answer_dumps_say_so(self, inst_file, tmp_path, capsys):
         # No pipeline run answered, so no partition or table belongs to the

@@ -68,6 +68,52 @@ class TestInstanceBasics:
         assert copy.deepcopy(inst).by_id[1] == item
 
 
+class TestItemValues:
+    """Item keeps int and Fraction values as given, makes another integral
+    number an int, and refuses everything else by the item's id."""
+
+    def test_int_and_fraction_values_are_kept(self):
+        class Half(Fraction):
+            pass
+
+        class Count(int):
+            pass
+
+        for profit, weight in [(3, F(5, 2)), (F(7), 4), (Half(1, 2), Count(3))]:
+            item = Item(1, profit, weight)
+            assert item.profit is profit and item.weight is weight
+
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8, np.intp])
+    def test_numpy_integers_become_ints(self, kind):
+        item = Item(1, kind(5), kind(2))
+        assert type(item.profit) is int and type(item.weight) is int
+        assert (item.profit, item.weight) == (5, 2)
+        assert type(Item(2, F(1, 3), kind(4)).weight) is int
+        assert type(replace(item, profit=kind(6)).profit) is int
+
+    @pytest.mark.parametrize("value", [0.1, 2.0, True, False, np.float64(1.5), np.bool_(True), "3", None])
+    @pytest.mark.parametrize("field", ["profit", "weight"])
+    def test_other_values_raise_naming_the_item(self, value, field):
+        values = {"profit": F(1), "weight": F(1), field: value}
+        with pytest.raises(TypeError, match=f"item 7: {field} must be an int or a Fraction"):
+            Item(7, **values)
+        with pytest.raises(TypeError, match="item 8: "):
+            replace(Item(8, F(1), F(1)), **{field: value})
+
+    @pytest.mark.parametrize("mode", [Mode.AT_MOST, Mode.EXACT])
+    def test_numpy_int_instance_solves_as_its_int_twin(self, mode):
+        base = generate_instance("uniform", 60, 6, seed=4, mode=mode)
+        ints = replace(base, items=[Item(it.id, int(it.profit), int(it.weight)) for it in base.items])
+        numpy_ints = replace(base, items=[
+            Item(it.id, np.int64(it.profit), np.int64(it.weight)) for it in base.items
+        ])
+        assert numpy_ints.items == ints.items
+        sol, det = solve_with_details(numpy_ints, F(1, 4))
+        ref, det_ref = solve_with_details(ints, F(1, 4))
+        assert sol == ref and sol.count
+        assert det["answer"] == det_ref["answer"]
+
+
 class TestValidateInstance:
     def test_clean_instance_passes(self):
         report = validate_instance(inst_of([(1, 5, 2), (2, 3, 1)], 4, 2))

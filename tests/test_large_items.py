@@ -61,7 +61,7 @@ def mk_class(index, profit_scale, growth, weights, first_id=1):
         index=index,
         profit_scale=Fraction(profit_scale),
         growth=Fraction(growth),
-        rows=tuple(range(first_id, first_id + len(weights))),
+        rows=np.arange(first_id, first_id + len(weights), dtype=np.intp),
         prefix_weights=tuple(accumulate((int(w * unit) for w in weights), initial=0)),
         weight_scale=unit,
     )
@@ -75,7 +75,7 @@ def class_items(cls):
     prefix, unit = cls.prefix_weights, cls.weight_scale
     return [
         Item(id=row, profit=cls.profit_scale, weight=Fraction(b - a, unit))
-        for row, a, b in zip(cls.rows, prefix, prefix[1:])
+        for row, a, b in zip(cls.rows.tolist(), prefix, prefix[1:])
     ]
 
 

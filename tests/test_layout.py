@@ -10,7 +10,9 @@ no item's profit or weight, and no production module heaps Fractions.
 Every top-level name a production module defines is read by production,
 from the public names or the CLI's entry points, and every method, class
 attribute and self attribute of a production class is read in production
-or the benchmark; what only tests read lives in oracles.py or the tests."""
+or the benchmark; what only tests read lives in oracles.py or the tests.
+No production class defines equality, hashing or a descriptor's get and
+set: values compare by identity, and tests compare their fields."""
 
 import ast
 import re
@@ -334,3 +336,40 @@ def test_every_production_member_has_a_reader():
         "A(1).used()\n"
     )
     assert _unread_members([planted], [planted]) == [("A", "dropped"), ("A", "flag"), ("A", "unused")]
+
+
+PROTOCOL_METHODS = {"__eq__", "__hash__", "__get__", "__set__"}
+
+
+def _protocol_methods(tree: ast.AST) -> set:
+    """(class, name) of every __eq__, __hash__, __get__ or __set__ a class
+    in tree defines, as a method or a class-body assignment."""
+    out = set()
+    for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                out.add((cls.name, node.name))
+            elif isinstance(node, ast.Assign):
+                out.update((cls.name, t.id) for t in node.targets if isinstance(t, ast.Name))
+    return {(cls, name) for cls, name in out if name in PROTOCOL_METHODS}
+
+
+def test_no_production_class_defines_equality_or_descriptors():
+    # Equality that only tests read lives in the tests (conftest's
+    # partition_fields compares partitions field by field), and a field
+    # holds its value as given, with no descriptor converting it on read.
+    sources = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "oracles.py"]
+    assert len(sources) > 5, sources
+    found = set().union(*(_protocol_methods(ast.parse(path.read_text())) for path in sources))
+    assert not found, sorted(found)
+    planted = (
+        "class A:\n"
+        "    __hash__ = None\n"
+        "    def __eq__(self, other):\n"
+        "        return True\n"
+        "    def __get__(self, obj, owner=None):\n"
+        "        return 1\n"
+        "    def __repr__(self):\n"
+        "        return 'A'\n"
+    )
+    assert _protocol_methods(ast.parse(planted)) == {("A", "__hash__"), ("A", "__eq__"), ("A", "__get__")}

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import F, ZERO, best_subset, inst_of, member_ids
+from conftest import F, ZERO, best_subset, inst_of, member_ids, partition_fields
 from kknapsack import combiner, preprocessing, solve_with_details
 from kknapsack.generator import DISTRIBUTIONS, generate_instance
 from kknapsack.instance_model import Instance, Item, Mode
@@ -123,7 +123,20 @@ class TestBuildPartition:
         inst = generate_instance("uniform", 40, 5, seed=3)
         with pytest.raises(TypeError):
             build_partition(inst, 0.1)
-        assert build_partition(inst, "1/4") == build_partition(inst, F(1, 4))
+        read = partition_fields(build_partition(inst, "1/4"))
+        assert read == partition_fields(build_partition(inst, F(1, 4)))
+
+    @pytest.mark.parametrize("mode", [Mode.AT_MOST, Mode.EXACT])
+    def test_rows_are_intp_arrays(self, mode):
+        # Every class and the fillers hold their view rows as np.intp
+        # arrays, in build_partition's partition and in the reference's.
+        base = generate_instance("uniform", 60, 3, seed=0)
+        inst = Instance(base.items, sum(it.weight for it in base.items) / 10, 3, mode)
+        for part in (build_partition(inst, F(1, 8)), reference_partition(inst, F(1, 8))):
+            assert part.large_classes and part.small_classes
+            assert (len(part.filler_rows) == 3) == (mode is Mode.EXACT)
+            rows = [c.rows for c in part.large_classes + part.small_classes] + [part.filler_rows]
+            assert all(type(r) is np.ndarray and r.dtype == np.intp for r in rows)
 
     def test_one_view_without_arguments(self, monkeypatch):
         # Called alone, the partition builds the candidates' view once and
@@ -294,9 +307,9 @@ def sort_everything(inst, eps):
     key = {p: klass(p) for p in set(P)}
     rank = {k: r for r, k in enumerate(sorted(set(key.values())))}
     order = np.lexsort((view.W, np.array([rank[key[p]] for p in P], dtype=np.intp)))
-    large, small, fillers, pruned = [], [], (), []
+    large, small, fillers, pruned = [], [], [], []
     for (kind, index), run in itertools.groupby(order.tolist(), lambda r: key[P[r]]):
-        run = tuple(run)
+        run = list(run)
         if kind == 2:
             large.append((index, run))
         elif kind == 1 or exactly_k:
@@ -325,9 +338,9 @@ class TestFloorRowsSkipTheSort:
         except TrivialInstanceError:
             return None
         large, small, fillers, discarded = sort_everything(inst, eps)
-        assert [(c.index, c.rows) for c in part.large_classes] == large
-        assert [(c.index, c.rows) for c in part.small_classes] == small
-        assert part.filler_rows == fillers
+        assert [(c.index, c.rows.tolist()) for c in part.large_classes] == large
+        assert [(c.index, c.rows.tolist()) for c in part.small_classes] == small
+        assert part.filler_rows.tolist() == fillers
         assert part.discarded == discarded
         return part
 
@@ -342,7 +355,7 @@ class TestFloorRowsSkipTheSort:
         assert job.instance.n == 20000 and job.instance.cardinality == 256
         part = self.assert_same(in_mode(job.instance, mode), job.eps)
         assert len(part.discarded) > 10_000 and part.small_classes
-        assert bool(part.filler_rows) == (mode is Mode.EXACT)
+        assert (len(part.filler_rows) > 0) == (mode is Mode.EXACT)
 
     @pytest.mark.parametrize("mode", [Mode.AT_MOST, Mode.EXACT])
     def test_c02_and_tie_heavy_corpora(self, mode):
@@ -370,12 +383,13 @@ class TestFloorRowsSkipTheSort:
         # the one filler.
         inst = inst_of([(1, 10, 3), (2, 9, 1), (3, 4, 2)], 10, 1, mode=mode)
         part = self.assert_same(inst, F(3, 4))
-        assert part.class_count == 0 and part == reference_partition(inst, F(3, 4))
+        reference = reference_partition(inst, F(3, 4))
+        assert part.class_count == 0 and partition_fields(part) == partition_fields(reference)
         if mode is Mode.EXACT:
             assert member_ids(part, part.filler_rows) == [2] and part.discarded == {1, 3}
         else:
-            assert not part.filler_rows and part.discarded == {1, 2, 3}
-        assert part.kept_rows.tolist() == list(part.filler_rows)
+            assert not len(part.filler_rows) and part.discarded == {1, 2, 3}
+        assert part.kept_rows.tolist() == part.filler_rows.tolist()
         sol, _ = solve_with_details(inst, F(3, 4))
         assert sol.count == 1 and sol.total_profit >= F(9)
 
@@ -387,11 +401,11 @@ class TestFloorRowsSkipTheSort:
         assert "discarded" in vars(part)
 
     @pytest.mark.parametrize("mode", [Mode.AT_MOST, Mode.EXACT])
-    def test_row_tuples_and_infeasible_ids_are_built_on_read(self, monkeypatch, mode):
-        # A solve reads the classes' and the fillers' counts and kept_rows
-        # only: the rows stay the arrays build_partition handed over, and
-        # the ids of the items that are not candidates (here most of them,
-        # and one added last that does not fit) are not looked for.
+    def test_rows_are_arrays_and_infeasible_ids_are_built_on_read(self, monkeypatch, mode):
+        # After a solve, every class and the fillers still hold the np.intp
+        # arrays build_partition sliced from its sort order, and the ids of
+        # the items that are not candidates (here most of them, and one
+        # added last that does not fit) have not been looked for.
         base = generate_instance("uniform", 300, 4, seed=5)
         heavy = Item(10**6, F(5), base.budget + 1)
         inst = Instance(base.items + (heavy,), base.budget, 4, mode)
@@ -404,16 +418,18 @@ class TestFloorRowsSkipTheSort:
         monkeypatch.setattr(combiner, "build_partition", spy)
         solve_with_details(inst, F(1, 4))
         part = built[0]
-        stored = [vars(c)["rows"] for c in part.small_classes] + [vars(part)["filler_rows"]]
-        assert part.small_classes and all(isinstance(r, np.ndarray) for r in stored)
+        stored = [c.rows for c in part.large_classes + part.small_classes] + [part.filler_rows]
+        assert part.small_classes and all(r.dtype == np.intp for r in stored)
         assert "infeasible_ids" not in vars(part)
-        assert [c.size for c in part.small_classes] == list(map(len, stored[:-1]))
-        assert part.filler_count == len(stored[-1]) == (4 if mode is Mode.EXACT else 0)
-        assert part == reference_partition(inst, part.epsilon)  # discarded agrees
+        assert len(part.kept_rows) == sum(map(len, stored))
+        assert len(part.filler_rows) == (4 if mode is Mode.EXACT else 0)
+        reference = reference_partition(inst, part.epsilon)
+        assert partition_fields(part) == partition_fields(reference)  # discarded agrees
         position = {it.id: i for i, it in enumerate(inst.items)}
         assert part.infeasible_ids[-1] == heavy.id  # in item order
         assert sorted(part.infeasible_ids, key=position.get) == list(part.infeasible_ids)
-        assert all(isinstance(vars(c)["rows"], tuple) for c in part.small_classes)
+        # Reading the rows (partition_fields above) leaves them arrays.
+        assert all(c.rows.dtype == np.intp for c in part.small_classes)
 
 
 def _order_paths(monkeypatch) -> list:
@@ -498,7 +514,7 @@ class TestCheckPartition:
         inst = Instance(base.items, budget, 3, Mode.EXACT)
         part = build_partition(inst, F(1, 8))
         assert len(part.large_classes) > 1 and len(part.small_classes) > 1
-        assert part.filler_rows
+        assert len(part.filler_rows)
         return inst, part
 
     @pytest.mark.parametrize("kind", ["large", "small"])
@@ -511,7 +527,7 @@ class TestCheckPartition:
         )
         source = classes[t - 1 if t else t + 1]
         moved = source.rows[source.size // 2]
-        extra = {"rows": classes[t].rows + (moved,)}
+        extra = {"rows": np.append(classes[t].rows, moved)}
         if kind == "large":
             prefix = classes[t].prefix_weights
             weight = int(part.view.W[moved])
@@ -544,7 +560,7 @@ class TestCheckPartition:
         classes = list(getattr(part, f"{kind}_classes"))
         t = next(i for i, c in enumerate(classes) if c.index == index)
         assert row not in classes[t].rows
-        extra = {"rows": classes[t].rows + (row,)}
+        extra = {"rows": np.append(classes[t].rows, row)}
         if kind == "large":
             prefix = classes[t].prefix_weights
             extra["prefix_weights"] = prefix + (prefix[-1] + int(part.view.W[row]),)
@@ -555,7 +571,7 @@ class TestCheckPartition:
     def test_filler_above_the_floor_is_rejected(self):
         inst, part = self.partition()
         small = part.small_classes[-1].rows[0]
-        fillers = part.filler_rows[:-1] + (small,)
+        fillers = np.append(part.filler_rows[:-1], small)
         with pytest.raises(AssertionError):
             _check_partition(replace(part, filler_rows=fillers), inst)
 
@@ -592,7 +608,7 @@ def _assert_matches_reference(inst, eps):
         part = build_partition(inst, eps)
     except TrivialInstanceError:
         return None
-    assert part == reference_partition(inst, eps)
+    assert partition_fields(part) == partition_fields(reference_partition(inst, eps))
     return part
 
 
@@ -657,7 +673,7 @@ class TestIntegerThresholds:
     def test_exactly_k_fillers(self, seed):
         inst = generate_instance("uniform", 80, 12, seed=seed, mode=Mode.EXACT)
         part = _assert_matches_reference(inst, F(1, 16))
-        assert part.exactly_k and part.filler_rows
+        assert part.exactly_k and len(part.filler_rows)
         assert reference_partition(inst, F(1, 16)).summary() == part.summary()
 
     @pytest.mark.parametrize("mode", [Mode.AT_MOST, Mode.EXACT])
@@ -780,4 +796,5 @@ class TestViewIntegerBoundary:
         assert view.P.dtype == object and view.lp.bit_length() > 10 * len(view.ids)
         L = math.lcm(*primes)
         self.check(prime, _times(prime, profit=L), profit=F(1, L))
-        assert build_partition(prime, self.EPS) == reference_partition(prime, self.EPS)
+        reference = reference_partition(prime, self.EPS)
+        assert partition_fields(build_partition(prime, self.EPS)) == partition_fields(reference)

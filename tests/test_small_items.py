@@ -853,7 +853,7 @@ class TestSmallSolver:
                 )
                 assert chosen == solver.left_end(cap)[2].tolist() == list(range(cap))
             kinds.add(("single class", len(part.small_classes) == 1))
-            kinds.add(("fillers", bool(part.filler_rows)))
+            kinds.add(("fillers", len(part.filler_rows) > 0))
             kinds.add(("deep", max((c.index for c in part.small_classes), default=0) >= 100))
         assert all((kind, True) in kinds for kind in ("single class", "fillers", "deep"))
 
