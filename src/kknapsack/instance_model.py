@@ -86,19 +86,28 @@ class Item:
         if type(self.profit) in _EXACT and type(self.weight) in _EXACT:
             return
         for name in ("profit", "weight"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (numbers.Integral, Fraction)):
-                kind = type(value).__name__
-                raise TypeError(f"item {self.id}: {name} must be an int or a Fraction, not {kind}")
-            if not isinstance(value, (int, Fraction)):
-                object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _exact_value(getattr(self, name), f"item {self.id}: {name}"))
 
 
 _EXACT = frozenset({int, Fraction})  # the value types Item keeps without a check
 
 
+def _exact_value(value, name: str, kept: tuple = (int, Fraction)):
+    """value as an Item or Instance field holds it: kept as given when it
+    is one of kept (subclasses included, bools excluded), an int when it is
+    another numbers.Integral, and otherwise a TypeError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, (numbers.Integral, *kept)):
+        kinds = " or a ".join(k.__name__ for k in kept)
+        raise TypeError(f"{name} must be an {kinds}, not {type(value).__name__}")
+    return value if isinstance(value, kept) else int(value)
+
+
 @dataclass(frozen=True)
 class Instance:
+    """A knapsack instance. budget is checked as an Item's values are, and
+    cardinality by the same rule with int alone kept as given; negative
+    values are validate_instance's errors."""
+
     items: tuple[Item, ...]
     budget: Fraction
     cardinality: int
@@ -106,6 +115,8 @@ class Instance:
 
     def __post_init__(self):
         object.__setattr__(self, "items", tuple(self.items))
+        object.__setattr__(self, "budget", _exact_value(self.budget, "budget"))
+        object.__setattr__(self, "cardinality", _exact_value(self.cardinality, "cardinality", (int,)))
 
     @cached_property
     def by_id(self) -> Mapping[int, Item]:

@@ -370,10 +370,10 @@ def reference_partition(inst: Instance, eps: Fraction) -> Partition:
     partition carries candidate_view(inst) to read its rows by, which takes
     no part in computing them. Large prefix sums count in the lcm of the
     candidates' weight denominators, taken here from the items themselves.
-    The discarded ids are collected as one set, and the partition takes the
-    rows of the candidates in it; the ids of the rest, which are not
-    candidates, it reads from its view's columns. The estimate is read
-    through preprocessing.half_approx_opt at call time, like build_partition."""
+    The discarded ids are collected as one set, item by item, and must
+    equal the partition's discarded, which it derives from the rows its
+    classes and fillers keep. The estimate is read through
+    preprocessing.half_approx_opt at call time, like build_partition."""
     eps = Fraction(eps)
     K = inst.cardinality
     exactly_k = inst.mode is Mode.EXACT
@@ -426,18 +426,19 @@ def reference_partition(inst: Instance, eps: Fraction) -> Partition:
         members = lightest_first(small_groups[i])
         discarded.update(it.id for it in members[K:])
         small_classes.append(SmallClass(i, large_floor, growth, rows(members[:K])))
-    return Partition(
+    partition = Partition(
         opt_estimate=opt_estimate,
         epsilon=eps,
         z=min(K, math.ceil(1 / eps)),
         cardinality=K,
         large_classes=tuple(large_classes),
         small_classes=tuple(small_classes),
-        pruned_rows=np.array([row_of[i] for i in discarded if i in row_of], np.intp),
         view=preprocessing.candidate_view(inst),
         exactly_k=exactly_k,
         filler_rows=rows(fillers),
     )
+    assert partition.discarded == discarded, discarded ^ partition.discarded
+    return partition
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,10 @@ The partition's work follows the rows it keeps: at most K the rows below
 the floor leave through one mask and never enter the sort, one np.sort of
 packed int64 keys orders the rest, and every class and the fillers hold
 their rows as np.intp slices of that order. Only a large class's prefix
-sums become Python ints on every build; the ids of the items that are not
-candidates and the set of discarded ids are built only when something
-reads them, which no solve does.
+sums become Python ints on every build. The partition records only the
+rows it keeps; the discarded ids, every item outside them, are derived
+from those rows and the item columns when something reads them, which no
+solve does.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -123,23 +124,22 @@ class SmallClass:
 class Partition:
     """Complete rounding/partitioning state for one solve.
 
-    discarded holds the ids that are not candidates (see candidate_rows),
-    are pruned, or lie below the profit floor eps*opt_estimate/K, except the
-    fillers: in exactly-K mode (exactly_k) the K lightest of those, counted
-    at profit 0, whose view rows filler_rows holds (an np.intp array by
-    weight ascending, ties by id; empty at most K). The partition keeps the
-    candidates among the discarded as view rows, pruned_rows (an int array
-    in no set order). The rest, infeasible_ids, and discarded itself are
-    built from the view and its item columns the first time they are read,
-    and nothing on the solve path reads them. cardinality is carried along
+    The partition records only the rows it keeps. kept_rows lists every row
+    a class or the fillers keep, as one int array built on first read: the
+    large classes', then the small classes', each by ascending index and in
+    the class's own order, then the fillers'. The fillers are, in exactly-K
+    mode (exactly_k), the K lightest items below the profit floor
+    eps*opt_estimate/K, counted at profit 0; filler_rows holds their view
+    rows (an np.intp array by weight ascending, ties by id; empty at most
+    K). discarded holds the ids of every other item: those that are not
+    candidates (see candidate_rows), are pruned, or lie below the floor. It
+    is derived on first read as the ids of the view's item columns not
+    among the kept rows' ids (ids are distinct in a valid instance), and
+    nothing on the solve path reads it. cardinality is carried along
     because the small-item relaxations need K itself, not only
     z = min(K, ceil(1/eps)). view is the solve's CandidateView, whose rows
-    every class and the fillers name.
-
-    A partition and its classes compare by identity. kept_rows lists every
-    row a class or the fillers keep, as one int array built on first read:
-    the large classes', then the small classes', each by ascending index and
-    in the class's own order, then the fillers'.
+    every class and the fillers name. A partition and its classes compare
+    by identity.
     """
 
     opt_estimate: Fraction
@@ -148,23 +148,14 @@ class Partition:
     cardinality: int
     large_classes: tuple[LargeClass, ...]
     small_classes: tuple[SmallClass, ...]
-    pruned_rows: np.ndarray = field(repr=False)
     view: CandidateView = field(repr=False)
     exactly_k: bool
     filler_rows: np.ndarray
 
     @cached_property
     def discarded(self) -> frozenset[int]:
-        return frozenset(chain(self.view.ids[self.pruned_rows].tolist(), self.infeasible_ids))
-
-    @cached_property
-    def infeasible_ids(self) -> tuple[int, ...]:
-        """The ids of the items that are not candidates, in item order."""
-        ids = self.view.columns.ids
-        if len(ids) == len(self.view.ids):
-            return ()
-        candidates = set(self.view.ids.tolist())
-        return tuple(i for i in ids.tolist() if i not in candidates)
+        kept = self.view.ids[self.kept_rows].tolist()
+        return frozenset(self.view.columns.ids.tolist()).difference(kept)
 
     @cached_property
     def kept_rows(self) -> np.ndarray:
@@ -181,26 +172,19 @@ class Partition:
 
     def summary(self) -> dict:
         """JSON-friendly digest (for the --dump-partition debug flag)."""
+
+        def classes(group) -> list[dict]:
+            return [
+                {"index": c.index, "rounded_profit": str(c.rounded_profit), "size": c.size}
+                for c in group
+            ]
+
         return {
             "opt_estimate": str(self.opt_estimate),
             "epsilon": str(self.epsilon),
             "z": self.z,
-            "large_classes": [
-                {
-                    "index": c.index,
-                    "rounded_profit": str(c.rounded_profit),
-                    "size": c.size,
-                }
-                for c in self.large_classes
-            ],
-            "small_classes": [
-                {
-                    "index": c.index,
-                    "rounded_profit": str(c.rounded_profit),
-                    "size": c.size,
-                }
-                for c in self.small_classes
-            ],
+            "large_classes": classes(self.large_classes),
+            "small_classes": classes(self.small_classes),
             "discarded": sorted(self.discarded),
             "fillers": self.view.ids[self.filler_rows].tolist(),
         }
@@ -329,7 +313,8 @@ def build_partition(
     by id, so ties go by id. Every class and the fillers hold their run of
     that order as an np.intp slice, a small class and the fillers cut to
     the K lightest; only a large class's prefix sums become Python ints.
-    The pruned rows stay an array, and discarded is built from them on read.
+    The partition records only these kept rows; the rows no class keeps
+    are never gathered, and discarded is derived from the kept rows on read.
     """
     eps = parse_rational(eps)
     if not (0 < eps < 1):
@@ -382,14 +367,12 @@ def build_partition(
     smalls = J + 1 - j0
     cuts = [floor_p, *(-v for v in reversed(small_bounds[:-1])), *(v + 1 for v in large_bounds[:-1])]
     slot = np.searchsorted(np.array(cuts, dtype=P.dtype), P, side="right")
-    # pruned collects the rows no class keeps.
     if exactly_k:  # the fillers are the floor rows' K lightest, so every row is sorted
         order, slots = _class_order(slot, W)
-        pruned = [np.arange(0)]
     else:  # every floor row is discarded: one mask, and the sort skips them
         live = np.flatnonzero(slot)
         order, slots = _class_order(slot[live], W[live])
-        order, pruned = live[order], [np.flatnonzero(slot == 0)]
+        order = live[order]
     starts = np.flatnonzero(np.diff(slots, prepend=-1)).tolist()  # where each slot's run starts
 
     large_classes, small_classes = [], []
@@ -400,7 +383,6 @@ def build_partition(
             prefix = tuple(accumulate(W[rows].tolist(), initial=0))
             large_classes.append(LargeClass(s - smalls, large_floor, growth, rows, prefix, view.lw))
             continue
-        pruned.append(rows[K:])
         rows = rows[:K]
         if s == 0:
             fillers = rows
@@ -415,7 +397,6 @@ def build_partition(
         cardinality=K,
         large_classes=tuple(large_classes),
         small_classes=tuple(small_classes),
-        pruned_rows=np.concatenate(pruned),
         view=view,
         exactly_k=exactly_k,
         filler_rows=fillers,

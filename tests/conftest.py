@@ -67,9 +67,8 @@ def partition_fields(part) -> dict:
     """The fields two partitions of one instance must agree on: the
     estimate, epsilon, z, K, the mode, discarded, the fillers' rows and
     every field of every class, with each row array as a list of ints.
-    view and pruned_rows take no part; discarded names the pruned rows by
-    id."""
-    fields = _fields(part, skip={"view", "pruned_rows"})
+    view takes no part."""
+    fields = _fields(part, skip={"view"})
     fields["large_classes"] = [_fields(c) for c in part.large_classes]
     fields["small_classes"] = [_fields(c) for c in part.small_classes]
     fields["discarded"] = part.discarded

@@ -114,6 +114,55 @@ class TestItemValues:
         assert det["answer"] == det_ref["answer"]
 
 
+class TestInstanceValues:
+    """Instance checks budget by Item's rule and cardinality by the same
+    rule with int alone kept as given."""
+
+    ITEMS = items_of([(1, 3, 2), (2, 4, 3), (3, 5, 4)])
+
+    def test_int_and_fraction_values_are_kept(self):
+        class Half(Fraction):
+            pass
+
+        class Count(int):
+            pass
+
+        for budget, cardinality in [(5, 2), (F(9, 2), Count(2)), (Half(9, 2), 2), (Count(5), 2)]:
+            inst = Instance(self.ITEMS, budget, cardinality)
+            assert inst.budget is budget and inst.cardinality is cardinality
+
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8, np.intp])
+    def test_numpy_integers_become_ints(self, kind):
+        inst = Instance(self.ITEMS, kind(5), kind(2))
+        assert type(inst.budget) is int and type(inst.cardinality) is int
+        assert (inst.budget, inst.cardinality) == (5, 2)
+        assert type(replace(inst, budget=kind(6)).budget) is int
+
+    @pytest.mark.parametrize("value", [4.5, 2.0, True, False, np.float64(1.5), np.bool_(True), "3", None])
+    def test_other_budgets_raise_naming_the_field(self, value):
+        with pytest.raises(TypeError, match="budget must be an int or a Fraction"):
+            Instance(self.ITEMS, value, 2)
+
+    @pytest.mark.parametrize("value", [2.0, True, False, F(2), np.float64(2), np.bool_(True), "2", None])
+    def test_other_cardinalities_raise_naming_the_field(self, value):
+        with pytest.raises(TypeError, match="cardinality must be an int,"):
+            Instance(self.ITEMS, 5, value)
+
+    def test_negative_values_stay_validation_errors(self):
+        for budget, cardinality in [(np.int64(-1), 2), (5, np.int64(-1))]:
+            assert not validate_instance(Instance(self.ITEMS, budget, cardinality)).ok
+
+    @pytest.mark.parametrize("mode", [Mode.AT_MOST, Mode.EXACT])
+    def test_numpy_int_budget_and_cardinality_solve_as_their_int_twins(self, mode):
+        base = generate_instance("uniform", 60, 6, seed=4, mode=mode)
+        budget = int(base.budget)
+        numpy_ints = replace(base, budget=np.int64(budget), cardinality=np.int64(6))
+        sol, det = solve_with_details(numpy_ints, F(1, 4))
+        ref, det_ref = solve_with_details(replace(base, budget=budget), F(1, 4))
+        assert sol == ref and sol.count
+        assert det["answer"] == det_ref["answer"]
+
+
 class TestValidateInstance:
     def test_clean_instance_passes(self):
         report = validate_instance(inst_of([(1, 5, 2), (2, 3, 1)], 4, 2))

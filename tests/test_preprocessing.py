@@ -368,10 +368,12 @@ class TestFloorRowsSkipTheSort:
         ]
         assert sum(p is not None for p in built) > 200
         assert any(p and p.large_classes for p in built)
-        # Some class keeps a row whose P and W a pruned row shares.
+        # Some class keeps a row whose P and W a pruned row, a candidate
+        # row outside kept_rows, shares.
         def pruned_tie(part):
             P, W = part.view.P, part.view.W
-            pruned = set(zip(P[part.pruned_rows].tolist(), W[part.pruned_rows].tolist()))
+            rows = np.setdiff1d(np.arange(len(P)), part.kept_rows)
+            pruned = set(zip(P[rows].tolist(), W[rows].tolist()))
             return any((P[c.rows[-1]], W[c.rows[-1]]) in pruned for c in part.small_classes)
 
         assert any(pruned_tie(p) for p in built if p)
@@ -401,11 +403,37 @@ class TestFloorRowsSkipTheSort:
         assert "discarded" in vars(part)
 
     @pytest.mark.parametrize("mode", [Mode.AT_MOST, Mode.EXACT])
-    def test_rows_are_arrays_and_infeasible_ids_are_built_on_read(self, monkeypatch, mode):
+    def test_discarded_is_every_item_outside_the_kept_rows(self, mode):
+        # K = 2, budget 10, eps = 1/4 and opt_estimate 156: profits above
+        # 39 are large and those from 19.5 up small. Item 1 does not fit;
+        # exactly K, item 2 fits alone but not beside the lightest (weight
+        # 1); items 5-7 share one small class, which keeps its 2 lightest;
+        # items 8-10 lie below the floor, and exactly K keeps the 2
+        # lightest of them as fillers.
+        triples = [
+            (1, 100, 11), (2, 35, 10), (3, 40, 4), (4, 38, 5),
+            (5, 26, 2), (6, 26, 3), (7, 26, 4), (8, 1, 1), (9, 1, 2), (10, 1, 3),
+        ]
+        inst = inst_of(triples, 10, 2, mode=mode)
+        part = self.assert_same(inst, F(1, 4))
+        assert part.opt_estimate == 156
+        exactly_k = mode is Mode.EXACT
+        assert part.discarded == ({1, 2, 7, 10} if exactly_k else {1, 7, 8, 9, 10})
+        assert part.discarded == reference_partition(inst, F(1, 4)).discarded
+        kept = member_ids(part, part.kept_rows)
+        assert len(set(kept)) == len(kept) and part.discarded.isdisjoint(kept)
+        assert part.discarded | set(kept) == {it.id for it in inst.items}
+        fillers = member_ids(part, part.filler_rows)
+        assert fillers == ([8, 9] if exactly_k else [])
+        assert part.discarded.isdisjoint(fillers)
+
+    @pytest.mark.parametrize("mode", [Mode.AT_MOST, Mode.EXACT])
+    def test_rows_are_arrays_and_discarded_is_built_on_read(self, monkeypatch, mode):
         # After a solve, every class and the fillers still hold the np.intp
-        # arrays build_partition sliced from its sort order, and the ids of
-        # the items that are not candidates (here most of them, and one
-        # added last that does not fit) have not been looked for.
+        # arrays build_partition sliced from its sort order, and the
+        # discarded ids (among them those of the items that are not
+        # candidates: here most of them, and one added last that does not
+        # fit) have not been looked for.
         base = generate_instance("uniform", 300, 4, seed=5)
         heavy = Item(10**6, F(5), base.budget + 1)
         inst = Instance(base.items + (heavy,), base.budget, 4, mode)
@@ -420,14 +448,12 @@ class TestFloorRowsSkipTheSort:
         part = built[0]
         stored = [c.rows for c in part.large_classes + part.small_classes] + [part.filler_rows]
         assert part.small_classes and all(r.dtype == np.intp for r in stored)
-        assert "infeasible_ids" not in vars(part)
+        assert "discarded" not in vars(part)
         assert len(part.kept_rows) == sum(map(len, stored))
         assert len(part.filler_rows) == (4 if mode is Mode.EXACT else 0)
         reference = reference_partition(inst, part.epsilon)
         assert partition_fields(part) == partition_fields(reference)  # discarded agrees
-        position = {it.id: i for i, it in enumerate(inst.items)}
-        assert part.infeasible_ids[-1] == heavy.id  # in item order
-        assert sorted(part.infeasible_ids, key=position.get) == list(part.infeasible_ids)
+        assert heavy.id in part.discarded
         # Reading the rows (partition_fields above) leaves them arrays.
         assert all(c.rows.dtype == np.intp for c in part.small_classes)
 
