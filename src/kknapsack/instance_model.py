@@ -76,15 +76,17 @@ class Item:
     Fractions (subclasses included, bools excluded); another integral
     number, such as a numpy integer, becomes an int, and anything else, a
     float included, raises TypeError naming the item, the rule
-    parse_rational applies to files."""
+    parse_rational applies to files. id follows the same rule with int
+    alone kept as given, as Instance's cardinality does."""
 
     id: int
     profit: Fraction
     weight: Fraction
 
     def __post_init__(self):
-        if type(self.profit) in _EXACT and type(self.weight) in _EXACT:
+        if type(self.id) is int and type(self.profit) in _EXACT and type(self.weight) in _EXACT:
             return
+        object.__setattr__(self, "id", _exact_value(self.id, f"item {self.id!r}: id", (int,)))
         for name in ("profit", "weight"):
             object.__setattr__(self, name, _exact_value(getattr(self, name), f"item {self.id}: {name}"))
 
@@ -365,9 +367,10 @@ def instance_to_dict(inst: Instance) -> dict:
 
 
 def _integer(value) -> int:
-    """An integral JSON field: an int (not a bool) or a string holding one.
+    """An integral field of a JSON instance, or a CSV instance's
+    cardinality: an integral number (not a bool) or a string holding one.
     int() alone would truncate 2.5 to 2 and read true as 1."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
+    if isinstance(value, bool) or not isinstance(value, (numbers.Integral, str)):
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
 
@@ -440,7 +443,7 @@ def _instance_from_csv(fh, budget, cardinality: int, mode: Mode) -> Instance:
     return Instance(
         items=tuple(items),
         budget=parse_rational(budget),
-        cardinality=int(cardinality),
+        cardinality=_integer(cardinality),
         mode=mode,
     )
 

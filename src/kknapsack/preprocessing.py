@@ -42,15 +42,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
 from .instance_model import ItemColumns, Instance, Mode, _extremes, candidate_rows
 from .instance_model import item_columns, parse_rational, scaled_column
 from .small_items import SmallSolver, _rounding, _solve_units
-
-ZERO = Fraction(0)
 
 
 class TrivialInstanceError(ValueError):
@@ -230,47 +228,36 @@ def candidate_view(inst: Instance, columns: Optional[ItemColumns] = None) -> Can
     return CandidateView(cols.ids[rows], P, W, lp, lw, cols)
 
 
-class _Bounds(NamedTuple):
-    value: Fraction
-    lp_bound: Fraction
-
-
-class OptimumEstimate(_Bounds):
+@dataclass(frozen=True, eq=False)
+class OptimumEstimate:
     """The estimate's two bounds on OPT (OPT over exactly-K sets in
     exactly-K mode): value <= OPT <= 2*value, and OPT <= lp_bound, the
-    value of the LP relaxation whose rounding gave value. It is the pair
-    (value, lp_bound); rounding, the view rows of that rounding (None when
-    not known), rides along outside the pair."""
+    value of the LP relaxation whose rounding gave value. rounding holds
+    the view rows of that rounding (None when not known)."""
 
+    value: Fraction
+    lp_bound: Fraction
     rounding: Optional[np.ndarray] = None
-
-    def __new__(cls, value, lp_bound, rounding=None):
-        self = super().__new__(cls, value, lp_bound)
-        self.rounding = rounding
-        return self
 
 
 def half_approx_opt(inst: Instance, view: Optional[CandidateView] = None) -> OptimumEstimate:
-    """Lower estimate v with v <= OPT <= 2v, and the LP bound it comes from.
+    """inst's OptimumEstimate: v with v <= OPT <= 2v, the LP bound it comes
+    from, and the rows of the LP's rounding.
 
-    Solves the LP relaxation over the candidate items exactly (cardinality
-    row sum x = K in exactly-K mode), on the integers of view (built here
-    when not given). Its vertex has at most two fractional components, and
-    when it has two they sum to exactly one. Its rounding -- the integral
-    part, plus in exactly-K mode the lighter fractional unit -- is feasible
-    and loses at most one item's profit, so
-    v = max(rounding, best_single) >= LP/2 >= OPT/2, and v <= OPT <= LP.
-    The rounding's view rows are the estimate's rounding.
+    Solves the LP relaxation exactly (cardinality row sum x = K in exactly-K
+    mode) on the integers of view (built here when not given), over the
+    positive profits at most K and every candidate exactly K. Its vertex
+    has at most two fractional components, and when it has two they sum to
+    exactly one. Its rounding -- the integral part, plus in exactly-K mode
+    the lighter fractional unit -- is feasible and loses at most one item's
+    profit, so v = max(rounding, best_single) >= LP/2 >= OPT/2, and
+    v <= OPT <= LP.
     """
     if view is None:
         view = candidate_view(inst)
-    if not len(view.ids):
-        return OptimumEstimate(ZERO, ZERO, np.arange(0))
     exactly_k = inst.mode is Mode.EXACT
-    P, W, rows = view.P, view.W, np.arange(len(view.ids))
-    if not exactly_k:  # the inequality row's pool: positive profits only
-        rows = np.flatnonzero(P > 0)
-        P, W = P[rows], W[rows]
+    rows = np.flatnonzero((view.P > 0) | exactly_k)
+    P, W = view.P[rows], view.W[rows]
     pool = SmallSolver(rows, P, W, view.lp, view.lw, inst.cardinality, exactly_k)
     primal, integral, fractional, _, _ = _solve_units(pool, inst.budget, inst.cardinality)
     if exactly_k:
@@ -302,17 +289,19 @@ def build_partition(
     floor(S*g^(i-1)) < P <= floor(S*g^i) and small class j >= 0 is
     ceil(S*g^-j) <= P < ceil(S*g^(1-j)), so a profit on a boundary joins
     the class whose rounded profit it equals. Each boundary is one exact
-    integer division, computed once per class as the walk multiplies the
-    numerator and denominator of S*g^(+-i) by those of g. One searchsorted
-    over the profits' dtype (int64 profits get int64 cuts: the cuts stop at
-    the largest) places every item. At most K the rows below the floor are
-    discarded through one mask; the other rows, and exactly K every row (the
-    fillers are the floor rows' K lightest), are ordered by (class, W, row)
-    with one np.sort of packed int64 keys (_class_order; a stable lexsort
-    on (class, W) where a key would pass 63 bits). The view's rows ascend
-    by id, so ties go by id. Every class and the fillers hold their run of
-    that order as an np.intp slice, a small class and the fillers cut to
-    the K lightest; only a large class's prefix sums become Python ints.
+    integer division, computed once per class as two walks from S multiply
+    the numerator and denominator of S*g^(+-i) by those of g: up to the
+    largest profit, and down to the floor. One searchsorted over the
+    profits' dtype (int64 profits get int64 cuts: the cuts stop at the
+    largest) places every item. One mask picks the rows that are sorted: at
+    most K those at or above the floor (the rest are discarded), exactly K
+    every row (the fillers are the floor rows' K lightest). They are
+    ordered by (class, W, row) with one np.sort of packed int64 keys
+    (_class_order; a stable lexsort on (class, W) where a key would pass
+    63 bits). The view's rows ascend by id, so ties go by id. Every class
+    and the fillers hold their run of that order as an np.intp slice, a
+    small class and the fillers cut to the K lightest; only a large
+    class's prefix sums become Python ints.
     The partition records only these kept rows; the rows no class keeps
     are never gathered, and discarded is derived from the kept rows on read.
     """
@@ -345,34 +334,25 @@ def build_partition(
     while large_bounds[-1] < top:
         num, den = num * c, den * b
         large_bounds.append(num // den)
-    # Small classes start at j0, the class of the largest small profit:
-    # smallest j with S*g^-j <= that profit. At large K the small profits
-    # lie many classes below S, whose bounds nothing needs. When no profit
-    # is small, j0 is the first class at or below ceil(S/K), so the walk
-    # never passes the floor.
-    highest = max(_extremes(P[P <= large_bounds[0]])[1], floor_p)
-    num, den, j0 = sn, sd, 0  # S*g^-j
-    while -(-num // den) > highest:
-        num, den, j0 = num * b, den * c, j0 + 1
-    small_bounds: list[int] = []  # -ceil(S*g^-j) for j >= j0, negated to ascend
-    while not small_bounds or -small_bounds[-1] > floor_p:
-        small_bounds.append(-num // den)
+    num, den = sn, sd  # S*g^-j
+    small_bounds = [-num // den]  # -ceil(S*g^-j) for j >= 0, negated to ascend
+    while -small_bounds[-1] > floor_p:
         num, den = num * b, den * c
+        small_bounds.append(-num // den)
 
     # Every class is an interval of P, so one ascending list of cut points
     # gives each profit its slot, the number of cuts at or below it: slot 0
-    # lies below the floor, slot s in 1..J+1-j0 is small class J+1-s, and
-    # slot s > J+1-j0 is large class s-(J+1-j0).
-    J = j0 + len(small_bounds) - 1
-    smalls = J + 1 - j0
+    # lies below the floor, slot s in 1..smalls is small class smalls-s,
+    # and slot s > smalls is large class s-smalls. The last small bound is
+    # at or below the floor, which cuts in its place.
+    smalls = len(small_bounds)
     cuts = [floor_p, *(-v for v in reversed(small_bounds[:-1])), *(v + 1 for v in large_bounds[:-1])]
     slot = np.searchsorted(np.array(cuts, dtype=P.dtype), P, side="right")
-    if exactly_k:  # the fillers are the floor rows' K lightest, so every row is sorted
-        order, slots = _class_order(slot, W)
-    else:  # every floor row is discarded: one mask, and the sort skips them
-        live = np.flatnonzero(slot)
-        order, slots = _class_order(slot[live], W[live])
-        order = live[order]
+    # At most K every floor row is discarded, so the sort skips them;
+    # exactly K the fillers are the floor rows' K lightest, so every row is sorted.
+    live = np.flatnonzero((slot > 0) | exactly_k)
+    order, slots = _class_order(slot[live], W[live])
+    order = live[order]
     starts = np.flatnonzero(np.diff(slots, prepend=-1)).tolist()  # where each slot's run starts
 
     large_classes, small_classes = [], []
@@ -387,7 +367,7 @@ def build_partition(
         if s == 0:
             fillers = rows
         else:
-            small_classes.append(SmallClass(J + 1 - s, large_floor, growth, rows))
+            small_classes.append(SmallClass(smalls - s, large_floor, growth, rows))
     small_classes.reverse()  # slots ascend with profit, small indices descend
 
     partition = Partition(

@@ -4,6 +4,7 @@ import copy
 import json
 import pickle
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -111,6 +112,44 @@ class TestItemValues:
         sol, det = solve_with_details(numpy_ints, F(1, 4))
         ref, det_ref = solve_with_details(ints, F(1, 4))
         assert sol == ref and sol.count
+        assert det["answer"] == det_ref["answer"]
+
+
+class TestItemIds:
+    """Item keeps an int id as given, makes another integral number an int,
+    and refuses everything else by the id it was given."""
+
+    def test_int_ids_are_kept(self):
+        class Label(int):
+            pass
+
+        for uid in (7, Label(7), -3, 2**70):
+            assert Item(uid, 1, F(1, 2)).id is uid
+
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8, np.intp])
+    def test_numpy_integer_ids_become_ints(self, kind):
+        item = Item(kind(7), F(1), 2)
+        assert type(item.id) is int and item.id == 7
+        assert type(replace(item, id=kind(8)).id) is int
+
+    @pytest.mark.parametrize(
+        "value", [1.5, 1.0, True, False, np.float64(1.5), np.bool_(True), F(1), "a", "1", None], ids=repr
+    )
+    def test_other_ids_raise_naming_the_item(self, value):
+        with pytest.raises(TypeError, match=re.escape(f"item {value!r}: id must be an int, not")):
+            Item(value, F(1), F(1))
+        with pytest.raises(TypeError, match="id must be an int"):
+            replace(Item(8, F(1), F(1)), id=value)
+
+    @pytest.mark.parametrize("mode", [Mode.AT_MOST, Mode.EXACT])
+    def test_numpy_id_instance_solves_as_its_int_twin(self, mode):
+        base = generate_instance("uniform", 60, 6, seed=4, mode=mode)
+        numpy_ids = replace(base, items=[Item(np.int64(it.id), it.profit, it.weight) for it in base.items])
+        assert numpy_ids.items == base.items
+        sol, det = solve_with_details(numpy_ids, F(1, 4))
+        ref, det_ref = solve_with_details(base, F(1, 4))
+        assert sol == ref and sol.count
+        assert all(type(uid) is int for uid in sol.selected)
         assert det["answer"] == det_ref["answer"]
 
 
@@ -560,6 +599,17 @@ class TestSerialization:
         save_instance_csv(inst, path)
         back = load_instance_csv(path, inst.budget, inst.cardinality, inst.mode)
         assert back == inst
+
+    @pytest.mark.parametrize("cardinality", [2.7, 2.0, True, F(2), None], ids=repr)
+    def test_csv_cardinality_is_not_truncated(self, tmp_path, cardinality):
+        # int() read 2.7 as 2 and True as 1; the JSON reader's rule refuses them.
+        inst = self._round_trippable()
+        path = tmp_path / "inst.csv"
+        save_instance_csv(inst, path)
+        for K in (2, "2", np.int64(2)):
+            assert load_instance_csv(path, inst.budget, K, inst.mode) == inst
+        with pytest.raises(ValueError, match="expected an integer"):
+            load_instance_csv(path, inst.budget, cardinality, inst.mode)
 
     def test_csv_header_required(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -36,18 +36,20 @@ ROOT = Path(__file__).resolve().parent.parent
 
 class TestHalfApproxOpt:
     def test_single_item(self):
-        assert half_approx_opt(inst_of([(1, 10, 1)], 1, 1)) == (10, 10)
+        estimate = half_approx_opt(inst_of([(1, 10, 1)], 1, 1))
+        assert (estimate.value, estimate.lp_bound) == (10, 10)
 
     def test_nothing_fits(self):
-        assert half_approx_opt(inst_of([(1, 10, 5)], 1, 1)) == (0, 0)
+        estimate = half_approx_opt(inst_of([(1, 10, 5)], 1, 1))
+        assert (estimate.value, estimate.lp_bound) == (0, 0)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_two_sided_bound(self, seed):
         dist = ("uniform", "correlated", "subset-sum")[seed % 3]
         inst = generate_instance(dist, 12, 3, seed=100 + seed, weight_max=30)
-        v, lp_bound = half_approx_opt(inst)
-        opt = best_subset(inst)[0]
-        assert v <= opt <= 2 * v and opt <= lp_bound
+        estimate = half_approx_opt(inst)
+        v, opt = estimate.value, best_subset(inst)[0]
+        assert v <= opt <= 2 * v and opt <= estimate.lp_bound
 
     @pytest.mark.parametrize("seed", range(12))
     def test_two_sided_bound_exactly_k(self, seed):
@@ -56,9 +58,9 @@ class TestHalfApproxOpt:
         base = generate_instance(dist, 12, 3, seed=100 + seed, weight_max=30)
         budget = sum(it.weight for it in base.items) / 3  # above the 3 lightest
         inst = Instance(base.items, budget, base.cardinality, Mode.EXACT)
-        v, lp_bound = half_approx_opt(inst)
-        opt = best_subset(inst, exact_count=inst.cardinality)[0]
-        assert v <= opt <= 2 * v and opt <= lp_bound
+        estimate = half_approx_opt(inst)
+        v, opt = estimate.value, best_subset(inst, exact_count=inst.cardinality)[0]
+        assert v <= opt <= 2 * v and opt <= estimate.lp_bound
 
 
 class TestGeometricIndexUp:
@@ -722,6 +724,17 @@ class TestIntegerThresholds:
         assert max(c.index for c in part.large_classes + part.small_classes) > 2000
 
     @pytest.mark.parametrize("mode", [Mode.AT_MOST, Mode.EXACT])
+    @pytest.mark.parametrize("eps", [F(1, 4), F(1, 32)], ids=["eps1/4", "eps1/32"])
+    def test_k_spread_rows_at_k_1024(self, eps, mode):
+        # The K = 1024 row of tests/test_scale.py's K-spread (uniform n=2000,
+        # seed 3): every profit is small, and the small classes lie far below
+        # S, 27-32 classes at eps = 1/4 and 122-225 at eps = 1/32.
+        base = generate_instance("uniform", 2000, 1024, seed=3)
+        part = _assert_matches_reference(Instance(base.items, base.budget, 1024, mode), eps)
+        assert not part.large_classes
+        assert min(c.index for c in part.small_classes) >= (27 if eps == F(1, 4) else 122)
+
+    @pytest.mark.parametrize("mode", [Mode.AT_MOST, Mode.EXACT])
     def test_all_equal_profits(self, mode):
         inst = inst_of([(i, 3, 1 + i % 4) for i in range(1, 21)], 30, 4, mode=mode)
         part = _assert_matches_reference(inst, F(1, 8))
@@ -775,7 +788,8 @@ class TestViewIntegerBoundary:
     EPS = F(1, 4)
 
     def check(self, big, base, profit=1):
-        assert half_approx_opt(big) == tuple(v * profit for v in half_approx_opt(base))
+        est, ref = half_approx_opt(big), half_approx_opt(base)
+        assert (est.value, est.lp_bound) == (ref.value * profit, ref.lp_bound * profit)
         assert _structure(build_partition(big, self.EPS)) == _structure(
             build_partition(base, self.EPS)
         )

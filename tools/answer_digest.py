@@ -16,7 +16,9 @@ eps = 1/4. Each job adds to its workload's digest:
   answered (answer), split_count, split_queries, small_passes, large_rows
   and small_rows (None where the rung has none);
 - from solve_at_accuracy at eps and at eps/8, with the estimate the solve
-  uses: the sorted ids, the profit and sorted(partition.discarded).
+  uses: the sorted ids, the profit, sorted(partition.discarded), the
+  (index, size) list of the large classes and of the small classes, and
+  the number of fillers.
 
 Each line reads: the workload, its number of jobs, the digest. The
 K-spread rows print as the line "k-spread", after the workloads.
@@ -56,7 +58,10 @@ def answers(inst: Instance, eps: Fraction) -> list:
             out.append("trivial")
             continue
         sol, det = solve_at_accuracy(inst, eps, eps_int, estimate, view)
-        out.append([sorted(sol.selected), sol.total_profit, sorted(det["partition"].discarded)])
+        part = det["partition"]
+        classes = [[(c.index, c.size) for c in cs] for cs in (part.large_classes, part.small_classes)]
+        out.append([sorted(sol.selected), sol.total_profit, sorted(part.discarded)])
+        out.append([*classes, len(part.filler_rows)])
     return out
 
 
