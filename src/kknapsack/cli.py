@@ -62,6 +62,8 @@ def _load_input(args) -> Instance:
     fmt = args.format or ("csv" if path.suffix.lower() == ".csv" else "json")
     if fmt == "csv" and (args.budget is None or args.cardinality is None):
         raise _UsageError("CSV input needs --budget and --cardinality")
+    if fmt == "json" and (args.budget is not None or args.cardinality is not None):
+        raise _UsageError("--budget and --cardinality apply to CSV input only")
     mode = Mode(args.mode) if args.mode else None  # argparse checked the choice
     try:
         if fmt == "csv":
@@ -176,6 +178,8 @@ def cmd_generate(args) -> int:
         raise _UsageError(
             f"bad distribution {args.distribution!r}; pick one of {DISTRIBUTIONS}"
         )
+    if args.count < 0:
+        raise _UsageError(f"--count must be >= 0, got {args.count}")
     mode = Mode(args.mode or Mode.AT_MOST.value)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -225,11 +225,11 @@ def solve_at_accuracy(
     cannot fall as its cap or budget rises, and comes earlier in the order.
     Exactly K a cell holds exactly k items and a query takes exactly its
     cap, so that monotonicity fails and no split is dropped this way. Of
-    the splits left, it searches best-first: each split is bounded by
-    x*delta + top(K - k), where top(c) is the small side's value for c
-    units with the weight row dropped, and only the splits whose bound can
-    still beat the best total, or tie it from earlier in the sweep order,
-    are asked of the small side."""
+    the splits left, it asks the small side best-first, from one queue
+    sorted by the bound x*delta + top(K - k), ties in sweep order, where
+    top(c) is the small side's value for c units with the weight row
+    dropped. It stops at the first split whose bound can neither beat the
+    best total nor tie it from earlier in the sweep order."""
     if view is None:
         view = candidate_view(inst)
     partition = build_partition(inst, eps_int, estimate, view)
@@ -259,7 +259,7 @@ def solve_at_accuracy(
         cover = np.full(len(anchors), table.inf, table.values.dtype)
     enumerated = []  # the scaled table weight of every split
     dominated = 0
-    heads = []  # (bound of the largest anchor, k, top(K - k), anchors, weights)
+    queue = []  # (bound, k, x, scaled table weight) of every split kept
     for k in range(grid.z + 1):
         cells = table.values[anchors, k]
         idx = np.flatnonzero(cells <= fit)
@@ -274,39 +274,28 @@ def solve_at_accuracy(
             keep = kept
             if not keep.size:
                 continue
-        xs, weights = anchors[keep].tolist(), cells[keep].tolist()
         top = small.top_scaled(K - k)
         if top is not None:  # exactly-K: else the pool has no K - k units
             top *= ld * dd
-            heads.append((xs[-1] * step + top, k, top, xs, weights))
+            for x, w in zip(anchors[keep].tolist(), cells[keep].tolist()):
+                queue.append((x * step + top, k, x, w))
     small.register_query_weights(enumerated)
-    heads.sort(key=lambda h: (-h[0], h[1]))
+    queue.sort(key=lambda s: (-s[0], s[1], s[2]))
 
-    best = None  # (total in units, k, x, large weight, omega, small value)
+    best = None  # (-total in units, k, x, large weight, omega, small value)
     queries = 0
-    for head, k, top, xs, weights in heads:
-        if best is not None and head < best[0]:
-            break  # every later k is bounded by its head, at most this one
-        # Bounds fall with x, so the first split that cannot win ends its k.
-        for x, w in zip(reversed(xs), reversed(weights)):
-            bound = x * step + top
-            if best is not None and (
-                bound < best[0] or (bound == best[0] and (k, x) > best[1:3])
-            ):
-                break
-            lw = Fraction(w, table.weight_scale)
-            omega = inst.budget - lw
-            sv = small.phi_dag(omega, K - k)
-            queries += 1
-            if sv is None:  # exactly-K: no K - k small units fit omega
-                continue
-            total = x * step + sv * (ln * dd)
-            if (
-                best is None
-                or total > best[0]
-                or (total == best[0] and (k, x) < best[1:3])
-            ):
-                best = (total, k, x, lw, omega, sv)
+    for bound, k, x, w in queue:
+        if best is not None and (-bound, k, x) > best[:3]:
+            break  # keys only rise along the queue: no later split can win
+        lw = Fraction(w, table.weight_scale)
+        omega = inst.budget - lw
+        sv = small.phi_dag(omega, K - k)
+        queries += 1
+        if sv is None:  # exactly-K: no K - k small units fit omega
+            continue
+        total = x * step + sv * (ln * dd)
+        if best is None or (-total, k, x) < best[:3]:
+            best = (-total, k, x, lw, omega, sv)
     # At most K, (k=0, x=0) is always feasible. Exactly K, so is (j, 0) for
     # the j large items among the K lightest: the fold keeps the j lightest
     # large items and the small pool the K - j lightest others, and

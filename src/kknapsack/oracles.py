@@ -90,9 +90,7 @@ LP_VERTEX_LIMIT = 12
 EXHAUSTIVE_TABLE_LIMIT = 14
 COLUMN_SCAN_LIMIT = 10_000
 DP_CELL_LIMIT = 50_000_000
-DP_FALLBACK_OPS_LIMIT = 5_000_000
 
-_NEG_INF = -(1 << 62)
 # The generic convolution adds two possibly-infinite cells; sentinels are
 # remapped below half of INT_INF so the sum can never overflow int64.
 _SOFT_INF = 1 << 61
@@ -203,10 +201,13 @@ def brute_force(inst: Instance) -> OracleResult:
 def exact_dp(inst: Instance) -> OracleResult:
     """Exact optimum value by DP over (count, weight) states.
 
-    Requires integer weights and budget -- a hard error otherwise. Integer
-    profits run vectorised; rational profits fall back to a small pure-
-    Python table. Value only (no solution ids): this oracle checks numbers,
-    retrieval is checked elsewhere.
+    Requires integer weights and budget -- a hard error otherwise. Profits
+    count in the lcm L of their denominators, in int64 cells while the
+    scaled profits' absolute sum (mass) stays below 2^59 and in Python-int
+    object cells otherwise. Unreachable cells start at -2*mass - 1: no
+    chain of additions lifts them to -mass, the least reachable value, so a
+    final cell below -mass reads as infeasible. Value only (no solution
+    ids): this oracle checks numbers, retrieval is checked elsewhere.
     """
     if inst.budget.denominator != 1 or any(it.weight.denominator != 1 for it in inst.items):
         raise ValueError("exact_dp requires an integer budget and integer weights")
@@ -217,56 +218,20 @@ def exact_dp(inst: Instance) -> OracleResult:
     if (K + 1) * (W + 1) > DP_CELL_LIMIT:
         raise ValueError(f"DP table would exceed {DP_CELL_LIMIT} cells")
 
-    integral_profits = all(it.profit.denominator == 1 for it in inst.items)
-    profit_mass = sum((abs(it.profit) for it in inst.items), ZERO)
-    if integral_profits and profit_mass < (1 << 59):
-        value = _dp_int(inst, W, K)
-    else:
-        value = _dp_fraction(inst, W, K)
-
-    if inst.mode is Mode.EXACT and value is None:
-        return OracleResult(value=None, solution=None, method=OracleMethod.EXACT_DP)
-    return OracleResult(value=Fraction(value), solution=None, method=OracleMethod.EXACT_DP)
-
-
-def _dp_int(inst: Instance, W: int, K: int):
-    dp = np.full((K + 1, W + 1), _NEG_INF, dtype=np.int64)
+    L = math.lcm(*(it.profit.denominator for it in inst.items))
+    profits = [int(it.profit * L) for it in inst.items]
+    mass = sum(abs(p) for p in profits)
+    dp = np.full((K + 1, W + 1), -2 * mass - 1, dtype=np.int64 if mass < 1 << 59 else object)
     dp[0, :] = 0
-    for it in inst.items:
+    for it, p in zip(inst.items, profits):
         w = int(it.weight)
-        p = int(it.profit)
         if w > W:
             continue
         for k in range(K, 0, -1):
             np.maximum(dp[k, w:], dp[k - 1, : W + 1 - w] + p, out=dp[k, w:])
-    if inst.mode is Mode.EXACT:
-        v = int(dp[K, W])
-        return None if v < _NEG_INF // 2 else v
-    return int(dp[: K + 1, W].max())
-
-
-def _dp_fraction(inst: Instance, W: int, K: int):
-    if inst.n * (K + 1) * (W + 1) > DP_FALLBACK_OPS_LIMIT:
-        raise ValueError("rational-profit DP fallback is limited to small instances")
-    dp: list[list[Optional[Fraction]]] = [[None] * (W + 1) for _ in range(K + 1)]
-    dp[0] = [ZERO] * (W + 1)
-    for it in inst.items:
-        w = int(it.weight)
-        p = it.profit
-        if w > W:
-            continue
-        for k in range(K, 0, -1):
-            row, prev = dp[k], dp[k - 1]
-            for b in range(W, w - 1, -1):
-                src = prev[b - w]
-                if src is not None:
-                    cand = src + p
-                    if row[b] is None or cand > row[b]:
-                        row[b] = cand
-    if inst.mode is Mode.EXACT:
-        return dp[K][W]
-    finite = [row[W] for row in dp if row[W] is not None]
-    return max(finite)
+    cell = int(dp[K, W] if inst.mode is Mode.EXACT else dp[:, W].max())
+    value = None if cell < -mass else Fraction(cell, L)
+    return OracleResult(value=value, solution=None, method=OracleMethod.EXACT_DP)
 
 
 # ---------------------------------------------------------------------------

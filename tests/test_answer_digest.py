@@ -1,5 +1,6 @@
 """Smoke test: tools/answer_digest.py runs its toy-size corpora end to end
-and prints one digest per workload, the same on every run."""
+and prints an answer digest and a work digest per workload, the same on
+every run."""
 
 import os
 import re
@@ -27,5 +28,5 @@ def test_quick_run_prints_one_stable_digest_per_workload(tmp_path):
     lines = outputs[0].splitlines()
     assert [line.split()[0] for line in lines] == [*WORKLOADS, "k-spread"]
     for line in lines:
-        assert re.fullmatch(r"\S+ [1-9]\d* [0-9a-f]{64}", line), line
+        assert re.fullmatch(r"\S+ [1-9]\d* [0-9a-f]{64} [0-9a-f]{64}", line), line
     assert outputs[1] == outputs[0]

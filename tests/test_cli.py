@@ -215,6 +215,20 @@ class TestSolve:
         )
         assert rc == EXIT_OK
 
+    @pytest.mark.parametrize("command", ["solve", "convert"])
+    @pytest.mark.parametrize("option", [["--budget", "1"], ["--cardinality", "3"]])
+    def test_csv_options_with_json_input_are_rejected(
+        self, command, option, inst_file, tmp_path, capsys
+    ):
+        # A JSON instance carries its own budget and K; an option that would
+        # be ignored is an input error, and nothing is written.
+        out = tmp_path / "out.json"
+        tail = ["--epsilon", "1/2"] if command == "solve" else []
+        argv = [command, "--input", str(inst_file), "--output", str(out), *tail, *option]
+        assert main(argv) == EXIT_INPUT
+        assert "CSV input only" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_input(self, tmp_path, capsys):
         rc = main(["solve", "--input", str(tmp_path / "nope.json"), "--epsilon", "1/4"])
         assert rc == EXIT_INPUT
@@ -370,6 +384,14 @@ class TestGenerate:
             ]
         )
         assert rc == EXIT_INPUT
+
+    def test_negative_count_is_rejected(self, tmp_path, capsys):
+        out = tmp_path / "g"
+        argv = self.args(out)
+        argv[argv.index("--count") + 1] = "-2"
+        assert main(argv) == EXIT_INPUT
+        assert "--count" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestVerify:

@@ -522,8 +522,9 @@ class TestSplitSweep:
 
 
 # The exactly-K sweep over the C02 corpus (see test_exactly_k_sweep_is_unchanged):
-# small queries asked and the answers' total profit, before cross-k dominance.
-EXACT_C02_QUERIES = 1340
+# small queries asked, read from the sweep's best-first queue, and the
+# answers' total profit, read before cross-k dominance.
+EXACT_C02_QUERIES = 1289
 EXACT_C02_PROFIT = 29375
 
 
@@ -613,9 +614,9 @@ class TestCrossKDominance:
         assert dominated >= 0.5 * splits, (dominated, splits)
 
     def test_exactly_k_sweep_is_unchanged(self):
-        # The C02 corpus in exactly-K mode asks what the sweep asked before
-        # cross-k dominance, and answers alike: the totals below were read
-        # from that sweep.
+        # The C02 corpus in exactly-K mode drops no split by cross-k
+        # dominance and answers as the sweep before it did: the profit was
+        # read from that sweep, the query count from the best-first queue.
         queries, profit = 0, ZERO
         for i, inst in enumerate(c02_instances()):
             eps = (F(1, 10), F(3, 10))[i % 2]
@@ -625,6 +626,52 @@ class TestCrossKDominance:
                 queries += det["split_queries"]
                 profit += sol.total_profit
         assert (queries, profit) == (EXACT_C02_QUERIES, EXACT_C02_PROFIT)
+
+
+class TestBestFirstQueue:
+    """The sweep asks the small side for exactly the kept splits that can
+    still win: those whose bound x*delta + top(K - k) beats the final
+    total, and those whose bound ties it at or before the winner in the
+    sweep order (k ascending, then anchors ascending)."""
+
+    def check_level(self, inst, eps_int, monkeypatch):
+        _, det, asked = sweep_with_asked(inst, eps_int, monkeypatch)
+        k, x, w, by = dominated_splits(det, inst.budget)
+        kept = ~by.any(axis=1) if inst.mode is Mode.AT_MOST else np.ones(len(k), bool)
+        # top(c): the c largest rounded profits of the small pool, the
+        # fillers at 0; exactly K there is no top beyond the pool.
+        part = det["partition"]
+        pool = sorted(
+            [c.rounded_profit for c in part.small_classes for _ in range(c.size)]
+            + [ZERO] * len(part.filler_rows),
+            reverse=True,
+        )
+        K, delta = part.cardinality, det["table"].grid.delta
+        split = det["split"]
+        best, winner = split.total, (split.large_slots, split.grid_index)
+        want = set()
+        for kk, xx, ww in zip(k[kept].tolist(), x[kept].tolist(), w[kept].tolist()):
+            c = K - kk
+            if inst.mode is Mode.EXACT and c > len(pool):
+                continue
+            bound = xx * delta + sum(pool[:c], ZERO)
+            if bound > best or (bound == best and (kk, xx) <= winner):
+                want.add((kk, ww))
+        assert asked == want
+        assert det["split_queries"] == len(want)
+
+    @pytest.mark.parametrize("mode", [Mode.AT_MOST, Mode.EXACT])
+    def test_c02_corpus(self, mode, monkeypatch):
+        for i, inst in enumerate(c02_instances()):
+            eps = (F(1, 10), F(3, 10))[i % 2]
+            for eps_int in (eps, eps / 8):
+                self.check_level(in_mode(inst, mode), eps_int, monkeypatch)
+
+    @pytest.mark.parametrize("mode", [Mode.AT_MOST, Mode.EXACT])
+    def test_tie_heavy_instances(self, mode, monkeypatch):
+        for inst in tie_heavy_instances():
+            for eps_int in (F(1, 4), F(1, 32)):
+                self.check_level(in_mode(inst, mode), eps_int, monkeypatch)
 
 
 class TestExactMode:

@@ -91,7 +91,7 @@ class TestExactDp:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_fraction_fallback_agrees(self, seed):
-        # Rational profits (integer weights) force the pure-Python table.
+        # Rational profits (integer weights): the DP counts in their lcm.
         rnd = random.Random(seed)
         triples = [
             (uid, Fraction(rnd.randint(1, 12), rnd.choice([2, 3])), rnd.randint(1, 9))
@@ -120,6 +120,32 @@ class TestExactDp:
         big = 1 << 60
         inst = inst_of([(1, big, 1), (2, big, 1)], 2, 2)
         assert exact_dp(inst).value == 2 * big
+
+    @pytest.mark.parametrize("mode", [Mode.AT_MOST, Mode.EXACT])
+    def test_rational_profits_at_scale(self, mode):
+        # n = 60, K = 10, budget 8000: 5.3M cell updates. The value is its
+        # integral twin's, with every profit times the lcm L of the
+        # denominators, over L.
+        rnd = random.Random(5)
+        triples = [
+            (uid, Fraction(rnd.randint(1, 500), rnd.choice([2, 3, 5])), rnd.randint(1, 1000))
+            for uid in range(1, 61)
+        ]
+        L = 30
+        inst = inst_of(triples, 8000, 10, mode=mode)
+        twin = inst_of([(uid, p * L, w) for uid, p, w in triples], 8000, 10, mode=mode)
+        value = exact_dp(inst).value
+        assert value is not None and value == exact_dp(twin).value / L
+
+    @pytest.mark.parametrize("mode", [Mode.AT_MOST, Mode.EXACT])
+    def test_object_cells_match_brute_force(self, mode):
+        # Integral profits whose mass reaches 2^59 take Python-int cells.
+        rnd = random.Random(9)
+        triples = [(uid, rnd.randint(1, 1 << 58), rnd.randint(1, 9)) for uid in range(1, 13)]
+        assert sum(p for _, p, _ in triples) >= 1 << 59
+        for K, budget in ((3, 12), (5, 25), (12, 40)):
+            inst = inst_of(triples, budget, K, mode=mode)
+            assert exact_dp(inst).value == brute_force(inst).value
 
 
 class TestNaiveConvolve:
