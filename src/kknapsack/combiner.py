@@ -3,10 +3,11 @@
 Round and partition the items, fold the high-profit classes into a weight
 table, then sweep the splits of the budget and cardinality between the
 table side and the small-item relaxations -- table-side candidates are the
-coarse anchor profits x (multiples of eps*opt_estimate) crossed with the
-slot count k in 0..z; the small side answers the remaining budget and
-slots, asked only for the splits that no earlier split dominates (at most
-K) and whose upper bound can still win. The winning split is materialised
+coarse anchor profits x (multiples of eps*opt_estimate, up to the grid's
+top anchor, the first to reach lp_bound) crossed with the slot count k in
+0..z; the small side answers the remaining budget and slots, asked only
+for the splits that no earlier split dominates (at most K) and whose
+upper bound can still win. The winning split is materialised
 into actual item ids and reported with profits recomputed exactly from the
 original instance.
 

@@ -3,9 +3,12 @@
 For items whose rounded profits exceed eps*opt_estimate the solver keeps a
 table phi(q, k) = least total weight reaching grid profit at least q*delta
 with at most k such items (exactly k in exactly-K mode), q in 0..m,
-k in 0..z, delta = eps*opt_estimate/z. The two modes differ only in the
-table the folds start from: at most k puts weight 0 at every (0, k),
-exactly k only at (0, 0).
+k in 0..z, delta = eps*opt_estimate/z. The rows stop at the first coarse
+anchor whose profit reaches the estimate's LP bound, at most
+ceil(1/eps)*eps*opt_estimate: no cell above it can lead to an answer (see
+ProfitGrid.from_partition). The two modes differ
+only in the table the folds start from: at most k puts weight 0 at every
+(0, k), exactly k only at (0, 0).
 Profit classes enter one at a time by a structured (min,+) convolution:
 every member of a class carries the same snapped profit tau*delta and the
 members are weight-sorted, so a cell only needs the best member COUNT theta:
@@ -61,40 +64,49 @@ class ProfitGrid:
     """Discrete profit axis: values q*delta for q in 0..m.
 
     z = min(K, ceil(1/eps)) caps the useful cardinality of high-profit items
-    (any more would overshoot the optimum estimate); m = z*ceil(1/eps) makes
-    the top grid point equal ceil(1/eps)*eps*opt_estimate >= opt_estimate,
-    and puts every anchor profit i*eps*opt_estimate exactly on the grid at
-    index i*z.
+    (any more would overshoot the optimum estimate). Every anchor profit
+    i*eps*opt_estimate lies exactly on the grid at index i*z, and the rows
+    stop at the top anchor: m = z*top_anchor, for top_anchor at most
+    ceil(1/eps) (see from_partition).
     """
 
     delta: Fraction
     z: int
-    inv_eps: int
+    top_anchor: int
 
     def __post_init__(self):
-        if self.z < 1 or self.inv_eps < 1 or self.delta <= 0:
-            raise ValueError("grid requires z >= 1, inv_eps >= 1, delta > 0")
+        if self.z < 1 or self.top_anchor < 1 or self.delta <= 0:
+            raise ValueError("grid requires z >= 1, top_anchor >= 1, delta > 0")
 
     @property
     def m(self) -> int:
-        return self.z * self.inv_eps
+        return self.z * self.top_anchor
 
     @classmethod
     def from_partition(cls, partition: Partition) -> "ProfitGrid":
+        """The grid of delta = eps*opt_estimate/z whose rows stop at the
+        first anchor i*z with i*eps*opt_estimate >= lp_bound, and at
+        i = ceil(1/eps) at most. No split above that anchor can answer:
+        where its cell (q, k) fits the budget and, in exactly-K mode, its
+        small side finds K - k units, those items form a feasible set,
+        worth at most OPT <= lp_bound. A member of large class j is worth
+        more than eps*opt_estimate*g^(j-1), g = 1+eps, and its snapped
+        profit is at most eps*opt_estimate*g^j, so q*delta is below
+        g*OPT = OPT + eps*OPT <= lp_bound + eps*opt_estimate (the estimate
+        is at least OPT), the next anchor's profit. A fold writes row q
+        only from rows at or below q, so every kept cell is the one an
+        uncut grid would hold."""
         eps = partition.epsilon
-        inv_eps = math.ceil(1 / eps)
-        return cls(
-            delta=eps * partition.opt_estimate / partition.z,
-            z=partition.z,
-            inv_eps=inv_eps,
-        )
+        unit = eps * partition.opt_estimate  # the profit between anchors
+        top = min(math.ceil(1 / eps), math.ceil(partition.lp_bound / unit))
+        return cls(delta=unit / partition.z, z=partition.z, top_anchor=top)
 
     def profit_value(self, q: int) -> Fraction:
         return q * self.delta
 
     def anchor_indices(self) -> list[int]:
         """Grid indices of 0 and the coarse anchors i*eps*opt_estimate."""
-        return [0] + [i * self.z for i in range(1, self.inv_eps + 1)]
+        return [0] + [i * self.z for i in range(1, self.top_anchor + 1)]
 
     @property
     def cell_count(self) -> int:
@@ -210,6 +222,13 @@ def convolve(acc: WeightTable, cls: LargeClass) -> WeightTable:
     have no column that is each row's minimum). No clamp is needed: the
     sentinel plus a prefix never beats a stored value, which is at most the
     sentinel, and for int64 cells INT_INF + prefix < 2**63.
+
+    The passes run theta = 1..min(size, z), and on a table whose profit-0
+    row is all zero (every at-most table) only up to t = ceil(m/tau): a
+    count theta >= t shifts past the top row, so it offers just
+    prefix[theta] at every cell it reaches, and a theta > t, reaching no
+    cell that t misses, never beats t's prefix[t] <= prefix[theta] under
+    the strict <. Exactly-k tables keep every theta.
     """
     grid = acc.grid
     m, z = grid.m, grid.z
@@ -233,7 +252,10 @@ def convolve(acc: WeightTable, cls: LargeClass) -> WeightTable:
         np.copyto(out, c, where=mask)
         np.copyto(out_theta, theta, where=mask)
 
-    for theta in range(1, min(cls.size, z) + 1):
+    counts = min(cls.size, z)
+    if not np.count_nonzero(src[:, 0]):
+        counts = min(counts, -(-m // tau))
+    for theta in range(1, counts + 1):
         weight, shift = prefix[theta], theta * tau
         below = src[: z + 1 - theta, :1] + weight  # acc's profit-0 cells
         improve(theta, slice(0, min(shift, m) + 1), below)

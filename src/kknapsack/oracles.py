@@ -38,6 +38,8 @@ searches its class index on its Fraction ratio to the class floor, by
 doubling and then bisection over exact Fraction powers, and members are
 sorted as Fractions. build_partition must return the same partition from
 the integer class thresholds of its one walk over the powers.
+check_partition asserts build_partition's structural invariants; the
+tests run it on every partition they build (tests/conftest.py).
 
 The paper's small-side ladder for K > 1/eps also lives here (weight
 rounding, WeightBuckets, upsilon2 through upsilon5), because production
@@ -343,7 +345,8 @@ def reference_partition(inst: Instance, eps: Fraction) -> Partition:
     K = inst.cardinality
     exactly_k = inst.mode is Mode.EXACT
     candidates = reference_candidates(inst)
-    opt_estimate = 2 * preprocessing.half_approx_opt(inst).value
+    estimate = preprocessing.half_approx_opt(inst)
+    opt_estimate = 2 * estimate.value
     large_floor = eps * opt_estimate
     small_floor = large_floor / K
     growth = 1 + eps
@@ -393,6 +396,7 @@ def reference_partition(inst: Instance, eps: Fraction) -> Partition:
         small_classes.append(SmallClass(i, large_floor, growth, rows(members[:K])))
     partition = Partition(
         opt_estimate=opt_estimate,
+        lp_bound=estimate.lp_bound,
         epsilon=eps,
         z=min(K, math.ceil(1 / eps)),
         cardinality=K,
@@ -404,6 +408,79 @@ def reference_partition(inst: Instance, eps: Fraction) -> Partition:
     )
     assert partition.discarded == discarded, discarded ^ partition.discarded
     return partition
+
+
+def check_partition(partition: Partition, inst: Instance) -> None:
+    """Assert build_partition's structural invariants.
+
+    Every large class counts its weights in the view's unit lw. Membership
+    checks run on the view's integer profits P = p*lp at each class's rows,
+    with S = sn/sd = eps*opt_estimate*lp and growth g = c/b in lowest
+    terms: a large member of class i satisfies S*g^(i-1) < P <= S*g^i, a
+    small member of class i satisfies S*g^-i <= P < S*g^(1-i). Both are
+    cross-multiplied with the powers of c and b that _powers_at builds up
+    over the ascending class indices. Both conditions are intervals in P,
+    so every member of a class meets them exactly when its least and its
+    greatest P do; only those two are compared, read for every class from
+    one gather over their rows and one reduceat each.
+    """
+    eps = partition.epsilon
+    growth = 1 + eps
+    large_floor = eps * partition.opt_estimate
+    K = partition.cardinality
+    view = partition.view
+    scale = large_floor * view.lp
+    sn, sd = scale.numerator, scale.denominator
+    large, small = partition.large_classes, partition.small_classes
+    sizes = np.array([c.size for c in large + small], np.intp)
+    assert sizes.all(), "an empty class"
+    rows = partition.kept_rows[: sizes.sum()]  # the classes' rows, the fillers' follow
+    values, starts = view.P[rows], np.cumsum(sizes) - sizes
+    least, greatest = np.minimum.reduceat(values, starts), np.maximum.reduceat(values, starts)
+    extremes = zip(least.tolist(), greatest.tolist())
+    for attr, value in (("profit_scale", large_floor), ("growth", growth)):
+        distinct = {id(v): v for v in (getattr(c, attr) for c in large + small)}
+        assert all(v == value for v in distinct.values()), attr
+    for cls, (below, at) in zip(large, _powers_at([c.index for c in large], growth)):
+        assert cls.index >= 1
+        least, greatest = next(extremes)
+        assert greatest * sd * at[1] <= sn * at[0], cls
+        assert sn * below[0] < least * sd * below[1], cls
+        assert len(cls.prefix_weights) == cls.size + 1 and cls.weight_scale == view.lw
+    for cls, (below, at) in zip(small, _powers_at([c.index for c in small], growth)):
+        assert cls.index >= 0
+        assert cls.size <= K
+        least, greatest = next(extremes)
+        assert sn * at[1] <= least * sd * at[0], cls
+        # Index 0's upper bound P < S*g holds by the split itself (P <= S).
+        if cls.index:
+            assert greatest * sd * below[0] < sn * below[1], cls
+    # Fillers: exactly-K mode only, at most K, each below the floor: P*K < S.
+    fillers = partition.filler_rows
+    assert len(fillers) <= (K if partition.exactly_k else 0)
+    assert max(view.P[fillers].tolist(), default=0) * K * sd < sn, fillers
+    # Class-count bound: at most ceil(log_g(1/eps)) large and ceil(log_g(K)) + 1
+    # small indices, within 2e + 2 for e = ceil(log_g(K/eps)), which holds iff
+    # g^(t-1) < K/eps for t = ceil((count - 2)/2); and at most n classes.
+    count = len(large) + len(small)
+    t = -(-(count - 2) // 2)
+    c, b = growth.numerator, growth.denominator
+    assert t < 1 or c ** (t - 1) * eps.numerator < K * eps.denominator * b ** (t - 1), count
+    assert count <= inst.n, (count, inst.n)
+
+
+def _powers_at(indices: list[int], growth: Fraction):
+    """For each of the strictly ascending indices i >= 0, the terms of
+    growth**(i-1) and growth**i as (numerator, denominator) pairs, by one
+    walk over the powers (None stands for growth**-1)."""
+    c, b = growth.numerator, growth.denominator
+    i, below, at = 0, None, (1, 1)
+    for index in indices:
+        assert index >= i, indices
+        while i < index:
+            below, at, i = at, (at[0] * c, at[1] * b), i + 1
+        yield below, at
+        below, at, i = at, (at[0] * c, at[1] * b), i + 1
 
 
 # ---------------------------------------------------------------------------

@@ -133,14 +133,17 @@ class Partition:
     candidates (see candidate_rows), are pruned, or lie below the floor. It
     is derived on first read as the ids of the view's item columns not
     among the kept rows' ids (ids are distinct in a valid instance), and
-    nothing on the solve path reads it. cardinality is carried along
-    because the small-item relaxations need K itself, not only
+    nothing on the solve path reads it. lp_bound is the LP bound on OPT of
+    the estimate the partition is built from; it stops the fold's profit
+    grid (large_items.ProfitGrid.from_partition). cardinality is carried
+    along because the small-item relaxations need K itself, not only
     z = min(K, ceil(1/eps)). view is the solve's CandidateView, whose rows
     every class and the fillers name. A partition and its classes compare
     by identity.
     """
 
     opt_estimate: Fraction
+    lp_bound: Fraction
     epsilon: Fraction
     z: int
     cardinality: int
@@ -159,10 +162,6 @@ class Partition:
     def kept_rows(self) -> np.ndarray:
         classes = self.large_classes + self.small_classes
         return np.concatenate([c.rows for c in classes] + [self.filler_rows])
-
-    @property
-    def class_count(self) -> int:
-        return len(self.large_classes) + len(self.small_classes)
 
     @property
     def small_item_count(self) -> int:
@@ -256,8 +255,11 @@ def half_approx_opt(inst: Instance, view: Optional[CandidateView] = None) -> Opt
     if view is None:
         view = candidate_view(inst)
     exactly_k = inst.mode is Mode.EXACT
-    rows = np.flatnonzero((view.P > 0) | exactly_k)
-    P, W = view.P[rows], view.W[rows]
+    if exactly_k:  # the pool is every candidate
+        rows, P, W = np.arange(len(view.P)), view.P, view.W
+    else:
+        rows = np.flatnonzero(view.P > 0)
+        P, W = view.P[rows], view.W[rows]
     pool = SmallSolver(rows, P, W, view.lp, view.lw, inst.cardinality, exactly_k)
     primal, integral, fractional, _, _ = _solve_units(pool, inst.budget, inst.cardinality)
     if exactly_k:
@@ -372,6 +374,7 @@ def build_partition(
 
     partition = Partition(
         opt_estimate=opt_estimate,
+        lp_bound=estimate.lp_bound,
         epsilon=eps,
         z=min(K, math.ceil(1 / eps)),
         cardinality=K,
@@ -381,7 +384,6 @@ def build_partition(
         exactly_k=exactly_k,
         filler_rows=fillers,
     )
-    _check_partition(partition, inst)
     return partition
 
 
@@ -402,83 +404,3 @@ def _class_order(slot: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarra
             return keys & ((1 << r) - 1), keys >> shift
     order = np.lexsort((W, slot))
     return order, slot[order]
-
-
-def _check_partition(partition: Partition, inst: Instance) -> None:
-    """Structural invariants, cheap enough to run on every build.
-
-    Every large class counts its weights in the view's unit lw. Membership
-    checks run on the view's integer profits P = p*lp at each class's rows,
-    with S = sn/sd = eps*opt_estimate*lp and growth g = c/b in lowest
-    terms: a large member of class i satisfies S*g^(i-1) < P <= S*g^i, a
-    small member of class i satisfies S*g^-i <= P < S*g^(1-i). Both are
-    cross-multiplied with the powers of c and b that _powers_at builds up
-    over the ascending class indices. Both conditions are intervals in P,
-    so every member of a class meets them exactly when its least and its
-    greatest P do; only those two are compared, read for every class from
-    one gather over their rows and one reduceat each.
-    """
-    eps = partition.epsilon
-    growth = 1 + eps
-    large_floor = eps * partition.opt_estimate
-    K = partition.cardinality
-    view = partition.view
-    scale = large_floor * view.lp
-    sn, sd = scale.numerator, scale.denominator
-
-    large, small = partition.large_classes, partition.small_classes
-    sizes = np.array([c.size for c in large + small], np.intp)
-    assert sizes.all(), "an empty class"
-    rows = partition.kept_rows[: sizes.sum()]  # the classes' rows, the fillers' follow
-    values, starts = view.P[rows], np.cumsum(sizes) - sizes
-    least, greatest = np.minimum.reduceat(values, starts), np.maximum.reduceat(values, starts)
-    extremes = zip(least.tolist(), greatest.tolist())
-    for attr, value in (("profit_scale", large_floor), ("growth", growth)):
-        distinct = {id(v): v for v in (getattr(c, attr) for c in large + small)}
-        assert all(v == value for v in distinct.values()), attr
-    for cls, (below, at) in zip(large, _powers_at([c.index for c in large], growth)):
-        assert cls.index >= 1
-        least, greatest = next(extremes)
-        assert greatest * sd * at[1] <= sn * at[0], cls
-        assert sn * below[0] < least * sd * below[1], cls
-        assert len(cls.prefix_weights) == cls.size + 1 and cls.weight_scale == view.lw
-    for cls, (below, at) in zip(small, _powers_at([c.index for c in small], growth)):
-        assert cls.index >= 0
-        assert cls.size <= K
-        least, greatest = next(extremes)
-        assert sn * at[1] <= least * sd * at[0], cls
-        # For index 0 the upper bound P < S*growth holds by the small/large
-        # split itself (P <= S < S*growth).
-        if cls.index:
-            assert greatest * sd * below[0] < sn * below[1], cls
-    # Fillers: exactly-K mode only, at most K, each below the profit floor:
-    # P*K < S.
-    fillers = partition.filler_rows
-    assert partition.exactly_k or not len(fillers)
-    assert len(fillers) <= K
-    assert _extremes(view.P[fillers])[1] * K * sd < sn, fillers
-
-    # Class-count bound: at most ceil(log_g(1/eps)) large indices plus
-    # ceil(log_g(K)) + 1 small indices, together within 2e + 2 for
-    # e = ceil(log_g(K/eps)); never more than n non-empty classes.
-    # count <= 2e + 2 holds iff e >= t = ceil((count - 2)/2), that is iff
-    # g^(t-1) < K/eps.
-    count = partition.class_count
-    t = -(-(count - 2) // 2)
-    c, b = growth.numerator, growth.denominator
-    assert t < 1 or c ** (t - 1) * eps.numerator < K * eps.denominator * b ** (t - 1), count
-    assert count <= inst.n, (count, inst.n)
-
-
-def _powers_at(indices: list[int], growth: Fraction):
-    """For each of the strictly ascending indices i >= 0, the terms of
-    growth**(i-1) and growth**i as (numerator, denominator) pairs, by one
-    walk over the powers (None stands for growth**-1)."""
-    c, b = growth.numerator, growth.denominator
-    i, below, at = 0, None, (1, 1)
-    for index in indices:
-        assert index >= i, indices
-        while i < index:
-            below, at, i = at, (at[0] * c, at[1] * b), i + 1
-        yield below, at
-        below, at, i = at, (at[0] * c, at[1] * b), i + 1

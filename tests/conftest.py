@@ -9,12 +9,16 @@ the engine's greedy passes. solve_fine runs the solver's
 pipeline once at the paper's internal accuracy, for the tests that inspect
 that pipeline's structure. partition_fields is what tests compare two
 partitions by, since a partition and its classes compare by identity.
+checked_partitions runs oracles.check_partition on every partition the
+tests build, since production solves do not check their partitions.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +26,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import kknapsack.small_items as small_items
+from kknapsack import oracles, preprocessing
 from kknapsack.combiner import solve_at_accuracy
 from kknapsack.instance_model import Instance, Item, Mode, validate_instance
 from kknapsack.preprocessing import half_approx_opt
@@ -145,6 +150,28 @@ def solve_fine(inst: Instance, eps):
 @pytest.fixture
 def mk_inst():
     return inst_of
+
+
+@pytest.fixture(autouse=True, scope="session")
+def checked_partitions():
+    """Every module that binds preprocessing.build_partition (the package,
+    combiner, and the test modules that import the name) gets, for the
+    whole session, a wrapper that runs oracles.check_partition on each
+    partition it returns. The check is looked up on each call, so a test
+    can count it; the wrapper's __wrapped__ is the production function."""
+    build = preprocessing.build_partition
+
+    @functools.wraps(build)
+    def checked(inst, *args, **kwargs):
+        partition = build(inst, *args, **kwargs)
+        oracles.check_partition(partition, inst)
+        return partition
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in list(sys.modules.values()):
+            if getattr(module, "__dict__", {}).get("build_partition") is build:
+                mp.setattr(module, "build_partition", checked)
+        yield
 
 
 # ---------------------------------------------------------------------------

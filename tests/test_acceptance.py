@@ -175,7 +175,7 @@ def _table_system(seed, integral):
         z = rnd.randint(1, 6)
         inv = rnd.randint(1, max(1, min(4, 24 // z)))
     delta = Fraction(rnd.randint(1, 5), rnd.choice([1, 1, 2]))
-    grid = ProfitGrid(delta=delta, z=z, inv_eps=inv)
+    grid = ProfitGrid(delta=delta, z=z, top_anchor=inv)
     growth = Fraction(rnd.randint(3, 9), 2)
     classes = []
     next_id = 1
@@ -246,6 +246,34 @@ def test_c03_convolution_oracle_equivalence(criterion):
         "retrieved sets realise every finite cell",
         body,
     )
+
+
+def test_c03_theta_cap_keeps_every_cell():
+    # At most K, convolve folds only the member counts theta <= ceil(m/tau);
+    # exactly K it folds every theta <= min(size, z). On C03's systems in
+    # both modes, every cell's value and backpointer equal those of the
+    # column scan, which tries every theta at every cell.
+    capped = 0
+    for seed in range(200):
+        grid, classes = _table_system(seed, seed % 5 != 0)
+        cells = [(q, k) for q in range(grid.m + 1) for k in range(grid.z + 1)]
+        for exactly_k in (False, True):
+            acc = trivial_table(grid, *table_format(classes), exactly_k=exactly_k)
+            for cls in classes:
+                tau = snap_class_profit(grid, cls)
+                out = convolve(acc, cls)
+                for (q, k), theta in zip(cells, column_scan(acc, cls, tau, cells)):
+                    rest = int(acc.values[max(q - theta * tau, 0), k - theta])
+                    value = min(cls.prefix_weights[theta] + rest, acc.inf)
+                    assert min(int(out.values[q, k]), out.inf) == value, (seed, q, k)
+                    assert out.backptr[q, k] == theta, (seed, q, k)
+                if not exactly_k:
+                    counts = min(cls.size, grid.z)
+                    capped += counts - min(counts, -(-grid.m // tau))
+                acc = out
+    # The at-most folds leave out 504 member counts, which the exactly-K
+    # folds of the same classes fold.
+    assert capped == 504
 
 
 def test_c04_slope_property_and_slice_minima(criterion):
@@ -391,7 +419,7 @@ def test_c06_discretization_counterexample(criterion):
 
         failures = []
         for d in (3, 4, 6):
-            grid = ProfitGrid(delta=opt / 2**d, z=3, inv_eps=-(-(2**d) // 3))
+            grid = ProfitGrid(delta=opt / 2**d, z=3, top_anchor=-(-(2**d) // 3))
             t1 = exhaustive_table(
                 grid, [Item(id=i, profit=p, weight=w) for i, p, w in s1]
             )
@@ -732,26 +760,34 @@ def test_k_spread_rows_pass_counts(monkeypatch):
 # 11. Exact-cardinality mode.
 # ---------------------------------------------------------------------------
 
+def c11_instances():
+    """The 200 exactly-K (instance, eps) pairs of criterion 11 (n <= 16,
+    K <= 5), some of them infeasible."""
+    out = []
+    for seed in range(200):
+        rnd = random.Random(90_000 + seed)
+        n = rnd.randint(6, 16)
+        K = rnd.randint(2, 5)
+        integral = rnd.random() < 0.8
+        triples = []
+        for uid in range(1, n + 1):
+            p = Fraction(rnd.randint(0, 25))
+            w = (
+                Fraction(rnd.randint(1, 10))
+                if integral
+                else Fraction(rnd.randint(1, 20), 2)
+            )
+            triples.append((uid, p, w))
+        budget = Fraction(rnd.randint(K, K * 7))
+        out.append((inst_of(triples, budget, K, mode=Mode.EXACT), rnd.choice([F(1, 4), F(1, 2)])))
+    return out
+
+
 def test_c11_exact_mode_equivalence(criterion):
     def body():
         failures = infeasible_agree = solved = 0
-        for seed in range(200):
-            rnd = random.Random(90_000 + seed)
-            n = rnd.randint(6, 16)
-            K = rnd.randint(2, 5)
-            integral = rnd.random() < 0.8
-            triples = []
-            for uid in range(1, n + 1):
-                p = Fraction(rnd.randint(0, 25))
-                w = (
-                    Fraction(rnd.randint(1, 10))
-                    if integral
-                    else Fraction(rnd.randint(1, 20), 2)
-                )
-                triples.append((uid, p, w))
-            budget = Fraction(rnd.randint(K, K * 7))
-            inst = inst_of(triples, budget, K, mode=Mode.EXACT)
-            eps = rnd.choice([F(1, 4), F(1, 2)])
+        for inst, eps in c11_instances():
+            K = inst.cardinality
             ref = brute_force(inst)
             try:
                 sol, _ = solve_with_details(inst, eps)

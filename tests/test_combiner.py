@@ -28,10 +28,11 @@ from kknapsack.instance_model import (
     evaluate_solution,
     make_solution,
 )
+from kknapsack.large_items import ProfitGrid, build_phi_L, convolve, table_format, trivial_table
 from kknapsack.oracles import brute_force, exact_dp, full_split_sweep, reference_candidates
-from kknapsack.preprocessing import candidate_view, half_approx_opt
+from kknapsack.preprocessing import build_partition, candidate_view, half_approx_opt
 from kknapsack.small_items import solver_for_partition
-from test_acceptance import c02_instances
+from test_acceptance import c02_instances, c11_instances
 
 
 def mixed_instance(seed):
@@ -382,7 +383,7 @@ class TestDeterminismAndKnobs:
         assert 0 <= det["small_exact_keys"] <= det["small_passes"] * det["small_pool"]
         assert isinstance(det["split"], SplitCandidate)
         assert 1 <= det["split_queries"] <= det["split_count"]
-        assert det["grid_m"] == det["partition"].z * det["table"].grid.inv_eps
+        assert det["grid_m"] == det["partition"].z * det["table"].grid.top_anchor
         rows = det["large_rows"] + det["small_rows"]
         assert frozenset(member_ids(det["partition"], rows)) == sol.selected
         assert len(rows) == sol.count
@@ -522,9 +523,11 @@ class TestSplitSweep:
 
 
 # The exactly-K sweep over the C02 corpus (see test_exactly_k_sweep_is_unchanged):
-# small queries asked, read from the sweep's best-first queue, and the
-# answers' total profit, read before cross-k dominance.
-EXACT_C02_QUERIES = 1289
+# small queries asked, read from the sweep's best-first queue over the grid
+# cut at lp_bound (1289 over the uncut grid: the cut drops splits whose
+# small side has no K - k units), and the answers' total profit, read
+# before cross-k dominance.
+EXACT_C02_QUERIES = 1268
 EXACT_C02_PROFIT = 29375
 
 
@@ -626,6 +629,62 @@ class TestCrossKDominance:
                 queries += det["split_queries"]
                 profit += sol.total_profit
         assert (queries, profit) == (EXACT_C02_QUERIES, EXACT_C02_PROFIT)
+
+
+def uncut_table(part):
+    """The fold of part's large classes over all ceil(1/eps) anchors of its
+    grid, keeping every stage's values: the table before the LP cut."""
+    grid = ProfitGrid.from_partition(part)
+    grid = replace(grid, top_anchor=math.ceil(1 / part.epsilon))
+    acc = trivial_table(grid, *table_format(part.large_classes), exactly_k=part.exactly_k)
+    for cls in part.large_classes:
+        acc = convolve(acc, cls)
+    return acc
+
+
+class TestGridCut:
+    """The profit grid stops at the first anchor reaching lp_bound
+    (ProfitGrid.from_partition): every row it keeps is the uncut fold's,
+    and no split above it can answer."""
+
+    @pytest.mark.parametrize("mode", [Mode.AT_MOST, Mode.EXACT])
+    def test_no_split_above_the_cut_answers(self, mode):
+        # C02's corpus and C11's, each at its eps and at eps/8. Above the
+        # cut an uncut table may still hold fitting cells exactly K, but
+        # their small side never finds K - k units; at most K (where the
+        # empty small side always answers) it holds none.
+        corpus = [(inst, (F(1, 10), F(3, 10))[i % 2]) for i, inst in enumerate(c02_instances())]
+        anchors = [0, 0]  # kept, uncut
+        fitting_above = 0
+        for inst, eps in corpus + c11_instances():
+            inst = in_mode(inst, mode)
+            estimate = half_approx_opt(inst)
+            if estimate.value == 0:
+                continue
+            for eps_int in (eps, eps / 8):
+                part = build_partition(inst, eps_int, estimate)
+                table, full = build_phi_L(part), uncut_table(part)
+                m = table.grid.m
+                anchors[0] += table.grid.top_anchor
+                anchors[1] += full.grid.top_anchor
+                assert np.array_equal(table.values, full.values[: m + 1])
+                cut, uncut = table, full
+                while cut.stage is not None:
+                    assert np.array_equal(cut.backptr, uncut.backptr[: m + 1])
+                    cut, uncut = cut.stage.prev, uncut.stage.prev
+                small = solver_for_partition(part)
+                for k in range(full.grid.z + 1):
+                    for x in full.grid.anchor_indices():
+                        w = full.value_at(x, k)
+                        if x <= m or w is None or w > inst.budget:
+                            continue
+                        fitting_above += 1
+                        assert mode is Mode.EXACT, (x, k)
+                        assert small.phi_dag(inst.budget - w, inst.cardinality - k) is None
+        # The cut binds: it keeps 6668 of 11414 anchors at most K and 6129
+        # of 11450 exactly K, where 44 fitting cells lie above it.
+        assert anchors[0] < 0.6 * anchors[1]
+        assert fitting_above > 0 if mode is Mode.EXACT else fitting_above == 0
 
 
 class TestBestFirstQueue:
@@ -743,7 +802,7 @@ class TestExactMode:
         # One pipeline: the at-most keys.
         _, det_atmost = solve_with_details(replace(inst, mode=Mode.AT_MOST), F(1, 4))
         assert set(det_atmost) <= set(det)
-        assert det["grid_m"] == det["partition"].z * det["table"].grid.inv_eps
+        assert det["grid_m"] == det["partition"].z * det["table"].grid.top_anchor
         assert 1 <= det["split_queries"] <= det["split_count"]
         assert det["partition"].exactly_k is True
         rows = det["large_rows"] + det["small_rows"]
@@ -753,7 +812,10 @@ class TestExactMode:
 
     def test_grid_does_not_grow_with_k(self):
         # The former profit shift drove the internal accuracy towards
-        # eps/(32K); the native pipeline keeps eps/8 in both modes.
+        # eps/(32K); the native pipeline keeps eps/8 in both modes. Of the
+        # grid's 32 anchors the rows keep those up to lp_bound: it is half
+        # the estimate at K = 5 and 20 (anchor 16) and 0.07% above half at
+        # K = 80 (anchor 17), in both modes.
         base = generate_instance("uniform", 200, 20, seed=3)
         budget = sum(it.weight for it in base.items) / 4
         for K in (5, 20, 80):
@@ -763,7 +825,7 @@ class TestExactMode:
                 sol, det = solve_fine(inst, F(1, 4))
                 grids.append(det["grid_m"])
                 assert evaluate_solution(inst, sol).feasible
-            assert grids[0] == grids[1] == min(K, 32) * 32
+            assert grids[0] == grids[1] == min(K, 32) * (17 if K == 80 else 16)
 
     def test_fillers_complete_the_selection(self):
         # Three valuable items and many nearly worthless light ones: every

@@ -109,7 +109,7 @@ def make_system(
     z = rnd.randint(1, z_max)
     inv = rnd.randint(1, 4)
     delta = Fraction(rnd.randint(1, 6), rnd.choice([1, 2, 3]) if frac else 1)
-    grid = ProfitGrid(delta=delta, z=z, inv_eps=inv)
+    grid = ProfitGrid(delta=delta, z=z, top_anchor=inv)
     growth = Fraction(rnd.randint(3, 9), 2)
     classes = []
     next_id = 1
@@ -179,41 +179,48 @@ def assert_same_values(a, b):
 class TestProfitGrid:
     def test_validation(self):
         with pytest.raises(ValueError):
-            ProfitGrid(delta=F(1), z=0, inv_eps=2)
+            ProfitGrid(delta=F(1), z=0, top_anchor=2)
         with pytest.raises(ValueError):
-            ProfitGrid(delta=F(0), z=1, inv_eps=2)
+            ProfitGrid(delta=F(0), z=1, top_anchor=2)
         with pytest.raises(ValueError):
-            ProfitGrid(delta=F(1), z=1, inv_eps=0)
+            ProfitGrid(delta=F(1), z=1, top_anchor=0)
 
     def test_shape_and_anchors(self):
-        grid = ProfitGrid(delta=F(3, 2), z=4, inv_eps=3)
+        grid = ProfitGrid(delta=F(3, 2), z=4, top_anchor=3)
         assert grid.m == 12
         assert grid.cell_count == 13 * 5
         assert grid.anchor_indices() == [0, 4, 8, 12]
         assert grid.profit_value(5) == F(15, 2)
 
     def test_from_partition_covers_the_estimate(self):
-        inst = inst_of([(i, 7 + i, 2 + i % 3) for i in range(1, 12)], 9, 4)
-        for eps in (F(1, 4), F(3, 10), F(2, 3)):
+        # The first instance's lp_bound is half its estimate. The second's LP
+        # takes 49/51 of a second item (lp_bound 100 + 4900/51 against an
+        # estimate of 200), so its rows reach the last of the ceil(1/eps)
+        # anchors.
+        wide = inst_of([(1, 100, 51), (2, 100, 51)], 100, 2)
+        cases = [(inst_of([(i, 7 + i, 2 + i % 3) for i in range(1, 12)], 9, 4), eps, top)
+                 for eps, top in ((F(1, 4), 2), (F(3, 10), 2), (F(2, 3), 1))]
+        for inst, eps, top in cases + [(wide, F(1, 4), 4)]:
             part = build_partition(inst, eps)
             grid = ProfitGrid.from_partition(part)
             assert grid.z == part.z
             assert grid.delta == eps * part.opt_estimate / part.z
-            # Anchor profits i*eps*opt sit exactly on the grid, and the top
-            # grid point reaches the optimum estimate.
+            # Anchor profits i*eps*opt sit exactly on the grid. The top
+            # anchor is the first to reach lp_bound.
             assert grid.profit_value(grid.anchor_indices()[1]) == eps * part.opt_estimate
-            assert grid.profit_value(grid.m) >= part.opt_estimate
+            assert grid.top_anchor == top <= math.ceil(1 / eps)
+            assert grid.profit_value(grid.m - grid.z) < part.lp_bound <= grid.profit_value(grid.m)
 
 
 class TestSnapClassProfit:
     def test_boundary_profit_snaps_to_z(self):
-        grid = ProfitGrid(delta=F(2), z=5, inv_eps=2)
+        grid = ProfitGrid(delta=F(2), z=5, top_anchor=2)
         cls = mk_class(0, 5 * F(2), F(3, 2), [1])  # rounded profit z*delta
         assert snap_class_profit(grid, cls) == 5
 
     def test_fractional_multiple(self):
         # Profit 2.7 * (z * delta) with z = 10, delta = 1 snaps to 27 steps.
-        grid = ProfitGrid(delta=F(1), z=10, inv_eps=3)
+        grid = ProfitGrid(delta=F(1), z=10, top_anchor=3)
         cls = mk_class(0, F(27), F(3, 2), [1])
         assert snap_class_profit(grid, cls) == 27
 
@@ -227,7 +234,7 @@ class TestSnapClassProfit:
             assert tau >= grid.z
 
     def test_below_grid_profit_rejected(self):
-        grid = ProfitGrid(delta=F(2), z=5, inv_eps=2)
+        grid = ProfitGrid(delta=F(2), z=5, top_anchor=2)
         tiny = mk_class(0, F(3), F(3, 2), [1])  # 3 < z*delta = 10
         with pytest.raises(AssertionError):
             snap_class_profit(grid, tiny)
@@ -236,7 +243,7 @@ class TestSnapClassProfit:
 class TestTrivialAndBase:
     @pytest.mark.parametrize("cells", ["exact", "int64"])
     def test_trivial_table(self, cells):
-        grid = ProfitGrid(delta=F(1), z=3, inv_eps=2)
+        grid = ProfitGrid(delta=F(1), z=3, top_anchor=2)
         weight = HUGE if cells == "exact" else F(1)
         t = trivial_table(grid, *table_format([mk_class(0, F(3), F(2), [weight])]))
         assert t.values.dtype == cell_dtype(cells)
@@ -249,7 +256,7 @@ class TestTrivialAndBase:
         # Class of weights {1,2,3}, each member worth tau = 3 grid steps of
         # delta = 10/3 (so tau*delta = 10): profit 10 needs one member,
         # profit 20 two, profit 40 would need four > |class|.
-        grid = ProfitGrid(delta=F(10, 3), z=3, inv_eps=4)
+        grid = ProfitGrid(delta=F(10, 3), z=3, top_anchor=4)
         cls = mk_class(0, F(10), F(3, 2), [1, 2, 3])
         table = base_table(grid, cls)
         check_table(table)
@@ -285,7 +292,7 @@ class TestSlices:
         "z,inv,tau", [(1, 1, 1), (3, 2, 4), (5, 3, 2), (4, 2, 19), (6, 4, 7)]
     )
     def test_cells_covered_exactly_once(self, z, inv, tau):
-        grid = ProfitGrid(delta=F(1), z=z, inv_eps=inv)
+        grid = ProfitGrid(delta=F(1), z=z, top_anchor=inv)
         seen = {}
         for cells in enumerate_slices(grid, tau):
             q0, k0 = cells[0]
@@ -310,7 +317,7 @@ class TestConvolve:
     def test_two_singleton_classes(self):
         # Members worth 2 and 3 grid steps, weights 3 and 4: the only way to
         # reach 5 steps with two slots is both members, total weight 7.
-        grid = ProfitGrid(delta=F(1), z=2, inv_eps=3)
+        grid = ProfitGrid(delta=F(1), z=2, top_anchor=3)
         a = mk_class(0, F(2), F(3, 2), [3], first_id=1)
         b = mk_class(0, F(3), F(3, 2), [4], first_id=2)
         out = convolve(convolve(trivial_table(grid), a), b)
@@ -374,7 +381,7 @@ class TestConvolve:
         # cell for cell (no rounding is happening anywhere).
         from kknapsack.oracles import exhaustive_table
 
-        grid = ProfitGrid(delta=F(2), z=3, inv_eps=3)
+        grid = ProfitGrid(delta=F(2), z=3, top_anchor=3)
         tau = 4  # profit 8 = tau * delta
         cls = mk_class(0, F(8), F(3, 2), [2, 5, 9])
         assert snap_class_profit(grid, cls) == tau
@@ -445,7 +452,7 @@ class TestVectorFoldEdges:
     def test_tall_grid_with_low_last_finite_row(self):
         # Exactly-K shape: m = 60 while no z = 3 items reach past row 19,
         # so most of every shifted read lies past the last finite row.
-        grid = ProfitGrid(delta=F(1), z=3, inv_eps=20)
+        grid = ProfitGrid(delta=F(1), z=3, top_anchor=20)
         classes = [
             mk_class(0, F(4), F(2), [3, 5], first_id=1),
             mk_class(0, F(5), F(2), [2], first_id=3),
@@ -457,14 +464,14 @@ class TestVectorFoldEdges:
     def test_member_profit_reaches_past_top_row(self):
         # tau = 7 > m = 6 (every theta >= 1 covers the grid); tau = 3 hits
         # m exactly at theta = 2 and overshoots at theta = 3.
-        grid = ProfitGrid(delta=F(1), z=3, inv_eps=2)
+        grid = ProfitGrid(delta=F(1), z=3, top_anchor=2)
         wide = mk_class(0, F(7), F(2), [2, 3, 4], first_id=1)
         edge = mk_class(0, F(3), F(2), [1, 1, 5], first_id=4)
         self.check(grid, [wide, edge])
         self.check(grid, [edge, wide])
 
     def test_class_larger_than_z(self):
-        grid = ProfitGrid(delta=F(1), z=2, inv_eps=3)
+        grid = ProfitGrid(delta=F(1), z=2, top_anchor=3)
         classes = [
             mk_class(0, F(2), F(2), [1, 2, 3, 4, 5], first_id=1),
             mk_class(0, F(3), F(2), [2, 2, 6, 7], first_id=6),
@@ -481,7 +488,7 @@ class TestVectorFoldEdges:
         # Full (min,+) enumeration is O((m*z)^2) on this 513 x 257 grid, so
         # the column scan, which evaluates every candidate, stands in for
         # the naive reference.
-        grid = ProfitGrid(delta=F(1), z=256, inv_eps=2)
+        grid = ProfitGrid(delta=F(1), z=256, top_anchor=2)
         classes = [
             mk_class(0, F(300), F(2), [4, 9], first_id=1),
             mk_class(0, F(260), F(2), [1, 3, 8], first_id=3),
@@ -495,7 +502,7 @@ class TestVectorFoldEdges:
     def test_q_major_input_table(self):
         # exhaustive_table builds a C-contiguous (m+1, z+1) array, the
         # transpose of the layout convolve produces.
-        grid = ProfitGrid(delta=F(1), z=3, inv_eps=4)
+        grid = ProfitGrid(delta=F(1), z=3, top_anchor=4)
         items = [
             Item(id=1, profit=F(3), weight=F(2)),
             Item(id=2, profit=F(5), weight=F(4)),
@@ -697,7 +704,7 @@ class TestViewUnit:
         assert sol.total_profit >= (1 - eps) * brute_force(inst).value
 
     def test_convolve_refuses_another_unit(self):
-        grid = ProfitGrid(delta=F(1), z=2, inv_eps=3)
+        grid = ProfitGrid(delta=F(1), z=2, top_anchor=3)
         halves = mk_class(0, F(2), F(3, 2), [F(1, 2), F(3, 2)])
         assert halves.weight_scale == 2
         with pytest.raises(AssertionError):
@@ -709,7 +716,7 @@ class TestViewUnit:
 
 class TestProfitAt:
     def test_known_column(self):
-        grid = ProfitGrid(delta=F(10, 3), z=3, inv_eps=4)
+        grid = ProfitGrid(delta=F(10, 3), z=3, top_anchor=4)
         table = base_table(grid, mk_class(0, F(10), F(3, 2), [1, 2, 3]))
         assert profit_at(table, F(0), 2) == 0
         assert profit_at(table, F(1), 2) == 3  # exactly the lightest member
@@ -719,7 +726,7 @@ class TestProfitAt:
         assert profit_at(table, F(100), 0) == 0
 
     def test_validation(self):
-        grid = ProfitGrid(delta=F(1), z=2, inv_eps=2)
+        grid = ProfitGrid(delta=F(1), z=2, top_anchor=2)
         table = trivial_table(grid)
         with pytest.raises(ValueError):
             profit_at(table, F(1), 5)
@@ -748,7 +755,7 @@ class TestProfitAt:
 
 class TestRetrieve:
     def test_infeasible_cell_raises(self):
-        grid = ProfitGrid(delta=F(1), z=2, inv_eps=2)
+        grid = ProfitGrid(delta=F(1), z=2, top_anchor=2)
         with pytest.raises(ValueError):
             retrieve_items(trivial_table(grid), 1, 1)
 
@@ -800,7 +807,7 @@ class TestGridRefinement:
         queries = [(F(4), 2), (F(5), 2), (F(3), 1)]
         gaps = {query: [] for query in queries}
         for delta in (F(32), F(16), F(8), F(4)):
-            grid = ProfitGrid(delta=delta, z=2, inv_eps=-(-80 // delta))
+            grid = ProfitGrid(delta=delta, z=2, top_anchor=-(-80 // delta))
             assert grid.m * delta >= F(160)  # top of the grid covers 80+80
             table = fold(grid, classes)
             for omega, k in queries:
@@ -836,7 +843,7 @@ class TestOffGridClassProfits:
         ]
         items = s1 + s2
         delta = opt / 2**d
-        grid = ProfitGrid(delta=delta, z=3, inv_eps=-(-(2**d) // 3))
+        grid = ProfitGrid(delta=delta, z=3, top_anchor=-(-(2**d) // 3))
         folded = naive_convolve(
             exhaustive_table(grid, s1), exhaustive_table(grid, s2)
         )
@@ -914,7 +921,7 @@ class TestExactlyKTables:
     column, since no column is each row's minimum."""
 
     def test_trivial_table_frees_only_the_origin(self):
-        grid = ProfitGrid(delta=F(1), z=3, inv_eps=2)
+        grid = ProfitGrid(delta=F(1), z=3, top_anchor=2)
         table = trivial_table(grid, exactly_k=True)
         finite = [(q, k) for q in range(grid.m + 1) for k in range(grid.z + 1)
                   if table.is_finite(q, k)]
@@ -947,7 +954,7 @@ class TestExactlyKTables:
         # is infinite in every row while columns 1 and 2 reach profit row 8.
         # A fold that cut its reads at column z's last finite row would
         # drop every finite read of the second class.
-        grid = ProfitGrid(delta=F(1), z=3, inv_eps=4)
+        grid = ProfitGrid(delta=F(1), z=3, top_anchor=4)
         first = mk_class(0, F(4), F(2), [3, 5], first_id=1)
         second = mk_class(0, F(5), F(2), [2], first_id=3)
         acc = exact_fold(grid, [first])

@@ -150,8 +150,8 @@ class TestExactDp:
 
 class TestNaiveConvolve:
     def test_mismatched_tables_raise(self):
-        g1 = ProfitGrid(delta=F(1), z=2, inv_eps=2)
-        g2 = ProfitGrid(delta=F(2), z=2, inv_eps=2)
+        g1 = ProfitGrid(delta=F(1), z=2, top_anchor=2)
+        g2 = ProfitGrid(delta=F(2), z=2, top_anchor=2)
         a = trivial_table(g1)
         with pytest.raises(ValueError):
             naive_convolve(a, trivial_table(g2))
@@ -163,7 +163,7 @@ class TestNaiveConvolve:
     @pytest.mark.parametrize("cells", ["exact", "int64"])
     def test_trivial_is_identity(self, cells):
         # "exact": weights past INT_WEIGHT_LIMIT take Python-int object cells.
-        grid = ProfitGrid(delta=F(1), z=2, inv_eps=3)
+        grid = ProfitGrid(delta=F(1), z=2, top_anchor=3)
         unit = F(INT_WEIGHT_LIMIT) if cells == "exact" else F(1)
         items = [
             Item(id=1, profit=F(2), weight=3 * unit),
@@ -180,14 +180,14 @@ class TestNaiveConvolve:
 
 class TestExhaustiveTable:
     def test_size_guard(self):
-        grid = ProfitGrid(delta=F(1), z=2, inv_eps=2)
+        grid = ProfitGrid(delta=F(1), z=2, top_anchor=2)
         items = [Item(id=i, profit=F(1), weight=F(1)) for i in range(EXHAUSTIVE_TABLE_LIMIT + 1)]
         with pytest.raises(ValueError):
             exhaustive_table(grid, items)
 
     def test_tiny_example_by_hand(self):
         # Items (profit 2, weight 3) and (profit 3, weight 1); delta 1.
-        grid = ProfitGrid(delta=F(1), z=2, inv_eps=3)
+        grid = ProfitGrid(delta=F(1), z=2, top_anchor=3)
         items = [Item(id=1, profit=F(2), weight=F(3)), Item(id=2, profit=F(3), weight=F(1))]
         t = exhaustive_table(grid, items)
         assert t.value_at(0, 2) == 0
@@ -201,7 +201,7 @@ class TestExhaustiveTable:
     def test_exactly_k_by_hand(self):
         # The same two items with exactly k: one slot cannot take both, and
         # two slots must, so (0, 2) costs their total weight.
-        grid = ProfitGrid(delta=F(1), z=2, inv_eps=3)
+        grid = ProfitGrid(delta=F(1), z=2, top_anchor=3)
         items = [Item(id=1, profit=F(2), weight=F(3)), Item(id=2, profit=F(3), weight=F(1))]
         t = exhaustive_table(grid, items, exactly_k=True)
         assert t.value_at(0, 0) == 0 and t.value_at(0, 1) == 1
@@ -212,7 +212,7 @@ class TestExhaustiveTable:
             check_table(t)
 
     def test_scaled_exact_storage(self):
-        grid = ProfitGrid(delta=F(1), z=2, inv_eps=2)
+        grid = ProfitGrid(delta=F(1), z=2, top_anchor=2)
         items = [Item(id=1, profit=F(3), weight=F(1, 2))]
         t = exhaustive_table(grid, items)
         assert t.weight_scale == 2
@@ -299,7 +299,7 @@ class TestCriticalMultiplierEnum:
 
 class TestColumnScan:
     def test_limit(self):
-        grid = ProfitGrid(delta=F(1), z=1, inv_eps=1)
+        grid = ProfitGrid(delta=F(1), z=1, top_anchor=1)
         acc = trivial_table(grid)
         cells = [(1, 0)] * (COLUMN_SCAN_LIMIT + 1)
         with pytest.raises(ValueError):

@@ -141,7 +141,8 @@ def spans_left_as_found():
 def test_traced_quick_run_folds_one_round_per_exact_k_solve(monkeypatch, spans_left_as_found):
     # Exactly-K solves run the at-most pipeline once per accuracy level:
     # rounds counts the levels run and grid_m is the answering level's grid,
-    # z * ceil(1/eps_int) rows with z = min(K, ceil(1/eps_int)).
+    # z * top rows with z = min(K, ceil(1/eps_int)): top is the first anchor
+    # i with i*eps_int*opt_estimate >= lp_bound, at most ceil(1/eps_int).
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import math
     import workloads
@@ -161,8 +162,10 @@ def test_traced_quick_run_folds_one_round_per_exact_k_solve(monkeypatch, spans_l
     for job in workloads.build_corpus("exact-k", 1, workloads.DEFAULT_CORPUS_SEED, True):
         _, det = solve_with_details(job.instance, job.eps)
         assert len(det["rounds"]) == 1 + det["fell_back"]
-        inv = math.ceil(1 / det["internal_eps"])
-        assert det["final"]["grid_m"] == min(job.instance.cardinality, inv) * inv
+        e = det["internal_eps"]
+        inv = math.ceil(1 / e)
+        top = min(inv, math.ceil(det["lp_bound"] / (e * det["opt_estimate"])))
+        assert det["final"]["grid_m"] == min(job.instance.cardinality, inv) * top
         rounds.append(len(det["rounds"]))
         grids.append(det["final"]["grid_m"])
     metrics = summary["metrics"]

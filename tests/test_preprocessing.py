@@ -6,6 +6,7 @@ itself checked here against a linear scan)."""
 import itertools
 import math
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -16,14 +17,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import F, ZERO, best_subset, inst_of, member_ids, partition_fields
-from kknapsack import combiner, preprocessing, solve_with_details
+from kknapsack import combiner, oracles, preprocessing, solve_with_details
 from kknapsack.generator import DISTRIBUTIONS, generate_instance
 from kknapsack.instance_model import Instance, Item, Mode
-from kknapsack.oracles import geometric_index_up, reference_candidates, reference_partition
+from kknapsack.oracles import check_partition, geometric_index_up, reference_candidates
+from kknapsack.oracles import reference_partition
 from kknapsack.preprocessing import (
     OptimumEstimate,
     TrivialInstanceError,
-    _check_partition,
     build_partition,
     candidate_view,
     half_approx_opt,
@@ -280,7 +281,7 @@ class TestBuildPartition:
                 "subset-sum", 18, 3, seed=seed, weight_max=15, integral=False
             )
             part = build_partition(inst, F(2, 5))
-            _check_partition(part, inst)  # must not raise
+            check_partition(part, inst)  # must not raise
             summary = part.summary()
             assert len(summary["large_classes"]) == len(part.large_classes)
             assert len(summary["small_classes"]) == len(part.small_classes)
@@ -388,7 +389,8 @@ class TestFloorRowsSkipTheSort:
         inst = inst_of([(1, 10, 3), (2, 9, 1), (3, 4, 2)], 10, 1, mode=mode)
         part = self.assert_same(inst, F(3, 4))
         reference = reference_partition(inst, F(3, 4))
-        assert part.class_count == 0 and partition_fields(part) == partition_fields(reference)
+        assert not part.large_classes + part.small_classes
+        assert partition_fields(part) == partition_fields(reference)
         if mode is Mode.EXACT:
             assert member_ids(part, part.filler_rows) == [2] and part.discarded == {1, 3}
         else:
@@ -527,13 +529,13 @@ class TestPackedClassOrder:
         W = candidate_view(big).W
         assert W.dtype == np.int64 and int(W.max()).bit_length() == 56
         part = TestFloorRowsSkipTheSort.assert_same(big, F(1, 4))
-        assert paths == ["lexsort"] and part.class_count >= 4
+        assert paths == ["lexsort"] and len(part.large_classes + part.small_classes) >= 4
         assert _structure(part) == _structure(build_partition(base, F(1, 4)))
         assert paths == ["lexsort", "packed"]
 
 
 class TestCheckPartition:
-    """_check_partition compares only each class's least and greatest
+    """check_partition compares only each class's least and greatest
     profit to its bounds; a member outside them must still be caught."""
 
     def partition(self):
@@ -562,7 +564,7 @@ class TestCheckPartition:
             extra["prefix_weights"] = prefix + (prefix[-1] + weight,)
         classes[t] = replace(classes[t], **extra)
         with pytest.raises(AssertionError):
-            _check_partition(replace(part, **{f"{kind}_classes": tuple(classes)}), inst)
+            check_partition(replace(part, **{f"{kind}_classes": tuple(classes)}), inst)
 
     @pytest.mark.parametrize(
         "kind, index", [("large", 1), ("large", 2), ("small", 1), ("small", 2), ("small", 3)]
@@ -594,14 +596,46 @@ class TestCheckPartition:
             extra["prefix_weights"] = prefix + (prefix[-1] + int(part.view.W[row]),)
         classes[t] = replace(classes[t], **extra)
         with pytest.raises(AssertionError):
-            _check_partition(replace(part, **{f"{kind}_classes": tuple(classes)}), inst)
+            check_partition(replace(part, **{f"{kind}_classes": tuple(classes)}), inst)
+
+    def test_every_binding_is_checked(self, monkeypatch):
+        # conftest's checked_partitions leaves no module binding the
+        # unchecked build_partition, and every binding's builds, and a
+        # solve's, reach oracles.check_partition.
+        import kknapsack
+        import test_acceptance
+        import test_large_items
+        import test_small_items
+
+        unchecked = preprocessing.build_partition.__wrapped__
+        assert not [
+            name for name, module in list(sys.modules.items())
+            if getattr(module, "__dict__", {}).get("build_partition") is unchecked
+        ]
+        checked = []
+        monkeypatch.setattr(oracles, "check_partition", lambda part, inst: checked.append(part))
+        inst = generate_instance("uniform", 40, 4, seed=2)
+        builds = [
+            preprocessing.build_partition,
+            combiner.build_partition,
+            kknapsack.build_partition,
+            build_partition,
+            test_acceptance.build_partition,
+            test_large_items.build_partition,
+            test_small_items.build_partition,
+        ]
+        for build in builds:
+            part = build(inst, F(1, 4))
+            assert checked[-1] is part
+        _, det = solve_with_details(inst, F(1, 4))
+        assert len(checked) == len(builds) + 1 + det["fell_back"]
 
     def test_filler_above_the_floor_is_rejected(self):
         inst, part = self.partition()
         small = part.small_classes[-1].rows[0]
         fillers = np.append(part.filler_rows[:-1], small)
         with pytest.raises(AssertionError):
-            _check_partition(replace(part, filler_rows=fillers), inst)
+            check_partition(replace(part, filler_rows=fillers), inst)
 
 
 def _acceptance_corpora():
@@ -738,7 +772,7 @@ class TestIntegerThresholds:
     def test_all_equal_profits(self, mode):
         inst = inst_of([(i, 3, 1 + i % 4) for i in range(1, 21)], 30, 4, mode=mode)
         part = _assert_matches_reference(inst, F(1, 8))
-        assert part.class_count == 1 and part.small_item_count == 4
+        assert len(part.large_classes + part.small_classes) == 1 and part.small_item_count == 4
 
 
 def _times(inst, profit=1, weight=1) -> Instance:
